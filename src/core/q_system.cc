@@ -103,6 +103,13 @@ util::Status QSystem::AddAssociations(
 util::Status QSystem::AddAssociationsLocked(
     const std::vector<match::AlignmentCandidate>& candidates) {
   if (scheduler_ != nullptr) scheduler_->Quiesce();
+  // New association edges and their features (matcher bins, relation and
+  // edge features, missing-vote penalties) are interned into space_ here.
+  // A reader's served weights read every feature they never set through
+  // space_ (WeightVector::At), and interning may reallocate its storage,
+  // so the graph and feature-space mutation holds the exclusive gate —
+  // the same rule RegisterSourceLocked and CreateView follow.
+  std::unique_lock<util::SharedMutex> serve_lock(serve_mu_);
   for (const match::AlignmentCandidate& c : candidates) {
     auto na = graph_.FindAttributeNode(c.a);
     auto nb = graph_.FindAttributeNode(c.b);

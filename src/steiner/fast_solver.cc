@@ -535,6 +535,35 @@ bool PrepareSubproblem(const CsrGraph& csr,
   return true;
 }
 
+// Copies a freshly computed tree out of its pooled scratch slot into a
+// shareable cache entry whose arrays span `n` nodes. A pooled slot keeps
+// the high-water arrays of every solve its thread ever ran (an unmasked
+// solve on the largest graph it served leaves them at that size), so a
+// wholesale copy or a stolen slot would store arrays sized to that graph
+// rather than to this one — and a stolen slot would regrow on its next
+// use. The slot's invariant — every entry off the touched list is at its
+// (inf, invalid, 0) default — makes the right-sized rebuild byte-identical
+// for every index below `n`, which is all the cache can serve.
+std::shared_ptr<const SpTree> MaterializeTree(const SpTree& slot,
+                                              std::size_t n) {
+  auto fresh = std::make_shared<SpTree>();
+  fresh->dist.assign(n, kInf);
+  fresh->pred_node.assign(n, graph::kInvalidNode);
+  fresh->pred_edge.assign(n, graph::kInvalidEdge);
+  fresh->settled.assign(n, 0);
+  for (std::uint32_t v : slot.touched) {
+    fresh->dist[v] = slot.dist[v];
+    fresh->pred_node[v] = slot.pred_node[v];
+    fresh->pred_edge[v] = slot.pred_edge[v];
+    fresh->settled[v] = slot.settled[v];
+  }
+  fresh->touched = slot.touched;
+  fresh->tree_edges = slot.tree_edges;
+  fresh->complete = slot.complete;
+  fresh->mask_min_clip = slot.mask_min_clip;
+  return fresh;
+}
+
 // Fills s.sp with one shortest-path tree per deduped terminal, shared
 // through the cache. `full` requests complete (non-early-stopped) trees —
 // the exact DP seeds its singleton slices from them. `cache_generation`
@@ -542,55 +571,45 @@ bool PrepareSubproblem(const CsrGraph& csr,
 // inserts keyed under it can only meet entries computed over the same
 // pinned costs, even if a concurrent re-cost has already moved the cache
 // to a newer generation.
+//
+// Only clean-overlay ({}, {}) trees are materialized, the policy the
+// mask-local twin below follows too. A clean entry is re-served every
+// time an enumeration at this generation re-acquires the terminal, and
+// the reuse rule (sp_cache.h) lets it answer overlay lookups whose bans
+// miss its tree. Overlay trees stay in the thread's scratch slot: a whole
+// overlay subproblem that recurs is served one level up, by the engine's
+// SolveMemo, while storing overlay trees here would cost a per-lookup
+// scan over every entry of the terminal plus an O(num_nodes) copy per
+// entry, and the rule serves almost no lookups from them
+// (docs/query_engine.md, "Shortest-path cache", has the measured rates).
 void AcquireSpTrees(const CsrGraph& csr, ShortestPathCache* cache,
                     std::uint64_t cache_generation, SolverScratch& s,
                     bool full, const std::vector<std::uint8_t>* in_mask) {
   const std::size_t t = s.terminals.size();
+  const bool clean_overlay =
+      s.forced_sorted.empty() && s.banned_sorted.empty();
   s.sp.clear();
   s.sp_refs.clear();
   if (s.sp_slots.size() < t) s.sp_slots.resize(t);
   for (std::size_t i = 0; i < t; ++i) {
     std::shared_ptr<const SpTree> ref;
-    bool computed_in_slot = false;
     if (cache != nullptr) {
       ref = cache->Lookup(cache_generation, s.terminals[i], s.forced_sorted,
                           s.banned_sorted, csr.edge_cost, s.terminals, full);
-      if (ref == nullptr && cache->HasRoom()) {
-        // Miss: compute into the reusable scratch slot first, then decide
-        // whether the tree is worth materializing as a shared entry. An
-        // entry's arrays span all of num_nodes, so insertion costs O(n)
-        // regardless of how little the search explored — on large graphs
-        // an early-stopped tree touching a small neighborhood is cheaper
-        // to recompute (sparse reset, no allocation) than to materialize.
-        // Clean-overlay trees are the exception: the subset rule lets one
-        // (F, B) = ({}, {}) entry serve most Lawler children, so those
-        // always earn their footprint.
-        ComputeSpTree(csr, s.edge_flag, s.is_target, t, !full, s.terminals[i],
-                      in_mask, s.heap, &s.sp_slots[i]);
-        computed_in_slot = true;
-        const bool clean_overlay =
-            s.forced_sorted.empty() && s.banned_sorted.empty();
-        if (clean_overlay ||
-            s.sp_slots[i].touched.size() * 4 >= csr.num_nodes) {
-          // Steal the slot's arrays; the slot regrows on its next use,
-          // which costs no more than the fresh allocation used to.
-          auto fresh = std::make_shared<SpTree>(std::move(s.sp_slots[i]));
-          s.sp_slots[i] = SpTree{};
-          cache->Insert(cache_generation, s.terminals[i], s.forced_sorted,
-                        s.banned_sorted, fresh);
-          ref = std::move(fresh);
-        }
+    }
+    if (ref == nullptr) {
+      ComputeSpTree(csr, s.edge_flag, s.is_target, t, !full, s.terminals[i],
+                    in_mask, s.heap, &s.sp_slots[i]);
+      if (cache != nullptr && clean_overlay && cache->HasRoom()) {
+        ref = MaterializeTree(s.sp_slots[i], csr.num_nodes);
+        cache->Insert(cache_generation, s.terminals[i], {}, {}, ref);
       }
     }
     if (ref != nullptr) {
       s.sp.push_back(ref.get());
       s.sp_refs.push_back(std::move(ref));
     } else {
-      // Cache disabled, full, or the miss stayed in scratch.
-      if (!computed_in_slot) {
-        ComputeSpTree(csr, s.edge_flag, s.is_target, t, !full, s.terminals[i],
-                      in_mask, s.heap, &s.sp_slots[i]);
-      }
+      // Cache disabled or full, or an overlay tree kept in scratch.
       s.sp.push_back(&s.sp_slots[i]);
     }
   }
@@ -610,6 +629,8 @@ void AcquireSpTreesLocal(const CsrGraph& csr, const ShardMask& m,
                          bool full) {
   const std::size_t t = s.terminals.size();
   const std::size_t n = m.nodes.size();
+  const bool clean_overlay =
+      s.forced_sorted.empty() && s.banned_sorted.empty();
   s.terminals_local.clear();
   for (std::uint32_t term : s.terminals) {
     s.terminals_local.push_back(m.local_of[term]);
@@ -621,66 +642,36 @@ void AcquireSpTreesLocal(const CsrGraph& csr, const ShardMask& m,
   if (s.sp_slots.size() < t) s.sp_slots.resize(t);
   for (std::size_t i = 0; i < t; ++i) {
     std::shared_ptr<const SpTree> ref;
-    bool computed_in_slot = false;
     if (cache != nullptr) {
       ref = cache->LookupLocal(m.mask_uid, s.terminals[i], s.forced_sorted,
                                s.banned_sorted, csr.edge_cost,
                                s.terminals_local, full);
-      if (ref == nullptr) {
-        ComputeSpTreeLocal(m, s.edge_flag, s.is_target_local, t, !full,
-                           s.terminals_local[i], s.heap, &s.sp_slots[i]);
-        computed_in_slot = true;
-        // Materialize only clean-overlay trees. A ({}, {}) entry is
-        // re-served every time the enumeration re-acquires this mask and
-        // terminal, so it earns its footprint; an overlay tree can only
-        // hit again on a compatible (F, B) recurrence, which Lawler
-        // partitioning makes vanishingly rare — and the insert would
-        // steal the pooled slot, forcing the next miss to reallocate and
-        // refill O(L) arrays instead of sparse-resetting its touched
-        // entries. Keeping overlay misses slot-resident is what holds the
-        // per-solve cost at O(ball) as the catalog grows.
-        //
-        // The copy is rebuilt at the mask's local extent rather than
-        // copied wholesale from the slot: a pooled slot keeps the high-
-        // water arrays of every solve the thread ever ran (an unmasked
-        // verify pass leaves them at catalog size), and a full copy of
-        // that is an O(catalog) stall on the first acquire of every new
-        // mask. The slot's invariant — every entry off the touched list
-        // is at its (inf, invalid, 0) default — makes the right-sized
-        // rebuild byte-identical for all local ids the cache can serve.
-        // The capacity race is handled inside InsertLocal (wholesale
-        // clear), so no HasRoom gate here.
-        if (s.forced_sorted.empty() && s.banned_sorted.empty()) {
-          const SpTree& slot = s.sp_slots[i];
-          auto fresh = std::make_shared<SpTree>();
-          fresh->dist.assign(n, kInf);
-          fresh->pred_node.assign(n, graph::kInvalidNode);
-          fresh->pred_edge.assign(n, graph::kInvalidEdge);
-          fresh->settled.assign(n, 0);
-          for (std::uint32_t v : slot.touched) {
-            fresh->dist[v] = slot.dist[v];
-            fresh->pred_node[v] = slot.pred_node[v];
-            fresh->pred_edge[v] = slot.pred_edge[v];
-            fresh->settled[v] = slot.settled[v];
-          }
-          fresh->touched = slot.touched;
-          fresh->tree_edges = slot.tree_edges;
-          fresh->complete = slot.complete;
-          fresh->mask_min_clip = slot.mask_min_clip;
-          cache->InsertLocal(m.mask_uid, s.terminals[i], s.forced_sorted,
-                             s.banned_sorted, fresh);
-          ref = std::move(fresh);
-        }
+    }
+    if (ref == nullptr) {
+      ComputeSpTreeLocal(m, s.edge_flag, s.is_target_local, t, !full,
+                         s.terminals_local[i], s.heap, &s.sp_slots[i]);
+      // Materialize only clean-overlay trees. A ({}, {}) entry is
+      // re-served every time the enumeration re-acquires this mask and
+      // terminal, so it earns its footprint; an overlay tree can only
+      // hit again on a compatible (F, B) recurrence, which Lawler
+      // partitioning makes vanishingly rare. Keeping overlay misses
+      // slot-resident is what holds the per-solve cost at O(ball) as the
+      // catalog grows: the slot sparse-resets its touched entries on the
+      // next miss instead of allocating and refilling O(L) arrays. The
+      // entry is rebuilt at the mask's local extent, so a slot a
+      // catalog-sized unmasked solve left behind never costs an
+      // O(catalog) copy on the first acquire of a new mask. The capacity
+      // race is handled inside InsertLocal (wholesale clear), so no
+      // HasRoom gate here.
+      if (cache != nullptr && clean_overlay) {
+        ref = MaterializeTree(s.sp_slots[i], n);
+        cache->InsertLocal(m.mask_uid, s.terminals[i], {}, {}, ref);
       }
     }
     if (ref != nullptr) {
       s.sp.push_back(ref.get());
       s.sp_refs.push_back(std::move(ref));
     } else {
-      if (!computed_in_slot) {
-        ComputeSpTreeLocal(m, s.edge_flag, s.is_target_local, t, !full,
-                           s.terminals_local[i], s.heap, &s.sp_slots[i]);
-      }
       s.sp.push_back(&s.sp_slots[i]);
     }
   }
@@ -967,10 +958,13 @@ FastSteinerEngine::FastSteinerEngine(const graph::SearchGraph& graph,
                                      const graph::WeightVector& weights,
                                      bool use_cache)
     : csr_(std::make_shared<CsrGraph>(CsrGraph::Build(graph, weights))) {
-  if (use_cache) cache_ = std::make_unique<ShortestPathCache>();
+  if (use_cache) {
+    cache_ = std::make_unique<ShortestPathCache>();
+    memo_ = std::make_unique<SolveMemo>();
+  }
 }
 
-FastSteinerEngine::SnapshotPin FastSteinerEngine::Pin() const {
+SnapshotPin FastSteinerEngine::Pin() const {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   SnapshotPin pin;
   // The handle owns a fresh control block whose deleter both keeps the
@@ -1007,6 +1001,7 @@ void FastSteinerEngine::Recost(const graph::SearchGraph& graph,
   csr_->Recost(graph, weights);
   ++generation_;
   if (cache_ != nullptr) cache_->BumpGeneration();
+  if (memo_ != nullptr) memo_->Advance(generation_);
 }
 
 bool FastSteinerEngine::CollectDeltaCandidates(
@@ -1068,6 +1063,7 @@ FastSteinerEngine::RecostDeltaOutcome FastSteinerEngine::RecostDelta(
     return outcome;
   }
   ++generation_;
+  if (memo_ != nullptr) memo_->Advance(generation_);
   if (cache_ != nullptr) {
     if (cloned) {
       // Pinned solves of the old snapshot may still be populating the
@@ -1113,6 +1109,12 @@ FastSolveStats FastSteinerEngine::stats() const {
     st.sp_local_entries = cache_->local_size();
     st.masked_bypasses = cache_->masked_bypasses();
   }
+  if (memo_ != nullptr) {
+    st.memo_hits = memo_->hits();
+    st.memo_misses = memo_->misses();
+    st.memo_entries = memo_->size();
+    st.memo_bytes = memo_->bytes();
+  }
   return st;
 }
 
@@ -1132,6 +1134,25 @@ std::optional<SteinerTree> FastSteinerEngine::SolveKmb(
     const std::vector<graph::EdgeId>& banned) {
   return SolveKmbImpl(pin, terminals, forced, banned, /*mask=*/nullptr,
                       /*outcome=*/nullptr, /*escalate_bound=*/nullptr);
+}
+
+std::optional<SteinerTree> FastSteinerEngine::SolveMemoized(
+    const SnapshotPin& pin, SolverKind kind,
+    const std::vector<graph::NodeId>& terminals,
+    const std::vector<graph::EdgeId>& forced,
+    const std::vector<graph::EdgeId>& banned) {
+  std::optional<SteinerTree> verdict;
+  if (memo_ != nullptr && memo_->Lookup(pin.generation, kind, terminals,
+                                        forced, banned, &verdict)) {
+    return verdict;
+  }
+  verdict = kind == SolverKind::kKmb
+                ? SolveKmb(pin, terminals, forced, banned)
+                : SolveExact(pin, terminals, forced, banned);
+  if (memo_ != nullptr) {
+    memo_->Insert(pin.generation, kind, terminals, forced, banned, verdict);
+  }
+  return verdict;
 }
 
 std::optional<SteinerTree> FastSteinerEngine::SolveKmbMasked(

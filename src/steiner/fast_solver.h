@@ -30,6 +30,12 @@ struct FastSolveStats {
   std::size_t sp_local_misses = 0;
   std::size_t sp_local_entries = 0;
   std::size_t masked_bypasses = 0;
+  // Subproblem memo traffic (FastSteinerEngine::SolveMemoized): lookups
+  // served and missed, live entries, and the heap bytes they hold.
+  std::size_t memo_hits = 0;
+  std::size_t memo_misses = 0;
+  std::size_t memo_entries = 0;
+  std::size_t memo_bytes = 0;
 };
 
 // Bytes currently retained by the calling thread's solver scratch arena
@@ -101,10 +107,11 @@ enum class MaskedOutcome { kOk, kEscalate };
 // and do no steady-state allocation.
 //
 // When `use_cache` is set, per-terminal Dijkstra trees are shared across
-// subproblems through a ShortestPathCache; see sp_cache.h for the reuse
-// rule. Cache state never changes solver output (any valid entry equals a
-// fresh computation), which is what keeps cached/parallel runs
-// byte-identical to sequential uncached runs.
+// subproblems through a ShortestPathCache (see sp_cache.h for the reuse
+// rule), and whole unmasked subproblem verdicts through a SolveMemo (see
+// SolveMemoized). Cache and memo state never change solver output (any
+// valid entry equals a fresh computation), which is what keeps
+// cached/parallel runs byte-identical to sequential uncached runs.
 //
 // Concurrency (the async refresh scheduler's contract): any number of
 // Solve* calls may run concurrently with each other AND with one
@@ -188,16 +195,14 @@ class FastSteinerEngine {
   void InvalidateFeatureIndex() { feature_index_.reset(); }
 
   // Snapshot generation: 0 at construction, +1 per Recost and per
-  // effective RecostDelta (one that moved at least one edge cost).
+  // effective RecostDelta (one that moved at least one edge cost), so it
+  // names the CSR cost bits — the subproblem memo is scoped to it.
   // Mirrors the cache generation when caching is enabled and only full
   // Recosts occur; a delta re-cost advances the engine generation but
   // deliberately not the cache generation (surviving entries stay
   // servable).
   std::uint64_t generation() const { return generation_; }
 
-  // Kept as a member alias: SnapshotPin predates its move to namespace
-  // scope and call sites still say FastSteinerEngine::SnapshotPin.
-  using SnapshotPin = ::q::steiner::SnapshotPin;
   SnapshotPin Pin() const;
 
   // KMB 2-approximation (the contraction semantics of SolveKmbSteiner).
@@ -220,6 +225,21 @@ class FastSteinerEngine {
       const std::vector<graph::EdgeId>& forced,
       const std::vector<graph::EdgeId>& banned);
   std::optional<SteinerTree> SolveExact(
+      const std::vector<graph::NodeId>& terminals,
+      const std::vector<graph::EdgeId>& forced,
+      const std::vector<graph::EdgeId>& banned);
+
+  // SolveKmb or SolveExact (per `kind`) against `pin`, served from the
+  // engine's subproblem memo when the same call was already solved under
+  // the pin's generation (see SolveMemo in sp_cache.h). The memo exists
+  // exactly when the shortest-path cache does (`use_cache`); a hit
+  // returns what the pure call returns, so memo state never changes
+  // output. Entries live for one engine generation: Recost and every
+  // RecostDelta that moves a cost purge them, and a solve pinned to an
+  // older generation neither reads nor inserts. TopKSteinerTrees routes
+  // every unmasked Lawler subproblem through here.
+  std::optional<SteinerTree> SolveMemoized(
+      const SnapshotPin& pin, SolverKind kind,
       const std::vector<graph::NodeId>& terminals,
       const std::vector<graph::EdgeId>& forced,
       const std::vector<graph::EdgeId>& banned);
@@ -346,6 +366,7 @@ class FastSteinerEngine {
   mutable std::mutex snapshot_mu_;
   std::uint64_t generation_ = 0;
   std::unique_ptr<ShortestPathCache> cache_;  // null when caching disabled
+  std::unique_ptr<SolveMemo> memo_;           // null when caching disabled
   // Lazily built by RecostDelta; reset by InvalidateFeatureIndex.
   std::unique_ptr<FeatureEdgeIndex> feature_index_;
   // Scratch reused across RecostDelta calls.

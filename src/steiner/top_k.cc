@@ -112,6 +112,7 @@ std::vector<SteinerTree> TopKSteinerTrees(
 
   const bool use_kmb =
       config.approximate || graph.num_nodes() > config.approximate_above_nodes;
+  const SolverKind kind = use_kmb ? SolverKind::kKmb : SolverKind::kExact;
 
   // The solver substrate. The fast engine solves every subproblem as an
   // O(|edit|) overlay on a CSR snapshot — the caller's shared one when
@@ -135,21 +136,22 @@ std::vector<SteinerTree> TopKSteinerTrees(
     enumeration_pin = pin != nullptr ? *pin : engine->Pin();
     if (config.sharded.enabled) {
       // Terminal-local sharded search: one localizer spans the
-      // enumeration (masked solves run uncached — see fast_solver.h).
-      // With must_solve, a subproblem retries through escalation until
-      // its masked result verifies or the mask covers everything worth
-      // covering — at which point the ordinary unmasked solve (and the
-      // engine's shared cache) takes over. Without it, a single masked
-      // attempt either verifies or yields the certified lower bound the
-      // caller parks on — the mask never grows for a subspace whose
-      // bound may keep it from ever surfacing. Masked results that
-      // verify are bit-identical to unmasked ones (see fast_solver.h),
-      // so the enumeration's output — and its certificate — never
-      // depends on sharding, mask growth, or scheduling.
+      // enumeration (masked solves bypass the memo and the global cache
+      // half — see fast_solver.h). With must_solve, a subproblem retries
+      // through escalation until its masked result verifies or the mask
+      // covers everything worth covering — at which point the ordinary
+      // unmasked solve (and the engine's memo and shared cache) takes
+      // over. Without it, a single masked attempt either verifies or
+      // yields the certified lower bound the caller parks on — the mask
+      // never grows for a subspace whose bound may keep it from ever
+      // surfacing. Masked results that verify are bit-identical to
+      // unmasked ones (see fast_solver.h), so the enumeration's output —
+      // and its certificate — never depends on sharding, mask growth, or
+      // scheduling.
       localizer = std::make_unique<TerminalLocalizer>(
           enumeration_pin.csr,
           engine->Shards(config.sharded.target_shard_nodes), terminals);
-      attempt = [engine, &enumeration_pin, &terminals, use_kmb,
+      attempt = [engine, &enumeration_pin, &terminals, use_kmb, kind,
                  compact_ids = config.sharded.compact_local_ids,
                  loc = localizer.get()](
                     const std::vector<graph::EdgeId>& forced,
@@ -158,11 +160,8 @@ std::vector<SteinerTree> TopKSteinerTrees(
         for (;;) {
           TerminalLocalizer::Snapshot snap = loc->Acquire();
           if (snap.mask->covers_all) {
-            return AttemptResult{
-                use_kmb ? engine->SolveKmb(enumeration_pin, terminals, forced,
-                                           banned)
-                        : engine->SolveExact(enumeration_pin, terminals,
-                                             forced, banned)};
+            return AttemptResult{engine->SolveMemoized(
+                enumeration_pin, kind, terminals, forced, banned)};
           }
           MaskView view;
           view.in_mask = &snap.mask->in_mask;
@@ -191,15 +190,15 @@ std::vector<SteinerTree> TopKSteinerTrees(
         }
       };
     } else {
-      attempt = [engine, &enumeration_pin, &terminals, use_kmb](
+      // Every subproblem goes through the engine's memo: a search repeated
+      // against an unchanged snapshot replays this enumeration without
+      // re-solving one subproblem (see FastSteinerEngine::SolveMemoized).
+      attempt = [engine, &enumeration_pin, &terminals, kind](
                     const std::vector<graph::EdgeId>& forced,
                     const std::vector<graph::EdgeId>& banned,
                     bool /*must_solve*/) {
-        return AttemptResult{
-            use_kmb
-                ? engine->SolveKmb(enumeration_pin, terminals, forced, banned)
-                : engine->SolveExact(enumeration_pin, terminals, forced,
-                                     banned)};
+        return AttemptResult{engine->SolveMemoized(enumeration_pin, kind,
+                                                   terminals, forced, banned)};
       };
     }
   } else {

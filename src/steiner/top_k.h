@@ -18,8 +18,9 @@ namespace q::steiner {
 // Which single-tree solver substrate drives the Lawler enumeration.
 //   kFast   — CSR snapshot built once per call, forced/banned edges applied
 //             as overlays, per-terminal Dijkstra trees shared through a
-//             ShortestPathCache, allocation-free scratch arenas (see
-//             fast_solver.h and docs/query_engine.md).
+//             ShortestPathCache, solved subproblems through a SolveMemo,
+//             allocation-free scratch arenas (see fast_solver.h and
+//             docs/query_engine.md).
 //   kLegacy — rebuilds a contracted SteinerProblem per subproblem; kept as
 //             the reference implementation and benchmark baseline.
 enum class SteinerEngine { kFast = 0, kLegacy = 1 };
@@ -68,7 +69,12 @@ struct TopKConfig {
   std::size_t max_subproblems = 20000;
   // Fast-path controls. Disabling the cache or the pool never changes the
   // output (the determinism contract of docs/query_engine.md); it only
-  // changes how fast the same trees are produced.
+  // changes how fast the same trees are produced. `use_sp_cache` gives a
+  // fast engine built here both its shortest-path cache (clean-overlay
+  // trees, see sp_cache.h) and its subproblem memo, which serves every
+  // unmasked Lawler subproblem a search at the same engine generation
+  // already solved (FastSteinerEngine::SolveMemoized). A shared engine
+  // passed to the overload below keeps the setting it was built with.
   SteinerEngine engine = SteinerEngine::kFast;
   bool use_sp_cache = true;
   // When set, the independent child subproblems of each Lawler expansion
@@ -166,13 +172,13 @@ struct RelevanceCertificate {
 // Same enumeration, but served from a caller-owned CSR snapshot instead of
 // building one per call (the RefreshEngine's batched-refresh substrate).
 // `shared_engine` must have been built (or last Recost) from exactly this
-// (graph, weights) pair; its shortest-path cache carries over between
-// calls, which never changes output (any valid entry equals a fresh
-// computation — the determinism contract of docs/query_engine.md). A null
-// engine, or config.engine == kLegacy, falls back to the self-contained
-// overload above. When `certificate` is non-null it is overwritten with
-// this search's relevance certificate (valid only for untruncated exact
-// runs; see RelevanceCertificate).
+// (graph, weights) pair; its shortest-path cache and subproblem memo carry
+// over between calls, which never changes output (any valid entry equals
+// a fresh computation — the determinism contract of
+// docs/query_engine.md). A null engine, or config.engine == kLegacy,
+// falls back to the self-contained overload above. When `certificate` is
+// non-null it is overwritten with this search's relevance certificate
+// (valid only for untruncated exact runs; see RelevanceCertificate).
 //
 // The whole enumeration runs against ONE pinned CSR snapshot: `pin` when
 // the caller provides one (the concurrent serving path pins before

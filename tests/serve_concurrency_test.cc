@@ -14,11 +14,15 @@
 //     published snapshot and the synchronous twin system, bit for bit;
 //   * failed-barrier wakeups — a SyncBarrier failure wakes WaitFresh
 //     waiters promptly instead of burning their full deadline (the
-//     missed-error regression in the epoch/predicate interaction).
+//     missed-error regression in the epoch/predicate interaction);
+//   * feature interning under the serving gate — registrations that
+//     install new association features never grow the FeatureSpace under
+//     a reader's served weights (the use-after-free regression).
 //
 // Runs under the ctest `stress` label and the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -31,6 +35,7 @@
 #include "core/async_refresh.h"
 #include "core/q_system.h"
 #include "core/refresh_engine.h"
+#include "data/gbco.h"
 #include "data/interpro_go.h"
 #include "data/onboarding.h"
 #include "graph/graph_builder.h"
@@ -522,6 +527,94 @@ TEST(ServeConcurrencyTest, OnboardingRegistrationsRaceQueryReaders) {
     ExpectSameServedOutput(*q->ReadView(view_ids[i]).state,
                            *twin->ReadView(twin_ids[i]).state,
                            "quiescent twin view " + std::to_string(i));
+  }
+}
+
+// Registrations whose alignments install new association features race
+// QueryView readers. A served weight snapshot reads every feature it never
+// set through the live FeatureSpace (WeightVector::At falls back to the
+// feature's initial weight), so interning a feature — which may reallocate
+// the space's initial-weight array under a reader — needs the exclusive
+// serving gate. Association installation (new association edges, matcher
+// bins, missing-vote penalties) interns such features; run under
+// ThreadSanitizer this test reports the race unless that step holds the
+// gate. GBCO's held-out sources align against many views, so each
+// registration installs a batch of new association features.
+TEST(ServeConcurrencyTest, AssociationFeatureInterningRacesQueryReaders) {
+  constexpr std::size_t kHeldOutTrials = 3;
+  constexpr int kReaders = 2;
+  data::GbcoDataset dataset = data::BuildGbco();
+  std::vector<std::string> held_out;
+  for (std::size_t t = 0; t < kHeldOutTrials && t < dataset.trials.size();
+       ++t) {
+    for (const std::string& name : dataset.trials[t].new_sources) {
+      held_out.push_back(name);
+    }
+  }
+  std::sort(held_out.begin(), held_out.end());
+  held_out.erase(std::unique(held_out.begin(), held_out.end()),
+                 held_out.end());
+  ASSERT_FALSE(held_out.empty());
+
+  QSystemConfig config = BaseConfig();
+  config.view.top_k.k = 3;
+  config.strategy = AlignStrategy::kViewBased;
+  config.use_metadata_matcher = true;
+  config.use_mad_matcher = true;
+  config.async_refresh = true;
+  config.async_repair_threads = 2;
+  QSystem q(config);
+  std::vector<std::shared_ptr<relational::DataSource>> arrivals;
+  for (const auto& src : dataset.catalog.sources()) {
+    if (std::binary_search(held_out.begin(), held_out.end(), src->name())) {
+      arrivals.push_back(src);
+    } else {
+      ASSERT_TRUE(q.RegisterSource(src).ok()) << src->name();
+    }
+  }
+  ASSERT_TRUE(q.RunInitialAlignment().ok());
+  for (const auto& trial : dataset.trials) {
+    // A trial whose keywords matched only held-out relations has no view.
+    (void)q.CreateView(trial.keywords);
+  }
+  ASSERT_GT(q.num_views(), 0u);
+  ASSERT_TRUE(q.DrainRefreshes().ok());
+  const std::size_t num_views = q.num_views();
+  const std::size_t features_before = q.feature_space().size();
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> searches_ok{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      util::Rng rng(4100 + r);
+      while (!done.load(std::memory_order_acquire)) {
+        const std::size_t v = rng.Uniform(num_views);
+        auto result = q.QueryView(v);
+        ASSERT_TRUE(result.ok()) << "view " << v << ": "
+                                 << result.status().ToString();
+        ExpectInternallyConsistent(*result, "view " + std::to_string(v));
+        searches_ok.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (const auto& src : arrivals) {
+    ASSERT_TRUE(q.RegisterAndAlignSource(src).ok()) << src->name();
+    ASSERT_TRUE(q.DrainRefreshes().ok());
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& th : readers) th.join();
+  EXPECT_GT(searches_ok.load(), 0u);
+  EXPECT_GT(q.feature_space().size(), features_before);
+
+  for (std::size_t v = 0; v < num_views; ++v) {
+    auto fresh = q.QueryView(v);
+    ASSERT_TRUE(fresh.ok()) << "view " << v;
+    query::ViewResult published = q.ReadView(v);
+    ASSERT_NE(published.state, nullptr);
+    ExpectSameViewState(*fresh, *published.state,
+                        "quiescent query-vs-published view " +
+                            std::to_string(v));
   }
 }
 

@@ -26,6 +26,7 @@
 #include "steiner/shard.h"
 #include "steiner/top_k.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace q::steiner {
 namespace {
@@ -339,6 +340,171 @@ TEST_P(DeltaRecostDifferentialTest, DeltaPathMatchesFreshSnapshot) {
   // The sequence must actually exercise the selective path, not fall back
   // to full re-costs throughout.
   EXPECT_GT(delta_recosts, 0u);
+}
+
+// Same trees in the same order with bit-equal costs, and the same
+// certificate down to every field.
+void ExpectSameSearch(const std::vector<SteinerTree>& expected,
+                      const RelevanceCertificate& expected_cert,
+                      const std::vector<SteinerTree>& actual,
+                      const RelevanceCertificate& actual_cert,
+                      const std::string& label) {
+  ASSERT_EQ(expected.size(), actual.size()) << label;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].edges, actual[i].edges) << label << " tree " << i;
+    EXPECT_EQ(expected[i].cost, actual[i].cost) << label << " tree " << i;
+  }
+  EXPECT_EQ(expected_cert.valid, actual_cert.valid) << label;
+  EXPECT_EQ(expected_cert.serial, actual_cert.serial) << label;
+  EXPECT_EQ(expected_cert.edges, actual_cert.edges) << label;
+  EXPECT_EQ(expected_cert.gap, actual_cert.gap) << label;
+  EXPECT_EQ(expected_cert.structural_valid, actual_cert.structural_valid)
+      << label;
+  EXPECT_EQ(expected_cert.kth_cost, actual_cert.kth_cost) << label;
+  EXPECT_EQ(expected_cert.alpha_radius, actual_cert.alpha_radius) << label;
+  EXPECT_EQ(expected_cert.alpha_nodes, actual_cert.alpha_nodes) << label;
+  EXPECT_EQ(expected_cert.alpha_dist, actual_cert.alpha_dist) << label;
+  EXPECT_EQ(expected_cert.keyword_fingerprint,
+            actual_cert.keyword_fingerprint)
+      << label;
+}
+
+// The subproblem memo (FastSteinerEngine::SolveMemoized) under the same
+// kind of long-lived engine: every enumeration on the cached engine is run
+// twice, so the second replays from a warm memo, and both must equal an
+// uncached referee engine (no memo, no shortest-path cache) byte for byte
+// — trees, order, costs and certificate — for exact and KMB, with and
+// without a pool, on 2 terminals (even params) and 3-4 (odd). Across a
+// Recost and an effective RecostDelta the memo must start cold (no hit on
+// the first enumeration after the bump); across a no-op RecostDelta its
+// entries must survive and serve the whole repeat. An enumeration pinned
+// before an effective RecostDelta landed must be neither served from nor
+// inserted into the new generation's memo.
+TEST_P(DeltaRecostDifferentialTest, MemoServedSearchesMatchUncachedReferee) {
+  util::Rng rng(35000 + GetParam());
+  const std::size_t num_terminals =
+      GetParam() % 2 == 0 ? 2 : 3 + rng.Uniform(2);
+  DiffGraph g(&rng, 26 + rng.Uniform(20), 55 + rng.Uniform(40),
+              num_terminals);
+  util::ThreadPool pool(2);
+  TopKConfig config;
+  config.k = 5;
+  FastSteinerEngine cached(g.graph, *g.weights, /*use_cache=*/true);
+
+  // Runs every (solver, pool) configuration twice on the cached engine
+  // against the referee. `cold` asserts the first run of the first
+  // configuration of each solver found nothing in the memo.
+  auto check = [&](const std::string& step, bool cold) {
+    FastSteinerEngine referee(g.graph, *g.weights, /*use_cache=*/false);
+    for (bool approximate : {false, true}) {
+      config.approximate = approximate;
+      for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
+                                  &pool}) {
+        config.pool = p;
+        const std::string label = step + (approximate ? " kmb" : " exact") +
+                                  (p != nullptr ? " pool" : "");
+        RelevanceCertificate expected_cert;
+        auto expected = TopKSteinerTrees(g.graph, *g.weights, g.terminals,
+                                         config, &referee, &expected_cert);
+        ASSERT_FALSE(expected.empty()) << label;
+        for (int run = 0; run < 2; ++run) {
+          const FastSolveStats before = cached.stats();
+          RelevanceCertificate cert;
+          auto served = TopKSteinerTrees(g.graph, *g.weights, g.terminals,
+                                         config, &cached, &cert);
+          const FastSolveStats after = cached.stats();
+          const std::string run_label = label + " run " + std::to_string(run);
+          ExpectSameSearch(expected, expected_cert, served, cert, run_label);
+          if (run == 1) {
+            // A repeat replays the enumeration from the memo alone.
+            EXPECT_GT(after.memo_hits, before.memo_hits) << run_label;
+            EXPECT_EQ(after.memo_misses, before.memo_misses) << run_label;
+          } else if (cold && p == nullptr) {
+            EXPECT_EQ(after.memo_hits, before.memo_hits) << run_label;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(referee.stats().memo_entries, 0u) << step;
+  };
+
+  check("initial", /*cold=*/true);
+
+  // Recost moves the generation: the memo is purged and starts cold.
+  g.PerturbWeights(&rng);
+  cached.Recost(g.graph, *g.weights);
+  EXPECT_EQ(cached.stats().memo_entries, 0u);
+  check("recost", /*cold=*/true);
+
+  // An effective RecostDelta moves it too.
+  std::uint64_t weight_rev = g.weights->revision();
+  std::vector<graph::FeatureDelta> deltas;
+  auto sparse_delta = [&] {
+    g.PerturbSparse(&rng, 1 + rng.Uniform(3));
+    deltas.clear();
+    EXPECT_TRUE(g.weights->DeltaSince(weight_rev, &deltas));
+    weight_rev = g.weights->revision();
+    graph::CoalesceFeatureDeltas(&deltas);
+  };
+  sparse_delta();
+  std::uint64_t gen = cached.generation();
+  auto effective = cached.RecostDelta(g.graph, *g.weights, deltas);
+  ASSERT_TRUE(effective.applied);
+  ASSERT_GT(effective.edges_repriced, 0u);
+  EXPECT_EQ(cached.generation(), gen + 1);
+  EXPECT_EQ(cached.stats().memo_entries, 0u);
+  check("delta", /*cold=*/true);
+
+  // A search pinned before a RecostDelta lands keeps its own costs: it is
+  // neither served by nor inserted into the new generation's memo, warm
+  // or cold, and still equals a referee built at the pinned weights.
+  config.pool = nullptr;
+  config.approximate = false;
+  const graph::WeightVector pinned_weights = *g.weights;
+  FastSteinerEngine pinned_referee(g.graph, pinned_weights,
+                                   /*use_cache=*/false);
+  RelevanceCertificate pinned_cert;
+  auto pinned_expected =
+      TopKSteinerTrees(g.graph, pinned_weights, g.terminals, config,
+                       &pinned_referee, &pinned_cert);
+  const SnapshotPin pin = cached.Pin();
+  sparse_delta();
+  gen = cached.generation();
+  auto concurrent = cached.RecostDelta(g.graph, *g.weights, deltas);
+  ASSERT_TRUE(concurrent.applied);
+  ASSERT_GT(concurrent.edges_repriced, 0u);
+  EXPECT_EQ(cached.generation(), gen + 1);
+  for (int round = 0; round < 2; ++round) {
+    const std::string label = "pinned round " + std::to_string(round);
+    config.pool = nullptr;  // check() below leaves its last configuration
+    config.approximate = false;
+    const FastSolveStats before = cached.stats();
+    RelevanceCertificate cert;
+    auto served = TopKSteinerTrees(g.graph, pinned_weights, g.terminals,
+                                   config, &cached, &cert, &pin);
+    const FastSolveStats after = cached.stats();
+    ExpectSameSearch(pinned_expected, pinned_cert, served, cert, label);
+    EXPECT_EQ(after.memo_hits, before.memo_hits) << label;
+    EXPECT_EQ(after.memo_entries, before.memo_entries) << label;
+    // Round 1 runs against a memo the current generation has warmed.
+    if (round == 0) check("after pinned search", /*cold=*/true);
+  }
+
+  // A RecostDelta that moves no cost leaves the generation and every memo
+  // entry in place; the repeat is served without a single miss.
+  const std::size_t entries = cached.stats().memo_entries;
+  ASSERT_GT(entries, 0u);
+  g.weights->Set(g.space.Intern("unused", 0.5), 0.75);
+  deltas.clear();
+  ASSERT_TRUE(g.weights->DeltaSince(weight_rev, &deltas));
+  weight_rev = g.weights->revision();
+  gen = cached.generation();
+  auto noop = cached.RecostDelta(g.graph, *g.weights, deltas);
+  ASSERT_TRUE(noop.applied);
+  EXPECT_EQ(noop.edges_repriced, 0u);
+  EXPECT_EQ(cached.generation(), gen);
+  EXPECT_EQ(cached.stats().memo_entries, entries);
+  check("no-op delta", /*cold=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, DeltaRecostDifferentialTest,

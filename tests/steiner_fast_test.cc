@@ -243,7 +243,7 @@ TEST(FastSolverPinTest, PinnedSnapshotSurvivesRecost) {
 
   // Pin, then re-cost under perturbed weights: the pinned buffer must
   // keep the old costs byte for byte while the engine moves on.
-  FastSteinerEngine::SnapshotPin pin = engine.Pin();
+  SnapshotPin pin = engine.Pin();
   std::vector<double> pinned_costs = pin.csr->edge_cost;
   for (graph::FeatureId id = 1;
        id < static_cast<graph::FeatureId>(g.space.size()); ++id) {
@@ -266,7 +266,7 @@ TEST(FastSolverPinTest, PinnedSnapshotSurvivesRecost) {
   // Delta re-costs under a pin take the same copy-on-write path (and
   // bump the cache generation wholesale instead of invalidating entries
   // a pinned solve may still be populating).
-  FastSteinerEngine::SnapshotPin pin2 = engine.Pin();
+  SnapshotPin pin2 = engine.Pin();
   std::vector<double> pinned2 = pin2.csr->edge_cost;
   std::uint64_t rev = g.weights->revision();
   g.weights->Set(1, g.weights->At(1) * 2.0);
@@ -279,8 +279,8 @@ TEST(FastSolverPinTest, PinnedSnapshotSurvivesRecost) {
     EXPECT_NE(&engine.csr(), pin2.csr.get());
   }
   // Released pins let the next mutation go back in place.
-  pin = FastSteinerEngine::SnapshotPin{};
-  pin2 = FastSteinerEngine::SnapshotPin{};
+  pin = SnapshotPin{};
+  pin2 = SnapshotPin{};
   const CsrGraph* current = &engine.csr();
   engine.Recost(g.graph, *g.weights);
   EXPECT_EQ(&engine.csr(), current);  // unpinned: mutated in place
