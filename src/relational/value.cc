@@ -1,5 +1,6 @@
 #include "relational/value.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -19,21 +20,27 @@ std::string_view ValueTypeToString(ValueType type) {
   return "?";
 }
 
-std::string Value::ToText() const {
+std::string_view Value::CanonicalText(char (&buf)[kTextBufferSize]) const {
   switch (type()) {
     case ValueType::kNull:
-      return "";
-    case ValueType::kInt64:
-      return std::to_string(AsInt64());
+      return {};
+    case ValueType::kInt64: {
+      char* end = std::to_chars(buf, buf + kTextBufferSize, AsInt64()).ptr;
+      return std::string_view(buf, static_cast<std::size_t>(end - buf));
+    }
     case ValueType::kDouble: {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.6g", AsDouble());
-      return std::string(buf);
+      int n = std::snprintf(buf, kTextBufferSize, "%.6g", AsDouble());
+      return std::string_view(buf, static_cast<std::size_t>(n));
     }
     case ValueType::kString:
       return AsString();
   }
-  return "";
+  return {};
+}
+
+std::string Value::ToText() const {
+  char buf[kTextBufferSize];
+  return std::string(CanonicalText(buf));
 }
 
 bool Value::operator<(const Value& other) const {

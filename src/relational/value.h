@@ -1,6 +1,7 @@
 #ifndef Q_RELATIONAL_VALUE_H_
 #define Q_RELATIONAL_VALUE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <ostream>
@@ -35,8 +36,18 @@ class Value {
   double AsDouble() const { return std::get<double>(repr_); }
   const std::string& AsString() const { return std::get<std::string>(repr_); }
 
+  // Size of the caller buffer CanonicalText formats numbers into; holds
+  // any int64 and any "%.6g" double.
+  static constexpr std::size_t kTextBufferSize = 32;
+
   // Canonical textual form used for indexing, joining by value overlap and
-  // display. Integers render without decimals; null renders as "".
+  // display. Integers render without decimals, doubles as "%.6g"; null
+  // renders as "". Allocation-free: numbers are formatted into `buf`,
+  // strings are viewed in place. The view lives as long as both this
+  // value and `buf`.
+  std::string_view CanonicalText(char (&buf)[kTextBufferSize]) const;
+
+  // CanonicalText as an owned string.
   std::string ToText() const;
 
   bool operator==(const Value& other) const { return repr_ == other.repr_; }

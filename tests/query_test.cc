@@ -10,6 +10,7 @@
 #include "query/query_graph.h"
 #include "query/ranked_union.h"
 #include "query/view.h"
+#include "reference_executor.h"
 #include "steiner/top_k.h"
 #include "text/text_index.h"
 
@@ -264,6 +265,79 @@ TEST_F(QueryTest, ExecutorMaxRowsGuard) {
   auto rows = executor.Execute(cq);
   ASSERT_FALSE(rows.ok());
   EXPECT_TRUE(rows.status().IsOutOfRange());
+}
+
+TEST_F(QueryTest, ExecutorRejectsQueryWithNoAtoms) {
+  ConjunctiveQuery cq;
+  cq.select_list = {{relational::AttributeId{"go", "go_term", "acc"},
+                     "acc"}};
+  Executor executor(&dataset_.catalog);
+  auto rows = executor.Execute(cq);
+  ASSERT_FALSE(rows.ok());
+  EXPECT_TRUE(rows.status().IsInvalidArgument()) << rows.status();
+  EXPECT_TRUE(
+      executor.Execute(ConjunctiveQuery{}).status().IsInvalidArgument());
+}
+
+TEST_F(QueryTest, ExecutorSeesRowsAppendedAfterAQuery) {
+  // A selection on go_term and a join of go_term with interpro2go; both
+  // build column indexes on first use, and AppendRow must drop them.
+  ConjunctiveQuery selection;
+  selection.atoms = {"go.go_term"};
+  selection.selections = {
+      {relational::AttributeId{"go", "go_term", "name"}, "plasma membrane"}};
+  selection.select_list = {
+      {relational::AttributeId{"go", "go_term", "acc"}, "acc"}};
+  ConjunctiveQuery join;
+  join.atoms = {"go.go_term", "interpro.interpro2go"};
+  join.joins = {{relational::AttributeId{"go", "go_term", "acc"},
+                 relational::AttributeId{"interpro", "interpro2go", "go_id"}}};
+  join.selections = selection.selections;
+  join.select_list = {
+      {relational::AttributeId{"go", "go_term", "acc"}, "acc"},
+      {relational::AttributeId{"interpro", "interpro2go", "entry_ac"},
+       "entry_ac"}};
+
+  auto go_term = dataset_.catalog.FindTable("go.go_term");
+  auto i2g = dataset_.catalog.FindTable("interpro.interpro2go");
+  EXPECT_EQ(go_term->IndexBytes(), 0u);  // nothing queried it yet
+  Executor executor(&dataset_.catalog);
+  reference::ReferenceExecutor referee(&dataset_.catalog);
+  auto before = executor.Execute(selection);
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_EQ(before->size(), 1u);
+  auto joined_before = executor.Execute(join);
+  ASSERT_TRUE(joined_before.ok()) << joined_before.status();
+  EXPECT_GT(go_term->IndexBytes(), 0u);
+  EXPECT_GT(i2g->IndexBytes(), 0u);
+
+  const relational::Value acc = (*before)[0][0];
+  ASSERT_TRUE(go_term
+                  ->AppendRow({relational::Value("GO:9999999"),
+                               relational::Value("plasma membrane"),
+                               relational::Value("cellular_component"),
+                               relational::Value("appended")})
+                  .ok());
+  ASSERT_TRUE(i2g->AppendRow({acc, relational::Value("IPR999999")}).ok());
+  EXPECT_EQ(go_term->IndexBytes(), 0u);
+  EXPECT_EQ(i2g->IndexBytes(), 0u);
+
+  auto after = executor.Execute(selection);
+  ASSERT_TRUE(after.ok()) << after.status();
+  ASSERT_EQ(after->size(), 2u);
+  EXPECT_EQ((*after)[0][0], acc);
+  EXPECT_EQ((*after)[1][0].ToText(), "GO:9999999");
+  auto joined_after = executor.Execute(join);
+  ASSERT_TRUE(joined_after.ok()) << joined_after.status();
+  ASSERT_EQ(joined_after->size(), joined_before->size() + 1);
+  EXPECT_EQ(joined_after->back()[1].ToText(), "IPR999999");
+
+  auto want = referee.Execute(selection);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(*after, *want);
+  auto joined_want = referee.Execute(join);
+  ASSERT_TRUE(joined_want.ok());
+  EXPECT_EQ(*joined_after, *joined_want);
 }
 
 TEST_F(QueryTest, DisjointUnionUnifiesCompatibleColumns) {

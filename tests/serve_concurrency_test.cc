@@ -17,7 +17,9 @@
 //     missed-error regression in the epoch/predicate interaction);
 //   * feature interning under the serving gate — registrations that
 //     install new association features never grow the FeatureSpace under
-//     a reader's served weights (the use-after-free regression).
+//     a reader's served weights (the use-after-free regression);
+//   * cold column indexes — readers that race each table column's first
+//     index build get the single-threaded answer.
 //
 // Runs under the ctest `stress` label and the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
@@ -39,6 +41,7 @@
 #include "data/interpro_go.h"
 #include "data/onboarding.h"
 #include "graph/graph_builder.h"
+#include "query/executor.h"
 #include "steiner/sp_cache.h"
 #include "util/random.h"
 
@@ -719,6 +722,79 @@ TEST(ServeConcurrencyTest, WaitViewFreshPromptAcrossStructuralOps) {
       sync.q->WaitViewFresh(sync.view_ids[0], std::chrono::milliseconds(1)));
   EXPECT_FALSE(sync.q->WaitViewFresh(sync.view_ids.size() + 100,
                                      std::chrono::milliseconds(1)));
+}
+
+// --- cold column indexes ----------------------------------------------------
+
+// Readers released together execute the views' conjunctive queries against
+// tables no query has touched, so they race on every column's first index
+// build. Each result must equal a single-threaded run against a separate
+// cold copy of the tables. Odd readers walk the queries backwards, so first
+// uses collide from both ends of the list.
+TEST(ServeConcurrencyTest, ColdColumnIndexesUnderConcurrentReaders) {
+  std::vector<query::ConjunctiveQuery> queries;
+  {
+    Harness h(/*async=*/false);
+    for (std::size_t id : h.view_ids) {
+      auto snapshot = h.q->QueryView(id);
+      ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+      queries.insert(queries.end(), snapshot->queries.begin(),
+                     snapshot->queries.end());
+    }
+  }
+  ASSERT_FALSE(queries.empty());
+  // The generator is deterministic: two builds are two cold copies.
+  const data::InterProGoDataset shared = data::BuildInterProGo(SmallDataset());
+  const data::InterProGoDataset referee =
+      data::BuildInterProGo(SmallDataset());
+  for (const auto& table : shared.catalog.AllTables()) {
+    ASSERT_EQ(table->IndexBytes(), 0u);
+  }
+
+  struct Outcome {
+    util::StatusCode code = util::StatusCode::kOk;
+    std::vector<relational::Row> rows;
+  };
+  auto run = [](const query::Executor& executor,
+                const query::ConjunctiveQuery& cq) {
+    auto result = executor.Execute(cq);
+    Outcome out;
+    out.code = result.status().code();
+    if (result.ok()) out.rows = std::move(result).value();
+    return out;
+  };
+  std::vector<Outcome> want;
+  const query::Executor single(&referee.catalog);
+  for (const auto& cq : queries) want.push_back(run(single, cq));
+
+  std::vector<std::vector<Outcome>> got(kQueryReaders,
+                                        std::vector<Outcome>(queries.size()));
+  std::atomic<int> waiting{kQueryReaders};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kQueryReaders; ++t) {
+    readers.emplace_back([&, t] {
+      const query::Executor executor(&shared.catalog);
+      waiting.fetch_sub(1, std::memory_order_acq_rel);
+      while (waiting.load(std::memory_order_acquire) > 0) {
+        std::this_thread::yield();
+      }
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        const std::size_t q = t % 2 == 0 ? i : queries.size() - 1 - i;
+        got[t][q] = run(executor, queries[q]);
+      }
+    });
+  }
+  for (auto& reader : readers) reader.join();
+
+  std::size_t rows = 0;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    rows += want[q].rows.size();
+    for (int t = 0; t < kQueryReaders; ++t) {
+      EXPECT_EQ(got[t][q].code, want[q].code) << "reader " << t << " q " << q;
+      EXPECT_EQ(got[t][q].rows, want[q].rows) << "reader " << t << " q " << q;
+    }
+  }
+  EXPECT_GT(rows, 0u);
 }
 
 }  // namespace

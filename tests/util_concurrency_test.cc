@@ -140,10 +140,10 @@ TEST(ThreadPoolTest, CallerMakesProgressOnTinyPool) {
 }
 
 TEST(ThreadPoolTest, SubmitRunsDetachedTasks) {
-  ThreadPool pool(2);
   std::atomic<int> counter{0};
   std::mutex mu;
   std::condition_variable cv;
+  ThreadPool pool(2);
   for (int i = 0; i < 50; ++i) {
     pool.Submit([&] {
       if (counter.fetch_add(1) + 1 == 50) {
