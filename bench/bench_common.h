@@ -3,7 +3,8 @@
 
 // Shared driver code for the per-table/per-figure benchmark binaries.
 // Each binary prints the rows/series of one table or figure of the paper
-// (Sec. 5); see EXPERIMENTS.md for the paper-vs-measured record.
+// (Sec. 5). tests/paper_fidelity_test.cc pins the values the InterPro-GO
+// binaries print (Table 1, Table 2, Figs. 10-12 and the ablation).
 
 #include <cstdio>
 #include <filesystem>

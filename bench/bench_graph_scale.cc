@@ -169,15 +169,14 @@ bool RunScale(std::size_t sources, bool mirror_legacy, bool run_queries,
   // statistics, and with fewer samples the quotient flaps past its own
   // ceiling on hub-window sampling luck alone.
   const int num_queries = 48;
-  // Verified queries are also solved by the uncompacted masked referee
-  // AND the unsharded engine; all three must bit-match.
+  // Verified queries are also solved by the unsharded engine; the two
+  // must bit-match. (tests/local_compaction_test.cc diffs each masked
+  // Dijkstra against the uncompacted referee.)
   const int verify_queries = 4;
   q::steiner::TopKConfig sharded;
   sharded.k = 3;
   sharded.max_subproblems = 300;
   sharded.sharded.enabled = true;
-  q::steiner::TopKConfig referee = sharded;
-  referee.sharded.compact_local_ids = false;
   q::steiner::TopKConfig plain = sharded;
   plain.sharded.enabled = false;
 
@@ -185,7 +184,6 @@ bool RunScale(std::size_t sources, bool mirror_legacy, bool run_queries,
   // the serving-path shape (RefreshEngine keeps an engine per view), so
   // the per-query numbers measure search work, not repeated CSR builds.
   q::steiner::FastSteinerEngine sharded_engine(graph, weights, true);
-  q::steiner::FastSteinerEngine referee_engine(graph, weights, true);
   q::steiner::FastSteinerEngine plain_engine(graph, weights, true);
 
   // Untimed warmup: the first query against a fresh engine pays one-time
@@ -211,11 +209,11 @@ bool RunScale(std::size_t sources, bool mirror_legacy, bool run_queries,
       std::fprintf(stderr, "FAIL: no queryable neighborhood found\n");
       return false;
     }
-    // Best-of-2 per query: each run builds a fresh localizer and mask
-    // (mask uids are monotone, so the local-tree cache is cold both
-    // times) — the repeat preserves the cold-query semantics and sheds
-    // only OS noise, which otherwise dominates a 24-sample p95 and
-    // makes the cross-tier growth ratio flap.
+    // Best-of-2 per query: each run builds a fresh localizer and mask and
+    // masked solves share nothing across runs, so the repeat preserves
+    // the cold-query semantics and sheds only OS noise, which otherwise
+    // dominates a 24-sample p95 and makes the cross-tier growth ratio
+    // flap.
     std::vector<q::steiner::SteinerTree> trees;
     double best_us = 0.0;
     for (int rep = 0; rep < 2; ++rep) {
@@ -228,36 +226,22 @@ bool RunScale(std::size_t sources, bool mirror_legacy, bool run_queries,
     }
     latencies_us.push_back(best_us);
     if (std::getenv("Q_BENCH_DEBUG") != nullptr) {
-      q::steiner::FastSolveStats st = sharded_engine.stats();
-      std::fprintf(stderr,
-                   "%-8s query %2d  %4zu terminals  %10.1f us  "
-                   "hits=%zu misses=%zu ghits=%zu gmisses=%zu bypass=%zu\n",
-                   suffix, query, terminals.size(), latencies_us.back(),
-                   st.sp_local_hits, st.sp_local_misses, st.sp_cache_hits,
-                   st.sp_cache_misses, st.masked_bypasses);
+      std::fprintf(stderr, "%-8s query %2d  %4zu terminals  %10.1f us\n",
+                   suffix, query, terminals.size(), latencies_us.back());
     }
     if (query < verify_queries) {
-      auto check_same = [&](const std::vector<q::steiner::SteinerTree>& other,
-                            const char* what) {
-        bool same = trees.size() == other.size();
-        for (std::size_t i = 0; same && i < trees.size(); ++i) {
-          same = trees[i].edges == other[i].edges &&
-                 trees[i].cost == other[i].cost;
-        }
-        if (!same) {
-          std::fprintf(stderr,
-                       "FAIL: compacted sharded top-k diverged from %s at "
-                       "%zu sources (query %d)\n",
-                       what, sources, query);
-        }
-        return same;
-      };
-      auto masked_ref = q::steiner::TopKSteinerTrees(
-          graph, weights, terminals, referee, &referee_engine);
       auto reference = q::steiner::TopKSteinerTrees(graph, weights, terminals,
                                                     plain, &plain_engine);
-      if (!check_same(masked_ref, "the uncompacted masked referee") ||
-          !check_same(reference, "the unsharded engine")) {
+      bool same = trees.size() == reference.size();
+      for (std::size_t i = 0; same && i < trees.size(); ++i) {
+        same = trees[i].edges == reference[i].edges &&
+               trees[i].cost == reference[i].cost;
+      }
+      if (!same) {
+        std::fprintf(stderr,
+                     "FAIL: sharded top-k diverged from the unsharded engine "
+                     "at %zu sources (query %d)\n",
+                     sources, query);
         return false;
       }
     }
@@ -280,23 +264,6 @@ bool RunScale(std::size_t sources, bool mirror_legacy, bool run_queries,
                  "{\"kernel\":\"graph_scale_query_p50_us_%s\",\"n\":%zu,"
                  "\"median_us\":%.1f}\n",
                  suffix, sources, query_p50_us);
-  }
-  // Local-tree cache traffic of the compacted configuration. Bypasses
-  // count masked solves that fell back to the uncompacted referee path —
-  // with compaction enabled and localizer-built masks this should stay 0.
-  q::steiner::FastSolveStats stats = sharded_engine.stats();
-  std::printf("%-8s local sp-cache: %zu hits / %zu misses, "
-              "%zu masked bypasses\n",
-              suffix, stats.sp_local_hits, stats.sp_local_misses,
-              stats.masked_bypasses);
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\"kernel\":\"graph_scale_local_cache_%s\",\"n\":%zu,"
-                 "\"median_us\":%.1f,\"local_hits\":%zu,\"local_misses\":%zu,"
-                 "\"masked_bypasses\":%zu}\n",
-                 suffix, sources, static_cast<double>(stats.sp_local_hits),
-                 stats.sp_local_hits, stats.sp_local_misses,
-                 stats.masked_bypasses);
   }
   return true;
 }

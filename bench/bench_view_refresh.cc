@@ -388,12 +388,9 @@ int main(int argc, char** argv) {
               delta_ok ? "verified identical" : "MISMATCH");
   auto stats = w.engine.stats();
   std::printf("delta pipeline: %zu delta re-costs, %zu delta skips, %zu "
-              "full re-costs, %zu edges repriced, %zu cache entries "
-              "retained / %zu dropped\n",
+              "full re-costs, %zu edges repriced\n",
               stats.views_delta_recost, stats.views_skipped_delta,
-              stats.views_full_recost, stats.edges_repriced,
-              stats.sp_cache_entries_retained,
-              stats.sp_cache_entries_dropped);
+              stats.views_full_recost, stats.edges_repriced);
   std::fprintf(json, "{\"kernel\":\"view_refresh_delta_speedup\",\"n\":%zu,"
                "\"ratio\":%.3f}\n",
                w.views.size(), delta_ratio);

@@ -83,9 +83,7 @@ int main() {
             << " delta re-costs, " << rstats.views_skipped_delta
             << " provably-unchanged skips, " << rstats.views_full_recost
             << " full re-costs, " << rstats.edges_repriced
-            << " edges repriced, " << rstats.sp_cache_entries_retained
-            << " cache entries retained / " << rstats.sp_cache_entries_dropped
-            << " dropped\n";
+            << " edges repriced\n";
   // The feedback loop only reprices edges, so after the initial build
   // every refresh must have taken the in-place re-cost fast path.
   Q_CHECK(rstats.snapshots_recosted > rstats.snapshots_built);

@@ -181,9 +181,10 @@ run_gate bench/baselines/BENCH_warm_restart.json \
 # of the compact representation against an un-interned AoS mirror of the
 # same graph, and runs the sharded top-k query mix (docs/benchmarks.md,
 # "Graph scale"). Correctness gate first: the binary exits non-zero when
-# compacted sharded output diverges from the uncompacted masked referee
-# or the unsharded fast solver on the verified query subset, and when the
-# 10k -> 100k p95 growth exceeds its in-binary ceiling. Gates: bytes/
+# sharded output diverges from the unsharded fast solver on the verified
+# query subset (tests/local_compaction_test.cc diffs each masked Dijkstra
+# against the uncompacted referee), and when the 10k -> 100k p95 growth
+# exceeds its in-binary ceiling. Gates: bytes/
 # source and query p95 vs baseline (both lower-is-better medians), a hard
 # >= 2x compact-advantage floor, and a hard sublinearity ceiling on the
 # p95 growth read from the committed baseline's max_ratio (local-id mask

@@ -130,8 +130,6 @@ void RefreshEngine::MergeStats(const RefreshEngineStats& delta) {
   stats_.relevance_checks += delta.relevance_checks;
   stats_.relevance_fallthroughs += delta.relevance_fallthroughs;
   stats_.structural_edges_propagated += delta.structural_edges_propagated;
-  stats_.sp_cache_entries_retained += delta.sp_cache_entries_retained;
-  stats_.sp_cache_entries_dropped += delta.sp_cache_entries_dropped;
   stats_.structural_gate_checks += delta.structural_gate_checks;
   stats_.structural_gate_fallthroughs += delta.structural_gate_fallthroughs;
   stats_.views_skipped_structural += delta.views_skipped_structural;
@@ -332,8 +330,6 @@ util::Result<RefreshEngine::PrepareOutcome> RefreshEngine::PrepareSlot(
     }
     if (delta.applied) {
       stats->edges_repriced += delta.edges_repriced;
-      stats->sp_cache_entries_retained += delta.cache_entries_retained;
-      stats->sp_cache_entries_dropped += delta.cache_entries_dropped;
       if (delta.edges_repriced == 0 && !was_dirty) {
         // No edge of this view's snapshot moved: every downstream read
         // (tree search, compilation, ranked union) prices query-graph
@@ -460,8 +456,8 @@ util::Status RefreshEngine::RefreshAll(const graph::SearchGraph& base,
 
   // Phase 2: fan the per-view searches out. Each task touches only its
   // own view plus read-only shared state (catalog, weights, its own
-  // synchronized SP cache), and results land in per-view slots, so the
-  // merge is deterministic regardless of scheduling.
+  // synchronized subproblem memo), and results land in per-view slots, so
+  // the merge is deterministic regardless of scheduling.
   std::vector<util::Status> statuses(pending.size(), util::Status::OK());
   auto run_one = [&](std::size_t j) {
     Slot& slot = slots_[pending[j]];

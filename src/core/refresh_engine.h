@@ -79,6 +79,9 @@ StructuralDecision ClassifyStructuralRelevance(
 
 // Aggregate counters for observability and the perf benches; cumulative
 // over the engine's lifetime.
+// sp_cache_entries_retained and sp_cache_entries_dropped always read 0:
+// the shortest-path cache they counted is gone. They stay because the
+// benchmark reads them.
 struct RefreshEngineStats {
   // Full snapshot builds: query-graph re-expansion + CSR extraction (the
   // *rebuild* classification, plus first-touch builds).
@@ -120,8 +123,7 @@ struct RefreshEngineStats {
   // Base-edge mutations propagated into cached query graphs in place of
   // full rebuilds (the kEdgeMutated structural-delta path).
   std::size_t structural_edges_propagated = 0;
-  // Shortest-path cache entries retained/dropped by selective
-  // invalidation across delta re-costs.
+  // Always 0 (see the struct comment).
   std::size_t sp_cache_entries_retained = 0;
   std::size_t sp_cache_entries_dropped = 0;
 
@@ -196,15 +198,15 @@ enum class AsyncViewClass {
 //   * full re-cost  — unchanged topology but the weight journal was
 //                     truncated or the delta was dense: the snapshot is
 //                     re-costed wholesale in place (CsrGraph::Recost) and
-//                     the shortest-path cache moves to a new generation;
+//                     the engine's subproblem memo moves to a new
+//                     generation;
 //   * delta re-cost — the weight delta (plus any in-place base-edge
 //                     mutations, propagated into the cached query graph
 //                     by TopKView::PropagateBaseEdges) maps through the
 //                     snapshot's feature->edge postings to a sparse edge
 //                     set: only those edges are repriced
-//                     (CsrGraph::RecostDelta) and the shortest-path cache
-//                     is invalidated selectively, keeping every tree no
-//                     repriced edge can change;
+//                     (CsrGraph::RecostDelta), and the memo moves to a new
+//                     generation when any cost moved;
 //   * skip          — nothing moved, or the delta provably repriced no
 //                     edge of this view's snapshot: no re-cost, no
 //                     search, results provably identical;

@@ -100,7 +100,7 @@ class TopKView {
 
   // Phase 2: recomputes trees/queries/results against the current query
   // graph. When `shared_engine` is non-null it must hold a CSR snapshot of
-  // exactly (query_graph().graph, weights); its warm shortest-path cache
+  // exactly (query_graph().graph, weights); its warm subproblem memo
   // never changes the output. Touches only this view and read-only shared
   // state, so distinct views' RunSearch calls may run concurrently.
   util::Status RunSearch(const relational::Catalog& catalog,

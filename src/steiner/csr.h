@@ -8,10 +8,10 @@
 
 namespace q::steiner {
 
-// One edge whose snapshot cost actually moved during a (delta) re-cost.
-// The old/new pair is what the shortest-path cache's selective
-// invalidation rule needs: a pure cost increase of a non-tree edge
-// provably cannot change a cached Dijkstra tree, anything else drops it.
+// One edge whose snapshot cost actually moved during a (delta) re-cost,
+// with its old and new cost. The relevance gate reads the pair: pure
+// increases outside a view's certificate cannot change its output, and
+// net decreases must stay inside the certificate's slack.
 struct RepricedEdge {
   graph::EdgeId edge;
   double old_cost;

@@ -78,6 +78,83 @@ struct Back {
   graph::EdgeId grow_edge = graph::kInvalidEdge;
 };
 
+// One terminal's single-source shortest-path tree over an adjacency view
+// (see AdjacencyView) under an overlay (forced edges traversed at cost 0,
+// banned edges removed). Indexed by view id. `pred_edge[v]` is the first
+// arc to achieve v's final distance under a canonical attempt order: nodes
+// expand in (dist, id) order (the DaryHeap pops ties by id) and each
+// node's arcs are scanned in fixed view order. That makes the whole
+// structure a pure function of the overlayed costs — independent of
+// push/decrease history.
+// The search terminates as soon as every requested terminal is settled;
+// nodes left unsettled are wiped back to (inf, invalid), so the stored
+// arrays are a canonical prefix of the full run. `settled[v]` marks the
+// nodes whose dist/pred are final.
+struct SpTree {
+  std::vector<double> dist;
+  std::vector<std::uint32_t> pred_node;
+  std::vector<graph::EdgeId> pred_edge;
+  std::vector<std::uint8_t> settled;
+  // The settled nodes — exactly the entries of dist/pred_*/settled that
+  // differ from their (inf, invalid, 0) defaults. ComputeSpTree resets a
+  // reused SpTree through this list instead of reinitializing the full
+  // arrays, which keeps per-solve cost proportional to the neighborhood
+  // the search actually explored rather than to the graph (the arrays
+  // only pay O(num_nodes) once, when the object first grows).
+  std::vector<std::uint32_t> touched;
+  // True when the search ran to exhaustion (every reachable node settled).
+  bool complete = false;
+  // Masked runs only: the cheapest offer (settled distance + arc cost)
+  // the search declined because the arc's head fell outside the mask —
+  // +inf when nothing was clipped (or the run was unmasked). Any path
+  // escaping the mask costs at least this much, so every settled value
+  // strictly below it is provably identical to the unmasked run's; the
+  // masked solvers verify their reads against it (see fast_solver.h).
+  double mask_min_clip = kInf;
+};
+
+// The graph one solve's Dijkstras run over: the snapshot's CSR for
+// unmasked solves, a mask's compact sub-CSR for masked ones (see
+// shard.h). View ids run 0..num_nodes-1 and ascend with node ids, so
+// (dist, view id) tie order is the canonical (dist, node id) order.
+// `node_of`/`view_of` translate between view ids and node ids; null
+// means the identity (the CSR's case). A head equal to
+// ShardMask::kExternal left the mask; the CSR has none.
+struct AdjacencyView {
+  std::uint32_t num_nodes = 0;
+  const std::uint32_t* offsets = nullptr;
+  const std::uint32_t* heads = nullptr;
+  const graph::EdgeId* edges = nullptr;  // global edge ids (overlay flags)
+  const double* costs = nullptr;
+  const std::uint32_t* node_of = nullptr;  // view id -> node id
+  const std::uint32_t* view_of = nullptr;  // node id -> view id
+
+  std::uint32_t NodeOf(std::uint32_t id) const {
+    return node_of == nullptr ? id : node_of[id];
+  }
+  std::uint32_t ViewOf(std::uint32_t node) const {
+    return view_of == nullptr ? node : view_of[node];
+  }
+};
+
+AdjacencyView CsrView(const CsrGraph& csr) {
+  return AdjacencyView{csr.num_nodes,          csr.offsets.data(),
+                       csr.arc_head.data(),    csr.arc_edge.data(),
+                       csr.arc_cost.data(),    nullptr,
+                       nullptr};
+}
+
+// Precondition: m.HasCompact().
+AdjacencyView CompactView(const ShardMask& m) {
+  return AdjacencyView{static_cast<std::uint32_t>(m.nodes.size()),
+                       m.local_offsets.data(),
+                       m.local_arc_head.data(),
+                       m.local_arc_edge.data(),
+                       m.local_arc_cost.data(),
+                       m.nodes.data(),
+                       m.local_of.data()};
+}
+
 template <typename T>
 std::size_t VecBytes(const std::vector<T>& v) {
   return v.capacity() * sizeof(T);
@@ -85,14 +162,13 @@ std::size_t VecBytes(const std::vector<T>& v) {
 
 std::size_t SpTreeBytes(const SpTree& sp) {
   return VecBytes(sp.dist) + VecBytes(sp.pred_node) + VecBytes(sp.pred_edge) +
-         VecBytes(sp.settled) + VecBytes(sp.tree_edges) + VecBytes(sp.touched);
+         VecBytes(sp.settled) + VecBytes(sp.touched);
 }
 
 // Per-thread arena: every vector below is reused across solves, so the
-// steady-state kernel allocates only on cache-entry creation. A
-// shrink-after-oversized-solve policy (NoteSolveExtent below) keeps one
-// full-graph solve on a huge snapshot from pinning the high-water arrays
-// for the thread's lifetime.
+// steady-state kernel does not allocate. A shrink-after-oversized-solve
+// policy (NoteSolveExtent below) keeps one full-graph solve on a huge
+// snapshot from pinning the high-water arrays for the thread's lifetime.
 struct SolverScratch {
   util::DaryHeap heap;
   VersionedUf uf;          // forced-edge contraction
@@ -100,20 +176,18 @@ struct SolverScratch {
   std::vector<graph::EdgeId> forced_sorted;
   std::vector<graph::EdgeId> banned_sorted;
   std::vector<std::uint32_t> terminals;  // deduped, one per supernode
-  // Local ids of `terminals` under the active compact mask view (only
-  // meaningful during a compacted masked solve).
-  std::vector<std::uint32_t> terminals_local;
-  // All-zero between solves; OverlayGuard sets and restores them. The
-  // flat arrays make the per-arc overlay test a single byte load.
+  // View ids of `terminals` under the solve's adjacency view; the trees
+  // in sp_slots are read through them.
+  std::vector<std::uint32_t> terminals_view;
+  // All-zero between solves; OverlayGuard sets and restores it. The flat
+  // array makes the per-arc overlay test a single byte load.
   std::vector<std::uint8_t> edge_flag;  // kFree / kBanned / kForced
-  std::vector<std::uint8_t> is_target;  // terminal markers for early stop
-  // Local-id twin of is_target, sized to the mask; set and cleared by
-  // AcquireSpTreesLocal (all-zero between solves).
-  std::vector<std::uint8_t> is_target_local;
+  // Terminal markers for early stop, view-indexed; set and cleared by
+  // AcquireSpTrees (all-zero between solves).
+  std::vector<std::uint8_t> is_target;
 
-  std::vector<SpTree> sp_slots;  // holds fresh trees when cache is off/full
-  std::vector<std::shared_ptr<const SpTree>> sp_refs;
-  std::vector<const SpTree*> sp;
+  // One tree per deduped terminal, in terminal order.
+  std::vector<SpTree> sp_slots;
 
   // Prim over the terminal metric closure.
   std::vector<std::uint8_t> in_mst;
@@ -141,9 +215,9 @@ struct SolverScratch {
 
   // Exact DP: eligible-subgraph mini CSR and flat (2^t) x n_e tables.
   std::vector<std::uint32_t> elig_nodes;  // ascending node id = mini id order
-  // Mask-local id of each eligible node (compacted masked solves only;
-  // parallel to elig_nodes — the DP reads local trees through it).
-  std::vector<std::uint32_t> elig_local;
+  // View id of each eligible node (parallel to elig_nodes — the DP reads
+  // the trees through it).
+  std::vector<std::uint32_t> elig_view;
   std::vector<std::uint32_t> mini_offsets;
   std::vector<std::uint32_t> mini_head;
   std::vector<graph::EdgeId> mini_edge;
@@ -154,12 +228,12 @@ struct SolverScratch {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> rebuild_stack;
 
   // --- shrink-after-oversized-solve policy ------------------------------
-  // A solve notes how many nodes it actually spanned (the mask size for
-  // compacted masked solves, num_nodes otherwise). After a streak of
-  // solves at most 1/4 of the retained capacity, the oversized arrays
-  // are released down to the streak's peak need — the next big solve
-  // pays one regrow, which is the right trade against every serving
-  // thread pinning full-graph arrays forever after one hub query.
+  // A solve notes how many nodes its adjacency view spans (the mask size
+  // for masked solves, num_nodes otherwise). After a streak of solves at
+  // most 1/4 of the retained capacity, the oversized arrays are released
+  // down to the streak's peak need — the next big solve pays one regrow,
+  // which is the right trade against every serving thread pinning
+  // full-graph arrays forever after one hub query.
   static constexpr int kShrinkStreak = 16;
   static constexpr std::size_t kShrinkFactor = 4;
   static constexpr std::size_t kMinShrinkNodes = std::size_t{1} << 14;
@@ -168,33 +242,33 @@ struct SolverScratch {
 
   // Only arrays whose size tracks the SOLVE extent participate in the
   // shrink policy. Global-domain arrays — the stamped union-finds, the
-  // KMB remap (local_stamp/local_of), edge_flag, is_target — are indexed
-  // by global node/edge id, so even a mask-compacted solve addresses them
-  // at catalog size: shrinking them below num_nodes just forces an O(n)
-  // regrow on the very next solve, which oscillates (regrow re-inflates
-  // the capacity, re-arming the streak) and puts an O(catalog) term back
-  // into every masked solve. They are lazily stamped, so their steady
-  // cost per solve is O(touched) regardless of length; they stay sized to
-  // the largest catalog served and are excluded from both the capacity
-  // measure and the release.
+  // KMB remap (local_stamp/local_of), edge_flag — are indexed by global
+  // node/edge id, so even a masked solve addresses them at catalog size:
+  // shrinking them below num_nodes just forces an O(n) regrow on the very
+  // next solve, which oscillates (regrow re-inflates the capacity,
+  // re-arming the streak) and puts an O(catalog) term back into every
+  // masked solve. They are lazily stamped, so their steady cost per solve
+  // is O(touched) regardless of length; they stay sized to the largest
+  // catalog served and are excluded from both the capacity measure and
+  // the release.
   std::size_t CapacityNodes() const {
     std::size_t cap = heap.capacity_ids();
     for (const SpTree& slot : sp_slots) cap = std::max(cap, slot.dist.size());
-    cap = std::max(cap, is_target_local.size());
+    cap = std::max(cap, is_target.size());
     return cap;
   }
 
   // Reallocates extent-sized node arrays at `keep_nodes` and sheds the
   // per-solve work lists and DP tables wholesale (they regrow lazily,
   // re-zeroing as they do). Precondition: between solves —
-  // edge_flag/is_target are all-zero and no SpTree slot is borrowed.
+  // edge_flag/is_target are all-zero.
   void ReleaseOversized(std::size_t keep_nodes) {
     for (SpTree& slot : sp_slots) {
       if (slot.dist.size() > keep_nodes) slot = SpTree{};
     }
     if (heap.capacity_ids() > keep_nodes) heap.ShrinkTo(keep_nodes);
-    if (is_target_local.size() > keep_nodes) {
-      std::vector<std::uint8_t>(keep_nodes, 0).swap(is_target_local);
+    if (is_target.size() > keep_nodes) {
+      std::vector<std::uint8_t>(keep_nodes, 0).swap(is_target);
     }
     std::vector<graph::EdgeId>().swap(collected);
     std::vector<graph::EdgeId>().swap(mst);
@@ -205,7 +279,7 @@ struct SolverScratch {
     std::vector<double>().swap(dp);
     std::vector<Back>().swap(back);
     std::vector<std::uint32_t>().swap(elig_nodes);
-    std::vector<std::uint32_t>().swap(elig_local);
+    std::vector<std::uint32_t>().swap(elig_view);
     std::vector<std::uint32_t>().swap(mini_offsets);
     std::vector<std::uint32_t>().swap(mini_head);
     std::vector<graph::EdgeId>().swap(mini_edge);
@@ -234,8 +308,8 @@ struct SolverScratch {
     std::size_t b = heap.MemoryBytes();
     for (const SpTree& slot : sp_slots) b += SpTreeBytes(slot);
     b += VecBytes(forced_sorted) + VecBytes(banned_sorted) +
-         VecBytes(terminals) + VecBytes(terminals_local);
-    b += VecBytes(edge_flag) + VecBytes(is_target) + VecBytes(is_target_local);
+         VecBytes(terminals) + VecBytes(terminals_view);
+    b += VecBytes(edge_flag) + VecBytes(is_target);
     b += VecBytes(uf.parent) + VecBytes(uf.version) +
          VecBytes(kruskal_uf.parent) + VecBytes(kruskal_uf.version);
     b += VecBytes(in_mst) + VecBytes(best) + VecBytes(cert_floor) +
@@ -244,7 +318,7 @@ struct SolverScratch {
     b += VecBytes(local_of) + VecBytes(local_stamp) + VecBytes(degree) +
          VecBytes(is_terminal_local) + VecBytes(inc_offset) +
          VecBytes(incidence) + VecBytes(leaf_queue) + VecBytes(removed);
-    b += VecBytes(elig_nodes) + VecBytes(elig_local) + VecBytes(mini_offsets) +
+    b += VecBytes(elig_nodes) + VecBytes(elig_view) + VecBytes(mini_offsets) +
          VecBytes(mini_head) + VecBytes(mini_edge) + VecBytes(mini_cost) +
          VecBytes(mini_terms);
     b += VecBytes(dp) + VecBytes(back) + VecBytes(rebuild_stack);
@@ -267,52 +341,51 @@ SolverScratch& GetScratch() {
   return scratch;
 }
 
-// Applies the forced/banned flags (and, where wanted, the terminal
-// markers) to the scratch's flat arrays for the duration of one solve,
-// restoring the all-zero invariant on every exit path.
+// Applies the forced/banned flags to the scratch's flat edge array for
+// the duration of one solve, restoring the all-zero invariant on every
+// exit path.
 class OverlayGuard {
  public:
   OverlayGuard(SolverScratch& s, const CsrGraph& csr) : s_(s) {
     if (s_.edge_flag.size() < csr.num_edges) {
       s_.edge_flag.resize(csr.num_edges, 0);
     }
-    if (s_.is_target.size() < csr.num_nodes) {
-      s_.is_target.resize(csr.num_nodes, 0);
-    }
     for (graph::EdgeId e : s_.forced_sorted) s_.edge_flag[e] = kForced;
     for (graph::EdgeId e : s_.banned_sorted) s_.edge_flag[e] = kBanned;
-    for (std::uint32_t t : s_.terminals) s_.is_target[t] = 1;
   }
 
   ~OverlayGuard() {
     for (graph::EdgeId e : s_.forced_sorted) s_.edge_flag[e] = kFree;
     for (graph::EdgeId e : s_.banned_sorted) s_.edge_flag[e] = kFree;
-    for (std::uint32_t t : s_.terminals) s_.is_target[t] = 0;
   }
 
  private:
   SolverScratch& s_;
 };
 
-// Single-source Dijkstra under the overlay flags, stopping as soon as all
-// `num_targets` marked targets are settled. Unsettled nodes are wiped back
-// to (inf, invalid) so the output is a canonical prefix of the full run.
-// A non-null `in_mask` restricts the search to the induced subgraph (arcs
-// whose head is outside the mask are skipped); the masked solvers verify
-// afterwards that every value they read lies in the radius the mask
-// provably reproduces (see fast_solver.h).
-void ComputeSpTree(const CsrGraph& csr,
+// Single-source Dijkstra over `g` under the overlay flags, stopping as
+// soon as all `num_targets` marked targets are settled. Unsettled nodes
+// are wiped back to (inf, invalid) so the output is a canonical prefix of
+// the full run. An arc whose head is ShardMask::kExternal left the mask:
+// it is not relaxed, and its offer feeds mask_min_clip, which the masked
+// solvers verify their reads against (see fast_solver.h). Banned arcs are
+// skipped first, so they never contribute a clip offer.
+// Bit-identity with the unmasked run below the clip floor rests on view
+// ids ascending with node ids: (dist, view id) tie order is the canonical
+// (dist, node id) order, and with per-node arc order preserved by the
+// compact view, settle order and predecessor selection match the CSR
+// scan. dist/pred_node/settled/touched are view-indexed; pred_edge holds
+// global edge ids.
+void ComputeSpTree(const AdjacencyView& g,
                    const std::vector<std::uint8_t>& edge_flag,
                    const std::vector<std::uint8_t>& is_target,
                    std::size_t num_targets, bool stop_at_targets,
-                   std::uint32_t source,
-                   const std::vector<std::uint8_t>* in_mask,
-                   util::DaryHeap& heap, SpTree* out) {
-  const std::uint32_t n = csr.num_nodes;
+                   std::uint32_t source, util::DaryHeap& heap, SpTree* out) {
+  const std::uint32_t n = g.num_nodes;
   // Sparse reset: only entries named by the previous run's touched list
   // can differ from the defaults, so a reused SpTree resets in O(prior
-  // neighborhood). Fresh (or grown) objects pay the full initialization
-  // once, below.
+  // neighborhood), whatever view that run used. Fresh (or grown) objects
+  // pay the full initialization once, below.
   if (out->dist.size() < n) {
     out->dist.resize(n, kInf);
     out->pred_node.resize(n, graph::kInvalidNode);
@@ -342,28 +415,26 @@ void ComputeSpTree(const CsrGraph& csr,
       stopped_early = !heap.empty();
       break;
     }
-    const std::uint32_t end = csr.offsets[v + 1];
-    for (std::uint32_t a = csr.offsets[v]; a < end; ++a) {
-      graph::EdgeId e = csr.arc_edge[a];
+    const std::uint32_t end = g.offsets[v + 1];
+    for (std::uint32_t a = g.offsets[v]; a < end; ++a) {
+      graph::EdgeId e = g.edges[a];
       std::uint8_t flag = edge_flag[e];
       if (flag == kBanned) continue;
-      std::uint32_t to = csr.arc_head[a];
-      double next = d + (flag == kForced ? 0.0 : csr.arc_cost[a]);
-      if (in_mask != nullptr && !(*in_mask)[to]) {
+      std::uint32_t to = g.heads[a];
+      double next = d + (flag == kForced ? 0.0 : g.costs[a]);
+      if (to == ShardMask::kExternal) {
         // Clipped at the mask boundary: remember the cheapest declined
-        // offer — it lower-bounds every path escaping the mask, which is
-        // what lets the masked solvers certify their reads afterwards.
+        // offer — it lower-bounds every path escaping the mask.
         if (next < out->mask_min_clip) out->mask_min_clip = next;
         continue;
       }
       double& dt = out->dist[to];
       // Strictly-improving updates only: the predecessor graph stays
       // acyclic even across 0-cost plateaus, and because the heap pops in
-      // canonical (dist, id) order and arcs are scanned in fixed CSR
-      // order, pred is the *first* arc achieving each node's final
-      // distance under a canonical attempt order — a pure function of the
-      // overlayed costs. The cache's reuse rule depends on exactly this
-      // (see sp_cache.h).
+      // canonical (dist, id) order and arcs are scanned in fixed order,
+      // pred is the *first* arc achieving each node's final distance
+      // under a canonical attempt order — a pure function of the
+      // overlayed costs.
       if (next < dt) {
         if (dt == kInf) out->touched.push_back(to);
         dt = next;
@@ -375,10 +446,8 @@ void ComputeSpTree(const CsrGraph& csr,
   }
   out->complete = !stopped_early;
   // One pass over the touched set wipes offered-but-unsettled nodes back
-  // to the defaults (so the stored arrays are a canonical prefix of the
-  // full run), shrinks `touched` to the settled survivors, and collects
-  // the predecessor edges.
-  out->tree_edges.clear();
+  // to the defaults (so the arrays are a canonical prefix of the full
+  // run) and shrinks `touched` to the settled survivors.
   std::size_t settled_count = 0;
   for (std::uint32_t v : out->touched) {
     if (!out->settled[v]) {
@@ -388,110 +457,8 @@ void ComputeSpTree(const CsrGraph& csr,
       continue;
     }
     out->touched[settled_count++] = v;
-    if (out->pred_edge[v] != graph::kInvalidEdge) {
-      out->tree_edges.push_back(out->pred_edge[v]);
-    }
   }
   out->touched.resize(settled_count);
-  std::sort(out->tree_edges.begin(), out->tree_edges.end());
-  out->tree_edges.erase(
-      std::unique(out->tree_edges.begin(), out->tree_edges.end()),
-      out->tree_edges.end());
-}
-
-// Local-id twin of ComputeSpTree over a mask's compact sub-CSR (see
-// shard.h): every per-node array spans the mask's L nodes instead of
-// num_nodes and the heap drains at local capacity, which is what keeps
-// masked Dijkstras cache-resident on million-source catalogs. Arcs whose
-// head left the mask carry the kExternal sentinel and feed mask_min_clip
-// exactly where the uncompacted scan would clip (banned arcs are skipped
-// first, in the same order, so they never contribute a clip offer).
-// Bit-identity argument: mask->nodes is ascending, so global->local is
-// order-preserving and local (dist, id) tie order is isomorphic to the
-// global canonical (dist, id) order; with per-node arc order preserved by
-// the compact view, settle order, predecessor selection, the clipped
-// offer set — hence every stored value and the clip floor — are
-// byte-equal to the uncompacted masked run, merely re-indexed.
-// dist/pred_node/settled/touched are local-indexed; pred_edge and
-// tree_edges stay global edge ids.
-void ComputeSpTreeLocal(const ShardMask& m,
-                        const std::vector<std::uint8_t>& edge_flag,
-                        const std::vector<std::uint8_t>& is_target_local,
-                        std::size_t num_targets, bool stop_at_targets,
-                        std::uint32_t source_local, util::DaryHeap& heap,
-                        SpTree* out) {
-  const std::uint32_t n = static_cast<std::uint32_t>(m.nodes.size());
-  if (out->dist.size() < n) {
-    out->dist.resize(n, kInf);
-    out->pred_node.resize(n, graph::kInvalidNode);
-    out->pred_edge.resize(n, graph::kInvalidEdge);
-    out->settled.resize(n, 0);
-  }
-  // The sparse reset is index-space agnostic: whatever index space the
-  // slot's previous run used, wiping its touched entries restores the
-  // all-default state this run starts from.
-  for (std::uint32_t v : out->touched) {
-    out->dist[v] = kInf;
-    out->pred_node[v] = graph::kInvalidNode;
-    out->pred_edge[v] = graph::kInvalidEdge;
-    out->settled[v] = 0;
-  }
-  out->touched.clear();
-  out->mask_min_clip = kInf;
-  heap.Drain(n);
-  out->dist[source_local] = 0.0;
-  out->touched.push_back(source_local);
-  heap.PushOrDecrease(source_local, 0.0);
-  std::size_t remaining = num_targets;
-  bool stopped_early = false;
-  while (!heap.empty()) {
-    auto [d, v] = heap.PopMin();
-    out->settled[v] = 1;
-    if (stop_at_targets && is_target_local[v] && --remaining == 0) {
-      stopped_early = !heap.empty();
-      break;
-    }
-    const std::uint32_t end = m.local_offsets[v + 1];
-    for (std::uint32_t a = m.local_offsets[v]; a < end; ++a) {
-      graph::EdgeId e = m.local_arc_edge[a];
-      std::uint8_t flag = edge_flag[e];
-      if (flag == kBanned) continue;
-      std::uint32_t to = m.local_arc_head[a];
-      double next = d + (flag == kForced ? 0.0 : m.local_arc_cost[a]);
-      if (to == ShardMask::kExternal) {
-        if (next < out->mask_min_clip) out->mask_min_clip = next;
-        continue;
-      }
-      double& dt = out->dist[to];
-      if (next < dt) {
-        if (dt == kInf) out->touched.push_back(to);
-        dt = next;
-        out->pred_node[to] = v;
-        out->pred_edge[to] = e;
-        heap.PushOrDecrease(to, next);
-      }
-    }
-  }
-  out->complete = !stopped_early;
-  out->tree_edges.clear();
-  std::size_t settled_count = 0;
-  for (std::uint32_t v : out->touched) {
-    if (!out->settled[v]) {
-      out->dist[v] = kInf;
-      out->pred_node[v] = graph::kInvalidNode;
-      out->pred_edge[v] = graph::kInvalidEdge;
-      continue;
-    }
-    out->touched[settled_count++] = v;
-    if (out->pred_edge[v] != graph::kInvalidEdge) {
-      out->tree_edges.push_back(out->pred_edge[v]);
-    }
-  }
-  out->touched.resize(settled_count);
-  std::sort(out->tree_edges.begin(), out->tree_edges.end());
-  out->tree_edges.erase(
-      std::unique(out->tree_edges.begin(), out->tree_edges.end()),
-      out->tree_edges.end());
 }
 
 // Shared preamble of both solvers: sort the edit sets, reject infeasible
@@ -535,150 +502,45 @@ bool PrepareSubproblem(const CsrGraph& csr,
   return true;
 }
 
-// Copies a freshly computed tree out of its pooled scratch slot into a
-// shareable cache entry whose arrays span `n` nodes. A pooled slot keeps
-// the high-water arrays of every solve its thread ever ran (an unmasked
-// solve on the largest graph it served leaves them at that size), so a
-// wholesale copy or a stolen slot would store arrays sized to that graph
-// rather than to this one — and a stolen slot would regrow on its next
-// use. The slot's invariant — every entry off the touched list is at its
-// (inf, invalid, 0) default — makes the right-sized rebuild byte-identical
-// for every index below `n`, which is all the cache can serve.
-std::shared_ptr<const SpTree> MaterializeTree(const SpTree& slot,
-                                              std::size_t n) {
-  auto fresh = std::make_shared<SpTree>();
-  fresh->dist.assign(n, kInf);
-  fresh->pred_node.assign(n, graph::kInvalidNode);
-  fresh->pred_edge.assign(n, graph::kInvalidEdge);
-  fresh->settled.assign(n, 0);
-  for (std::uint32_t v : slot.touched) {
-    fresh->dist[v] = slot.dist[v];
-    fresh->pred_node[v] = slot.pred_node[v];
-    fresh->pred_edge[v] = slot.pred_edge[v];
-    fresh->settled[v] = slot.settled[v];
-  }
-  fresh->touched = slot.touched;
-  fresh->tree_edges = slot.tree_edges;
-  fresh->complete = slot.complete;
-  fresh->mask_min_clip = slot.mask_min_clip;
-  return fresh;
+// The adjacency view a solve runs over: the pinned CSR, or `mask`'s
+// compact view. Expects PrepareSubproblem done (the check covers the
+// deduped terminals).
+AdjacencyView SolveView(const CsrGraph& csr, const ShardMask* mask,
+                        const SolverScratch& s) {
+  if (mask == nullptr) return CsrView(csr);
+  const bool holds_terminals =
+      mask->HasCompact() && mask->local_of.size() == csr.num_nodes &&
+      std::all_of(s.terminals.begin(), s.terminals.end(),
+                  [&](std::uint32_t term) {
+                    return mask->local_of[term] != ShardMask::kExternal;
+                  });
+  Q_CHECK_MSG(holds_terminals,
+              "masked solve needs a compact view over the pinned snapshot "
+              "that holds every terminal");
+  return CompactView(*mask);
 }
 
-// Fills s.sp with one shortest-path tree per deduped terminal, shared
-// through the cache. `full` requests complete (non-early-stopped) trees —
-// the exact DP seeds its singleton slices from them. `cache_generation`
-// is the generation captured by the solve's SnapshotPin: lookups and
-// inserts keyed under it can only meet entries computed over the same
-// pinned costs, even if a concurrent re-cost has already moved the cache
-// to a newer generation.
-//
-// Only clean-overlay ({}, {}) trees are materialized, the policy the
-// mask-local twin below follows too. A clean entry is re-served every
-// time an enumeration at this generation re-acquires the terminal, and
-// the reuse rule (sp_cache.h) lets it answer overlay lookups whose bans
-// miss its tree. Overlay trees stay in the thread's scratch slot: a whole
-// overlay subproblem that recurs is served one level up, by the engine's
-// SolveMemo, while storing overlay trees here would cost a per-lookup
-// scan over every entry of the terminal plus an O(num_nodes) copy per
-// entry, and the rule serves almost no lookups from them
-// (docs/query_engine.md, "Shortest-path cache", has the measured rates).
-void AcquireSpTrees(const CsrGraph& csr, ShortestPathCache* cache,
-                    std::uint64_t cache_generation, SolverScratch& s,
-                    bool full, const std::vector<std::uint8_t>* in_mask) {
+// Fills s.sp_slots with one shortest-path tree per deduped terminal over
+// `g`, and s.terminals_view with the terminals' view ids. `full` requests
+// complete (non-early-stopped) trees — the exact DP seeds its singleton
+// slices from them. Expects an OverlayGuard active.
+void AcquireSpTrees(const AdjacencyView& g, SolverScratch& s, bool full) {
   const std::size_t t = s.terminals.size();
-  const bool clean_overlay =
-      s.forced_sorted.empty() && s.banned_sorted.empty();
-  s.sp.clear();
-  s.sp_refs.clear();
-  if (s.sp_slots.size() < t) s.sp_slots.resize(t);
-  for (std::size_t i = 0; i < t; ++i) {
-    std::shared_ptr<const SpTree> ref;
-    if (cache != nullptr) {
-      ref = cache->Lookup(cache_generation, s.terminals[i], s.forced_sorted,
-                          s.banned_sorted, csr.edge_cost, s.terminals, full);
-    }
-    if (ref == nullptr) {
-      ComputeSpTree(csr, s.edge_flag, s.is_target, t, !full, s.terminals[i],
-                    in_mask, s.heap, &s.sp_slots[i]);
-      if (cache != nullptr && clean_overlay && cache->HasRoom()) {
-        ref = MaterializeTree(s.sp_slots[i], csr.num_nodes);
-        cache->Insert(cache_generation, s.terminals[i], {}, {}, ref);
-      }
-    }
-    if (ref != nullptr) {
-      s.sp.push_back(ref.get());
-      s.sp_refs.push_back(std::move(ref));
-    } else {
-      // Cache disabled or full, or an overlay tree kept in scratch.
-      s.sp.push_back(&s.sp_slots[i]);
-    }
-  }
-}
-
-// Local-id twin of AcquireSpTrees over a compact mask view: fills s.sp
-// with per-terminal trees whose arrays are local-indexed, shared through
-// the cache's mask-uid-keyed local half. A uid names one immutable
-// compact view, so entries can never be matched across masks, epochs, or
-// enumerations. Reuse caveat (see sp_cache.h): a tree served under a
-// superset banned set may carry a mask_min_clip computed before the
-// extra ban removed a boundary offer — a floor at most the fresh one —
-// so certification against it is conservative (extra escalation at
-// worst), never unsound.
-void AcquireSpTreesLocal(const CsrGraph& csr, const ShardMask& m,
-                         ShortestPathCache* cache, SolverScratch& s,
-                         bool full) {
-  const std::size_t t = s.terminals.size();
-  const std::size_t n = m.nodes.size();
-  const bool clean_overlay =
-      s.forced_sorted.empty() && s.banned_sorted.empty();
-  s.terminals_local.clear();
+  s.terminals_view.clear();
   for (std::uint32_t term : s.terminals) {
-    s.terminals_local.push_back(m.local_of[term]);
+    s.terminals_view.push_back(g.ViewOf(term));
   }
-  if (s.is_target_local.size() < n) s.is_target_local.resize(n, 0);
-  for (std::uint32_t lt : s.terminals_local) s.is_target_local[lt] = 1;
-  s.sp.clear();
-  s.sp_refs.clear();
+  if (s.is_target.size() < g.num_nodes) s.is_target.resize(g.num_nodes, 0);
+  for (std::uint32_t v : s.terminals_view) s.is_target[v] = 1;
   if (s.sp_slots.size() < t) s.sp_slots.resize(t);
   for (std::size_t i = 0; i < t; ++i) {
-    std::shared_ptr<const SpTree> ref;
-    if (cache != nullptr) {
-      ref = cache->LookupLocal(m.mask_uid, s.terminals[i], s.forced_sorted,
-                               s.banned_sorted, csr.edge_cost,
-                               s.terminals_local, full);
-    }
-    if (ref == nullptr) {
-      ComputeSpTreeLocal(m, s.edge_flag, s.is_target_local, t, !full,
-                         s.terminals_local[i], s.heap, &s.sp_slots[i]);
-      // Materialize only clean-overlay trees. A ({}, {}) entry is
-      // re-served every time the enumeration re-acquires this mask and
-      // terminal, so it earns its footprint; an overlay tree can only
-      // hit again on a compatible (F, B) recurrence, which Lawler
-      // partitioning makes vanishingly rare. Keeping overlay misses
-      // slot-resident is what holds the per-solve cost at O(ball) as the
-      // catalog grows: the slot sparse-resets its touched entries on the
-      // next miss instead of allocating and refilling O(L) arrays. The
-      // entry is rebuilt at the mask's local extent, so a slot a
-      // catalog-sized unmasked solve left behind never costs an
-      // O(catalog) copy on the first acquire of a new mask. The capacity
-      // race is handled inside InsertLocal (wholesale clear), so no
-      // HasRoom gate here.
-      if (cache != nullptr && clean_overlay) {
-        ref = MaterializeTree(s.sp_slots[i], n);
-        cache->InsertLocal(m.mask_uid, s.terminals[i], {}, {}, ref);
-      }
-    }
-    if (ref != nullptr) {
-      s.sp.push_back(ref.get());
-      s.sp_refs.push_back(std::move(ref));
-    } else {
-      s.sp.push_back(&s.sp_slots[i]);
-    }
+    ComputeSpTree(g, s.edge_flag, s.is_target, t, !full, s.terminals_view[i],
+                  s.heap, &s.sp_slots[i]);
   }
   // Restore the all-zero invariant now: nothing downstream reads the
-  // local target marks, and the shrink policy may reallocate the array
-  // between solves.
-  for (std::uint32_t lt : s.terminals_local) s.is_target_local[lt] = 0;
+  // target marks, and the shrink policy may reallocate the array between
+  // solves.
+  for (std::uint32_t v : s.terminals_view) s.is_target[v] = 0;
 }
 
 // Boundary certificate shared by both masked solvers. A masked tree's
@@ -693,12 +555,9 @@ void AcquireSpTreesLocal(const CsrGraph& csr, const ShardMask& m,
 // distances and predecessor chains below them, so its horizon is
 // max_j dist[t_j] per tree. A terminal unreachable within the mask
 // certifies only when nothing was clipped at all — then the mask
-// exhausted the component and the infeasible verdict is exact.
-// `term_idx` holds the terminals in whatever index space s.sp uses —
-// s.terminals for global/uncompacted trees, s.terminals_local for
-// compacted ones — so the certificate itself is index-space agnostic.
+// exhausted the component and the infeasible verdict is exact. Reads the
+// trees through s.terminals_view.
 MaskedOutcome CertifyPairwiseReads(SolverScratch& s,
-                                   const std::vector<std::uint32_t>& term_idx,
                                    double* overlay_lower_bound) {
   const std::size_t t = s.terminals.size();
   MaskedOutcome verdict = MaskedOutcome::kOk;
@@ -714,10 +573,10 @@ MaskedOutcome CertifyPairwiseReads(SolverScratch& s,
   double pairwise_lb = 0.0;
   s.cert_floor.assign(t * t, 0.0);
   for (std::size_t i = 0; i < t; ++i) {
-    const SpTree& sp = *s.sp[i];
+    const SpTree& sp = s.sp_slots[i];
     double max_read = 0.0;
     for (std::size_t j = 0; j < t; ++j) {
-      double d = sp.dist[term_idx[j]];
+      double d = sp.dist[s.terminals_view[j]];
       max_read = std::max(max_read, d);
       const double floor = std::min(d, sp.mask_min_clip);
       pairwise_lb = std::max(pairwise_lb, floor);
@@ -775,33 +634,15 @@ double SubspaceCostBound(double forced_cost, double overlay_lb) {
   return std::max(0.0, bound - (bound * 1e-12 + 1e-12));
 }
 
-// Picks the compact local-id view for a masked solve, or null to run the
-// uncompacted referee path. The view must exist, be built (covers_all
-// masks skip BuildCompact), span the pinned snapshot's node count, and
-// contain every deduped terminal — hand-built test masks may omit one,
-// which the uncompacted path tolerates by construction.
-const ShardMask* ResolveCompact(const MaskView* mask, const CsrGraph& csr,
-                                const SolverScratch& s) {
-  if (mask == nullptr || mask->compact == nullptr) return nullptr;
-  const ShardMask& m = *mask->compact;
-  if (!m.HasCompact() || m.local_of.size() != csr.num_nodes) return nullptr;
-  for (std::uint32_t term : s.terminals) {
-    if (m.local_of[term] == ShardMask::kExternal) return nullptr;
-  }
-  return &m;
-}
-
-// KMB steps 2-5 over the trees in s.sp. Expects PrepareSubproblem done, an
-// OverlayGuard active, and t >= 2 deduped terminals; `result` carries the
-// forced prefix and base cost. `sp_terms` names the terminals in the
-// trees' own index space (local ids for compacted masked solves) — only
-// reads of sp.dist/pred_node go through it; collected pred_edge values
-// are global edge ids in either space, so everything from Kruskal on is
-// index-space independent. Safe to call concurrently (cache is
-// synchronized, scratch is per-thread).
+// KMB steps 2-5 over the trees in s.sp_slots. Expects AcquireSpTrees
+// done, an OverlayGuard active, and t >= 2 deduped terminals; `result`
+// carries the forced prefix and base cost. Only reads of sp.dist/pred_node
+// go through view ids (s.terminals_view); collected pred_edge values are
+// global edge ids, so everything from Kruskal on is view independent.
+// Safe to call concurrently (scratch is per-thread).
 std::optional<SteinerTree> KmbFromTrees(const CsrGraph& csr, SolverScratch& s,
-                                        const std::vector<std::uint32_t>& sp_terms,
                                         SteinerTree result) {
+  const std::vector<std::uint32_t>& sp_terms = s.terminals_view;
   const std::size_t t = s.terminals.size();
 
   // 2. Prim MST over the terminal metric closure.
@@ -818,7 +659,7 @@ std::optional<SteinerTree> KmbFromTrees(const CsrGraph& csr, SolverScratch& s,
     if (pick == t || s.best[pick] == kInf) return std::nullopt;
     s.in_mst[pick] = 1;
     if (pick != 0) s.closure.emplace_back(s.best_from[pick], pick);
-    const SpTree& sp = *s.sp[pick];
+    const SpTree& sp = s.sp_slots[pick];
     for (std::size_t i = 0; i < t; ++i) {
       if (s.in_mst[i]) continue;
       double d = sp.dist[sp_terms[i]];
@@ -829,13 +670,13 @@ std::optional<SteinerTree> KmbFromTrees(const CsrGraph& csr, SolverScratch& s,
     }
   }
 
-  // 3. Expand closure edges into original-graph edges along the cached
+  // 3. Expand closure edges into original-graph edges along the
   // predecessor trees (forced edges are already part of the result).
   s.collected.clear();
   for (auto [a, b] : s.closure) {
     std::uint32_t v = sp_terms[b];
     const std::uint32_t src = sp_terms[a];
-    const SpTree& sp = *s.sp[a];
+    const SpTree& sp = s.sp_slots[a];
     while (v != src) {
       graph::EdgeId e = sp.pred_edge[v];
       if (e == graph::kInvalidEdge) break;
@@ -956,12 +797,9 @@ std::optional<SteinerTree> KmbFromTrees(const CsrGraph& csr, SolverScratch& s,
 
 FastSteinerEngine::FastSteinerEngine(const graph::SearchGraph& graph,
                                      const graph::WeightVector& weights,
-                                     bool use_cache)
+                                     bool use_memo)
     : csr_(std::make_shared<CsrGraph>(CsrGraph::Build(graph, weights))) {
-  if (use_cache) {
-    cache_ = std::make_unique<ShortestPathCache>();
-    memo_ = std::make_unique<SolveMemo>();
-  }
+  if (use_memo) memo_ = std::make_unique<SolveMemo>();
 }
 
 SnapshotPin FastSteinerEngine::Pin() const {
@@ -976,11 +814,10 @@ SnapshotPin FastSteinerEngine::Pin() const {
         pins->fetch_sub(1, std::memory_order_release);
       });
   pin.generation = generation_;
-  pin.cache_generation = cache_ != nullptr ? cache_->generation() : 0;
   return pin;
 }
 
-bool FastSteinerEngine::BeginMutation() {
+void FastSteinerEngine::BeginMutation() {
   // Caller holds snapshot_mu_, so no new pin can appear mid-mutation;
   // outstanding pins only drain. Observing zero with acquire ordering
   // means every pinned reader's accesses happen-before this mutation
@@ -989,9 +826,7 @@ bool FastSteinerEngine::BeginMutation() {
   // forces a clone so the pinned holders keep reading frozen costs.
   if (pins_->load(std::memory_order_acquire) > 0) {
     csr_ = std::make_shared<CsrGraph>(*csr_);
-    return true;
   }
-  return false;
 }
 
 void FastSteinerEngine::Recost(const graph::SearchGraph& graph,
@@ -1000,7 +835,6 @@ void FastSteinerEngine::Recost(const graph::SearchGraph& graph,
   BeginMutation();
   csr_->Recost(graph, weights);
   ++generation_;
-  if (cache_ != nullptr) cache_->BumpGeneration();
   if (memo_ != nullptr) memo_->Advance(generation_);
 }
 
@@ -1034,8 +868,7 @@ bool FastSteinerEngine::CollectDeltaCandidates(
       std::unique(candidate_scratch_.begin(), candidate_scratch_.end()),
       candidate_scratch_.end());
 
-  // Dense deltas gain nothing over a full pass but still pay the cache
-  // scan; hand them back to Recost.
+  // Dense deltas gain nothing over a full pass; hand them back to Recost.
   return candidate_scratch_.size() <= csr_->num_edges / 2;
 }
 
@@ -1052,33 +885,18 @@ FastSteinerEngine::RecostDeltaOutcome FastSteinerEngine::RecostDelta(
   outcome.applied = true;
 
   std::lock_guard<std::mutex> lock(snapshot_mu_);
-  const bool cloned = BeginMutation();
+  BeginMutation();
   repriced_scratch_.clear();
   csr_->RecostEdges(graph, weights, candidate_scratch_, &repriced_scratch_);
   outcome.edges_repriced = repriced_scratch_.size();
   if (repriced_scratch_.empty()) {
-    // Nothing moved: the snapshot (and any cached tree) is bitwise
-    // unchanged, so neither generation advances. (A defensive clone from
-    // BeginMutation is then byte-identical to the pinned original.)
+    // Nothing moved: the snapshot is bitwise unchanged, so the generation
+    // (and the memo) stays. (A defensive clone from BeginMutation is then
+    // byte-identical to the pinned original.)
     return outcome;
   }
   ++generation_;
   if (memo_ != nullptr) memo_->Advance(generation_);
-  if (cache_ != nullptr) {
-    if (cloned) {
-      // Pinned solves of the old snapshot may still be populating the
-      // current cache generation; selective invalidation re-judges those
-      // entries under costs they were never computed for. Move to a
-      // fresh generation instead — old-generation traffic stays coherent
-      // under its own keys, new solves start cold.
-      outcome.cache_entries_dropped = cache_->size();
-      cache_->BumpGeneration();
-    } else {
-      cache_->InvalidateRepriced(repriced_scratch_,
-                                 &outcome.cache_entries_retained,
-                                 &outcome.cache_entries_dropped);
-    }
-  }
   return outcome;
 }
 
@@ -1100,15 +918,6 @@ bool FastSteinerEngine::PreviewDelta(
 
 FastSolveStats FastSteinerEngine::stats() const {
   FastSolveStats st;
-  if (cache_ != nullptr) {
-    st.sp_cache_hits = cache_->hits();
-    st.sp_cache_misses = cache_->misses();
-    st.sp_cache_entries = cache_->size();
-    st.sp_local_hits = cache_->local_hits();
-    st.sp_local_misses = cache_->local_misses();
-    st.sp_local_entries = cache_->local_size();
-    st.masked_bypasses = cache_->masked_bypasses();
-  }
   if (memo_ != nullptr) {
     st.memo_hits = memo_->hits();
     st.memo_misses = memo_->misses();
@@ -1123,8 +932,7 @@ std::optional<SteinerTree> FastSteinerEngine::SolveKmb(
     const std::vector<graph::EdgeId>& forced,
     const std::vector<graph::EdgeId>& banned) {
   // Pin the snapshot for the whole solve: a concurrent re-cost
-  // copies-on-write, so the pinned CSR stays bitwise frozen and the cache
-  // traffic stays keyed under the pinned generation.
+  // copies-on-write, so the pinned CSR stays bitwise frozen.
   return SolveKmb(Pin(), terminals, forced, banned);
 }
 
@@ -1158,7 +966,7 @@ std::optional<SteinerTree> FastSteinerEngine::SolveMemoized(
 std::optional<SteinerTree> FastSteinerEngine::SolveKmbMasked(
     const SnapshotPin& pin, const std::vector<graph::NodeId>& terminals,
     const std::vector<graph::EdgeId>& forced,
-    const std::vector<graph::EdgeId>& banned, const MaskView& mask,
+    const std::vector<graph::EdgeId>& banned, const ShardMask& mask,
     MaskedOutcome* outcome, double* escalate_bound) {
   return SolveKmbImpl(pin, terminals, forced, banned, &mask, outcome,
                       escalate_bound);
@@ -1167,7 +975,7 @@ std::optional<SteinerTree> FastSteinerEngine::SolveKmbMasked(
 std::optional<SteinerTree> FastSteinerEngine::SolveExactMasked(
     const SnapshotPin& pin, const std::vector<graph::NodeId>& terminals,
     const std::vector<graph::EdgeId>& forced,
-    const std::vector<graph::EdgeId>& banned, const MaskView& mask,
+    const std::vector<graph::EdgeId>& banned, const ShardMask& mask,
     MaskedOutcome* outcome, double* escalate_bound) {
   return SolveExactImpl(pin, terminals, forced, banned, &mask, outcome,
                         escalate_bound);
@@ -1187,7 +995,7 @@ std::shared_ptr<const ShardPartition> FastSteinerEngine::Shards(
 std::optional<SteinerTree> FastSteinerEngine::SolveKmbImpl(
     const SnapshotPin& pin, const std::vector<graph::NodeId>& terminals,
     const std::vector<graph::EdgeId>& forced,
-    const std::vector<graph::EdgeId>& banned, const MaskView* mask,
+    const std::vector<graph::EdgeId>& banned, const ShardMask* mask,
     MaskedOutcome* outcome, double* escalate_bound) {
   if (outcome != nullptr) *outcome = MaskedOutcome::kOk;
   const CsrGraph& csr = *pin.csr;
@@ -1200,34 +1008,19 @@ std::optional<SteinerTree> FastSteinerEngine::SolveKmbImpl(
     result.Canonicalize();
     return result;
   }
-  const ShardMask* compact = ResolveCompact(mask, csr, s);
+  const AdjacencyView view = SolveView(csr, mask, s);
   // Before the overlay guard: destructors run in reverse order, so the
   // guard restores the all-zero invariant before a shrink may reallocate.
-  ExtentGuard extent{
-      s, compact != nullptr ? compact->nodes.size() : csr.num_nodes};
+  ExtentGuard extent{s, view.num_nodes};
   OverlayGuard overlay(s, csr);
-  if (compact != nullptr) {
-    AcquireSpTreesLocal(csr, *compact, cache_.get(), s, /*full=*/false);
-  } else {
-    if (mask != nullptr && cache_ != nullptr) {
-      cache_->NoteMaskedBypass(s.terminals.size());
-    }
-    // Uncompacted masked solves (the referee path) run uncached: their
-    // Dijkstras stop inside the mask, so recomputing them beats
-    // materializing graph-spanning cache copies.
-    ShortestPathCache* cache = mask != nullptr ? nullptr : cache_.get();
-    AcquireSpTrees(csr, cache, pin.cache_generation, s, /*full=*/false,
-                   mask != nullptr ? mask->in_mask : nullptr);
-  }
-  const std::vector<std::uint32_t>& sp_terms =
-      compact != nullptr ? s.terminals_local : s.terminals;
+  AcquireSpTrees(view, s, /*full=*/false);
   if (mask != nullptr) {
     // Every value KMB reads must sit strictly below the clipped-offer
     // horizon, or the masked trees are not certified prefixes of the
     // full runs. No verdict otherwise — but the clip floor still bounds
     // the subspace cost from below, which the caller may keep.
     double overlay_lb = 0.0;
-    MaskedOutcome verdict = CertifyPairwiseReads(s, sp_terms, &overlay_lb);
+    MaskedOutcome verdict = CertifyPairwiseReads(s, &overlay_lb);
     if (verdict != MaskedOutcome::kOk) {
       *outcome = verdict;
       if (escalate_bound != nullptr) {
@@ -1236,7 +1029,7 @@ std::optional<SteinerTree> FastSteinerEngine::SolveKmbImpl(
       return std::nullopt;
     }
   }
-  return KmbFromTrees(csr, s, sp_terms, std::move(result));
+  return KmbFromTrees(csr, s, std::move(result));
 }
 
 std::optional<SteinerTree> FastSteinerEngine::SolveExact(
@@ -1258,7 +1051,7 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExact(
 std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
     const SnapshotPin& pin, const std::vector<graph::NodeId>& terminals,
     const std::vector<graph::EdgeId>& forced,
-    const std::vector<graph::EdgeId>& banned, const MaskView* mask,
+    const std::vector<graph::EdgeId>& banned, const ShardMask* mask,
     MaskedOutcome* outcome, double* escalate_bound) {
   if (outcome != nullptr) *outcome = MaskedOutcome::kOk;
   const CsrGraph& csr = *pin.csr;
@@ -1272,9 +1065,8 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
     result.Canonicalize();
     return result;
   }
-  const ShardMask* compact = ResolveCompact(mask, csr, s);
-  ExtentGuard extent{
-      s, compact != nullptr ? compact->nodes.size() : csr.num_nodes};
+  const AdjacencyView view = SolveView(csr, mask, s);
+  ExtentGuard extent{s, view.num_nodes};
   OverlayGuard overlay(s, csr);
 
   // Acquire complete per-terminal shortest-path trees once; they serve
@@ -1282,23 +1074,13 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
   // iff the DP would fail), the eligibility filter, and the DP's singleton
   // slices dp[{i}] = dist(t_i, .) — so those 2^0-subsets need no grow pass
   // at all.
-  if (compact != nullptr) {
-    AcquireSpTreesLocal(csr, *compact, cache_.get(), s, /*full=*/true);
-  } else {
-    if (mask != nullptr && cache_ != nullptr) {
-      cache_->NoteMaskedBypass(s.terminals.size());
-    }
-    ShortestPathCache* cache = mask != nullptr ? nullptr : cache_.get();
-    AcquireSpTrees(csr, cache, pin.cache_generation, s, /*full=*/true,
-                   mask != nullptr ? mask->in_mask : nullptr);
-  }
-  const std::vector<std::uint32_t>& sp_terms =
-      compact != nullptr ? s.terminals_local : s.terminals;
+  AcquireSpTrees(view, s, /*full=*/true);
+  const std::vector<std::uint32_t>& sp_terms = s.terminals_view;
   if (mask != nullptr) {
     // Guarantees the KMB upper bound below (and its infeasibility
     // verdict) is the unmasked one before we derive a threshold from it.
     double overlay_lb = 0.0;
-    MaskedOutcome verdict = CertifyPairwiseReads(s, sp_terms, &overlay_lb);
+    MaskedOutcome verdict = CertifyPairwiseReads(s, &overlay_lb);
     if (verdict != MaskedOutcome::kOk) {
       *outcome = verdict;
       if (escalate_bound != nullptr) {
@@ -1307,7 +1089,7 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
       return std::nullopt;
     }
   }
-  auto kmb = KmbFromTrees(csr, s, sp_terms, result);
+  auto kmb = KmbFromTrees(csr, s, result);
   if (!kmb.has_value()) return std::nullopt;
   double bound = kmb->cost - result.cost;  // overlay-space upper bound
   // Relative slack absorbs float summation-order differences between the
@@ -1321,15 +1103,15 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
     // are provably the unmasked ones. (This subsumes the pairwise check
     // above: any tree path between two terminals costs at most `bound`.)
     for (std::size_t i = 0; i < t; ++i) {
-      if (!(s.sp[i]->mask_min_clip > bound)) {
+      if (!(s.sp_slots[i].mask_min_clip > bound)) {
         *outcome = MaskedOutcome::kEscalate;
         if (escalate_bound != nullptr) {
           // Pairwise distances certified above are exact here, so they
           // bound the subspace optimum even without the DP verdict.
           double pairwise = 0.0;
           for (std::size_t a = 0; a < t; ++a) {
-            for (std::size_t b = 0; b < t; ++b) {
-              pairwise = std::max(pairwise, s.sp[a]->dist[sp_terms[b]]);
+            for (std::uint32_t b : sp_terms) {
+              pairwise = std::max(pairwise, s.sp_slots[a].dist[b]);
             }
           }
           *escalate_bound = SubspaceCostBound(result.cost, pairwise);
@@ -1355,54 +1137,24 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
        ++attempt) {
     double threshold = attempt == 0 ? bound : kInf;
     s.elig_nodes.clear();
-    s.elig_local.clear();
-    if (compact != nullptr) {
-      // Local ids ascend with the (ascending) mask node list, so this
-      // scan visits candidates in the same order as the uncompacted
-      // masked branch below — the eligible list (and hence the mini-id
-      // assignment) comes out identical, merely read through local
-      // distance arrays.
-      const std::uint32_t num_local =
-          static_cast<std::uint32_t>(compact->nodes.size());
-      for (std::uint32_t lv = 0; lv < num_local; ++lv) {
-        bool ok = true;
-        for (std::size_t i = 0; i < t; ++i) {
-          if (s.sp[i]->dist[lv] > threshold) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) {
-          s.elig_nodes.push_back(compact->nodes[lv]);
-          s.elig_local.push_back(lv);
+    s.elig_view.clear();
+    // View ids ascend with node ids, so the eligible list — and hence the
+    // mini-id assignment — comes out in node-id order under either view.
+    // Under a mask, below-bound nodes all live inside it (the clip floor
+    // exceeds the bound, so any node whose true distance fits the
+    // threshold was settled — identically — by the masked runs), so the
+    // list is the unmasked one.
+    for (std::uint32_t v = 0; v < view.num_nodes; ++v) {
+      bool ok = true;
+      for (std::size_t i = 0; i < t; ++i) {
+        if (s.sp_slots[i].dist[v] > threshold) {
+          ok = false;
+          break;
         }
       }
-    } else if (mask != nullptr) {
-      // Below-bound nodes all live inside the mask (the clipped-offer
-      // floor exceeds the bound, so any node whose true distance fits
-      // the threshold was settled — identically — by the masked runs),
-      // so scanning the ascending mask node list yields the same
-      // eligible list — same order — as the unmasked 0..n-1 scan.
-      for (std::uint32_t v : *mask->nodes) {
-        bool ok = true;
-        for (std::size_t i = 0; i < t; ++i) {
-          if (s.sp[i]->dist[v] > threshold) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) s.elig_nodes.push_back(v);
-      }
-    } else {
-      for (std::uint32_t v = 0; v < csr.num_nodes; ++v) {
-        bool ok = true;
-        for (std::size_t i = 0; i < t; ++i) {
-          if (s.sp[i]->dist[v] > threshold) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) s.elig_nodes.push_back(v);
+      if (ok) {
+        s.elig_nodes.push_back(view.NodeOf(v));
+        s.elig_view.push_back(v);
       }
     }
     if (++s.stamp == 0) {
@@ -1455,12 +1207,6 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
     s.mini_offsets[i + 1] = static_cast<std::uint32_t>(s.mini_head.size());
   }
 
-  // Eligible nodes in the trees' own index space: local ids under a
-  // compact view, global node ids otherwise. Parallel to elig_nodes, so
-  // mini id mv reads the same node either way.
-  const std::vector<std::uint32_t>& elig_idx =
-      compact != nullptr ? s.elig_local : s.elig_nodes;
-
   const std::uint32_t full = (1u << t) - 1;
   const std::size_t states = static_cast<std::size_t>(full + 1) * n_e;
   s.dp.assign(states, kInf);
@@ -1469,9 +1215,9 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
   // pruned); their subsets below need neither merge nor grow.
   for (std::size_t i = 0; i < t; ++i) {
     double* dps = &s.dp[(std::size_t{1} << i) * n_e];
-    const SpTree& sp = *s.sp[i];
+    const SpTree& sp = s.sp_slots[i];
     for (std::uint32_t mv = 0; mv < n_e; ++mv) {
-      double d = sp.dist[elig_idx[mv]];
+      double d = sp.dist[s.elig_view[mv]];
       if (d <= bound) dps[mv] = d;
     }
   }
@@ -1538,8 +1284,8 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
       // the terminal (possibly through nodes outside the eligible set on
       // cost ties — still a min-cost attachment path).
       const std::size_t i = static_cast<std::size_t>(__builtin_ctz(subset));
-      const SpTree& sp = *s.sp[i];
-      std::uint32_t cur = elig_idx[v];
+      const SpTree& sp = s.sp_slots[i];
+      std::uint32_t cur = s.elig_view[v];
       const std::uint32_t src = sp_terms[i];
       while (cur != src) {
         graph::EdgeId e = sp.pred_edge[cur];
@@ -1573,70 +1319,62 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
 std::size_t ThreadScratchBytes() { return GetScratch().FootprintBytes(); }
 
 MaskedSpProbe ComputeMaskedSpTreeForTest(
-    const CsrGraph& csr, const MaskView& mask, std::uint32_t source,
+    const CsrGraph& csr, const ShardMask& mask, std::uint32_t source,
     const std::vector<graph::NodeId>& targets, bool stop_at_targets,
     const std::vector<graph::EdgeId>& forced,
     const std::vector<graph::EdgeId>& banned) {
+  Q_CHECK_MSG(mask.HasCompact() && mask.local_of.size() == csr.num_nodes &&
+                  mask.local_of[source] != ShardMask::kExternal,
+              "probe needs a compact view over `csr` that holds the source");
   SolverScratch& s = GetScratch();
   s.forced_sorted.assign(forced.begin(), forced.end());
   std::sort(s.forced_sorted.begin(), s.forced_sorted.end());
   s.banned_sorted.assign(banned.begin(), banned.end());
   std::sort(s.banned_sorted.begin(), s.banned_sorted.end());
-  s.terminals.assign(targets.begin(), targets.end());
   OverlayGuard overlay(s, csr);
 
-  // Both paths project into global-indexed arrays so callers diff them
-  // element-for-element without knowing which path ran.
+  const AdjacencyView view = CompactView(mask);
+  if (s.is_target.size() < view.num_nodes) {
+    s.is_target.resize(view.num_nodes, 0);
+  }
+  for (std::uint32_t t : targets) {
+    const std::uint32_t lt = mask.local_of[t];
+    if (lt != ShardMask::kExternal) s.is_target[lt] = 1;
+  }
+  // The stop threshold counts every target: one outside the mask (or a
+  // duplicate) never settles, so the run keeps exploring instead of
+  // stopping early — as the uncompacted masked Dijkstra does.
+  SpTree tree;
+  ComputeSpTree(view, s.edge_flag, s.is_target, targets.size(),
+                stop_at_targets, mask.local_of[source], s.heap, &tree);
+  for (std::uint32_t t : targets) {
+    const std::uint32_t lt = mask.local_of[t];
+    if (lt != ShardMask::kExternal) s.is_target[lt] = 0;
+  }
+
+  // Projected into global-indexed arrays so callers diff them
+  // element-for-element against a global-indexed referee.
   MaskedSpProbe probe;
   probe.dist.assign(csr.num_nodes, kInf);
   probe.pred_node.assign(csr.num_nodes, graph::kInvalidNode);
   probe.pred_edge.assign(csr.num_nodes, graph::kInvalidEdge);
   probe.settled.assign(csr.num_nodes, 0);
-
-  SpTree tree;
-  const ShardMask* compact =
-      mask.compact != nullptr && mask.compact->HasCompact() &&
-              mask.compact->local_of.size() == csr.num_nodes &&
-              mask.compact->local_of[source] != ShardMask::kExternal
-          ? mask.compact
-          : nullptr;
-  if (compact != nullptr) {
-    const std::size_t n = compact->nodes.size();
-    if (s.is_target_local.size() < n) s.is_target_local.resize(n, 0);
-    for (std::uint32_t t : targets) {
-      const std::uint32_t lt = compact->local_of[t];
-      if (lt != ShardMask::kExternal) s.is_target_local[lt] = 1;
-    }
-    // The stop threshold mirrors the global path's s.terminals.size():
-    // a target outside the mask (or a duplicate) never settles, so both
-    // paths keep exploring identically instead of stopping early.
-    ComputeSpTreeLocal(*compact, s.edge_flag, s.is_target_local,
-                       targets.size(), stop_at_targets,
-                       compact->local_of[source], s.heap, &tree);
-    for (std::uint32_t t : targets) {
-      const std::uint32_t lt = compact->local_of[t];
-      if (lt != ShardMask::kExternal) s.is_target_local[lt] = 0;
-    }
-    for (std::uint32_t lv : tree.touched) {  // settled survivors only
-      const std::uint32_t v = compact->nodes[lv];
-      probe.dist[v] = tree.dist[lv];
-      probe.pred_node[v] = tree.pred_node[lv] == graph::kInvalidNode
-                               ? graph::kInvalidNode
-                               : compact->nodes[tree.pred_node[lv]];
-      probe.pred_edge[v] = tree.pred_edge[lv];
-      probe.settled[v] = 1;
-    }
-  } else {
-    ComputeSpTree(csr, s.edge_flag, s.is_target, s.terminals.size(),
-                  stop_at_targets, source, mask.in_mask, s.heap, &tree);
-    for (std::uint32_t v : tree.touched) {
-      probe.dist[v] = tree.dist[v];
-      probe.pred_node[v] = tree.pred_node[v];
-      probe.pred_edge[v] = tree.pred_edge[v];
-      probe.settled[v] = 1;
+  for (std::uint32_t lv : tree.touched) {  // settled survivors only
+    const std::uint32_t v = view.NodeOf(lv);
+    probe.dist[v] = tree.dist[lv];
+    probe.pred_node[v] = tree.pred_node[lv] == graph::kInvalidNode
+                             ? graph::kInvalidNode
+                             : view.NodeOf(tree.pred_node[lv]);
+    probe.pred_edge[v] = tree.pred_edge[lv];
+    probe.settled[v] = 1;
+    if (tree.pred_edge[lv] != graph::kInvalidEdge) {
+      probe.tree_edges.push_back(tree.pred_edge[lv]);
     }
   }
-  probe.tree_edges = std::move(tree.tree_edges);
+  std::sort(probe.tree_edges.begin(), probe.tree_edges.end());
+  probe.tree_edges.erase(
+      std::unique(probe.tree_edges.begin(), probe.tree_edges.end()),
+      probe.tree_edges.end());
   probe.mask_min_clip = tree.mask_min_clip;
   probe.complete = tree.complete;
   return probe;

@@ -11,7 +11,7 @@
 
 #include "graph/search_graph.h"
 #include "steiner/csr.h"
-#include "steiner/sp_cache.h"
+#include "steiner/solve_memo.h"
 #include "steiner/steiner_tree.h"
 
 namespace q::steiner {
@@ -20,15 +20,12 @@ struct ShardPartition;
 struct ShardMask;
 
 struct FastSolveStats {
+  // The engine no longer has a shortest-path tree cache, so these five
+  // counters always read 0. They stay because the benchmark reads them.
   std::size_t sp_cache_hits = 0;
   std::size_t sp_cache_misses = 0;
-  std::size_t sp_cache_entries = 0;
-  // Masked-solve cache traffic (compacted local trees, mask-uid keyed;
-  // see sp_cache.h) and the bypass counter for masked solves that ran
-  // with no cache at all (the uncompacted referee path).
   std::size_t sp_local_hits = 0;
   std::size_t sp_local_misses = 0;
-  std::size_t sp_local_entries = 0;
   std::size_t masked_bypasses = 0;
   // Subproblem memo traffic (FastSteinerEngine::SolveMemoized): lookups
   // served and missed, live entries, and the heap bytes they hold.
@@ -47,45 +44,17 @@ std::size_t ThreadScratchBytes();
 
 // A pinned read handle on a FastSteinerEngine's current CSR snapshot.
 // While any pin is alive, mutators copy-on-write instead of patching in
-// place (and move the shortest-path cache to a new generation), so the
-// pinned CsrGraph — and with it the generation the pin captured — stays
-// bitwise frozen for as long as the holder keeps the struct alive.
+// place, so the pinned CsrGraph — and with it the generation the pin
+// captured — stays bitwise frozen for as long as the holder keeps the
+// struct alive.
 // Solve* pin internally unless handed a pin; a whole top-k enumeration
 // passes one pin through every subproblem (see top_k.h) so a re-cost
 // landing mid-enumeration can never mix cost snapshots within one search.
 // Namespace-scope (rather than nested) so top_k.h can forward-declare it.
 struct SnapshotPin {
   std::shared_ptr<const CsrGraph> csr;
-  // Engine generation at pin time.
+  // Engine generation at pin time; the subproblem memo is keyed by it.
   std::uint64_t generation = 0;
-  // Shortest-path cache generation at pin time; the pinned solve's
-  // cache lookups and inserts are keyed under it (see sp_cache.h), so
-  // they can never mix with entries of other cost snapshots.
-  std::uint64_t cache_generation = 0;
-};
-
-// Borrowed view of a TerminalLocalizer mask for one masked solve (see
-// shard.h). The pointed-to vectors are owned by an immutable ShardMask
-// the caller keeps alive via shared_ptr for the duration of the call.
-struct MaskView {
-  const std::vector<std::uint8_t>* in_mask = nullptr;  // node bitmap
-  const std::vector<std::uint32_t>* nodes = nullptr;   // ascending node ids
-  // Compact local-id view (the ShardMask owning the vectors above, which
-  // also carries the local sub-CSR — see shard.h). When set, masked
-  // Dijkstras run over dense local ids with every per-node array sized to
-  // the mask, translating back to global ids only where results feed the
-  // metric closure, the certificates, the exact-DP eligibility scan, and
-  // tree extraction. Null runs the uncompacted masked path — kept as the
-  // bit-identity referee (ShardedSearchConfig::compact_local_ids).
-  const ShardMask* compact = nullptr;
-  // Real-cost radius around the terminals the mask provably covers. The
-  // solvers certify each solve from its own clipped-frontier offers
-  // rather than from this radius; it remains the localizer's growth
-  // knob (each escalation doubles it — see shard.h).
-  double r_proof = 0.0;
-  // Mask epoch, forwarded from the localizer snapshot the view was taken
-  // under; Escalate uses it to dedup concurrent growth requests.
-  std::uint64_t epoch = 0;
 };
 
 // Verdict of a masked solve. kOk means the per-subproblem identity
@@ -106,12 +75,14 @@ enum class MaskedOutcome { kOk, kEscalate };
 // a thread-local scratch arena, so Solve* are safe to call concurrently
 // and do no steady-state allocation.
 //
-// When `use_cache` is set, per-terminal Dijkstra trees are shared across
-// subproblems through a ShortestPathCache (see sp_cache.h for the reuse
-// rule), and whole unmasked subproblem verdicts through a SolveMemo (see
-// SolveMemoized). Cache and memo state never change solver output (any
-// valid entry equals a fresh computation), which is what keeps
-// cached/parallel runs byte-identical to sequential uncached runs.
+// Every solve runs one Dijkstra per deduped terminal over an adjacency
+// view: the CSR for unmasked solves, a mask's compact local-id sub-CSR
+// for masked ones (see shard.h). Trees live in the thread's scratch and
+// are never shared between solves. When `use_memo` is set, whole unmasked
+// subproblem verdicts are shared through a SolveMemo (see SolveMemoized),
+// the engine's only cache. Memo state never changes solver output (a hit
+// equals a fresh solve), which is what keeps memoized/parallel runs
+// byte-identical to sequential unmemoized runs.
 //
 // Concurrency (the async refresh scheduler's contract): any number of
 // Solve* calls may run concurrently with each other AND with one
@@ -125,15 +96,14 @@ enum class MaskedOutcome { kOk, kEscalate };
 class FastSteinerEngine {
  public:
   FastSteinerEngine(const graph::SearchGraph& graph,
-                    const graph::WeightVector& weights, bool use_cache);
+                    const graph::WeightVector& weights, bool use_memo);
 
   // Weight-only snapshot refresh: re-costs every CSR edge in place
   // (topology arrays untouched; copy-on-write when a SnapshotPin is
-  // outstanding) and moves the shortest-path cache to a new generation so
-  // no tree computed under the old weights can be served.
+  // outstanding) and advances the generation, which purges the memo.
   // Precondition: `graph` has exactly the node/edge set this engine was
   // built from. Far cheaper than rebuilding the engine and — because arc
-  // order is preserved and the cache is generation-keyed — produces
+  // order is preserved and the memo is generation-keyed — produces
   // byte-identical output to a fresh engine over the same (graph, weights).
   void Recost(const graph::SearchGraph& graph,
               const graph::WeightVector& weights);
@@ -149,10 +119,6 @@ class FastSteinerEngine {
     std::size_t candidate_edges = 0;
     // Edges whose cost actually moved.
     std::size_t edges_repriced = 0;
-    // Shortest-path cache entries retained/dropped by the selective
-    // invalidation (both 0 when caching is disabled or nothing moved).
-    std::size_t cache_entries_retained = 0;
-    std::size_t cache_entries_dropped = 0;
   };
 
   // Delta snapshot refresh: maps the touched features of a sparse weight
@@ -161,11 +127,8 @@ class FastSteinerEngine {
   // index and re-evaluates only those edges. Bitwise identical to a full
   // Recost over the same state — same EdgeCost computation, untouched
   // edges provably cannot move (their w · f(e) reads no touched weight).
-  // The shortest-path cache is invalidated selectively
-  // (ShortestPathCache::InvalidateRepriced) instead of wholesale: its
-  // generation does not move, so provably unaffected Dijkstra trees keep
-  // serving lookups across the refresh. The engine generation advances
-  // only when at least one edge cost moved.
+  // The generation (and with it the memo) advances only when at least one
+  // edge cost moved.
   //
   // Precondition: same node/edge set as at construction, and every
   // edge's FeatureVec unchanged since the postings index was built —
@@ -179,7 +142,7 @@ class FastSteinerEngine {
   // Read-only twin of RecostDelta for the relevance gate: maps the delta
   // through the same feature->edge postings and appends the would-be
   // RepricedEdge records to `repriced` without patching the snapshot or
-  // touching the shortest-path cache. Returns false (and leaves
+  // touching the memo. Returns false (and leaves
   // `repriced` untouched) when the delta is dense (candidates above half
   // the snapshot, the same threshold RecostDelta declines at) — the
   // caller must then take the ordinary re-cost paths. Same FeatureVec
@@ -197,10 +160,6 @@ class FastSteinerEngine {
   // Snapshot generation: 0 at construction, +1 per Recost and per
   // effective RecostDelta (one that moved at least one edge cost), so it
   // names the CSR cost bits — the subproblem memo is scoped to it.
-  // Mirrors the cache generation when caching is enabled and only full
-  // Recosts occur; a delta re-cost advances the engine generation but
-  // deliberately not the cache generation (surviving entries stay
-  // servable).
   std::uint64_t generation() const { return generation_; }
 
   SnapshotPin Pin() const;
@@ -231,10 +190,9 @@ class FastSteinerEngine {
 
   // SolveKmb or SolveExact (per `kind`) against `pin`, served from the
   // engine's subproblem memo when the same call was already solved under
-  // the pin's generation (see SolveMemo in sp_cache.h). The memo exists
-  // exactly when the shortest-path cache does (`use_cache`); a hit
-  // returns what the pure call returns, so memo state never changes
-  // output. Entries live for one engine generation: Recost and every
+  // the pin's generation (see solve_memo.h). The memo exists when the
+  // engine was built with `use_memo`; a hit returns what the pure call
+  // returns, so memo state never changes output. Entries live for one engine generation: Recost and every
   // RecostDelta that moves a cost purge them, and a solve pinned to an
   // older generation neither reads nor inserts. TopKSteinerTrees routes
   // every unmasked Lawler subproblem through here.
@@ -245,11 +203,12 @@ class FastSteinerEngine {
       const std::vector<graph::EdgeId>& banned);
 
   // Masked variants for sharded terminal-local search. They solve over
-  // the subgraph induced by the mask (arcs whose head is outside are
-  // skipped) and then VERIFY, per subproblem, a boundary certificate
+  // the mask's compact local-id sub-CSR (see shard.h) — every per-node
+  // array spans the mask, not the graph — skipping the arcs whose head
+  // left the mask, and then VERIFY, per subproblem, a boundary certificate
   // under which the masked result is provably bit-identical to the
   // unmasked one. Each masked Dijkstra records the cheapest offer it
-  // clipped at the mask boundary (SpTree::mask_min_clip); any path that
+  // clipped at the mask boundary (its clip floor); any path that
   // escapes the mask costs at least that offer, so every settled value
   // strictly below it can neither be improved nor tied from outside —
   // by induction over the canonical (dist, id) settle order, the masked
@@ -287,26 +246,21 @@ class FastSteinerEngine {
   // escalation if a child surfaces before k trees are emitted (see
   // top_k.cc).
   //
-  // Caching: masked solves never touch the unmasked (generation-keyed)
-  // half of the shortest-path cache — those entries describe the full
-  // graph. Compacted masked solves (mask.compact set) share *local*
-  // trees through the cache's mask-uid-keyed half instead: arrays are
-  // mask-sized, so materializing them is cheap, and the uid pins both
-  // the mask and the cost snapshot its view baked in. A served tree's
-  // mask_min_clip can understate a fresh run's under a superset banned
-  // set (see sp_cache.h) — certification is then conservative, never
-  // unsound, and certified output is still bit-identical. The
-  // uncompacted referee path keeps the original behavior — no caching
-  // at all — and counts toward FastSolveStats::masked_bypasses.
+  // Masked solves bypass the memo, and every clip floor they certify
+  // against is computed by the solve itself.
+  //
+  // Precondition: `mask` carries a compact view (ShardMask::BuildCompact)
+  // built over the pinned snapshot that holds every deduplicated
+  // terminal. TerminalLocalizer builds every mask that way.
   std::optional<SteinerTree> SolveKmbMasked(
       const SnapshotPin& pin, const std::vector<graph::NodeId>& terminals,
       const std::vector<graph::EdgeId>& forced,
-      const std::vector<graph::EdgeId>& banned, const MaskView& mask,
+      const std::vector<graph::EdgeId>& banned, const ShardMask& mask,
       MaskedOutcome* outcome, double* escalate_bound = nullptr);
   std::optional<SteinerTree> SolveExactMasked(
       const SnapshotPin& pin, const std::vector<graph::NodeId>& terminals,
       const std::vector<graph::EdgeId>& forced,
-      const std::vector<graph::EdgeId>& banned, const MaskView& mask,
+      const std::vector<graph::EdgeId>& banned, const ShardMask& mask,
       MaskedOutcome* outcome, double* escalate_bound = nullptr);
 
   // Lazily built, cached shard partition of the engine's topology (the
@@ -330,26 +284,22 @@ class FastSteinerEngine {
                               const std::vector<graph::FeatureDelta>& deltas,
                               const std::vector<graph::EdgeId>& extra_edges);
 
-  // Takes snapshot_mu_, and clones csr_ first when pins are outstanding
-  // (copy-on-write: the old buffer stays alive under its holders'
-  // shared_ptrs). Returns whether a clone happened — the caller must then
-  // bump the cache generation wholesale instead of invalidating
-  // selectively, because solves of the old snapshot may still be
-  // populating the old generation.
-  bool BeginMutation();
+  // Caller holds snapshot_mu_. Clones csr_ first when pins are
+  // outstanding (copy-on-write: the old buffer stays alive under its
+  // holders' shared_ptrs).
+  void BeginMutation();
 
   // Shared bodies of the plain and masked solvers; `mask` == nullptr is
-  // the unmasked path (then `outcome` is ignored and the engine's own
-  // cache serves the solve; masked solves run uncached).
+  // the unmasked path (then `outcome` is ignored).
   std::optional<SteinerTree> SolveKmbImpl(
       const SnapshotPin& pin, const std::vector<graph::NodeId>& terminals,
       const std::vector<graph::EdgeId>& forced,
-      const std::vector<graph::EdgeId>& banned, const MaskView* mask,
+      const std::vector<graph::EdgeId>& banned, const ShardMask* mask,
       MaskedOutcome* outcome, double* escalate_bound);
   std::optional<SteinerTree> SolveExactImpl(
       const SnapshotPin& pin, const std::vector<graph::NodeId>& terminals,
       const std::vector<graph::EdgeId>& forced,
-      const std::vector<graph::EdgeId>& banned, const MaskView* mask,
+      const std::vector<graph::EdgeId>& banned, const ShardMask* mask,
       MaskedOutcome* outcome, double* escalate_bound);
 
   // COW under snapshot_mu_: holders of a SnapshotPin share this pointer.
@@ -365,8 +315,7 @@ class FastSteinerEngine {
       std::make_shared<std::atomic<std::int64_t>>(0);
   mutable std::mutex snapshot_mu_;
   std::uint64_t generation_ = 0;
-  std::unique_ptr<ShortestPathCache> cache_;  // null when caching disabled
-  std::unique_ptr<SolveMemo> memo_;           // null when caching disabled
+  std::unique_ptr<SolveMemo> memo_;  // null when built without `use_memo`
   // Lazily built by RecostDelta; reset by InvalidateFeatureIndex.
   std::unique_ptr<FeatureEdgeIndex> feature_index_;
   // Scratch reused across RecostDelta calls.
@@ -378,10 +327,13 @@ class FastSteinerEngine {
   std::uint32_t shard_target_ = 0;
 };
 
-// Test-only probe: one masked single-source Dijkstra through either the
-// compacted (mask.compact set) or uncompacted path, projected to global
-// node ids so the stress suite can assert the two are byte-equal —
+// Test-only probe: one masked single-source Dijkstra through the solvers'
+// kernel over `mask`'s compact view, projected to global node ids so the
+// stress suite can diff it against the uncompacted referee in tests —
 // distances, predecessors, settled sets, tree edges, and mask_min_clip.
+// Precondition: `mask` has a compact view built over `csr` that holds
+// `source`. Targets outside the mask are never settled, so they only
+// keep the run from stopping early.
 struct MaskedSpProbe {
   std::vector<double> dist;                // per global node; +inf outside
   std::vector<std::uint32_t> pred_node;    // global ids
@@ -392,7 +344,7 @@ struct MaskedSpProbe {
   bool complete = false;
 };
 MaskedSpProbe ComputeMaskedSpTreeForTest(
-    const CsrGraph& csr, const MaskView& mask, std::uint32_t source,
+    const CsrGraph& csr, const ShardMask& mask, std::uint32_t source,
     const std::vector<graph::NodeId>& targets, bool stop_at_targets,
     const std::vector<graph::EdgeId>& forced,
     const std::vector<graph::EdgeId>& banned);

@@ -1,7 +1,6 @@
 #include "steiner/shard.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 
 #include "util/dary_heap.h"
@@ -11,10 +10,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::uint32_t kUnassigned = std::numeric_limits<std::uint32_t>::max();
-
-// Monotone across every localizer in the process, so a mask-uid-keyed
-// cache entry can never be matched by a different (or regrown) mask.
-std::atomic<std::uint64_t> next_mask_uid{0};
 
 // Per-thread scratch for the localizer's bootstrap and ball Dijkstras.
 // Distances are stamp-validated (stamp[v] != cur reads as +inf), so a
@@ -85,14 +80,13 @@ void ShardMask::BuildCompact(const CsrGraph& csr) {
     for (std::uint32_t a = csr.offsets[v]; a < end; ++a) {
       // Per-node arc order preserved from the global CSR; out-of-mask
       // heads stay visible as kExternal so the masked Dijkstra records
-      // the exact same clipped-offer set as the uncompacted scan.
+      // the exact clipped-offer set a global scan would.
       local_arc_head.push_back(local_of[csr.arc_head[a]]);
       local_arc_edge.push_back(csr.arc_edge[a]);
       local_arc_cost.push_back(csr.arc_cost[a]);
     }
     local_offsets[l + 1] = static_cast<std::uint32_t>(local_arc_head.size());
   }
-  mask_uid = next_mask_uid.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 ShardPartition ShardPartition::Build(const CsrGraph& csr,

@@ -46,14 +46,15 @@ struct ShardPartition {
 // the global canonical order) plus a materialized sub-CSR whose arc heads
 // are translated to local ids. Arcs leaving the mask keep a kExternal
 // head so a masked Dijkstra still sees every clipped boundary offer —
-// mask_min_clip certificates stay byte-equal to the uncompacted path.
-// Arc costs are baked from the CSR the view was built against (the
-// localizer's pinned snapshot; one enumeration never mixes generations),
-// and per-node arc order is preserved, so predecessor selection matches
-// the global scan arc for arc. The view is immutable after Rebuild and
-// shared with the mask itself; solvers size every per-node array to L
-// instead of num_nodes, which is the whole point (cache residency on
-// million-source catalogs).
+// its mask_min_clip equals that of a Dijkstra over the global CSR that
+// skips out-of-mask heads (the uncompacted referee in tests). Arc costs
+// are baked from the CSR the view was built against (the localizer's
+// pinned snapshot; one enumeration never mixes generations), and per-node
+// arc order is preserved, so predecessor selection matches the global
+// scan arc for arc. The view is immutable after Rebuild and shared with
+// the mask itself; masked solves run over it only, sizing every per-node
+// array to L instead of num_nodes, which is the whole point (cache
+// residency on million-source catalogs).
 struct ShardMask {
   // Local-id sentinel for arc heads outside the mask (and for
   // local_of[v] of nodes outside it).
@@ -72,10 +73,6 @@ struct ShardMask {
   std::vector<std::uint32_t> local_arc_head;  // local id, or kExternal
   std::vector<graph::EdgeId> local_arc_edge;  // global edge ids (overlay flags)
   std::vector<double> local_arc_cost;         // baked from the pinned CSR
-  // Process-unique id stamped per built view; the shortest-path cache
-  // keys masked local trees by it (mask-epoch keying — a grown or
-  // unrelated mask can never serve a stale local tree).
-  std::uint64_t mask_uid = 0;
 
   bool HasCompact() const {
     return local_offsets.size() == nodes.size() + 1 && !local_of.empty();

@@ -136,12 +136,11 @@ std::vector<SteinerTree> TopKSteinerTrees(
     enumeration_pin = pin != nullptr ? *pin : engine->Pin();
     if (config.sharded.enabled) {
       // Terminal-local sharded search: one localizer spans the
-      // enumeration (masked solves bypass the memo and the global cache
-      // half — see fast_solver.h). With must_solve, a subproblem retries
-      // through escalation until its masked result verifies or the mask
-      // covers everything worth covering — at which point the ordinary
-      // unmasked solve (and the engine's memo and shared cache) takes
-      // over. Without it, a single masked attempt either verifies or
+      // enumeration (masked solves bypass the memo — see fast_solver.h).
+      // With must_solve, a subproblem retries through escalation until
+      // its masked result verifies or the mask covers everything worth
+      // covering — at which point the ordinary unmasked solve (and the
+      // engine's memo) takes over. Without it, a single masked attempt either verifies or
       // yields the certified lower bound the caller parks on — the mask
       // never grows for a subspace whose bound may keep it from ever
       // surfacing. Masked results that verify are bit-identical to
@@ -152,7 +151,6 @@ std::vector<SteinerTree> TopKSteinerTrees(
           enumeration_pin.csr,
           engine->Shards(config.sharded.target_shard_nodes), terminals);
       attempt = [engine, &enumeration_pin, &terminals, use_kmb, kind,
-                 compact_ids = config.sharded.compact_local_ids,
                  loc = localizer.get()](
                     const std::vector<graph::EdgeId>& forced,
                     const std::vector<graph::EdgeId>& banned,
@@ -163,22 +161,16 @@ std::vector<SteinerTree> TopKSteinerTrees(
             return AttemptResult{engine->SolveMemoized(
                 enumeration_pin, kind, terminals, forced, banned)};
           }
-          MaskView view;
-          view.in_mask = &snap.mask->in_mask;
-          view.nodes = &snap.mask->nodes;
-          view.r_proof = snap.r_proof;
-          view.epoch = snap.epoch;
-          // Null keeps the uncompacted masked path as the referee.
-          view.compact = compact_ids ? snap.mask.get() : nullptr;
           MaskedOutcome outcome;
           double bound = 0.0;
           auto tree = use_kmb
                           ? engine->SolveKmbMasked(enumeration_pin, terminals,
-                                                   forced, banned, view,
+                                                   forced, banned, *snap.mask,
                                                    &outcome, &bound)
                           : engine->SolveExactMasked(enumeration_pin,
                                                      terminals, forced, banned,
-                                                     view, &outcome, &bound);
+                                                     *snap.mask, &outcome,
+                                                     &bound);
           if (outcome == MaskedOutcome::kOk) return AttemptResult{std::move(tree)};
           if (!must_solve) {
             AttemptResult parked;

@@ -17,8 +17,7 @@ namespace q::steiner {
 
 // Which single-tree solver substrate drives the Lawler enumeration.
 //   kFast   — CSR snapshot built once per call, forced/banned edges applied
-//             as overlays, per-terminal Dijkstra trees shared through a
-//             ShortestPathCache, solved subproblems through a SolveMemo,
+//             as overlays, solved subproblems shared through a SolveMemo,
 //             allocation-free scratch arenas (see fast_solver.h and
 //             docs/query_engine.md).
 //   kLegacy — rebuilds a contracted SteinerProblem per subproblem; kept as
@@ -45,15 +44,10 @@ struct ShardedSearchConfig {
   // masked solve cost then tracks the ball, not the catalog or the shard
   // grid. Certification depends only on the proof radius, so smaller
   // shards never change results; at worst a query pays an extra
-  // escalation that coarser padding would have absorbed.
+  // escalation that coarser padding would have absorbed. Masked solves
+  // run over each mask's dense local-id sub-CSR (see shard.h), so
+  // per-node state spans the mask instead of the whole graph.
   std::uint32_t target_shard_nodes = 512;
-  // Solve masked subproblems over the mask's dense local-id sub-CSR
-  // (fast_solver.h, "Local-id mask compaction"): per-node state spans the
-  // mask instead of the whole graph, which is what keeps masked solves
-  // cache-resident on million-source catalogs. Bit-identical to the
-  // uncompacted masked path by construction; disabling it selects that
-  // path as a referee (bench_graph_scale --no-compact diffs the two).
-  bool compact_local_ids = true;
 };
 
 struct TopKConfig {
@@ -67,14 +61,14 @@ struct TopKConfig {
   std::size_t approximate_above_nodes = 20000;
   // Safety bound on Lawler subproblem expansions.
   std::size_t max_subproblems = 20000;
-  // Fast-path controls. Disabling the cache or the pool never changes the
+  // Fast-path controls. Disabling the memo or the pool never changes the
   // output (the determinism contract of docs/query_engine.md); it only
-  // changes how fast the same trees are produced. `use_sp_cache` gives a
-  // fast engine built here both its shortest-path cache (clean-overlay
-  // trees, see sp_cache.h) and its subproblem memo, which serves every
-  // unmasked Lawler subproblem a search at the same engine generation
-  // already solved (FastSteinerEngine::SolveMemoized). A shared engine
-  // passed to the overload below keeps the setting it was built with.
+  // changes how fast the same trees are produced. Despite its name,
+  // `use_sp_cache` switches only the subproblem memo of a fast engine
+  // built here: the memo serves every unmasked Lawler subproblem a search
+  // at the same engine generation already solved
+  // (FastSteinerEngine::SolveMemoized). A shared engine passed to the
+  // overload below keeps the setting it was built with.
   SteinerEngine engine = SteinerEngine::kFast;
   bool use_sp_cache = true;
   // When set, the independent child subproblems of each Lawler expansion
@@ -172,10 +166,9 @@ struct RelevanceCertificate {
 // Same enumeration, but served from a caller-owned CSR snapshot instead of
 // building one per call (the RefreshEngine's batched-refresh substrate).
 // `shared_engine` must have been built (or last Recost) from exactly this
-// (graph, weights) pair; its shortest-path cache and subproblem memo carry
-// over between calls, which never changes output (any valid entry equals
-// a fresh computation — the determinism contract of
-// docs/query_engine.md). A null engine, or config.engine == kLegacy,
+// (graph, weights) pair; its subproblem memo carries over between calls,
+// which never changes output (a hit equals a fresh solve — the
+// determinism contract of docs/query_engine.md). A null engine, or config.engine == kLegacy,
 // falls back to the self-contained overload above. When `certificate` is
 // non-null it is overwritten with this search's relevance certificate
 // (valid only for untruncated exact runs; see RelevanceCertificate).

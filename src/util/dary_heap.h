@@ -17,8 +17,8 @@ namespace q::util {
 //
 // Equal keys pop in ascending id order: ordering is by (key, id), so the
 // pop sequence is a pure function of the final key assignment, not of the
-// push/decrease history. The Steiner shortest-path cache relies on this
-// canonical order (see sp_cache.h).
+// push/decrease history. The Steiner solvers' masked/unmasked bit-identity
+// relies on this canonical order (see fast_solver.h).
 //
 // Reset() is O(n) but reuses capacity, so a heap kept in a scratch arena
 // does no allocation in steady state.

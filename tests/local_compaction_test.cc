@@ -1,11 +1,10 @@
 // Randomized differential stress suite for local-id mask compaction
-// (fast_solver.h, "Local-id mask compaction"): the compacted masked
-// solver must be BYTE-IDENTICAL to the uncompacted masked referee — and
-// both to the unmasked solver wherever a solve certifies — across random
-// graphs, forced/banned overlays, 0-cost plateau ties, and both solver
-// families. Also covers the mask-uid-keyed local half of the
-// shortest-path cache (hit/miss/bypass counters, output invariance) and
-// the scratch arena's shrink-after-oversized-solve policy.
+// (shard.h): the solvers' masked Dijkstra over a mask's compact view must
+// be BYTE-IDENTICAL to the uncompacted masked referee
+// (reference_masked_dijkstra.h), and masked solves must match the
+// unmasked solver wherever they certify — across random graphs,
+// forced/banned overlays, 0-cost plateau ties, and both solver families.
+// Also covers the scratch arena's shrink-after-oversized-solve policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +16,7 @@
 #include <vector>
 
 #include "graph/search_graph.h"
+#include "reference_masked_dijkstra.h"
 #include "steiner/fast_solver.h"
 #include "steiner/shard.h"
 #include "steiner/top_k.h"
@@ -76,8 +76,8 @@ struct CompGraph {
 };
 
 // Path graph 0-1-...-n-1 with random costs: terminals near one end keep
-// a localizer mask provably tiny relative to the graph, which the cache
-// and shrink tests below rely on.
+// a localizer mask provably tiny relative to the graph, which the shrink
+// test below relies on.
 struct LineGraph {
   graph::FeatureSpace space;
   graph::SearchGraph graph;
@@ -114,9 +114,10 @@ void ExpectProbesEqual(const MaskedSpProbe& a, const MaskedSpProbe& b,
 }
 
 // --- per-solve byte equality -----------------------------------------------
-// One masked Dijkstra at a time, compacted vs uncompacted, over hand-cut
-// BFS-ball masks (so mask shape is controlled independently of the
-// localizer's radius policy) under every overlay combination.
+// One masked Dijkstra at a time, the solvers' compacted kernel vs the
+// uncompacted referee, over hand-cut BFS-ball masks (so mask shape is
+// controlled independently of the localizer's radius policy) under every
+// overlay combination.
 
 class CompactProbeTest : public ::testing::TestWithParam<int> {};
 
@@ -124,7 +125,7 @@ TEST_P(CompactProbeTest, CompactedDijkstraByteEqualsReferee) {
   util::Rng rng(61000 + GetParam());
   bool plateau = GetParam() % 2 == 1;
   CompGraph g(&rng, 120, 280, 3, plateau);
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_cache=*/false);
+  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/false);
   SnapshotPin pin = engine.Pin();
   const CsrGraph& csr = *pin.csr;
 
@@ -178,12 +179,6 @@ TEST_P(CompactProbeTest, CompactedDijkstraByteEqualsReferee) {
     std::sort(banned.begin(), banned.end());
     banned.erase(std::unique(banned.begin(), banned.end()), banned.end());
 
-    MaskView referee;
-    referee.in_mask = &mask.in_mask;
-    referee.nodes = &mask.nodes;
-    MaskView compacted = referee;
-    compacted.compact = &mask;
-
     struct Overlay {
       std::vector<EdgeId> forced;
       std::vector<EdgeId> banned;
@@ -193,9 +188,9 @@ TEST_P(CompactProbeTest, CompactedDijkstraByteEqualsReferee) {
     for (const Overlay& o : overlays) {
       for (bool stop : {false, true}) {
         MaskedSpProbe a = ComputeMaskedSpTreeForTest(
-            csr, compacted, source, targets, stop, o.forced, o.banned);
-        MaskedSpProbe b = ComputeMaskedSpTreeForTest(
-            csr, referee, source, targets, stop, o.forced, o.banned);
+            csr, mask, source, targets, stop, o.forced, o.banned);
+        MaskedSpProbe b = reference::MaskedDijkstra(
+            csr, mask.in_mask, source, targets, stop, o.forced, o.banned);
         ExpectProbesEqual(
             a, b,
             "seed " + std::to_string(GetParam()) + " round " +
@@ -212,10 +207,9 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, CompactProbeTest,
                          ::testing::Range(0, 10));
 
 // --- engine-level overlay walk ---------------------------------------------
-// The ShardedOverlayDifferentialTest walk, three-way: compacted masked,
-// uncompacted masked (referee), and unmasked must agree at every Lawler
-// step of the best tree's edge walk. Uncached, so every solve's clip
-// certificate is computed fresh on both sides of the comparison.
+// The ShardedOverlayDifferentialTest walk on plateau-tied graphs: masked
+// and unmasked solves must agree at every Lawler step of the best tree's
+// edge walk.
 
 class CompactOverlayTest : public ::testing::TestWithParam<int> {};
 
@@ -223,30 +217,24 @@ TEST_P(CompactOverlayTest, MaskedOverlaySolvesMatchAcrossPaths) {
   util::Rng rng(62000 + GetParam());
   bool plateau = GetParam() % 2 == 1;
   CompGraph g(&rng, 30, 70, 3, plateau);
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_cache=*/false);
+  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/false);
   SnapshotPin pin = engine.Pin();
   TerminalLocalizer localizer(pin.csr, engine.Shards(1), g.terminals);
 
   auto solve_sharded = [&](const std::vector<EdgeId>& forced,
-                           const std::vector<EdgeId>& banned, bool kmb,
-                           bool compact) -> std::optional<SteinerTree> {
+                           const std::vector<EdgeId>& banned,
+                           bool kmb) -> std::optional<SteinerTree> {
     for (;;) {
       TerminalLocalizer::Snapshot snap = localizer.Acquire();
       if (snap.mask->covers_all) {
         return kmb ? engine.SolveKmb(pin, g.terminals, forced, banned)
                    : engine.SolveExact(pin, g.terminals, forced, banned);
       }
-      MaskView view;
-      view.in_mask = &snap.mask->in_mask;
-      view.nodes = &snap.mask->nodes;
-      view.compact = compact ? snap.mask.get() : nullptr;
-      view.r_proof = snap.r_proof;
-      view.epoch = snap.epoch;
       MaskedOutcome outcome;
       auto tree = kmb ? engine.SolveKmbMasked(pin, g.terminals, forced,
-                                              banned, view, &outcome)
+                                              banned, *snap.mask, &outcome)
                       : engine.SolveExactMasked(pin, g.terminals, forced,
-                                                banned, view, &outcome);
+                                                banned, *snap.mask, &outcome);
       if (outcome == MaskedOutcome::kOk) return tree;
       localizer.Escalate(snap.epoch);
     }
@@ -265,15 +253,11 @@ TEST_P(CompactOverlayTest, MaskedOverlaySolvesMatchAcrossPaths) {
                           ? engine.SolveKmb(pin, g.terminals, forced, banned)
                           : engine.SolveExact(pin, g.terminals, forced,
                                               banned);
-      auto compacted = solve_sharded(forced, banned, kmb, /*compact=*/true);
-      auto referee = solve_sharded(forced, banned, kmb, /*compact=*/false);
-      ASSERT_EQ(unmasked.has_value(), compacted.has_value()) << label;
-      ASSERT_EQ(unmasked.has_value(), referee.has_value()) << label;
+      auto masked = solve_sharded(forced, banned, kmb);
+      ASSERT_EQ(unmasked.has_value(), masked.has_value()) << label;
       if (unmasked.has_value()) {
-        EXPECT_EQ(unmasked->edges, compacted->edges) << label;
-        EXPECT_EQ(unmasked->cost, compacted->cost) << label;
-        EXPECT_EQ(unmasked->edges, referee->edges) << label;
-        EXPECT_EQ(unmasked->cost, referee->cost) << label;
+        EXPECT_EQ(unmasked->edges, masked->edges) << label;
+        EXPECT_EQ(unmasked->cost, masked->cost) << label;
       }
     }
     forced.push_back(e);
@@ -283,11 +267,11 @@ TEST_P(CompactOverlayTest, MaskedOverlaySolvesMatchAcrossPaths) {
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, CompactOverlayTest,
                          ::testing::Range(0, 6));
 
-// --- enumeration-level three-way -------------------------------------------
+// --- enumeration level -------------------------------------------------------
 
 class CompactEnumerationTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(CompactEnumerationTest, CompactedTopKBitIdenticalToRefereeAndPlain) {
+TEST_P(CompactEnumerationTest, CompactedTopKBitIdenticalToPlain) {
   util::Rng rng(63000 + GetParam());
   bool plateau = GetParam() % 2 == 1;
   CompGraph g(&rng, 40 + rng.Uniform(40), 90 + rng.Uniform(80),
@@ -300,106 +284,29 @@ TEST_P(CompactEnumerationTest, CompactedTopKBitIdenticalToRefereeAndPlain) {
       TopKConfig compacted = plain;
       compacted.sharded.enabled = true;
       compacted.sharded.target_shard_nodes = target;
-      TopKConfig referee = compacted;
-      referee.sharded.compact_local_ids = false;
       RelevanceCertificate plain_cert;
       RelevanceCertificate compact_cert;
-      RelevanceCertificate referee_cert;
       auto a = TopKSteinerTrees(g.graph, *g.weights, g.terminals, plain,
                                 /*shared_engine=*/nullptr, &plain_cert);
       auto b = TopKSteinerTrees(g.graph, *g.weights, g.terminals, compacted,
                                 /*shared_engine=*/nullptr, &compact_cert);
-      auto c = TopKSteinerTrees(g.graph, *g.weights, g.terminals, referee,
-                                /*shared_engine=*/nullptr, &referee_cert);
       std::string label = std::string(approximate ? "kmb" : "exact") +
                           " target " + std::to_string(target) +
                           (plateau ? " plateau" : "");
       ASSERT_EQ(a.size(), b.size()) << label;
-      ASSERT_EQ(a.size(), c.size()) << label;
       for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].edges, b[i].edges) << label << " tree " << i;
         EXPECT_EQ(a[i].cost, b[i].cost) << label << " tree " << i;
-        EXPECT_EQ(a[i].edges, c[i].edges) << label << " tree " << i;
-        EXPECT_EQ(a[i].cost, c[i].cost) << label << " tree " << i;
       }
       EXPECT_EQ(plain_cert.valid, compact_cert.valid) << label;
       EXPECT_EQ(plain_cert.edges, compact_cert.edges) << label;
       EXPECT_EQ(plain_cert.gap, compact_cert.gap) << label;
-      EXPECT_EQ(plain_cert.valid, referee_cert.valid) << label;
-      EXPECT_EQ(plain_cert.edges, referee_cert.edges) << label;
-      EXPECT_EQ(plain_cert.gap, referee_cert.gap) << label;
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, CompactEnumerationTest,
                          ::testing::Range(0, 8));
-
-// --- local cache coherence and counters ------------------------------------
-// Compacted masked solves share mask-uid-keyed local trees; repeating a
-// solve must hit the local cache without changing output, and the
-// uncompacted referee path must bypass (and count that it bypassed).
-
-TEST(LocalCacheTest, CompactedSolvesHitLocalCacheRefereeBypasses) {
-  util::Rng rng(64001);
-  LineGraph g(&rng, 600);
-  std::vector<NodeId> terminals = {0, 5};
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_cache=*/true);
-  SnapshotPin pin = engine.Pin();
-  TerminalLocalizer localizer(pin.csr, engine.Shards(16), terminals);
-
-  TerminalLocalizer::Snapshot snap = localizer.Acquire();
-  ASSERT_FALSE(snap.mask->covers_all)
-      << "line-graph mask unexpectedly spans the graph";
-  ASSERT_TRUE(snap.mask->HasCompact());
-  MaskView compacted;
-  compacted.in_mask = &snap.mask->in_mask;
-  compacted.nodes = &snap.mask->nodes;
-  compacted.compact = snap.mask.get();
-  compacted.r_proof = snap.r_proof;
-  compacted.epoch = snap.epoch;
-  MaskView referee = compacted;
-  referee.compact = nullptr;
-
-  MaskedOutcome outcome;
-  auto first =
-      engine.SolveKmbMasked(pin, terminals, {}, {}, compacted, &outcome);
-  ASSERT_EQ(outcome, MaskedOutcome::kOk);
-  ASSERT_TRUE(first.has_value());
-  FastSolveStats after_first = engine.stats();
-  EXPECT_GT(after_first.sp_local_misses, 0u);
-  EXPECT_GT(after_first.sp_local_entries, 0u);
-  EXPECT_EQ(after_first.masked_bypasses, 0u);
-
-  auto second =
-      engine.SolveKmbMasked(pin, terminals, {}, {}, compacted, &outcome);
-  ASSERT_EQ(outcome, MaskedOutcome::kOk);
-  ASSERT_TRUE(second.has_value());
-  FastSolveStats after_second = engine.stats();
-  EXPECT_GT(after_second.sp_local_hits, after_first.sp_local_hits);
-  EXPECT_EQ(after_second.sp_local_misses, after_first.sp_local_misses);
-  EXPECT_EQ(second->edges, first->edges);
-  EXPECT_EQ(second->cost, first->cost);
-
-  // Referee path: no local-cache traffic, one counted bypass per solve,
-  // identical output.
-  auto bypass =
-      engine.SolveKmbMasked(pin, terminals, {}, {}, referee, &outcome);
-  ASSERT_EQ(outcome, MaskedOutcome::kOk);
-  ASSERT_TRUE(bypass.has_value());
-  FastSolveStats after_bypass = engine.stats();
-  EXPECT_GT(after_bypass.masked_bypasses, 0u);
-  EXPECT_EQ(after_bypass.sp_local_hits, after_second.sp_local_hits);
-  EXPECT_EQ(after_bypass.sp_local_misses, after_second.sp_local_misses);
-  EXPECT_EQ(bypass->edges, first->edges);
-  EXPECT_EQ(bypass->cost, first->cost);
-
-  // And the unmasked solver agrees with all of the above.
-  auto unmasked = engine.SolveKmb(pin, terminals, {}, {});
-  ASSERT_TRUE(unmasked.has_value());
-  EXPECT_EQ(unmasked->edges, first->edges);
-  EXPECT_EQ(unmasked->cost, first->cost);
-}
 
 // --- scratch shrink policy --------------------------------------------------
 // One whole-graph solve grows the thread's scratch arena to graph size; a
@@ -411,7 +318,7 @@ TEST(ScratchShrinkTest, SmallSolveStreakReleasesOversizedScratch) {
   util::Rng rng(64002);
   const std::size_t n = 24000;  // above the shrink policy's floor (1 << 14)
   LineGraph g(&rng, n);
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_cache=*/true);
+  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/true);
   SnapshotPin pin = engine.Pin();
 
   // Whole-graph solve: scratch capacity reaches n nodes.
@@ -427,16 +334,11 @@ TEST(ScratchShrinkTest, SmallSolveStreakReleasesOversizedScratch) {
   ASSERT_TRUE(snap.mask->HasCompact());
   ASSERT_LT(snap.mask->nodes.size(), n / 4)
       << "mask too large to qualify as a small-solve streak";
-  MaskView view;
-  view.in_mask = &snap.mask->in_mask;
-  view.nodes = &snap.mask->nodes;
-  view.compact = snap.mask.get();
-  view.r_proof = snap.r_proof;
-  view.epoch = snap.epoch;
 
   for (int i = 0; i < 20; ++i) {
     MaskedOutcome outcome;
-    auto tree = engine.SolveKmbMasked(pin, terminals, {}, {}, view, &outcome);
+    auto tree =
+        engine.SolveKmbMasked(pin, terminals, {}, {}, *snap.mask, &outcome);
     ASSERT_EQ(outcome, MaskedOutcome::kOk) << "solve " << i;
     ASSERT_TRUE(tree.has_value()) << "solve " << i;
   }

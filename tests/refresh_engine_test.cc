@@ -1,7 +1,7 @@
 // Batched view refresh (core::RefreshEngine): RefreshAll() across N views
 // must be bit-identical to N independent TopKView::Refresh() calls under
 // every thread-pool setting (sequential / 1 worker / hardware) and with
-// the shortest-path cache disabled; and the snapshot generation must be
+// the subproblem memo disabled; and the snapshot generation must be
 // bumped — with results actually changing — by weight updates, new-source
 // registration, and similarity-edge addition (the stale-snapshot
 // regressions).
@@ -149,8 +149,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::make_pair(-1, true),   // sequential
                       std::make_pair(1, true),    // 1 worker requested
                       std::make_pair(0, true),    // hardware threads
-                      std::make_pair(-1, false),  // SP cache disabled
-                      std::make_pair(2, false))); // pool + cache disabled
+                      std::make_pair(-1, false),  // memo disabled
+                      std::make_pair(2, false))); // pool + memo disabled
 
 TEST(RefreshEngineTest, WeightOnlyUpdateRecostsInsteadOfRebuilding) {
   Harness h(-1, true);

@@ -2,9 +2,6 @@
 // against shared pinned snapshots while a feedback writer races them,
 // asserting
 //
-//   * sharded shortest-path cache — Lookup/Insert/BumpGeneration from
-//     many threads keep the hit/miss/size counters exact (the serial
-//     counters-and-map regression);
 //   * certificate/serial publication — no reader ever observes a
 //     published snapshot whose certificate serial disagrees with its
 //     search serial (the torn-publication regression);
@@ -42,7 +39,6 @@
 #include "data/onboarding.h"
 #include "graph/graph_builder.h"
 #include "query/executor.h"
-#include "steiner/sp_cache.h"
 #include "util/random.h"
 
 namespace q::core {
@@ -130,72 +126,6 @@ void ExpectSameViewState(const query::ViewSnapshot& a,
     EXPECT_EQ(a.results.rows[i].values, b.results.rows[i].values)
         << label << " row " << i;
   }
-}
-
-// --- satellite 1: the sharded shortest-path cache ------------------------
-
-std::shared_ptr<const steiner::SpTree> MakeTree(std::size_t nodes) {
-  auto tree = std::make_shared<steiner::SpTree>();
-  tree->dist.assign(nodes, 1.0);
-  tree->pred_node.assign(nodes, 0);
-  tree->pred_edge.assign(nodes, 0);
-  tree->settled.assign(nodes, 1);
-  tree->complete = true;
-  return tree;
-}
-
-// Many threads Lookup/Insert across shards while another bumps the
-// generation mid-flight. Before the cache was sharded with atomic
-// counters this was a data race on hits_/misses_/the entry map; now the
-// counters must come out exact: every lookup is counted exactly once,
-// and after a final purge the size accounting returns to zero (any drift
-// in num_entries_ from the insert/purge interleaving would show here).
-TEST(ServeConcurrencyTest, SpCacheCountersExactUnderConcurrentHammer) {
-  constexpr int kThreads = 8;
-  constexpr int kOpsPerThread = 4000;
-  constexpr std::size_t kTerminals = 64;
-  steiner::ShortestPathCache cache(/*max_entries=*/1 << 20);
-  const std::vector<double> edge_cost;  // unused: overlays stay empty
-  const std::vector<std::uint32_t> required = {0};
-
-  std::atomic<std::uint64_t> lookups{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      util::Rng rng(9000 + t);
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        const std::uint64_t gen = cache.generation();
-        const auto terminal =
-            static_cast<std::uint32_t>(rng.Uniform(kTerminals));
-        if (rng.Uniform(3) == 0) {
-          cache.Insert(gen, terminal, {}, {}, MakeTree(4));
-        } else {
-          cache.Lookup(gen, terminal, {}, {}, edge_cost, required,
-                       /*require_complete=*/false);
-          lookups.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (t == 0 && i % 1000 == 999) cache.BumpGeneration();
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(cache.hits() + cache.misses(), lookups.load());
-  // Two bumps purge every generation still holding entries (inserts may
-  // land under the pre-bump generation they read); exact accounting must
-  // drain back to zero.
-  cache.BumpGeneration();
-  cache.BumpGeneration();
-  EXPECT_EQ(cache.size(), 0u);
-
-  // And hits are actually possible (the hammer wasn't all misses): a
-  // deterministic insert-then-lookup on the quiet cache hits.
-  const std::uint64_t gen = cache.generation();
-  cache.Insert(gen, 7, {}, {}, MakeTree(4));
-  const std::size_t hits_before = cache.hits();
-  EXPECT_NE(cache.Lookup(gen, 7, {}, {}, edge_cost, required, false),
-            nullptr);
-  EXPECT_EQ(cache.hits(), hits_before + 1);
 }
 
 // --- satellite 2: certificate/serial publication -------------------------

@@ -5,7 +5,7 @@
 // solver families, under forced/banned-edge overlays, and through the
 // weight-only Recost fast path (a re-costed snapshot must be
 // indistinguishable from a freshly built one, including across a warm
-// shortest-path cache).
+// subproblem memo).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -183,7 +183,7 @@ TEST_P(OverlayDifferentialTest, ForcedBannedOverlaysMatchLegacy) {
   util::Rng rng(32000 + GetParam());
   DiffGraph g(&rng, 24, 55, 3);
   g.PerturbWeights(&rng);
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_cache=*/true);
+  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/true);
 
   auto base = engine.SolveKmb(g.terminals, {}, {});
   ASSERT_TRUE(base.has_value());
@@ -216,10 +216,10 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, OverlayDifferentialTest,
 
 class RecostDifferentialTest : public ::testing::TestWithParam<int> {};
 
-// The weight-only snapshot refresh: warm an engine's cache at w0, Recost
+// The weight-only snapshot refresh: warm an engine's memo at w0, Recost
 // to w1, and require byte-identical output to an engine freshly built at
 // w1 — for top-k through the shared-engine entry point and for raw
-// overlay solves. A stale cache entry surviving the generation bump, or a
+// overlay solves. A stale memo entry surviving the generation bump, or a
 // mis-recosted arc, breaks this immediately.
 TEST_P(RecostDifferentialTest, RecostedSnapshotEqualsFreshBuild) {
   util::Rng rng(33000 + GetParam());
@@ -228,8 +228,8 @@ TEST_P(RecostDifferentialTest, RecostedSnapshotEqualsFreshBuild) {
   TopKConfig config;
   config.k = 5;
   auto shared = std::make_unique<FastSteinerEngine>(g.graph, *g.weights,
-                                                    /*use_cache=*/true);
-  // Warm the cache under the initial weights.
+                                                    /*use_memo=*/true);
+  // Warm the memo under the initial weights.
   auto warm = TopKSteinerTrees(g.graph, *g.weights, g.terminals, config,
                                shared.get());
   ASSERT_FALSE(warm.empty());
@@ -240,7 +240,7 @@ TEST_P(RecostDifferentialTest, RecostedSnapshotEqualsFreshBuild) {
     shared->Recost(g.graph, *g.weights);
     EXPECT_EQ(shared->generation(),
               static_cast<std::uint64_t>(perturbation + 1));
-    FastSteinerEngine fresh(g.graph, *g.weights, /*use_cache=*/true);
+    FastSteinerEngine fresh(g.graph, *g.weights, /*use_memo=*/true);
 
     for (bool approximate : {false, true}) {
       config.approximate = approximate;
@@ -268,12 +268,11 @@ class DeltaRecostDifferentialTest : public ::testing::TestWithParam<int> {};
 
 // Randomized delta configs: a random sequence of MIRA-style sparse weight
 // updates, in-place edge feature mutations, and edge additions is applied
-// to a long-lived engine through the delta pipeline (RecostDelta +
-// selective cache invalidation, full Recost on dense deltas, rebuild on
-// topology change), and after every step the top-k output must be
-// bit-identical to a freshly built snapshot — with the shortest-path
-// cache staying warm across steps, so a wrongly retained tree would
-// surface immediately.
+// to a long-lived engine through the delta pipeline (RecostDelta, full
+// Recost on dense deltas, rebuild on topology change), and after every
+// step the top-k output must be bit-identical to a freshly built snapshot
+// — with the subproblem memo kept across steps, so a wrongly retained
+// verdict would surface immediately.
 TEST_P(DeltaRecostDifferentialTest, DeltaPathMatchesFreshSnapshot) {
   util::Rng rng(34000 + GetParam());
   DiffGraph g(&rng, 26 + rng.Uniform(20), 55 + rng.Uniform(40),
@@ -281,7 +280,7 @@ TEST_P(DeltaRecostDifferentialTest, DeltaPathMatchesFreshSnapshot) {
   TopKConfig config;
   config.k = 5;
   auto shared = std::make_unique<FastSteinerEngine>(g.graph, *g.weights,
-                                                    /*use_cache=*/true);
+                                                    /*use_memo=*/true);
   auto warm = TopKSteinerTrees(g.graph, *g.weights, g.terminals, config,
                                shared.get());
   ASSERT_FALSE(warm.empty());
@@ -295,7 +294,7 @@ TEST_P(DeltaRecostDifferentialTest, DeltaPathMatchesFreshSnapshot) {
       // (what the RefreshEngine's rebuild classification does).
       g.AddRandomEdge(&rng);
       shared = std::make_unique<FastSteinerEngine>(g.graph, *g.weights,
-                                                   /*use_cache=*/true);
+                                                   /*use_memo=*/true);
     } else if (action == 2) {
       // In-place feature mutation: reprice exactly the mutated edge.
       auto e = static_cast<graph::EdgeId>(rng.Uniform(g.graph.num_edges()));
@@ -319,7 +318,7 @@ TEST_P(DeltaRecostDifferentialTest, DeltaPathMatchesFreshSnapshot) {
     }
     weight_rev = g.weights->revision();
 
-    FastSteinerEngine fresh(g.graph, *g.weights, /*use_cache=*/true);
+    FastSteinerEngine fresh(g.graph, *g.weights, /*use_memo=*/true);
     for (bool approximate : {false, true}) {
       config.approximate = approximate;
       auto delta_served = TopKSteinerTrees(g.graph, *g.weights, g.terminals,
@@ -372,7 +371,7 @@ void ExpectSameSearch(const std::vector<SteinerTree>& expected,
 // The subproblem memo (FastSteinerEngine::SolveMemoized) under the same
 // kind of long-lived engine: every enumeration on the cached engine is run
 // twice, so the second replays from a warm memo, and both must equal an
-// uncached referee engine (no memo, no shortest-path cache) byte for byte
+// uncached referee engine (no memo) byte for byte
 // — trees, order, costs and certificate — for exact and KMB, with and
 // without a pool, on 2 terminals (even params) and 3-4 (odd). Across a
 // Recost and an effective RecostDelta the memo must start cold (no hit on
@@ -389,13 +388,13 @@ TEST_P(DeltaRecostDifferentialTest, MemoServedSearchesMatchUncachedReferee) {
   util::ThreadPool pool(2);
   TopKConfig config;
   config.k = 5;
-  FastSteinerEngine cached(g.graph, *g.weights, /*use_cache=*/true);
+  FastSteinerEngine cached(g.graph, *g.weights, /*use_memo=*/true);
 
   // Runs every (solver, pool) configuration twice on the cached engine
   // against the referee. `cold` asserts the first run of the first
   // configuration of each solver found nothing in the memo.
   auto check = [&](const std::string& step, bool cold) {
-    FastSteinerEngine referee(g.graph, *g.weights, /*use_cache=*/false);
+    FastSteinerEngine referee(g.graph, *g.weights, /*use_memo=*/false);
     for (bool approximate : {false, true}) {
       config.approximate = approximate;
       for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
@@ -462,7 +461,7 @@ TEST_P(DeltaRecostDifferentialTest, MemoServedSearchesMatchUncachedReferee) {
   config.approximate = false;
   const graph::WeightVector pinned_weights = *g.weights;
   FastSteinerEngine pinned_referee(g.graph, pinned_weights,
-                                   /*use_cache=*/false);
+                                   /*use_memo=*/false);
   RelevanceCertificate pinned_cert;
   auto pinned_expected =
       TopKSteinerTrees(g.graph, pinned_weights, g.terminals, config,
@@ -509,108 +508,6 @@ TEST_P(DeltaRecostDifferentialTest, MemoServedSearchesMatchUncachedReferee) {
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, DeltaRecostDifferentialTest,
                          ::testing::Range(0, 8));
-
-// Deterministic selective-invalidation semantics on a hand-built graph:
-// a 4-node path a-b-c-d (cheap) plus one expensive parallel edge b-d.
-// Raising the expensive edge's cost cannot change any cached tree (it is
-// in no shortest path), so entries survive and keep serving; lowering it
-// below the path must drop affected entries and change the best tree.
-TEST(DeltaRecostCacheTest, SelectiveInvalidationRetainsProvablyValidTrees) {
-  graph::FeatureSpace space;
-  graph::SearchGraph graph;
-  for (int i = 0; i < 4; ++i) {
-    graph.AddNode(graph::NodeKind::kAttribute, "n" + std::to_string(i));
-  }
-  auto add_edge = [&](NodeId u, NodeId v, const std::string& feature,
-                      double weight) {
-    graph::Edge e;
-    e.u = u;
-    e.v = v;
-    e.kind = graph::EdgeKind::kAssociation;
-    graph::FeatureVec f;
-    f.Add(space.Intern(feature, weight), 1.0);
-    e.features = std::move(f);
-    return graph.AddEdge(std::move(e));
-  };
-  add_edge(0, 1, "ab", 1.0);
-  add_edge(1, 2, "bc", 1.0);
-  add_edge(2, 3, "cd", 1.0);
-  graph::EdgeId heavy = add_edge(1, 3, "bd", 10.0);
-  graph::WeightVector weights(&space);
-  std::vector<NodeId> terminals = {0, 3};
-
-  FastSteinerEngine engine(graph, weights, /*use_cache=*/true);
-  TopKConfig config;
-  config.k = 1;
-  auto base_trees =
-      TopKSteinerTrees(graph, weights, terminals, config, &engine);
-  ASSERT_FALSE(base_trees.empty());
-  ASSERT_GT(engine.stats().sp_cache_entries, 0u);
-  std::uint64_t rev = weights.revision();
-
-  // Increase the heavy edge: 10 -> 12. It is on no root shortest path
-  // (both terminals route along the cheap chain), so at least the root
-  // entries are provably still valid and must be retained — and must keep
-  // serving lookups (hits grow without any new misses for the root).
-  weights.Set(space.Intern("bd", 10.0), 12.0);
-  std::vector<graph::FeatureDelta> deltas;
-  ASSERT_TRUE(weights.DeltaSince(rev, &deltas));
-  rev = weights.revision();
-  auto up = engine.RecostDelta(graph, weights, deltas);
-  ASSERT_TRUE(up.applied);
-  EXPECT_EQ(up.edges_repriced, 1u);
-  EXPECT_GT(up.cache_entries_retained, 0u);
-  {
-    std::size_t hits_before = engine.stats().sp_cache_hits;
-    FastSteinerEngine fresh(graph, weights, /*use_cache=*/true);
-    auto served = TopKSteinerTrees(graph, weights, terminals, config,
-                                   &engine);
-    auto rebuilt = TopKSteinerTrees(graph, weights, terminals, config,
-                                    &fresh);
-    EXPECT_GT(engine.stats().sp_cache_hits, hits_before);
-    ASSERT_EQ(served.size(), rebuilt.size());
-    for (std::size_t i = 0; i < served.size(); ++i) {
-      EXPECT_EQ(served[i].edges, rebuilt[i].edges);
-      EXPECT_EQ(served[i].cost, rebuilt[i].cost);
-    }
-  }
-
-  // A weight move on a feature no snapshot edge carries must reprice
-  // nothing and leave the generation and every cache entry untouched.
-  std::uint64_t gen = engine.generation();
-  std::size_t entries_before = engine.stats().sp_cache_entries;
-  weights.Set(space.Intern("unused", 0.5), 0.75);
-  deltas.clear();
-  ASSERT_TRUE(weights.DeltaSince(rev, &deltas));
-  rev = weights.revision();
-  auto noop = engine.RecostDelta(graph, weights, deltas);
-  ASSERT_TRUE(noop.applied);
-  EXPECT_EQ(noop.edges_repriced, 0u);
-  EXPECT_EQ(engine.generation(), gen);
-  EXPECT_EQ(engine.stats().sp_cache_entries, entries_before);
-
-  // Decrease the heavy edge below the path (12 -> 0.5): entries whose
-  // trees it could improve must be dropped, and the best tree must now
-  // route through it — identically to a fresh snapshot.
-  weights.Set(space.Intern("bd", 10.0), 0.5);
-  deltas.clear();
-  ASSERT_TRUE(weights.DeltaSince(rev, &deltas));
-  auto down = engine.RecostDelta(graph, weights, deltas);
-  ASSERT_TRUE(down.applied);
-  EXPECT_EQ(down.edges_repriced, 1u);
-  EXPECT_GT(down.cache_entries_dropped, 0u);
-  FastSteinerEngine fresh(graph, weights, /*use_cache=*/true);
-  auto served = TopKSteinerTrees(graph, weights, terminals, config, &engine);
-  auto rebuilt = TopKSteinerTrees(graph, weights, terminals, config, &fresh);
-  ASSERT_EQ(served.size(), rebuilt.size());
-  ASSERT_FALSE(served.empty());
-  EXPECT_NE(std::find(served[0].edges.begin(), served[0].edges.end(), heavy),
-            served[0].edges.end());
-  for (std::size_t i = 0; i < served.size(); ++i) {
-    EXPECT_EQ(served[i].edges, rebuilt[i].edges);
-    EXPECT_EQ(served[i].cost, rebuilt[i].cost);
-  }
-}
 
 // --- sharded terminal-local search differential ----------------------------
 // The sharded solver's whole contract is "bit-identical output, fewer
@@ -689,7 +586,7 @@ TEST_P(ShardedOverlayDifferentialTest, MaskedOverlaySolvesMatchUnmasked) {
   util::Rng rng(52000 + GetParam());
   DiffGraph g(&rng, 30, 70, 3);
   g.PerturbWeights(&rng);
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_cache=*/true);
+  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/true);
   SnapshotPin pin = engine.Pin();
   TerminalLocalizer localizer(pin.csr, engine.Shards(1), g.terminals);
 
@@ -702,16 +599,11 @@ TEST_P(ShardedOverlayDifferentialTest, MaskedOverlaySolvesMatchUnmasked) {
         return kmb ? engine.SolveKmb(pin, g.terminals, forced, banned)
                    : engine.SolveExact(pin, g.terminals, forced, banned);
       }
-      MaskView view;
-      view.in_mask = &snap.mask->in_mask;
-      view.nodes = &snap.mask->nodes;
-      view.r_proof = snap.r_proof;
-      view.epoch = snap.epoch;
       MaskedOutcome outcome;
       auto tree = kmb ? engine.SolveKmbMasked(pin, g.terminals, forced,
-                                              banned, view, &outcome)
+                                              banned, *snap.mask, &outcome)
                       : engine.SolveExactMasked(pin, g.terminals, forced,
-                                                banned, view, &outcome);
+                                                banned, *snap.mask, &outcome);
       if (outcome == MaskedOutcome::kOk) return tree;
       localizer.Escalate(snap.epoch);
     }
@@ -768,18 +660,15 @@ TEST(ShardedEscalationTest, UndersizedMaskEscalatesAdequateMaskVerifies) {
   add_edge(2, 3, "c");
   graph::WeightVector weights(&space);
   std::vector<NodeId> terminals = {0, 3};
-  FastSteinerEngine engine(graph, weights, /*use_cache=*/false);
+  FastSteinerEngine engine(graph, weights, /*use_memo=*/false);
   SnapshotPin pin = engine.Pin();
 
-  // Mask holding only the endpoints: the connecting interior is missing
-  // and the radius cannot certify the terminal distance.
-  std::vector<std::uint8_t> in_mask = {1, 0, 0, 1};
-  std::vector<std::uint32_t> nodes = {0, 3};
-  MaskView small;
-  small.in_mask = &in_mask;
-  small.nodes = &nodes;
-  small.r_proof = 1.0;
-  small.epoch = 0;
+  // Mask holding only the endpoints: the connecting interior is missing,
+  // so the terminal distance cannot be certified.
+  ShardMask small;
+  small.in_mask = {1, 0, 0, 1};
+  small.nodes = {0, 3};
+  small.BuildCompact(*pin.csr);
   MaskedOutcome outcome;
   auto masked = engine.SolveKmbMasked(pin, terminals, {}, {}, small,
                                       &outcome);
@@ -790,15 +679,12 @@ TEST(ShardedEscalationTest, UndersizedMaskEscalatesAdequateMaskVerifies) {
   EXPECT_EQ(outcome, MaskedOutcome::kEscalate);
   EXPECT_FALSE(masked.has_value());
 
-  // Full mask with a radius beyond the 3-hop distance: must verify and
-  // match the unmasked solver bitwise.
-  std::vector<std::uint8_t> full_mask = {1, 1, 1, 1};
-  std::vector<std::uint32_t> all_nodes = {0, 1, 2, 3};
-  MaskView full;
-  full.in_mask = &full_mask;
-  full.nodes = &all_nodes;
-  full.r_proof = 100.0;
-  full.epoch = 1;
+  // Full mask: nothing is clipped, so it must verify and match the
+  // unmasked solver bitwise.
+  ShardMask full;
+  full.in_mask = {1, 1, 1, 1};
+  full.nodes = {0, 1, 2, 3};
+  full.BuildCompact(*pin.csr);
   auto unmasked = engine.SolveExact(pin, terminals, {}, {});
   masked = engine.SolveExactMasked(pin, terminals, {}, {}, full,
                                    &outcome);

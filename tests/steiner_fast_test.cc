@@ -2,7 +2,7 @@
 // (src/steiner/fast_solver.*): across seeded random graphs — including
 // tie-heavy graphs with zero-cost edges and forced/banned overlays — the
 // fast engine must produce byte-identical top-k results whether or not
-// the shortest-path cache and the thread pool are enabled, and must match
+// the subproblem memo and the thread pool are enabled, and must match
 // the legacy SteinerProblem engine whenever edge costs are distinct.
 #include <gtest/gtest.h>
 
@@ -152,7 +152,7 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, FastVsLegacyTest,
 TEST(FastSolverOverlayTest, ForcedAndBannedMatchContraction) {
   util::Rng rng(77);
   RandomGraph g(&rng, 24, 60, 3, 0.0);
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_cache=*/true);
+  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/true);
 
   // Take the best tree, then force/ban prefixes of it like Lawler does.
   auto base = engine.SolveKmb(g.terminals, {}, {});
@@ -191,53 +191,15 @@ TEST(FastSolverOverlayTest, ForcedAndBannedMatchContraction) {
                    .has_value());
 }
 
-TEST(FastSolverCacheTest, CacheHitsAndStaysConsistent) {
-  util::Rng rng(123);
-  RandomGraph g(&rng, 30, 80, 4, 0.2);
-  FastSteinerEngine cached(g.graph, *g.weights, /*use_cache=*/true);
-  FastSteinerEngine uncached(g.graph, *g.weights, /*use_cache=*/false);
-
-  auto first = cached.SolveKmb(g.terminals, {}, {});
-  auto repeat = cached.SolveKmb(g.terminals, {}, {});
-  auto reference = uncached.SolveKmb(g.terminals, {}, {});
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->edges, repeat->edges);
-  EXPECT_EQ(first->cost, repeat->cost);
-  EXPECT_EQ(first->edges, reference->edges);
-  EXPECT_EQ(first->cost, reference->cost);
-
-  FastSolveStats stats = cached.stats();
-  EXPECT_GT(stats.sp_cache_hits, 0u);   // the repeat run reused entries
-  EXPECT_GT(stats.sp_cache_entries, 0u);
-  EXPECT_EQ(uncached.stats().sp_cache_entries, 0u);
-
-  // Banning an edge off every cached tree must reuse entries yet still
-  // agree with the uncached engine.
-  EdgeId off_tree = graph::kInvalidEdge;
-  std::set<EdgeId> tree_edges(first->edges.begin(), first->edges.end());
-  for (EdgeId e = 0; e < g.graph.num_edges(); ++e) {
-    if (tree_edges.count(e) == 0) {
-      off_tree = e;
-      break;
-    }
-  }
-  ASSERT_NE(off_tree, graph::kInvalidEdge);
-  auto banned_cached = cached.SolveKmb(g.terminals, {}, {off_tree});
-  auto banned_uncached = uncached.SolveKmb(g.terminals, {}, {off_tree});
-  ASSERT_TRUE(banned_cached.has_value());
-  EXPECT_EQ(banned_cached->edges, banned_uncached->edges);
-  EXPECT_EQ(banned_cached->cost, banned_uncached->cost);
-}
-
 // Snapshot pin/unpin (the async refresh scheduler's search-vs-recost
 // isolation): a pin freezes the CSR cost buffer, a concurrent re-cost
-// copies-on-write onto a fresh buffer and new cache generation, and a
+// copies-on-write onto a fresh buffer and new generation, and a
 // solve that started under the pinned costs keeps producing exactly the
 // pinned snapshot's output.
 TEST(FastSolverPinTest, PinnedSnapshotSurvivesRecost) {
   util::Rng rng(555);
   RandomGraph g(&rng, 30, 70, 3, 0.0);
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_cache=*/true);
+  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/true);
   auto before = engine.SolveKmb(g.terminals, {}, {});
   ASSERT_TRUE(before.has_value());
 
@@ -257,15 +219,13 @@ TEST(FastSolverPinTest, PinnedSnapshotSurvivesRecost) {
   // The engine serves the new weights; a twin engine pinned-equivalent
   // at the old weights reproduces the pinned solve.
   auto after = engine.SolveKmb(g.terminals, {}, {});
-  FastSteinerEngine fresh_new(g.graph, *g.weights, /*use_cache=*/true);
+  FastSteinerEngine fresh_new(g.graph, *g.weights, /*use_memo=*/true);
   auto reference_new = fresh_new.SolveKmb(g.terminals, {}, {});
   ASSERT_TRUE(after.has_value());
   EXPECT_EQ(after->edges, reference_new->edges);
   EXPECT_EQ(after->cost, reference_new->cost);
 
-  // Delta re-costs under a pin take the same copy-on-write path (and
-  // bump the cache generation wholesale instead of invalidating entries
-  // a pinned solve may still be populating).
+  // Delta re-costs under a pin take the same copy-on-write path.
   SnapshotPin pin2 = engine.Pin();
   std::vector<double> pinned2 = pin2.csr->edge_cost;
   std::uint64_t rev = g.weights->revision();
