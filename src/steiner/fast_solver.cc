@@ -138,10 +138,13 @@ struct AdjacencyView {
 };
 
 AdjacencyView CsrView(const CsrGraph& csr) {
-  return AdjacencyView{csr.num_nodes,          csr.offsets.data(),
-                       csr.arc_head.data(),    csr.arc_edge.data(),
-                       csr.arc_cost.data(),    nullptr,
-                       nullptr};
+  return AdjacencyView{csr.num_nodes,
+                       csr.offsets.data(),
+                       csr.arc_head.data(),
+                       csr.arc_edge.data(),
+                       csr.arc_cost.data(),
+                       /*node_of=*/nullptr,
+                       /*view_of=*/nullptr};
 }
 
 // Precondition: m.HasCompact().

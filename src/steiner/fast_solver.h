@@ -19,9 +19,10 @@ namespace q::steiner {
 struct ShardPartition;
 struct ShardMask;
 
+// sp_cache_hits, sp_cache_misses, sp_local_hits, sp_local_misses and
+// masked_bypasses always read 0: the shortest-path cache they counted is
+// gone. They stay because the benchmark reads them.
 struct FastSolveStats {
-  // The engine no longer has a shortest-path tree cache, so these five
-  // counters always read 0. They stay because the benchmark reads them.
   std::size_t sp_cache_hits = 0;
   std::size_t sp_cache_misses = 0;
   std::size_t sp_local_hits = 0;
