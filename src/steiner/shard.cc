@@ -202,7 +202,7 @@ TerminalLocalizer::TerminalLocalizer(
 
 TerminalLocalizer::Snapshot TerminalLocalizer::Acquire() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return Snapshot{mask_, r_proof_, epoch_};
+  return Snapshot{mask_, epoch_};
 }
 
 void TerminalLocalizer::Escalate(std::uint64_t observed_epoch) {

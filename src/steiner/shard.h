@@ -102,7 +102,6 @@ class TerminalLocalizer {
  public:
   struct Snapshot {
     std::shared_ptr<const ShardMask> mask;
-    double r_proof = 0.0;
     std::uint64_t epoch = 0;
   };
 

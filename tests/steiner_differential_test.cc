@@ -635,10 +635,10 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, ShardedOverlayDifferentialTest,
                          ::testing::Range(0, 6));
 
 // Deterministic escalation semantics on a hand-built path 0-1-2-3: a mask
-// deliberately truncated to the terminals' own shards with a radius too
-// small to certify must report kEscalate and no tree; the full-graph mask
-// with an adequate radius must verify and reproduce the unmasked solve
-// exactly.
+// deliberately truncated to the two terminals, which clips the path
+// between them, must report kEscalate and no tree; the full-graph mask
+// must verify and reproduce the unmasked solve exactly. Both masks carry
+// a compact view, as localizer-built masks do.
 TEST(ShardedEscalationTest, UndersizedMaskEscalatesAdequateMaskVerifies) {
   graph::FeatureSpace space;
   graph::SearchGraph graph;
