@@ -584,6 +584,8 @@ AsyncViewClass RefreshEngine::ClassifyViewForAsync(
           case GateOutcome::kFallthrough:
             result = AsyncViewClass::kRepair;
             break;
+          default:
+            Q_CHECK_MSG(false, "unknown relevance gate outcome");
         }
       } else {
         result = AsyncViewClass::kRepair;

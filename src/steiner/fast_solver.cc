@@ -117,23 +117,29 @@ struct SpTree {
 // unmasked solves, a mask's compact sub-CSR for masked ones (see
 // shard.h). View ids run 0..num_nodes-1 and ascend with node ids, so
 // (dist, view id) tie order is the canonical (dist, node id) order.
-// `node_of`/`view_of` translate between view ids and node ids; null
-// means the identity (the CSR's case). A head equal to
-// ShardMask::kExternal left the mask; the CSR has none.
+// `node_of` maps view ids to node ids; null means the identity (the CSR's
+// case). A head equal to ShardMask::kExternal left the mask; the CSR has
+// none.
 struct AdjacencyView {
   std::uint32_t num_nodes = 0;
   const std::uint32_t* offsets = nullptr;
   const std::uint32_t* heads = nullptr;
   const graph::EdgeId* edges = nullptr;  // global edge ids (overlay flags)
   const double* costs = nullptr;
-  const std::uint32_t* node_of = nullptr;  // view id -> node id
-  const std::uint32_t* view_of = nullptr;  // node id -> view id
+  const std::uint32_t* node_of = nullptr;  // view id -> node id, ascending
 
   std::uint32_t NodeOf(std::uint32_t id) const {
     return node_of == nullptr ? id : node_of[id];
   }
+  // Binary search over the ascending node_of, so no node-indexed map is
+  // needed; solves map only their terminals, O(t log L) per solve.
+  // ShardMask::kExternal for a node outside the view.
   std::uint32_t ViewOf(std::uint32_t node) const {
-    return view_of == nullptr ? node : view_of[node];
+    if (node_of == nullptr) return node;
+    const std::uint32_t* end = node_of + num_nodes;
+    const std::uint32_t* it = std::lower_bound(node_of, end, node);
+    return it != end && *it == node ? static_cast<std::uint32_t>(it - node_of)
+                                    : ShardMask::kExternal;
   }
 };
 
@@ -143,8 +149,7 @@ AdjacencyView CsrView(const CsrGraph& csr) {
                        csr.arc_head.data(),
                        csr.arc_edge.data(),
                        csr.arc_cost.data(),
-                       /*node_of=*/nullptr,
-                       /*view_of=*/nullptr};
+                       /*node_of=*/nullptr};
 }
 
 // Precondition: m.HasCompact().
@@ -154,8 +159,7 @@ AdjacencyView CompactView(const ShardMask& m) {
                        m.local_arc_head.data(),
                        m.local_arc_edge.data(),
                        m.local_arc_cost.data(),
-                       m.nodes.data(),
-                       m.local_of.data()};
+                       m.nodes.data()};
 }
 
 template <typename T>
@@ -185,11 +189,13 @@ struct SolverScratch {
   // All-zero between solves; OverlayGuard sets and restores it. The flat
   // array makes the per-arc overlay test a single byte load.
   std::vector<std::uint8_t> edge_flag;  // kFree / kBanned / kForced
-  // Terminal markers for early stop, view-indexed; set and cleared by
-  // AcquireSpTrees (all-zero between solves).
+  // Terminal markers for early stop, view-indexed; set and cleared around
+  // each tree's growth (all-zero between solves).
   std::vector<std::uint8_t> is_target;
 
-  // One tree per deduped terminal, in terminal order.
+  // One tree slot per deduped terminal, in terminal order. A KMB solve
+  // grows only the slots Prim reads (see GrowPickedTree); the others keep
+  // whatever an earlier solve left there.
   std::vector<SpTree> sp_slots;
 
   // Prim over the terminal metric closure.
@@ -505,37 +511,41 @@ bool PrepareSubproblem(const CsrGraph& csr,
   return true;
 }
 
-// The adjacency view a solve runs over: the pinned CSR, or `mask`'s
-// compact view. Expects PrepareSubproblem done (the check covers the
-// deduped terminals).
+// The adjacency view a solve runs over — the pinned CSR, or `mask`'s
+// compact view — with s.terminals_view set to the deduped terminals' view
+// ids and the per-terminal scratch sized for it. Expects
+// PrepareSubproblem done.
 AdjacencyView SolveView(const CsrGraph& csr, const ShardMask* mask,
-                        const SolverScratch& s) {
-  if (mask == nullptr) return CsrView(csr);
-  const bool holds_terminals =
-      mask->HasCompact() && mask->local_of.size() == csr.num_nodes &&
-      std::all_of(s.terminals.begin(), s.terminals.end(),
-                  [&](std::uint32_t term) {
-                    return mask->local_of[term] != ShardMask::kExternal;
-                  });
-  Q_CHECK_MSG(holds_terminals,
-              "masked solve needs a compact view over the pinned snapshot "
-              "that holds every terminal");
-  return CompactView(*mask);
+                        SolverScratch& s) {
+  AdjacencyView view = CsrView(csr);
+  if (mask != nullptr) {
+    Q_CHECK_MSG(mask->HasCompact() && mask->csr_num_nodes == csr.num_nodes,
+                "masked solve needs a compact view over the pinned snapshot");
+    view = CompactView(*mask);
+  }
+  s.terminals_view.clear();
+  for (std::uint32_t term : s.terminals) {
+    const std::uint32_t v = view.ViewOf(term);
+    Q_CHECK_MSG(v != ShardMask::kExternal,
+                "masked solve needs a compact view that holds every terminal");
+    s.terminals_view.push_back(v);
+  }
+  if (s.is_target.size() < view.num_nodes) {
+    s.is_target.resize(view.num_nodes, 0);
+  }
+  if (s.sp_slots.size() < s.terminals.size()) {
+    s.sp_slots.resize(s.terminals.size());
+  }
+  return view;
 }
 
 // Fills s.sp_slots with one shortest-path tree per deduped terminal over
-// `g`, and s.terminals_view with the terminals' view ids. `full` requests
+// `g`, each stopped once every terminal is settled. `full` requests
 // complete (non-early-stopped) trees — the exact DP seeds its singleton
-// slices from them. Expects an OverlayGuard active.
+// slices from them. Expects SolveView done and an OverlayGuard active.
 void AcquireSpTrees(const AdjacencyView& g, SolverScratch& s, bool full) {
   const std::size_t t = s.terminals.size();
-  s.terminals_view.clear();
-  for (std::uint32_t term : s.terminals) {
-    s.terminals_view.push_back(g.ViewOf(term));
-  }
-  if (s.is_target.size() < g.num_nodes) s.is_target.resize(g.num_nodes, 0);
   for (std::uint32_t v : s.terminals_view) s.is_target[v] = 1;
-  if (s.sp_slots.size() < t) s.sp_slots.resize(t);
   for (std::size_t i = 0; i < t; ++i) {
     ComputeSpTree(g, s.edge_flag, s.is_target, t, !full, s.terminals_view[i],
                   s.heap, &s.sp_slots[i]);
@@ -546,20 +556,61 @@ void AcquireSpTrees(const AdjacencyView& g, SolverScratch& s, bool full) {
   for (std::uint32_t v : s.terminals_view) s.is_target[v] = 0;
 }
 
-// Boundary certificate shared by both masked solvers. A masked tree's
-// settled prefix is bit-identical to the unmasked run's whenever the
-// cheapest offer it clipped at the mask boundary strictly exceeds the
-// largest distance the caller reads: any path escaping the mask costs at
-// least the clipped offer, so it can neither improve nor tie — and hence
-// never reorder, re-predecessor, or newly settle — anything at or below
-// the read horizon (induction over the canonical (dist, id) settle
+// Grows Prim's latest pick p's tree over `g` into s.sp_slots[p], stopped
+// once every terminal Prim has not picked yet (s.in_mst[j] == 0) is
+// settled: Prim reads the tree only there, and the closure expansion walks
+// it only from those terminals. The eager run (AcquireSpTrees) stops at a
+// superset of these targets, and Dijkstra settles nodes in canonical
+// (dist, id) order with every predecessor final at settle time, so this
+// tree is a prefix of the eager one: every value read from it is the same.
+// Expects SolveView done and an OverlayGuard active.
+void GrowPickedTree(const AdjacencyView& g, SolverScratch& s, std::size_t p) {
+  const std::size_t t = s.terminals.size();
+  std::size_t targets = 0;
+  for (std::size_t j = 0; j < t; ++j) {
+    if (s.in_mst[j]) continue;
+    s.is_target[s.terminals_view[j]] = 1;
+    ++targets;
+  }
+  ComputeSpTree(g, s.edge_flag, s.is_target, targets, /*stop_at_targets=*/true,
+                s.terminals_view[p], s.heap, &s.sp_slots[p]);
+  for (std::size_t j = 0; j < t; ++j) {
+    if (!s.in_mst[j]) s.is_target[s.terminals_view[j]] = 0;
+  }
+}
+
+// Boundary certificate of one masked tree. Its settled prefix is
+// bit-identical to the unmasked run's whenever the cheapest offer it
+// clipped at the mask boundary (`clip`) strictly exceeds the largest
+// distance the caller reads (`max_read`): any path escaping the mask costs
+// at least the clipped offer, so it can neither improve nor tie — and
+// hence never reorder, re-predecessor, or newly settle — anything at or
+// below the read horizon (induction over the canonical (dist, id) settle
 // order; the first diverging node's predecessor would have had to reach
-// it through a clipped arc). The KMB path reads pairwise terminal
-// distances and predecessor chains below them, so its horizon is
-// max_j dist[t_j] per tree. A terminal unreachable within the mask
-// certifies only when nothing was clipped at all — then the mask
-// exhausted the component and the infeasible verdict is exact. Reads the
-// trees through s.terminals_view.
+// it through a clipped arc). A read of +inf — a terminal unreachable
+// within the mask — certifies only when nothing was clipped at all: then
+// the mask exhausted the component and the infeasible verdict is exact.
+bool ReadsCertified(double clip, double max_read) {
+  return max_read == kInf ? clip == kInf : clip > max_read;
+}
+
+// The certificate for one tree grown by GrowPickedTree: the reads Prim
+// makes from it, at the terminals still unpicked.
+bool CertifiesUnpickedReads(const SolverScratch& s, const SpTree& sp) {
+  double max_read = 0.0;
+  for (std::size_t j = 0; j < s.terminals.size(); ++j) {
+    if (!s.in_mst[j]) {
+      max_read = std::max(max_read, sp.dist[s.terminals_view[j]]);
+    }
+  }
+  return ReadsCertified(sp.mask_min_clip, max_read);
+}
+
+// Boundary certificate over the trees AcquireSpTrees grew, for the exact
+// solver and for a KMB solve whose lazy tree failed its own certificate.
+// Every tree must certify (ReadsCertified) the pairwise terminal distances
+// it holds and the predecessor chains below them, so its read horizon is
+// max_j dist[t_j]. Reads the trees through s.terminals_view.
 MaskedOutcome CertifyPairwiseReads(SolverScratch& s,
                                    double* overlay_lower_bound) {
   const std::size_t t = s.terminals.size();
@@ -585,9 +636,7 @@ MaskedOutcome CertifyPairwiseReads(SolverScratch& s,
       pairwise_lb = std::max(pairwise_lb, floor);
       s.cert_floor[i * t + j] = floor;
     }
-    if (max_read == kInf) {
-      if (sp.mask_min_clip < kInf) verdict = MaskedOutcome::kEscalate;
-    } else if (!(sp.mask_min_clip > max_read)) {
+    if (!ReadsCertified(sp.mask_min_clip, max_read)) {
       verdict = MaskedOutcome::kEscalate;
     }
   }
@@ -637,18 +686,19 @@ double SubspaceCostBound(double forced_cost, double overlay_lb) {
   return std::max(0.0, bound - (bound * 1e-12 + 1e-12));
 }
 
-// KMB steps 2-5 over the trees in s.sp_slots. Expects AcquireSpTrees
-// done, an OverlayGuard active, and t >= 2 deduped terminals; `result`
-// carries the forced prefix and base cost. Only reads of sp.dist/pred_node
-// go through view ids (s.terminals_view); collected pred_edge values are
-// global edge ids, so everything from Kruskal on is view independent.
-// Safe to call concurrently (scratch is per-thread).
-std::optional<SteinerTree> KmbFromTrees(const CsrGraph& csr, SolverScratch& s,
-                                        SteinerTree result) {
+// KMB step 2: Prim's MST over the terminal metric closure, into
+// s.closure. Prim starts at terminal 0 and repeatedly picks the closest
+// unpicked terminal (lowest index on ties). It reads a tree only from a
+// terminal it has picked, and only at terminals still unpicked, so the
+// last pick's tree is never read. `picked_tree(p)` returns terminal p's
+// tree right after Prim picks it (s.in_mst marks the picked terminals,
+// p included), or nullptr to abort. Returns false when the terminals are
+// disconnected or `picked_tree` aborted. Expects SolveView done and t >= 2
+// deduped terminals.
+template <typename PickedTree>
+bool PrimClosure(SolverScratch& s, PickedTree&& picked_tree) {
   const std::vector<std::uint32_t>& sp_terms = s.terminals_view;
   const std::size_t t = s.terminals.size();
-
-  // 2. Prim MST over the terminal metric closure.
   s.in_mst.assign(t, 0);
   s.best.assign(t, kInf);
   s.best_from.assign(t, 0);
@@ -659,19 +709,35 @@ std::optional<SteinerTree> KmbFromTrees(const CsrGraph& csr, SolverScratch& s,
     for (std::size_t i = 0; i < t; ++i) {
       if (!s.in_mst[i] && (pick == t || s.best[i] < s.best[pick])) pick = i;
     }
-    if (pick == t || s.best[pick] == kInf) return std::nullopt;
+    if (pick == t || s.best[pick] == kInf) return false;
     s.in_mst[pick] = 1;
     if (pick != 0) s.closure.emplace_back(s.best_from[pick], pick);
-    const SpTree& sp = s.sp_slots[pick];
+    if (round + 1 == t) break;  // every terminal picked: nothing to read
+    const SpTree* sp = picked_tree(pick);
+    if (sp == nullptr) return false;
     for (std::size_t i = 0; i < t; ++i) {
       if (s.in_mst[i]) continue;
-      double d = sp.dist[sp_terms[i]];
+      double d = sp->dist[sp_terms[i]];
       if (d < s.best[i]) {
         s.best[i] = d;
         s.best_from[i] = pick;
       }
     }
   }
+  return true;
+}
+
+// KMB steps 3-5 over s.closure (PrimClosure done). Closure edge (a, b)
+// walks a's tree from b, which was still unpicked when Prim picked a: the
+// walk stays at or below a distance Prim read, so even a lazily grown tree
+// holds every node it visits. `result` carries the forced prefix and base
+// cost. Only reads of sp.dist/pred_node go through view ids
+// (s.terminals_view); collected pred_edge values are global edge ids, so
+// everything from Kruskal on is view independent. Expects an OverlayGuard
+// active. Safe to call concurrently (scratch is per-thread).
+SteinerTree KmbFromClosure(const CsrGraph& csr, SolverScratch& s,
+                           SteinerTree result) {
+  const std::vector<std::uint32_t>& sp_terms = s.terminals_view;
 
   // 3. Expand closure edges into original-graph edges along the
   // predecessor trees (forced edges are already part of the result).
@@ -1016,23 +1082,40 @@ std::optional<SteinerTree> FastSteinerEngine::SolveKmbImpl(
   // guard restores the all-zero invariant before a shrink may reallocate.
   ExtentGuard extent{s, view.num_nodes};
   OverlayGuard overlay(s, csr);
-  AcquireSpTrees(view, s, /*full=*/false);
-  if (mask != nullptr) {
-    // Every value KMB reads must sit strictly below the clipped-offer
-    // horizon, or the masked trees are not certified prefixes of the
-    // full runs. No verdict otherwise — but the clip floor still bounds
-    // the subspace cost from below, which the caller may keep.
+  // Trees grow only as Prim picks their terminals (GrowPickedTree), and a
+  // masked tree must certify the reads Prim makes from it: every value
+  // KMB reads must sit strictly below that tree's clipped-offer horizon,
+  // or the tree is not a certified prefix of the unmasked run.
+  bool uncertified = false;
+  const bool connected =
+      PrimClosure(s, [&](std::size_t p) -> const SpTree* {
+        GrowPickedTree(view, s, p);
+        const SpTree& sp = s.sp_slots[p];
+        if (mask != nullptr && !CertifiesUnpickedReads(s, sp)) {
+          uncertified = true;
+          return nullptr;
+        }
+        return &sp;
+      });
+  if (uncertified) {
+    // No verdict — but the clip floors still bound the subspace cost from
+    // below, which the caller may keep. A lazy tree stops no later than
+    // the eager one, so its clip floor is no lower and its largest read no
+    // higher: the eager trees fail whenever a lazy one does. Growing them
+    // reports the same verdict and bound as an eager solve.
+    AcquireSpTrees(view, s, /*full=*/false);
     double overlay_lb = 0.0;
-    MaskedOutcome verdict = CertifyPairwiseReads(s, &overlay_lb);
-    if (verdict != MaskedOutcome::kOk) {
-      *outcome = verdict;
-      if (escalate_bound != nullptr) {
-        *escalate_bound = SubspaceCostBound(result.cost, overlay_lb);
-      }
-      return std::nullopt;
+    const MaskedOutcome verdict = CertifyPairwiseReads(s, &overlay_lb);
+    Q_CHECK_MSG(verdict == MaskedOutcome::kEscalate,
+                "eager trees certify where a lazy tree failed");
+    *outcome = verdict;
+    if (escalate_bound != nullptr) {
+      *escalate_bound = SubspaceCostBound(result.cost, overlay_lb);
     }
+    return std::nullopt;
   }
-  return KmbFromTrees(csr, s, std::move(result));
+  if (!connected) return std::nullopt;
+  return KmbFromClosure(csr, s, std::move(result));
 }
 
 std::optional<SteinerTree> FastSteinerEngine::SolveExact(
@@ -1092,9 +1175,12 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
       return std::nullopt;
     }
   }
-  auto kmb = KmbFromTrees(csr, s, result);
-  if (!kmb.has_value()) return std::nullopt;
-  double bound = kmb->cost - result.cost;  // overlay-space upper bound
+  // The KMB upper bound runs the KMB solver's Prim over these full trees.
+  if (!PrimClosure(s, [&](std::size_t p) { return &s.sp_slots[p]; })) {
+    return std::nullopt;
+  }
+  const SteinerTree kmb = KmbFromClosure(csr, s, result);
+  double bound = kmb.cost - result.cost;  // overlay-space upper bound
   // Relative slack absorbs float summation-order differences between the
   // bound and the distances.
   bound += bound * 1e-12 + 1e-12;
@@ -1326,9 +1412,12 @@ MaskedSpProbe ComputeMaskedSpTreeForTest(
     const std::vector<graph::NodeId>& targets, bool stop_at_targets,
     const std::vector<graph::EdgeId>& forced,
     const std::vector<graph::EdgeId>& banned) {
-  Q_CHECK_MSG(mask.HasCompact() && mask.local_of.size() == csr.num_nodes &&
-                  mask.local_of[source] != ShardMask::kExternal,
-              "probe needs a compact view over `csr` that holds the source");
+  Q_CHECK_MSG(mask.HasCompact() && mask.csr_num_nodes == csr.num_nodes,
+              "probe needs a compact view over `csr`");
+  const AdjacencyView view = CompactView(mask);
+  const std::uint32_t local_source = view.ViewOf(source);
+  Q_CHECK_MSG(local_source != ShardMask::kExternal,
+              "probe needs a compact view that holds the source");
   SolverScratch& s = GetScratch();
   s.forced_sorted.assign(forced.begin(), forced.end());
   std::sort(s.forced_sorted.begin(), s.forced_sorted.end());
@@ -1336,24 +1425,22 @@ MaskedSpProbe ComputeMaskedSpTreeForTest(
   std::sort(s.banned_sorted.begin(), s.banned_sorted.end());
   OverlayGuard overlay(s, csr);
 
-  const AdjacencyView view = CompactView(mask);
   if (s.is_target.size() < view.num_nodes) {
     s.is_target.resize(view.num_nodes, 0);
   }
+  std::vector<std::uint32_t> local_targets;
   for (std::uint32_t t : targets) {
-    const std::uint32_t lt = mask.local_of[t];
-    if (lt != ShardMask::kExternal) s.is_target[lt] = 1;
+    const std::uint32_t lt = view.ViewOf(t);
+    if (lt != ShardMask::kExternal) local_targets.push_back(lt);
   }
+  for (std::uint32_t lt : local_targets) s.is_target[lt] = 1;
   // The stop threshold counts every target: one outside the mask (or a
   // duplicate) never settles, so the run keeps exploring instead of
   // stopping early — as the uncompacted masked Dijkstra does.
   SpTree tree;
   ComputeSpTree(view, s.edge_flag, s.is_target, targets.size(),
-                stop_at_targets, mask.local_of[source], s.heap, &tree);
-  for (std::uint32_t t : targets) {
-    const std::uint32_t lt = mask.local_of[t];
-    if (lt != ShardMask::kExternal) s.is_target[lt] = 0;
-  }
+                stop_at_targets, local_source, s.heap, &tree);
+  for (std::uint32_t lt : local_targets) s.is_target[lt] = 0;
 
   // Projected into global-indexed arrays so callers diff them
   // element-for-element against a global-indexed referee.

@@ -76,14 +76,20 @@ enum class MaskedOutcome { kOk, kEscalate };
 // a thread-local scratch arena, so Solve* are safe to call concurrently
 // and do no steady-state allocation.
 //
-// Every solve runs one Dijkstra per deduped terminal over an adjacency
-// view: the CSR for unmasked solves, a mask's compact local-id sub-CSR
-// for masked ones (see shard.h). Trees live in the thread's scratch and
-// are never shared between solves. When `use_memo` is set, whole unmasked
-// subproblem verdicts are shared through a SolveMemo (see SolveMemoized),
-// the engine's only cache. Memo state never changes solver output (a hit
-// equals a fresh solve), which is what keeps memoized/parallel runs
-// byte-identical to sequential unmemoized runs.
+// Solves run their Dijkstras over an adjacency view: the CSR for unmasked
+// solves, a mask's compact local-id sub-CSR for masked ones (see
+// shard.h). The exact solver grows every deduped terminal's complete
+// tree. KMB grows a terminal's tree only when Prim picks it, stopped once
+// every terminal Prim has not picked yet is settled, and never grows the
+// last pick's: Prim reads a tree only from a picked terminal at unpicked
+// ones, and Dijkstra's canonical settle order makes the shorter run a
+// prefix of the full one, so every value KMB reads equals the full run's.
+// Trees live in the thread's scratch and are never shared between
+// solves. When `use_memo` is set, whole unmasked subproblem verdicts are
+// shared through a SolveMemo (see SolveMemoized), the engine's only
+// cache. Memo state never changes solver output (a hit equals a fresh
+// solve), which is what keeps memoized/parallel runs byte-identical to
+// sequential unmemoized runs.
 //
 // Concurrency (the async refresh scheduler's contract): any number of
 // Solve* calls may run concurrently with each other AND with one
@@ -216,11 +222,18 @@ class FastSteinerEngine {
   // prefix below the clip floor IS the unmasked prefix, predecessors
   // included. Per solve the checks are:
   //
-  //  * KMB: for each terminal's tree, every pairwise terminal overlay
-  //    distance (KMB's read horizon — predecessor walks sit below it)
-  //    is strictly below that tree's clip floor. A terminal unreachable
-  //    within the mask certifies only when the tree clipped nothing, in
-  //    which case the infeasibility verdict is exact.
+  //  * KMB: each tree Prim grows certifies, as it is grown, the
+  //    distances Prim reads from it — to the terminals still unpicked,
+  //    KMB's read horizon (predecessor walks sit below it) — strictly
+  //    below its clip floor. A terminal unreachable within the mask
+  //    certifies only when the tree clipped nothing, in which case the
+  //    infeasibility verdict is exact. When a tree fails, the solve grows
+  //    every terminal's tree and checks every pairwise terminal distance
+  //    against each tree's clip floor, so an escalating solve reports the
+  //    verdict and bound of a solve that grew every tree. (A lazy tree
+  //    stops no later than the every-terminal tree, so its clip floor is
+  //    no lower and its largest read no higher: it passes whenever that
+  //    one does, and a tree KMB never reads cannot fail the solve.)
   //  * Exact additionally requires the slacked KMB bound to sit strictly
   //    below every tree's clip floor: the DP reads distances up to that
   //    pruning threshold (eligibility, singleton slices, reconstruction

@@ -11,9 +11,10 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::uint32_t kUnassigned = std::numeric_limits<std::uint32_t>::max();
 
-// Per-thread scratch for the localizer's bootstrap and ball Dijkstras.
-// Distances are stamp-validated (stamp[v] != cur reads as +inf), so a
-// run touches only its own neighborhood instead of re-initializing
+// Per-thread scratch for the localizer's bootstrap and ball Dijkstras and
+// for ShardMask::BuildCompact. Entries are stamp-validated (stamp[v] !=
+// cur reads as +inf, or as kExternal in the local-id map), so a run
+// touches only its own neighborhood instead of re-initializing
 // num_nodes-sized arrays — the per-query localizer cost is O(ball), not
 // O(catalog), which is what keeps query latency from growing linearly
 // with sources. The arrays grow to the largest snapshot the thread has
@@ -24,6 +25,9 @@ struct LocalizerScratch {
   std::vector<std::uint32_t> stamp;
   std::uint32_t cur = 0;
   std::vector<std::uint8_t> is_target;  // sparsely set, cleared per run
+  // BuildCompact's node -> local id map. It shares `stamp` with dist: a
+  // run fills one or the other, never both.
+  std::vector<std::uint32_t> local;
 
   // Starts a run: bumps the stamp (wholesale re-zero on the ~4-billion-run
   // wrap) and drains heap leftovers from an early-stopped prior run.
@@ -48,10 +52,19 @@ struct LocalizerScratch {
     stamp[v] = cur;
   }
 
+  std::uint32_t LocalId(std::uint32_t v) const {
+    return stamp[v] == cur ? local[v] : ShardMask::kExternal;
+  }
+  void SetLocalId(std::uint32_t v, std::uint32_t l) {
+    local[v] = l;
+    stamp[v] = cur;
+  }
+
   std::size_t MemoryBytes() const {
     return heap.MemoryBytes() + dist.capacity() * sizeof(double) +
            stamp.capacity() * sizeof(std::uint32_t) +
-           is_target.capacity() * sizeof(std::uint8_t);
+           is_target.capacity() * sizeof(std::uint8_t) +
+           local.capacity() * sizeof(std::uint32_t);
   }
 };
 
@@ -68,25 +81,34 @@ std::size_t LocalizerScratchBytes() {
 
 void ShardMask::BuildCompact(const CsrGraph& csr) {
   const std::uint32_t num_local = static_cast<std::uint32_t>(nodes.size());
-  local_of.assign(csr.num_nodes, kExternal);
-  for (std::uint32_t l = 0; l < num_local; ++l) local_of[nodes[l]] = l;
+  // Heads translate through the thread's stamped scratch, so the build
+  // writes O(mask) entries however large the catalog is.
+  LocalizerScratch& s = GetLocalizerScratch();
+  s.Begin(csr.num_nodes);
+  if (s.local.size() < csr.num_nodes) s.local.resize(csr.num_nodes);
   local_offsets.assign(num_local + 1, 0);
-  local_arc_head.clear();
-  local_arc_edge.clear();
-  local_arc_cost.clear();
   for (std::uint32_t l = 0; l < num_local; ++l) {
     const std::uint32_t v = nodes[l];
-    const std::uint32_t end = csr.offsets[v + 1];
-    for (std::uint32_t a = csr.offsets[v]; a < end; ++a) {
-      // Per-node arc order preserved from the global CSR; out-of-mask
-      // heads stay visible as kExternal so the masked Dijkstra records
-      // the exact clipped-offer set a global scan would.
-      local_arc_head.push_back(local_of[csr.arc_head[a]]);
-      local_arc_edge.push_back(csr.arc_edge[a]);
-      local_arc_cost.push_back(csr.arc_cost[a]);
-    }
-    local_offsets[l + 1] = static_cast<std::uint32_t>(local_arc_head.size());
+    s.SetLocalId(v, l);
+    local_offsets[l + 1] =
+        local_offsets[l] + (csr.offsets[v + 1] - csr.offsets[v]);
   }
+  local_arc_head.resize(local_offsets[num_local]);
+  local_arc_edge.resize(local_offsets[num_local]);
+  local_arc_cost.resize(local_offsets[num_local]);
+  for (std::uint32_t l = 0; l < num_local; ++l) {
+    // Per-node arc order preserved from the global CSR; out-of-mask heads
+    // stay visible as kExternal so the masked Dijkstra records the exact
+    // clipped-offer set a global scan would.
+    std::uint32_t i = local_offsets[l];
+    const std::uint32_t end = csr.offsets[nodes[l] + 1];
+    for (std::uint32_t a = csr.offsets[nodes[l]]; a < end; ++a, ++i) {
+      local_arc_head[i] = s.LocalId(csr.arc_head[a]);
+      local_arc_edge[i] = csr.arc_edge[a];
+      local_arc_cost[i] = csr.arc_cost[a];
+    }
+  }
+  csr_num_nodes = csr.num_nodes;
 }
 
 ShardPartition ShardPartition::Build(const CsrGraph& csr,
@@ -268,6 +290,8 @@ std::shared_ptr<const ShardMask> TerminalLocalizer::Rebuild() const {
                        parts.shard_nodes.begin() + end);
   }
   std::sort(mask->nodes.begin(), mask->nodes.end());
+  // The bitmap is the build's one catalog-sized write; the compact view
+  // below costs O(mask).
   mask->in_mask.assign(g.num_nodes, 0);
   for (std::uint32_t v : mask->nodes) mask->in_mask[v] = 1;
   mask->covers_all = !clipped || mask->nodes.size() == g.num_nodes;

@@ -14,8 +14,9 @@ namespace q::steiner {
 
 // Bytes retained by the calling thread's localizer scratch (the stamped
 // distance arrays and heap the bootstrap/ball Dijkstras reuse across
-// queries). Counted into steiner::ThreadScratchBytes so the serving
-// footprint gate covers it.
+// queries, and the stamped local-id map ShardMask::BuildCompact
+// translates arc heads through). bench_serve_load adds it to
+// steiner::ThreadScratchBytes so its serving footprint gate covers it.
 std::size_t LocalizerScratchBytes();
 
 // Topology-only partition of a CSR snapshot into connected node clusters
@@ -41,23 +42,25 @@ struct ShardPartition {
 // order matching the unmasked 0..n-1 scan).
 //
 // Alongside the bitmap, a mask built by TerminalLocalizer carries a
-// *compact local-id view*: mask nodes remapped to dense ids 0..L-1 (in
-// ascending global order, so local (dist, id) tie order is isomorphic to
-// the global canonical order) plus a materialized sub-CSR whose arc heads
-// are translated to local ids. Arcs leaving the mask keep a kExternal
-// head so a masked Dijkstra still sees every clipped boundary offer —
-// its mask_min_clip equals that of a Dijkstra over the global CSR that
-// skips out-of-mask heads (the uncompacted referee in tests). Arc costs
-// are baked from the CSR the view was built against (the localizer's
-// pinned snapshot; one enumeration never mixes generations), and per-node
-// arc order is preserved, so predecessor selection matches the global
-// scan arc for arc. The view is immutable after Rebuild and shared with
-// the mask itself; masked solves run over it only, sizing every per-node
-// array to L instead of num_nodes, which is the whole point (cache
-// residency on million-source catalogs).
+// *compact local-id view*: local id l is mask node nodes[l] (ascending, so
+// local (dist, id) tie order is isomorphic to the global canonical order),
+// plus a materialized sub-CSR whose arc heads are translated to local ids.
+// Arcs leaving the mask keep a kExternal head so a masked Dijkstra still
+// sees every clipped boundary offer — its mask_min_clip equals that of a
+// Dijkstra over the global CSR that skips out-of-mask heads (the
+// uncompacted referee in tests). Arc costs are baked from the CSR the view
+// was built against (the localizer's pinned snapshot; one enumeration
+// never mixes generations), and per-node arc order is preserved, so
+// predecessor selection matches the global scan arc for arc. No
+// global->local map is kept: the build translates arc heads through
+// per-thread stamped scratch, and a solve maps its few terminals by binary
+// search over `nodes`, so building the view costs O(mask), not O(catalog).
+// The view is immutable after Rebuild and shared with the mask itself;
+// masked solves run over it only, sizing every per-node array to L instead
+// of num_nodes, which is the whole point (cache residency on
+// million-source catalogs).
 struct ShardMask {
-  // Local-id sentinel for arc heads outside the mask (and for
-  // local_of[v] of nodes outside it).
+  // Local-id sentinel for arc heads outside the mask.
   static constexpr std::uint32_t kExternal = 0xFFFFFFFFu;
 
   std::vector<std::uint8_t> in_mask;   // size num_nodes
@@ -68,14 +71,16 @@ struct ShardMask {
   bool covers_all = false;
 
   // --- compact local-id view (see the class comment above) -------------
-  std::vector<std::uint32_t> local_of;        // global -> local, kExternal outside
+  // num_nodes of the CSR the view was built from (0 before BuildCompact);
+  // masked solves check it against their pinned snapshot.
+  std::uint32_t csr_num_nodes = 0;
   std::vector<std::uint32_t> local_offsets;   // size nodes.size() + 1
   std::vector<std::uint32_t> local_arc_head;  // local id, or kExternal
   std::vector<graph::EdgeId> local_arc_edge;  // global edge ids (overlay flags)
   std::vector<double> local_arc_cost;         // baked from the pinned CSR
 
   bool HasCompact() const {
-    return local_offsets.size() == nodes.size() + 1 && !local_of.empty();
+    return local_offsets.size() == nodes.size() + 1 && csr_num_nodes != 0;
   }
 
   // Fills the compact view from `csr` (must be the snapshot in_mask/nodes

@@ -701,6 +701,159 @@ TEST(ShardedEscalationTest, UndersizedMaskEscalatesAdequateMaskVerifies) {
   EXPECT_TRUE(localizer.Acquire().mask->covers_all);
 }
 
+// A hand-built graph whose edge costs are given directly: one shared
+// feature of weight 1 and per-edge feature value `cost`.
+struct CostGraph {
+  graph::FeatureSpace space;
+  graph::SearchGraph graph;
+  std::unique_ptr<graph::WeightVector> weights;
+
+  explicit CostGraph(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      graph.AddNode(graph::NodeKind::kAttribute, "n" + std::to_string(i));
+    }
+    space.Intern("w", 1.0);
+    weights = std::make_unique<graph::WeightVector>(&space);
+  }
+
+  EdgeId Add(NodeId u, NodeId v, double cost) {
+    graph::Edge e;
+    e.u = u;
+    e.v = v;
+    e.kind = graph::EdgeKind::kAssociation;
+    graph::FeatureVec f;
+    f.Add(space.Intern("w", 1.0), cost);
+    e.features = std::move(f);
+    return graph.AddEdge(std::move(e));
+  }
+};
+
+// The parked bound a masked solve reports for a pairwise overlay floor
+// `floor` with no forced edges (the slack-shaved SubspaceCostBound).
+double ParkedBound(double floor) { return floor - (floor * 1e-12 + 1e-12); }
+
+// The boundary certificate decides: terminals 0 and 2 are joined inside
+// the localizer's first mask (0-3-4-2, cost 10, once 0-1 is banned), but
+// the cheaper path 0-5-2 (cost 9) leaves it through node 5, whose arcs
+// offer 4.5 at the boundary. The masked solves must reject the in-mask
+// distance (10 is not below the clip floor 4.5) and park on the floor,
+// and the sharded enumeration — which parks and later re-solves that
+// Lawler child — must equal the unsharded one.
+TEST(ShardedEscalationTest, CheaperPathOutsideMaskEscalatesWithExactBound) {
+  CostGraph g(6);
+  const EdgeId e01 = g.Add(0, 1, 1.0);
+  g.Add(1, 2, 1.0);
+  g.Add(0, 3, 4.0);
+  g.Add(3, 4, 2.0);
+  g.Add(4, 2, 4.0);
+  g.Add(0, 5, 4.5);
+  g.Add(5, 2, 4.5);
+  const std::vector<NodeId> terminals = {0, 2};
+  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/false);
+  SnapshotPin pin = engine.Pin();
+
+  // Star bound d(0, 2) = 2 gives radius 4: node 5 (4.5 from both
+  // terminals) is clipped, everything else is in the 1-node-shard mask.
+  TerminalLocalizer localizer(pin.csr, engine.Shards(1), terminals);
+  const TerminalLocalizer::Snapshot snap = localizer.Acquire();
+  ASSERT_FALSE(snap.mask->covers_all);
+  ASSERT_EQ(snap.mask->nodes, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
+
+  const std::vector<EdgeId> banned = {e01};
+  for (bool kmb : {true, false}) {
+    MaskedOutcome outcome = MaskedOutcome::kOk;
+    double bound = 0.0;
+    auto masked =
+        kmb ? engine.SolveKmbMasked(pin, terminals, {}, banned, *snap.mask,
+                                    &outcome, &bound)
+            : engine.SolveExactMasked(pin, terminals, {}, banned, *snap.mask,
+                                      &outcome, &bound);
+    const std::string label = kmb ? "kmb" : "exact";
+    EXPECT_EQ(outcome, MaskedOutcome::kEscalate) << label;
+    EXPECT_FALSE(masked.has_value()) << label;
+    EXPECT_EQ(bound, ParkedBound(4.5)) << label;
+    auto unmasked = kmb ? engine.SolveKmb(pin, terminals, {}, banned)
+                        : engine.SolveExact(pin, terminals, {}, banned);
+    ASSERT_TRUE(unmasked.has_value()) << label;
+    EXPECT_EQ(unmasked->cost, 9.0) << label;
+    EXPECT_LE(bound, unmasked->cost) << label;
+  }
+
+  for (bool approximate : {false, true}) {
+    TopKConfig plain;
+    plain.k = 3;
+    plain.approximate = approximate;
+    TopKConfig sharded = plain;
+    sharded.sharded.enabled = true;
+    sharded.sharded.target_shard_nodes = 1;
+    RelevanceCertificate plain_cert;
+    RelevanceCertificate sharded_cert;
+    auto a = TopKSteinerTrees(g.graph, *g.weights, terminals, plain,
+                              /*shared_engine=*/nullptr, &plain_cert);
+    auto b = TopKSteinerTrees(g.graph, *g.weights, terminals, sharded,
+                              /*shared_engine=*/nullptr, &sharded_cert);
+    const std::string label = approximate ? "kmb" : "exact";
+    ASSERT_EQ(a.size(), 3u) << label;
+    ASSERT_EQ(a.size(), b.size()) << label;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].edges, b[i].edges) << label << " tree " << i;
+      EXPECT_EQ(a[i].cost, b[i].cost) << label << " tree " << i;
+    }
+    EXPECT_EQ(a[1].cost, 9.0) << label;
+    EXPECT_EQ(plain_cert.valid, sharded_cert.valid) << label;
+    EXPECT_EQ(plain_cert.edges, sharded_cert.edges) << label;
+    EXPECT_EQ(plain_cert.gap, sharded_cert.gap) << label;
+  }
+}
+
+// KMB grows a terminal's tree only when Prim picks it, and never grows the
+// last pick's. On the path 0-1-2 with a cheap exit arc 2-3 (0.5) out of
+// the mask {0, 1, 2}, terminal 2's tree clips 0.5 below the distance 2 it
+// would read, but with terminals {0, 2} Prim picks 2 last: the masked KMB
+// solve certifies from terminal 0's tree alone and returns the unmasked
+// tree. The exact solver grows and certifies both trees, so it escalates
+// and parks on the pairwise floor min(2, clip of tree 0 = 2.5) = 2. With
+// the terminals reversed, terminal 2 is Prim's first pick and the masked
+// KMB solve escalates with that same bound.
+TEST(ShardedEscalationTest, CheapExitAtLastPickedTerminalCertifiesKmb) {
+  CostGraph g(4);
+  g.Add(0, 1, 1.0);
+  g.Add(1, 2, 1.0);
+  g.Add(2, 3, 0.5);
+  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/false);
+  SnapshotPin pin = engine.Pin();
+  ShardMask mask;
+  mask.in_mask = {1, 1, 1, 0};
+  mask.nodes = {0, 1, 2};
+  mask.BuildCompact(*pin.csr);
+
+  const std::vector<NodeId> terminals = {0, 2};
+  MaskedOutcome outcome = MaskedOutcome::kEscalate;
+  double bound = 0.0;
+  auto masked = engine.SolveKmbMasked(pin, terminals, {}, {}, mask, &outcome,
+                                      &bound);
+  auto unmasked = engine.SolveKmb(pin, terminals, {}, {});
+  EXPECT_EQ(outcome, MaskedOutcome::kOk);
+  ASSERT_TRUE(masked.has_value());
+  ASSERT_TRUE(unmasked.has_value());
+  EXPECT_EQ(masked->edges, unmasked->edges);
+  EXPECT_EQ(masked->cost, unmasked->cost);
+  EXPECT_EQ(masked->cost, 2.0);
+
+  masked = engine.SolveExactMasked(pin, terminals, {}, {}, mask, &outcome,
+                                   &bound);
+  EXPECT_EQ(outcome, MaskedOutcome::kEscalate);
+  EXPECT_FALSE(masked.has_value());
+  EXPECT_EQ(bound, ParkedBound(2.0));
+
+  const std::vector<NodeId> reversed = {2, 0};
+  masked = engine.SolveKmbMasked(pin, reversed, {}, {}, mask, &outcome,
+                                 &bound);
+  EXPECT_EQ(outcome, MaskedOutcome::kEscalate);
+  EXPECT_FALSE(masked.has_value());
+  EXPECT_EQ(bound, ParkedBound(2.0));
+}
+
 // --- long-horizon async-repair differential --------------------------------
 // Randomized interleavings of asynchronous repairs, reads, and feedback
 // against a live QSystem, seeded and replayable: a seeded schedule drives
