@@ -1,6 +1,6 @@
 // Micro-benchmarks for the hot kernels behind the paper's experiments:
 // top-k Steiner search (legacy SteinerProblem rebuild vs the CSR fast
-// path, with and without the subproblem memo and the thread pool),
+// path, with and without use_sp_cache and the thread pool),
 // MAD propagation, query-graph expansion, conjunctive-query execution,
 // and alpha-neighborhood Dijkstra.
 //
@@ -156,8 +156,10 @@ bool BenchTopK(Reporter& report, const SteinerFixture& f, bool approximate,
   };
 
   auto legacy = run(q::steiner::SteinerEngine::kLegacy, false, nullptr);
-  // `cache` is TopKConfig::use_sp_cache, which switches only the
-  // subproblem memo: fast_nocache is the fast engine with the memo off.
+  // `cache` is TopKConfig::use_sp_cache, which only says whether an
+  // engine built from the config carries the enumeration memo. These
+  // runs use the self-contained overload, whose per-call engine never
+  // has one, so fast and fast_nocache run the same code.
   struct Variant {
     const char* name;
     bool cache;

@@ -29,6 +29,7 @@
 #include "util/env.h"
 #include "util/result.h"
 #include "util/shared_mutex.h"
+#include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace q::core {
@@ -129,8 +130,16 @@ class QSystem {
   // Creates and refreshes a persistent top-k view for a keyword query.
   util::Result<std::size_t> CreateView(std::vector<std::string> keywords);
 
-  query::TopKView& view(std::size_t id) { return *views_[id]; }
-  const query::TopKView& view(std::size_t id) const { return *views_[id]; }
+  // The view `id` names; aborts with a message when it names none
+  // (QueryView returns InvalidArgument instead).
+  query::TopKView& view(std::size_t id) {
+    Q_CHECK_MSG(id < views_.size(), "no such view: " << id);
+    return *views_[id];
+  }
+  const query::TopKView& view(std::size_t id) const {
+    Q_CHECK_MSG(id < views_.size(), "no such view: " << id);
+    return *views_[id];
+  }
   std::size_t num_views() const { return views_.size(); }
 
   // Refreshes every view through the batched RefreshEngine: one CSR

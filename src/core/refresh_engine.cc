@@ -456,7 +456,7 @@ util::Status RefreshEngine::RefreshAll(const graph::SearchGraph& base,
 
   // Phase 2: fan the per-view searches out. Each task touches only its
   // own view plus read-only shared state (catalog, weights, its own
-  // synchronized subproblem memo), and results land in per-view slots, so
+  // synchronized enumeration memo), and results land in per-view slots, so
   // the merge is deterministic regardless of scheduling.
   std::vector<util::Status> statuses(pending.size(), util::Status::OK());
   auto run_one = [&](std::size_t j) {

@@ -198,7 +198,7 @@ enum class AsyncViewClass {
 //   * full re-cost  — unchanged topology but the weight journal was
 //                     truncated or the delta was dense: the snapshot is
 //                     re-costed wholesale in place (CsrGraph::Recost) and
-//                     the engine's subproblem memo moves to a new
+//                     the engine's enumeration memo moves to a new
 //                     generation;
 //   * delta re-cost — the weight delta (plus any in-place base-edge
 //                     mutations, propagated into the cached query graph

@@ -868,7 +868,7 @@ FastSteinerEngine::FastSteinerEngine(const graph::SearchGraph& graph,
                                      const graph::WeightVector& weights,
                                      bool use_memo)
     : csr_(std::make_shared<CsrGraph>(CsrGraph::Build(graph, weights))) {
-  if (use_memo) memo_ = std::make_unique<SolveMemo>();
+  if (use_memo) memo_ = std::make_unique<TopKMemo>();
 }
 
 SnapshotPin FastSteinerEngine::Pin() const {
@@ -1011,25 +1011,6 @@ std::optional<SteinerTree> FastSteinerEngine::SolveKmb(
     const std::vector<graph::EdgeId>& banned) {
   return SolveKmbImpl(pin, terminals, forced, banned, /*mask=*/nullptr,
                       /*outcome=*/nullptr, /*escalate_bound=*/nullptr);
-}
-
-std::optional<SteinerTree> FastSteinerEngine::SolveMemoized(
-    const SnapshotPin& pin, SolverKind kind,
-    const std::vector<graph::NodeId>& terminals,
-    const std::vector<graph::EdgeId>& forced,
-    const std::vector<graph::EdgeId>& banned) {
-  std::optional<SteinerTree> verdict;
-  if (memo_ != nullptr && memo_->Lookup(pin.generation, kind, terminals,
-                                        forced, banned, &verdict)) {
-    return verdict;
-  }
-  verdict = kind == SolverKind::kKmb
-                ? SolveKmb(pin, terminals, forced, banned)
-                : SolveExact(pin, terminals, forced, banned);
-  if (memo_ != nullptr) {
-    memo_->Insert(pin.generation, kind, terminals, forced, banned, verdict);
-  }
-  return verdict;
 }
 
 std::optional<SteinerTree> FastSteinerEngine::SolveKmbMasked(

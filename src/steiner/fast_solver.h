@@ -11,8 +11,8 @@
 
 #include "graph/search_graph.h"
 #include "steiner/csr.h"
-#include "steiner/solve_memo.h"
 #include "steiner/steiner_tree.h"
+#include "steiner/top_k_memo.h"
 
 namespace q::steiner {
 
@@ -28,8 +28,8 @@ struct FastSolveStats {
   std::size_t sp_local_hits = 0;
   std::size_t sp_local_misses = 0;
   std::size_t masked_bypasses = 0;
-  // Subproblem memo traffic (FastSteinerEngine::SolveMemoized): lookups
-  // served and missed, live entries, and the heap bytes they hold.
+  // Enumeration memo traffic (TopKMemo): enumerations served and missed,
+  // live entries, and the heap bytes they hold.
   std::size_t memo_hits = 0;
   std::size_t memo_misses = 0;
   std::size_t memo_entries = 0;
@@ -54,7 +54,7 @@ std::size_t ThreadScratchBytes();
 // Namespace-scope (rather than nested) so top_k.h can forward-declare it.
 struct SnapshotPin {
   std::shared_ptr<const CsrGraph> csr;
-  // Engine generation at pin time; the subproblem memo is keyed by it.
+  // Engine generation at pin time; it scopes the enumeration memo.
   std::uint64_t generation = 0;
 };
 
@@ -85,11 +85,11 @@ enum class MaskedOutcome { kOk, kEscalate };
 // ones, and Dijkstra's canonical settle order makes the shorter run a
 // prefix of the full one, so every value KMB reads equals the full run's.
 // Trees live in the thread's scratch and are never shared between
-// solves. When `use_memo` is set, whole unmasked subproblem verdicts are
-// shared through a SolveMemo (see SolveMemoized), the engine's only
-// cache. Memo state never changes solver output (a hit equals a fresh
-// solve), which is what keeps memoized/parallel runs byte-identical to
-// sequential unmemoized runs.
+// solves. When `use_memo` is set, the engine carries a TopKMemo of whole
+// unsharded top-k enumerations (see top_k_memo.h), its only cache; the
+// solvers themselves never read it. Memo state never changes output (a
+// hit returns what the stored run returned), which is what keeps
+// memoized/parallel runs byte-identical to sequential unmemoized runs.
 //
 // Concurrency (the async refresh scheduler's contract): any number of
 // Solve* calls may run concurrently with each other AND with one
@@ -166,7 +166,7 @@ class FastSteinerEngine {
 
   // Snapshot generation: 0 at construction, +1 per Recost and per
   // effective RecostDelta (one that moved at least one edge cost), so it
-  // names the CSR cost bits — the subproblem memo is scoped to it.
+  // names the CSR cost bits — the enumeration memo is scoped to it.
   std::uint64_t generation() const { return generation_; }
 
   SnapshotPin Pin() const;
@@ -191,20 +191,6 @@ class FastSteinerEngine {
       const std::vector<graph::EdgeId>& forced,
       const std::vector<graph::EdgeId>& banned);
   std::optional<SteinerTree> SolveExact(
-      const std::vector<graph::NodeId>& terminals,
-      const std::vector<graph::EdgeId>& forced,
-      const std::vector<graph::EdgeId>& banned);
-
-  // SolveKmb or SolveExact (per `kind`) against `pin`, served from the
-  // engine's subproblem memo when the same call was already solved under
-  // the pin's generation (see solve_memo.h). The memo exists when the
-  // engine was built with `use_memo`; a hit returns what the pure call
-  // returns, so memo state never changes output. Entries live for one engine generation: Recost and every
-  // RecostDelta that moves a cost purge them, and a solve pinned to an
-  // older generation neither reads nor inserts. TopKSteinerTrees routes
-  // every unmasked Lawler subproblem through here.
-  std::optional<SteinerTree> SolveMemoized(
-      const SnapshotPin& pin, SolverKind kind,
       const std::vector<graph::NodeId>& terminals,
       const std::vector<graph::EdgeId>& forced,
       const std::vector<graph::EdgeId>& banned);
@@ -260,8 +246,8 @@ class FastSteinerEngine {
   // escalation if a child surfaces before k trees are emitted (see
   // top_k.cc).
   //
-  // Masked solves bypass the memo, and every clip floor they certify
-  // against is computed by the solve itself.
+  // Every clip floor a masked solve certifies against is computed by the
+  // solve itself.
   //
   // Precondition: `mask` carries a compact view (ShardMask::BuildCompact)
   // built over the pinned snapshot that holds every deduplicated
@@ -287,6 +273,11 @@ class FastSteinerEngine {
   // concurrent readers must hold a Pin instead.
   const CsrGraph& csr() const { return *csr_; }
   FastSolveStats stats() const;
+
+  // The engine's enumeration memo, or null when built without `use_memo`.
+  // Entries live for one engine generation: Recost and every RecostDelta
+  // that moves a cost purge them.
+  TopKMemo* memo() { return memo_.get(); }
 
  private:
   // Shared front half of RecostDelta/PreviewDelta: maps the deltas'
@@ -329,7 +320,7 @@ class FastSteinerEngine {
       std::make_shared<std::atomic<std::int64_t>>(0);
   mutable std::mutex snapshot_mu_;
   std::uint64_t generation_ = 0;
-  std::unique_ptr<SolveMemo> memo_;  // null when built without `use_memo`
+  std::unique_ptr<TopKMemo> memo_;  // null when built without `use_memo`
   // Lazily built by RecostDelta; reset by InvalidateFeatureIndex.
   std::unique_ptr<FeatureEdgeIndex> feature_index_;
   // Scratch reused across RecostDelta calls.

@@ -92,118 +92,14 @@ std::vector<graph::EdgeId> CertificateNeighborhood(
   return edges;
 }
 
-}  // namespace
-
-std::vector<SteinerTree> TopKSteinerTrees(
-    const graph::SearchGraph& graph, const graph::WeightVector& weights,
-    const std::vector<graph::NodeId>& terminals, const TopKConfig& config) {
-  return TopKSteinerTrees(graph, weights, terminals, config,
-                          /*shared_engine=*/nullptr);
-}
-
-std::vector<SteinerTree> TopKSteinerTrees(
-    const graph::SearchGraph& graph, const graph::WeightVector& weights,
-    const std::vector<graph::NodeId>& terminals, const TopKConfig& config,
-    FastSteinerEngine* shared_engine, RelevanceCertificate* certificate,
-    const SnapshotPin* pin) {
-  if (certificate != nullptr) *certificate = RelevanceCertificate{};
+// The Lawler enumeration over `attempt`. `certificate`, when non-null,
+// arrives reset and is filled in here.
+std::vector<SteinerTree> Enumerate(const graph::SearchGraph& graph,
+                                   const std::vector<graph::NodeId>& terminals,
+                                   const TopKConfig& config, bool use_kmb,
+                                   const AttemptFn& attempt,
+                                   RelevanceCertificate* certificate) {
   std::vector<SteinerTree> output;
-  if (terminals.empty() || config.k <= 0) return output;
-
-  const bool use_kmb =
-      config.approximate || graph.num_nodes() > config.approximate_above_nodes;
-  const SolverKind kind = use_kmb ? SolverKind::kKmb : SolverKind::kExact;
-
-  // The solver substrate. The fast engine solves every subproblem as an
-  // O(|edit|) overlay on a CSR snapshot — the caller's shared one when
-  // provided (batched refresh), otherwise one built for this call. The
-  // legacy path rebuilds a contracted SteinerProblem per call.
-  std::unique_ptr<FastSteinerEngine> owned_engine;
-  SnapshotPin enumeration_pin;
-  std::unique_ptr<TerminalLocalizer> localizer;
-  AttemptFn attempt;
-  if (config.engine == SteinerEngine::kFast) {
-    FastSteinerEngine* engine = shared_engine;
-    if (engine == nullptr) {
-      owned_engine = std::make_unique<FastSteinerEngine>(graph, weights,
-                                                         config.use_sp_cache);
-      engine = owned_engine.get();
-    }
-    // One pin spans the whole enumeration: every Lawler subproblem solves
-    // against the same frozen CSR generation even if a concurrent re-cost
-    // lands between subproblems (serving-path callers pass the pin they
-    // captured together with their weight snapshot).
-    enumeration_pin = pin != nullptr ? *pin : engine->Pin();
-    if (config.sharded.enabled) {
-      // Terminal-local sharded search: one localizer spans the
-      // enumeration (masked solves bypass the memo — see fast_solver.h).
-      // With must_solve, a subproblem retries through escalation until
-      // its masked result verifies or the mask covers everything worth
-      // covering — at which point the ordinary unmasked solve (and the
-      // engine's memo) takes over. Without it, a single masked attempt either verifies or
-      // yields the certified lower bound the caller parks on — the mask
-      // never grows for a subspace whose bound may keep it from ever
-      // surfacing. Masked results that verify are bit-identical to
-      // unmasked ones (see fast_solver.h), so the enumeration's output —
-      // and its certificate — never depends on sharding, mask growth, or
-      // scheduling.
-      localizer = std::make_unique<TerminalLocalizer>(
-          enumeration_pin.csr,
-          engine->Shards(config.sharded.target_shard_nodes), terminals);
-      attempt = [engine, &enumeration_pin, &terminals, use_kmb, kind,
-                 loc = localizer.get()](
-                    const std::vector<graph::EdgeId>& forced,
-                    const std::vector<graph::EdgeId>& banned,
-                    bool must_solve) -> AttemptResult {
-        for (;;) {
-          TerminalLocalizer::Snapshot snap = loc->Acquire();
-          if (snap.mask->covers_all) {
-            return AttemptResult{engine->SolveMemoized(
-                enumeration_pin, kind, terminals, forced, banned)};
-          }
-          MaskedOutcome outcome;
-          double bound = 0.0;
-          auto tree = use_kmb
-                          ? engine->SolveKmbMasked(enumeration_pin, terminals,
-                                                   forced, banned, *snap.mask,
-                                                   &outcome, &bound)
-                          : engine->SolveExactMasked(enumeration_pin,
-                                                     terminals, forced, banned,
-                                                     *snap.mask, &outcome,
-                                                     &bound);
-          if (outcome == MaskedOutcome::kOk) return AttemptResult{std::move(tree)};
-          if (!must_solve) {
-            AttemptResult parked;
-            parked.parked = true;
-            parked.lower_bound = bound;
-            return parked;
-          }
-          loc->Escalate(snap.epoch);
-        }
-      };
-    } else {
-      // Every subproblem goes through the engine's memo: a search repeated
-      // against an unchanged snapshot replays this enumeration without
-      // re-solving one subproblem (see FastSteinerEngine::SolveMemoized).
-      attempt = [engine, &enumeration_pin, &terminals, kind](
-                    const std::vector<graph::EdgeId>& forced,
-                    const std::vector<graph::EdgeId>& banned,
-                    bool /*must_solve*/) {
-        return AttemptResult{engine->SolveMemoized(enumeration_pin, kind,
-                                                   terminals, forced, banned)};
-      };
-    }
-  } else {
-    attempt = [&graph, &weights, &terminals, use_kmb](
-                  const std::vector<graph::EdgeId>& forced,
-                  const std::vector<graph::EdgeId>& banned,
-                  bool /*must_solve*/) -> AttemptResult {
-      SteinerProblem problem(graph, weights, terminals, forced, banned);
-      return AttemptResult{use_kmb ? SolveKmbSteiner(problem)
-                                   : SolveExactSteiner(problem)};
-    };
-  }
-
   std::priority_queue<Subproblem, std::vector<Subproblem>, SubproblemGreater>
       heap;
   if (AttemptResult best = attempt({}, {}, /*must_solve=*/true);
@@ -353,6 +249,150 @@ std::vector<SteinerTree> TopKSteinerTrees(
       }
     }
   }
+  return output;
+}
+
+}  // namespace
+
+std::vector<SteinerTree> TopKSteinerTrees(
+    const graph::SearchGraph& graph, const graph::WeightVector& weights,
+    const std::vector<graph::NodeId>& terminals, const TopKConfig& config) {
+  return TopKSteinerTrees(graph, weights, terminals, config,
+                          /*shared_engine=*/nullptr);
+}
+
+std::vector<SteinerTree> TopKSteinerTrees(
+    const graph::SearchGraph& graph, const graph::WeightVector& weights,
+    const std::vector<graph::NodeId>& terminals, const TopKConfig& config,
+    FastSteinerEngine* shared_engine, RelevanceCertificate* certificate,
+    const SnapshotPin* pin) {
+  if (certificate != nullptr) *certificate = RelevanceCertificate{};
+  if (terminals.empty() || config.k <= 0) return {};
+
+  const bool use_kmb =
+      config.approximate || graph.num_nodes() > config.approximate_above_nodes;
+
+  // The legacy path rebuilds a contracted SteinerProblem per subproblem.
+  if (config.engine == SteinerEngine::kLegacy) {
+    return Enumerate(
+        graph, terminals, config, use_kmb,
+        [&graph, &weights, &terminals, use_kmb](
+            const std::vector<graph::EdgeId>& forced,
+            const std::vector<graph::EdgeId>& banned,
+            bool /*must_solve*/) -> AttemptResult {
+          SteinerProblem problem(graph, weights, terminals, forced, banned);
+          return AttemptResult{use_kmb ? SolveKmbSteiner(problem)
+                                       : SolveExactSteiner(problem)};
+        },
+        certificate);
+  }
+
+  // The fast engine solves every subproblem as an O(|edit|) overlay on a
+  // CSR snapshot — the caller's shared one when provided (batched
+  // refresh), otherwise one built for this call. A per-call engine is
+  // never asked twice, so it carries no memo.
+  std::unique_ptr<FastSteinerEngine> owned_engine;
+  FastSteinerEngine* engine = shared_engine;
+  if (engine == nullptr) {
+    owned_engine = std::make_unique<FastSteinerEngine>(graph, weights,
+                                                       /*use_memo=*/false);
+    engine = owned_engine.get();
+  }
+  // One pin spans the whole enumeration: every Lawler subproblem solves
+  // against the same frozen CSR generation even if a concurrent re-cost
+  // lands between subproblems (serving-path callers pass the pin they
+  // captured together with their weight snapshot).
+  const SnapshotPin enumeration_pin = pin != nullptr ? *pin : engine->Pin();
+  auto solve = [engine, &enumeration_pin, &terminals, use_kmb](
+                   const std::vector<graph::EdgeId>& forced,
+                   const std::vector<graph::EdgeId>& banned) {
+    return use_kmb
+               ? engine->SolveKmb(enumeration_pin, terminals, forced, banned)
+               : engine->SolveExact(enumeration_pin, terminals, forced,
+                                    banned);
+  };
+
+  if (config.sharded.enabled) {
+    // Terminal-local sharded search: one localizer spans the
+    // enumeration, which bypasses the memo. With must_solve, a subproblem
+    // retries through escalation until its masked result verifies or the
+    // mask covers everything worth covering — at which point the ordinary
+    // unmasked solve takes over. Without it, a single masked attempt
+    // either verifies or yields the certified lower bound the caller
+    // parks on — the mask never grows for a subspace whose bound may keep
+    // it from ever surfacing. Masked results that verify are
+    // bit-identical to unmasked ones (see fast_solver.h), so the
+    // enumeration's output — and its certificate — never depends on
+    // sharding, mask growth, or scheduling.
+    TerminalLocalizer localizer(
+        enumeration_pin.csr,
+        engine->Shards(config.sharded.target_shard_nodes), terminals);
+    return Enumerate(
+        graph, terminals, config, use_kmb,
+        [engine, &enumeration_pin, &terminals, use_kmb, &localizer, &solve](
+            const std::vector<graph::EdgeId>& forced,
+            const std::vector<graph::EdgeId>& banned,
+            bool must_solve) -> AttemptResult {
+          for (;;) {
+            TerminalLocalizer::Snapshot snap = localizer.Acquire();
+            if (snap.mask->covers_all) {
+              return AttemptResult{solve(forced, banned)};
+            }
+            MaskedOutcome outcome;
+            double bound = 0.0;
+            auto tree =
+                use_kmb ? engine->SolveKmbMasked(enumeration_pin, terminals,
+                                                 forced, banned, *snap.mask,
+                                                 &outcome, &bound)
+                        : engine->SolveExactMasked(enumeration_pin, terminals,
+                                                   forced, banned, *snap.mask,
+                                                   &outcome, &bound);
+            if (outcome == MaskedOutcome::kOk) {
+              return AttemptResult{std::move(tree)};
+            }
+            if (!must_solve) {
+              AttemptResult parked;
+              parked.parked = true;
+              parked.lower_bound = bound;
+              return parked;
+            }
+            localizer.Escalate(snap.epoch);
+          }
+        },
+        certificate);
+  }
+
+  const AttemptFn attempt = [&solve](const std::vector<graph::EdgeId>& forced,
+                                     const std::vector<graph::EdgeId>& banned,
+                                     bool /*must_solve*/) {
+    return AttemptResult{solve(forced, banned)};
+  };
+  // A search repeated against an unchanged snapshot is one lookup, and
+  // concurrent misses on one key run it once (see top_k_memo.h).
+  TopKMemo* memo = engine->memo();
+  const TopKMemoKey key{use_kmb, terminals, config.k, config.max_subproblems,
+                        certificate != nullptr};
+  bool claimed = false;
+  if (memo != nullptr) {
+    if (auto hit = memo->Lookup(enumeration_pin.generation, key, &claimed)) {
+      if (certificate != nullptr) *certificate = hit->certificate;
+      return hit->trees;
+    }
+  }
+  if (!claimed) {
+    return Enumerate(graph, terminals, config, use_kmb, attempt, certificate);
+  }
+  // Publishes on every exit; an enumeration that unwinds publishes null,
+  // which hands the claim to a waiter.
+  std::shared_ptr<const TopKMemoValue> value;
+  auto publish = [&](TopKMemo* m) {
+    m->Publish(enumeration_pin.generation, key, std::move(value));
+  };
+  std::unique_ptr<TopKMemo, decltype(publish)> publisher(memo, publish);
+  std::vector<SteinerTree> output =
+      Enumerate(graph, terminals, config, use_kmb, attempt, certificate);
+  value = std::make_shared<const TopKMemoValue>(TopKMemoValue{
+      output, certificate != nullptr ? *certificate : RelevanceCertificate{}});
   return output;
 }
 

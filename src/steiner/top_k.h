@@ -17,9 +17,9 @@ namespace q::steiner {
 
 // Which single-tree solver substrate drives the Lawler enumeration.
 //   kFast   — CSR snapshot built once per call, forced/banned edges applied
-//             as overlays, solved subproblems shared through a SolveMemo,
-//             allocation-free scratch arenas (see fast_solver.h and
-//             docs/query_engine.md).
+//             as overlays, allocation-free scratch arenas, and whole
+//             enumerations shared through a caller-owned engine's TopKMemo
+//             (see fast_solver.h and docs/query_engine.md).
 //   kLegacy — rebuilds a contracted SteinerProblem per subproblem; kept as
 //             the reference implementation and benchmark baseline.
 enum class SteinerEngine { kFast = 0, kLegacy = 1 };
@@ -64,11 +64,12 @@ struct TopKConfig {
   // Fast-path controls. Disabling the memo or the pool never changes the
   // output (the determinism contract of docs/query_engine.md); it only
   // changes how fast the same trees are produced. Despite its name,
-  // `use_sp_cache` switches only the subproblem memo of a fast engine
-  // built here: the memo serves every unmasked Lawler subproblem a search
-  // at the same engine generation already solved
-  // (FastSteinerEngine::SolveMemoized). A shared engine passed to the
-  // overload below keeps the setting it was built with.
+  // `use_sp_cache` only says whether an engine built from this config
+  // (the RefreshEngine's per-view engines) carries an enumeration memo
+  // (top_k_memo.h), which serves an unsharded search repeated at the same
+  // engine generation with one lookup. A shared engine passed to the
+  // overload below keeps the setting it was built with; the per-call
+  // engine of the overload above never has a memo.
   SteinerEngine engine = SteinerEngine::kFast;
   bool use_sp_cache = true;
   // When set, the independent child subproblems of each Lawler expansion
@@ -166,9 +167,12 @@ struct RelevanceCertificate {
 // Same enumeration, but served from a caller-owned CSR snapshot instead of
 // building one per call (the RefreshEngine's batched-refresh substrate).
 // `shared_engine` must have been built (or last Recost) from exactly this
-// (graph, weights) pair; its subproblem memo carries over between calls,
-// which never changes output (a hit equals a fresh solve — the
-// determinism contract of docs/query_engine.md). A null engine, or config.engine == kLegacy,
+// (graph, weights) pair. When it carries a memo and the search is
+// unsharded, the memo is looked up once after pinning (waiting while a
+// concurrent search runs the same enumeration) and, on a miss, given the
+// trees and certificate once after the enumeration; a hit returns
+// exactly what the stored run returned (the determinism contract
+// of docs/query_engine.md). A null engine, or config.engine == kLegacy,
 // falls back to the self-contained overload above. When `certificate` is
 // non-null it is overwritten with this search's relevance certificate
 // (valid only for untruncated exact runs; see RelevanceCertificate).

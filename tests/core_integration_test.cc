@@ -287,6 +287,26 @@ TEST(QSystemTest, InvalidAndRankingFeedback) {
   EXPECT_TRUE(q.ApplyRankingFeedback(99, 0, 1).IsInvalidArgument());
 }
 
+#if GTEST_HAS_DEATH_TEST
+// An id that names no view aborts with a message instead of reading past
+// the end of the view table, through both overloads.
+TEST(QSystemDeathTest, ViewAbortsOnUnknownId) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto dataset = data::BuildInterProGo(SmallDataset());
+  QSystem q;
+  for (const auto& src : dataset.catalog.sources()) {
+    ASSERT_TRUE(q.RegisterSource(src).ok());
+  }
+  auto view_id = q.CreateView({"plasma membrane", "pub title"});
+  ASSERT_TRUE(view_id.ok());
+  ASSERT_EQ(q.num_views(), 1u);
+  EXPECT_DEATH(q.view(1), "no such view: 1");
+  const QSystem& const_q = q;
+  EXPECT_DEATH(const_q.view(1u << 20), "no such view: 1048576");
+  EXPECT_TRUE(q.QueryView(1).status().IsInvalidArgument());
+}
+#endif
+
 TEST(QSystemTest, FeedbackLogRecordsInteractions) {
   auto dataset = data::BuildInterProGo(SmallDataset());
   QSystem q;

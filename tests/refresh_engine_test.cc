@@ -1,7 +1,7 @@
 // Batched view refresh (core::RefreshEngine): RefreshAll() across N views
 // must be bit-identical to N independent TopKView::Refresh() calls under
 // every thread-pool setting (sequential / 1 worker / hardware) and with
-// the subproblem memo disabled; and the snapshot generation must be
+// the enumeration memo disabled; and the snapshot generation must be
 // bumped — with results actually changing — by weight updates, new-source
 // registration, and similarity-edge addition (the stale-snapshot
 // regressions).

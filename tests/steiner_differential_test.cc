@@ -5,7 +5,7 @@
 // solver families, under forced/banned-edge overlays, and through the
 // weight-only Recost fast path (a re-costed snapshot must be
 // indistinguishable from a freshly built one, including across a warm
-// subproblem memo).
+// enumeration memo).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +25,7 @@
 #include "steiner/problem.h"
 #include "steiner/shard.h"
 #include "steiner/top_k.h"
+#include "steiner/top_k_memo.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -271,8 +272,8 @@ class DeltaRecostDifferentialTest : public ::testing::TestWithParam<int> {};
 // to a long-lived engine through the delta pipeline (RecostDelta, full
 // Recost on dense deltas, rebuild on topology change), and after every
 // step the top-k output must be bit-identical to a freshly built snapshot
-// — with the subproblem memo kept across steps, so a wrongly retained
-// verdict would surface immediately.
+// — with the enumeration memo kept across steps, so a wrongly retained
+// enumeration would surface immediately.
 TEST_P(DeltaRecostDifferentialTest, DeltaPathMatchesFreshSnapshot) {
   util::Rng rng(34000 + GetParam());
   DiffGraph g(&rng, 26 + rng.Uniform(20), 55 + rng.Uniform(40),
@@ -368,10 +369,10 @@ void ExpectSameSearch(const std::vector<SteinerTree>& expected,
       << label;
 }
 
-// The subproblem memo (FastSteinerEngine::SolveMemoized) under the same
-// kind of long-lived engine: every enumeration on the cached engine is run
-// twice, so the second replays from a warm memo, and both must equal an
-// uncached referee engine (no memo) byte for byte
+// The enumeration memo (TopKMemo) under the same kind of long-lived
+// engine: every enumeration on the cached engine is run twice, so the
+// second is served from a warm memo, and both must equal an uncached
+// referee engine (no memo) byte for byte
 // — trees, order, costs and certificate — for exact and KMB, with and
 // without a pool, on 2 terminals (even params) and 3-4 (odd). Across a
 // Recost and an effective RecostDelta the memo must start cold (no hit on
@@ -506,8 +507,182 @@ TEST_P(DeltaRecostDifferentialTest, MemoServedSearchesMatchUncachedReferee) {
   check("no-op delta", /*cold=*/false);
 }
 
+// The memo key must cover every input that changes an enumeration's
+// output. One memo engine serves an interleaved sequence of calls, each
+// differing from an earlier one in a single input — k, a truncating
+// max_subproblems, whether a certificate is requested, the solver, the
+// terminals' order — and every call must equal a fresh no-memo referee,
+// trees and certificate. A key missing any of those inputs serves some
+// call the entry an earlier call left.
+TEST_P(DeltaRecostDifferentialTest, MemoKeyCoversEveryOutputInput) {
+  util::Rng rng(36000 + GetParam());
+  DiffGraph g(&rng, 26 + rng.Uniform(20), 55 + rng.Uniform(40),
+              3 + rng.Uniform(2));
+  const std::vector<NodeId> permuted(g.terminals.rbegin(),
+                                     g.terminals.rend());
+  const std::size_t full = TopKConfig{}.max_subproblems;
+  const std::size_t truncating = 2;
+  struct Call {
+    int k;
+    std::size_t max_subproblems;
+    bool certified;
+    bool approximate;
+    bool permute;
+  };
+  const std::vector<Call> calls = {
+      {3, full, true, false, false},        // k = 3, then 5, then 3
+      {5, full, true, false, false},
+      {3, full, true, false, false},
+      {5, truncating, true, false, false},  // truncated, then the default
+      {5, full, true, false, false},
+      {4, full, false, false, false},       // certificate off, then on
+      {4, full, true, false, false},
+      {5, full, false, false, false},       // certificate on, then off
+      {5, full, true, true, false},         // KMB on the same terminals
+      {5, full, true, false, true},         // permuted terminals
+      {5, full, true, true, true},
+      {5, full, true, false, false},
+      {5, full, true, true, false},
+  };
+
+  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/true);
+  std::vector<std::size_t> seen;  // indexes into `calls` of distinct keys
+  std::size_t repeats = 0;
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    const Call& call = calls[i];
+    TopKConfig config;
+    config.k = call.k;
+    config.max_subproblems = call.max_subproblems;
+    config.approximate = call.approximate;
+    const std::vector<NodeId>& terminals =
+        call.permute ? permuted : g.terminals;
+    const std::string label =
+        "call " + std::to_string(i) + " k " + std::to_string(call.k) +
+        " cap " + std::to_string(call.max_subproblems) +
+        (call.certified ? " certified" : "") +
+        (call.approximate ? " kmb" : " exact") +
+        (call.permute ? " permuted" : "");
+
+    RelevanceCertificate expected_cert;
+    auto expected = TopKSteinerTrees(
+        g.graph, *g.weights, terminals, config, /*shared_engine=*/nullptr,
+        call.certified ? &expected_cert : nullptr);
+    RelevanceCertificate cert;
+    auto served = TopKSteinerTrees(g.graph, *g.weights, terminals, config,
+                                   &engine,
+                                   call.certified ? &cert : nullptr);
+    ExpectSameSearch(expected, expected_cert, served, cert, label);
+
+    // Each field must actually change the referee's output, or a key
+    // without it could pass by luck.
+    if (!call.approximate && call.max_subproblems == full) {
+      EXPECT_EQ(expected.size(), static_cast<std::size_t>(call.k)) << label;
+      EXPECT_EQ(expected_cert.valid, call.certified) << label;
+    }
+    if (call.max_subproblems == truncating) {
+      EXPECT_LT(expected.size(), 3u) << label;
+      EXPECT_FALSE(expected_cert.valid) << label;
+    }
+
+    const bool repeat =
+        std::any_of(seen.begin(), seen.end(), [&](std::size_t j) {
+          const Call& c = calls[j];
+          return c.k == call.k && c.max_subproblems == call.max_subproblems &&
+                 c.certified == call.certified &&
+                 c.approximate == call.approximate &&
+                 c.permute == call.permute;
+        });
+    if (repeat) {
+      ++repeats;
+    } else {
+      seen.push_back(i);
+    }
+  }
+  // Every repeat is one hit and every first call one miss and one entry.
+  const FastSolveStats stats = engine.stats();
+  EXPECT_EQ(stats.memo_hits, repeats);
+  EXPECT_EQ(stats.memo_misses, seen.size());
+  EXPECT_EQ(stats.memo_entries, seen.size());
+}
+
+// Concurrent misses on one key run the enumeration once: every thread
+// that arrives while the first runs it waits for its result, so however
+// the threads interleave the memo counts one miss and one entry, and
+// every thread returns the referee's trees and certificate.
+TEST_P(DeltaRecostDifferentialTest, ConcurrentMissesRunOneEnumeration) {
+  util::Rng rng(37000 + GetParam());
+  DiffGraph g(&rng, 26 + rng.Uniform(20), 55 + rng.Uniform(40),
+              3 + rng.Uniform(2));
+  TopKConfig config;
+  config.k = 5;
+  RelevanceCertificate expected_cert;
+  const auto expected =
+      TopKSteinerTrees(g.graph, *g.weights, g.terminals, config,
+                       /*shared_engine=*/nullptr, &expected_cert);
+  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/true);
+  constexpr int kThreads = 4;
+  std::vector<std::vector<SteinerTree>> served(kThreads);
+  std::vector<RelevanceCertificate> certs(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      served[t] = TopKSteinerTrees(g.graph, *g.weights, g.terminals, config,
+                                   &engine, &certs[t]);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ExpectSameSearch(expected, expected_cert, served[t], certs[t],
+                     "thread " + std::to_string(t));
+  }
+  const FastSolveStats stats = engine.stats();
+  EXPECT_EQ(stats.memo_misses, 1u);
+  EXPECT_EQ(stats.memo_hits, static_cast<std::size_t>(kThreads - 1));
+  EXPECT_EQ(stats.memo_entries, 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, DeltaRecostDifferentialTest,
                          ::testing::Range(0, 8));
+
+// A claimed key's waiters never hang: a claim released by a null
+// Publish passes to a waiter, and a generation change sends every waiter
+// off to run its enumeration itself, claiming nothing.
+TEST(TopKMemoTest, WaitersResumeWhenAClaimIsReleasedOrPurged) {
+  TopKMemo memo;
+  const TopKMemoKey key{/*kmb=*/false, {1, 2}, /*k=*/3,
+                        /*max_subproblems=*/100, /*certified=*/true};
+  bool claimed = false;
+  EXPECT_EQ(memo.Lookup(0, key, &claimed), nullptr);
+  ASSERT_TRUE(claimed);
+  bool waiter_claimed = false;
+  std::thread waiter([&] {
+    EXPECT_EQ(memo.Lookup(0, key, &waiter_claimed), nullptr);
+  });
+  memo.Publish(0, key, nullptr);
+  waiter.join();
+  ASSERT_TRUE(waiter_claimed);
+  EXPECT_EQ(memo.size(), 1u);
+
+  bool stale_claimed = true;
+  std::thread stale([&] {
+    EXPECT_EQ(memo.Lookup(0, key, &stale_claimed), nullptr);
+  });
+  memo.Advance(1);
+  stale.join();
+  EXPECT_FALSE(stale_claimed);
+  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_EQ(memo.hits(), 0u);
+  EXPECT_EQ(memo.misses(), 3u);
+
+  // The next generation claims afresh and serves what was published.
+  EXPECT_EQ(memo.Lookup(1, key, &claimed), nullptr);
+  ASSERT_TRUE(claimed);
+  auto value = std::make_shared<const TopKMemoValue>();
+  memo.Publish(1, key, value);
+  EXPECT_EQ(memo.Lookup(1, key, &claimed), value);
+  EXPECT_FALSE(claimed);
+  EXPECT_EQ(memo.hits(), 1u);
+}
 
 // --- sharded terminal-local search differential ----------------------------
 // The sharded solver's whole contract is "bit-identical output, fewer

@@ -2,7 +2,7 @@
 // (src/steiner/fast_solver.*): across seeded random graphs — including
 // tie-heavy graphs with zero-cost edges and forced/banned overlays — the
 // fast engine must produce byte-identical top-k results whether or not
-// the subproblem memo and the thread pool are enabled, and must match
+// the enumeration memo and the thread pool are enabled, and must match
 // the legacy SteinerProblem engine whenever edge costs are distinct.
 #include <gtest/gtest.h>
 
@@ -71,16 +71,21 @@ struct RandomGraph {
   }
 };
 
+// `cache` runs on `memo_engine`, a memo engine over g that the caller
+// keeps across runs, so a repeat is served from the memo; otherwise each
+// run builds its own engine.
 std::vector<SteinerTree> RunTopK(const RandomGraph& g, SteinerEngine engine,
                                  bool cache, util::ThreadPool* pool,
-                                 bool approximate, int k = 6) {
+                                 bool approximate, int k = 6,
+                                 FastSteinerEngine* memo_engine = nullptr) {
   TopKConfig config;
   config.k = k;
   config.approximate = approximate;
   config.engine = engine;
   config.use_sp_cache = cache;
   config.pool = pool;
-  return TopKSteinerTrees(g.graph, *g.weights, g.terminals, config);
+  return TopKSteinerTrees(g.graph, *g.weights, g.terminals, config,
+                          cache ? memo_engine : nullptr);
 }
 
 // Byte-identical comparison: same trees, same order, same costs.
@@ -103,17 +108,21 @@ TEST_P(FastPathIdentityTest, CacheAndPoolAreByteIdentical) {
   RandomGraph g(&rng, 40 + rng.Uniform(40), 100 + rng.Uniform(60),
                 3 + rng.Uniform(2), /*zero_cost_fraction=*/0.3);
   util::ThreadPool pool(4);
+  FastSteinerEngine memo_engine(g.graph, *g.weights, /*use_memo=*/true);
   for (bool approximate : {false, true}) {
     auto base = RunTopK(g, SteinerEngine::kFast, false, nullptr, approximate);
-    auto cached = RunTopK(g, SteinerEngine::kFast, true, nullptr, approximate);
+    auto cached = RunTopK(g, SteinerEngine::kFast, true, nullptr, approximate,
+                          6, &memo_engine);
     auto pooled = RunTopK(g, SteinerEngine::kFast, false, &pool, approximate);
-    auto both = RunTopK(g, SteinerEngine::kFast, true, &pool, approximate);
+    auto both = RunTopK(g, SteinerEngine::kFast, true, &pool, approximate, 6,
+                        &memo_engine);
     std::string label = approximate ? "kmb" : "exact";
     ExpectIdentical(base, cached, label + " cache");
     ExpectIdentical(base, pooled, label + " pool");
     ExpectIdentical(base, both, label + " cache+pool");
     // Re-running with a warm engine state must also be stable.
-    auto again = RunTopK(g, SteinerEngine::kFast, true, &pool, approximate);
+    auto again = RunTopK(g, SteinerEngine::kFast, true, &pool, approximate,
+                         6, &memo_engine);
     ExpectIdentical(base, again, label + " rerun");
   }
 }
