@@ -92,6 +92,69 @@ std::vector<graph::EdgeId> CertificateNeighborhood(
   return edges;
 }
 
+// Buffers for BranchOrder, reused across expansions (pivots hold about 10
+// edges).
+struct BranchWalk {
+  std::vector<graph::EdgeId> order;
+  std::vector<char> taken;  // indexed like the pivot's edges
+  std::vector<graph::NodeId> reached;
+  std::vector<graph::NodeId> stack;
+};
+
+// The order in which a pivot's edges are branched on: depth-first preorder
+// of the pivot's own edges from terminals[0], taking at each node the
+// lowest-id untaken edge that touches it and backing up when none is left;
+// then the same walk from each later terminal not yet reached; then every
+// edge still untaken (a forest pivot's floating pieces) in ascending id.
+// `edges` is canonical (sorted), so the first match is the lowest id.
+// Forced edges are walked through like any other; the caller skips them
+// when it branches, so every forced prefix is a connected piece hanging
+// off a terminal with at most one non-terminal leaf. The order is a pure
+// function of the edge ids, their endpoints and the terminals as passed,
+// never of costs: the relevance certificate relies on a certified-safe
+// delta reproducing the same children, and the enumeration memo keys on
+// the terminals as passed (see "Branching order" in docs/query_engine.md).
+void BranchOrder(const graph::SearchGraph& graph,
+                 const std::vector<graph::EdgeId>& edges,
+                 const std::vector<graph::NodeId>& terminals,
+                 BranchWalk* walk) {
+  walk->order.clear();
+  walk->taken.assign(edges.size(), 0);
+  walk->reached.clear();
+  auto reach = [walk](graph::NodeId node) {
+    if (std::find(walk->reached.begin(), walk->reached.end(), node) !=
+        walk->reached.end()) {
+      return false;
+    }
+    walk->reached.push_back(node);
+    return true;
+  };
+  for (graph::NodeId start : terminals) {
+    if (!reach(start)) continue;
+    walk->stack.assign(1, start);
+    while (!walk->stack.empty()) {
+      const graph::NodeId at = walk->stack.back();
+      std::size_t next = 0;
+      for (; next < edges.size(); ++next) {
+        if (walk->taken[next]) continue;
+        const graph::EdgeView edge = graph.edge(edges[next]);
+        if (edge.u == at || edge.v == at) break;
+      }
+      if (next == edges.size()) {
+        walk->stack.pop_back();
+        continue;
+      }
+      walk->taken[next] = 1;
+      walk->order.push_back(edges[next]);
+      const graph::NodeId other = graph.edge(edges[next]).Other(at);
+      if (reach(other)) walk->stack.push_back(other);
+    }
+  }
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    if (!walk->taken[i]) walk->order.push_back(edges[i]);
+  }
+}
+
 // The Lawler enumeration over `attempt`. `certificate`, when non-null,
 // arrives reset and is filled in here.
 std::vector<SteinerTree> Enumerate(const graph::SearchGraph& graph,
@@ -113,8 +176,9 @@ std::vector<SteinerTree> Enumerate(const graph::SearchGraph& graph,
   std::set<std::vector<graph::EdgeId>> seen;
   std::size_t expansions = 0;
 
-  // Reused per-expansion child buffers (parallel solves write into
-  // index-addressed slots, so the merge below is deterministic).
+  // Reused per-expansion walk and child buffers (parallel solves write
+  // into index-addressed slots, so the merge below is deterministic).
+  BranchWalk walk;
   std::vector<std::vector<graph::EdgeId>> child_forced;
   std::vector<std::vector<graph::EdgeId>> child_banned;
   std::vector<AttemptResult> child_result;
@@ -162,14 +226,17 @@ std::vector<SteinerTree> Enumerate(const graph::SearchGraph& graph,
       }
     }
 
-    // Branch on the tree's free (non-forced) edges: child i forces the
-    // first i free edges and bans the (i+1)-th.
+    // Branch on the tree's free (non-forced) edges in BranchOrder: child
+    // i forces the first i free edges and bans the (i+1)-th. Any order
+    // partitions the subspace; this one keeps each forced prefix attached
+    // to a terminal, so few children solve to improper pivots.
+    BranchOrder(graph, sub.tree.edges, terminals, &walk);
     std::unordered_set<graph::EdgeId> forced_set(sub.forced.begin(),
                                                  sub.forced.end());
     child_forced.clear();
     child_banned.clear();
     std::vector<graph::EdgeId> forced = sub.forced;
-    for (graph::EdgeId e : sub.tree.edges) {
+    for (graph::EdgeId e : walk.order) {
       if (forced_set.count(e) > 0) continue;
       child_forced.push_back(forced);
       child_banned.push_back(sub.banned);

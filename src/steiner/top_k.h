@@ -82,8 +82,13 @@ struct TopKConfig {
 // (Sec. 2.2: each tree with the keyword nodes as leaves is a candidate
 // join query). Uses Lawler partitioning: the best tree is solved, then
 // the solution space is split into disjoint subspaces by forcing a prefix
-// of its edges and banning the next one. Returns fewer than k trees when
-// the space is exhausted or terminals are disconnected.
+// of its edges and banning the next one. The edges are taken in
+// depth-first order from the terminals, so each forced prefix stays
+// attached to a terminal; the order decides which of several equal-cost
+// trees comes first, and depends only on the tree's edges and the
+// terminals as passed (see "Branching order" in docs/query_engine.md).
+// Returns fewer than k trees when the space is exhausted or terminals are
+// disconnected.
 std::vector<SteinerTree> TopKSteinerTrees(
     const graph::SearchGraph& graph, const graph::WeightVector& weights,
     const std::vector<graph::NodeId>& terminals, const TopKConfig& config);

@@ -20,7 +20,8 @@ namespace q::steiner {
 struct TopKMemoKey {
   // KMB and the exact solver return different trees.
   bool kmb = false;
-  // As passed: KMB's Prim starts at terminals[0].
+  // As passed: KMB's Prim starts at terminals[0], and so does the Lawler
+  // branching order, which decides among tied trees.
   std::vector<graph::NodeId> terminals;
   int k = 0;
   // Decides truncation and the certificate's 2x-headroom rule.

@@ -373,15 +373,24 @@ TEST(ServeConcurrencyTest, OnboardingRegistrationsRaceQueryReaders) {
 
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> searches_ok{0};
+  // Readers that have completed one QueryView. The registrations wait for
+  // all of them, so every reader is live before the first registration
+  // (eight registrations can otherwise finish before any search does).
+  std::atomic<int> readers_ready{0};
   std::vector<std::thread> readers;
   for (int r = 0; r < kQueryReaders; ++r) {
     readers.emplace_back([&, r, &q = q, &view_ids = view_ids] {
       util::Rng rng(9700 + r);
+      bool first = true;
       while (!done.load(std::memory_order_acquire)) {
         std::size_t i = rng.Uniform(view_ids.size());
         std::string label =
             "reader " + std::to_string(r) + " view " + std::to_string(i);
         auto result = q->QueryView(view_ids[i]);
+        if (first) {
+          first = false;
+          readers_ready.fetch_add(1, std::memory_order_release);
+        }
         ASSERT_TRUE(result.ok()) << label << ": "
                                  << result.status().ToString();
         ExpectInternallyConsistent(*result, label);
@@ -393,6 +402,10 @@ TEST(ServeConcurrencyTest, OnboardingRegistrationsRaceQueryReaders) {
         }
       }
     });
+  }
+
+  while (readers_ready.load(std::memory_order_acquire) < kQueryReaders) {
+    std::this_thread::yield();
   }
 
   // The registration stream: even serials are vocabulary-disjoint islands

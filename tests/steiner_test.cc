@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <tuple>
 
 #include "graph/search_graph.h"
 #include "steiner/exact_solver.h"
@@ -294,6 +297,91 @@ TEST_P(TopKVsBruteForceTest, MatchesBruteForceEnumeration) {
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, TopKVsBruteForceTest,
                          ::testing::Range(0, 20));
+
+// Three terminals and tied integer costs: the enumeration returns the k
+// cheapest proper trees, each once, and a valid certificate's gap never
+// overstates the slack to the cheapest proper tree it did not return.
+class TopKTiedCostsVsBruteForceTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TopKTiedCostsVsBruteForceTest, CheapestTreesAndSoundGap) {
+  util::Rng rng(5000 + GetParam());
+  const std::size_t n = 7;
+  TestGraph tg(n);
+  std::set<std::pair<NodeId, NodeId>> used;
+  for (std::size_t e = 0; e < 13; ++e) {
+    NodeId u = static_cast<NodeId>(rng.Uniform(n));
+    NodeId v = static_cast<NodeId>(rng.Uniform(n));
+    if (u == v || used.count({std::min(u, v), std::max(u, v)}) > 0) continue;
+    used.insert({std::min(u, v), std::max(u, v)});
+    tg.AddEdge(u, v, static_cast<double>(1 + rng.Uniform(3)));
+  }
+  const std::vector<NodeId> terminals{0, 3, 5};
+  const auto brute = BruteForceAllTrees(tg, terminals);
+
+  TopKConfig config;
+  config.k = 5;
+  RelevanceCertificate certificate;
+  const auto trees =
+      TopKSteinerTrees(tg.graph, *tg.weights, terminals, config,
+                       /*shared_engine=*/nullptr, &certificate);
+  const std::size_t expect = std::min<std::size_t>(5, brute.size());
+  ASSERT_EQ(trees.size(), expect);
+  std::set<std::vector<EdgeId>> returned;
+  for (std::size_t i = 0; i < expect; ++i) {
+    EXPECT_NEAR(trees[i].cost, brute[i].cost, 1e-9) << "rank " << i;
+    EXPECT_TRUE(IsProperSteinerTree(tg.graph, trees[i], terminals))
+        << "rank " << i;
+    EXPECT_TRUE(returned.insert(trees[i].edges).second) << "rank " << i;
+  }
+  if (!certificate.valid) return;
+  double cheapest_missing = std::numeric_limits<double>::infinity();
+  for (const SteinerTree& tree : brute) {
+    if (returned.count(tree.edges) == 0) {
+      cheapest_missing = std::min(cheapest_missing, tree.cost);
+    }
+  }
+  if (std::isinf(cheapest_missing)) return;  // every proper tree returned
+  ASSERT_FALSE(std::isinf(certificate.gap));
+  const double kth = trees.empty() ? 0.0 : trees.back().cost;
+  EXPECT_LE(certificate.gap, cheapest_missing - kth + 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomGraphs, TopKTiedCostsVsBruteForceTest,
+                         ::testing::Range(0, 40));
+
+// A forced prefix that strands a node. Branched in edge-id order, the
+// third pivot of this enumeration forces edges 6, 9 and 10 and bans 11:
+// an improper tree of cost 9 whose node 3 is a non-terminal leaf, so
+// three expansions emit only two trees. Branched depth-first from the
+// terminals, every forced prefix hangs off a terminal and three
+// expansions emit all three.
+TEST(TopKTest, DepthFirstBranchingKeepsForcedPrefixesAttached) {
+  TestGraph tg(8);
+  const std::vector<std::tuple<NodeId, NodeId, double>> edges = {
+      {6, 3, 3}, {5, 6, 4}, {6, 2, 2}, {7, 5, 3}, {0, 5, 4}, {7, 1, 3},
+      {1, 4, 3}, {6, 4, 1}, {0, 7, 1}, {3, 2, 1}, {1, 0, 2}, {3, 4, 2}};
+  for (const auto& [u, v, cost] : edges) tg.AddEdge(u, v, cost);
+  const std::vector<NodeId> terminals{0, 1, 2};
+  const std::vector<std::vector<EdgeId>> want = {
+      {6, 9, 10, 11}, {2, 6, 7, 10}, {0, 6, 7, 9, 10}};
+  const std::vector<double> want_cost = {8, 8, 10};
+
+  TopKConfig config;
+  config.k = 3;
+  config.max_subproblems = 3;
+  const auto capped =
+      TopKSteinerTrees(tg.graph, *tg.weights, terminals, config);
+  config.max_subproblems = TopKConfig{}.max_subproblems;
+  const auto uncapped =
+      TopKSteinerTrees(tg.graph, *tg.weights, terminals, config);
+  for (const auto* trees : {&capped, &uncapped}) {
+    ASSERT_EQ(trees->size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ((*trees)[i].edges, want[i]) << "rank " << i;
+      EXPECT_NEAR((*trees)[i].cost, want_cost[i], 1e-9) << "rank " << i;
+    }
+  }
+}
 
 // Approximate mode: trees remain valid and cost at least the exact
 // optimum; the best approximate tree is within the KMB bound.
