@@ -158,22 +158,26 @@ class QSystem {
   // concurrent repairs.
   query::ViewResult ReadView(std::size_t id) const;
 
-  // Runs a fresh keyword search for view `id` against its current serving
-  // snapshot and returns the result — the concurrent query front end. Any
-  // number of QueryView calls may run in parallel with each other AND
-  // with feedback (ApplyFeedback* / async repairs): each search captures
-  // an atomic {pinned CSR, frozen weight copy} pair from the view's
-  // refresh slot (RefreshEngine::SearchView), so it never reads the live
-  // weight vector and never observes a half-repriced snapshot. Structural
-  // operations (RegisterSource*, AddAssociations via its callers,
-  // CreateView, RefreshAllViews) take the serving gate exclusively and
-  // briefly block queries while they rebuild.
+  // Answers view `id`'s keyword query at its current serving pair and
+  // returns the result — the concurrent query front end. While the pair
+  // is the one the view's committed snapshot was searched at, the answer
+  // is a copy of that snapshot; otherwise (a repair has re-costed the
+  // view, or a rebuild's search has not landed) it runs a search against
+  // the pair. Any number of QueryView calls may run in parallel with each
+  // other AND with feedback (ApplyFeedback* / async repairs): each one
+  // captures the atomic {pinned CSR, frozen weight copy} pair from the
+  // view's refresh slot (RefreshEngine::SearchView), so it never reads the
+  // live weight vector and never observes a half-repriced snapshot.
+  // Structural operations (RegisterSource*, AddAssociations via its
+  // callers, CreateView, RefreshAllViews) take the serving gate
+  // exclusively and briefly block queries while they rebuild.
   //
-  // The returned snapshot's trees/queries/results are bit-identical to
-  // the view's published output at quiescence (its serials are 0 — the
-  // result is this caller's, not a published state). Under concurrent
-  // feedback the result is always *some* consistent point in the repair
-  // timeline: baseline-before or repaired-after, never a mix.
+  // The returned snapshot's trees/queries/results are bit-identical to a
+  // search at the captured pair, and so to the view's published output at
+  // quiescence (its serials are 0 — the result is this caller's, not a
+  // published state). Under concurrent feedback the result is always
+  // *some* consistent point in the repair timeline: baseline-before or
+  // repaired-after, never a mix.
   util::Result<query::ViewSnapshot> QueryView(std::size_t id) const;
 
   // Async mode: blocks until view `id` reflects every feedback update

@@ -116,6 +116,18 @@ void RefreshEngine::ObserveRevisions(const graph::SearchGraph& base,
   }
 }
 
+RefreshEngineStats RefreshEngine::stats() const {
+  RefreshEngineStats out;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    out = stats_;
+  }
+  std::lock_guard<std::mutex> lock(serve_mu_);
+  out.queries_served_committed = queries_served_committed_;
+  out.queries_searched = queries_searched_;
+  return out;
+}
+
 void RefreshEngine::MergeStats(const RefreshEngineStats& delta) {
   std::lock_guard<std::mutex> lock(stats_mu_);
   stats_.snapshots_built += delta.snapshots_built;
@@ -264,6 +276,11 @@ util::Result<RefreshEngine::PrepareOutcome> RefreshEngine::PrepareSlot(
           view.query_graph().graph, weights,
           view.config().top_k.use_sp_cache);
       slot->serving_weights = SnapshotWeightsLocked(weights);
+      // The fresh engine restarts at generation 0, and when only the
+      // graph moved the weight copy is the same one: without this clear
+      // the stamp would match a snapshot of the old query graph.
+      slot->committed.reset();
+      slot->committed_weights.reset();
     }
     ++stats->snapshots_built;
     slot->dirty = true;
@@ -378,7 +395,17 @@ void RefreshEngine::CommitSlot(Slot* slot, const graph::SearchGraph& base,
   // serving gate, before the slot id is ever published to readers.
   if (!slot->built) slot->built = true;
   slot->dirty = false;
-  if (searched) slot->certificate_serial = slot->view->certificate().serial;
+  if (!searched) return;
+  slot->certificate_serial = slot->view->certificate().serial;
+  // The search ran at the slot's current serving pair (nothing moves it
+  // between PrepareSlot and this commit), so stamp its snapshot with it.
+  // Read before locking: serve_mu_ is never held across state_mu_.
+  std::shared_ptr<const query::ViewSnapshot> published =
+      slot->view->Snapshot();
+  std::lock_guard<std::mutex> lock(serve_mu_);
+  slot->committed = std::move(published);
+  slot->committed_generation = slot->engine->generation();
+  slot->committed_weights = slot->serving_weights;
 }
 
 std::shared_ptr<const graph::WeightVector>
@@ -403,16 +430,34 @@ util::Result<query::ViewSnapshot> RefreshEngine::SearchView(
   if (!slot.built || slot.view == nullptr || slot.engine == nullptr) {
     return util::Status::InvalidArgument("view slot has no snapshot yet");
   }
+  std::shared_ptr<const query::ViewSnapshot> committed;
   steiner::SnapshotPin pin;
   std::shared_ptr<const graph::WeightVector> weights;
   {
-    // Atomic {pin, weights} capture: see serve_mu_. After this block the
-    // search runs lock-free against the frozen pair — a concurrent repair
-    // copies-on-write past the pin and publishes a new pair for later
-    // readers without disturbing this one.
+    // Atomic capture of the serving pair: see serve_mu_. While it equals
+    // the committed search's stamp, that search's snapshot is the answer.
+    // Otherwise the search below runs lock-free against the frozen {pin,
+    // weights} pair — a concurrent repair copies-on-write past the pin
+    // and publishes a new pair for later readers without disturbing this
+    // one.
     std::lock_guard<std::mutex> lock(serve_mu_);
-    pin = slot.engine->Pin();
-    weights = slot.serving_weights;
+    if (slot.committed != nullptr &&
+        slot.committed_generation == slot.engine->generation() &&
+        slot.committed_weights == slot.serving_weights) {
+      committed = slot.committed;
+      ++queries_served_committed_;
+    } else {
+      pin = slot.engine->Pin();
+      weights = slot.serving_weights;
+      ++queries_searched_;
+    }
+  }
+  if (committed != nullptr) {
+    // A copy, unpublished like a search result: serials 0.
+    query::ViewSnapshot answer = *committed;
+    answer.certificate.serial = 0;
+    answer.search_serial = 0;
+    return answer;
   }
   if (weights == nullptr) {
     return util::Status::Internal("view slot has no serving weights");

@@ -141,6 +141,14 @@ struct RefreshEngineStats {
   // deliberately left stale, replaying the journals from the same
   // baseline until a delta defeats the certificate.
   std::size_t views_skipped_structural = 0;
+
+  // --- serving path (SearchView, behind QSystem::QueryView) --------------
+  // Queries answered from the slot's committed snapshot: the serving pair
+  // still equals the one its last committed search ran at.
+  std::size_t queries_served_committed = 0;
+  // Queries that ran a pinned search: inside a repair window, or after a
+  // rebuild whose search has not landed.
+  std::size_t queries_searched = 0;
 };
 
 // Read-only classification of one view against the current base state,
@@ -281,18 +289,25 @@ class RefreshEngine {
                            graph::CostModel* model,
                            const graph::WeightVector& weights);
 
-  // Runs one keyword search against `slot`'s current serving snapshot and
-  // returns the (unpublished) result — the concurrent read path behind
-  // QSystem::QueryView. Under serve_mu_ it captures an atomic pair
-  // {engine pin, serving weight copy}: the pin freezes the CSR costs for
-  // the whole enumeration (mutators copy-on-write) and the weight copy is
-  // the frozen vector those costs were last reconciled against, so the
-  // search can never mix a new CSR with old weights or vice versa. Any
-  // number of SearchView calls may run concurrently with each other and
-  // with the in-place repair paths (RepairViewAsync / weight-delta
-  // refreshes); the rebuild/structural paths replace slot engines and
-  // query graphs and must be excluded by the caller's serving gate
-  // (QSystem holds its serve lock exclusively around them).
+  // Answers one keyword search against `slot`'s current serving pair and
+  // returns the (unpublished) result, serials 0 — the concurrent read
+  // path behind QSystem::QueryView. Under serve_mu_ it reads the serving
+  // pair {engine generation, serving weight copy}. While that pair equals
+  // the stamp of the slot's last committed search, the answer is a copy
+  // of the snapshot that search published: the search is a pure function
+  // of the query graph, the CSR costs, the weights, the catalog and the
+  // view config, and none of them moves without moving the pair (see
+  // Slot::committed). Otherwise — inside a repair window, or after a
+  // rebuild whose search has not landed — it pins the CSR in the same
+  // critical section and searches against the frozen pair: the pin
+  // freezes the costs for the whole enumeration (mutators copy-on-write)
+  // and the weight copy is the vector those costs were last reconciled
+  // against, so the search can never mix a new CSR with old weights or
+  // vice versa. Any number of SearchView calls may run concurrently with
+  // each other and with the in-place repair paths (RepairViewAsync /
+  // weight-delta refreshes); the rebuild/structural paths replace slot
+  // engines and query graphs and must be excluded by the caller's serving
+  // gate (QSystem holds its serve lock exclusively around them).
   // Fails until the slot's first successful refresh has built a snapshot.
   util::Result<query::ViewSnapshot> SearchView(
       std::size_t slot, const relational::Catalog& catalog) const;
@@ -303,10 +318,7 @@ class RefreshEngine {
 
   // Counter snapshot (by value: repairs mutate the counters from pool
   // threads, so a reference would race with them).
-  RefreshEngineStats stats() const {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return stats_;
-  }
+  RefreshEngineStats stats() const;
 
   // --- async task decomposition (core::AsyncRefreshScheduler) -------------
   // The scheduler splits RefreshAll's per-view work into a serial
@@ -402,6 +414,21 @@ class RefreshEngine {
     // matching baseline weights — that is what keeps a concurrent
     // SearchView bit-identical to the view's published snapshot.
     std::shared_ptr<const graph::WeightVector> serving_weights;
+    // The snapshot the last committed search published, stamped with the
+    // serving pair that search ran at (engine generation, serving weight
+    // copy); SearchView answers from it while the pair is unchanged.
+    // Guarded by serve_mu_. Set by CommitSlot(searched=true). Commits
+    // without a search and gate skips keep it: they prove the output
+    // unchanged and leave the pair alone. A query-graph patch that moves
+    // a cost bumps the generation; one that moves none leaves the answer
+    // provably unchanged. Cleared where a rebuild swaps the engine: the
+    // fresh engine restarts at generation 0 and, when only the graph
+    // moved, gets the same weight copy, so the stamp would still match a
+    // snapshot of the old query graph. Shares the view's published
+    // snapshot, so it costs no copy.
+    std::shared_ptr<const query::ViewSnapshot> committed;
+    std::uint64_t committed_generation = 0;
+    std::shared_ptr<const graph::WeightVector> committed_weights;
   };
 
   struct PrepareOutcome {
@@ -479,9 +506,11 @@ class RefreshEngine {
 
   // `searched` marks a commit that followed a successful RunSearch: the
   // view's certificate now describes this slot's snapshot, so its serial
-  // is recorded for the relevance gate. Commits without a search leave
-  // the recorded serial in place (the snapshot provably did not move, so
-  // the previously recorded certificate still matches it).
+  // is recorded for the relevance gate, and the published snapshot is
+  // stamped with the slot's serving pair for SearchView. Commits without
+  // a search leave the recorded serial and the stamp in place (the
+  // snapshot provably did not move, so the previously recorded
+  // certificate and snapshot still match it).
   void CommitSlot(Slot* slot, const graph::SearchGraph& base,
                   const graph::WeightVector& weights, bool searched);
 
@@ -505,15 +534,21 @@ class RefreshEngine {
   std::vector<Slot> slots_;
   mutable std::mutex stats_mu_;
   RefreshEngineStats stats_;  // guarded by stats_mu_
-  // Serving lock: SearchView captures {pin, serving_weights} under it and
-  // the repair paths publish {recosted CSR, new serving_weights} under
-  // it, so the pair is atomic — a reader can never pin a repriced CSR and
-  // then read the pre-repair weights (or vice versa). One engine-level
-  // mutex rather than per-slot (slots_ reallocates on RegisterView, and
-  // the critical sections are a few pointer copies).
+  // Serving lock: SearchView captures {pin, serving_weights} (or the
+  // committed snapshot) under it, and the repair paths publish {recosted
+  // CSR, new serving_weights} and the commit stamp under it, so the pair
+  // is atomic — a reader can never pin a repriced CSR and then read the
+  // pre-repair weights (or vice versa), nor match a stamp against half a
+  // pair. One engine-level mutex rather than per-slot (slots_ reallocates
+  // on RegisterView, and the critical sections are a few pointer copies).
+  // Never held while a view's state_mu_ is taken.
   mutable std::mutex serve_mu_;
   std::shared_ptr<const graph::WeightVector> serving_cache_;
   std::uint64_t serving_cache_revision_ = 0;
+  // SearchView outcomes, counted inside the critical section SearchView
+  // already holds; guarded by serve_mu_.
+  mutable std::size_t queries_served_committed_ = 0;
+  mutable std::size_t queries_searched_ = 0;
 };
 
 }  // namespace q::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <utility>
 
 namespace q::query {
 namespace {
@@ -36,7 +37,7 @@ std::optional<std::size_t> FindCompatibleColumn(
 RankedResults DisjointUnion(
     const QueryGraph& qg, const graph::WeightVector& weights,
     const std::vector<ConjunctiveQuery>& queries,
-    const std::vector<std::vector<relational::Row>>& per_query_rows,
+    std::vector<std::vector<relational::Row>> per_query_rows,
     double similarity_threshold) {
   RankedResults out;
   // column index per (query, select position)
@@ -63,12 +64,12 @@ RankedResults DisjointUnion(
   }
 
   for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-    for (const relational::Row& row : per_query_rows[qi]) {
+    for (relational::Row& row : per_query_rows[qi]) {
       ResultRow r;
       r.values.assign(out.columns.size(), relational::Value::Null());
       for (std::size_t i = 0; i < row.size() && i < mapping[qi].size();
            ++i) {
-        r.values[mapping[qi][i]] = row[i];
+        r.values[mapping[qi][i]] = std::move(row[i]);
       }
       r.cost = queries[qi].cost;
       r.query_index = qi;

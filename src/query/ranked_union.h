@@ -30,10 +30,13 @@ struct RankedResults {
 // label or when a similarity (association) edge cheaper than
 // `similarity_threshold` links the two attributes in the query graph;
 // otherwise it opens a new column. Missing columns are null-padded.
+// `per_query_rows` is consumed: each cell moves into its result row, so a
+// caller that has no further use for its rows hands them over with
+// std::move instead of paying for a copy of every cell.
 RankedResults DisjointUnion(
     const QueryGraph& qg, const graph::WeightVector& weights,
     const std::vector<ConjunctiveQuery>& queries,
-    const std::vector<std::vector<relational::Row>>& per_query_rows,
+    std::vector<std::vector<relational::Row>> per_query_rows,
     double similarity_threshold);
 
 }  // namespace q::query

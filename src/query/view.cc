@@ -79,7 +79,7 @@ util::Result<ViewSnapshot> TopKView::BuildSearchSnapshot(
     queries.push_back(std::move(cq));
   }
   RankedResults results =
-      DisjointUnion(query_graph_, weights, queries, per_query_rows,
+      DisjointUnion(query_graph_, weights, queries, std::move(per_query_rows),
                     config_.union_similarity_threshold);
   // Augment the search certificate with every edge DisjointUnion's
   // schema-unification prices: all edges incident to each select-list

@@ -16,7 +16,11 @@
 //     install new association features never grow the FeatureSpace under
 //     a reader's served weights (the use-after-free regression);
 //   * cold column indexes — readers that race each table column's first
-//     index build get the single-threaded answer.
+//     index build get the single-threaded answer;
+//   * serving from the committed snapshot — QueryView answers from the
+//     view's committed snapshot only while its serving pair is the one
+//     that snapshot's search ran at, and searches otherwise (an engine
+//     swap, a repair window), always equal to an independent search.
 //
 // Runs under the ctest `stress` label and the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
@@ -27,6 +31,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +44,7 @@
 #include "data/onboarding.h"
 #include "graph/graph_builder.h"
 #include "query/executor.h"
+#include "steiner/fast_solver.h"
 #include "util/random.h"
 
 namespace q::core {
@@ -126,6 +132,20 @@ void ExpectSameViewState(const query::ViewSnapshot& a,
     EXPECT_EQ(a.results.rows[i].values, b.results.rows[i].values)
         << label << " row " << i;
   }
+}
+
+// The referee for a served answer: the view's search pipeline on a fresh
+// engine without an enumeration memo, over the view's current query graph
+// at `weights`.
+query::ViewSnapshot IndependentSearch(const query::TopKView& view,
+                                      const relational::Catalog& catalog,
+                                      const graph::WeightVector& weights) {
+  steiner::FastSteinerEngine engine(view.query_graph().graph, weights,
+                                    /*use_memo=*/false);
+  auto snapshot =
+      view.BuildSearchSnapshot(catalog, weights, &engine, /*pin=*/nullptr);
+  Q_CHECK_OK(snapshot.status());
+  return std::move(snapshot).value();
 }
 
 // --- satellite 2: certificate/serial publication -------------------------
@@ -274,6 +294,8 @@ TEST(ServeConcurrencyTest, QueryViewRacesWriterAndMatchesSyncTwin) {
   // Quiescence: a fresh QueryView search must reproduce the published
   // snapshot exactly — same pinned CSR costs, same frozen weights, same
   // deterministic enumeration.
+  // A quiescent QueryView is served from the committed snapshot, so the
+  // published snapshot itself is also checked against a search of its own.
   for (std::size_t id : h.view_ids) {
     auto fresh = h.q->QueryView(id);
     ASSERT_TRUE(fresh.ok()) << "view " << id;
@@ -282,6 +304,10 @@ TEST(ServeConcurrencyTest, QueryViewRacesWriterAndMatchesSyncTwin) {
     ExpectSameViewState(*fresh, *published.state,
                         "quiescent query-vs-published view " +
                             std::to_string(id));
+    ExpectSameViewState(
+        *published.state,
+        IndependentSearch(h.q->view(id), h.q->catalog(), h.q->weights()),
+        "quiescent published-vs-independent view " + std::to_string(id));
   }
 
   // And the twin synchronous system replaying the committed sequence —
@@ -450,6 +476,10 @@ TEST(ServeConcurrencyTest, OnboardingRegistrationsRaceQueryReaders) {
     ExpectSameViewState(*fresh, *published.state,
                         "quiescent query-vs-published view " +
                             std::to_string(id));
+    ExpectSameViewState(
+        *published.state,
+        IndependentSearch(q->view(id), q->catalog(), q->weights()),
+        "quiescent published-vs-independent view " + std::to_string(id));
   }
 
   // And the synchronous twin — which quiesces and rebuilds at every
@@ -561,6 +591,10 @@ TEST(ServeConcurrencyTest, AssociationFeatureInterningRacesQueryReaders) {
     ExpectSameViewState(*fresh, *published.state,
                         "quiescent query-vs-published view " +
                             std::to_string(v));
+    ExpectSameViewState(
+        *published.state,
+        IndependentSearch(q.view(v), q.catalog(), q.weights()),
+        "quiescent published-vs-independent view " + std::to_string(v));
   }
 }
 
@@ -738,6 +772,237 @@ TEST(ServeConcurrencyTest, ColdColumnIndexesUnderConcurrentReaders) {
     }
   }
   EXPECT_GT(rows, 0u);
+}
+
+// --- serving from the committed snapshot ---------------------------------
+
+// Whether two snapshots return the same trees (edges and costs), for
+// asserting that a test's change really moves the answer.
+bool SameTrees(const query::ViewSnapshot& a, const query::ViewSnapshot& b) {
+  if (a.trees.size() != b.trees.size()) return false;
+  for (std::size_t i = 0; i < a.trees.size(); ++i) {
+    if (a.trees[i].edges != b.trees[i].edges ||
+        a.trees[i].cost != b.trees[i].cost) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Runs `serve` (one QueryView or SearchView) and checks the answer against
+// `want`, its zeroed serials, and which serving counter moved.
+template <typename Serve>
+void ExpectServed(const RefreshEngine& engine, Serve serve,
+                  const query::ViewSnapshot& want, bool from_committed,
+                  const std::string& label) {
+  const RefreshEngineStats before = engine.stats();
+  util::Result<query::ViewSnapshot> got = serve();
+  const RefreshEngineStats after = engine.stats();
+  EXPECT_EQ(after.queries_served_committed,
+            before.queries_served_committed + (from_committed ? 1 : 0))
+      << label;
+  EXPECT_EQ(after.queries_searched,
+            before.queries_searched + (from_committed ? 0 : 1))
+      << label;
+  ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+  EXPECT_EQ(got->search_serial, 0u) << label;
+  EXPECT_EQ(got->certificate.serial, 0u) << label;
+  ExpectSameViewState(*got, want, label);
+}
+
+// Feature ids carried by any edge of a view's query graph.
+std::set<graph::FeatureId> ViewFeatures(const query::TopKView& view) {
+  std::set<graph::FeatureId> features;
+  const graph::SearchGraph& g = view.query_graph().graph;
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    for (const auto& [id, value] : g.edge_features(e).entries()) {
+      features.insert(id);
+    }
+  }
+  return features;
+}
+
+// A non-default feature carried by some edge of the view's query graph
+// but by none of its certificate edges: an increase of it reprices the
+// snapshot where the certificate proves the output cannot move.
+bool FindOutsideFeature(const query::TopKView& view, graph::FeatureId* out) {
+  const graph::SearchGraph& g = view.query_graph().graph;
+  const steiner::RelevanceCertificate& cert = view.certificate();
+  if (!cert.valid) return false;
+  std::set<graph::FeatureId> inside;
+  for (graph::EdgeId e : cert.edges) {
+    for (const auto& [id, value] : g.edge_features(e).entries()) {
+      inside.insert(id);
+    }
+  }
+  for (graph::FeatureId f : ViewFeatures(view)) {
+    if (f != graph::FeatureSpace::kDefaultFeature && inside.count(f) == 0) {
+      *out = f;
+      return true;
+    }
+  }
+  return false;
+}
+
+// In sync mode every path that leaves the serving pair alone keeps the
+// committed snapshot serving: the initial refresh, a feedback round, a
+// weight delta that reprices nothing in the view (committed without a
+// search), and one the relevance gate skips (not committed at all). Each
+// answer equals an independent search at the live weights.
+TEST(ServeConcurrencyTest, UnchangedServingPairAnswersFromCommittedSnapshot) {
+  Harness h(/*async=*/false);
+  const RefreshEngine& engine = h.q->refresh_engine();
+  auto expect_committed = [&](std::size_t id, const std::string& label) {
+    ExpectServed(
+        engine, [&] { return h.q->QueryView(id); },
+        IndependentSearch(h.q->view(id), h.q->catalog(), h.q->weights()),
+        /*from_committed=*/true, label + " view " + std::to_string(id));
+  };
+  for (std::size_t id : h.view_ids) expect_committed(id, "created");
+
+  const std::size_t first = h.view_ids[0];
+  const steiner::SteinerTree endorsed = h.q->view(first).trees().at(0);
+  ASSERT_TRUE(h.q->ApplyFeedback(first, endorsed).ok());
+  for (std::size_t id : h.view_ids) expect_committed(id, "feedback");
+
+  // A feature some other view's keyword matches carry and the first
+  // view's query graph lacks: the first view is committed without a
+  // search, its published snapshot untouched.
+  const std::set<graph::FeatureId> own = ViewFeatures(h.q->view(first));
+  graph::FeatureId foreign = graph::FeatureSpace::kDefaultFeature;
+  for (std::size_t id : h.view_ids) {
+    for (graph::FeatureId f : ViewFeatures(h.q->view(id))) {
+      if (own.count(f) == 0) foreign = f;
+    }
+  }
+  ASSERT_NE(foreign, graph::FeatureSpace::kDefaultFeature);
+  auto published = h.q->ReadView(first).state;
+  RefreshEngineStats before = engine.stats();
+  h.q->mutable_weights().Nudge(foreign, 0.05);
+  ASSERT_TRUE(h.q->RefreshAllViews().ok());
+  EXPECT_GT(engine.stats().views_skipped_delta, before.views_skipped_delta);
+  EXPECT_EQ(h.q->ReadView(first).state, published);
+  for (std::size_t id : h.view_ids) expect_committed(id, "no-op commit");
+
+  // An increase outside the first view's certificate: the gate skips it.
+  graph::FeatureId outside = 0;
+  ASSERT_TRUE(FindOutsideFeature(h.q->view(first), &outside));
+  published = h.q->ReadView(first).state;
+  before = engine.stats();
+  h.q->mutable_weights().Nudge(outside, 0.05);
+  ASSERT_TRUE(h.q->RefreshAllViews().ok());
+  EXPECT_GT(engine.stats().views_skipped_irrelevant,
+            before.views_skipped_irrelevant);
+  EXPECT_EQ(h.q->ReadView(first).state, published);
+  for (std::size_t id : h.view_ids) expect_committed(id, "gate skip");
+}
+
+// One view on its own RefreshEngine over a QSystem's base state (sources
+// registered and aligned, no views of its own), so a test can drive the
+// engine's repair halves directly.
+struct EngineFixture {
+  data::InterProGoDataset dataset = data::BuildInterProGo(SmallDataset());
+  std::unique_ptr<QSystem> q = std::make_unique<QSystem>(BaseConfig());
+  std::unique_ptr<query::TopKView> view;
+  RefreshEngine engine;  // after `view`, which must outlive it
+  std::size_t slot = 0;
+
+  explicit EngineFixture(std::size_t query) {
+    for (const auto& src : dataset.catalog.sources()) {
+      Q_CHECK_OK(q->RegisterSource(src));
+    }
+    Q_CHECK_OK(q->RunInitialAlignment());
+    view = std::make_unique<query::TopKView>(dataset.keyword_queries[query],
+                                             BaseConfig().view);
+    slot = engine.RegisterView(view.get());
+    Q_CHECK_OK(engine.RefreshView(slot, q->search_graph(), q->catalog(),
+                                  q->text_index(), &q->cost_model(),
+                                  q->weights()));
+  }
+
+  util::Result<query::ViewSnapshot> Serve() const {
+    return engine.SearchView(slot, q->catalog());
+  }
+  query::ViewSnapshot Independent() const {
+    return IndependentSearch(*view, q->catalog(), q->weights());
+  }
+};
+
+// A registration that leaves the weight revision alone rebuilds the
+// view's query graph onto a fresh engine, which restarts at generation 0
+// with the same serving weight copy — the very pair the old snapshot was
+// stamped with. Until the rebuild's search lands, QueryView must search
+// the rebuilt query graph, not return the old query graph's snapshot.
+TEST(ServeConcurrencyTest, EngineSwapSearchesTheRebuiltQueryGraph) {
+  EngineFixture f(/*query=*/2);
+  const query::ViewSnapshot old_answer = *f.view->Snapshot();
+  ASSERT_FALSE(old_answer.trees.empty());
+  ExpectServed(f.engine, [&] { return f.Serve(); }, f.Independent(),
+               /*from_committed=*/true, "before the registration");
+
+  auto table = f.dataset.catalog.FindTable("interpro.journal");
+  ASSERT_NE(table, nullptr);
+  auto source = std::make_shared<relational::DataSource>("newsrc");
+  auto copy = std::make_shared<relational::Table>(relational::RelationSchema(
+      "newsrc", table->schema().relation(), table->schema().attributes()));
+  for (const auto& row : table->rows()) {
+    ASSERT_TRUE(copy->AppendRow(row).ok());
+  }
+  ASSERT_TRUE(source->AddTable(copy).ok());
+  const std::uint64_t weight_revision = f.q->weights().revision();
+  ASSERT_TRUE(f.q->RegisterSource(source).ok());
+  ASSERT_EQ(f.q->weights().revision(), weight_revision);
+
+  auto need_search = f.engine.PrepareStructuralRepair(
+      f.slot, f.q->search_graph(), f.q->text_index(), &f.q->cost_model(),
+      f.q->weights());
+  ASSERT_TRUE(need_search.ok()) << need_search.status().ToString();
+  ASSERT_TRUE(*need_search);
+  const query::ViewSnapshot rebuilt = f.Independent();
+  ASSERT_FALSE(SameTrees(old_answer, rebuilt))
+      << "the registration must change the view's answer";
+  ExpectServed(f.engine, [&] { return f.Serve(); }, rebuilt,
+               /*from_committed=*/false, "rebuilt, search pending");
+
+  // The asynchronous half lands the search: committed serving resumes.
+  ASSERT_TRUE(f.engine
+                  .RepairViewAsync(f.slot, f.q->search_graph(), f.q->catalog(),
+                                   f.q->weights())
+                  .ok());
+  ExpectServed(f.engine, [&] { return f.Serve(); }, rebuilt,
+               /*from_committed=*/true, "rebuilt, search landed");
+}
+
+// A repair re-costs the slot — publishing the new serving pair — and then
+// its search fails (the catalog it was handed lacks the view's tables), so
+// nothing is committed. A reader inside that window must get the answer
+// at the new pair, not the committed snapshot of the old one.
+TEST(ServeConcurrencyTest, RepairWindowSearchesAtTheNewPair) {
+  EngineFixture f(/*query=*/0);
+  const query::ViewSnapshot old_answer = *f.view->Snapshot();
+  ASSERT_FALSE(old_answer.trees.empty());
+  ExpectServed(f.engine, [&] { return f.Serve(); }, f.Independent(),
+               /*from_committed=*/true, "before the delta");
+
+  // Raising the default-feature weight reprices every learnable edge, so
+  // every tree cost moves.
+  f.q->mutable_weights().Nudge(graph::FeatureSpace::kDefaultFeature, 0.5);
+  const query::ViewSnapshot repriced = f.Independent();
+  ASSERT_FALSE(SameTrees(old_answer, repriced))
+      << "the delta must change the view's answer";
+  const relational::Catalog empty;
+  const util::Status failed = f.engine.RepairViewAsync(
+      f.slot, f.q->search_graph(), empty, f.q->weights());
+  ASSERT_TRUE(failed.IsNotFound()) << failed.ToString();
+  ExpectServed(f.engine, [&] { return f.Serve(); }, repriced,
+               /*from_committed=*/false, "repair window");
+
+  ASSERT_TRUE(f.engine
+                  .RepairViewAsync(f.slot, f.q->search_graph(), f.q->catalog(),
+                                   f.q->weights())
+                  .ok());
+  ExpectServed(f.engine, [&] { return f.Serve(); }, repriced,
+               /*from_committed=*/true, "repair landed");
 }
 
 }  // namespace
