@@ -4,7 +4,8 @@
 // Shared driver code for the per-table/per-figure benchmark binaries.
 // Each binary prints the rows/series of one table or figure of the paper
 // (Sec. 5). tests/paper_fidelity_test.cc pins the values the InterPro-GO
-// binaries print (Table 1, Table 2, Figs. 10-12 and the ablation).
+// binaries print (Table 1, Table 2, Figs. 10-12 and the ablation), and
+// tests/fig7_comparisons_test.cc the comparison counts of Fig. 7.
 
 #include <cstdio>
 #include <filesystem>
@@ -163,6 +164,60 @@ inline align::AlignerStats RunTrialAlignment(TrialEnv* env,
     graph::AddSourceToGraph(*source, env->model.get(), &env->graph);
   }
   return stats;
+}
+
+// One Fig. 7 row: an aligner's pairwise attribute comparisons over every
+// GBCO trial's introductions, without ([0]) and with ([1]) the
+// value-overlap content filter.
+struct ComparisonRow {
+  const char* strategy = nullptr;
+  std::unique_ptr<align::Aligner> aligner;
+  // Comparisons per introduced source, one sample per introduction (a
+  // trial's count spread evenly over its new sources).
+  util::SummaryStats per_source[2];
+  // Total comparisons and introductions: the mean is their ratio.
+  std::size_t comparisons[2] = {0, 0};
+  std::size_t introductions[2] = {0, 0};
+};
+
+// The Fig. 7 experiment (bench_fig7_comparisons.cc): every trial aligned
+// by the Exhaustive, ViewBased and Preferential aligners, in that order,
+// with a counting matcher, without and with the value-overlap filter.
+inline std::vector<ComparisonRow> RunFig7Comparisons() {
+  auto dataset = data::BuildGbco();
+  // Content index over every source (paper: "assumes we have a content
+  // index available on the attributes in the existing set of sources and
+  // in the new source").
+  match::ValueOverlapIndex overlap;
+  for (const auto& t : dataset.catalog.AllTables()) overlap.IndexTable(*t);
+
+  std::vector<ComparisonRow> rows(3);
+  rows[0].strategy = "Exhaustive";
+  rows[0].aligner = std::make_unique<align::ExhaustiveAligner>();
+  rows[1].strategy = "ViewBasedAligner";
+  rows[1].aligner = std::make_unique<align::ViewBasedAligner>();
+  rows[2].strategy = "PreferentialAligner";
+  rows[2].aligner = std::make_unique<align::PreferentialAligner>();
+  for (auto& row : rows) {
+    for (int filtered = 0; filtered < 2; ++filtered) {
+      for (const auto& trial : dataset.trials) {
+        auto env = MakeTrialEnv(dataset, trial);
+        if (env == nullptr) continue;
+        CalibrateTrialEnv(env.get(), trial);
+        match::CountingMatcher matcher;
+        if (filtered == 1) matcher.set_pair_filter(overlap.MakeFilter());
+        auto stats = RunTrialAlignment(env.get(), row.aligner.get(), &matcher);
+        double per_source = static_cast<double>(stats.attribute_comparisons) /
+                            static_cast<double>(env->new_sources.size());
+        for (std::size_t i = 0; i < env->new_sources.size(); ++i) {
+          row.per_source[filtered].Add(per_source);
+        }
+        row.comparisons[filtered] += stats.attribute_comparisons;
+        row.introductions[filtered] += env->new_sources.size();
+      }
+    }
+  }
+  return rows;
 }
 
 // ---------------------------------------------------------------------------

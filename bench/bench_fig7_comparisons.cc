@@ -3,6 +3,7 @@
 // content filter, averaged over the 40 introductions of the 16 GBCO
 // trials. Paper shape: ViewBased/Preferential do far fewer comparisons
 // than Exhaustive in both cases; the overlap filter reduces all three.
+// tests/fig7_comparisons_test.cc pins the printed means.
 #include "bench_common.h"
 
 int main() {
@@ -10,54 +11,12 @@ int main() {
       "Fig. 7 — pairwise attribute comparisons while aligning new sources",
       "SIGMOD'10 Fig. 7, GBCO dataset, 40 sources / 16 trials");
 
-  auto dataset = q::data::BuildGbco();
-  // Content index over every source (paper: "assumes we have a content
-  // index available on the attributes in the existing set of sources and
-  // in the new source").
-  q::match::ValueOverlapIndex overlap;
-  for (const auto& t : dataset.catalog.AllTables()) overlap.IndexTable(*t);
-
-  struct Row {
-    const char* name;
-    std::unique_ptr<q::align::Aligner> aligner;
-    q::util::SummaryStats no_filter;
-    q::util::SummaryStats with_filter;
-  };
-  std::vector<Row> rows;
-  rows.push_back({"Exhaustive",
-                  std::make_unique<q::align::ExhaustiveAligner>(), {}, {}});
-  rows.push_back({"ViewBasedAligner",
-                  std::make_unique<q::align::ViewBasedAligner>(), {}, {}});
-  rows.push_back({"PreferentialAligner",
-                  std::make_unique<q::align::PreferentialAligner>(), {}, {}});
-
-  for (auto& row : rows) {
-    for (int filtered = 0; filtered < 2; ++filtered) {
-      for (const auto& trial : dataset.trials) {
-        auto env = q::bench::MakeTrialEnv(dataset, trial);
-        if (env == nullptr) continue;
-        q::bench::CalibrateTrialEnv(env.get(), trial);
-        q::match::CountingMatcher matcher;
-        if (filtered == 1) {
-          matcher.set_pair_filter(overlap.MakeFilter());
-        }
-        auto stats = q::bench::RunTrialAlignment(env.get(),
-                                                 row.aligner.get(), &matcher);
-        double per_source =
-            static_cast<double>(stats.attribute_comparisons) /
-            static_cast<double>(env->new_sources.size());
-        for (std::size_t i = 0; i < env->new_sources.size(); ++i) {
-          (filtered == 1 ? row.with_filter : row.no_filter).Add(per_source);
-        }
-      }
-    }
-  }
-
+  const auto rows = q::bench::RunFig7Comparisons();
   std::printf("%-22s %22s %22s\n", "strategy", "no additional filter",
               "value overlap filter");
   for (const auto& row : rows) {
-    std::printf("%-22s %22.1f %22.1f\n", row.name, row.no_filter.mean(),
-                row.with_filter.mean());
+    std::printf("%-22s %22.1f %22.1f\n", row.strategy,
+                row.per_source[0].mean(), row.per_source[1].mean());
   }
   return 0;
 }

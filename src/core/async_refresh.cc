@@ -106,10 +106,7 @@ void AsyncRefreshScheduler::NotifyBaseChanged() {
     // (Taken after the drain: repair tasks never touch the gate, so the
     // drain cannot deadlock against it.)
     queue_.Drain();
-    std::unique_lock<util::SharedMutex> serve_lock;
-    if (serve_gate_ != nullptr) {
-      serve_lock = std::unique_lock<util::SharedMutex>(*serve_gate_);
-    }
+    std::unique_lock<util::SharedMutex> serve_lock = LockServeGate();
     for (std::size_t slot : serial) {
       util::Status status = engine_->RefreshView(
           slot, *base_, *catalog_, *index_, model_, *weights_);
@@ -180,50 +177,22 @@ util::Status AsyncRefreshScheduler::NotifyStructuralChange() {
   }
   cv_.notify_all();
 
-  util::Status prepare_status = util::Status::OK();
-  std::vector<std::size_t> searches;
+  util::Status staging_status = util::Status::OK();
   if (!rebuilds.empty()) {
-    // The synchronous half of each failed-certificate view's repair:
-    // query-graph re-expansion mutates the shared feature space and
-    // replaces slot engines, so it runs here — queue drained (defensive;
-    // the caller already quiesced), exclusive serving gate held. The
-    // searches are NOT run here: PrepareStructuralRepair leaves each
-    // slot dirty with its prepared revision recorded, and the ordinary
-    // RepairOne task finishes it in place on the keyed queue (per-slot
-    // ordering serializes it against any later repair of the same view).
+    // Defensive: the caller already quiesced. It is also what makes each
+    // staged search its slot's only task (see RebuildViews).
     queue_.Drain();
-    std::unique_lock<util::SharedMutex> serve_lock;
-    if (serve_gate_ != nullptr) {
-      serve_lock = std::unique_lock<util::SharedMutex>(*serve_gate_);
-    }
-    for (std::size_t slot : rebuilds) {
-      auto need_search = engine_->PrepareStructuralRepair(
-          slot, *base_, *index_, model_, *weights_);
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.structural_rebuilds;
-      if (!need_search.ok()) {
-        if (repair_error_.ok()) repair_error_ = need_search.status();
-        if (prepare_status.ok()) prepare_status = need_search.status();
-      } else if (*need_search) {
-        searches.push_back(slot);
-      } else {
-        validated_[slot] = epoch_;
-      }
-    }
+    staging_status = RebuildViews(rebuilds);
   }
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!repairs.empty() || !searches.empty()) {
+    if (!repairs.empty()) {
       // Freeze for the queued repairs (see NotifyBaseChanged). The
       // feedback lock is held by our caller, so the live vector cannot
-      // move between the prepares above and this copy.
+      // move between the classification above and this copy.
       frozen_weights_ =
           std::make_shared<const graph::WeightVector>(*weights_);
-    }
-    for (std::size_t slot : searches) {
-      ++stats_.repairs_scheduled;
-      queue_.Submit(slot, [this, slot] { RepairOne(slot); });
     }
     for (std::size_t slot : repairs) {
       ++stats_.repairs_scheduled;
@@ -231,7 +200,118 @@ util::Status AsyncRefreshScheduler::NotifyStructuralChange() {
     }
   }
   cv_.notify_all();
-  return prepare_status;
+  return staging_status;
+}
+
+util::Status AsyncRefreshScheduler::RebuildViews(
+    const std::vector<std::size_t>& slots) {
+  util::Status first_error = util::Status::OK();
+  std::uint64_t round_epoch = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    round_epoch = epoch_;
+  }
+  const auto record = [&](std::size_t slot, const util::Status& status,
+                          bool validated) {
+    // Caller holds mu_.
+    ++stats_.structural_rebuilds;
+    if (validated) validated_[slot] = round_epoch;
+    if (!status.ok() && repair_error_.ok()) repair_error_ = status;
+  };
+
+  // Staged views whose search has not been installed yet, oldest first.
+  std::vector<std::unique_ptr<StagedSearch>> staged;
+  // Installs every staged view whose search has landed, in one exclusive
+  // section, and frees what they replaced after releasing the gate.
+  const auto install_landed = [&] {
+    std::vector<std::unique_ptr<StagedSearch>> landed;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (auto& s : staged) {
+        if (s->landed) landed.push_back(std::move(s));
+      }
+    }
+    if (landed.empty()) return;
+    staged.erase(std::remove(staged.begin(), staged.end(), nullptr),
+                 staged.end());
+    {
+      std::unique_lock<util::SharedMutex> serve_lock = LockServeGate();
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const auto& s : landed) {
+        const util::Status searched = s->rebuild.snapshot.status();
+        engine_->InstallStaged(&s->rebuild, *base_, *weights_);
+        record(s->rebuild.slot, searched, /*validated=*/searched.ok());
+      }
+    }
+    cv_.notify_all();
+  };
+  const auto await_landing = [&] {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] {
+      for (const auto& s : staged) {
+        if (s->landed) return true;
+      }
+      return false;
+    });
+  };
+
+  // The priced weights of the staged searches: one materialized copy per
+  // feature-space size.
+  std::shared_ptr<const graph::WeightVector> priced;
+  std::size_t priced_features = 0;
+  for (std::size_t slot : slots) {
+    install_landed();
+    while (staged.size() >= kMaxStagedViews) {
+      await_landing();
+      install_landed();
+    }
+    auto s = std::make_unique<StagedSearch>();
+    s->rebuild = engine_->StageRebuild(slot, *base_, *weights_);
+    util::Status expanded;
+    {
+      std::unique_lock<util::SharedMutex> serve_lock = LockServeGate();
+      expanded = engine_->ExpandStaged(&s->rebuild, *index_, model_);
+    }
+    if (!expanded.ok()) {
+      // The slot is untouched and keeps serving its committed snapshot.
+      std::lock_guard<std::mutex> lock(mu_);
+      record(slot, expanded, /*validated=*/false);
+      if (first_error.ok()) first_error = expanded;
+      continue;
+    }
+    const std::size_t features = weights_->space()->size();
+    if (priced == nullptr || priced_features != features) {
+      priced =
+          std::make_shared<const graph::WeightVector>(weights_->Materialized());
+      priced_features = features;
+    }
+    s->rebuild.weights = priced;
+    // The queue would coalesce a task submitted while one is pending. The
+    // round drained it, and the owner's feedback lock keeps every other
+    // submitter out, so this search is the slot's only task.
+    Q_CHECK_MSG(!queue_.Busy(slot), "staged search queued behind a task");
+    StagedSearch* search = s.get();
+    queue_.Submit(slot, [this, search] {
+      engine_->SearchStaged(&search->rebuild, *catalog_);
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        search->landed = true;
+      }
+      cv_.notify_all();
+    });
+    staged.push_back(std::move(s));
+  }
+  while (!staged.empty()) {
+    await_landing();
+    install_landed();
+  }
+  return first_error;
+}
+
+std::unique_lock<util::SharedMutex> AsyncRefreshScheduler::LockServeGate() {
+  return serve_gate_ != nullptr
+             ? std::unique_lock<util::SharedMutex>(*serve_gate_)
+             : std::unique_lock<util::SharedMutex>();
 }
 
 void AsyncRefreshScheduler::RepairOne(std::size_t slot) {

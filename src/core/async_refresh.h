@@ -46,9 +46,10 @@ struct AsyncRefreshStats {
   // the new epoch with no rebuild, no search, and no quiesce of their
   // serving state.
   std::size_t structural_skips = 0;
-  // Views whose certificate failed a structural round: query graph +
-  // snapshot rebuilt synchronously inside the ack (searches still run
-  // async on the keyed queue).
+  // Views whose certificate failed a structural round: query graph,
+  // engine and searched snapshot rebuilt beside the serving slot and
+  // installed whole inside the ack (see NotifyStructuralChange), one per
+  // rebuilt view whether or not its staging or search succeeded.
   std::size_t structural_rebuilds = 0;
 };
 
@@ -105,10 +106,12 @@ class AsyncRefreshScheduler {
   // `serve_gate` (optional) is the owner's reader/writer serving lock
   // (QSystem::serve_mu_): concurrent QueryView readers hold it shared,
   // and the scheduler takes it exclusively around the serial-repair
-  // branch of NotifyBaseChanged — the one scheduler path that rebuilds
-  // query graphs / replaces slot engines while readers could be in
-  // flight. SyncBarrier deliberately does NOT take it: its QSystem
-  // callers already hold the gate exclusively (it is not recursive).
+  // branch of NotifyBaseChanged and around the short steps of a
+  // structural round that intern features or replace slot state (see
+  // NotifyStructuralChange) — the scheduler paths that rebuild query
+  // graphs / replace slot engines while readers could be in flight.
+  // SyncBarrier deliberately does NOT take it: its QSystem callers
+  // already hold the gate exclusively (it is not recursive).
   AsyncRefreshScheduler(RefreshEngine* engine, util::ThreadPool* pool,
                         int dedicated_threads,
                         const graph::SearchGraph* base,
@@ -145,13 +148,28 @@ class AsyncRefreshScheduler {
   // view is classified: views whose structural certificate proves the
   // registration irrelevant (kSkippedIrrelevant) are validated at the
   // new epoch untouched — no rebuild, no search, no quiesce of their
-  // serving state; views whose certificate fails get their query graph
-  // and CSR snapshot rebuilt synchronously here (under the exclusive
-  // serving gate — the shared-feature-space mutation), with the searches
-  // themselves running as ordinary repairs on the keyed task queue after
-  // the call returns. Returns the first synchronous prepare failure
-  // (also recorded sticky, like a failed async repair); async search
-  // failures surface through Drain/SyncBarrier as usual.
+  // serving state. Views whose certificate fails are rebuilt beside
+  // their slots and installed before the call returns, so the ack leaves
+  // every such view fresh. Per view, in slot order (the order the
+  // synchronous rebuild interns features in): the base graph is copied
+  // with no gate held, the keywords are expanded in a short exclusive
+  // section (expansion interns features), and a repair thread builds the
+  // engine and searches the staged pair at a weight copy materialized
+  // over every feature interned so far; one short exclusive section then
+  // installs query graph, engine and searched snapshot together and
+  // validates the view at the round's epoch. The replaced query graph
+  // and engine are freed after the gate is released. While view i+1 is
+  // staged, earlier views' searches run; views whose search has landed
+  // are installed before the next view is staged, and at most
+  // kMaxStagedViews are staged but not installed. Until its install a
+  // view keeps serving its committed snapshot at its old pair, so no
+  // QueryView waits for a rebuild or searches one. A failed search
+  // installs the rebuilt graph and engine unsearched (the slot dirty,
+  // QueryView searching it) and is recorded like a failed repair;
+  // RefreshAllViews retries it. Returns the first staging failure, a
+  // keyword that no longer matches (also recorded sticky, like a failed
+  // async repair, with the slot untouched); search failures surface
+  // through Drain/SyncBarrier as usual.
   util::Status NotifyStructuralChange();
 
   // Epoch-tagged, never-blocking read of the view's last committed
@@ -185,7 +203,26 @@ class AsyncRefreshScheduler {
   AsyncRefreshStats stats() const;
 
  private:
+  // Staged-but-uninstalled views a structural round allows at once: one
+  // per repair thread onboarding runs with, so a round's extra memory is
+  // two query graphs and engines whatever the view count.
+  static constexpr std::size_t kMaxStagedViews = 2;
+
+  // One view of a structural round between staging and install.
+  struct StagedSearch {
+    RefreshEngine::StagedRebuild rebuild;
+    bool landed = false;  // its search has finished; guarded by mu_
+  };
+
   void RepairOne(std::size_t slot);
+
+  // The serving gate, held exclusively (an empty lock without a gate).
+  std::unique_lock<util::SharedMutex> LockServeGate();
+
+  // NotifyStructuralChange's rebuild of the views in `slots`, staged in
+  // slot order, searched and installed. Returns the first staging
+  // failure.
+  util::Status RebuildViews(const std::vector<std::size_t>& slots);
 
   RefreshEngine* engine_;
   std::unique_ptr<util::ThreadPool> owned_pool_;  // when not sharing

@@ -297,9 +297,10 @@ util::Status QSystem::RefreshAfterFeedbackLocked() {
 util::Status QSystem::RefreshAfterStructuralLocked() {
   if (scheduler_ != nullptr) {
     // The onboarding ack path: certificate-skipped views are never
-    // touched, failed views rebuild now with searches queued async.
-    // NotifyStructuralChange takes the serving gate itself around the
-    // rebuilds, so this caller must hold only feedback_mu_ here.
+    // touched, failed views are rebuilt, searched and installed before it
+    // returns. NotifyStructuralChange takes the serving gate itself
+    // around the expansions and installs, so this caller must hold only
+    // feedback_mu_ here.
     return scheduler_->NotifyStructuralChange();
   }
   return RefreshAllViewsLocked();

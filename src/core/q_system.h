@@ -114,7 +114,11 @@ class QSystem {
   // Maintenance-mode registration (Sec. 3): adds the source, searches for
   // associations against live views using the configured strategy and
   // matchers, installs surviving alignments as association edges, and
-  // refreshes all views. Returns aligner stats.
+  // refreshes all views. Returns aligner stats. In async mode it returns
+  // once every view the source reaches is rebuilt, searched and
+  // installed, so its ack leaves those views fresh; readers keep
+  // answering from each view's committed snapshot until its install
+  // (AsyncRefreshScheduler::NotifyStructuralChange).
   util::Result<align::AlignerStats> RegisterAndAlignSource(
       std::shared_ptr<relational::DataSource> source);
 
@@ -168,9 +172,14 @@ class QSystem {
   // captures the atomic {pinned CSR, frozen weight copy} pair from the
   // view's refresh slot (RefreshEngine::SearchView), so it never reads the
   // live weight vector and never observes a half-repriced snapshot.
-  // Structural operations (RegisterSource*, AddAssociations via its
-  // callers, CreateView, RefreshAllViews) take the serving gate
-  // exclusively and briefly block queries while they rebuild.
+  // Structural operations (RegisterSource*, AddAssociations, CreateView,
+  // RefreshAllViews) take the serving gate exclusively and briefly block
+  // queries while they change what queries read. An async registration's
+  // view rebuilds do not hold it: each view is rebuilt and searched
+  // beside its slot, and only its keyword expansion (which interns
+  // features) and its install hold the gate, briefly. Sync-mode
+  // registrations, CreateView and RefreshAllViews still hold it across
+  // their rebuilds and searches.
   //
   // The returned snapshot's trees/queries/results are bit-identical to a
   // search at the captured pair, and so to the view's published output at
@@ -287,12 +296,13 @@ class QSystem {
   // Post-MIRA refresh: async mode acks via the scheduler, sync mode
   // refreshes in line.
   util::Status RefreshAfterFeedbackLocked();
-  // Post-registration refresh: async mode acks at the classification
-  // boundary (scheduler->NotifyStructuralChange — views whose structural
-  // certificate proves the registration irrelevant are never touched,
-  // failed-certificate views rebuild with searches queued async); sync
-  // mode refreshes everything in line. Caller holds feedback_mu_ only
-  // (the scheduler takes the serving gate itself around rebuilds).
+  // Post-registration refresh: async mode runs the scheduler's structural
+  // round (NotifyStructuralChange — views whose structural certificate
+  // proves the registration irrelevant are never touched, failed-
+  // certificate views are rebuilt, searched and installed before it
+  // returns); sync mode refreshes everything in line. Caller holds
+  // feedback_mu_ only (the scheduler takes the serving gate itself
+  // around the steps that need it).
   util::Status RefreshAfterStructuralLocked();
   // Adds/removes per-matcher missing-vote penalty features so every
   // association edge carries, for each enabled matcher, either its
@@ -320,10 +330,12 @@ class QSystem {
   std::mutex feedback_mu_;
   // The serving gate: QueryView / ReadView / WaitViewFresh hold it shared;
   // operations that restructure what queries read lock-free — views_
-  // growth, engine-slot rebuilds, catalog/index mutation, scheduler
-  // creation — hold it exclusively (RegisterSourceLocked, CreateView,
-  // RefreshAllViewsLocked, and the scheduler's serial-repair branch via
-  // the pointer handed to EnsureScheduler). Pure weight-delta feedback
+  // growth, engine-slot rebuilds, catalog/index mutation, feature
+  // interning, scheduler creation — hold it exclusively
+  // (RegisterSourceLocked, AddAssociationsLocked, CreateView,
+  // RefreshAllViewsLocked, and, via the pointer handed to
+  // EnsureScheduler, the scheduler's serial-repair branch and the
+  // expansions and installs of a structural round). Pure weight-delta feedback
   // deliberately does NOT take it: searches price against their captured
   // frozen weights, so MIRA updates and in-place repairs run concurrently
   // with queries. Lock order: feedback_mu_ -> serve_mu_ -> (engine locks);

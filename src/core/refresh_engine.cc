@@ -181,6 +181,39 @@ RefreshEngine::GateOutcome RefreshEngine::RunRelevanceGate(
   return GateOutcome::kFallthrough;
 }
 
+void RefreshEngine::SwapInRebuild(Slot* slot, StagedRebuild* rebuilt,
+                                  const graph::SearchGraph& base,
+                                  const graph::WeightVector& weights,
+                                  RefreshEngineStats* stats) {
+  rebuilt->query_graph =
+      slot->view->ReplaceQueryGraph(std::move(rebuilt->query_graph));
+  {
+    // Rebuilds run under the caller's exclusive serving gate (no
+    // SearchView in flight), but publish under serve_mu_ anyway so the
+    // engine swap and its matching weight copy stay one atomic unit.
+    std::lock_guard<std::mutex> lock(serve_mu_);
+    std::swap(slot->engine, rebuilt->engine);
+    slot->serving_weights = rebuilt->weights != nullptr
+                                ? rebuilt->weights
+                                : SnapshotWeightsLocked(weights);
+    // The fresh engine restarts at generation 0, and when only the graph
+    // moved the weight copy may be the same one: without this clear the
+    // stamp would match a snapshot of the old query graph.
+    slot->committed.reset();
+    slot->committed_weights.reset();
+  }
+  ++stats->snapshots_built;
+  if (rebuilt->snapshot.ok()) {
+    slot->view->PublishSnapshot(std::move(rebuilt->snapshot).value());
+    CommitSlot(slot, base, weights, /*searched=*/true);
+  } else {
+    // Unsearched (or the search failed): left dirty with its prepared
+    // revision recorded, so a later repair only reconciles and searches.
+    slot->dirty = true;
+    slot->prepared_graph_revision = base.revision();
+  }
+}
+
 util::Result<RefreshEngine::PrepareOutcome> RefreshEngine::PrepareSlot(
     Slot* slot, const graph::SearchGraph& base, const text::TextIndex* index,
     graph::CostModel* model, const graph::WeightVector& weights,
@@ -213,10 +246,11 @@ util::Result<RefreshEngine::PrepareOutcome> RefreshEngine::PrepareSlot(
 
   // --- classify the structural delta ------------------------------------
   bool rebuild = !slot->built || !weight_independent_topology;
-  // A prepared-but-unsearched slot: PrepareStructuralRepair (or an
-  // earlier attempt whose search failed) already brought the cached
-  // query graph and engine topology to this exact base revision, so only
-  // reconciliation + search remain — work the async repair path can run.
+  // A prepared-but-unsearched slot: an earlier rebuild or propagation
+  // whose search failed (a staged rebuild is installed unsearched when its
+  // search fails) already brought the cached query graph and engine
+  // topology to this exact base revision, so only reconciliation + search
+  // remain — work the async repair path can run.
   const bool already_prepared =
       !rebuild && slot->dirty &&
       slot->prepared_graph_revision == base.revision();
@@ -266,25 +300,15 @@ util::Result<RefreshEngine::PrepareOutcome> RefreshEngine::PrepareSlot(
   }
 
   if (rebuild) {
-    Q_RETURN_NOT_OK(view.RebuildQueryGraph(base, *index, model, weights));
-    {
-      // Rebuilds run under the caller's exclusive serving gate (no
-      // SearchView in flight), but publish under serve_mu_ anyway so the
-      // engine swap and its matching weight copy stay one atomic unit.
-      std::lock_guard<std::mutex> lock(serve_mu_);
-      slot->engine = std::make_unique<steiner::FastSteinerEngine>(
-          view.query_graph().graph, weights,
-          view.config().top_k.use_sp_cache);
-      slot->serving_weights = SnapshotWeightsLocked(weights);
-      // The fresh engine restarts at generation 0, and when only the
-      // graph moved the weight copy is the same one: without this clear
-      // the stamp would match a snapshot of the old query graph.
-      slot->committed.reset();
-      slot->committed_weights.reset();
-    }
-    ++stats->snapshots_built;
-    slot->dirty = true;
-    slot->prepared_graph_revision = base.revision();
+    StagedRebuild rebuilt;
+    Q_ASSIGN_OR_RETURN(
+        rebuilt.query_graph,
+        query::BuildQueryGraph(base, *index, view.keywords(), model, weights,
+                               view.config().query_graph));
+    rebuilt.engine = std::make_unique<steiner::FastSteinerEngine>(
+        rebuilt.query_graph.graph, weights, view.config().top_k.use_sp_cache);
+    // Unsearched: the slot is left dirty and the caller runs the search.
+    SwapInRebuild(slot, &rebuilt, base, weights, stats);
     outcome.run_search = true;
     return outcome;
   }
@@ -462,8 +486,8 @@ util::Result<query::ViewSnapshot> RefreshEngine::SearchView(
   if (weights == nullptr) {
     return util::Status::Internal("view slot has no serving weights");
   }
-  return slot.view->BuildSearchSnapshot(catalog, *weights, slot.engine.get(),
-                                        &pin);
+  return slot.view->BuildSearchSnapshot(slot.view->query_graph(), catalog,
+                                        *weights, slot.engine.get(), &pin);
 }
 
 util::Status RefreshEngine::RefreshAll(const graph::SearchGraph& base,
@@ -776,35 +800,51 @@ AsyncViewClass RefreshEngine::ClassifyStructural(
   return AsyncViewClass::kSkippedIrrelevant;
 }
 
-util::Result<bool> RefreshEngine::PrepareStructuralRepair(
+RefreshEngine::StagedRebuild RefreshEngine::StageRebuild(
     std::size_t slot_id, const graph::SearchGraph& base,
-    const text::TextIndex& index, graph::CostModel* model,
-    const graph::WeightVector& weights) {
-  if (slot_id >= slots_.size()) {
-    return util::Status::InvalidArgument("no such view slot");
-  }
-  Slot& slot = slots_[slot_id];
+    const graph::WeightVector& weights) const {
+  Q_CHECK(slot_id < slots_.size());
+  StagedRebuild staged;
+  staged.slot = slot_id;
+  staged.query_graph = query::CopyBaseGraph(
+      base, weights, slots_[slot_id].view->config().query_graph);
+  return staged;
+}
+
+util::Status RefreshEngine::ExpandStaged(StagedRebuild* staged,
+                                         const text::TextIndex& index,
+                                         graph::CostModel* model) const {
+  const query::TopKView& view = *slots_[staged->slot].view;
+  return query::ExpandKeywords(index, view.keywords(), model,
+                               view.config().query_graph,
+                               &staged->query_graph);
+}
+
+void RefreshEngine::SearchStaged(StagedRebuild* staged,
+                                 const relational::Catalog& catalog) {
+  Q_CHECK(staged->weights != nullptr);
+  // slots_ does not grow while a round runs (views are registered under
+  // the owner's feedback lock), and the view's keywords and config never
+  // change, so this reads nothing the writer or a reader mutates.
+  const query::TopKView& view = *slots_[staged->slot].view;
+  staged->engine = std::make_unique<steiner::FastSteinerEngine>(
+      staged->query_graph.graph, *staged->weights,
+      view.config().top_k.use_sp_cache);
+  staged->snapshot =
+      view.BuildSearchSnapshot(staged->query_graph, catalog, *staged->weights,
+                               staged->engine.get(), /*pin=*/nullptr);
   RefreshEngineStats local;
-  auto prepared = PrepareSlot(&slot, base, &index, model, weights,
-                              /*allow_rebuild=*/true, /*run_gate=*/true,
-                              &local);
-  if (!prepared.ok()) {
-    MergeStats(local);
-    return prepared.status();
-  }
-  if (!prepared->run_search) {
-    ++local.refreshes_skipped;
-    MergeStats(local);
-    if (prepared->commit_without_search) {
-      CommitSlot(&slot, base, weights, /*searched=*/false);
-    }
-    return false;
-  }
-  // The search itself is the caller's (asynchronous) half: the slot is
-  // left dirty with prepared_graph_revision recorded, so RepairViewAsync
-  // finishes it in place on the keyed task queue.
+  ++local.searches_run;
   MergeStats(local);
-  return true;
+}
+
+void RefreshEngine::InstallStaged(StagedRebuild* staged,
+                                  const graph::SearchGraph& base,
+                                  const graph::WeightVector& weights) {
+  Q_CHECK(staged->slot < slots_.size() && staged->engine != nullptr);
+  RefreshEngineStats local;
+  SwapInRebuild(&slots_[staged->slot], staged, base, weights, &local);
+  MergeStats(local);
 }
 
 util::Status RefreshEngine::RepairViewAsync(std::size_t slot_id,

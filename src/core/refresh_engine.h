@@ -181,7 +181,8 @@ enum class AsyncViewClass {
   // topology, or a structural/graph delta): repairing it re-expands the
   // query graph, which mutates the shared feature space and the view's
   // cached query graph — unsafe concurrent with other views' searches.
-  // The scheduler must quiesce and route it through RefreshView.
+  // The scheduler must quiesce and route it through RefreshView, or, in
+  // a structural round, through a staged rebuild (StagedRebuild).
   kSerialOnly,
 };
 
@@ -346,22 +347,6 @@ class RefreshEngine {
                                       const text::TextIndex& index,
                                       const graph::WeightVector& weights);
 
-  // The synchronous half of one structural (onboarding) repair: rebuilds
-  // `slot`'s query graph + CSR snapshot against the current base state
-  // (PrepareSlot with rebuilds allowed) WITHOUT running the search, and
-  // returns whether a search is still needed. Mutates the shared feature
-  // space and replaces the slot engine, so the caller must hold its
-  // exclusive serving gate (no SearchView in flight). On `true` the slot
-  // is left dirty with its prepared revision recorded, so a subsequent
-  // RepairViewAsync — the asynchronous half, running on the keyed task
-  // queue — finishes it in place (reconcile + search + commit) without
-  // needing the serial path.
-  util::Result<bool> PrepareStructuralRepair(std::size_t slot,
-                                             const graph::SearchGraph& base,
-                                             const text::TextIndex& index,
-                                             graph::CostModel* model,
-                                             const graph::WeightVector& weights);
-
   // Brings one view up to date in place — delta or full re-cost of its
   // snapshot plus RunSearch — against `weights`, which is typically the
   // scheduler's frozen copy of the weight vector at the repair's target
@@ -375,6 +360,75 @@ class RefreshEngine {
                                const graph::SearchGraph& base,
                                const relational::Catalog& catalog,
                                const graph::WeightVector& weights);
+
+  // --- staged structural rebuild (AsyncRefreshScheduler) --------------------
+  // A structural round rebuilds a view beside its slot and installs the
+  // result whole, so readers keep answering from the slot's committed
+  // snapshot at its old serving pair until the install, and from the new
+  // committed snapshot right after it; no SearchView ever searches a
+  // rebuilt view. The steps, in the order a round runs them:
+  //
+  //   1. StageRebuild (no gate): copies the base graph.
+  //   2. ExpandStaged (exclusive serving gate): expands the keywords,
+  //      interning their match features. Views expand in slot order, the
+  //      order the synchronous rebuild interns in.
+  //   3. SearchStaged (any thread): builds the staged engine and searches
+  //      the staged pair.
+  //   4. InstallStaged (exclusive serving gate): swaps query graph,
+  //      engine, serving weights and searched snapshot in together.
+  //
+  // The synchronous rebuild branch (PrepareSlot) builds its query graph
+  // with the same two halves (query::BuildQueryGraph) and installs
+  // through the same step, unsearched.
+  struct StagedRebuild {
+    std::size_t slot = 0;
+    query::QueryGraph query_graph;
+    // The weights the staged engine and search price with, and the
+    // slot's serving weights once installed. The caller sets them between
+    // steps 2 and 3 to a copy materialized over every feature interned so
+    // far (graph::WeightVector::Materialized): the search may run while a
+    // later view's expansion grows the feature space, which an unset id's
+    // initial-weight fallback would read. One copy per feature-space size
+    // serves every view of a round. Null in the synchronous branch, which
+    // installs the slot's usual serving copy.
+    std::shared_ptr<const graph::WeightVector> weights;
+    std::unique_ptr<steiner::FastSteinerEngine> engine;
+    // Step 3's outcome. An error (or no search at all) installs the graph
+    // and engine without a snapshot: the slot is left dirty with its
+    // committed snapshot cleared, SearchView searches it, and a later
+    // repair or RefreshAll reconciles and searches it.
+    util::Result<query::ViewSnapshot> snapshot =
+        util::Status::Internal("staged rebuild not searched");
+  };
+
+  // Step 1: a staged rebuild of `slot` holding a copy of `base`. Reads
+  // only `base` and `weights` (association-threshold filtering); no
+  // serving gate needed.
+  StagedRebuild StageRebuild(std::size_t slot, const graph::SearchGraph& base,
+                             const graph::WeightVector& weights) const;
+
+  // Step 2: expands the staged graph's keywords against `index`,
+  // interning their features into `model`'s feature space, so the caller
+  // must hold its exclusive serving gate. On failure (a keyword that
+  // matches nothing) drop the staged rebuild: the slot is untouched.
+  util::Status ExpandStaged(StagedRebuild* staged,
+                            const text::TextIndex& index,
+                            graph::CostModel* model) const;
+
+  // Step 3: builds the staged engine at staged->weights and searches the
+  // staged pair into staged->snapshot. Touches no slot state, the feature
+  // space or the text index, so it may run on a repair thread beside
+  // SearchView on the same slot and beside another view's step 2.
+  void SearchStaged(StagedRebuild* staged, const relational::Catalog& catalog);
+
+  // Step 4, under the caller's exclusive serving gate: makes the staged
+  // query graph and engine the slot's, with staged->weights as its
+  // serving weights, then publishes the staged snapshot and commits the
+  // slot searched at (base, weights), which stamps the snapshot with the
+  // new serving pair. Leaves the replaced query graph and engine in
+  // `*staged`, so the caller can free them after releasing the gate.
+  void InstallStaged(StagedRebuild* staged, const graph::SearchGraph& base,
+                     const graph::WeightVector& weights);
 
  private:
   struct Slot {
@@ -500,6 +554,12 @@ class RefreshEngine {
                                            const graph::WeightVector& weights,
                                            bool allow_rebuild, bool run_gate,
                                            RefreshEngineStats* stats);
+
+  // The install step every rebuild ends in (see StagedRebuild).
+  void SwapInRebuild(Slot* slot, StagedRebuild* rebuilt,
+                     const graph::SearchGraph& base,
+                     const graph::WeightVector& weights,
+                     RefreshEngineStats* stats);
 
   // Adds `delta`'s counters into stats_ under stats_mu_.
   void MergeStats(const RefreshEngineStats& delta);

@@ -128,6 +128,17 @@ class WeightVector {
 
   void Nudge(FeatureId id, double delta) { Set(id, At(id) + delta); }
 
+  // A copy (values, revision and journal) whose dense values also cover
+  // every id the feature space holds now, each unset one at its initial
+  // weight, so At() on those ids never reads the space. Another thread
+  // may price with it while this one interns further features, which can
+  // reallocate the space's initial-weight storage.
+  WeightVector Materialized() const {
+    WeightVector copy(*this);
+    copy.EnsureSize(space_->size());
+    return copy;
+  }
+
   // Monotone mutation counter, bumped by every Set/Nudge/ResetToInitial.
   // Lets snapshot holders (the RefreshEngine's per-view CSR snapshots)
   // detect weight updates — from MIRA or from direct mutable_weights()

@@ -71,13 +71,10 @@ std::uint64_t KeywordMatchFingerprint(const text::TextIndex& index,
   return h;
 }
 
-util::Result<QueryGraph> BuildQueryGraph(
-    const graph::SearchGraph& base, const text::TextIndex& index,
-    const std::vector<std::string>& keywords, graph::CostModel* model,
-    const graph::WeightVector& weights, const QueryGraphOptions& options) {
+QueryGraph CopyBaseGraph(const graph::SearchGraph& base,
+                         const graph::WeightVector& weights,
+                         const QueryGraphOptions& options) {
   QueryGraph qg;
-  qg.keywords = keywords;
-  qg.keyword_fingerprint = kFnvOffsetBasis;
   // Only the base graph's delta journal is ever read (the RefreshEngine
   // classifies views from base.DeltaSince); a query-graph copy would just
   // buffer one record per copied node/edge, so keep its journal capacity
@@ -85,7 +82,25 @@ util::Result<QueryGraph> BuildQueryGraph(
   qg.graph.set_max_journal_entries(1);
   CopyGraphFiltered(base, weights, options.association_cost_threshold,
                     &qg.graph);
+  return qg;
+}
 
+util::Result<QueryGraph> BuildQueryGraph(
+    const graph::SearchGraph& base, const text::TextIndex& index,
+    const std::vector<std::string>& keywords, graph::CostModel* model,
+    const graph::WeightVector& weights, const QueryGraphOptions& options) {
+  QueryGraph qg = CopyBaseGraph(base, weights, options);
+  Q_RETURN_NOT_OK(ExpandKeywords(index, keywords, model, options, &qg));
+  return qg;
+}
+
+util::Status ExpandKeywords(const text::TextIndex& index,
+                            const std::vector<std::string>& keywords,
+                            graph::CostModel* model,
+                            const QueryGraphOptions& options, QueryGraph* out) {
+  QueryGraph& qg = *out;
+  qg.keywords = keywords;
+  qg.keyword_fingerprint = kFnvOffsetBasis;
   for (const std::string& keyword : keywords) {
     graph::NodeId kw_node =
         qg.graph.AddNode(graph::NodeKind::kKeyword, "kw:" + keyword);
@@ -153,7 +168,7 @@ util::Result<QueryGraph> BuildQueryGraph(
                                     "' matched no schema element or value");
     }
   }
-  return qg;
+  return util::Status::OK();
 }
 
 }  // namespace q::query

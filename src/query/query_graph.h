@@ -50,8 +50,27 @@ std::uint64_t KeywordMatchFingerprint(const text::TextIndex& index,
                                       const std::vector<std::string>& keywords,
                                       const QueryGraphOptions& options);
 
-// Builds the query graph. Fails with NotFound if any keyword matches
-// nothing at or above min_similarity.
+// The base half of BuildQueryGraph: a copy of `base` (node ids kept,
+// association edges above the options' cost threshold dropped) with no
+// keyword nodes yet. Reads only `base` and `weights` and interns nothing,
+// so it may run while concurrent readers price against the feature space.
+QueryGraph CopyBaseGraph(const graph::SearchGraph& base,
+                         const graph::WeightVector& weights,
+                         const QueryGraphOptions& options);
+
+// The keyword half: appends to `*out` one keyword node per keyword, the
+// value nodes its matches materialize, and the match edges, and sets its
+// keywords and keyword_fingerprint. Reads `index` and interns the
+// match features into `model`'s feature space, so it must not run while
+// anything reads that space through a WeightVector's initial-weight
+// fallback. Fails with NotFound if any keyword matches nothing at or
+// above min_similarity.
+util::Status ExpandKeywords(const text::TextIndex& index,
+                            const std::vector<std::string>& keywords,
+                            graph::CostModel* model,
+                            const QueryGraphOptions& options, QueryGraph* out);
+
+// Builds the query graph: CopyBaseGraph, then ExpandKeywords.
 util::Result<QueryGraph> BuildQueryGraph(
     const graph::SearchGraph& base, const text::TextIndex& index,
     const std::vector<std::string>& keywords, graph::CostModel* model,

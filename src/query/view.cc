@@ -21,13 +21,20 @@ util::Status TopKView::RebuildQueryGraph(const graph::SearchGraph& base,
                                          const text::TextIndex& index,
                                          graph::CostModel* model,
                                          const graph::WeightVector& weights) {
-  Q_ASSIGN_OR_RETURN(query_graph_,
+  Q_ASSIGN_OR_RETURN(QueryGraph next,
                      BuildQueryGraph(base, index, keywords_, model, weights,
                                      config_.query_graph));
-  // The certificate's edge ids refer to the replaced graph; it is rebuilt
-  // by the next RunSearch.
-  certificate_.valid = false;
+  ReplaceQueryGraph(std::move(next));
   return util::Status::OK();
+}
+
+QueryGraph TopKView::ReplaceQueryGraph(QueryGraph next) {
+  std::swap(query_graph_, next);
+  // The certificate's edge ids refer to the replaced graph; it is rebuilt
+  // by the next publication.
+  std::lock_guard<std::mutex> lock(state_mu_);
+  certificate_.valid = false;
+  return next;
 }
 
 bool TopKView::PropagateBaseEdges(const graph::SearchGraph& base,
@@ -53,20 +60,21 @@ bool TopKView::PropagateBaseEdges(const graph::SearchGraph& base,
 }
 
 util::Result<ViewSnapshot> TopKView::BuildSearchSnapshot(
-    const relational::Catalog& catalog, const graph::WeightVector& weights,
+    const QueryGraph& query_graph, const relational::Catalog& catalog,
+    const graph::WeightVector& weights,
     steiner::FastSteinerEngine* shared_engine,
     const steiner::SnapshotPin* pin) const {
   ViewSnapshot snapshot;
   steiner::RelevanceCertificate& certificate = snapshot.certificate;
   std::vector<steiner::SteinerTree> trees = steiner::TopKSteinerTrees(
-      query_graph_.graph, weights, query_graph_.keyword_nodes,
+      query_graph.graph, weights, query_graph.keyword_nodes,
       config_.top_k, shared_engine, &certificate, pin);
   std::vector<ConjunctiveQuery> queries;
   std::vector<std::vector<relational::Row>> per_query_rows;
   Executor executor(&catalog, config_.executor);
   for (const steiner::SteinerTree& tree : trees) {
     Q_ASSIGN_OR_RETURN(ConjunctiveQuery cq,
-                       CompileTree(query_graph_, tree, weights));
+                       CompileTree(query_graph, tree, weights));
     auto rows = executor.Execute(cq);
     if (!rows.ok()) {
       // Row-limit overruns degrade gracefully to an empty branch; other
@@ -79,7 +87,7 @@ util::Result<ViewSnapshot> TopKView::BuildSearchSnapshot(
     queries.push_back(std::move(cq));
   }
   RankedResults results =
-      DisjointUnion(query_graph_, weights, queries, std::move(per_query_rows),
+      DisjointUnion(query_graph, weights, queries, std::move(per_query_rows),
                     config_.union_similarity_threshold);
   // Augment the search certificate with every edge DisjointUnion's
   // schema-unification prices: all edges incident to each select-list
@@ -90,10 +98,10 @@ util::Result<ViewSnapshot> TopKView::BuildSearchSnapshot(
   if (certificate.valid) {
     for (const ConjunctiveQuery& cq : queries) {
       for (const OutputColumn& col : cq.select_list) {
-        auto node = query_graph_.graph.FindAttributeNode(col.attr);
+        auto node = query_graph.graph.FindAttributeNode(col.attr);
         if (!node.has_value()) continue;
         const graph::AdjacencyRange incident =
-            query_graph_.graph.edges_of(*node);
+            query_graph.graph.edges_of(*node);
         certificate.edges.insert(certificate.edges.end(), incident.begin(),
                                  incident.end());
       }
@@ -114,14 +122,14 @@ util::Result<ViewSnapshot> TopKView::BuildSearchSnapshot(
         trees.size() == static_cast<std::size_t>(config_.top_k.k)
             ? trees.back().cost
             : std::numeric_limits<double>::infinity();
-    certificate.keyword_fingerprint = query_graph_.keyword_fingerprint;
+    certificate.keyword_fingerprint = query_graph.keyword_fingerprint;
     certificate.alpha_radius = 0.0;
     if (std::isfinite(certificate.kth_cost) &&
-        !query_graph_.keyword_nodes.empty()) {
+        !query_graph.keyword_nodes.empty()) {
       certificate.alpha_radius = 2.0 * certificate.kth_cost + 1.0;
       graph::DistanceField field;
-      query_graph_.graph.Dijkstra(
-          {{query_graph_.keyword_nodes.front(), 0.0}}, weights,
+      query_graph.graph.Dijkstra(
+          {{query_graph.keyword_nodes.front(), 0.0}}, weights,
           certificate.alpha_radius, &field);
       certificate.alpha_nodes.assign(field.reached().begin(),
                                      field.reached().end());
@@ -151,8 +159,13 @@ util::Status TopKView::RunSearch(const relational::Catalog& catalog,
   // complete result set until the new one is published whole (the
   // double-buffered half of the async refresh contract).
   Q_ASSIGN_OR_RETURN(ViewSnapshot built,
-                     BuildSearchSnapshot(catalog, weights, shared_engine,
-                                         /*pin=*/nullptr));
+                     BuildSearchSnapshot(query_graph_, catalog, weights,
+                                         shared_engine, /*pin=*/nullptr));
+  PublishSnapshot(std::move(built));
+  return util::Status::OK();
+}
+
+void TopKView::PublishSnapshot(ViewSnapshot built) {
   auto next = std::make_shared<ViewSnapshot>(std::move(built));
   {
     // Serial stamping, certificate publication, and snapshot swap happen
@@ -167,7 +180,6 @@ util::Status TopKView::RunSearch(const relational::Catalog& catalog,
     state_ = std::move(next);
   }
   refreshed_.store(true, std::memory_order_release);
-  return util::Status::OK();
 }
 
 double TopKView::Alpha() const {

@@ -78,7 +78,11 @@ struct ViewResult {
 //      from a caller-owned CSR snapshot.
 // Refresh() runs both phases; batched and independent refreshes produce
 // bit-identical results (the determinism contract of
-// docs/query_engine.md).
+// docs/query_engine.md). The RefreshEngine's staged structural rebuild
+// runs the same phases on a query graph built beside the view
+// (BuildQueryGraph's two halves, then BuildSearchSnapshot over that
+// graph) and installs the result whole (ReplaceQueryGraph, then
+// PublishSnapshot).
 class TopKView {
  public:
   TopKView(std::vector<std::string> keywords, ViewConfig config)
@@ -98,6 +102,13 @@ class TopKView {
                                  graph::CostModel* model,
                                  const graph::WeightVector& weights);
 
+  // Makes `next` the view's query graph and returns the one it replaces,
+  // so the caller chooses where that graph's teardown runs. Invalidates
+  // the certificate, whose edge ids refer to the replaced graph, until
+  // the next publication. Not safe against a concurrent reader of
+  // query_graph() (the serving gate upstream excludes them).
+  QueryGraph ReplaceQueryGraph(QueryGraph next);
+
   // Phase 2: recomputes trees/queries/results against the current query
   // graph. When `shared_engine` is non-null it must hold a CSR snapshot of
   // exactly (query_graph().graph, weights); its warm enumeration memo
@@ -108,21 +119,33 @@ class TopKView {
                          steiner::FastSteinerEngine* shared_engine = nullptr);
 
   // The read-only body of RunSearch: runs the search/compile/execute/union
-  // pipeline against the current query graph and returns the resulting
-  // snapshot WITHOUT publishing it (state_, certificate_, and the serial
-  // counter are untouched; the returned snapshot carries serial 0 in both
-  // certificate.serial and search_serial, a consistent pair). When `pin`
+  // pipeline against `query_graph` — the view's own query_graph(), or a
+  // graph staged for it that is not installed yet — with this view's
+  // config, and returns the resulting snapshot WITHOUT publishing it
+  // (state_, certificate_, and the serial counter are untouched; the
+  // returned snapshot carries serial 0 in both certificate.serial and
+  // search_serial, a consistent pair). `shared_engine`, when non-null,
+  // must hold a CSR snapshot of (query_graph.graph, weights). When `pin`
   // is non-null it must come from `shared_engine` and the whole
   // enumeration runs against that pinned CSR generation — this is the
   // concurrent serving path (core::RefreshEngine::SearchView), which may
   // run any number of BuildSearchSnapshot calls on one view concurrently
   // with each other and with pinned engine re-costs, but NOT concurrently
-  // with RebuildQueryGraph/PropagateBaseEdges (those mutate query_graph_;
-  // the serving gate upstream excludes them).
+  // with anything that mutates the graph it searches
+  // (RebuildQueryGraph/ReplaceQueryGraph/PropagateBaseEdges on
+  // query_graph_; the serving gate upstream excludes them).
   util::Result<ViewSnapshot> BuildSearchSnapshot(
-      const relational::Catalog& catalog, const graph::WeightVector& weights,
+      const QueryGraph& query_graph, const relational::Catalog& catalog,
+      const graph::WeightVector& weights,
       steiner::FastSteinerEngine* shared_engine,
       const steiner::SnapshotPin* pin) const;
+
+  // RunSearch's publication step: stamps `built` with the next search
+  // serial (certificate.serial and search_serial alike), makes its
+  // certificate the view's and swaps it in as the published snapshot, all
+  // in one critical section, and marks the view refreshed. `built` must be
+  // a BuildSearchSnapshot result over the view's current query graph.
+  void PublishSnapshot(ViewSnapshot built);
 
   // Delta alternative to phase 1 for in-place base-edge mutations (the
   // kEdgeMutated structural journal records): copies each listed base

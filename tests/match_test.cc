@@ -7,8 +7,8 @@
 #include "match/matcher.h"
 #include "match/metadata_matcher.h"
 #include "match/synonyms.h"
-#include "match/top_y_reveal.h"
 #include "match/value_overlap.h"
+#include "top_y_reveal.h"
 
 namespace q::match {
 namespace {

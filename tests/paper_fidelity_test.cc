@@ -4,8 +4,8 @@
 // change anywhere in matching, learning, search or refresh that moves a
 // reproduced table or figure fails here instead of going unnoticed. A
 // change that moves a pinned value on purpose updates it here and says why
-// in CHANGES.md. Fig. 7's comparison counts are deterministic too, but take
-// ~20 s and are not pinned.
+// in CHANGES.md. Fig. 7's comparison counts take a few seconds more and
+// are pinned under the `stress` label (tests/fig7_comparisons_test.cc).
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -20,7 +20,11 @@
 //   * serving from the committed snapshot — QueryView answers from the
 //     view's committed snapshot only while its serving pair is the one
 //     that snapshot's search ran at, and searches otherwise (an engine
-//     swap, a repair window), always equal to an independent search.
+//     swap, a repair window), always equal to an independent search;
+//   * staged structural rebuilds — a registration's rebuilt view is
+//     installed with its searched snapshot, so readers racing a
+//     registration stream never search, and a failed staged search
+//     leaves the rebuilt graph searched until a barrier repairs it.
 //
 // Runs under the ctest `stress` label and the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
@@ -142,8 +146,8 @@ query::ViewSnapshot IndependentSearch(const query::TopKView& view,
                                       const graph::WeightVector& weights) {
   steiner::FastSteinerEngine engine(view.query_graph().graph, weights,
                                     /*use_memo=*/false);
-  auto snapshot =
-      view.BuildSearchSnapshot(catalog, weights, &engine, /*pin=*/nullptr);
+  auto snapshot = view.BuildSearchSnapshot(view.query_graph(), catalog,
+                                           weights, &engine, /*pin=*/nullptr);
   Q_CHECK_OK(snapshot.status());
   return std::move(snapshot).value();
 }
@@ -433,6 +437,7 @@ TEST(ServeConcurrencyTest, OnboardingRegistrationsRaceQueryReaders) {
   while (readers_ready.load(std::memory_order_acquire) < kQueryReaders) {
     std::this_thread::yield();
   }
+  const RefreshEngineStats serving_before = q->refresh_engine().stats();
 
   // The registration stream: even serials are vocabulary-disjoint islands
   // (every view skips), odd serials overlap one community (that view
@@ -454,6 +459,13 @@ TEST(ServeConcurrencyTest, OnboardingRegistrationsRaceQueryReaders) {
   done.store(true, std::memory_order_release);
   for (auto& th : readers) th.join();
   EXPECT_GT(searches_ok.load(), 0u);
+  // Every read during the stream was answered from a committed snapshot:
+  // a rebuilt view is installed together with its searched snapshot, so
+  // no reader ever meets one whose search has not landed.
+  const RefreshEngineStats serving_after = q->refresh_engine().stats();
+  EXPECT_EQ(serving_after.queries_searched, serving_before.queries_searched);
+  EXPECT_GT(serving_after.queries_served_committed,
+            serving_before.queries_served_committed);
 
   const auto sched_after = q->async_scheduler()->stats();
   EXPECT_EQ(sched_after.structural_rounds,
@@ -928,19 +940,11 @@ struct EngineFixture {
   }
 };
 
-// A registration that leaves the weight revision alone rebuilds the
-// view's query graph onto a fresh engine, which restarts at generation 0
-// with the same serving weight copy — the very pair the old snapshot was
-// stamped with. Until the rebuild's search lands, QueryView must search
-// the rebuilt query graph, not return the old query graph's snapshot.
-TEST(ServeConcurrencyTest, EngineSwapSearchesTheRebuiltQueryGraph) {
-  EngineFixture f(/*query=*/2);
-  const query::ViewSnapshot old_answer = *f.view->Snapshot();
-  ASSERT_FALSE(old_answer.trees.empty());
-  ExpectServed(f.engine, [&] { return f.Serve(); }, f.Independent(),
-               /*from_committed=*/true, "before the registration");
-
-  auto table = f.dataset.catalog.FindTable("interpro.journal");
+// Registers a copy of InterPro-GO's journal table as source "newsrc"
+// with the weight revision unchanged; it changes the answer of the
+// EngineFixture's view over query 2.
+void RegisterJournalCopy(EngineFixture* f) {
+  auto table = f->dataset.catalog.FindTable("interpro.journal");
   ASSERT_NE(table, nullptr);
   auto source = std::make_shared<relational::DataSource>("newsrc");
   auto copy = std::make_shared<relational::Table>(relational::RelationSchema(
@@ -949,15 +953,46 @@ TEST(ServeConcurrencyTest, EngineSwapSearchesTheRebuiltQueryGraph) {
     ASSERT_TRUE(copy->AppendRow(row).ok());
   }
   ASSERT_TRUE(source->AddTable(copy).ok());
-  const std::uint64_t weight_revision = f.q->weights().revision();
-  ASSERT_TRUE(f.q->RegisterSource(source).ok());
-  ASSERT_EQ(f.q->weights().revision(), weight_revision);
+  const std::uint64_t weight_revision = f->q->weights().revision();
+  ASSERT_TRUE(f->q->RegisterSource(source).ok());
+  ASSERT_EQ(f->q->weights().revision(), weight_revision);
+}
 
-  auto need_search = f.engine.PrepareStructuralRepair(
-      f.slot, f.q->search_graph(), f.q->text_index(), &f.q->cost_model(),
-      f.q->weights());
-  ASSERT_TRUE(need_search.ok()) << need_search.status().ToString();
-  ASSERT_TRUE(*need_search);
+// Steps 1-3 of a staged rebuild of the fixture's view: base copy, keyword
+// expansion and the search against `catalog`, priced at a materialized
+// copy of the live weights.
+RefreshEngine::StagedRebuild StageAndSearch(EngineFixture* f,
+                                            const relational::Catalog& catalog) {
+  RefreshEngine::StagedRebuild staged =
+      f->engine.StageRebuild(f->slot, f->q->search_graph(), f->q->weights());
+  Q_CHECK_OK(
+      f->engine.ExpandStaged(&staged, f->q->text_index(), &f->q->cost_model()));
+  staged.weights = std::make_shared<const graph::WeightVector>(
+      f->q->weights().Materialized());
+  f->engine.SearchStaged(&staged, catalog);
+  return staged;
+}
+
+// A registration that leaves the weight revision alone rebuilds the
+// view's query graph onto a fresh engine, which restarts at generation 0
+// with the same serving weight copy — the very pair the old snapshot was
+// stamped with. A staged rebuild whose search failed (its catalog lacks
+// the view's tables) is installed without a snapshot; until a repair's
+// search lands, QueryView must search the rebuilt query graph, not
+// return the old query graph's snapshot.
+TEST(ServeConcurrencyTest, EngineSwapSearchesTheRebuiltQueryGraph) {
+  EngineFixture f(/*query=*/2);
+  const query::ViewSnapshot old_answer = *f.view->Snapshot();
+  ASSERT_FALSE(old_answer.trees.empty());
+  ExpectServed(f.engine, [&] { return f.Serve(); }, f.Independent(),
+               /*from_committed=*/true, "before the registration");
+  RegisterJournalCopy(&f);
+
+  const relational::Catalog empty;
+  RefreshEngine::StagedRebuild staged = StageAndSearch(&f, empty);
+  ASSERT_TRUE(staged.snapshot.status().IsNotFound())
+      << staged.snapshot.status().ToString();
+  f.engine.InstallStaged(&staged, f.q->search_graph(), f.q->weights());
   const query::ViewSnapshot rebuilt = f.Independent();
   ASSERT_FALSE(SameTrees(old_answer, rebuilt))
       << "the registration must change the view's answer";
@@ -971,6 +1006,98 @@ TEST(ServeConcurrencyTest, EngineSwapSearchesTheRebuiltQueryGraph) {
                   .ok());
   ExpectServed(f.engine, [&] { return f.Serve(); }, rebuilt,
                /*from_committed=*/true, "rebuilt, search landed");
+}
+
+// A staged structural rebuild, driven step by step on the engine: until
+// the install, the slot keeps its old pair and answers from its committed
+// snapshot of the old query graph; the install swaps query graph, engine,
+// serving weights and searched snapshot in together, so the very next
+// answer is the rebuilt graph's, again from the committed snapshot. No
+// step in between makes SearchView search.
+TEST(ServeConcurrencyTest, StagedRebuildInstallsQueryGraphEngineAndSnapshot) {
+  EngineFixture f(/*query=*/2);
+  const query::ViewSnapshot old_answer = f.Independent();
+  ASSERT_FALSE(old_answer.trees.empty());
+  ExpectServed(f.engine, [&] { return f.Serve(); }, old_answer,
+               /*from_committed=*/true, "before the registration");
+  RegisterJournalCopy(&f);
+  const std::uint64_t serial_before = f.view->Snapshot()->search_serial;
+
+  RefreshEngine::StagedRebuild staged =
+      f.engine.StageRebuild(f.slot, f.q->search_graph(), f.q->weights());
+  ExpectServed(f.engine, [&] { return f.Serve(); }, old_answer,
+               /*from_committed=*/true, "base copied");
+  ASSERT_TRUE(f.engine
+                  .ExpandStaged(&staged, f.q->text_index(), &f.q->cost_model())
+                  .ok());
+  staged.weights = std::make_shared<const graph::WeightVector>(
+      f.q->weights().Materialized());
+  const RefreshEngineStats before_search = f.engine.stats();
+  f.engine.SearchStaged(&staged, f.q->catalog());
+  ASSERT_TRUE(staged.snapshot.ok()) << staged.snapshot.status().ToString();
+  EXPECT_EQ(f.engine.stats().searches_run, before_search.searches_run + 1);
+  ExpectServed(f.engine, [&] { return f.Serve(); }, old_answer,
+               /*from_committed=*/true, "staged search landed");
+  EXPECT_EQ(f.view->Snapshot()->search_serial, serial_before);
+
+  f.engine.InstallStaged(&staged, f.q->search_graph(), f.q->weights());
+  const query::ViewSnapshot rebuilt = f.Independent();
+  ASSERT_FALSE(SameTrees(old_answer, rebuilt))
+      << "the registration must change the view's answer";
+  ExpectServed(f.engine, [&] { return f.Serve(); }, rebuilt,
+               /*from_committed=*/true, "installed");
+  // Published once, at the install, with a consistent serial pair.
+  const auto published = f.view->Snapshot();
+  EXPECT_EQ(published->search_serial, serial_before + 1);
+  EXPECT_EQ(published->certificate.serial, published->search_serial);
+  ExpectSameViewState(*published, rebuilt, "published");
+  // The staged rebuild now holds what the install replaced.
+  EXPECT_LT(staged.query_graph.graph.num_nodes(),
+            f.view->query_graph().graph.num_nodes());
+  EXPECT_EQ(f.engine.stats().snapshots_built,
+            before_search.snapshots_built + 1);
+}
+
+// A staged search that fails (the scheduler's catalog lacks the view's
+// tables) installs the rebuilt query graph and engine without a snapshot:
+// the EngineSwapSearchesTheRebuiltQueryGraph state. The failure surfaces
+// through Drain, which DrainRefreshes returns, and the sync barrier that
+// RefreshAllViews runs repairs the view once the catalog is whole.
+TEST(ServeConcurrencyTest, FailedStagedSearchLeavesTheRebuiltGraphSearched) {
+  EngineFixture f(/*query=*/2);
+  const query::ViewSnapshot old_answer = *f.view->Snapshot();
+  relational::Catalog catalog;  // the scheduler's: no tables yet
+  AsyncRefreshScheduler sched(&f.engine, /*pool=*/nullptr,
+                              /*dedicated_threads=*/1, &f.q->search_graph(),
+                              &catalog, &f.q->text_index(),
+                              &f.q->cost_model(), &f.q->weights());
+  sched.TrackView(f.slot, f.view.get());
+  RegisterJournalCopy(&f);
+
+  const AsyncRefreshStats before = sched.stats();
+  ASSERT_TRUE(sched.NotifyStructuralChange().ok());
+  EXPECT_EQ(sched.stats().structural_rebuilds, before.structural_rebuilds + 1);
+  EXPECT_TRUE(sched.Read(f.slot).stale);
+  // The old published snapshot is still the view's output, while QueryView
+  // searches the installed rebuild.
+  ExpectSameViewState(*f.view->Snapshot(), old_answer, "published");
+  const query::ViewSnapshot rebuilt = f.Independent();
+  ASSERT_FALSE(SameTrees(old_answer, rebuilt))
+      << "the registration must change the view's answer";
+  ExpectServed(f.engine, [&] { return f.Serve(); }, rebuilt,
+               /*from_committed=*/false, "staged search failed");
+  const util::Status drained = sched.Drain();
+  EXPECT_TRUE(drained.IsNotFound()) << drained.ToString();
+
+  for (const auto& source : f.q->catalog().sources()) {
+    ASSERT_TRUE(catalog.AddSource(source).ok());
+  }
+  ASSERT_TRUE(sched.SyncBarrier().ok());
+  EXPECT_TRUE(sched.Drain().ok());
+  EXPECT_FALSE(sched.Read(f.slot).stale);
+  ExpectServed(f.engine, [&] { return f.Serve(); }, rebuilt,
+               /*from_committed=*/true, "repaired by the barrier");
+  ExpectSameViewState(*f.view->Snapshot(), rebuilt, "republished");
 }
 
 // A repair re-costs the slot — publishing the new serving pair — and then

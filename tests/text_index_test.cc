@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "relational/catalog.h"
-#include "text/similarity.h"
+#include "similarity.h"
 
 namespace q::text {
 namespace {

@@ -1,11 +1,35 @@
-#include "match/top_y_reveal.h"
+// The Sec. 3.2.3 top-Y reveal procedure, kept beside the test that pins
+// it: no production path calls it (registration aligns through
+// align::Aligner with matchers that report top-Y lists themselves).
+#ifndef Q_TESTS_TOP_Y_REVEAL_H_
+#define Q_TESTS_TOP_Y_REVEAL_H_
 
 #include <string>
-#include <unordered_set>
+#include <utility>
+#include <vector>
+
+#include "match/matcher.h"
 
 namespace q::match {
 
-util::Result<std::vector<AlignmentCandidate>> RevealTopYAlignments(
+struct TopYRevealOptions {
+  // Alignments at or above this confidence are trusted outright and not
+  // probed for alternatives (Sec. 3.2.3: "unless the top alignment has
+  // very high confidence").
+  double high_confidence = 0.9;
+  // Number of alternatives to reveal per attribute (the paper's Y,
+  // "typically 2 or 3").
+  int top_y = 2;
+};
+
+// The Sec. 3.2.3 procedure for forcing a pairwise black-box matcher that
+// only reports its top alignment to reveal its top-Y overall alignments:
+// compute the top alignment between the pair; then, for each alignment
+// pair (A, B) without high confidence, suppress A and re-run to find the
+// "next best" alignment with B, then suppress B and repeat. Suppression
+// is implemented through the matcher's pair filter, so any Matcher works
+// unmodified. The matcher's previous pair filter is restored on return.
+inline util::Result<std::vector<AlignmentCandidate>> RevealTopYAlignments(
     Matcher* matcher, const relational::Table& existing,
     const relational::Table& incoming, const TopYRevealOptions& options) {
   // Top-1 alignments as the black box reports them.
@@ -48,3 +72,5 @@ util::Result<std::vector<AlignmentCandidate>> RevealTopYAlignments(
 }
 
 }  // namespace q::match
+
+#endif  // Q_TESTS_TOP_Y_REVEAL_H_
