@@ -221,9 +221,8 @@ util::Status AsyncRefreshScheduler::RebuildViews(
 
   // Staged views whose search has not been installed yet, oldest first.
   std::vector<std::unique_ptr<StagedSearch>> staged;
-  // Installs every staged view whose search has landed, in one exclusive
-  // section, and frees what they replaced after releasing the gate.
-  const auto install_landed = [&] {
+  // Moves every staged view whose search has landed out of `staged`.
+  const auto take_landed = [&] {
     std::vector<std::unique_ptr<StagedSearch>> landed;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -231,28 +230,41 @@ util::Status AsyncRefreshScheduler::RebuildViews(
         if (s->landed) landed.push_back(std::move(s));
       }
     }
-    if (landed.empty()) return;
     staged.erase(std::remove(staged.begin(), staged.end(), nullptr),
                  staged.end());
+    return landed;
+  };
+  // Installs `landed`; the caller holds the exclusive serving gate. What
+  // the installs replace stays in `landed` until the caller frees it,
+  // after releasing the gate.
+  const auto install =
+      [&](const std::vector<std::unique_ptr<StagedSearch>>& landed) {
+        if (landed.empty()) return;
+        std::lock_guard<std::mutex> lock(mu_);
+        for (const auto& s : landed) {
+          const util::Status searched = s->rebuild.snapshot.status();
+          engine_->InstallStaged(&s->rebuild, *base_, *weights_);
+          record(s->rebuild.slot, searched, /*validated=*/searched.ok());
+        }
+      };
+  // Waits for a search to land and installs every landed view in an
+  // exclusive section of its own.
+  const auto await_and_install = [&] {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [&] {
+        for (const auto& s : staged) {
+          if (s->landed) return true;
+        }
+        return false;
+      });
+    }
+    std::vector<std::unique_ptr<StagedSearch>> landed = take_landed();
     {
       std::unique_lock<util::SharedMutex> serve_lock = LockServeGate();
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& s : landed) {
-        const util::Status searched = s->rebuild.snapshot.status();
-        engine_->InstallStaged(&s->rebuild, *base_, *weights_);
-        record(s->rebuild.slot, searched, /*validated=*/searched.ok());
-      }
+      install(landed);
     }
     cv_.notify_all();
-  };
-  const auto await_landing = [&] {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] {
-      for (const auto& s : staged) {
-        if (s->landed) return true;
-      }
-      return false;
-    });
   };
 
   // The priced weights of the staged searches: one materialized copy per
@@ -260,18 +272,22 @@ util::Status AsyncRefreshScheduler::RebuildViews(
   std::shared_ptr<const graph::WeightVector> priced;
   std::size_t priced_features = 0;
   for (std::size_t slot : slots) {
-    install_landed();
-    while (staged.size() >= kMaxStagedViews) {
-      await_landing();
-      install_landed();
-    }
+    while (staged.size() >= kMaxStagedViews) await_and_install();
     auto s = std::make_unique<StagedSearch>();
     s->rebuild = engine_->StageRebuild(slot, *base_, *weights_);
+    // One exclusive section installs every view whose search has landed
+    // and expands this one. Each release of the gate wakes every waiting
+    // reader, and on a host with more runnable threads than cores the
+    // woken readers take the writer's core, so a round pays that once
+    // per view instead of twice.
+    std::vector<std::unique_ptr<StagedSearch>> landed = take_landed();
     util::Status expanded;
     {
       std::unique_lock<util::SharedMutex> serve_lock = LockServeGate();
+      install(landed);
       expanded = engine_->ExpandStaged(&s->rebuild, *index_, model_);
     }
+    if (!landed.empty()) cv_.notify_all();
     if (!expanded.ok()) {
       // The slot is untouched and keeps serving its committed snapshot.
       std::lock_guard<std::mutex> lock(mu_);
@@ -300,11 +316,11 @@ util::Status AsyncRefreshScheduler::RebuildViews(
       cv_.notify_all();
     });
     staged.push_back(std::move(s));
+    // What the installs replaced is freed here, outside the gate and
+    // after this view's search is on its way.
+    landed.clear();
   }
-  while (!staged.empty()) {
-    await_landing();
-    install_landed();
-  }
+  while (!staged.empty()) await_and_install();
   return first_error;
 }
 

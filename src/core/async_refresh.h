@@ -155,12 +155,13 @@ class AsyncRefreshScheduler {
   // with no gate held, the keywords are expanded in a short exclusive
   // section (expansion interns features), and a repair thread builds the
   // engine and searches the staged pair at a weight copy materialized
-  // over every feature interned so far; one short exclusive section then
+  // over every feature interned so far; a later short exclusive section
   // installs query graph, engine and searched snapshot together and
   // validates the view at the round's epoch. The replaced query graph
   // and engine are freed after the gate is released. While view i+1 is
-  // staged, earlier views' searches run; views whose search has landed
-  // are installed before the next view is staged, and at most
+  // copied, earlier views' searches run; every view whose search has
+  // landed is installed in the exclusive section that expands view i+1,
+  // so the round takes the gate about once per view, and at most
   // kMaxStagedViews are staged but not installed. Until its install a
   // view keeps serving its committed snapshot at its old pair, so no
   // QueryView waits for a rebuild or searches one. A failed search
@@ -203,9 +204,10 @@ class AsyncRefreshScheduler {
   AsyncRefreshStats stats() const;
 
  private:
-  // Staged-but-uninstalled views a structural round allows at once: one
-  // per repair thread onboarding runs with, so a round's extra memory is
-  // two query graphs and engines whatever the view count.
+  // Staged-but-uninstalled views a structural round allows at once. A
+  // memory bound, independent of the repair thread count: a round's
+  // extra memory is at most two staged query graphs and engines, whatever
+  // the view count.
   static constexpr std::size_t kMaxStagedViews = 2;
 
   // One view of a structural round between staging and install.

@@ -128,14 +128,18 @@ class WeightVector {
 
   void Nudge(FeatureId id, double delta) { Set(id, At(id) + delta); }
 
-  // A copy (values, revision and journal) whose dense values also cover
-  // every id the feature space holds now, each unset one at its initial
-  // weight, so At() on those ids never reads the space. Another thread
+  // A priced copy at this revision: the dense values, extended over every
+  // id the feature space holds now (each unset one at its initial
+  // weight), so At() on those ids never reads the space. Another thread
   // may price with it while this one interns further features, which can
-  // reallocate the space's initial-weight storage.
+  // reallocate the space's initial-weight storage. It carries no journal
+  // (pricing never reads one): DeltaSince answers only from revision().
   WeightVector Materialized() const {
-    WeightVector copy(*this);
+    WeightVector copy(space_);
+    copy.values_.reserve(space_->size());
+    copy.values_.assign(values_.begin(), values_.end());
     copy.EnsureSize(space_->size());
+    copy.journal_.Restore(journal_.revision(), {});
     return copy;
   }
 

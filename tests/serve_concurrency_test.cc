@@ -958,28 +958,16 @@ void RegisterJournalCopy(EngineFixture* f) {
   ASSERT_EQ(f->q->weights().revision(), weight_revision);
 }
 
-// Steps 1-3 of a staged rebuild of the fixture's view: base copy, keyword
-// expansion and the search against `catalog`, priced at a materialized
-// copy of the live weights.
-RefreshEngine::StagedRebuild StageAndSearch(EngineFixture* f,
-                                            const relational::Catalog& catalog) {
-  RefreshEngine::StagedRebuild staged =
-      f->engine.StageRebuild(f->slot, f->q->search_graph(), f->q->weights());
-  Q_CHECK_OK(
-      f->engine.ExpandStaged(&staged, f->q->text_index(), &f->q->cost_model()));
-  staged.weights = std::make_shared<const graph::WeightVector>(
-      f->q->weights().Materialized());
-  f->engine.SearchStaged(&staged, catalog);
-  return staged;
-}
-
 // A registration that leaves the weight revision alone rebuilds the
-// view's query graph onto a fresh engine, which restarts at generation 0
-// with the same serving weight copy — the very pair the old snapshot was
-// stamped with. A staged rebuild whose search failed (its catalog lacks
-// the view's tables) is installed without a snapshot; until a repair's
-// search lands, QueryView must search the rebuilt query graph, not
-// return the old query graph's snapshot.
+// view's query graph onto a fresh engine, which restarts at generation 0,
+// and the synchronous rebuild installs the engine's cached serving weight
+// copy of that revision: the very pair the old snapshot was stamped with.
+// When the rebuild's search fails (its catalog lacks the view's tables),
+// the slot keeps the rebuilt graph and engine without a snapshot, the
+// state a failed staged search also leaves
+// (FailedStagedSearchLeavesTheRebuiltGraphSearched). Until a repair's
+// search lands, QueryView must search the rebuilt query graph, not return
+// the old query graph's snapshot.
 TEST(ServeConcurrencyTest, EngineSwapSearchesTheRebuiltQueryGraph) {
   EngineFixture f(/*query=*/2);
   const query::ViewSnapshot old_answer = *f.view->Snapshot();
@@ -989,10 +977,12 @@ TEST(ServeConcurrencyTest, EngineSwapSearchesTheRebuiltQueryGraph) {
   RegisterJournalCopy(&f);
 
   const relational::Catalog empty;
-  RefreshEngine::StagedRebuild staged = StageAndSearch(&f, empty);
-  ASSERT_TRUE(staged.snapshot.status().IsNotFound())
-      << staged.snapshot.status().ToString();
-  f.engine.InstallStaged(&staged, f.q->search_graph(), f.q->weights());
+  const util::Status failed =
+      f.engine.RefreshView(f.slot, f.q->search_graph(), empty,
+                           f.q->text_index(), &f.q->cost_model(),
+                           f.q->weights());
+  ASSERT_TRUE(failed.IsNotFound()) << failed.ToString();
+  ExpectSameViewState(*f.view->Snapshot(), old_answer, "published");
   const query::ViewSnapshot rebuilt = f.Independent();
   ASSERT_FALSE(SameTrees(old_answer, rebuilt))
       << "the registration must change the view's answer";
