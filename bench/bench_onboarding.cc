@@ -1,34 +1,20 @@
 // Streaming source onboarding under live serving (docs/benchmarks.md,
-// "Streaming onboarding"): measures the registration ack path that
-// classifies every view against its structural relevance certificate
-// instead of quiescing the world.
-//
-// Phase A — sustained onboarding throughput. N query workers hammer
-// QueryView/ReadView over a catalog of isolated community views (k=2, so
-// every certificate carries a finite kth cost and a real alpha ball)
-// while the driver registers a stream of vocabulary-disjoint sources.
-// Every registration must be classified kSkippedIrrelevant for every
-// view — the driver verifies the scheduler's skip counters exactly and
-// that no published snapshot was replaced — and the ack latency of each
-// RegisterAndAlignSource call is recorded.
-//
-// Phase B — time to first appearance. On a fresh k=3 system (head-room
-// above the two per-community base trees), the driver registers a source
-// that provably belongs in one community's view and polls ReadView until
-// the onboarded relation shows up in a compiled query's atoms: the
-// classify->rebuild->async-search->publish latency an onboarded source
-// experiences before it serves.
+// "Streaming onboarding"): time to first appearance. On a k=3 system of
+// isolated community views (head-room above the two per-community base
+// trees), N query workers hammer QueryView/ReadView while the bench
+// registers a source that provably belongs in one community's view and
+// polls ReadView until the onboarded relation shows up in a compiled
+// query's atoms: the register->rebuild->search->install latency an
+// onboarded source experiences before it serves. The registration ack
+// under real traffic is measured by the benchmark's onboard workload
+// (register_ack_p50_ms).
 //
 // Usage: bench_onboarding [--json=PATH] [--smoke] [--communities=N]
-//                         [--readers=N] [--sources=N] [--seed=N]
+//                         [--readers=N] [--seed=N]
+// (--smoke is accepted and changes nothing: the run is already small.)
 //
 // JSON-lines schema (shared with scripts/check.sh's perf gate):
-//   {"kernel":"onboarding_ack_us","n":<registrations>,"median_us":<us>}
-//   {"kernel":"onboarding_sources_per_sec","n":<registrations>,"median_us":<rate>}
 //   {"kernel":"onboarding_first_appearance_ms","n":1,"median_us":<ms>}
-// onboarding_sources_per_sec carries throughput (higher is better) in
-// the shared field; check.sh applies an inverted gate to it.
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -47,10 +33,8 @@ namespace {
 struct OnboardingConfig {
   std::size_t communities = 32;  // >= 32 views: the acceptance floor
   int readers = 4;
-  std::size_t num_sources = 64;  // phase-A registration stream length
   std::uint64_t seed = 42;
   const char* json_path = "bench/out/BENCH_onboarding.json";
-  bool smoke = false;
 };
 
 struct System {
@@ -119,101 +103,21 @@ struct ReaderPool {
   }
 };
 
-double Median(std::vector<double>* in_place) {
-  if (in_place->empty()) return 0.0;
-  std::sort(in_place->begin(), in_place->end());
-  return (*in_place)[in_place->size() / 2];
-}
-
 int Run(const OnboardingConfig& bench) {
   using Clock = std::chrono::steady_clock;
   PrintHeader("Streaming source onboarding under live serving",
               "async structural deltas (docs/query_engine.md, "
               "\"Streaming onboarding contract\")");
 
-  // --- phase A: disjoint-source stream against k=2 certificates ----------
-  System serving = BuildSystem(bench, /*k=*/2);
-  const auto sched_before = serving.q->async_scheduler()->stats();
-  std::vector<const void*> snapshots;
-  for (std::size_t id : serving.view_ids) {
-    snapshots.push_back(serving.q->ReadView(id).state.get());
-  }
-
-  ReaderPool readers;
-  readers.Start(serving, bench.readers, bench.seed);
-  std::vector<double> ack_us;
-  ack_us.reserve(bench.num_sources);
-  const auto stream_start = Clock::now();
-  for (std::size_t i = 0; i < bench.num_sources; ++i) {
-    const auto t0 = Clock::now();
-    Q_CHECK_OK(
-        serving.q->RegisterAndAlignSource(data::MakeDisjointSource(i))
-            .status());
-    const auto t1 = Clock::now();
-    ack_us.push_back(
-        std::chrono::duration<double, std::micro>(t1 - t0).count());
-  }
-  const double stream_s =
-      std::chrono::duration<double>(Clock::now() - stream_start).count();
-  readers.Stop();
-  if (!serving.q->DrainRefreshes().ok()) {
-    std::fprintf(stderr, "onboarding: drain failed\n");
-    return 2;
-  }
-
-  // Every registration must have been certificate-skipped for every view:
-  // exact counters, zero rebuilds, and the published snapshots untouched.
-  const auto sched_after = serving.q->async_scheduler()->stats();
-  const std::size_t expect_skips =
-      bench.num_sources * serving.view_ids.size();
-  if (sched_after.structural_skips - sched_before.structural_skips !=
-          expect_skips ||
-      sched_after.structural_rebuilds != sched_before.structural_rebuilds) {
-    std::fprintf(stderr,
-                 "onboarding: expected %zu certificate skips and no "
-                 "rebuilds, got %zu skips / %zu rebuilds\n",
-                 expect_skips,
-                 sched_after.structural_skips - sched_before.structural_skips,
-                 sched_after.structural_rebuilds -
-                     sched_before.structural_rebuilds);
-    return 2;
-  }
-  for (std::size_t i = 0; i < serving.view_ids.size(); ++i) {
-    if (serving.q->ReadView(serving.view_ids[i]).state.get() !=
-        snapshots[i]) {
-      std::fprintf(stderr, "onboarding: view %zu snapshot replaced\n", i);
-      return 2;
-    }
-  }
-  if (readers.failures.load() != 0) {
-    std::fprintf(stderr, "onboarding: %llu reader failures\n",
-                 static_cast<unsigned long long>(readers.failures.load()));
-    return 1;
-  }
-
-  const double sources_per_sec =
-      stream_s > 0.0 ? static_cast<double>(bench.num_sources) / stream_s
-                     : 0.0;
-  const double ack_median = Median(&ack_us);
-  const double ack_p95 = ack_us[(ack_us.size() * 95) / 100];
-  std::printf("phase A: %zu sources in %.2fs while %d readers served "
-              "(%llu reader ops)\n",
-              bench.num_sources, stream_s, bench.readers,
-              static_cast<unsigned long long>(readers.ops.load()));
-  std::printf("  sources/sec=%.1f ack p50=%.1fus p95=%.1fus  "
-              "skips=%zu rebuilds=0\n",
-              sources_per_sec, ack_median, ack_p95, expect_skips);
-
-  // --- phase B: first appearance of a relevant source --------------------
   System appear = BuildSystem(bench, /*k=*/3);
-  ReaderPool appear_readers;
-  appear_readers.Start(appear, bench.readers, bench.seed + 9000);
+  ReaderPool readers;
+  readers.Start(appear, bench.readers, bench.seed + 9000);
   constexpr std::size_t kTarget = 0;
   const std::size_t target_view = appear.view_ids[kTarget];
   const auto appear_start = Clock::now();
   Q_CHECK_OK(appear.q
-                 ->RegisterAndAlignSource(data::MakeOverlappingSource(
-                     /*serial=*/bench.num_sources, kTarget))
+                 ->RegisterAndAlignSource(
+                     data::MakeOverlappingSource(/*serial=*/0, kTarget))
                  .status());
   double first_appearance_ms = -1.0;
   while (std::chrono::duration<double>(Clock::now() - appear_start).count() <
@@ -235,9 +139,9 @@ int Run(const OnboardingConfig& bench) {
     }
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
-  appear_readers.Stop();
+  readers.Stop();
   if (!appear.q->DrainRefreshes().ok()) {
-    std::fprintf(stderr, "onboarding: phase-B drain failed\n");
+    std::fprintf(stderr, "onboarding: drain failed\n");
     return 2;
   }
   if (first_appearance_ms < 0.0) {
@@ -246,14 +150,14 @@ int Run(const OnboardingConfig& bench) {
                  "top-k within 30s\n");
     return 2;
   }
-  if (appear_readers.failures.load() != 0) {
-    std::fprintf(stderr, "onboarding: %llu phase-B reader failures\n",
-                 static_cast<unsigned long long>(
-                     appear_readers.failures.load()));
+  if (readers.failures.load() != 0) {
+    std::fprintf(stderr, "onboarding: %llu reader failures\n",
+                 static_cast<unsigned long long>(readers.failures.load()));
     return 1;
   }
-  std::printf("phase B: first appearance in view %zu after %.2fms\n",
-              kTarget, first_appearance_ms);
+  std::printf("first appearance in view %zu after %.2fms (%llu reader ops)\n",
+              kTarget, first_appearance_ms,
+              static_cast<unsigned long long>(readers.ops.load()));
 
   // --- JSON ---------------------------------------------------------------
   FILE* json = OpenBenchJson(bench.json_path);
@@ -261,13 +165,10 @@ int Run(const OnboardingConfig& bench) {
     std::fprintf(stderr, "cannot open %s for writing\n", bench.json_path);
     return 1;
   }
-  auto emit = [json](const char* kernel, std::uint64_t n, double value) {
-    std::fprintf(json, "{\"kernel\":\"%s\",\"n\":%llu,\"median_us\":%.3f}\n",
-                 kernel, static_cast<unsigned long long>(n), value);
-  };
-  emit("onboarding_ack_us", bench.num_sources, ack_median);
-  emit("onboarding_sources_per_sec", bench.num_sources, sources_per_sec);
-  emit("onboarding_first_appearance_ms", 1, first_appearance_ms);
+  std::fprintf(json,
+               "{\"kernel\":\"onboarding_first_appearance_ms\",\"n\":1,"
+               "\"median_us\":%.3f}\n",
+               first_appearance_ms);
   std::fclose(json);
   return 0;
 }
@@ -280,27 +181,24 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--smoke") == 0) {
-      bench.smoke = true;
-      bench.num_sources = 16;
+      continue;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       bench.json_path = arg + 7;
     } else if (std::strncmp(arg, "--communities=", 14) == 0) {
       bench.communities = static_cast<std::size_t>(std::atoi(arg + 14));
     } else if (std::strncmp(arg, "--readers=", 10) == 0) {
       bench.readers = std::atoi(arg + 10);
-    } else if (std::strncmp(arg, "--sources=", 10) == 0) {
-      bench.num_sources = static_cast<std::size_t>(std::atoll(arg + 10));
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
       bench.seed = static_cast<std::uint64_t>(std::atoll(arg + 7));
     } else {
       std::fprintf(stderr,
                    "usage: %s [--json=PATH] [--smoke] [--communities=N] "
-                   "[--readers=N] [--sources=N] [--seed=N]\n",
+                   "[--readers=N] [--seed=N]\n",
                    argv[0]);
       return 1;
     }
   }
-  if (bench.communities < 2 || bench.readers < 1 || bench.num_sources < 1) {
+  if (bench.communities < 2 || bench.readers < 1) {
     std::fprintf(stderr, "onboarding: invalid config\n");
     return 1;
   }

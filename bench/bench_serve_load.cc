@@ -26,15 +26,10 @@
 //
 // --register-mix=F makes the writer register a brand-new vocabulary-
 // disjoint source (data/onboarding.h) instead of applying feedback with
-// probability F — the streaming-onboarding serving mix, where acks ride
-// the structural certificate gate (docs/query_engine.md, "Streaming
-// onboarding contract"). In this mode the writer quiesces before each
-// feedback op and records the endorsed tree by index, so the twin replay
-// endorses its own copy of the identical tree: certificate-skipped views
-// keep serving snapshots whose keyword-overlay edge ids predate the
-// registrations, so recorded tree objects (and tree edge ids in the
-// twin comparison) do not port across systems, while tree costs and
-// every served tuple still must match bit for bit.
+// probability F — the streaming-onboarding serving mix, where each ack
+// rebuilds every view beside its slot (docs/query_engine.md, "Streaming
+// onboarding contract"). The twin replays the same registrations and
+// endorsed trees, and must match bit for bit, tree edge ids included.
 //
 // JSON-lines schema (one object per line, shared with scripts/check.sh's
 // perf gate — the gate parses "kernel" and "median_us"):
@@ -128,15 +123,10 @@ struct WorkerResult {
 };
 
 // One committed writer event, in commit order, for the twin replay.
-// Feedback carries the endorsed tree twice: as the object the live run
-// applied (exact replay when no registrations are mixed in) and as an
-// index into the view's quiescent tree list (the only portable form once
-// certificate-skipped views serve snapshots from older overlay epochs).
 struct WriterEvent {
   enum Kind { kFeedback, kRegister } kind = kFeedback;
   std::size_t view_id = 0;
   steiner::SteinerTree endorsed;
-  std::size_t tree_index = 0;
   std::size_t source_serial = 0;  // kRegister: MakeDisjointSource serial
 };
 
@@ -207,18 +197,13 @@ double Percentile(std::vector<double>* sorted_in_place, double p) {
   return (*sorted_in_place)[idx];
 }
 
-// compare_edges=false relaxes tree edge-id equality (costs and tuples
-// still compare exactly): required for the async-vs-twin check when
-// registrations are mixed in, because certificate-skipped views keep
-// serving snapshots whose keyword-overlay edges were numbered off a
-// smaller base graph than the twin's rebuilt ones.
 bool SameViewState(const query::ViewSnapshot& a, const query::ViewSnapshot& b,
-                   const char* label, bool compare_edges = true) {
+                   const char* label) {
   bool same = a.trees.size() == b.trees.size() &&
               a.results.columns == b.results.columns &&
               a.results.rows.size() == b.results.rows.size();
   for (std::size_t i = 0; same && i < a.trees.size(); ++i) {
-    same = (!compare_edges || a.trees[i].edges == b.trees[i].edges) &&
+    same = a.trees[i].edges == b.trees[i].edges &&
            a.trees[i].cost == b.trees[i].cost;
   }
   for (std::size_t i = 0; same && i < a.results.rows.size(); ++i) {
@@ -321,18 +306,12 @@ int Run(const LoadConfig& load) {
       } else {
         const std::size_t view =
             serving.view_ids[rng.Uniform(serving.view_ids.size())];
-        // Mixed mode endorses at quiescence, by index, so the twin can
-        // replay its own copy of the identical tree (see header comment).
-        if (load.register_mix > 0.0 && !q.DrainRefreshes().ok()) {
-          ++write_failures;
-          continue;
-        }
         query::ViewResult read = q.ReadView(view);
         if (read.state != nullptr && !read.state->trees.empty()) {
           WriterEvent event;
           event.view_id = view;
-          event.tree_index = rng.Uniform(read.state->trees.size());
-          event.endorsed = read.state->trees[event.tree_index];
+          event.endorsed =
+              read.state->trees[rng.Uniform(read.state->trees.size())];
           if (q.ApplyFeedback(view, event.endorsed).ok()) {
             log.push_back(std::move(event));
           } else {
@@ -458,19 +437,7 @@ int Run(const LoadConfig& load) {
       }
       continue;
     }
-    steiner::SteinerTree endorsed = event.endorsed;
-    if (load.register_mix > 0.0) {
-      // Portable form: the twin endorses its own copy of the tree the
-      // live run endorsed at the matching quiescence point.
-      query::ViewResult read = twin.q->ReadView(event.view_id);
-      if (read.state == nullptr ||
-          event.tree_index >= read.state->trees.size()) {
-        std::fprintf(stderr, "serve_load: twin replay index out of range\n");
-        return 2;
-      }
-      endorsed = read.state->trees[event.tree_index];
-    }
-    if (!twin.q->ApplyFeedback(event.view_id, endorsed).ok()) {
+    if (!twin.q->ApplyFeedback(event.view_id, event.endorsed).ok()) {
       std::fprintf(stderr, "serve_load: twin replay failed\n");
       return 2;
     }
@@ -479,8 +446,7 @@ int Run(const LoadConfig& load) {
     std::string label = "async vs sync twin, view " + std::to_string(i);
     if (!SameViewState(*q.ReadView(serving.view_ids[i]).state,
                        *twin.q->ReadView(twin.view_ids[i]).state,
-                       label.c_str(),
-                       /*compare_edges=*/load.register_mix == 0.0)) {
+                       label.c_str())) {
       return 2;
     }
   }

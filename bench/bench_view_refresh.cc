@@ -16,8 +16,8 @@
 // Also measures the feedback-ack scenario (the async refresh contract):
 // 64 open views, one user's MIRA endorsement per round; synchronous mode
 // repairs every affected view before ApplyFeedback returns, async mode
-// returns after journal append + relevance classification and repairs in
-// the background. The ack-latency ratio should track roughly
+// returns after journal append + classification and repairs in the
+// background. The ack-latency ratio should track roughly
 // #affected / #total views. Quiescent async output is verified
 // bit-identical to the synchronous twin before timing.
 //
@@ -29,9 +29,6 @@
 //   {"kernel":"view_refresh_full_recost_8","n":...,"median_us":...}
 //   {"kernel":"view_refresh_delta_recost_8","n":...,"median_us":...}
 //   {"kernel":"view_refresh_delta_speedup","n":8,"ratio":...}
-//   {"kernel":"view_refresh_unscoped_64","n":...,"median_us":...}
-//   {"kernel":"view_refresh_scoped_64","n":...,"median_us":...}
-//   {"kernel":"view_refresh_relevance_speedup","n":64,"ratio":...}
 //   {"kernel":"feedback_ack_sync_64","n":...,"median_us":...}
 //   {"kernel":"feedback_ack_async_64","n":...,"median_us":...}
 //   {"kernel":"feedback_ack_speedup","n":64,"ratio":...}
@@ -45,9 +42,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,10 +88,6 @@ struct WorkloadOptions {
   std::size_t num_views = 8;
   std::size_t synthetic_sources = 2000;
   std::size_t base_rows = 400;
-  // Exact DP substrate instead of KMB: slower searches, but enumerations
-  // emit valid relevance certificates (the alpha-neighborhood gate only
-  // certifies provably-exact output; see docs/query_engine.md).
-  bool exact = false;
   // Trial index per view, cycled when shorter than num_views.
   std::vector<std::size_t> trial_plan = {0, 1, 2, 3, 5, 6, 0, 2};
 };
@@ -149,11 +140,9 @@ struct Workload {
     // subproblem cap bounds Lawler's tail on degenerate tie-heavy
     // queries, which would otherwise measure enumeration churn rather
     // than the refresh substrate; both refresh paths share the config, so
-    // the comparison is unaffected. Exact mode (the relevance-gating
-    // scenario) keeps the default cap: a truncated enumeration cannot
-    // certify, and the gate is the thing under test.
-    vconfig.top_k.approximate = !opt.exact;
-    if (!opt.exact) vconfig.top_k.max_subproblems = 400;
+    // the comparison is unaffected.
+    vconfig.top_k.approximate = true;
+    vconfig.top_k.max_subproblems = 400;
     vconfig.query_graph.max_matches_per_keyword = 6;
     vconfig.top_k.pool = pool.get();
     // Well-conditioned trial queries (interactive-latency searches; the
@@ -395,204 +384,11 @@ int main(int argc, char** argv) {
                "\"ratio\":%.3f}\n",
                w.views.size(), delta_ratio);
 
-  // --- relevance-scoped refresh: 64 views, sparse feedback touching ~2 ----
-  // The serving shape the alpha-neighborhood gate exists for: many open
-  // views, a feedback step whose repriced edges matter to only a couple of
-  // them. PR 3 delta-recost still re-searches every view whose snapshot
-  // repriced anything (every query graph copies every base edge, so a base
-  // feature touches all of them); the relevance gate re-searches only the
-  // views whose certificate the delta actually hits. Exact substrate —
-  // only provably-exact enumerations certify.
-  {
-    WorkloadOptions opt;
-    opt.num_views = 64;
-    opt.synthetic_sources = 300;
-    opt.base_rows = 150;
-    opt.exact = true;
-    // Bulk views cycle four keyword sets; the last two views get keyword
-    // sets of their own, so a delta inside their neighborhoods can avoid
-    // every bulk view's certificate.
-    opt.trial_plan.clear();
-    for (std::size_t i = 0; i + 2 < opt.num_views; ++i) {
-      opt.trial_plan.push_back(i % 4);
-    }
-    opt.trial_plan.push_back(5);
-    opt.trial_plan.push_back(6);
-    Workload rw(opt);
-    std::printf("relevance graph: %zu nodes, %zu edges, %zu views\n",
-                rw.graph.num_nodes(), rw.graph.num_edges(),
-                rw.views.size());
-    std::size_t certified = 0;
-    for (const auto& view : rw.views) {
-      certified += view->certificate().valid ? 1 : 0;
-    }
-    std::printf("certified views: %zu / %zu\n", certified,
-                rw.views.size());
-    Q_CHECK_MSG(certified > rw.views.size() / 2,
-                "exact enumeration failed to certify most views");
-
-    // Base-graph edges carrying each feature. Only features with strictly
-    // positive values everywhere qualify: the feedback step nudges
-    // weights *up*, and a negative feature value would turn that into a
-    // cost decrease, which correctly burns slack on every view (gap-0
-    // tie-heavy views then fall through) — a different scenario than the
-    // sparse, increase-only step modeled here.
-    std::map<q::graph::FeatureId, std::vector<q::graph::EdgeId>>
-        feature_edges;
-    std::set<q::graph::FeatureId> has_nonpositive;
-    for (q::graph::EdgeId e = 0; e < rw.graph.num_edges(); ++e) {
-      for (const auto& [id, value] : rw.graph.edge_features(e).entries()) {
-        if (id == q::graph::FeatureSpace::kDefaultFeature) continue;
-        feature_edges[id].push_back(e);
-        if (value <= 0.0) has_nonpositive.insert(id);
-      }
-    }
-    for (q::graph::FeatureId f : has_nonpositive) feature_edges.erase(f);
-    // Shared features (confidence/similarity bins) also ride the
-    // view-local keyword-match edges appended after the base copy — and
-    // those sit next to the terminals, inside every certificate. The
-    // base-edge postings above cannot see that, so drop any feature a
-    // view-local edge carries; what survives is per-edge features, the
-    // shape of a MIRA step over a specific tree.
-    for (const auto& view : rw.views) {
-      const q::graph::SearchGraph& g = view->query_graph().graph;
-      for (q::graph::EdgeId e = rw.graph.num_edges(); e < g.num_edges();
-           ++e) {
-        for (const auto& [id, value] : g.edge_features(e).entries()) {
-          feature_edges.erase(id);
-        }
-      }
-    }
-    // Which views' certificates a feature's edges intersect (base edge
-    // ids are copied id-for-id into every query graph).
-    auto touched_views = [&](const std::vector<q::graph::EdgeId>& edges) {
-      std::vector<std::size_t> touched;
-      for (std::size_t v = 0; v < rw.views.size(); ++v) {
-        const auto& cert = rw.views[v]->certificate().edges;
-        for (q::graph::EdgeId e : edges) {
-          if (std::binary_search(cert.begin(), cert.end(), e)) {
-            touched.push_back(v);
-            break;
-          }
-        }
-      }
-      return touched;
-    };
-    // The feedback step: two narrow features landing inside *different*
-    // views' certificates — together they touch ~2 views — plus a
-    // handful of features outside every certificate, exercising the
-    // slack math on the other 60+ views.
-    std::vector<std::pair<q::graph::FeatureId, std::vector<std::size_t>>>
-        in_cert;
-    std::vector<q::graph::FeatureId> outside;
-    for (const auto& [f, edges] : feature_edges) {
-      auto touched = touched_views(edges);
-      if (touched.empty()) {
-        if (outside.size() < 4 && edges.size() <= 2) outside.push_back(f);
-      } else {
-        in_cert.emplace_back(f, std::move(touched));
-      }
-    }
-    Q_CHECK_MSG(!in_cert.empty(), "no feature intersects any certificate");
-    std::sort(in_cert.begin(), in_cert.end(),
-              [](const auto& a, const auto& b) {
-                if (a.second.size() != b.second.size()) {
-                  return a.second.size() < b.second.size();
-                }
-                return a.first < b.first;
-              });
-    std::vector<q::graph::FeatureId> targets{in_cert[0].first};
-    std::set<std::size_t> target_views(in_cert[0].second.begin(),
-                                       in_cert[0].second.end());
-    for (const auto& [f, touched] : in_cert) {
-      bool overlaps = true;
-      for (std::size_t v : touched) overlaps &= target_views.count(v) > 0;
-      if (overlaps) continue;  // prefer a feature hitting a new view
-      targets.push_back(f);
-      target_views.insert(touched.begin(), touched.end());
-      break;
-    }
-    std::printf("sparse feedback: %zu target features touch %zu/%zu view "
-                "certificates, plus %zu outside features\n",
-                targets.size(), target_views.size(), rw.views.size(),
-                outside.size());
-
-    auto nudge = [&] {
-      for (q::graph::FeatureId f : targets) rw.weights->Nudge(f, 0.004);
-      for (q::graph::FeatureId f : outside) rw.weights->Nudge(f, 0.004);
-    };
-
-    // Baseline: the PR 3 delta-recost pipeline (gate off).
-    rw.engine.set_relevance_gating(false);
-    nudge();
-    rw.RefreshBatched();  // settle into the steady state being measured
-    double unscoped_us = MedianMicros([&] {
-      nudge();
-      rw.RefreshBatched();
-    });
-    emit("view_refresh_unscoped_" + std::to_string(rw.views.size()),
-         rw.graph.num_nodes(), unscoped_us);
-
-    // Relevance-scoped: identical updates, gate on.
-    rw.engine.set_relevance_gating(true);
-    nudge();
-    rw.RefreshBatched();
-    auto gate_before = rw.engine.stats();
-    std::size_t skipped_before = gate_before.views_skipped_irrelevant;
-    std::size_t searches_before = gate_before.searches_run;
-    std::size_t checks_before = gate_before.relevance_checks;
-    std::size_t fallthrough_before = gate_before.relevance_fallthroughs;
-    nudge();
-    rw.RefreshBatched();
-    auto rstats = rw.engine.stats();
-    std::size_t searched_per_round = rstats.searches_run - searches_before;
-    std::printf("gated round: %zu searches, %zu checks, %zu fallthroughs, "
-                "%zu irrelevant skips\n",
-                searched_per_round, rstats.relevance_checks - checks_before,
-                rstats.relevance_fallthroughs - fallthrough_before,
-                rstats.views_skipped_irrelevant - skipped_before);
-    Q_CHECK_MSG(rstats.views_skipped_irrelevant > skipped_before,
-                "relevance gate never skipped a view");
-    Q_CHECK_MSG(searched_per_round < rw.views.size(),
-                "relevance gate did not reduce per-round searches");
-    double scoped_us = MedianMicros([&] {
-      nudge();
-      rw.RefreshBatched();
-    });
-    emit("view_refresh_scoped_" + std::to_string(rw.views.size()),
-         rw.graph.num_nodes(), scoped_us);
-
-    // Output correctness last (independent refreshes re-stamp the
-    // certificates, which would disable the gate mid-measurement): after
-    // all the skipped rounds above, every view must still match a
-    // from-scratch refresh bit for bit.
-    auto scoped_states = Capture(rw);
-    rw.RefreshIndependent();
-    bool relevance_ok = SameStates(scoped_states, Capture(rw));
-    if (!relevance_ok) {
-      std::printf("MISMATCH: relevance-scoped refresh differs from "
-                  "independent\n");
-      ok = false;
-    }
-
-    double relevance_ratio = scoped_us > 0.0 ? unscoped_us / scoped_us : 0.0;
-    std::printf("%-28s speedup=%.2fx (unscoped/scoped), %zu searches/round, "
-                "%zu irrelevant skips, output %s\n",
-                "view_refresh_relevance_speedup", relevance_ratio,
-                searched_per_round,
-                rw.engine.stats().views_skipped_irrelevant,
-                relevance_ok ? "verified identical" : "MISMATCH");
-    std::fprintf(json,
-                 "{\"kernel\":\"view_refresh_relevance_speedup\","
-                 "\"n\":%zu,\"ratio\":%.3f}\n",
-                 rw.views.size(), relevance_ratio);
-  }
-
   // --- feedback-ack latency: async refresh vs synchronous repair ----------
   // The async refresh contract's headline number: with 64 open views, how
   // long does one user's ApplyFeedback hold the interactive path? Sync
   // mode repairs every affected view inline; async mode returns after the
-  // journal append + relevance classification and repairs on the
+  // journal append + classification and repairs on the
   // scheduler's pool. Both pay the same MIRA update (its own k-best
   // search), so the ratio isolates the refresh work moved off the path.
   {
@@ -675,9 +471,8 @@ int main(int argc, char** argv) {
         async_q->async_scheduler()->stats();
     double ack_ratio = async_us > 0.0 ? sync_us / async_us : 0.0;
     std::printf("%-28s speedup=%.2fx (sync/async ack), %zu repairs run, "
-                "%zu no-search validations, output %s\n",
+                "output %s\n",
                 "feedback_ack_speedup", ack_ratio, astats.repairs_run,
-                astats.validations_without_search,
                 ack_ok ? "verified identical" : "MISMATCH");
     std::fprintf(json,
                  "{\"kernel\":\"feedback_ack_speedup\",\"n\":64,"

@@ -105,23 +105,8 @@ if [[ -n "${delta_ratio}" ]] && \
   echo "check.sh: WARNING — delta re-cost speedup ${delta_ratio}x < 1.1x"
 fi
 
-relevance_ratio="$(awk 'match($0, /"kernel":"view_refresh_relevance_speedup"/) {
-                          if (match($0, /"ratio":[0-9.]+/))
-                            print substr($0, RSTART + 8, RLENGTH - 8) }' \
-                   bench/out/BENCH_view_refresh.json)"
-if [[ -n "${relevance_ratio}" ]] && \
-   awk -v r="${relevance_ratio}" 'BEGIN { exit !(r < 3.0) }'; then
-  echo "check.sh: WARNING — relevance-scoped refresh speedup" \
-       "${relevance_ratio}x < 3.0x"
-fi
-
 run_gate bench/baselines/BENCH_view_refresh.json \
          bench/out/BENCH_view_refresh.json '*delta_recost*'
-
-# The relevance-scoped scenario's kernels (scoped = gate on, unscoped =
-# the PR 3 delta-recost baseline over the same 64-view workload).
-run_gate bench/baselines/BENCH_view_refresh.json \
-         bench/out/BENCH_view_refresh.json '*scoped*'
 
 # Feedback-ack latency (async scheduler vs synchronous repair, 64 views).
 # The async kernel is the interactive-path cost the scheduler exists to
@@ -265,35 +250,14 @@ then
 fi
 
 # --- streaming onboarding (async structural deltas) --------------------------
-# A disjoint-source registration stream acks against live query readers
-# (docs/benchmarks.md, "Streaming onboarding"). The binary is a
-# correctness gate first: it exits 2 when any registration fails to be
-# certificate-skipped by every view, replaces a served snapshot, or the
-# phase-B onboarded source never reaches the relevant view's top-k.
-# Latency gates: registration ack and time-to-first-appearance (lower is
-# better); throughput is gated inverted below (higher is better).
+# A source relevant to one community view registers against live query
+# readers (docs/benchmarks.md, "Streaming onboarding"). The binary is a
+# correctness gate first: it exits non-zero when a reader fails or the
+# onboarded source never reaches the relevant view's top-k. Latency gate:
+# time-to-first-appearance (lower is better).
 ./build/bench_onboarding --smoke --json=bench/out/BENCH_onboarding.json
 run_gate bench/baselines/BENCH_onboarding.json \
-         bench/out/BENCH_onboarding.json '*ack_us*'
-run_gate bench/baselines/BENCH_onboarding.json \
          bench/out/BENCH_onboarding.json '*first_appearance*'
-if [[ "${BENCH_GATE}" == "1" && -f bench/baselines/BENCH_onboarding.json ]]
-then
-  base_src="$(awk "${parse}" bench/baselines/BENCH_onboarding.json | \
-              awk '$1 == "onboarding_sources_per_sec" { print $2 }')"
-  fresh_src="$(awk "${parse}" bench/out/BENCH_onboarding.json | \
-               awk '$1 == "onboarding_sources_per_sec" { print $2 }')"
-  if [[ -n "${base_src}" && -n "${fresh_src}" ]]; then
-    verdict="$(awk -v f="${fresh_src}" -v b="${base_src}" \
-               'BEGIN { print (f * 1.25 < b) ? "REGRESSED" : "ok" }')"
-    printf 'perf gate: %-34s baseline=%12.1f fresh=%12.1f %s\n' \
-      "onboarding_sources_per_sec (higher=ok)" "${base_src}" \
-      "${fresh_src}" "${verdict}"
-    if [[ "${verdict}" == "REGRESSED" ]]; then
-      gate_failed=1
-    fi
-  fi
-fi
 
 if [[ "${gate_failed}" == "1" ]]; then
   echo "check.sh: FAIL — gated kernel regressed >25% vs committed baseline"

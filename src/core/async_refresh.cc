@@ -54,24 +54,8 @@ void AsyncRefreshScheduler::NotifyBaseChanged() {
         repairs.push_back(slot);
         continue;
       }
-      switch (engine_->ClassifyViewForAsync(slot, *base_, *index_,
-                                            *weights_)) {
+      switch (engine_->ClassifyViewForAsync(slot, *base_, *weights_)) {
         case AsyncViewClass::kUpToDate:
-          validated_[slot] = epoch_;
-          break;
-        case AsyncViewClass::kValidatedWithoutSearch:
-          // Delta-proven no-op or relevance-gated: the published output
-          // is provably what a fresh search would return, so the view is
-          // fresh at this epoch without running one.
-          ++stats_.validations_without_search;
-          validated_[slot] = epoch_;
-          break;
-        case AsyncViewClass::kSkippedIrrelevant:
-          // Structural certificate proved a pending registration cannot
-          // affect this view (possible here when feedback lands while a
-          // gated registration's journals are still unreplayed).
-          ++stats_.validations_without_search;
-          ++stats_.structural_skips;
           validated_[slot] = epoch_;
           break;
         case AsyncViewClass::kRepair:
@@ -87,8 +71,8 @@ void AsyncRefreshScheduler::NotifyBaseChanged() {
       // equals the live vector (values and journal) right now and never
       // changes, so repairs can read it while the feedback thread keeps
       // applying MIRA updates to the live one. Skipped when every view
-      // validated in place — the copy is O(features + journal) and would
-      // sit on the ack's critical path for nothing. (Busy views are in
+      // was up to date — the copy is O(features + journal) and would sit
+      // on the ack's critical path for nothing. (Busy views are in
       // `repairs`, so any task that will re-run gets a fresh copy.)
       frozen_weights_ =
           std::make_shared<const graph::WeightVector>(*weights_);
@@ -146,27 +130,12 @@ util::Status AsyncRefreshScheduler::NotifyStructuralChange() {
         rebuilds.push_back(slot);
         continue;
       }
-      switch (engine_->ClassifyViewForAsync(slot, *base_, *index_,
-                                            *weights_)) {
+      switch (engine_->ClassifyViewForAsync(slot, *base_, *weights_)) {
         case AsyncViewClass::kUpToDate:
           validated_[slot] = epoch_;
           break;
-        case AsyncViewClass::kValidatedWithoutSearch:
-          ++stats_.validations_without_search;
-          validated_[slot] = epoch_;
-          break;
-        case AsyncViewClass::kSkippedIrrelevant:
-          // The whole point of the structural gate: this view's serving
-          // state is untouched by the registration — no rebuild, no
-          // search, not even a snapshot copy.
-          ++stats_.validations_without_search;
-          ++stats_.structural_skips;
-          validated_[slot] = epoch_;
-          break;
         case AsyncViewClass::kRepair:
-          // Not produced by a graph-moved slot today (the structural
-          // branch returns skip or serial), but handled like any repair
-          // so a future classification refinement cannot strand a view.
+          // The graph did not move (an empty batch) but the weights did.
           repairs.push_back(slot);
           break;
         case AsyncViewClass::kSerialOnly:

@@ -30,9 +30,6 @@ struct AsyncRefreshStats {
   std::size_t repairs_scheduled = 0;
   // Repair bodies that actually executed.
   std::size_t repairs_run = 0;
-  // Views validated at an epoch without a search (up to date, delta
-  // no-op, or relevance-gated).
-  std::size_t validations_without_search = 0;
   // Views routed through the serial path from NotifyBaseChanged (rebuild
   // or structural delta needed — quiesces the queue first).
   std::size_t serial_repairs = 0;
@@ -41,15 +38,13 @@ struct AsyncRefreshStats {
   // NotifyStructuralChange calls — one per acknowledged registration /
   // association batch.
   std::size_t structural_rounds = 0;
-  // Views a structural certificate proved a registration could not
-  // affect (kSkippedIrrelevant, from either notify path): validated at
-  // the new epoch with no rebuild, no search, and no quiesce of their
-  // serving state.
+  // Always 0: the structural gate it counted is gone. It stays because
+  // the benchmark reads it (ROADMAP item 1 drops it).
   std::size_t structural_skips = 0;
-  // Views whose certificate failed a structural round: query graph,
-  // engine and searched snapshot rebuilt beside the serving slot and
-  // installed whole inside the ack (see NotifyStructuralChange), one per
-  // rebuilt view whether or not its staging or search succeeded.
+  // Views a structural round rebuilt: query graph, engine and searched
+  // snapshot built beside the serving slot and installed whole inside the
+  // ack (see NotifyStructuralChange), one per rebuilt view whether or not
+  // its staging or search succeeded.
   std::size_t structural_rebuilds = 0;
 };
 
@@ -58,20 +53,20 @@ struct AsyncRefreshStats {
 //
 // The synchronous engine repairs every open view before a feedback call
 // returns, so one user's correction stalls everyone's queries. This
-// scheduler splits that work at the classification boundary the
-// relevance gate already computes:
+// scheduler splits that work at the engine's classification boundary:
 //
 //   * NotifyBaseChanged (the ack path, caller's feedback thread): the
 //     journals are already appended; every idle view is classified via
-//     RefreshEngine::ClassifyViewForAsync — up-to-date and gate-proven
-//     views are validated at the new epoch on the spot, affected views
-//     get a repair task queued — and the call returns. Ack latency is
-//     classification cost, not search cost.
+//     RefreshEngine::ClassifyViewForAsync from its revisions — up-to-date
+//     views are validated at the new epoch on the spot, views with a
+//     weight delta get a repair task queued — and the call returns. Ack
+//     latency is classification cost, not search cost.
 //   * Repair tasks (pool threads, one per affected view): re-cost the
-//     view's CSR snapshot and re-run its search against a frozen copy of
-//     the weight vector (value- and journal-identical to the live vector
-//     at the repair's target epoch), then publish the new ViewSnapshot
-//     and mark the view validated. util::KeyedTaskQueue gives per-view
+//     view's CSR snapshot and, unless the re-cost moved nothing, re-run
+//     its search against a frozen copy of the weight vector (value- and
+//     journal-identical to the live vector at the repair's target epoch),
+//     then publish the new ViewSnapshot and mark the view validated.
+//     util::KeyedTaskQueue gives per-view
 //     ordering (repairs of one view never overlap or reorder) and
 //     coalesces superseded repairs (a pending repair is subsumed by a
 //     newer one, since every repair reconciles to the latest state).
@@ -144,33 +139,28 @@ class AsyncRefreshScheduler {
   // The structural (onboarding) ack: like NotifyBaseChanged, but for
   // RegisterSource/AddAssociations batches that appended to the graph
   // journal. The caller (QSystem) must have quiesced the queue before
-  // mutating the base and must NOT hold the serving gate. Every tracked
-  // view is classified: views whose structural certificate proves the
-  // registration irrelevant (kSkippedIrrelevant) are validated at the
-  // new epoch untouched — no rebuild, no search, no quiesce of their
-  // serving state. Views whose certificate fails are rebuilt beside
-  // their slots and installed before the call returns, so the ack leaves
-  // every such view fresh. Per view, in slot order (the order the
-  // synchronous rebuild interns features in): the base graph is copied
-  // with no gate held, the keywords are expanded in a short exclusive
-  // section (expansion interns features), and a repair thread builds the
-  // engine and searches the staged pair at a weight copy materialized
-  // over every feature interned so far; a later short exclusive section
-  // installs query graph, engine and searched snapshot together and
-  // validates the view at the round's epoch. The replaced query graph
-  // and engine are freed after the gate is released. While view i+1 is
-  // copied, earlier views' searches run; every view whose search has
-  // landed is installed in the exclusive section that expands view i+1,
-  // so the round takes the gate about once per view, and at most
-  // kMaxStagedViews are staged but not installed. Until its install a
-  // view keeps serving its committed snapshot at its old pair, so no
-  // QueryView waits for a rebuild or searches one. A failed search
-  // installs the rebuilt graph and engine unsearched (the slot dirty,
+  // mutating the base and must NOT hold the serving gate. Every tracked view
+  // is rebuilt beside its slot and installed before the call returns, so the
+  // ack leaves every view fresh. Per view, in slot order (the order the
+  // synchronous rebuild interns features in): the base graph is copied with
+  // no gate held, the keywords are expanded in a short exclusive section
+  // (expansion interns features), and a repair thread builds the engine and
+  // searches the staged pair at a weight copy materialized over every
+  // feature interned so far; a later short exclusive section installs query
+  // graph, engine and searched snapshot together and validates the view at
+  // the round's epoch. The replaced query graph and engine are freed after
+  // the gate is released. While view i+1 is copied, earlier views' searches
+  // run; every view whose search has landed is installed in the exclusive
+  // section that expands view i+1, so the round takes the gate about once
+  // per view, and at most kMaxStagedViews are staged but not installed.
+  // Until its install a view keeps serving its committed snapshot at its old
+  // pair, so no QueryView waits for a rebuild or searches one. A failed
+  // search installs the rebuilt graph and engine unsearched (the slot dirty,
   // QueryView searching it) and is recorded like a failed repair;
-  // RefreshAllViews retries it. Returns the first staging failure, a
-  // keyword that no longer matches (also recorded sticky, like a failed
-  // async repair, with the slot untouched); search failures surface
-  // through Drain/SyncBarrier as usual.
+  // RefreshAllViews retries it. Returns the first staging failure, a keyword
+  // that no longer matches (also recorded sticky, like a failed async
+  // repair, with the slot untouched); search failures surface through
+  // Drain/SyncBarrier as usual.
   util::Status NotifyStructuralChange();
 
   // Epoch-tagged, never-blocking read of the view's last committed

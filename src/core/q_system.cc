@@ -17,7 +17,6 @@ QSystem::QSystem(QSystemConfig config)
   // queries spawn no threads.
   config_.view.top_k.pool = nullptr;
   config_.view.top_k.sharded.enabled = config_.sharded_search;
-  refresh_.set_relevance_gating(config_.relevance_gating);
   metadata_matcher_ =
       std::make_unique<match::MetadataMatcher>(config_.metadata);
   mad_matcher_ = std::make_unique<match::MadMatcher>(config_.mad);
@@ -296,11 +295,10 @@ util::Status QSystem::RefreshAfterFeedbackLocked() {
 
 util::Status QSystem::RefreshAfterStructuralLocked() {
   if (scheduler_ != nullptr) {
-    // The onboarding ack path: certificate-skipped views are never
-    // touched, failed views are rebuilt, searched and installed before it
-    // returns. NotifyStructuralChange takes the serving gate itself
-    // around the expansions and installs, so this caller must hold only
-    // feedback_mu_ here.
+    // The onboarding ack path: every view is rebuilt, searched and
+    // installed before it returns. NotifyStructuralChange takes the
+    // serving gate itself around the expansions and installs, so this
+    // caller must hold only feedback_mu_ here.
     return scheduler_->NotifyStructuralChange();
   }
   return RefreshAllViewsLocked();

@@ -70,21 +70,14 @@ struct QSystemConfig {
   // changes results, only per-query memory traffic; worthwhile from
   // ~10^5 graph nodes up.
   bool sharded_search = false;
-  // Relevance-scoped view refresh (alpha-neighborhood gating): let the
-  // RefreshEngine skip views whose relevance certificate proves a weight
-  // delta cannot change their output. Never changes results (see
-  // docs/query_engine.md, "Relevance-scoped refresh"), only refresh
-  // cost; off is the PR 3 delta-recost behavior.
-  bool relevance_gating = true;
   // Async view refresh behind the feedback loop (docs/query_engine.md,
   // "Async refresh contract"): ApplyFeedback* returns once the weight
-  // journals are appended and the relevance gate has classified views;
-  // affected views are repaired in the background while reads keep
-  // serving the last committed, epoch-tagged results (ReadView /
-  // WaitViewFresh / DrainRefreshes below). At quiescence, results are
-  // bit-identical to the synchronous mode. Off (default) keeps the
-  // fully synchronous behavior: feedback returns only after every view
-  // is repaired.
+  // journals are appended and every view is classified; affected views
+  // are repaired in the background while reads keep serving the last
+  // committed, epoch-tagged results (ReadView / WaitViewFresh /
+  // DrainRefreshes below). At quiescence, results are bit-identical to
+  // the synchronous mode. Off (default) keeps the fully synchronous
+  // behavior: feedback returns only after every view is repaired.
   bool async_refresh = false;
   // Worker threads for async repair tasks: 0 shares the steiner pool
   // (with a 1-thread fallback when that pool does not exist), > 0 gives
@@ -297,12 +290,10 @@ class QSystem {
   // refreshes in line.
   util::Status RefreshAfterFeedbackLocked();
   // Post-registration refresh: async mode runs the scheduler's structural
-  // round (NotifyStructuralChange — views whose structural certificate
-  // proves the registration irrelevant are never touched, failed-
-  // certificate views are rebuilt, searched and installed before it
-  // returns); sync mode refreshes everything in line. Caller holds
-  // feedback_mu_ only (the scheduler takes the serving gate itself
-  // around the steps that need it).
+  // round (NotifyStructuralChange — every view is rebuilt, searched and
+  // installed before it returns); sync mode refreshes everything in
+  // line. Caller holds feedback_mu_ only (the scheduler takes the
+  // serving gate itself around the steps that need it).
   util::Status RefreshAfterStructuralLocked();
   // Adds/removes per-matcher missing-vote penalty features so every
   // association edge carries, for each enabled matcher, either its

@@ -1,98 +1,11 @@
 #include "core/refresh_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
+#include <limits>
 #include <utility>
 
 namespace q::core {
-namespace {
-
-// Slack margins for the gap comparison. The gap and the summed decrease
-// are both float aggregates computed in different orders than a fresh
-// enumeration would use, with error proportional to the *cost*
-// magnitudes involved — not to the gap — so a relative margin alone
-// would be vacuous for a tiny gap between large costs. The absolute
-// margin (comfortably above double resummation error for the cost
-// scales this system produces, cf. kMinEdgeCost) covers that; the
-// relative one covers large-gap scales. Both only ever convert a
-// would-be skip into a fall-through (the safe direction).
-constexpr double kSlackRelMargin = 1e-9;
-constexpr double kSlackAbsMargin = 1e-9;
-
-}  // namespace
-
-RelevanceDecision ClassifyDeltaRelevance(
-    const steiner::RelevanceCertificate& cert,
-    const std::vector<steiner::RepricedEdge>& repriced) {
-  RelevanceDecision decision;
-  for (const steiner::RepricedEdge& r : repriced) {
-    if (std::binary_search(cert.edges.begin(), cert.edges.end(), r.edge)) {
-      // The edge is in or adjacent to a returned tree (or read by the
-      // ranked union): its movement can change tree costs, the
-      // enumeration's choices, or column folding. No safety argument.
-      decision.touched_certificate = true;
-      return decision;
-    }
-    if (r.new_cost < r.old_cost) {
-      decision.net_decrease += r.old_cost - r.new_cost;
-    }
-  }
-  // Pure increases outside the neighborhood are always safe: returned
-  // trees keep bitwise-identical costs and every non-returned tree only
-  // gets more expensive. Decreases are safe while their total stays
-  // strictly inside the slack — any non-returned tree still costs more
-  // than the k-th returned one, so the top-k set, order, and costs are
-  // unchanged. Exactly-on-the-boundary (and within the float margin)
-  // falls through: a tie at the k-th cost could re-rank under the
-  // deterministic tie-break.
-  decision.skip =
-      decision.net_decrease == 0.0 ||
-      decision.net_decrease + kSlackAbsMargin <
-          cert.gap * (1.0 - kSlackRelMargin);
-  return decision;
-}
-
-StructuralDecision ClassifyStructuralRelevance(
-    const steiner::RelevanceCertificate& cert,
-    const std::vector<graph::NodeId>& attachments, double net_decrease) {
-  StructuralDecision decision;
-  if (attachments.empty()) {
-    // New topology nowhere touches the old graph (an isolated new
-    // source): no tree over old terminals can use it at any cost.
-    decision.skip = true;
-    return decision;
-  }
-  if (!std::isfinite(cert.kth_cost)) {
-    // Fewer than k answers: any reachable new tree could enter the
-    // top-k, so nothing with attachments may skip.
-    decision.attachment_reachable = true;
-    return decision;
-  }
-  // A tree using new topology costs at least the baseline anchor
-  // distance of some attachment; concurrent weight decreases outside the
-  // certificate can shrink that distance by at most net_decrease, and
-  // (because they are outside the certificate) provably leave the k-th
-  // returned cost unchanged. Same margins, same safe direction, and the
-  // same strict inequality as the weight gate: an attachment landing
-  // exactly on the threshold falls through.
-  const double threshold = cert.kth_cost + net_decrease;
-  for (graph::NodeId a : attachments) {
-    auto it =
-        std::lower_bound(cert.alpha_nodes.begin(), cert.alpha_nodes.end(), a);
-    const double dist =
-        (it != cert.alpha_nodes.end() && *it == a)
-            ? cert.alpha_dist[static_cast<std::size_t>(
-                  it - cert.alpha_nodes.begin())]
-            : cert.alpha_radius;
-    if (!(threshold + kSlackAbsMargin < dist * (1.0 - kSlackRelMargin))) {
-      decision.attachment_reachable = true;
-      return decision;
-    }
-  }
-  decision.skip = true;
-  return decision;
-}
 
 std::size_t RefreshEngine::RegisterView(query::TopKView* view) {
   Slot slot;
@@ -138,47 +51,7 @@ void RefreshEngine::MergeStats(const RefreshEngineStats& delta) {
   stats_.views_delta_recost += delta.views_delta_recost;
   stats_.views_full_recost += delta.views_full_recost;
   stats_.edges_repriced += delta.edges_repriced;
-  stats_.views_skipped_irrelevant += delta.views_skipped_irrelevant;
-  stats_.relevance_checks += delta.relevance_checks;
-  stats_.relevance_fallthroughs += delta.relevance_fallthroughs;
   stats_.structural_edges_propagated += delta.structural_edges_propagated;
-  stats_.structural_gate_checks += delta.structural_gate_checks;
-  stats_.structural_gate_fallthroughs += delta.structural_gate_fallthroughs;
-  stats_.views_skipped_structural += delta.views_skipped_structural;
-}
-
-RefreshEngine::GateOutcome RefreshEngine::RunRelevanceGate(
-    Slot* slot, const graph::WeightVector& weights,
-    const std::vector<graph::FeatureDelta>& deltas,
-    RefreshEngineStats* stats) {
-  query::TopKView& view = *slot->view;
-  ++stats->relevance_checks;
-  // Call-local: the gate runs concurrently from distinct slots' repair
-  // tasks, so no engine-level scratch may back it.
-  std::vector<steiner::RepricedEdge> preview;
-  if (slot->engine->PreviewDelta(view.query_graph().graph, weights, deltas,
-                                 &preview)) {
-    if (preview.empty()) {
-      // Nothing would move: identical to the delta-proven no-op skip, and
-      // the snapshot is already reconciled.
-      ++stats->views_skipped_delta;
-      return GateOutcome::kNothingRepriced;
-    }
-    RelevanceDecision decision =
-        ClassifyDeltaRelevance(view.certificate(), preview);
-    if (decision.skip) {
-      // Edges of this snapshot did move, but none the output depends on.
-      ++stats->views_skipped_irrelevant;
-      return GateOutcome::kSkip;
-    }
-    ++stats->relevance_fallthroughs;
-  } else {
-    // Dense delta: the preview declined (RecostDelta's threshold), so the
-    // view falls through to the wholesale paths. Counted so
-    // checks == skips + fallthroughs always holds.
-    ++stats->relevance_fallthroughs;
-  }
-  return GateOutcome::kFallthrough;
 }
 
 void RefreshEngine::SwapInRebuild(Slot* slot, StagedRebuild* rebuilt,
@@ -217,7 +90,7 @@ void RefreshEngine::SwapInRebuild(Slot* slot, StagedRebuild* rebuilt,
 util::Result<RefreshEngine::PrepareOutcome> RefreshEngine::PrepareSlot(
     Slot* slot, const graph::SearchGraph& base, const text::TextIndex* index,
     graph::CostModel* model, const graph::WeightVector& weights,
-    bool allow_rebuild, bool run_gate, RefreshEngineStats* stats) {
+    bool allow_rebuild, RefreshEngineStats* stats) {
   query::TopKView& view = *slot->view;
   const bool graph_moved = !slot->built ||
                            slot->graph_revision != base.revision();
@@ -326,36 +199,6 @@ util::Result<RefreshEngine::PrepareOutcome> RefreshEngine::PrepareSlot(
     if (have_weight_deltas) graph::CoalesceFeatureDeltas(&weight_deltas);
   }
 
-  // --- relevance gate (alpha-neighborhood gating) -------------------------
-  // Before touching the snapshot at all, test whether the view's
-  // certificate proves this delta cannot change its output. Eligibility:
-  // a pure weight delta (no structural records — a mutated FeatureVec
-  // invalidates the certificate's cost baseline in ways the preview
-  // cannot see), a clean slot (a dirty one's snapshot no longer equals
-  // the baseline the certificate's gap was computed against), and a
-  // certificate stamped by the last search this engine committed (an
-  // out-of-band refresh re-stamps it against foreign weights).
-  if (run_gate && relevance_gating_ && have_weight_deltas && !slot->dirty &&
-      mutated_edges.empty() && view.refreshed() &&
-      view.certificate().valid &&
-      view.certificate().serial == slot->certificate_serial) {
-    switch (RunRelevanceGate(slot, weights, weight_deltas, stats)) {
-      case GateOutcome::kNothingRepriced:
-        // The snapshot is already reconciled, so commit the observed
-        // revisions without a search.
-        outcome.commit_without_search = true;
-        return outcome;
-      case GateOutcome::kSkip:
-        // Skip without committing: the snapshot keeps its baseline
-        // costs, and the next refresh replays the journals from the same
-        // revisions (certificate staleness accumulates until a delta
-        // touches the neighborhood or the journal truncates).
-        return outcome;
-      case GateOutcome::kFallthrough:
-        break;
-    }
-  }
-
   if (have_weight_deltas) {
     steiner::FastSteinerEngine::RecostDeltaOutcome delta;
     {
@@ -420,7 +263,6 @@ void RefreshEngine::CommitSlot(Slot* slot, const graph::SearchGraph& base,
   if (!slot->built) slot->built = true;
   slot->dirty = false;
   if (!searched) return;
-  slot->certificate_serial = slot->view->certificate().serial;
   // The search ran at the slot's current serving pair (nothing moves it
   // between PrepareSlot and this commit), so stamp its snapshot with it.
   // Read before locking: serve_mu_ is never held across state_mu_.
@@ -436,7 +278,11 @@ std::shared_ptr<const graph::WeightVector>
 RefreshEngine::SnapshotWeightsLocked(const graph::WeightVector& weights) {
   if (serving_cache_ == nullptr ||
       serving_cache_revision_ != weights.revision()) {
-    serving_cache_ = std::make_shared<const graph::WeightVector>(weights);
+    // Values only: serving searches never read the journal, and copying
+    // it would hold serve_mu_ for its length.
+    auto copy = std::make_shared<graph::WeightVector>(weights.space());
+    copy->Restore(weights.values(), weights.revision(), {});
+    serving_cache_ = std::move(copy);
     serving_cache_revision_ = weights.revision();
   }
   return serving_cache_;
@@ -479,7 +325,6 @@ util::Result<query::ViewSnapshot> RefreshEngine::SearchView(
   if (committed != nullptr) {
     // A copy, unpublished like a search result: serials 0.
     query::ViewSnapshot answer = *committed;
-    answer.certificate.serial = 0;
     answer.search_serial = 0;
     return answer;
   }
@@ -504,8 +349,7 @@ util::Status RefreshEngine::RefreshAll(const graph::SearchGraph& base,
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     auto prepared = PrepareSlot(&slots_[i], base, &index, model, weights,
-                                /*allow_rebuild=*/true, /*run_gate=*/true,
-                                &local);
+                                /*allow_rebuild=*/true, &local);
     if (!prepared.ok()) {
       MergeStats(local);
       return prepared.status();
@@ -516,7 +360,6 @@ util::Status RefreshEngine::RefreshAll(const graph::SearchGraph& base,
       ++local.refreshes_skipped;
       // A delta-proven no-op still reconciled the slot: commit so the
       // journals are not replayed (and the proof redone) next refresh.
-      // (Relevance skips deliberately do NOT commit — see PrepareSlot.)
       if (prepared->commit_without_search) {
         CommitSlot(&slots_[i], base, weights, /*searched=*/false);
       }
@@ -571,8 +414,7 @@ util::Status RefreshEngine::RefreshView(std::size_t slot_id,
   Slot& slot = slots_[slot_id];
   RefreshEngineStats local;
   auto prepared = PrepareSlot(&slot, base, &index, model, weights,
-                              /*allow_rebuild=*/true, /*run_gate=*/true,
-                              &local);
+                              /*allow_rebuild=*/true, &local);
   if (!prepared.ok()) {
     MergeStats(local);
     return prepared.status();
@@ -594,210 +436,28 @@ util::Status RefreshEngine::RefreshView(std::size_t slot_id,
 
 AsyncViewClass RefreshEngine::ClassifyViewForAsync(
     std::size_t slot_id, const graph::SearchGraph& base,
-    const text::TextIndex& index, const graph::WeightVector& weights) {
-  Slot& slot = slots_[slot_id];
-  query::TopKView& view = *slot.view;
-  RefreshEngineStats local;
-  AsyncViewClass result;
-
-  const bool weight_independent_topology =
-      view.config().query_graph.association_cost_threshold ==
-      std::numeric_limits<double>::infinity();
-  const bool graph_moved = !slot.built ||
-                           slot.graph_revision != base.revision();
-  const bool weights_moved = !slot.built ||
-                             slot.weight_revision != weights.revision();
-
-  if (!slot.built || !weight_independent_topology) {
-    // First-touch build, or topology that depends on the weights: every
-    // reconcile re-expands the query graph.
-    result = AsyncViewClass::kSerialOnly;
-  } else if (!graph_moved && !weights_moved && view.refreshed()) {
+    const graph::WeightVector& weights) {
+  const Slot& slot = slots_[slot_id];
+  const query::TopKView& view = *slot.view;
+  // First-touch build, topology that depends on the weights, or a
+  // structural delta (including in-place edge mutations, which patch the
+  // cached query graph the feedback thread reads for MIRA updates): the
+  // query graph must be re-expanded or patched, on the serial path.
+  if (!slot.built ||
+      view.config().query_graph.association_cost_threshold !=
+          std::numeric_limits<double>::infinity() ||
+      slot.graph_revision != base.revision()) {
+    return AsyncViewClass::kSerialOnly;
+  }
+  if (slot.weight_revision == weights.revision() && view.refreshed()) {
+    RefreshEngineStats local;
     ++local.refreshes_skipped;
-    result = AsyncViewClass::kUpToDate;
-  } else if (graph_moved) {
-    // Structural delta pending. The structural gate can prove a
-    // registration irrelevant to this view (kSkippedIrrelevant, no
-    // repair at all); everything else — including in-place edge
-    // mutations, which patch the cached query graph the feedback thread
-    // reads for MIRA updates — needs the serial path.
-    result = ClassifyStructural(&slot, base, index, weights, &local);
-  } else if (slot.dirty) {
-    // A previous repair mutated the snapshot without its search landing;
-    // the gate's baseline is gone, but the in-place repair path replays
-    // the journals fine.
-    result = AsyncViewClass::kRepair;
-  } else {
-    std::vector<graph::FeatureDelta> deltas;
-    if (!weights.DeltaSince(slot.weight_revision, &deltas)) {
-      result = AsyncViewClass::kRepair;  // truncated: repair re-costs fully
-    } else {
-      graph::CoalesceFeatureDeltas(&deltas);
-      if (relevance_gating_ && view.refreshed() &&
-          view.certificate().valid &&
-          view.certificate().serial == slot.certificate_serial) {
-        switch (RunRelevanceGate(&slot, weights, deltas, &local)) {
-          case GateOutcome::kNothingRepriced:
-            // Same rule as the serial paths: a delta-proven no-op commits
-            // so the journals are not replayed next round.
-            CommitSlot(&slot, base, weights, /*searched=*/false);
-            ++local.refreshes_skipped;
-            result = AsyncViewClass::kValidatedWithoutSearch;
-            break;
-          case GateOutcome::kSkip:
-            // Lazy repair: no commit, staleness accumulates against the
-            // same baseline (see PrepareSlot).
-            ++local.refreshes_skipped;
-            result = AsyncViewClass::kValidatedWithoutSearch;
-            break;
-          case GateOutcome::kFallthrough:
-            result = AsyncViewClass::kRepair;
-            break;
-          default:
-            Q_CHECK_MSG(false, "unknown relevance gate outcome");
-        }
-      } else {
-        result = AsyncViewClass::kRepair;
-      }
-    }
+    MergeStats(local);
+    return AsyncViewClass::kUpToDate;
   }
-  MergeStats(local);
-  return result;
-}
-
-AsyncViewClass RefreshEngine::ClassifyStructural(
-    Slot* slot, const graph::SearchGraph& base, const text::TextIndex& index,
-    const graph::WeightVector& weights, RefreshEngineStats* stats) {
-  query::TopKView& view = *slot->view;
-  const steiner::RelevanceCertificate& cert = view.certificate();
-  // Eligibility mirrors the weight gate: a clean, refreshed slot whose
-  // certificate (a) is valid with the structural half populated and (b)
-  // was stamped by the last search this engine committed. Ineligible
-  // slots are not counted as gate checks.
-  if (!relevance_gating_ || slot->dirty || !view.refreshed() || !cert.valid ||
-      !cert.structural_valid || cert.serial != slot->certificate_serial) {
-    return AsyncViewClass::kSerialOnly;
-  }
-  ++stats->structural_gate_checks;
-  const auto fall_through = [stats] {
-    ++stats->structural_gate_fallthroughs;
-    return AsyncViewClass::kSerialOnly;
-  };
-
-  // --- decode the structural window --------------------------------------
-  // Admissible records: node/edge additions, plus mutations of entities
-  // added in the SAME window (AddAssociations re-features freshly added
-  // association edges via ReconcileMissingMatcherFeatures; journal
-  // records are chronological, so an admissible mutated id has already
-  // been collected). Any mutation of a pre-existing node or edge can
-  // change labels, value text, or certificate-baseline costs in ways
-  // this gate cannot bound: fall through.
-  std::vector<graph::GraphDelta> graph_deltas;
-  if (!base.DeltaSince(slot->graph_revision, &graph_deltas)) {
-    return fall_through();
-  }
-  std::vector<std::uint32_t> added_nodes;
-  std::vector<std::uint32_t> added_edges;
-  for (const graph::GraphDelta& d : graph_deltas) {
-    switch (d.kind) {
-      case graph::GraphDeltaKind::kNodeAdded:
-        added_nodes.push_back(d.id);  // ids are assigned in order: sorted
-        break;
-      case graph::GraphDeltaKind::kEdgeAdded:
-        added_edges.push_back(d.id);
-        break;
-      case graph::GraphDeltaKind::kNodeMutated:
-        if (!std::binary_search(added_nodes.begin(), added_nodes.end(),
-                                d.id)) {
-          return fall_through();
-        }
-        break;
-      case graph::GraphDeltaKind::kEdgeMutated:
-        if (!std::binary_search(added_edges.begin(), added_edges.end(),
-                                d.id)) {
-          return fall_through();
-        }
-        break;
-    }
-  }
-
-  // --- keyword-match fingerprint ------------------------------------------
-  // TF-IDF is corpus-wide, so a registration can move existing match
-  // scores (idf shifts with the document count) or admit new matches.
-  // Exact equality proves a rebuilt query graph would be the old one
-  // plus the new base nodes/edges only.
-  if (query::KeywordMatchFingerprint(index, view.keywords(),
-                                     view.config().query_graph) !=
-      cert.keyword_fingerprint) {
-    return fall_through();
-  }
-
-  // --- concurrent weight delta --------------------------------------------
-  // Any weight movement since the slot's baseline must itself pass the
-  // weight gate (so old trees and the k-th cost are provably unchanged);
-  // its net decrease then widens the structural threshold below.
-  double net_decrease = 0.0;
-  if (slot->weight_revision != weights.revision()) {
-    std::vector<graph::FeatureDelta> weight_deltas;
-    if (!weights.DeltaSince(slot->weight_revision, &weight_deltas)) {
-      return fall_through();
-    }
-    graph::CoalesceFeatureDeltas(&weight_deltas);
-    std::vector<steiner::RepricedEdge> preview;
-    if (!slot->engine->PreviewDelta(view.query_graph().graph, weights,
-                                    weight_deltas, &preview)) {
-      return fall_through();
-    }
-    RelevanceDecision weight_decision = ClassifyDeltaRelevance(cert, preview);
-    if (!weight_decision.skip) return fall_through();
-    net_decrease = weight_decision.net_decrease;
-  }
-
-  // --- attachment set -----------------------------------------------------
-  // Old endpoints of new edges: where new topology meets the graph the
-  // certificate describes. Base node ids are preserved id-for-id in the
-  // cached query graph (infinite association threshold), so attachments
-  // live in both id spaces.
-  std::vector<graph::NodeId> attachments;
-  for (std::uint32_t e : added_edges) {
-    const graph::EdgeView edge = base.edge(e);
-    if (!std::binary_search(added_nodes.begin(), added_nodes.end(), edge.u)) {
-      attachments.push_back(edge.u);
-    }
-    if (!std::binary_search(added_nodes.begin(), added_nodes.end(), edge.v)) {
-      attachments.push_back(edge.v);
-    }
-  }
-  std::sort(attachments.begin(), attachments.end());
-  attachments.erase(std::unique(attachments.begin(), attachments.end()),
-                    attachments.end());
-
-  // Contact check: a new edge incident to a node of the certificate
-  // neighborhood can change the ranked union's column folding
-  // (FindCompatibleColumn walks edges incident to select-list
-  // attributes) without moving any cost, so distance alone is not a
-  // safety argument there. Every neighborhood node has at least one old
-  // incident edge in cert.edges, so intersecting each attachment's old
-  // incident edges against the certificate detects contact exactly.
-  const graph::SearchGraph& old_query_graph = view.query_graph().graph;
-  for (graph::NodeId a : attachments) {
-    if (a >= old_query_graph.num_nodes()) return fall_through();
-    for (graph::EdgeId e : old_query_graph.edges_of(a)) {
-      if (std::binary_search(cert.edges.begin(), cert.edges.end(), e)) {
-        return fall_through();
-      }
-    }
-  }
-
-  StructuralDecision decision =
-      ClassifyStructuralRelevance(cert, attachments, net_decrease);
-  if (!decision.skip) return fall_through();
-  // Lazy repair, like the weight gate's kSkip: no commit, the journals
-  // replay from the same baseline until a delta defeats the certificate
-  // (or the serial quiescence path rebuilds the slot).
-  ++stats->views_skipped_structural;
-  ++stats->refreshes_skipped;
-  return AsyncViewClass::kSkippedIrrelevant;
+  // A weight delta, or a slot whose last repair did not land: the repair
+  // re-costs in place and searches unless the re-cost moved nothing.
+  return AsyncViewClass::kRepair;
 }
 
 RefreshEngine::StagedRebuild RefreshEngine::StageRebuild(
@@ -856,15 +516,9 @@ util::Status RefreshEngine::RepairViewAsync(std::size_t slot_id,
   }
   Slot& slot = slots_[slot_id];
   RefreshEngineStats local;
-  // run_gate=false: the scheduler's classification already ran the gate
-  // for this delta and decided a repair is needed — re-previewing here
-  // would duplicate the work and double-count the gate stats vs sync
-  // mode. (Deltas accumulated since classification are simply repaired;
-  // the queued search was unavoidable anyway.)
   auto prepared = PrepareSlot(&slot, base, /*index=*/nullptr,
                               /*model=*/nullptr, weights,
-                              /*allow_rebuild=*/false, /*run_gate=*/false,
-                              &local);
+                              /*allow_rebuild=*/false, &local);
   if (!prepared.ok()) {
     MergeStats(local);
     return prepared.status();

@@ -19,69 +19,12 @@
 
 namespace q::core {
 
-// Outcome of testing one coalesced weight delta against a view's
-// relevance certificate (see ClassifyDeltaRelevance).
-struct RelevanceDecision {
-  // The delta provably cannot change the view's output: skip the refresh
-  // without touching the snapshot.
-  bool skip = false;
-  // Some repriced edge lies inside the certificate neighborhood.
-  bool touched_certificate = false;
-  // Total net cost decrease over edges outside the neighborhood.
-  double net_decrease = 0.0;
-};
-
-// Applies the certificate's safety rule to a previewed delta (the
-// would-be RepricedEdge set from FastSteinerEngine::PreviewDelta): the
-// view may be skipped iff no repriced edge is in `cert.edges` and the
-// summed decrease is zero (pure increases are always safe — returned
-// trees keep bitwise-identical costs and every other tree only gets more
-// expensive) or strictly inside `cert.gap` with a small relative margin
-// (so no outside tree can reach, or float-tie with, the k-th returned
-// cost; a delta landing exactly on the slack boundary falls through).
-// `cert.valid` must be checked by the caller. Pure function, exposed for
-// the boundary tests in tests/relevance_gating_test.cc.
-RelevanceDecision ClassifyDeltaRelevance(
-    const steiner::RelevanceCertificate& cert,
-    const std::vector<steiner::RepricedEdge>& repriced);
-
-// Outcome of testing one structural delta's attachment set (the
-// pre-existing nodes where new topology meets the old graph) against a
-// view's structural certificate (see ClassifyStructuralRelevance).
-struct StructuralDecision {
-  // Every attachment is provably too far from the anchor terminal for
-  // any tree using new topology to enter the view's top-k: the
-  // registration may skip this view without touching it.
-  bool skip = false;
-  // Some attachment sits within (or on the float margin of) the
-  // reachable threshold kth_cost + net_decrease.
-  bool attachment_reachable = false;
-};
-
-// Applies the structural certificate's safety rule: any candidate tree
-// that uses new topology must walk from the anchor terminal to some
-// attachment node over old edges first, so its cost is bounded below by
-// the baseline anchor distance of that attachment (alpha_dist inside the
-// ball, alpha_radius outside it). The view may skip iff EVERY attachment
-// satisfies kth_cost + net_decrease < distance with the same slack
-// margins as the weight gate — an attachment landing exactly on the
-// boundary falls through (a tie at the k-th cost could re-rank under the
-// deterministic tie-break). `net_decrease` is the concurrent weight
-// delta's total decrease outside the certificate (0.0 when the weights
-// did not move); with fewer than k answers (kth_cost == +inf) only an
-// empty attachment set may skip. The caller must have checked
-// cert.valid && cert.structural_valid and the keyword-match fingerprint;
-// pure function, exposed for the boundary tests in
-// tests/onboarding_test.cc.
-StructuralDecision ClassifyStructuralRelevance(
-    const steiner::RelevanceCertificate& cert,
-    const std::vector<graph::NodeId>& attachments, double net_decrease);
-
 // Aggregate counters for observability and the perf benches; cumulative
 // over the engine's lifetime.
-// sp_cache_entries_retained and sp_cache_entries_dropped always read 0:
-// the shortest-path cache they counted is gone. They stay because the
-// benchmark reads them.
+// sp_cache_entries_retained, sp_cache_entries_dropped,
+// views_skipped_irrelevant and relevance_checks always read 0: the
+// shortest-path cache and the relevance gate they counted are gone. They
+// stay because the benchmark reads them (ROADMAP item 1 drops them).
 struct RefreshEngineStats {
   // Full snapshot builds: query-graph re-expansion + CSR extraction (the
   // *rebuild* classification, plus first-touch builds).
@@ -107,40 +50,14 @@ struct RefreshEngineStats {
   // Edge costs actually moved by delta re-costs.
   std::size_t edges_repriced = 0;
 
-  // --- relevance gate (alpha-neighborhood gating) ------------------------
-  // Views skipped because their relevance certificate proved the delta
-  // cannot change their top-k output (the kSkippedIrrelevant class): the
-  // delta repriced edges, but none inside the certificate neighborhood
-  // and any net decrease stayed strictly inside the slack. Unlike
-  // views_skipped_delta, the snapshot is deliberately left stale (lazy
-  // repair: the journals replay from the same baseline next refresh).
-  std::size_t views_skipped_irrelevant = 0;
-  // Relevance previews that ran (certificate valid, pure weight delta).
-  std::size_t relevance_checks = 0;
-  // Previews whose delta touched the certificate or exceeded the slack
-  // and therefore fell through to the delta re-cost path.
-  std::size_t relevance_fallthroughs = 0;
   // Base-edge mutations propagated into cached query graphs in place of
   // full rebuilds (the kEdgeMutated structural-delta path).
   std::size_t structural_edges_propagated = 0;
   // Always 0 (see the struct comment).
+  std::size_t views_skipped_irrelevant = 0;
+  std::size_t relevance_checks = 0;
   std::size_t sp_cache_entries_retained = 0;
   std::size_t sp_cache_entries_dropped = 0;
-
-  // --- structural gate (streaming source onboarding) ---------------------
-  // Structural-certificate evaluations that ran (eligible slot: clean,
-  // refreshed, certificate valid with structural half populated).
-  std::size_t structural_gate_checks = 0;
-  // Evaluations that fell through to the serial rebuild path (journal
-  // truncated or polluted by old-entity mutations, fingerprint moved,
-  // attachment contact with the certificate neighborhood, or an
-  // attachment inside the reachable threshold).
-  std::size_t structural_gate_fallthroughs = 0;
-  // Views a registration provably could not affect (the structural
-  // kSkippedIrrelevant class): like views_skipped_irrelevant the slot is
-  // deliberately left stale, replaying the journals from the same
-  // baseline until a delta defeats the certificate.
-  std::size_t views_skipped_structural = 0;
 
   // --- serving path (SearchView, behind QSystem::QueryView) --------------
   // Queries answered from the slot's committed snapshot: the serving pair
@@ -159,23 +76,10 @@ enum class AsyncViewClass {
   // Slot revisions match the base state and the view is refreshed:
   // nothing to do, the published output is current.
   kUpToDate,
-  // The delta provably cannot change the view's output — either it
-  // repriced no edge of the snapshot (the slot is then committed), or the
-  // relevance certificate proved it irrelevant (the slot is deliberately
-  // left stale, the lazy-repair rule). Either way the published output is
-  // valid for the new epoch without a search.
-  kValidatedWithoutSearch,
-  // A structural delta (new base nodes/edges from source onboarding) was
-  // proven irrelevant by the view's structural certificate: every
-  // attachment point is provably outside the view's reachable
-  // alpha-neighborhood, so a rebuilt-and-researched view would publish
-  // bit-identical output. The published output stays valid; the slot is
-  // deliberately NOT committed (lazy repair — the journals replay from
-  // the same baseline until a delta defeats the certificate).
-  kSkippedIrrelevant,
   // A weight-only reconcile is needed and is safe to run as a background
-  // repair task (RepairViewAsync): re-cost in place + re-search, no
-  // query-graph rebuild, no shared-feature-space mutation.
+  // repair task (RepairViewAsync): re-cost in place, then re-search
+  // unless the re-cost moved nothing, no query-graph rebuild, no
+  // shared-feature-space mutation.
   kRepair,
   // The view needs the serial path (first-touch build, weight-dependent
   // topology, or a structural/graph delta): repairing it re-expands the
@@ -216,22 +120,9 @@ enum class AsyncViewClass {
 //                     set: only those edges are repriced
 //                     (CsrGraph::RecostDelta), and the memo moves to a new
 //                     generation when any cost moved;
-//   * skip          — nothing moved, or the delta provably repriced no
-//                     edge of this view's snapshot: no re-cost, no
-//                     search, results provably identical;
-//   * skip (irrelevant) — the delta does reprice edges of the snapshot,
-//                     but the view's relevance certificate (see
-//                     steiner::RelevanceCertificate and
-//                     ClassifyDeltaRelevance) proves none of them can
-//                     change its top-k output: no edge inside the
-//                     certificate neighborhood moved and any net decrease
-//                     stays strictly inside the slack. The snapshot is
-//                     deliberately left stale — the slot's revisions are
-//                     NOT committed, so the journals replay the
-//                     accumulated delta from the same baseline on every
-//                     later refresh until one finally touches the
-//                     certificate (or the journal truncates) and the view
-//                     falls through to the re-cost paths (lazy repair).
+//   * skip          — nothing moved, or the delta re-cost repriced no
+//                     edge of this view's snapshot: no search, results
+//                     provably identical, revisions committed.
 //
 // All classifications produce bit-identical output to N independent
 // TopKView::Refresh calls; they only change how much work reproducing it
@@ -255,14 +146,6 @@ class RefreshEngine {
   explicit RefreshEngine(util::ThreadPool* pool = nullptr) : pool_(pool) {}
 
   void set_pool(util::ThreadPool* pool) { pool_ = pool; }
-
-  // Enables/disables the relevance gate (on by default). Gating never
-  // changes results — a skipped view's output is provably identical to a
-  // refreshed one — only how much work reproducing them costs; the switch
-  // exists for A/B benchmarking (bench_view_refresh) and as an escape
-  // hatch.
-  void set_relevance_gating(bool enabled) { relevance_gating_ = enabled; }
-  bool relevance_gating() const { return relevance_gating_; }
 
   // Registers a view and reserves its snapshot slot; the snapshot itself
   // is built lazily on the first refresh. The view must outlive the
@@ -337,14 +220,12 @@ class RefreshEngine {
     ObserveRevisions(base, weights);
   }
 
-  // Classifies `slot` against the base state without running any search.
-  // kValidatedWithoutSearch may commit the slot (the delta-proven no-op
-  // case); no other class mutates it beyond engine scratch. `index` is
-  // the live text index, read (never mutated) to recompute the
-  // keyword-match fingerprint when a structural delta is pending.
+  // Classifies `slot` against the base state from its revisions alone,
+  // without touching its snapshot: up to date, a weight delta to repair,
+  // or the serial path (first build, weight-dependent topology, or any
+  // structural delta).
   AsyncViewClass ClassifyViewForAsync(std::size_t slot,
                                       const graph::SearchGraph& base,
-                                      const text::TextIndex& index,
                                       const graph::WeightVector& weights);
 
   // Brings one view up to date in place — delta or full re-cost of its
@@ -453,27 +334,18 @@ class RefreshEngine {
     // rebuild/propagation — just reconciliation + search — which lets
     // the async repair path finish a prepared structural rebuild.
     std::uint64_t prepared_graph_revision = 0;
-    // Serial of the view certificate produced by the last search this
-    // engine committed. The relevance gate requires the view's current
-    // certificate to carry this serial: an out-of-band TopKView::Refresh
-    // re-stamps the certificate against weights this slot's snapshot was
-    // never reconciled with, so its gap is meaningless relative to the
-    // snapshot's baseline costs.
-    std::uint64_t certificate_serial = 0;
-    // Frozen copy of the weight vector the snapshot's CSR costs were last
+    // Frozen copy of the weight values the snapshot's CSR costs were last
     // reconciled against, read by SearchView under serve_mu_ together
-    // with the engine pin. Deliberately NOT advanced by gate-skipped
-    // (stale-by-design) refreshes: the CSR keeps its baseline costs, so
-    // serving searches must keep pricing compile/union reads with the
-    // matching baseline weights — that is what keeps a concurrent
-    // SearchView bit-identical to the view's published snapshot.
+    // with the engine pin, so a serving search prices compile/union reads
+    // with the weights its CSR costs came from. Carries no journal: it is
+    // only priced with.
     std::shared_ptr<const graph::WeightVector> serving_weights;
     // The snapshot the last committed search published, stamped with the
     // serving pair that search ran at (engine generation, serving weight
     // copy); SearchView answers from it while the pair is unchanged.
     // Guarded by serve_mu_. Set by CommitSlot(searched=true). Commits
-    // without a search and gate skips keep it: they prove the output
-    // unchanged and leave the pair alone. A query-graph patch that moves
+    // without a search keep it: they prove the output unchanged and leave
+    // the pair alone. A query-graph patch that moves
     // a cost bumps the generation; one that moves none leaves the answer
     // provably unchanged. Cleared where a rebuild swaps the engine: the
     // fresh engine restarts at generation 0 and, when only the graph
@@ -494,43 +366,6 @@ class RefreshEngine {
     bool commit_without_search = false;
   };
 
-  // Outcome of one relevance-gate preview (eligibility is checked by the
-  // call sites; the helper only runs for eligible slots).
-  enum class GateOutcome {
-    kNothingRepriced,  // preview proved the delta reprices nothing here
-    kSkip,             // certificate proves the output cannot change
-    kFallthrough,      // touched the certificate / slack spent / dense
-  };
-
-  // Runs the relevance gate for a clean slot against a coalesced pure
-  // weight delta, updating `stats` counters. Shared by PrepareSlot and
-  // ClassifyViewForAsync so the two paths can never diverge on what the
-  // gate admits.
-  GateOutcome RunRelevanceGate(Slot* slot,
-                               const graph::WeightVector& weights,
-                               const std::vector<graph::FeatureDelta>& deltas,
-                               RefreshEngineStats* stats);
-
-  // Structural gate: classifies a pending structural delta against
-  // `slot`'s structural certificate (ClassifyViewForAsync's graph-moved
-  // branch). Decodes the graph journal window — admissible records are
-  // node/edge additions plus mutations of entities added in the same
-  // window (AddAssociations re-features freshly added association
-  // edges); any mutation of a pre-existing entity, or a truncated
-  // journal, defeats the certificate — recomputes the keyword-match
-  // fingerprint against `index`, previews any concurrent weight delta
-  // through the weight gate for its net decrease, then applies
-  // ClassifyStructuralRelevance to the attachment set (with a contact
-  // check: an attachment whose old incident edges intersect the
-  // certificate neighborhood falls through, since a new edge there can
-  // change the ranked union's column folding without moving any cost).
-  // Returns kSkippedIrrelevant or kSerialOnly.
-  AsyncViewClass ClassifyStructural(Slot* slot,
-                                    const graph::SearchGraph& base,
-                                    const text::TextIndex& index,
-                                    const graph::WeightVector& weights,
-                                    RefreshEngineStats* stats);
-
   // Brings `slot`'s query graph + CSR snapshot up to date with (base,
   // weights), classifying the change as rebuild / full re-cost / delta
   // re-cost / skip from the delta journals (see class comment).
@@ -538,11 +373,8 @@ class RefreshEngine {
   // feature space); with `allow_rebuild` false — the async repair path —
   // any classification that needs the rebuild/structural machinery
   // returns an Internal error instead (and `index`/`model` may be
-  // null). `run_gate` lets that path skip the relevance gate when the
-  // caller's classification already ran it for this delta (avoiding a
-  // duplicate preview and double-counted gate stats). Stat deltas land
-  // in `stats` (merged by the caller under stats_mu_, so concurrent
-  // repairs don't race). Does NOT commit the
+  // null). Stat deltas land in `stats` (merged by the caller under
+  // stats_mu_, so concurrent repairs don't race). Does NOT commit the
   // observed revisions unless the outcome says so — CommitSlot does, and
   // only after the view's search succeeded, so a failed refresh can
   // never be mistaken for an up-to-date one on the next pass (the
@@ -552,7 +384,7 @@ class RefreshEngine {
                                            const text::TextIndex* index,
                                            graph::CostModel* model,
                                            const graph::WeightVector& weights,
-                                           bool allow_rebuild, bool run_gate,
+                                           bool allow_rebuild,
                                            RefreshEngineStats* stats);
 
   // The install step every rebuild ends in (see StagedRebuild).
@@ -565,12 +397,10 @@ class RefreshEngine {
   void MergeStats(const RefreshEngineStats& delta);
 
   // `searched` marks a commit that followed a successful RunSearch: the
-  // view's certificate now describes this slot's snapshot, so its serial
-  // is recorded for the relevance gate, and the published snapshot is
-  // stamped with the slot's serving pair for SearchView. Commits without
-  // a search leave the recorded serial and the stamp in place (the
-  // snapshot provably did not move, so the previously recorded
-  // certificate and snapshot still match it).
+  // published snapshot is stamped with the slot's serving pair for
+  // SearchView. Commits without a search leave the stamp in place (the
+  // snapshot provably did not move, so the stamped snapshot still
+  // matches it).
   void CommitSlot(Slot* slot, const graph::SearchGraph& base,
                   const graph::WeightVector& weights, bool searched);
 
@@ -579,14 +409,14 @@ class RefreshEngine {
   void ObserveRevisions(const graph::SearchGraph& base,
                         const graph::WeightVector& weights);
 
-  // A frozen copy of `weights` for the serving path, memoized by revision
-  // so one refresh round copies the vector at most once no matter how
-  // many slots it reconciles. Caller must hold serve_mu_.
+  // A frozen copy of `weights`' values for the serving path (no journal),
+  // memoized by revision so one refresh round copies the vector at most
+  // once no matter how many slots it reconciles. Caller must hold
+  // serve_mu_.
   std::shared_ptr<const graph::WeightVector> SnapshotWeightsLocked(
       const graph::WeightVector& weights);
 
   util::ThreadPool* pool_ = nullptr;
-  bool relevance_gating_ = true;
   std::uint64_t generation_ = 0;
   bool observed_any_ = false;
   std::uint64_t last_graph_revision_ = 0;

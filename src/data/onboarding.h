@@ -13,25 +13,23 @@ namespace q::data {
 // Synthetic catalog purpose-built for the streaming-onboarding suite
 // (tests/onboarding_test.cc, bench/bench_onboarding.cc): `num_communities`
 // isolated two-table islands whose keyword vocabulary is pairwise
-// disjoint, so each community hosts exactly one keyword view and the
-// structural relevance gate's preconditions hold by construction:
+// disjoint, so each community hosts exactly one keyword view and a
+// registration's effect on every view is known in advance:
 //
 //   * every view keyword matches its attribute-name document exactly
 //     (cosine similarity 1.0 regardless of corpus size), so registering
 //     a vocabulary-disjoint source never perturbs any view's keyword
-//     match set or scores — the certificate fingerprint stays stable;
+//     match set or scores: rebuilding the view reproduces its output;
 //   * communities are separate graph components, so an association
-//     landing in community j is provably outside every other view's
-//     alpha-neighborhood ball.
+//     landing in community j changes no other community's view.
 //
 // Community i ("src<i>"): relation "rela<i>" {qa<i>, lka, lkb} and
 // relation "relb<i>" {qb<i>, lka, lkb}, joined by two parallel declared
 // foreign keys (lka->lka, lkb->lkb) — exactly two proper Steiner trees
-// per view, so k=2 views fill their top-k (finite kth cost, usable
-// alpha ball) while k>=3 views keep head-room for an onboarded source
-// to enter the ranking. The view for community i asks {"qa<i>",
-// "qb<i>"}. Row values are community-tagged letter strings (never
-// numeric, never shared across communities).
+// per view, so k=2 views fill their top-k while k>=3 views keep
+// head-room for an onboarded source to enter the ranking. The view for
+// community i asks {"qa<i>", "qb<i>"}. Row values are community-tagged
+// letter strings (never numeric, never shared across communities).
 struct OnboardingDataset {
   std::vector<std::shared_ptr<relational::DataSource>> sources;
   // keyword_queries[i] is community i's two-keyword view query.
@@ -44,8 +42,8 @@ OnboardingDataset BuildOnboardingDataset(std::size_t num_communities,
 // A source whose entire vocabulary (relation/attribute names and row
 // values) is disjoint from every community and every other disjoint
 // source: registering it adds a disconnected graph island, matches no
-// keyword, and aligns with nothing — the structural gate must skip every
-// view. `serial` disambiguates repeated registrations.
+// keyword, and aligns with nothing — every view's output stays the same.
+// `serial` disambiguates repeated registrations.
 std::shared_ptr<relational::DataSource> MakeDisjointSource(
     std::size_t serial, std::size_t rows_per_table = 6);
 

@@ -30,10 +30,9 @@ struct MiraConfig {
   // shared default feature until the minimum clears the floor) is kept
   // only as a last-resort fallback: the default feature sits on *every*
   // learnable edge, so a bump turns an otherwise-sparse MIRA delta dense
-  // — snapshot holders must re-cost every view wholesale and the
-  // relevance gate can never skip (the repriced set hits every
-  // certificate). Constraint-based flooring keeps the journal delta on
-  // the handful of features the update actually touched.
+  // — snapshot holders must re-cost every view wholesale. Constraint-based
+  // flooring keeps the journal delta on the handful of features the
+  // update actually touched.
   int max_positivity_rounds = 4;
   // Exclude the shared default feature from the constraint vectors. The
   // default weight is the uniform positivity offset, not a discriminative

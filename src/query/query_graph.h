@@ -34,7 +34,8 @@ struct QueryGraph {
   std::vector<std::string> keywords;
   std::vector<graph::NodeId> keyword_nodes;  // parallel to `keywords`
   // Fingerprint of the keyword->match expansion this graph was built
-  // from (see KeywordMatchFingerprint below).
+  // from (see KeywordMatchFingerprint below). Nothing in Q reads it; the
+  // benchmark's onboard replay does (ROADMAP item 1 drops it).
   std::uint64_t keyword_fingerprint = 0;
 };
 
@@ -42,10 +43,9 @@ struct QueryGraph {
 // BuildQueryGraph would expand for `keywords` against `index`: per
 // keyword, the keyword text followed by every (doc_index, score) pair
 // returned by index.Search at the options' similarity floor and match
-// cap, with the score hashed by bit pattern. TF-IDF is corpus-wide
-// (idf moves with the document count), so after the catalog changes the
-// only way to prove a rebuilt query graph equals the old one plus new
-// base nodes/edges is to recompute this and compare for exact equality.
+// cap, with the score hashed by bit pattern. Equals the
+// keyword_fingerprint of a query graph expanded against the same index.
+// Kept for the benchmark's onboard replay (ROADMAP item 1 drops it).
 std::uint64_t KeywordMatchFingerprint(const text::TextIndex& index,
                                       const std::vector<std::string>& keywords,
                                       const QueryGraphOptions& options);

@@ -1,7 +1,5 @@
 #include "query/view.h"
 
-#include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -30,10 +28,6 @@ util::Status TopKView::RebuildQueryGraph(const graph::SearchGraph& base,
 
 QueryGraph TopKView::ReplaceQueryGraph(QueryGraph next) {
   std::swap(query_graph_, next);
-  // The certificate's edge ids refer to the replaced graph; it is rebuilt
-  // by the next publication.
-  std::lock_guard<std::mutex> lock(state_mu_);
-  certificate_.valid = false;
   return next;
 }
 
@@ -65,14 +59,12 @@ util::Result<ViewSnapshot> TopKView::BuildSearchSnapshot(
     steiner::FastSteinerEngine* shared_engine,
     const steiner::SnapshotPin* pin) const {
   ViewSnapshot snapshot;
-  steiner::RelevanceCertificate& certificate = snapshot.certificate;
-  std::vector<steiner::SteinerTree> trees = steiner::TopKSteinerTrees(
-      query_graph.graph, weights, query_graph.keyword_nodes,
-      config_.top_k, shared_engine, &certificate, pin);
-  std::vector<ConjunctiveQuery> queries;
+  snapshot.trees = steiner::TopKSteinerTrees(
+      query_graph.graph, weights, query_graph.keyword_nodes, config_.top_k,
+      shared_engine, /*certificate=*/nullptr, pin);
   std::vector<std::vector<relational::Row>> per_query_rows;
   Executor executor(&catalog, config_.executor);
-  for (const steiner::SteinerTree& tree : trees) {
+  for (const steiner::SteinerTree& tree : snapshot.trees) {
     Q_ASSIGN_OR_RETURN(ConjunctiveQuery cq,
                        CompileTree(query_graph, tree, weights));
     auto rows = executor.Execute(cq);
@@ -84,68 +76,12 @@ util::Result<ViewSnapshot> TopKView::BuildSearchSnapshot(
     } else {
       per_query_rows.push_back(std::move(rows).value());
     }
-    queries.push_back(std::move(cq));
+    snapshot.queries.push_back(std::move(cq));
   }
-  RankedResults results =
-      DisjointUnion(query_graph, weights, queries, std::move(per_query_rows),
-                    config_.union_similarity_threshold);
-  // Augment the search certificate with every edge DisjointUnion's
-  // schema-unification prices: all edges incident to each select-list
-  // attribute's node (FindCompatibleColumn walks them for association
-  // edges under the similarity threshold). Relation-level keyword matches
-  // select an attribute whose node need not be in any tree, so tree
-  // adjacency alone would miss these reads.
-  if (certificate.valid) {
-    for (const ConjunctiveQuery& cq : queries) {
-      for (const OutputColumn& col : cq.select_list) {
-        auto node = query_graph.graph.FindAttributeNode(col.attr);
-        if (!node.has_value()) continue;
-        const graph::AdjacencyRange incident =
-            query_graph.graph.edges_of(*node);
-        certificate.edges.insert(certificate.edges.end(), incident.begin(),
-                                 incident.end());
-      }
-    }
-    std::sort(certificate.edges.begin(), certificate.edges.end());
-    certificate.edges.erase(
-        std::unique(certificate.edges.begin(), certificate.edges.end()),
-        certificate.edges.end());
-    // Structural half: an alpha-neighborhood ball around the first
-    // terminal, used by core::ClassifyStructuralRelevance to prove that a
-    // newly registered source cannot enter this view's top-k. Any tree
-    // using new topology walks from the anchor terminal to an attachment
-    // node over old edges first, so its cost is at least the baseline
-    // anchor distance recorded here. The 2*kth+1 radius leaves room for
-    // the weight-gate's net_decrease before out-of-ball attachments stop
-    // skipping.
-    certificate.kth_cost =
-        trees.size() == static_cast<std::size_t>(config_.top_k.k)
-            ? trees.back().cost
-            : std::numeric_limits<double>::infinity();
-    certificate.keyword_fingerprint = query_graph.keyword_fingerprint;
-    certificate.alpha_radius = 0.0;
-    if (std::isfinite(certificate.kth_cost) &&
-        !query_graph.keyword_nodes.empty()) {
-      certificate.alpha_radius = 2.0 * certificate.kth_cost + 1.0;
-      graph::DistanceField field;
-      query_graph.graph.Dijkstra(
-          {{query_graph.keyword_nodes.front(), 0.0}}, weights,
-          certificate.alpha_radius, &field);
-      certificate.alpha_nodes.assign(field.reached().begin(),
-                                     field.reached().end());
-      std::sort(certificate.alpha_nodes.begin(), certificate.alpha_nodes.end());
-      certificate.alpha_dist.resize(certificate.alpha_nodes.size());
-      for (std::size_t i = 0; i < certificate.alpha_nodes.size(); ++i) {
-        certificate.alpha_dist[i] = field.At(certificate.alpha_nodes[i]);
-      }
-    }
-    certificate.structural_valid = true;
-  }
-  snapshot.trees = std::move(trees);
-  snapshot.queries = std::move(queries);
-  snapshot.results = std::move(results);
-  // certificate.serial and search_serial stay 0 (a consistent pair):
-  // only publication stamps real serials, under state_mu_.
+  snapshot.results = DisjointUnion(query_graph, weights, snapshot.queries,
+                                   std::move(per_query_rows),
+                                   config_.union_similarity_threshold);
+  // search_serial stays 0: only publication stamps it, under state_mu_.
   return snapshot;
 }
 
@@ -168,15 +104,11 @@ util::Status TopKView::RunSearch(const relational::Catalog& catalog,
 void TopKView::PublishSnapshot(ViewSnapshot built) {
   auto next = std::make_shared<ViewSnapshot>(std::move(built));
   {
-    // Serial stamping, certificate publication, and snapshot swap happen
-    // in ONE critical section: a reader can never observe a certificate
-    // whose serial disagrees with its snapshot's search_serial, nor a
-    // serial bump without the matching snapshot.
+    // Serial stamping and snapshot swap happen in ONE critical section: a
+    // reader can never observe a serial bump without the matching
+    // snapshot.
     std::lock_guard<std::mutex> lock(state_mu_);
-    ++certificate_serial_;
-    next->certificate.serial = certificate_serial_;
-    next->search_serial = certificate_serial_;
-    certificate_ = next->certificate;
+    next->search_serial = ++search_serial_;
     state_ = std::move(next);
   }
   refreshed_.store(true, std::memory_order_release);

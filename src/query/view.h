@@ -33,18 +33,12 @@ struct ViewConfig {
 // trees, the queries compiled from them, and the ranked rows — all from
 // the same RunSearch, so rows' query_index values always index `queries`
 // and `trees` consistently. `search_serial` is the view's monotone
-// per-search counter (the same counter that stamps the relevance
-// certificate), letting readers assert publication monotonicity.
+// per-search counter, stamped at publication (0 in an unpublished or
+// empty snapshot), letting readers assert publication monotonicity.
 struct ViewSnapshot {
   std::vector<steiner::SteinerTree> trees;
   std::vector<ConjunctiveQuery> queries;
   RankedResults results;
-  // The relevance certificate of the search that produced this snapshot,
-  // published as part of the same immutable unit so a reader can never
-  // observe a certificate whose serial disagrees with search_serial
-  // (certificate.serial == search_serial in every published snapshot; both
-  // are 0 in an unpublished/empty one).
-  steiner::RelevanceCertificate certificate;
   std::uint64_t search_serial = 0;
 };
 
@@ -52,9 +46,9 @@ struct ViewSnapshot {
 // `state` is the last committed snapshot — held alive by the shared_ptr
 // for as long as the reader keeps it, even across concurrent repairs —
 // `generation` the staleness epoch the output was last validated at
-// (repaired, or proven unchanged by the relevance gate), and `stale`
-// whether base state has moved past that epoch without the view having
-// been revalidated yet.
+// (repaired, or proven unchanged by a re-cost that moved nothing), and
+// `stale` whether base state has moved past that epoch without the view
+// having been revalidated yet.
 struct ViewResult {
   std::shared_ptr<const ViewSnapshot> state;
   std::uint64_t generation = 0;
@@ -103,10 +97,9 @@ class TopKView {
                                  const graph::WeightVector& weights);
 
   // Makes `next` the view's query graph and returns the one it replaces,
-  // so the caller chooses where that graph's teardown runs. Invalidates
-  // the certificate, whose edge ids refer to the replaced graph, until
-  // the next publication. Not safe against a concurrent reader of
-  // query_graph() (the serving gate upstream excludes them).
+  // so the caller chooses where that graph's teardown runs. Not safe
+  // against a concurrent reader of query_graph() (the serving gate
+  // upstream excludes them).
   QueryGraph ReplaceQueryGraph(QueryGraph next);
 
   // Phase 2: recomputes trees/queries/results against the current query
@@ -122,9 +115,8 @@ class TopKView {
   // pipeline against `query_graph` — the view's own query_graph(), or a
   // graph staged for it that is not installed yet — with this view's
   // config, and returns the resulting snapshot WITHOUT publishing it
-  // (state_, certificate_, and the serial counter are untouched; the
-  // returned snapshot carries serial 0 in both certificate.serial and
-  // search_serial, a consistent pair). `shared_engine`, when non-null,
+  // (state_ and the serial counter are untouched; the returned snapshot
+  // carries search_serial 0). `shared_engine`, when non-null,
   // must hold a CSR snapshot of (query_graph.graph, weights). When `pin`
   // is non-null it must come from `shared_engine` and the whole
   // enumeration runs against that pinned CSR generation — this is the
@@ -141,10 +133,9 @@ class TopKView {
       const steiner::SnapshotPin* pin) const;
 
   // RunSearch's publication step: stamps `built` with the next search
-  // serial (certificate.serial and search_serial alike), makes its
-  // certificate the view's and swaps it in as the published snapshot, all
-  // in one critical section, and marks the view refreshed. `built` must be
-  // a BuildSearchSnapshot result over the view's current query graph.
+  // serial and swaps it in as the published snapshot in one critical
+  // section, and marks the view refreshed. `built` must be a
+  // BuildSearchSnapshot result over the view's current query graph.
   void PublishSnapshot(ViewSnapshot built);
 
   // Delta alternative to phase 1 for in-place base-edge mutations (the
@@ -185,18 +176,6 @@ class TopKView {
   const RankedResults& results() const { return state_->results; }
   bool refreshed() const { return refreshed_.load(std::memory_order_acquire); }
 
-  // Relevance certificate of the last successful RunSearch, augmented
-  // with every edge the ranked union's schema-unification reads (the
-  // association edges incident to each compiled query's select-list
-  // attributes), so it covers *all* weight-sensitive reads behind
-  // trees()/queries()/results(). `certificate().serial` identifies the
-  // search it describes; the RefreshEngine compares it against the serial
-  // it committed to detect certificates from out-of-band refreshes.
-  // Invalid until the first search and after every query-graph rebuild.
-  const steiner::RelevanceCertificate& certificate() const {
-    return certificate_;
-  }
-
   // Cost of the k-th top-scoring answer: the alpha bound driving
   // Algorithm 2's neighborhood pruning. Infinity before the first refresh
   // or when fewer than k answers exist (any alignment could then enter
@@ -209,15 +188,14 @@ class TopKView {
   QueryGraph query_graph_;
   // Current published snapshot; swapped under state_mu_ by RunSearch.
   // Starts non-null (empty) so the reference accessors never dereference
-  // null before the first refresh. state_mu_ also guards certificate_ and
-  // certificate_serial_: RunSearch stamps the serial and publishes the
-  // certificate and the snapshot in ONE critical section, so serial
-  // stamping can never be observed out of step with snapshot publication.
+  // null before the first refresh. state_mu_ also guards search_serial_:
+  // PublishSnapshot stamps the serial and swaps the snapshot in ONE
+  // critical section, so serial stamping can never be observed out of
+  // step with snapshot publication.
   mutable std::mutex state_mu_;
   std::shared_ptr<const ViewSnapshot> state_ =
       std::make_shared<ViewSnapshot>();
-  steiner::RelevanceCertificate certificate_;
-  std::uint64_t certificate_serial_ = 0;
+  std::uint64_t search_serial_ = 0;
   std::atomic<bool> refreshed_{false};
 };
 

@@ -111,10 +111,9 @@ void CsrGraph::Recost(const graph::SearchGraph& graph,
   }
 }
 
-void CsrGraph::RecostEdges(const graph::SearchGraph& graph,
-                           const graph::WeightVector& weights,
-                           const std::vector<graph::EdgeId>& edges,
-                           std::vector<RepricedEdge>* repriced) {
+std::size_t CsrGraph::RecostEdges(const graph::SearchGraph& graph,
+                                  const graph::WeightVector& weights,
+                                  const std::vector<graph::EdgeId>& edges) {
   Q_CHECK(graph.num_nodes() == num_nodes && graph.num_edges() == num_edges);
   // Patches one directed copy of edge e inside node v's arc block; blocks
   // are sorted by edge id (Build fills in edge-id order), so the copy is
@@ -126,26 +125,16 @@ void CsrGraph::RecostEdges(const graph::SearchGraph& graph,
     Q_CHECK(it != end && *it == e);
     arc_cost[static_cast<std::size_t>(it - arc_edge.begin())] = cost;
   };
+  std::size_t repriced = 0;
   for (graph::EdgeId e : edges) {
     double fresh = graph.EdgeCost(e, weights);
     if (fresh == edge_cost[e]) continue;
-    repriced->push_back(RepricedEdge{e, edge_cost[e], fresh});
+    ++repriced;
     edge_cost[e] = fresh;
     patch_arc(edge_u[e], e, fresh);
     patch_arc(edge_v[e], e, fresh);
   }
-}
-
-void CsrGraph::PreviewRecostEdges(const graph::SearchGraph& graph,
-                                  const graph::WeightVector& weights,
-                                  const std::vector<graph::EdgeId>& edges,
-                                  std::vector<RepricedEdge>* repriced) const {
-  Q_CHECK(graph.num_nodes() == num_nodes && graph.num_edges() == num_edges);
-  for (graph::EdgeId e : edges) {
-    double fresh = graph.EdgeCost(e, weights);
-    if (fresh == edge_cost[e]) continue;
-    repriced->push_back(RepricedEdge{e, edge_cost[e], fresh});
-  }
+  return repriced;
 }
 
 std::size_t CsrGraph::MemoryUsage() const {

@@ -8,16 +8,6 @@
 
 namespace q::steiner {
 
-// One edge whose snapshot cost actually moved during a (delta) re-cost,
-// with its old and new cost. The relevance gate reads the pair: pure
-// increases outside a view's certificate cannot change its output, and
-// net decreases must stay inside the certificate's slack.
-struct RepricedEdge {
-  graph::EdgeId edge;
-  double old_cost;
-  double new_cost;
-};
-
 // Feature -> edge postings over one SearchGraph snapshot: for every
 // feature id mentioned by some edge's FeatureVec, the (ascending) list of
 // edges carrying it. Lets a sparse weight delta (a MIRA step moves only
@@ -81,27 +71,16 @@ struct CsrGraph {
 
   // Delta refresh: re-evaluates only the listed edges (same computation
   // as Recost, so a delta-recosted snapshot is bitwise identical to a
-  // fully recosted one), patching both directed arc copies. Edges whose
-  // cost actually moved are appended to `repriced` with their old/new
-  // values. Same precondition as Recost; `edges` need not be sorted but
-  // must not contain duplicates beyond harmless re-pricing (idempotent).
-  void RecostEdges(const graph::SearchGraph& graph,
-                   const graph::WeightVector& weights,
-                   const std::vector<graph::EdgeId>& edges,
-                   std::vector<RepricedEdge>* repriced);
+  // fully recosted one), patching both directed arc copies, and returns
+  // how many edge costs actually moved. Same precondition as Recost;
+  // `edges` need not be sorted but must not contain duplicates beyond
+  // harmless re-pricing (idempotent).
+  std::size_t RecostEdges(const graph::SearchGraph& graph,
+                          const graph::WeightVector& weights,
+                          const std::vector<graph::EdgeId>& edges);
 
   // Estimated resident bytes of the snapshot's arrays.
   std::size_t MemoryUsage() const;
-
-  // Read-only twin of RecostEdges: appends the would-be RepricedEdge
-  // records (same EdgeCost evaluation) without patching anything. The
-  // relevance gate uses this to decide whether a delta can change a
-  // view's output before committing to touch its snapshot at all (see
-  // docs/query_engine.md, "Relevance-scoped refresh").
-  void PreviewRecostEdges(const graph::SearchGraph& graph,
-                          const graph::WeightVector& weights,
-                          const std::vector<graph::EdgeId>& edges,
-                          std::vector<RepricedEdge>* repriced) const;
 };
 
 }  // namespace q::steiner

@@ -907,8 +907,8 @@ void FastSteinerEngine::Recost(const graph::SearchGraph& graph,
   if (memo_ != nullptr) memo_->Advance(generation_);
 }
 
-bool FastSteinerEngine::CollectDeltaCandidates(
-    const graph::SearchGraph& graph,
+FastSteinerEngine::RecostDeltaOutcome FastSteinerEngine::RecostDelta(
+    const graph::SearchGraph& graph, const graph::WeightVector& weights,
     const std::vector<graph::FeatureDelta>& deltas,
     const std::vector<graph::EdgeId>& extra_edges) {
   touched_scratch_.clear();
@@ -937,28 +937,19 @@ bool FastSteinerEngine::CollectDeltaCandidates(
       std::unique(candidate_scratch_.begin(), candidate_scratch_.end()),
       candidate_scratch_.end());
 
-  // Dense deltas gain nothing over a full pass; hand them back to Recost.
-  return candidate_scratch_.size() <= csr_->num_edges / 2;
-}
-
-FastSteinerEngine::RecostDeltaOutcome FastSteinerEngine::RecostDelta(
-    const graph::SearchGraph& graph, const graph::WeightVector& weights,
-    const std::vector<graph::FeatureDelta>& deltas,
-    const std::vector<graph::EdgeId>& extra_edges) {
   RecostDeltaOutcome outcome;
-  bool sparse = CollectDeltaCandidates(graph, deltas, extra_edges);
   outcome.candidate_edges = candidate_scratch_.size();
-  if (!sparse) {
+  // Dense deltas gain nothing over a full pass; hand them back to Recost.
+  if (candidate_scratch_.size() > csr_->num_edges / 2) {
     return outcome;  // applied == false
   }
   outcome.applied = true;
 
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   BeginMutation();
-  repriced_scratch_.clear();
-  csr_->RecostEdges(graph, weights, candidate_scratch_, &repriced_scratch_);
-  outcome.edges_repriced = repriced_scratch_.size();
-  if (repriced_scratch_.empty()) {
+  outcome.edges_repriced =
+      csr_->RecostEdges(graph, weights, candidate_scratch_);
+  if (outcome.edges_repriced == 0) {
     // Nothing moved: the snapshot is bitwise unchanged, so the generation
     // (and the memo) stays. (A defensive clone from BeginMutation is then
     // byte-identical to the pinned original.)
@@ -967,22 +958,6 @@ FastSteinerEngine::RecostDeltaOutcome FastSteinerEngine::RecostDelta(
   ++generation_;
   if (memo_ != nullptr) memo_->Advance(generation_);
   return outcome;
-}
-
-bool FastSteinerEngine::PreviewDelta(
-    const graph::SearchGraph& graph, const graph::WeightVector& weights,
-    const std::vector<graph::FeatureDelta>& deltas,
-    std::vector<RepricedEdge>* repriced) {
-  // Shares the collection (and its dense-delta threshold) with
-  // RecostDelta, so a declined preview and a declined re-cost classify
-  // the same deltas. A gate fall-through re-collects in the subsequent
-  // RecostDelta; that duplicate walk is bounded by the candidate count
-  // and dwarfed by the search the fall-through implies.
-  if (!CollectDeltaCandidates(graph, deltas, /*extra_edges=*/{})) {
-    return false;
-  }
-  csr_->PreviewRecostEdges(graph, weights, candidate_scratch_, repriced);
-  return true;
 }
 
 FastSolveStats FastSteinerEngine::stats() const {

@@ -97,9 +97,9 @@ enum class MaskedOutcome { kOk, kEscalate };
 // entry (see Pin) and runs to completion against those costs even if a
 // re-cost lands mid-solve; the mutator copies-on-write when pins are
 // outstanding, so a search never observes a half-repriced snapshot.
-// Mutators and PreviewDelta must still be externally serialized against
-// each other (they share the engine's scratch and postings index);
-// per-view task ordering provides that upstream.
+// Mutators must still be externally serialized against each other (they
+// share the engine's scratch and postings index); per-view task ordering
+// provides that upstream.
 class FastSteinerEngine {
  public:
   FastSteinerEngine(const graph::SearchGraph& graph,
@@ -145,20 +145,6 @@ class FastSteinerEngine {
       const graph::SearchGraph& graph, const graph::WeightVector& weights,
       const std::vector<graph::FeatureDelta>& deltas,
       const std::vector<graph::EdgeId>& extra_edges = {});
-
-  // Read-only twin of RecostDelta for the relevance gate: maps the delta
-  // through the same feature->edge postings and appends the would-be
-  // RepricedEdge records to `repriced` without patching the snapshot or
-  // touching the memo. Returns false (and leaves
-  // `repriced` untouched) when the delta is dense (candidates above half
-  // the snapshot, the same threshold RecostDelta declines at) — the
-  // caller must then take the ordinary re-cost paths. Same FeatureVec
-  // precondition as RecostDelta; callers with mutated edges must not
-  // preview (the gate only runs on pure weight deltas).
-  bool PreviewDelta(const graph::SearchGraph& graph,
-                    const graph::WeightVector& weights,
-                    const std::vector<graph::FeatureDelta>& deltas,
-                    std::vector<RepricedEdge>* repriced);
 
   // Drops the feature->edge postings index (rebuilt from the graph on
   // the next RecostDelta). Required after any edge FeatureVec mutation.
@@ -280,15 +266,6 @@ class FastSteinerEngine {
   TopKMemo* memo() { return memo_.get(); }
 
  private:
-  // Shared front half of RecostDelta/PreviewDelta: maps the deltas'
-  // touched features through the (lazily built) postings index into
-  // candidate_scratch_ (sorted, deduped, plus extra_edges). Returns
-  // false when the delta is dense — candidates above half the snapshot —
-  // and selective repricing would gain nothing.
-  bool CollectDeltaCandidates(const graph::SearchGraph& graph,
-                              const std::vector<graph::FeatureDelta>& deltas,
-                              const std::vector<graph::EdgeId>& extra_edges);
-
   // Caller holds snapshot_mu_. Clones csr_ first when pins are
   // outstanding (copy-on-write: the old buffer stays alive under its
   // holders' shared_ptrs).
@@ -326,7 +303,6 @@ class FastSteinerEngine {
   // Scratch reused across RecostDelta calls.
   std::vector<graph::FeatureId> touched_scratch_;
   std::vector<graph::EdgeId> candidate_scratch_;
-  std::vector<RepricedEdge> repriced_scratch_;
   // Cached shard partition (see Shards); guarded by snapshot_mu_.
   std::shared_ptr<const ShardPartition> shards_;
   std::uint32_t shard_target_ = 0;

@@ -63,35 +63,6 @@ using AttemptFn = std::function<AttemptResult(
     const std::vector<graph::EdgeId>& forced,
     const std::vector<graph::EdgeId>& banned, bool must_solve)>;
 
-// The node/edge neighborhood of the returned trees: every tree edge,
-// plus every edge incident to a node some tree (or terminal) touches.
-// Edges outside this set cannot appear in any returned tree, so the only
-// way a change to them can alter the output is by pulling a non-returned
-// tree under the k-th returned cost — exactly what the certificate's gap
-// bounds.
-std::vector<graph::EdgeId> CertificateNeighborhood(
-    const graph::SearchGraph& graph,
-    const std::vector<graph::NodeId>& terminals,
-    const std::vector<SteinerTree>& output) {
-  std::vector<graph::NodeId> nodes(terminals.begin(), terminals.end());
-  for (const SteinerTree& tree : output) {
-    for (graph::EdgeId e : tree.edges) {
-      nodes.push_back(graph.edge(e).u);
-      nodes.push_back(graph.edge(e).v);
-    }
-  }
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
-  std::vector<graph::EdgeId> edges;
-  for (graph::NodeId n : nodes) {
-    const graph::AdjacencyRange incident = graph.edges_of(n);
-    edges.insert(edges.end(), incident.begin(), incident.end());
-  }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  return edges;
-}
-
 // Buffers for BranchOrder, reused across expansions (pivots hold about 10
 // edges).
 struct BranchWalk {
@@ -111,9 +82,8 @@ struct BranchWalk {
 // when it branches, so every forced prefix is a connected piece hanging
 // off a terminal with at most one non-terminal leaf. The order is a pure
 // function of the edge ids, their endpoints and the terminals as passed,
-// never of costs: the relevance certificate relies on a certified-safe
-// delta reproducing the same children, and the enumeration memo keys on
-// the terminals as passed (see "Branching order" in docs/query_engine.md).
+// never of costs: the enumeration memo keys on the terminals as passed
+// (see "Branching order" in docs/query_engine.md).
 void BranchOrder(const graph::SearchGraph& graph,
                  const std::vector<graph::EdgeId>& edges,
                  const std::vector<graph::NodeId>& terminals,
@@ -216,10 +186,10 @@ std::vector<SteinerTree> Enumerate(const graph::SearchGraph& graph,
     if (IsProperSteinerTree(graph, sub.tree, terminals)) {
       output.push_back(sub.tree);
       // The k-th pivot's children exist only to bound the certificate gap
-      // (their keys feed heap.top() below); when no exact certificate can
-      // be issued, branching them buys nothing — skip the whole attempt
-      // round. Output is unchanged: the loop condition would stop before
-      // any of those children could surface.
+      // (their keys feed heap.top() below); when no certificate is asked
+      // for, or none can be issued, branching them buys nothing — skip the
+      // whole attempt round. Output is unchanged: the loop condition would
+      // stop before any of those children could surface.
       if (output.size() == static_cast<std::size_t>(config.k) &&
           (use_kmb || certificate == nullptr)) {
         break;
@@ -285,26 +255,16 @@ std::vector<SteinerTree> Enumerate(const graph::SearchGraph& graph,
     // cheapest proper trees: the exact solver guarantees each subspace
     // optimum, and an enumeration cut short by max_subproblems (heap
     // nonempty, fewer than k trees emitted) proves nothing about the
-    // unexplored remainder. KMB pivots are heuristic end to end — any
-    // cost change, even an increase far from the result, can reroute its
-    // shortest paths — so approximate runs never certify.
+    // unexplored remainder. KMB pivots are heuristic, so approximate runs
+    // never certify. Nor does a run that used more than half the cap: a
+    // certificate promises 2x expansion headroom below it.
     const bool truncated =
         !heap.empty() && output.size() < static_cast<std::size_t>(config.k);
-    // The output-identity argument is exact, but the enumeration
-    // *mechanism* has one cost-dependent knob: max_subproblems. A
-    // certified-safe delta can still reshape which pivots pop below the
-    // k-th cost (an outside change moves improper pivots), so a fresh
-    // run's expansion count can differ from this one's; a run that used
-    // more than half the cap therefore never certifies, leaving 2x
-    // headroom so the reshaped enumeration cannot hit the cap and
-    // truncate to different output.
     const bool cap_headroom = expansions * 2 <= config.max_subproblems;
     if (!use_kmb && !truncated && cap_headroom) {
       certificate->valid = true;
-      certificate->edges = CertificateNeighborhood(graph, terminals, output);
       if (heap.empty()) {
-        // Space exhausted: every proper tree is in the output, so no cost
-        // movement outside them can surface a new one.
+        // Space exhausted: every proper tree is in the output.
         certificate->gap = std::numeric_limits<double>::infinity();
       } else {
         // Exact subspace optima pop in nondecreasing cost order, and a

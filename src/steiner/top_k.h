@@ -96,77 +96,21 @@ std::vector<SteinerTree> TopKSteinerTrees(
 class FastSteinerEngine;
 struct SnapshotPin;
 
-// Proof object letting a later weight delta be tested for relevance to
-// this search's output without re-running it (the alpha-neighborhood gate
-// of docs/query_engine.md). Emitted by TopKSteinerTrees when the
-// enumeration ran the *exact* substrate to completion; `valid` stays false
-// for KMB/approximate runs and for enumerations truncated by
-// `max_subproblems`, whose output is not provably the k cheapest proper
-// trees and therefore admits no safety argument.
-//
-// The certificate makes the following claim about the costs the search
-// ran against (the baseline): any cost change confined to edges outside
-// `edges` that (a) only increases costs, or (b) decreases them by a total
-// magnitude strictly inside `gap`, produces a search (and downstream
-// compile/union) output bit-identical to the baseline output. See
-// "Relevance-scoped refresh" in docs/query_engine.md for the proof
-// obligations; core::ClassifyDeltaRelevance applies the rule.
+// What an exact enumeration proves about the trees it did not return.
+// Filled in by TopKSteinerTrees when the caller passes one; view searches
+// pass none. `valid` stays false for KMB/approximate runs and for
+// enumerations truncated by `max_subproblems`, whose output is not
+// provably the k cheapest proper trees. The name is kept because the
+// benchmark names it (ROADMAP item 1 drops it).
 struct RelevanceCertificate {
   // True iff the enumeration's output is provably the k cheapest proper
   // trees under deterministic tie-breaking (exact solver, not truncated)
-  // AND the run used at most half of max_subproblems — the 2x expansion
-  // headroom keeps a delta-reshaped enumeration from hitting the cap
-  // (the one cost-dependent mechanism knob) and truncating.
+  // AND the run used at most half of max_subproblems.
   bool valid = false;
-  // Monotone per-view search counter, stamped by TopKView::RunSearch so
-  // consumers can tell which search the certificate describes.
-  std::uint64_t serial = 0;
-  // Sorted, deduped: every edge of every returned tree, every edge
-  // incident to a node some returned tree (or terminal) touches, and —
-  // after TopKView augments it — every edge the ranked union's
-  // schema-unification reads. A delta touching any of these edges can
-  // change the output and must fall through to a real refresh.
-  std::vector<graph::EdgeId> edges;
-  // Slack: cost(k+1-th candidate) − cost(k-th returned tree), or +inf
-  // when the enumeration exhausted the space (every proper tree is
-  // already in the output). Lower-bounds how far any non-returned tree
-  // sits above the returned set.
+  // Slack: a lower bound on cost(k+1-th proper tree) - cost(k-th returned
+  // tree), read off the Lawler heap, or +inf when the enumeration
+  // exhausted the space (every proper tree is already in the output).
   double gap = std::numeric_limits<double>::infinity();
-
-  // --- Structural half (streaming source onboarding) --------------------
-  //
-  // Everything below describes an alpha-neighborhood around the view's
-  // first terminal, measured in the baseline query graph under the
-  // baseline weights. A *structural* delta (new base nodes/edges from
-  // RegisterSource / AddAssociations) attaches to the old graph at a set
-  // of pre-existing "attachment" nodes; any candidate tree that uses new
-  // topology must reach one of them from the anchor terminal over old
-  // edges, so its cost is lower-bounded by the anchor distance to the
-  // nearest attachment. core::ClassifyStructuralRelevance applies the
-  // rule; TopKView::BuildSearchSnapshot fills these fields in.
-  //
-  // True iff the structural fields below were populated (exact search on
-  // a journal-coherent snapshot). Stays false for approximate runs.
-  bool structural_valid = false;
-  // Cost of the k-th returned tree when the search returned exactly k
-  // trees, +inf otherwise. With fewer than k answers any reachable new
-  // tree could enter the top-k, so only attachment-free deltas may skip.
-  double kth_cost = std::numeric_limits<double>::infinity();
-  // Explored radius of the anchor ball: nodes with anchor distance
-  // <= alpha_radius are listed in alpha_nodes; any node absent from
-  // alpha_nodes is provably farther than alpha_radius from the anchor.
-  double alpha_radius = 0.0;
-  // Sorted node ids (base-graph id space — the query-graph copy preserves
-  // base node ids) inside the anchor ball, with alpha_dist[i] holding the
-  // exact baseline anchor distance of alpha_nodes[i].
-  std::vector<graph::NodeId> alpha_nodes;
-  std::vector<double> alpha_dist;
-  // Fingerprint of the keyword->match expansion the query graph was built
-  // from (query::KeywordMatchFingerprint). TF-IDF scores are corpus-wide,
-  // so classification recomputes the fingerprint against the live text
-  // index: equality proves a rebuilt query graph would be the old one
-  // plus the new base nodes/edges only.
-  std::uint64_t keyword_fingerprint = 0;
 };
 
 // Same enumeration, but served from a caller-owned CSR snapshot instead of
@@ -179,8 +123,9 @@ struct RelevanceCertificate {
 // exactly what the stored run returned (the determinism contract
 // of docs/query_engine.md). A null engine, or config.engine == kLegacy,
 // falls back to the self-contained overload above. When `certificate` is
-// non-null it is overwritten with this search's relevance certificate
-// (valid only for untruncated exact runs; see RelevanceCertificate).
+// non-null it is overwritten with this search's certificate (valid only
+// for untruncated exact runs; see RelevanceCertificate), which costs one
+// more round of Lawler children below the k-th tree.
 //
 // The whole enumeration runs against ONE pinned CSR snapshot: `pin` when
 // the caller provides one (the concurrent serving path pins before

@@ -41,8 +41,7 @@ void TopKMemo::Publish(std::uint64_t generation, const TopKMemoKey& key,
   if (value != nullptr) {
     bytes = sizeof(Entry) + sizeof(TopKMemoValue) +
             key.terminals.size() * sizeof(graph::NodeId) +
-            value->trees.size() * sizeof(SteinerTree) +
-            value->certificate.edges.size() * sizeof(graph::EdgeId);
+            value->trees.size() * sizeof(SteinerTree);
     for (const SteinerTree& tree : value->trees) {
       bytes += tree.edges.size() * sizeof(graph::EdgeId);
     }

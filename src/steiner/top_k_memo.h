@@ -99,7 +99,7 @@ class TopKMemo {
   std::size_t misses() const;
   std::size_t size() const;
   // Bytes held by the entries: the entry records and the heap payload of
-  // their keys, trees and certificate edges.
+  // their keys and trees.
   std::size_t bytes() const;
 
  private:

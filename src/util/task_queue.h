@@ -57,8 +57,8 @@ class KeyedTaskQueue {
   }
 
   // True while `key` has a task running or pending. Callers that need
-  // exclusive access to key-owned state (the scheduler's relevance
-  // classification reads a view's engine slot) may only touch it when
+  // exclusive access to key-owned state (the scheduler's classification
+  // reads a view's engine slot) may only touch it when
   // this returns false and no Submit for the key can race them.
   bool Busy(std::size_t key) const {
     std::lock_guard<std::mutex> lock(mu_);

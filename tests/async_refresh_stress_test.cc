@@ -80,8 +80,8 @@ struct AsyncHarness {
     }
     Q_CHECK_OK(q->RunInitialAlignment());
     // 32+ views cycling the trial keyword queries: repeats model distinct
-    // users sharing an information need — each gets its own snapshot,
-    // certificate, and repair task.
+    // users sharing an information need — each gets its own snapshot
+    // and repair task.
     for (std::size_t i = 0; i < kNumViews; ++i) {
       auto id = q->CreateView(
           dataset.keyword_queries[i % dataset.keyword_queries.size()]);

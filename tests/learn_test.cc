@@ -121,8 +121,8 @@ TEST(MiraTest, PositivityMaintained) {
 // Positivity must ride the violating edges' own features (as QP
 // constraints re-solved with the margins), never the shared default
 // feature: the default sits on every learnable edge, so a bump turns an
-// otherwise-sparse MIRA delta dense — full re-costs everywhere and no
-// relevance gating downstream (the ROADMAP regression this test pins).
+// otherwise-sparse MIRA delta dense — full re-costs everywhere (the
+// regression this test pins).
 TEST(MiraTest, PositivityRidesConstraintFeaturesNotTheDefault) {
   Diamond d(2.0, 1.0);  // bottom path cheapest, user endorses top
   steiner::SteinerTree target{{d.top_a, d.top_b}, 0.0};
@@ -238,8 +238,8 @@ INSTANTIATE_TEST_SUITE_P(RandomCosts, MiraPropertyTest,
 
 // End-to-end half of the positivity-batching regression: a MIRA feedback
 // step that does not bump the default feature must stay sparse through
-// the whole refresh pipeline — every view classifies as skip /
-// delta-recost / relevance-skip, never full-recost or rebuild. Before
+// the whole refresh pipeline — every view classifies as skip or
+// delta-recost, never full-recost or rebuild. Before
 // the headroom batching, the bump re-armed on (nearly) every update and
 // its dense default-feature delta forced wholesale re-costs throughout.
 TEST(MiraEndToEndTest, SparseFeedbackStaysDeltaClassedEndToEnd) {
@@ -323,10 +323,8 @@ TEST(MiraEndToEndTest, SparseFeedbackStaysDeltaClassedEndToEnd) {
         << "round " << round;
     EXPECT_EQ(after.views_full_recost, before.views_full_recost)
         << "round " << round;
-    EXPECT_EQ((after.views_skipped_delta + after.views_delta_recost +
-               after.views_skipped_irrelevant) -
-                  (before.views_skipped_delta + before.views_delta_recost +
-                   before.views_skipped_irrelevant),
+    EXPECT_EQ((after.views_skipped_delta + after.views_delta_recost) -
+                  (before.views_skipped_delta + before.views_delta_recost),
               view_ids.size())
         << "round " << round;
   }

@@ -299,7 +299,6 @@ TEST_P(CompactEnumerationTest, CompactedTopKBitIdenticalToPlain) {
         EXPECT_EQ(a[i].cost, b[i].cost) << label << " tree " << i;
       }
       EXPECT_EQ(plain_cert.valid, compact_cert.valid) << label;
-      EXPECT_EQ(plain_cert.edges, compact_cert.edges) << label;
       EXPECT_EQ(plain_cert.gap, compact_cert.gap) << label;
     }
   }

@@ -1,13 +1,11 @@
 // Streaming source onboarding (async structural deltas): registrations
-// routed through the classify-then-repair pipeline must
+// routed through the scheduler's structural round must
 //
-//   * skip views whose structural certificate proves the new source
-//     cannot enter their top-k neighborhood — without touching their
-//     serving state at all (pointer-identical published snapshots);
-//   * fall through for every view the certificate cannot clear,
-//     including attachments landing exactly on the alpha-neighborhood
-//     boundary (unit-tested with exact doubles, mirroring
-//     relevance_gating_test.cc's slack-boundary semantics);
+//   * rebuild every view and install it before the ack returns, leaving
+//     a vocabulary-disjoint registration's views answering exactly what
+//     they answered before it;
+//   * bring an onboarded source into the top-k of the view it belongs
+//     to;
 //   * at quiescence, serve output bit-identical to a twin QSystem that
 //     rebuilds serially at every step (randomized differential).
 //
@@ -15,103 +13,16 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/q_system.h"
-#include "core/refresh_engine.h"
 #include "data/onboarding.h"
 #include "util/random.h"
 
 namespace q::core {
 namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// --- ClassifyStructuralRelevance boundary semantics -------------------------
-
-steiner::RelevanceCertificate MakeStructCert(double kth, double radius,
-                                             std::vector<graph::NodeId> nodes,
-                                             std::vector<double> dists) {
-  steiner::RelevanceCertificate cert;
-  cert.valid = true;
-  cert.structural_valid = true;
-  cert.kth_cost = kth;
-  cert.alpha_radius = radius;
-  cert.alpha_nodes = std::move(nodes);
-  cert.alpha_dist = std::move(dists);
-  return cert;
-}
-
-TEST(ClassifyStructuralRelevanceTest, EmptyAttachmentSetAlwaysSkips) {
-  // A fully disconnected registration (no FK references, no alignments)
-  // skips even when the view has fewer than k answers: no old node gives
-  // the new island a path into any tree.
-  auto cert = MakeStructCert(kInf, 0.0, {}, {});
-  auto d = ClassifyStructuralRelevance(cert, {}, 0.0);
-  EXPECT_TRUE(d.skip);
-  EXPECT_FALSE(d.attachment_reachable);
-}
-
-TEST(ClassifyStructuralRelevanceTest, UnfilledTopKWithAttachmentsFallsThrough) {
-  // kth == +inf means the view wants more answers; any reachable
-  // attachment could supply one, so distance reasoning is unavailable.
-  auto cert = MakeStructCert(kInf, 0.0, {}, {});
-  auto d = ClassifyStructuralRelevance(cert, {7}, 0.0);
-  EXPECT_FALSE(d.skip);
-  EXPECT_TRUE(d.attachment_reachable);
-}
-
-TEST(ClassifyStructuralRelevanceTest, AttachmentStrictlyBeyondKthSkips) {
-  auto cert = MakeStructCert(1.0, 3.0, {5}, {2.0});
-  auto d = ClassifyStructuralRelevance(cert, {5}, 0.0);
-  EXPECT_TRUE(d.skip);
-  EXPECT_FALSE(d.attachment_reachable);
-}
-
-TEST(ClassifyStructuralRelevanceTest, AttachmentExactlyOnTheBoundaryFallsThrough) {
-  // Anchor distance == kth cost exactly: a new tree through this node
-  // could tie the k-th returned cost and re-rank under the deterministic
-  // tie-break, mirroring ClassifyDeltaRelevance's slack-boundary rule.
-  auto cert = MakeStructCert(1.0, 3.0, {5}, {1.0});
-  auto d = ClassifyStructuralRelevance(cert, {5}, 0.0);
-  EXPECT_FALSE(d.skip);
-  EXPECT_TRUE(d.attachment_reachable);
-}
-
-TEST(ClassifyStructuralRelevanceTest, AttachmentWithinFloatMarginFallsThrough) {
-  auto cert = MakeStructCert(1.0, 3.0, {5}, {1.0 + 1e-13});
-  EXPECT_FALSE(ClassifyStructuralRelevance(cert, {5}, 0.0).skip);
-}
-
-TEST(ClassifyStructuralRelevanceTest, NetDecreaseConsumesDistanceSlack) {
-  auto cert = MakeStructCert(1.0, 3.0, {5}, {1.4});
-  // Without a concurrent weight decrease the attachment is safely far...
-  EXPECT_TRUE(ClassifyStructuralRelevance(cert, {5}, 0.0).skip);
-  // ...but an outside decrease of 0.5 raises the reachable threshold to
-  // 1.5 >= 1.4, so the same attachment falls through.
-  EXPECT_FALSE(ClassifyStructuralRelevance(cert, {5}, 0.5).skip);
-}
-
-TEST(ClassifyStructuralRelevanceTest, OutOfBallAttachmentUsesTheRadius) {
-  // Node 9 is not in the ball: all we know is its distance exceeds the
-  // explored radius, which here is comfortably beyond the threshold.
-  auto cert = MakeStructCert(1.0, 3.0, {5}, {2.0});
-  EXPECT_TRUE(ClassifyStructuralRelevance(cert, {9}, 0.0).skip);
-  // A radius exactly at the threshold proves nothing: fall through.
-  auto tight = MakeStructCert(1.0, 1.0, {}, {});
-  EXPECT_FALSE(ClassifyStructuralRelevance(tight, {9}, 0.0).skip);
-}
-
-TEST(ClassifyStructuralRelevanceTest, OneReachableAttachmentPoisonsTheSet) {
-  auto cert = MakeStructCert(1.0, 4.0, {3, 5}, {3.5, 0.5});
-  EXPECT_TRUE(ClassifyStructuralRelevance(cert, {3}, 0.0).skip);
-  auto d = ClassifyStructuralRelevance(cert, {3, 5}, 0.0);
-  EXPECT_FALSE(d.skip);
-  EXPECT_TRUE(d.attachment_reachable);
-}
 
 // --- system-level harness ---------------------------------------------------
 
@@ -144,16 +55,11 @@ struct OnbHarness {
   }
 };
 
-// Served-output bit-identity. Tree costs, the unified output schema, and
-// every ranked tuple must agree; tree edge *ids* are deliberately not
-// compared — a skipped view keeps serving the snapshot built before the
-// registration, whose keyword-overlay edges were numbered off a smaller
-// base graph, so overlay ids differ from a freshly rebuilt twin's even
-// when the trees are the same trees (the base-graph edge portions and
-// all costs and tuples agree).
-void ExpectSameViewState(const query::ViewSnapshot& a,
-                         const query::ViewSnapshot& b,
-                         const std::string& label) {
+// Served answers without tree edge ids: tree costs, the unified output
+// schema, and every ranked tuple.
+void ExpectSameAnswers(const query::ViewSnapshot& a,
+                       const query::ViewSnapshot& b,
+                       const std::string& label) {
   ASSERT_EQ(a.trees.size(), b.trees.size()) << label;
   for (std::size_t i = 0; i < a.trees.size(); ++i) {
     EXPECT_EQ(a.trees[i].cost, b.trees[i].cost) << label << " tree " << i;
@@ -170,129 +76,55 @@ void ExpectSameViewState(const query::ViewSnapshot& a,
   }
 }
 
-// --- certificate emission ---------------------------------------------------
-
-TEST(OnboardingTest, CommunityViewsEmitStructuralCertificates) {
-  // k=2 matches the two parallel-FK trees per community: the top-k
-  // fills, so the structural half carries a finite kth cost and a real
-  // anchor ball.
-  OnbHarness h(/*communities=*/4, /*k=*/2, /*async=*/false);
-  for (std::size_t id : h.view_ids) {
-    const auto& cert = h.q->view(id).certificate();
-    ASSERT_TRUE(cert.valid) << "view " << id;
-    ASSERT_TRUE(cert.structural_valid) << "view " << id;
-    EXPECT_EQ(h.q->view(id).trees().size(), 2u) << "view " << id;
-    EXPECT_TRUE(std::isfinite(cert.kth_cost)) << "view " << id;
-    EXPECT_GT(cert.alpha_radius, cert.kth_cost) << "view " << id;
-    EXPECT_FALSE(cert.alpha_nodes.empty()) << "view " << id;
-    EXPECT_EQ(cert.alpha_nodes.size(), cert.alpha_dist.size())
-        << "view " << id;
-    EXPECT_NE(cert.keyword_fingerprint, 0u) << "view " << id;
+// Served-output bit-identity: the answers plus every tree's edge ids.
+void ExpectSameViewState(const query::ViewSnapshot& a,
+                         const query::ViewSnapshot& b,
+                         const std::string& label) {
+  ExpectSameAnswers(a, b, label);
+  if (::testing::Test::HasFatalFailure()) return;
+  for (std::size_t i = 0; i < a.trees.size(); ++i) {
+    EXPECT_EQ(a.trees[i].edges, b.trees[i].edges) << label << " tree " << i;
   }
 }
 
-// --- the skip path: disjoint registrations --------------------------------
+// --- disjoint registrations: every view rebuilt, answers unchanged ------
 
-TEST(OnboardingTest, DisjointSourceSkipsEveryViewPointerIdentically) {
+TEST(OnboardingTest, DisjointSourceRebuildsEveryViewToTheSameAnswers) {
   OnbHarness h(/*communities=*/32, /*k=*/2, /*async=*/true);
   ASSERT_TRUE(h.q->DrainRefreshes().ok());
 
   std::vector<query::ViewResult> before;
   for (std::size_t id : h.view_ids) before.push_back(h.q->ReadView(id));
-  const auto engine_before = h.q->refresh_engine().stats();
   const auto sched_before = h.q->async_scheduler()->stats();
 
   ASSERT_TRUE(h.q->RegisterAndAlignSource(data::MakeDisjointSource(0)).ok());
 
-  const auto engine_after = h.q->refresh_engine().stats();
+  // The ack rebuilt and installed every view: each is fresh at the
+  // post-registration epoch before any drain.
   const auto sched_after = h.q->async_scheduler()->stats();
   EXPECT_EQ(sched_after.structural_rounds, sched_before.structural_rounds + 1);
-  EXPECT_EQ(sched_after.structural_skips,
-            sched_before.structural_skips + h.view_ids.size());
-  EXPECT_EQ(sched_after.structural_rebuilds, sched_before.structural_rebuilds);
-  EXPECT_EQ(engine_after.views_skipped_structural,
-            engine_before.views_skipped_structural + h.view_ids.size());
-  EXPECT_EQ(engine_after.structural_gate_checks,
-            engine_before.structural_gate_checks + h.view_ids.size());
-  EXPECT_EQ(engine_after.structural_gate_fallthroughs,
-            engine_before.structural_gate_fallthroughs);
-  EXPECT_EQ(engine_after.searches_run, engine_before.searches_run);
-
-  // "Never touches that view" means exactly that: the published snapshot
-  // is the same object, not a rebuilt equal one, and it is already fresh
-  // at the post-registration epoch.
-  for (std::size_t i = 0; i < h.view_ids.size(); ++i) {
-    query::ViewResult now = h.q->ReadView(h.view_ids[i]);
-    EXPECT_EQ(now.state.get(), before[i].state.get()) << "view " << i;
-    EXPECT_FALSE(now.stale) << "view " << i;
-  }
-  ASSERT_TRUE(h.q->DrainRefreshes().ok());
-
-  // The certificates were right: a forced from-scratch rebuild of every
-  // view lands on bit-identical output.
-  ASSERT_TRUE(h.q->RefreshAllViews().ok());
-  for (std::size_t i = 0; i < h.view_ids.size(); ++i) {
-    ExpectSameViewState(*h.q->ReadView(h.view_ids[i]).state,
-                        *before[i].state,
-                        "post-rebuild view " + std::to_string(i));
-  }
-}
-
-// --- the distance path: a relevant clone far from most views --------------
-
-TEST(OnboardingTest, RelevantSourceSkipsDistantCommunitiesOnly) {
-  constexpr std::size_t kCommunities = 8;
-  constexpr std::size_t kTarget = 3;
-  OnbHarness h(kCommunities, /*k=*/2, /*async=*/true);
-  ASSERT_TRUE(h.q->DrainRefreshes().ok());
-
-  std::vector<query::ViewResult> before;
-  for (std::size_t id : h.view_ids) before.push_back(h.q->ReadView(id));
-  const auto engine_before = h.q->refresh_engine().stats();
-  const auto sched_before = h.q->async_scheduler()->stats();
-
-  ASSERT_TRUE(
-      h.q->RegisterAndAlignSource(data::MakeOverlappingSource(0, kTarget))
-          .ok());
-
-  // The registration must actually have produced an association edge —
-  // otherwise the other views would skip via an empty attachment set and
-  // the distance rule would go untested.
-  bool has_association = false;
-  for (graph::EdgeId e :
-       h.q->search_graph().EdgesOfKind(graph::EdgeKind::kAssociation)) {
-    (void)e;
-    has_association = true;
-    break;
-  }
-  ASSERT_TRUE(has_association)
-      << "MAD produced no alignment for the overlapping source";
-
-  const auto sched_after = h.q->async_scheduler()->stats();
-  const auto engine_after = h.q->refresh_engine().stats();
-  EXPECT_EQ(sched_after.structural_skips,
-            sched_before.structural_skips + kCommunities - 1);
   EXPECT_EQ(sched_after.structural_rebuilds,
-            sched_before.structural_rebuilds + 1);
-  EXPECT_GT(engine_after.structural_gate_fallthroughs,
-            engine_before.structural_gate_fallthroughs);
-
-  // Distant views: untouched, pointer-identically.
+            sched_before.structural_rebuilds + h.view_ids.size());
+  EXPECT_EQ(sched_after.structural_skips, 0u);
   for (std::size_t i = 0; i < h.view_ids.size(); ++i) {
-    if (i == kTarget) continue;
-    EXPECT_EQ(h.q->ReadView(h.view_ids[i]).state.get(),
-              before[i].state.get())
-        << "view " << i;
+    EXPECT_FALSE(h.q->ReadView(h.view_ids[i]).stale) << "view " << i;
   }
-  ASSERT_TRUE(
-      h.q->WaitViewFresh(h.view_ids[kTarget], std::chrono::milliseconds(30000)));
   ASSERT_TRUE(h.q->DrainRefreshes().ok());
 
-  // Quiescent bit-identity against a serial twin fed the same sequence.
-  OnbHarness twin(kCommunities, /*k=*/2, /*async=*/false);
+  // The new island reaches no view, so every view answers what it did
+  // before. Edge ids are not compared here: a rebuilt query graph
+  // appends its keyword edges after the grown base graph, so overlay
+  // edge ids move.
+  for (std::size_t i = 0; i < h.view_ids.size(); ++i) {
+    ExpectSameAnswers(*h.q->ReadView(h.view_ids[i]).state, *before[i].state,
+                      "before/after view " + std::to_string(i));
+  }
+
+  // And a synchronous twin fed the same registration serves the same
+  // output, edge ids included.
+  OnbHarness twin(/*communities=*/32, /*k=*/2, /*async=*/false);
   ASSERT_TRUE(
-      twin.q->RegisterAndAlignSource(data::MakeOverlappingSource(0, kTarget))
-          .ok());
+      twin.q->RegisterAndAlignSource(data::MakeDisjointSource(0)).ok());
   for (std::size_t i = 0; i < h.view_ids.size(); ++i) {
     ExpectSameViewState(*h.q->ReadView(h.view_ids[i]).state,
                         *twin.q->ReadView(twin.view_ids[i]).state,
@@ -336,11 +168,9 @@ TEST(OnboardingTest, OnboardedSourceAppearsInRelevantViewTopK) {
 
 // One recorded operation, replayable into a fresh system. Feedback is
 // recorded as (view, tree index), not as the tree object: each replaying
-// system endorses ITS OWN trees[index] at the matching quiescence point.
-// The systems' served outputs are bit-identical there (that is what the
-// differential proves step by step), but a tree object carries keyword-
-// overlay edge ids from the snapshot's build epoch, which do not port
-// across systems whose skipped views kept older snapshots.
+// system endorses ITS OWN trees[index] at the matching quiescence point,
+// where the systems' served outputs are bit-identical (that is what the
+// differential proves step by step).
 struct OnbOp {
   enum Kind { kDisjoint, kOverlap, kFeedback } kind;
   std::size_t serial = 0;      // source serial for registrations
@@ -416,8 +246,7 @@ TEST(OnboardingTest, RandomizedDifferentialMatchesSerialRebuildTwin) {
     ASSERT_TRUE(h.q->DrainRefreshes().ok());
 
     // Quiescence point: a twin built from scratch and replayed serially
-    // must match every view bit for bit — including views the gate
-    // skipped this round and every round before.
+    // must match every view bit for bit.
     OnbHarness twin(kCommunities, /*k=*/2, /*async=*/false);
     Replay(&twin, ops);
     if (HasFatalFailure()) return;
@@ -430,11 +259,15 @@ TEST(OnboardingTest, RandomizedDifferentialMatchesSerialRebuildTwin) {
     if (HasFatalFailure()) return;
   }
 
-  // The run exercised both sides of the gate.
-  const auto stats = h.q->refresh_engine().stats();
-  EXPECT_GT(stats.views_skipped_structural, 0u)
-      << "no registration was ever structurally gated";
-  EXPECT_GT(stats.structural_gate_checks, stats.views_skipped_structural);
+  // Every registration rebuilt every view.
+  std::size_t registrations = 0;
+  for (const OnbOp& op : ops) {
+    registrations += op.kind == OnbOp::kFeedback ? 0 : 1;
+  }
+  ASSERT_GT(registrations, 0u);
+  const auto stats = h.q->async_scheduler()->stats();
+  EXPECT_EQ(stats.structural_rebuilds, registrations * kCommunities);
+  EXPECT_EQ(stats.structural_skips, 0u);
 }
 
 }  // namespace

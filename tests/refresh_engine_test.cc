@@ -297,9 +297,8 @@ std::set<graph::FeatureId> ViewFeatures(const query::TopKView& view) {
 // A sparse weight-only update must classify every view as delta-recost
 // (the touched feature prices some of its edges) or skip (it provably
 // prices none), never as a rebuild or full re-cost — and the outputs must
-// still match independent refreshes exactly. This is the ISSUE's
-// observability contract: weight-only feedback => views_skipped_delta +
-// views_delta_recost == num_views, zero rebuilds.
+// still match independent refreshes exactly: weight-only feedback =>
+// views_skipped_delta + views_delta_recost == num_views, zero rebuilds.
 TEST(RefreshEngineTest, SparseWeightUpdateClassifiesSkipOrDelta) {
   Harness h(-1, true);
   ASSERT_TRUE(h.q->RefreshAllViews().ok());  // settle
@@ -334,23 +333,14 @@ TEST(RefreshEngineTest, SparseWeightUpdateClassifiesSkipOrDelta) {
 
   EXPECT_EQ(after.snapshots_built, before.snapshots_built);  // zero rebuilds
   EXPECT_EQ(after.views_full_recost, before.views_full_recost);
-  // A view carrying the feature is either delta-recosted or — when its
-  // relevance certificate proves the repriced edges cannot change its
-  // output — skipped as irrelevant; a view not carrying it is skipped as
-  // a delta-proven no-op.
-  EXPECT_EQ((after.views_delta_recost + after.views_skipped_irrelevant) -
-                (before.views_delta_recost + before.views_skipped_irrelevant),
+  // A view carrying the feature is delta-recosted; a view not carrying it
+  // is skipped as a delta-proven no-op.
+  EXPECT_EQ(after.views_delta_recost - before.views_delta_recost,
             expect_delta);
   EXPECT_EQ(after.views_skipped_delta - before.views_skipped_delta,
             h.view_ids.size() - expect_delta);
-  EXPECT_EQ((after.views_skipped_delta + after.views_delta_recost +
-             after.views_skipped_irrelevant) -
-                (before.views_skipped_delta + before.views_delta_recost +
-                 before.views_skipped_irrelevant),
-            h.view_ids.size());
   // Every view that took the delta-recost path repriced at least one
-  // edge (that is what put it there); relevance-skipped views reprice
-  // nothing by design.
+  // edge (that is what put it there).
   EXPECT_GE(after.edges_repriced - before.edges_repriced,
             after.views_delta_recost - before.views_delta_recost);
 
@@ -377,9 +367,9 @@ TEST(RefreshEngineTest, FeedbackStepNeverRebuildsSnapshots) {
 
   EXPECT_EQ(after.snapshots_built, before.snapshots_built);
   EXPECT_EQ((after.views_skipped_delta + after.views_delta_recost +
-             after.views_full_recost + after.views_skipped_irrelevant) -
+             after.views_full_recost) -
                 (before.views_skipped_delta + before.views_delta_recost +
-                 before.views_full_recost + before.views_skipped_irrelevant),
+                 before.views_full_recost),
             h.view_ids.size());
 
   auto batched = h.BatchedStates();
@@ -418,9 +408,9 @@ TEST(RefreshEngineTest, EdgeMutationPropagatesWithoutRebuild) {
   EXPECT_GT(after.structural_edges_propagated,
             before.structural_edges_propagated);
   EXPECT_EQ((after.views_skipped_delta + after.views_delta_recost +
-             after.views_full_recost + after.views_skipped_irrelevant) -
+             after.views_full_recost) -
                 (before.views_skipped_delta + before.views_delta_recost +
-                 before.views_full_recost + before.views_skipped_irrelevant),
+                 before.views_full_recost),
             h.view_ids.size());
 
   auto batched = h.BatchedStates();
@@ -508,10 +498,48 @@ TEST(RefreshEngineTest, RandomizedDeltaSequenceMatchesIndependent) {
   // The sequence must have exercised the delta pipeline, not only
   // wholesale paths.
   auto end = engine.stats();
-  EXPECT_GT(end.views_delta_recost + end.views_skipped_delta +
-                end.views_skipped_irrelevant,
-            start.views_delta_recost + start.views_skipped_delta +
-                start.views_skipped_irrelevant);
+  EXPECT_GT(end.views_delta_recost + end.views_skipped_delta,
+            start.views_delta_recost + start.views_skipped_delta);
+}
+
+// Sparse updates in both directions — two thirds increases, one third
+// small decreases — on random base-graph features: every step must match
+// independent refreshes bit for bit without a rebuild, and the sequence
+// must reprice through the delta path.
+TEST(RefreshEngineTest, RandomizedSparseUpdatesMatchIndependent) {
+  Harness h(-1, true);
+  ASSERT_TRUE(h.q->RefreshAllViews().ok());
+  const RefreshEngine& engine = h.q->refresh_engine();
+  util::Rng rng(20260728);
+  std::set<graph::FeatureId> carried;
+  const graph::SearchGraph& base = h.q->search_graph();
+  for (graph::EdgeId e = 0; e < base.num_edges(); ++e) {
+    for (const auto& [id, value] : base.edge_features(e).entries()) {
+      if (id != graph::FeatureSpace::kDefaultFeature) carried.insert(id);
+    }
+  }
+  const std::vector<graph::FeatureId> features(carried.begin(),
+                                               carried.end());
+  ASSERT_FALSE(features.empty());
+
+  const auto start = engine.stats();
+  for (int step = 0; step < 16; ++step) {
+    const graph::FeatureId f = features[rng.Uniform(features.size())];
+    const double magnitude = 0.005 + 0.03 * rng.UniformDouble();
+    h.q->mutable_weights().Nudge(f,
+                                 rng.Uniform(3) == 0 ? -magnitude : magnitude);
+    ASSERT_TRUE(h.q->RefreshAllViews().ok());
+    auto batched = h.BatchedStates();
+    auto independent = h.IndependentRefresh();
+    for (std::size_t i = 0; i < batched.size(); ++i) {
+      ExpectSameState(independent[i], batched[i],
+                      "sparse step " + std::to_string(step) + " view " +
+                          std::to_string(i));
+    }
+  }
+  const auto end = engine.stats();
+  EXPECT_EQ(end.snapshots_built, start.snapshots_built);
+  EXPECT_GT(end.views_delta_recost, start.views_delta_recost);
 }
 
 }  // namespace

@@ -299,8 +299,9 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, TopKVsBruteForceTest,
                          ::testing::Range(0, 20));
 
 // Three terminals and tied integer costs: the enumeration returns the k
-// cheapest proper trees, each once, and a valid certificate's gap never
-// overstates the slack to the cheapest proper tree it did not return.
+// cheapest proper trees, each once, and certifies them with a gap that
+// never overstates the slack to the cheapest proper tree it did not
+// return.
 class TopKTiedCostsVsBruteForceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(TopKTiedCostsVsBruteForceTest, CheapestTreesAndSoundGap) {
@@ -333,7 +334,7 @@ TEST_P(TopKTiedCostsVsBruteForceTest, CheapestTreesAndSoundGap) {
         << "rank " << i;
     EXPECT_TRUE(returned.insert(trees[i].edges).second) << "rank " << i;
   }
-  if (!certificate.valid) return;
+  ASSERT_TRUE(certificate.valid);
   double cheapest_missing = std::numeric_limits<double>::infinity();
   for (const SteinerTree& tree : brute) {
     if (returned.count(tree.edges) == 0) {
@@ -384,7 +385,8 @@ TEST(TopKTest, DepthFirstBranchingKeepsForcedPrefixesAttached) {
 }
 
 // Approximate mode: trees remain valid and cost at least the exact
-// optimum; the best approximate tree is within the KMB bound.
+// optimum; the best approximate tree is within the KMB bound. KMB output
+// is heuristic, so it never certifies.
 class ApproximateTopKTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ApproximateTopKTest, ValidAndBounded) {
@@ -408,8 +410,11 @@ TEST_P(ApproximateTopKTest, ValidAndBounded) {
   TopKConfig approx_config;
   approx_config.k = 3;
   approx_config.approximate = true;
+  RelevanceCertificate certificate;
   auto approx = TopKSteinerTrees(tg.graph, *tg.weights, terminals,
-                                 approx_config);
+                                 approx_config, /*shared_engine=*/nullptr,
+                                 &certificate);
+  EXPECT_FALSE(certificate.valid);
   if (exact.empty()) {
     EXPECT_TRUE(approx.empty());
     return;
