@@ -198,35 +198,44 @@ align::AlignContext QSystem::ContextFromView(
 util::Result<align::AlignerStats> QSystem::AlignAgainstViews(
     const relational::DataSource& source) {
   align::AlignerStats stats;
-  std::vector<match::AlignmentCandidate> all;
+  // Each matcher's candidates are pooled across views and cut on their
+  // own, as RunInitialAlignment cuts them, then added in matcher order in
+  // one exclusive section. One cut over both matchers would keep a pair
+  // once, at the larger confidence, and drop the other matcher's vote
+  // (Sec. 3.4: one confidence feature per matcher).
+  const std::vector<match::Matcher*> matchers = EnabledMatchers();
+  std::vector<std::vector<match::AlignmentCandidate>> pooled(matchers.size());
+  auto align_with = [&](align::Aligner* aligner,
+                        const align::AlignContext& ctx) -> util::Status {
+    for (std::size_t m = 0; m < matchers.size(); ++m) {
+      Q_ASSIGN_OR_RETURN(std::vector<match::AlignmentCandidate> candidates,
+                         aligner->Align(graph_, weights_, catalog_, source,
+                                        ctx, matchers[m], &stats));
+      for (auto& c : candidates) pooled[m].push_back(std::move(c));
+    }
+    return util::Status::OK();
+  };
 
   bool any_view = false;
   for (const auto& view : views_) {
     if (!view->refreshed()) continue;
     any_view = true;
-    align::AlignContext ctx = ContextFromView(*view);
-    for (match::Matcher* matcher : EnabledMatchers()) {
-      Q_ASSIGN_OR_RETURN(
-          std::vector<match::AlignmentCandidate> candidates,
-          aligner_->Align(graph_, weights_, catalog_, source, ctx, matcher,
-                          &stats));
-      for (auto& c : candidates) all.push_back(std::move(c));
-    }
+    Q_RETURN_NOT_OK(align_with(aligner_.get(), ContextFromView(*view)));
   }
   if (!any_view && config_.align_without_views) {
     align::ExhaustiveAligner fallback;
     align::AlignContext ctx;
     ctx.top_y = config_.top_y;
-    for (match::Matcher* matcher : EnabledMatchers()) {
-      Q_ASSIGN_OR_RETURN(
-          std::vector<match::AlignmentCandidate> candidates,
-          fallback.Align(graph_, weights_, catalog_, source, ctx, matcher,
-                         &stats));
-      for (auto& c : candidates) all.push_back(std::move(c));
+    Q_RETURN_NOT_OK(align_with(&fallback, ctx));
+  }
+  std::vector<match::AlignmentCandidate> cut;
+  for (auto& candidates : pooled) {
+    for (auto& c : match::TopYPerAttribute(std::move(candidates),
+                                           config_.top_y)) {
+      cut.push_back(std::move(c));
     }
   }
-  Q_RETURN_NOT_OK(AddAssociationsLocked(
-      match::TopYPerAttribute(std::move(all), config_.top_y)));
+  Q_RETURN_NOT_OK(AddAssociationsLocked(cut));
   return stats;
 }
 

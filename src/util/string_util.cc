@@ -117,10 +117,12 @@ bool IsNumericLiteral(std::string_view s) {
   return digits;
 }
 
-std::size_t EditDistance(std::string_view a, std::string_view b) {
+std::size_t EditDistance(std::string_view a, std::string_view b,
+                         std::vector<std::size_t>* scratch) {
   if (a.size() > b.size()) std::swap(a, b);
   // One-row DP; a is the shorter string.
-  std::vector<std::size_t> row(a.size() + 1);
+  std::vector<std::size_t>& row = *scratch;
+  row.resize(a.size() + 1);
   for (std::size_t i = 0; i <= a.size(); ++i) row[i] = i;
   for (std::size_t j = 1; j <= b.size(); ++j) {
     std::size_t prev_diag = row[0];
@@ -135,41 +137,19 @@ std::size_t EditDistance(std::string_view a, std::string_view b) {
   return row[a.size()];
 }
 
-double EditSimilarity(std::string_view a, std::string_view b) {
+double EditSimilarity(std::string_view a, std::string_view b,
+                      std::vector<std::size_t>* scratch) {
   std::size_t longest = std::max(a.size(), b.size());
   if (longest == 0) return 1.0;
-  return 1.0 - static_cast<double>(EditDistance(a, b)) /
+  return 1.0 - static_cast<double>(EditDistance(a, b, scratch)) /
                    static_cast<double>(longest);
 }
 
-std::unordered_set<std::string> CharNGrams(std::string_view s, std::size_t n) {
-  std::unordered_set<std::string> grams;
-  if (s.empty() || n == 0) return grams;
-  std::string padded(n - 1, '#');
-  padded += ToLower(s);
-  padded.append(n - 1, '#');
-  for (std::size_t i = 0; i + n <= padded.size(); ++i) {
-    grams.insert(padded.substr(i, n));
-  }
-  return grams;
-}
-
-double TrigramSimilarity(std::string_view a, std::string_view b) {
-  auto ga = CharNGrams(a, 3);
-  auto gb = CharNGrams(b, 3);
-  if (ga.empty() && gb.empty()) return 1.0;
-  if (ga.empty() || gb.empty()) return 0.0;
-  std::size_t intersect = 0;
-  for (const auto& g : ga) {
-    if (gb.count(g) > 0) ++intersect;
-  }
-  std::size_t unions = ga.size() + gb.size() - intersect;
-  return static_cast<double>(intersect) / static_cast<double>(unions);
-}
-
-std::size_t LongestCommonSubstring(std::string_view a, std::string_view b) {
+std::size_t LongestCommonSubstring(std::string_view a, std::string_view b,
+                                   std::vector<std::size_t>* scratch) {
   if (a.empty() || b.empty()) return 0;
-  std::vector<std::size_t> row(b.size() + 1, 0);
+  std::vector<std::size_t>& row = *scratch;
+  row.assign(b.size() + 1, 0);
   std::size_t best = 0;
   for (std::size_t i = 1; i <= a.size(); ++i) {
     std::size_t prev_diag = 0;
@@ -181,29 +161,6 @@ std::size_t LongestCommonSubstring(std::string_view a, std::string_view b) {
     }
   }
   return best;
-}
-
-double SubstringSimilarity(std::string_view a, std::string_view b) {
-  std::string la = ToLower(a);
-  std::string lb = ToLower(b);
-  std::size_t longest = std::max(la.size(), lb.size());
-  if (longest == 0) return 1.0;
-  return static_cast<double>(LongestCommonSubstring(la, lb)) /
-         static_cast<double>(longest);
-}
-
-double TokenJaccard(const std::vector<std::string>& a,
-                    const std::vector<std::string>& b) {
-  std::unordered_set<std::string> sa(a.begin(), a.end());
-  std::unordered_set<std::string> sb(b.begin(), b.end());
-  if (sa.empty() && sb.empty()) return 1.0;
-  if (sa.empty() || sb.empty()) return 0.0;
-  std::size_t intersect = 0;
-  for (const auto& t : sa) {
-    if (sb.count(t) > 0) ++intersect;
-  }
-  std::size_t unions = sa.size() + sb.size() - intersect;
-  return static_cast<double>(intersect) / static_cast<double>(unions);
 }
 
 std::string FormatDouble(double v, int precision) {

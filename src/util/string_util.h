@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 namespace q::util {
@@ -31,29 +30,18 @@ std::vector<std::string> TokenizeText(std::string_view s);
 // True if the (trimmed) string parses fully as an integer or decimal number.
 bool IsNumericLiteral(std::string_view s);
 
-// Levenshtein edit distance.
-std::size_t EditDistance(std::string_view a, std::string_view b);
+// Levenshtein edit distance. `scratch` holds the DP row and is resized
+// here, so a caller scoring many pairs reuses one allocation.
+std::size_t EditDistance(std::string_view a, std::string_view b,
+                         std::vector<std::size_t>* scratch);
 
 // 1 - EditDistance/max(|a|,|b|), in [0,1]; 1 when both empty.
-double EditSimilarity(std::string_view a, std::string_view b);
+double EditSimilarity(std::string_view a, std::string_view b,
+                      std::vector<std::size_t>* scratch);
 
-// Set of character n-grams of length `n` (over the lowercased string,
-// padded with '#'); empty for empty input.
-std::unordered_set<std::string> CharNGrams(std::string_view s, std::size_t n);
-
-// Jaccard similarity of character trigram sets, in [0,1].
-double TrigramSimilarity(std::string_view a, std::string_view b);
-
-// Length of the longest common substring.
-std::size_t LongestCommonSubstring(std::string_view a, std::string_view b);
-
-// COMA-style substring score: LCS length / max(|a|,|b|) over lowercased
-// inputs, in [0,1].
-double SubstringSimilarity(std::string_view a, std::string_view b);
-
-// Jaccard similarity between two token sets.
-double TokenJaccard(const std::vector<std::string>& a,
-                    const std::vector<std::string>& b);
+// Length of the longest common substring; `scratch` as for EditDistance.
+std::size_t LongestCommonSubstring(std::string_view a, std::string_view b,
+                                   std::vector<std::size_t>* scratch);
 
 // printf-style double with fixed precision, e.g. FormatDouble(0.123456, 2)
 // == "0.12".

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
 
 #include "core/q_system.h"
+#include "data/gbco.h"
 #include "data/interpro_go.h"
 #include "learn/evaluation.h"
 
@@ -243,6 +246,78 @@ TEST(QSystemTest, AgreementBeatsSingleMatcherJunk) {
   ASSERT_GT(agreed_cost, 0.0);
   ASSERT_GT(lonely_cost, 0.0);
   EXPECT_LT(agreed_cost, lonely_cost);
+}
+
+TEST(QSystemTest, RegistrationKeepsEachMatchersVote) {
+  // GBCO as qbench onboard builds it (150 base rows, the sources of the
+  // first three trials held out, one view per trial), with synchronous
+  // refresh. Both matchers propose probe.gene_id ~ gene.gene_id for the
+  // held-out probe source (metadata ~0.88, MAD ~0.47); Sec. 3.4 gives the
+  // edge one confidence feature per matcher, so both votes must land and
+  // neither matcher's missing-vote penalty may remain.
+  data::GbcoConfig data_config;
+  data_config.base_rows = 150;
+  data::GbcoDataset dataset = data::BuildGbco(data_config);
+  std::set<std::string> held;
+  for (std::size_t t = 0; t < 3; ++t) {
+    held.insert(dataset.trials[t].new_sources.begin(),
+                dataset.trials[t].new_sources.end());
+  }
+  QSystemConfig config;
+  config.view.top_k.k = 3;
+  config.view.query_graph.max_matches_per_keyword = 6;
+  config.strategy = AlignStrategy::kViewBased;
+  QSystem q(config);
+  std::vector<std::shared_ptr<relational::DataSource>> arrivals;
+  for (const auto& src : dataset.catalog.sources()) {
+    if (held.count(src->name()) > 0) {
+      arrivals.push_back(src);
+    } else {
+      ASSERT_TRUE(q.RegisterSource(src).ok());
+    }
+  }
+  ASSERT_EQ(arrivals.size(), 7u);
+  ASSERT_TRUE(q.RunInitialAlignment().ok());
+  for (const auto& trial : dataset.trials) (void)q.CreateView(trial.keywords);
+  ASSERT_GT(q.num_views(), 0u);
+  for (const auto& src : arrivals) {
+    auto stats = q.RegisterAndAlignSource(src);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+  }
+
+  const graph::SearchGraph& g = q.search_graph();
+  const graph::FeatureId metadata_missing =
+      q.cost_model().MatcherMissingFeature("metadata");
+  const graph::FeatureId mad_missing =
+      q.cost_model().MatcherMissingFeature("mad");
+  std::size_t two_votes_on_new_sources = 0;
+  bool found = false;
+  for (graph::EdgeId e : g.EdgesOfKind(graph::EdgeKind::kAssociation)) {
+    const graph::EdgeView edge = g.edge(e);
+    const std::string& la = g.node(edge.u).label;
+    const std::string& lb = g.node(edge.v).label;
+    bool touches_new = false;
+    for (const auto& src : arrivals) {
+      const std::string prefix = src->name() + ".";
+      touches_new = touches_new || la.rfind(prefix, 0) == 0 ||
+                    lb.rfind(prefix, 0) == 0;
+    }
+    const auto& votes = g.edge_provenance(e);
+    if (touches_new && votes.size() == 2) ++two_votes_on_new_sources;
+    if (!((la == "probe.probe.gene_id" && lb == "gene.gene.gene_id") ||
+          (lb == "probe.probe.gene_id" && la == "gene.gene.gene_id"))) {
+      continue;
+    }
+    found = true;
+    ASSERT_EQ(votes.size(), 2u);
+    EXPECT_EQ(votes[0].matcher, "metadata");
+    EXPECT_EQ(votes[1].matcher, "mad");
+    EXPECT_GT(votes[0].confidence, votes[1].confidence);
+    EXPECT_EQ(g.edge_features(e).ValueOf(metadata_missing), 0.0);
+    EXPECT_EQ(g.edge_features(e).ValueOf(mad_missing), 0.0);
+  }
+  EXPECT_TRUE(found);
+  EXPECT_GT(two_votes_on_new_sources, 1u);
 }
 
 TEST(QSystemTest, InvalidAndRankingFeedback) {

@@ -1,14 +1,16 @@
 // Pluggable pairwise string similarities, kept beside the test that pins
 // them: keyword matching scores with the text index's tf-idf and the
-// metadata matcher calls util/string_util.h directly, so no production
-// path uses these.
+// metadata matcher scores from its own name profiles, so no production
+// path uses these. The trigram and token Jaccards are the referee's.
 #ifndef Q_TESTS_SIMILARITY_H_
 #define Q_TESTS_SIMILARITY_H_
 
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "reference_metadata_matcher.h"
 #include "util/string_util.h"
 
 namespace q::text {
@@ -28,7 +30,8 @@ class EditDistanceSimilarity final : public StringSimilarity {
  public:
   std::string_view name() const override { return "edit_distance"; }
   double Score(std::string_view a, std::string_view b) const override {
-    return util::EditSimilarity(util::ToLower(a), util::ToLower(b));
+    std::vector<std::size_t> row;
+    return util::EditSimilarity(util::ToLower(a), util::ToLower(b), &row);
   }
 };
 
@@ -37,7 +40,7 @@ class NGramSimilarity final : public StringSimilarity {
  public:
   std::string_view name() const override { return "ngram"; }
   double Score(std::string_view a, std::string_view b) const override {
-    return util::TrigramSimilarity(a, b);
+    return match::reference::TrigramSimilarity(a, b);
   }
 };
 
@@ -46,8 +49,8 @@ class TokenJaccardSimilarity final : public StringSimilarity {
  public:
   std::string_view name() const override { return "token_jaccard"; }
   double Score(std::string_view a, std::string_view b) const override {
-    return util::TokenJaccard(util::TokenizeIdentifier(a),
-                              util::TokenizeIdentifier(b));
+    return match::reference::TokenJaccard(util::TokenizeIdentifier(a),
+                                          util::TokenizeIdentifier(b));
   }
 };
 

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "reference_metadata_matcher.h"
+
 namespace q::util {
 namespace {
+
+namespace reference = match::reference;
 
 TEST(StringUtilTest, ToLowerAndTrim) {
   EXPECT_EQ(ToLower("Go_Term"), "go_term");
@@ -58,45 +65,74 @@ TEST(StringUtilTest, IsNumericLiteral) {
 }
 
 TEST(StringUtilTest, EditDistanceBasics) {
-  EXPECT_EQ(EditDistance("", ""), 0u);
-  EXPECT_EQ(EditDistance("abc", ""), 3u);
-  EXPECT_EQ(EditDistance("kitten", "sitting"), 3u);
-  EXPECT_EQ(EditDistance("pub", "pub"), 0u);
+  std::vector<std::size_t> row;
+  EXPECT_EQ(EditDistance("", "", &row), 0u);
+  EXPECT_EQ(EditDistance("abc", "", &row), 3u);
+  EXPECT_EQ(EditDistance("kitten", "sitting", &row), 3u);
+  EXPECT_EQ(EditDistance("pub", "pub", &row), 0u);
 }
 
 TEST(StringUtilTest, EditSimilarityRange) {
-  EXPECT_DOUBLE_EQ(EditSimilarity("", ""), 1.0);
-  EXPECT_DOUBLE_EQ(EditSimilarity("abc", "abc"), 1.0);
-  EXPECT_DOUBLE_EQ(EditSimilarity("abc", "xyz"), 0.0);
-  double s = EditSimilarity("pub_id", "pub_identifier");
+  std::vector<std::size_t> row;
+  EXPECT_DOUBLE_EQ(EditSimilarity("", "", &row), 1.0);
+  EXPECT_DOUBLE_EQ(EditSimilarity("abc", "abc", &row), 1.0);
+  EXPECT_DOUBLE_EQ(EditSimilarity("abc", "xyz", &row), 0.0);
+  double s = EditSimilarity("pub_id", "pub_identifier", &row);
   EXPECT_GT(s, 0.3);
   EXPECT_LT(s, 1.0);
 }
 
+// The trigram, substring and token similarities below are the metadata
+// matcher referee's; the matcher scores the same ratios from its name
+// profiles (metadata_matcher_differential_test pins them to the referee).
 TEST(StringUtilTest, TrigramSimilarity) {
-  EXPECT_DOUBLE_EQ(TrigramSimilarity("", ""), 1.0);
-  EXPECT_DOUBLE_EQ(TrigramSimilarity("abc", ""), 0.0);
-  EXPECT_DOUBLE_EQ(TrigramSimilarity("name", "name"), 1.0);
-  EXPECT_GT(TrigramSimilarity("entry_ac", "entry_acc"),
-            TrigramSimilarity("entry_ac", "journal_id"));
+  EXPECT_DOUBLE_EQ(reference::TrigramSimilarity("", ""), 1.0);
+  EXPECT_DOUBLE_EQ(reference::TrigramSimilarity("abc", ""), 0.0);
+  EXPECT_DOUBLE_EQ(reference::TrigramSimilarity("name", "name"), 1.0);
+  EXPECT_GT(reference::TrigramSimilarity("entry_ac", "entry_acc"),
+            reference::TrigramSimilarity("entry_ac", "journal_id"));
 }
 
 TEST(StringUtilTest, LongestCommonSubstring) {
-  EXPECT_EQ(LongestCommonSubstring("", "x"), 0u);
-  EXPECT_EQ(LongestCommonSubstring("entry_ac", "entry_acc"), 8u);
-  EXPECT_EQ(LongestCommonSubstring("abcdef", "zabcy"), 3u);
+  std::vector<std::size_t> row;
+  EXPECT_EQ(LongestCommonSubstring("", "x", &row), 0u);
+  EXPECT_EQ(LongestCommonSubstring("entry_ac", "entry_acc", &row), 8u);
+  EXPECT_EQ(LongestCommonSubstring("abcdef", "zabcy", &row), 3u);
 }
 
 TEST(StringUtilTest, SubstringSimilarity) {
-  EXPECT_DOUBLE_EQ(SubstringSimilarity("name", "NAME"), 1.0);
-  EXPECT_GT(SubstringSimilarity("pub_id", "pub_identifier"), 0.4);
+  EXPECT_DOUBLE_EQ(reference::SubstringSimilarity("name", "NAME"), 1.0);
+  EXPECT_GT(reference::SubstringSimilarity("pub_id", "pub_identifier"), 0.4);
 }
 
 TEST(StringUtilTest, TokenJaccard) {
-  EXPECT_DOUBLE_EQ(TokenJaccard({"a", "b"}, {"b", "a"}), 1.0);
-  EXPECT_DOUBLE_EQ(TokenJaccard({"a"}, {"b"}), 0.0);
-  EXPECT_DOUBLE_EQ(TokenJaccard({}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(TokenJaccard({"a", "b"}, {"b", "c"}), 1.0 / 3.0);
+  EXPECT_DOUBLE_EQ(reference::TokenJaccard({"a", "b"}, {"b", "a"}), 1.0);
+  EXPECT_DOUBLE_EQ(reference::TokenJaccard({"a"}, {"b"}), 0.0);
+  EXPECT_DOUBLE_EQ(reference::TokenJaccard({}, {}), 1.0);
+  EXPECT_DOUBLE_EQ(reference::TokenJaccard({"a", "b"}, {"b", "c"}),
+                   1.0 / 3.0);
+}
+
+// One DP row reused across every pair, longer and shorter strings mixed,
+// gives the referee's allocating results: resizing never leaks a
+// previous pair's cells into the next.
+TEST(StringUtilTest, ReusedRowMatchesReferee) {
+  const std::vector<std::string> words = {
+      "",         "a",          "go_id",          "acc",
+      "entry_ac", "entry_acc",  "publication id", "kitten",
+      "sitting",  "zzzzzzzzzz", "\xc3\xa9t\xc3\xa9", "abcabcabcabc"};
+  std::vector<std::size_t> row;
+  for (const std::string& a : words) {
+    for (const std::string& b : words) {
+      EXPECT_EQ(EditDistance(a, b, &row), reference::EditDistance(a, b))
+          << a << " / " << b;
+      EXPECT_EQ(EditSimilarity(a, b, &row), reference::EditSimilarity(a, b))
+          << a << " / " << b;
+      EXPECT_EQ(LongestCommonSubstring(a, b, &row),
+                reference::LongestCommonSubstring(a, b))
+          << a << " / " << b;
+    }
+  }
 }
 
 TEST(StringUtilTest, FormatDouble) {
@@ -111,12 +147,13 @@ class EditDistanceMetricTest
 
 TEST_P(EditDistanceMetricTest, SymmetryAndIdentity) {
   auto [a, b] = GetParam();
-  EXPECT_EQ(EditDistance(a, b), EditDistance(b, a));
-  EXPECT_EQ(EditDistance(a, a), 0u);
+  std::vector<std::size_t> row;
+  EXPECT_EQ(EditDistance(a, b, &row), EditDistance(b, a, &row));
+  EXPECT_EQ(EditDistance(a, a, &row), 0u);
   // Triangle inequality through a fixed pivot.
   const char* pivot = "entry";
-  EXPECT_LE(EditDistance(a, b),
-            EditDistance(a, pivot) + EditDistance(pivot, b));
+  EXPECT_LE(EditDistance(a, b, &row),
+            EditDistance(a, pivot, &row) + EditDistance(pivot, b, &row));
 }
 
 INSTANTIATE_TEST_SUITE_P(
