@@ -3,10 +3,10 @@
 # with a perf trajectory gate; the single entry point for local checks
 # and the CI workflow (.github/workflows/ci.yml).
 #
-# The gate compares the fresh micro-kernel and view-refresh medians
-# against the committed baselines (bench/baselines/BENCH_*.json; live
-# bench outputs land under bench/out/, which is gitignored) and fails on
-# a >25% regression of any fast-path kernel. Set BENCH_GATE=0 to skip
+# The gate compares the fresh bench medians against the committed
+# baselines (bench/baselines/BENCH_*.json; live bench outputs land under
+# bench/out/, which is gitignored) and fails on a >25% regression of any
+# fast-path kernel. Set BENCH_GATE=0 to skip
 # the gate (e.g. on hardware unrelated to the committed baseline); set
 # BENCH_UPDATE_BASELINE=1 to copy the fresh medians over the committed
 # baselines after a deliberate perf change (or a hardware move).
@@ -39,9 +39,8 @@ mkdir -p bench/out
 
 # --- perf trajectory gate ---------------------------------------------------
 # Every gated kernel must stay within 1.25x of the committed baseline's
-# median. Gated: the fast Steiner kernels ("*fast*" in
-# BENCH_micro_kernels.json) and the delta re-cost refresh kernel
-# ("*delta_recost*" in BENCH_view_refresh.json).
+# median. Gated here: the fast Steiner kernels ("*fast*" in
+# BENCH_micro_kernels.json); the other benches' gates follow them below.
 parse='match($0, /"kernel":"[^"]*"/) {
          k = substr($0, RSTART + 10, RLENGTH - 11);
          if (match($0, /"median_us":[0-9.]+/)) {
@@ -79,48 +78,6 @@ run_gate() {
 
 run_gate bench/baselines/BENCH_micro_kernels.json \
          bench/out/BENCH_micro_kernels.json '*fast*'
-
-# --- batched + delta view refresh -------------------------------------------
-# Measures RefreshEngine's batched refresh against N independent per-view
-# refreshes, and the sparse-feedback delta re-cost against the wholesale
-# in-place Recost (verifying all outputs bit-identical; the binary exits
-# non-zero on divergence). The refresh loop targets >=1.5x batched and
-# >=1.1x delta; lower measured ratios are reported but only warn, since
-# the margins are hardware-dependent.
-./build/bench_view_refresh --smoke --json=bench/out/BENCH_view_refresh.json
-ratio="$(awk 'match($0, /"kernel":"view_refresh_speedup"/) {
-                if (match($0, /"ratio":[0-9.]+/))
-                  print substr($0, RSTART + 8, RLENGTH - 8) }' \
-         bench/out/BENCH_view_refresh.json)"
-if [[ -n "${ratio}" ]] && \
-   awk -v r="${ratio}" 'BEGIN { exit !(r < 1.5) }'; then
-  echo "check.sh: WARNING — batched view refresh speedup ${ratio}x < 1.5x"
-fi
-delta_ratio="$(awk 'match($0, /"kernel":"view_refresh_delta_speedup"/) {
-                      if (match($0, /"ratio":[0-9.]+/))
-                        print substr($0, RSTART + 8, RLENGTH - 8) }' \
-               bench/out/BENCH_view_refresh.json)"
-if [[ -n "${delta_ratio}" ]] && \
-   awk -v r="${delta_ratio}" 'BEGIN { exit !(r < 1.1) }'; then
-  echo "check.sh: WARNING — delta re-cost speedup ${delta_ratio}x < 1.1x"
-fi
-
-run_gate bench/baselines/BENCH_view_refresh.json \
-         bench/out/BENCH_view_refresh.json '*delta_recost*'
-
-# Feedback-ack latency (async scheduler vs synchronous repair, 64 views).
-# The async kernel is the interactive-path cost the scheduler exists to
-# bound; the sync kernel is its baseline.
-run_gate bench/baselines/BENCH_view_refresh.json \
-         bench/out/BENCH_view_refresh.json '*ack*'
-ack_ratio="$(awk 'match($0, /"kernel":"feedback_ack_speedup"/) {
-                    if (match($0, /"ratio":[0-9.]+/))
-                      print substr($0, RSTART + 8, RLENGTH - 8) }' \
-             bench/out/BENCH_view_refresh.json)"
-if [[ -n "${ack_ratio}" ]] && \
-   awk -v r="${ack_ratio}" 'BEGIN { exit !(r < 1.5) }'; then
-  echo "check.sh: WARNING — feedback-ack speedup ${ack_ratio}x < 1.5x"
-fi
 
 # --- warm restart (crash-safe persistence) -----------------------------------
 # Cold boot vs snapshot warm boot (docs/persistence.md warm-restart
@@ -268,8 +225,6 @@ if [[ "${BENCH_UPDATE_BASELINE:-0}" == "1" ]]; then
   mkdir -p bench/baselines
   cp bench/out/BENCH_micro_kernels.json \
      bench/baselines/BENCH_micro_kernels.json
-  cp bench/out/BENCH_view_refresh.json \
-     bench/baselines/BENCH_view_refresh.json
   cp bench/out/BENCH_warm_restart.json \
      bench/baselines/BENCH_warm_restart.json
   cp bench/out/BENCH_serve_load.json \

@@ -37,20 +37,36 @@ void AsyncRefreshScheduler::TrackView(std::size_t slot,
   validated_[slot] = epoch_;
 }
 
-void AsyncRefreshScheduler::NotifyBaseChanged() {
+util::Status AsyncRefreshScheduler::NotifyBaseChanged() {
+  return RunRound(&AsyncRefreshStats::feedback_rounds,
+                  &AsyncRefreshStats::serial_repairs);
+}
+
+util::Status AsyncRefreshScheduler::NotifyStructuralChange() {
+  return RunRound(&AsyncRefreshStats::structural_rounds,
+                  &AsyncRefreshStats::structural_rebuilds);
+}
+
+util::Status AsyncRefreshScheduler::RunRound(
+    std::size_t AsyncRefreshStats::*round_counter,
+    std::size_t AsyncRefreshStats::*rebuild_counter) {
   std::vector<std::size_t> repairs;
-  std::vector<std::size_t> serial;
+  std::vector<std::size_t> rebuilds;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.feedback_rounds;
+    ++(stats_.*round_counter);
     ++epoch_;
+    // Every view a failure left stale is retried below (its slot never
+    // committed), so the round reports only what fails from here on.
+    repair_error_ = util::Status::OK();
     engine_->BeginAsyncRound(*base_, *weights_);
     for (std::size_t slot = 0; slot < views_.size(); ++slot) {
       if (queue_.Busy(slot)) {
         // A repair is in flight or parked: its engine slot is not safe to
         // classify from here, and it may have started from an older
         // frozen epoch. Queue another pass — the queue coalesces it away
-        // if the pending one has not started yet.
+        // if the pending one has not started yet. (Only weight-only
+        // rounds find busy slots: structural changes quiesce first.)
         repairs.push_back(slot);
         continue;
       }
@@ -61,84 +77,7 @@ void AsyncRefreshScheduler::NotifyBaseChanged() {
         case AsyncViewClass::kRepair:
           repairs.push_back(slot);
           break;
-        case AsyncViewClass::kSerialOnly:
-          serial.push_back(slot);
-          break;
-      }
-    }
-    if (!repairs.empty()) {
-      // Freeze the weight vector for this epoch's repairs: the copy
-      // equals the live vector (values and journal) right now and never
-      // changes, so repairs can read it while the feedback thread keeps
-      // applying MIRA updates to the live one. Skipped when every view
-      // was up to date — the copy is O(features + journal) and would sit
-      // on the ack's critical path for nothing. (Busy views are in
-      // `repairs`, so any task that will re-run gets a fresh copy.)
-      frozen_weights_ =
-          std::make_shared<const graph::WeightVector>(*weights_);
-    }
-  }
-  cv_.notify_all();
-
-  if (!serial.empty()) {
-    // Rebuilds mutate the shared feature space (and structural
-    // propagation the cached query graph), which concurrent repairs may
-    // be reading: quiesce first. The owner's feedback lock keeps new
-    // notifications out while we run. Concurrent QueryView readers are
-    // excluded by the serving gate — a rebuild replaces the slot's engine
-    // and query graph, which a gate-free reader could be mid-search on.
-    // (Taken after the drain: repair tasks never touch the gate, so the
-    // drain cannot deadlock against it.)
-    queue_.Drain();
-    std::unique_lock<util::SharedMutex> serve_lock = LockServeGate();
-    for (std::size_t slot : serial) {
-      util::Status status = engine_->RefreshView(
-          slot, *base_, *catalog_, *index_, model_, *weights_);
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.serial_repairs;
-      if (status.ok()) {
-        validated_[slot] = epoch_;
-      } else if (repair_error_.ok()) {
-        repair_error_ = status;
-      }
-    }
-    cv_.notify_all();
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t slot : repairs) {
-      ++stats_.repairs_scheduled;
-      queue_.Submit(slot, [this, slot] { RepairOne(slot); });
-    }
-  }
-}
-
-util::Status AsyncRefreshScheduler::NotifyStructuralChange() {
-  std::vector<std::size_t> repairs;
-  std::vector<std::size_t> rebuilds;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.structural_rounds;
-    ++epoch_;
-    engine_->BeginAsyncRound(*base_, *weights_);
-    for (std::size_t slot = 0; slot < views_.size(); ++slot) {
-      if (queue_.Busy(slot)) {
-        // The caller quiesced before mutating the base, so this should
-        // not happen; routed to the serial rebuild list for safety (a
-        // busy slot's engine state cannot be classified from here).
-        rebuilds.push_back(slot);
-        continue;
-      }
-      switch (engine_->ClassifyViewForAsync(slot, *base_, *weights_)) {
-        case AsyncViewClass::kUpToDate:
-          validated_[slot] = epoch_;
-          break;
-        case AsyncViewClass::kRepair:
-          // The graph did not move (an empty batch) but the weights did.
-          repairs.push_back(slot);
-          break;
-        case AsyncViewClass::kSerialOnly:
+        case AsyncViewClass::kRebuild:
           rebuilds.push_back(slot);
           break;
       }
@@ -148,18 +87,25 @@ util::Status AsyncRefreshScheduler::NotifyStructuralChange() {
 
   util::Status staging_status = util::Status::OK();
   if (!rebuilds.empty()) {
-    // Defensive: the caller already quiesced. It is also what makes each
+    // Expansion interns features, which in-flight repairs read through
+    // their weights' fallback: quiesce first. It is also what makes each
     // staged search its slot's only task (see RebuildViews).
     queue_.Drain();
-    staging_status = RebuildViews(rebuilds);
+    staging_status = RebuildViews(rebuilds, rebuild_counter);
   }
 
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!repairs.empty()) {
-      // Freeze for the queued repairs (see NotifyBaseChanged). The
-      // feedback lock is held by our caller, so the live vector cannot
-      // move between the classification above and this copy.
+      // Freeze the weight vector for this epoch's repairs: the copy
+      // equals the live vector (values and journal) right now and never
+      // changes, so repairs can read it while the feedback thread keeps
+      // applying MIRA updates to the live one. The feedback lock is held
+      // by our caller, so the live vector cannot move between the
+      // classification above and this copy. Skipped when no view needs a
+      // repair — the copy is O(features + journal) and would sit on the
+      // ack's critical path for nothing. (Busy views are in `repairs`, so
+      // any task that will re-run gets a fresh copy.)
       frozen_weights_ =
           std::make_shared<const graph::WeightVector>(*weights_);
     }
@@ -168,12 +114,14 @@ util::Status AsyncRefreshScheduler::NotifyStructuralChange() {
       queue_.Submit(slot, [this, slot] { RepairOne(slot); });
     }
   }
+  // Wakes WaitFresh callers on a staging failure recorded above.
   cv_.notify_all();
   return staging_status;
 }
 
 util::Status AsyncRefreshScheduler::RebuildViews(
-    const std::vector<std::size_t>& slots) {
+    const std::vector<std::size_t>& slots,
+    std::size_t AsyncRefreshStats::*rebuild_counter) {
   util::Status first_error = util::Status::OK();
   std::uint64_t round_epoch = 0;
   {
@@ -183,7 +131,7 @@ util::Status AsyncRefreshScheduler::RebuildViews(
   const auto record = [&](std::size_t slot, const util::Status& status,
                           bool validated) {
     // Caller holds mu_.
-    ++stats_.structural_rebuilds;
+    ++(stats_.*rebuild_counter);
     if (validated) validated_[slot] = round_epoch;
     if (!status.ok() && repair_error_.ok()) repair_error_ = status;
   };
@@ -236,10 +184,6 @@ util::Status AsyncRefreshScheduler::RebuildViews(
     cv_.notify_all();
   };
 
-  // The priced weights of the staged searches: one materialized copy per
-  // feature-space size.
-  std::shared_ptr<const graph::WeightVector> priced;
-  std::size_t priced_features = 0;
   for (std::size_t slot : slots) {
     while (staged.size() >= kMaxStagedViews) await_and_install();
     auto s = std::make_unique<StagedSearch>();
@@ -264,13 +208,7 @@ util::Status AsyncRefreshScheduler::RebuildViews(
       if (first_error.ok()) first_error = expanded;
       continue;
     }
-    const std::size_t features = weights_->space()->size();
-    if (priced == nullptr || priced_features != features) {
-      priced =
-          std::make_shared<const graph::WeightVector>(weights_->Materialized());
-      priced_features = features;
-    }
-    s->rebuild.weights = priced;
+    s->rebuild.weights = engine_->ServingWeights(*weights_);
     // The queue would coalesce a task submitted while one is pending. The
     // round drained it, and the owner's feedback lock keeps every other
     // submitter out, so this search is the slot's only task.
@@ -318,8 +256,8 @@ void AsyncRefreshScheduler::RepairOne(std::size_t slot) {
     if (status.ok()) {
       validated_[slot] = std::max(validated_[slot], target);
     } else if (repair_error_.ok()) {
-      // Sticky until a SyncBarrier repairs the view synchronously (its
-      // slot never committed, so the barrier retries from scratch).
+      // Until the next round, which retries the view (its slot never
+      // committed).
       repair_error_ = status;
     }
   }
@@ -355,30 +293,6 @@ util::Status AsyncRefreshScheduler::Drain() {
 }
 
 void AsyncRefreshScheduler::Quiesce() { queue_.Drain(); }
-
-util::Status AsyncRefreshScheduler::SyncBarrier() {
-  queue_.Drain();
-  util::Status status =
-      engine_->RefreshAll(*base_, *catalog_, *index_, model_, *weights_);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.sync_barriers;
-  ++epoch_;
-  if (status.ok()) {
-    for (std::size_t slot = 0; slot < validated_.size(); ++slot) {
-      validated_[slot] = epoch_;
-    }
-    repair_error_ = util::Status::OK();
-  } else if (repair_error_.ok()) {
-    // A failed barrier bumps the epoch without validating anyone, so a
-    // WaitFresh waiter's predicate could never become true — record the
-    // failure so waiters wake with `false` now instead of burning their
-    // full deadline (and so Drain surfaces the barrier's failure exactly
-    // like a failed async repair's).
-    repair_error_ = status;
-  }
-  cv_.notify_all();
-  return status;
-}
 
 std::uint64_t AsyncRefreshScheduler::epoch() const {
   std::lock_guard<std::mutex> lock(mu_);

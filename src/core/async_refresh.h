@@ -22,7 +22,7 @@
 
 namespace q::core {
 
-// Counters for the async pipeline (see stats()).
+// Counters for the refresh rounds (see stats()).
 struct AsyncRefreshStats {
   // NotifyBaseChanged calls — one per acknowledged feedback update.
   std::size_t feedback_rounds = 0;
@@ -30,83 +30,75 @@ struct AsyncRefreshStats {
   std::size_t repairs_scheduled = 0;
   // Repair bodies that actually executed.
   std::size_t repairs_run = 0;
-  // Views routed through the serial path from NotifyBaseChanged (rebuild
-  // or structural delta needed — quiesces the queue first).
+  // Views a feedback round rebuilt (weight-dependent topology, or a
+  // structural delta no structural round reconciled yet).
   std::size_t serial_repairs = 0;
-  // SyncBarrier calls (structural changes, explicit full refreshes).
-  std::size_t sync_barriers = 0;
-  // NotifyStructuralChange calls — one per acknowledged registration /
-  // association batch.
+  // NotifyStructuralChange calls — one per acknowledged registration or
+  // full refresh (QSystem::RefreshAllViews).
   std::size_t structural_rounds = 0;
   // Always 0: the structural gate it counted is gone. It stays because
   // the benchmark reads it (ROADMAP item 1 drops it).
   std::size_t structural_skips = 0;
   // Views a structural round rebuilt: query graph, engine and searched
   // snapshot built beside the serving slot and installed whole inside the
-  // ack (see NotifyStructuralChange), one per rebuilt view whether or not
-  // its staging or search succeeded.
+  // round, one per rebuilt view whether or not its staging or search
+  // succeeded.
   std::size_t structural_rebuilds = 0;
 };
 
-// Async view refresh behind the feedback loop (docs/query_engine.md,
-// "Async refresh contract").
+// The view-refresh pipeline (docs/query_engine.md, "View refresh"):
+// feedback, registrations and full refreshes reach the views through one
+// round.
 //
-// The synchronous engine repairs every open view before a feedback call
-// returns, so one user's correction stalls everyone's queries. This
-// scheduler splits that work at the engine's classification boundary:
-//
-//   * NotifyBaseChanged (the ack path, caller's feedback thread): the
-//     journals are already appended; every idle view is classified via
-//     RefreshEngine::ClassifyViewForAsync from its revisions — up-to-date
-//     views are validated at the new epoch on the spot, views with a
-//     weight delta get a repair task queued — and the call returns. Ack
-//     latency is classification cost, not search cost.
+//   * The round (the caller's thread): bumps the epoch, classifies every
+//     idle view from its revisions (RefreshEngine::ClassifyViewForAsync)
+//     and validates the up-to-date ones at the new epoch on the spot.
+//     Views whose query graph must be re-expanded are rebuilt beside
+//     their slots and installed before the round returns (RebuildViews);
+//     views with a weight delta get a repair task queued.
 //   * Repair tasks (pool threads, one per affected view): re-cost the
 //     view's CSR snapshot and, unless the re-cost moved nothing, re-run
 //     its search against a frozen copy of the weight vector (value- and
 //     journal-identical to the live vector at the repair's target epoch),
 //     then publish the new ViewSnapshot and mark the view validated.
-//     util::KeyedTaskQueue gives per-view
-//     ordering (repairs of one view never overlap or reorder) and
-//     coalesces superseded repairs (a pending repair is subsumed by a
-//     newer one, since every repair reconciles to the latest state).
+//     util::KeyedTaskQueue gives per-view ordering (repairs of one view
+//     never overlap or reorder) and coalesces superseded repairs (a
+//     pending repair is subsumed by a newer one, since every repair
+//     reconciles to the latest state).
 //   * Reads (any thread, never blocking): Read() returns the last
 //     committed ViewSnapshot tagged with its staleness epoch; WaitFresh
 //     optionally blocks until the view reflects every update committed
 //     before the call.
 //
-// Determinism contract: at quiescence (Drain/SyncBarrier returned, no
-// feedback in flight) every view's published output is bit-identical to
-// what the synchronous engine would serve after the same sequence of
-// base-state changes — repairs reuse the engine's delta classification
-// machinery, whose classes are all output-identical by construction, and
-// frozen weight copies equal the live vector at their revision. No
+// The asynchronous mode acknowledges a feedback update when its round
+// returns; the synchronous mode is the same round followed by Drain.
+//
+// Determinism contract: at quiescence (Drain returned, no feedback in
+// flight) every view's published output is bit-identical to an
+// independent TopKView::Refresh after the same sequence of base-state
+// changes — repairs reuse the engine's delta classification machinery,
+// whose classes are all output-identical by construction, and frozen
+// weight copies equal the live vector at their revision. No
 // intermediate read ever mixes generations: ViewSnapshot is published
 // whole (query/view.h) and an in-flight search pins its CSR snapshot
 // across concurrent re-costs (steiner/fast_solver.h).
 //
 // Threading contract for the owner (QSystem): all base-state mutation
-// and every NotifyBaseChanged / SyncBarrier / TrackView call are
-// serialized by one caller-held lock (the feedback lock); while any
-// repair may be in flight, base state is immutable except the weight
+// and every round / TrackView call are serialized by one caller-held lock
+// (the feedback lock); structural mutations quiesce the queue first; while
+// any repair may be in flight, base state is immutable except the weight
 // vector, which only the feedback thread mutates. Read / WaitFresh /
 // Drain are safe from any thread at any time.
 class AsyncRefreshScheduler {
  public:
-  // `engine` must outlive the scheduler. `pool` runs the repair tasks;
-  // when it is null or `dedicated_threads` > 0 the scheduler owns a pool
-  // of max(1, dedicated_threads) workers instead. The base-state
-  // pointers mirror RefreshEngine::RefreshAll's parameters; `model` and
-  // `index` are needed only by the serial path.
+  // `engine` must outlive the scheduler. `pool` runs the repair tasks and
+  // staged searches; when it is null or `dedicated_threads` > 0 the
+  // scheduler owns a pool of max(1, dedicated_threads) workers instead.
   // `serve_gate` (optional) is the owner's reader/writer serving lock
   // (QSystem::serve_mu_): concurrent QueryView readers hold it shared,
-  // and the scheduler takes it exclusively around the serial-repair
-  // branch of NotifyBaseChanged and around the short steps of a
-  // structural round that intern features or replace slot state (see
-  // NotifyStructuralChange) — the scheduler paths that rebuild query
-  // graphs / replace slot engines while readers could be in flight.
-  // SyncBarrier deliberately does NOT take it: its QSystem callers
-  // already hold the gate exclusively (it is not recursive).
+  // and a round takes it exclusively around the short steps of a rebuild
+  // that intern features or replace slot state (see RebuildViews). Its
+  // callers must therefore not hold it (it is not recursive).
   AsyncRefreshScheduler(RefreshEngine* engine, util::ThreadPool* pool,
                         int dedicated_threads,
                         const graph::SearchGraph* base,
@@ -123,44 +115,44 @@ class AsyncRefreshScheduler {
   AsyncRefreshScheduler& operator=(const AsyncRefreshScheduler&) = delete;
 
   // Starts tracking engine slot `slot` (serving `view`), considered
-  // freshly validated at the current epoch — callers register views
-  // through the engine and refresh them before tracking. Quiescent
-  // contexts only (CreateView quiesces first).
+  // freshly validated at the current epoch — callers build the view's
+  // snapshot before tracking it. Quiescent contexts only.
   void TrackView(std::size_t slot, query::TopKView* view);
 
-  // The feedback ack: bumps the epoch, freezes the weight vector,
-  // classifies every view, validates the unaffected ones, and queues
-  // repairs for the rest. Views needing the serial path (rebuilds,
-  // structural deltas) are repaired synchronously inside this call after
-  // quiescing the queue — the normal feedback loop (pure weight deltas
-  // over weight-independent topologies) never takes that branch.
-  void NotifyBaseChanged();
+  // The feedback ack: one round after a weight update (see the class
+  // comment), counted in feedback_rounds; the views it rebuilds count in
+  // serial_repairs. The normal feedback loop (pure weight deltas over
+  // weight-independent topologies) rebuilds nothing and returns once the
+  // repairs are queued. Returns the first staging failure (see
+  // NotifyStructuralChange).
+  util::Status NotifyBaseChanged();
 
-  // The structural (onboarding) ack: like NotifyBaseChanged, but for
-  // RegisterSource/AddAssociations batches that appended to the graph
-  // journal. The caller (QSystem) must have quiesced the queue before
-  // mutating the base and must NOT hold the serving gate. Every tracked view
-  // is rebuilt beside its slot and installed before the call returns, so the
-  // ack leaves every view fresh. Per view, in slot order (the order the
-  // synchronous rebuild interns features in): the base graph is copied with
+  // The structural (onboarding) ack: the same round after a
+  // registration, or for a full refresh whatever changed, counted in
+  // structural_rounds, its rebuilt views in structural_rebuilds. The
+  // caller (QSystem) must have quiesced the queue before mutating the
+  // base and must NOT hold the serving gate. Every view the change
+  // reaches is rebuilt beside its slot and installed before the call
+  // returns, so the ack leaves those views fresh. Per view, in slot order
+  // (the order features are interned in): the base graph is copied with
   // no gate held, the keywords are expanded in a short exclusive section
-  // (expansion interns features), and a repair thread builds the engine and
-  // searches the staged pair at a weight copy materialized over every
-  // feature interned so far; a later short exclusive section installs query
-  // graph, engine and searched snapshot together and validates the view at
-  // the round's epoch. The replaced query graph and engine are freed after
-  // the gate is released. While view i+1 is copied, earlier views' searches
-  // run; every view whose search has landed is installed in the exclusive
-  // section that expands view i+1, so the round takes the gate about once
-  // per view, and at most kMaxStagedViews are staged but not installed.
-  // Until its install a view keeps serving its committed snapshot at its old
-  // pair, so no QueryView waits for a rebuild or searches one. A failed
-  // search installs the rebuilt graph and engine unsearched (the slot dirty,
-  // QueryView searching it) and is recorded like a failed repair;
-  // RefreshAllViews retries it. Returns the first staging failure, a keyword
-  // that no longer matches (also recorded sticky, like a failed async
-  // repair, with the slot untouched); search failures surface through
-  // Drain/SyncBarrier as usual.
+  // (expansion interns features), and a repair thread builds the engine
+  // and searches the staged pair at a weight copy materialized over every
+  // feature interned so far; a later short exclusive section installs
+  // query graph, engine and searched snapshot together and validates the
+  // view at the round's epoch. The replaced query graph and engine are
+  // freed after the gate is released. While view i+1 is copied, earlier
+  // views' searches run; every view whose search has landed is installed
+  // in the exclusive section that expands view i+1, so the round takes
+  // the gate about once per view, and at most kMaxStagedViews are staged
+  // but not installed. Until its install a view keeps serving its
+  // committed snapshot at its old pair, so no QueryView waits for a
+  // rebuild or searches one. A failed search installs the rebuilt graph
+  // and engine unsearched (the slot dirty, QueryView searching it) and is
+  // recorded like a failed repair; the next round rebuilds it again.
+  // Returns the first staging failure, a keyword that no longer matches
+  // (also recorded, with the slot untouched); search failures surface
+  // through Drain.
   util::Status NotifyStructuralChange();
 
   // Epoch-tagged, never-blocking read of the view's last committed
@@ -170,51 +162,53 @@ class AsyncRefreshScheduler {
 
   // Blocks until `slot` reflects every base-state change committed
   // before this call, or `timeout` elapses (false). Returns false
-  // immediately if a repair failed (Drain/SyncBarrier surface the
-  // status).
+  // immediately once the latest round records a failure (Drain surfaces
+  // the status).
   bool WaitFresh(std::size_t slot, std::chrono::milliseconds timeout);
 
-  // Quiesces the repair queue and returns the first repair failure since
-  // the last successful SyncBarrier (views behind a failed repair stay
-  // stale; SyncBarrier retries them synchronously).
+  // Quiesces the repair queue and returns the first failure of the latest
+  // round: a staging failure, a failed staged search or a failed repair,
+  // including one of an earlier round's repairs still in flight when it
+  // began. Views behind a failure stay stale; the next round retries them
+  // (their slots never committed).
   util::Status Drain();
 
   // Quiesce ignoring repair errors — for callers that only need the
   // no-tasks-in-flight guarantee (structural mutations).
   void Quiesce();
 
-  // Quiesce + synchronous RefreshEngine::RefreshAll + validate all views
-  // at a fresh epoch. The recovery and structural-change path: failed
-  // async repairs are retried here because their slots never committed.
-  util::Status SyncBarrier();
-
-  // Current staleness epoch: one tick per NotifyBaseChanged/SyncBarrier.
+  // Current staleness epoch: one tick per round.
   std::uint64_t epoch() const;
 
   AsyncRefreshStats stats() const;
 
  private:
-  // Staged-but-uninstalled views a structural round allows at once. A
+  // Staged-but-uninstalled views a round allows at once. A
   // memory bound, independent of the repair thread count: a round's
   // extra memory is at most two staged query graphs and engines, whatever
   // the view count.
   static constexpr std::size_t kMaxStagedViews = 2;
 
-  // One view of a structural round between staging and install.
+  // One view of a round's rebuild between staging and install.
   struct StagedSearch {
     RefreshEngine::StagedRebuild rebuild;
     bool landed = false;  // its search has finished; guarded by mu_
   };
+
+  // The round both Notify* calls run; they differ only in `round_counter`
+  // (bumped once) and `rebuild_counter` (bumped per rebuilt view).
+  util::Status RunRound(std::size_t AsyncRefreshStats::*round_counter,
+                        std::size_t AsyncRefreshStats::*rebuild_counter);
 
   void RepairOne(std::size_t slot);
 
   // The serving gate, held exclusively (an empty lock without a gate).
   std::unique_lock<util::SharedMutex> LockServeGate();
 
-  // NotifyStructuralChange's rebuild of the views in `slots`, staged in
-  // slot order, searched and installed. Returns the first staging
-  // failure.
-  util::Status RebuildViews(const std::vector<std::size_t>& slots);
+  // The round's rebuild of the views in `slots`, staged in slot order,
+  // searched and installed. Returns the first staging failure.
+  util::Status RebuildViews(const std::vector<std::size_t>& slots,
+                            std::size_t AsyncRefreshStats::*rebuild_counter);
 
   RefreshEngine* engine_;
   std::unique_ptr<util::ThreadPool> owned_pool_;  // when not sharing
@@ -239,7 +233,7 @@ class AsyncRefreshScheduler {
   // last validated at.
   std::vector<query::TopKView*> views_;
   std::vector<std::uint64_t> validated_;
-  // First repair failure since the last successful SyncBarrier.
+  // First failure since the latest round began.
   util::Status repair_error_ = util::Status::OK();
   AsyncRefreshStats stats_;
 };

@@ -12,11 +12,21 @@ QSystem::QSystem(QSystemConfig config)
       weights_(&space_),
       learner_(config.mira) {
   // Never adopt a pool pointer smuggled in via a copied config (it would
-  // belong to another QSystem and could dangle); this system's own pool is
-  // created lazily on first view creation, so instances that never answer
-  // queries spawn no threads.
+  // belong to another QSystem and could dangle).
   config_.view.top_k.pool = nullptr;
   config_.view.top_k.sharded.enabled = config_.sharded_search;
+  int threads = config_.steiner_threads;
+  if (threads == 0) {
+    unsigned hw = std::thread::hardware_concurrency();
+    threads = hw > 1 ? static_cast<int>(hw) : -1;
+  }
+  if (threads > 1) {
+    steiner_pool_ = std::make_unique<util::ThreadPool>(threads);
+    config_.view.top_k.pool = steiner_pool_.get();
+  }
+  scheduler_ = std::make_unique<AsyncRefreshScheduler>(
+      &refresh_, steiner_pool_.get(), config_.async_repair_threads, &graph_,
+      &catalog_, &index_, &model_, &weights_, &serve_mu_);
   metadata_matcher_ =
       std::make_unique<match::MetadataMatcher>(config_.metadata);
   mad_matcher_ = std::make_unique<match::MadMatcher>(config_.mad);
@@ -40,28 +50,6 @@ QSystem::QSystem(QSystemConfig config)
   }
 }
 
-void QSystem::EnsureSteinerPool() {
-  if (steiner_pool_ != nullptr || config_.view.top_k.pool != nullptr) return;
-  int threads = config_.steiner_threads;
-  if (threads == 0) {
-    unsigned hw = std::thread::hardware_concurrency();
-    threads = hw > 1 ? static_cast<int>(hw) : -1;
-  }
-  if (threads > 1) {
-    steiner_pool_ = std::make_unique<util::ThreadPool>(threads);
-    config_.view.top_k.pool = steiner_pool_.get();
-    // The same pool fans batched refreshes out across views.
-    refresh_.set_pool(steiner_pool_.get());
-  }
-}
-
-void QSystem::EnsureScheduler() {
-  if (!config_.async_refresh || scheduler_ != nullptr) return;
-  scheduler_ = std::make_unique<AsyncRefreshScheduler>(
-      &refresh_, steiner_pool_.get(), config_.async_repair_threads, &graph_,
-      &catalog_, &index_, &model_, &weights_, &serve_mu_);
-}
-
 std::vector<match::Matcher*> QSystem::EnabledMatchers() {
   std::vector<match::Matcher*> matchers;
   if (config_.use_metadata_matcher) matchers.push_back(metadata_matcher_.get());
@@ -82,7 +70,7 @@ util::Status QSystem::RegisterSourceLocked(
   // new ones from being scheduled meanwhile). Concurrent QueryView
   // searches read the same state lock-free; the exclusive serving gate
   // holds them off while it changes.
-  if (scheduler_ != nullptr) scheduler_->Quiesce();
+  scheduler_->Quiesce();
   std::unique_lock<util::SharedMutex> serve_lock(serve_mu_);
   Q_RETURN_NOT_OK(catalog_.AddSource(source));
   for (const auto& table : source->tables()) {
@@ -101,7 +89,7 @@ util::Status QSystem::AddAssociations(
 
 util::Status QSystem::AddAssociationsLocked(
     const std::vector<match::AlignmentCandidate>& candidates) {
-  if (scheduler_ != nullptr) scheduler_->Quiesce();
+  scheduler_->Quiesce();
   // New association edges and their features (matcher bins, relation and
   // edge features, missing-vote penalties) are interned into space_ here.
   // A reader's served weights read every feature they never set through
@@ -244,36 +232,44 @@ util::Result<align::AlignerStats> QSystem::RegisterAndAlignSource(
   std::lock_guard<std::mutex> lock(feedback_mu_);
   Q_RETURN_NOT_OK(RegisterSourceLocked(source));
   Q_ASSIGN_OR_RETURN(align::AlignerStats stats, AlignAgainstViews(*source));
-  Q_RETURN_NOT_OK(RefreshAfterStructuralLocked());
+  Q_RETURN_NOT_OK(FinishRoundLocked(scheduler_->NotifyStructuralChange()));
   return stats;
 }
 
 util::Result<std::size_t> QSystem::CreateView(
     std::vector<std::string> keywords) {
   std::lock_guard<std::mutex> lock(feedback_mu_);
-  // Registration grows the engine's slot table (invalidating concurrent
-  // SearchView's slot reference), and the first refresh interns features:
-  // both require the exclusive serving gate. Taking it before
-  // EnsureScheduler also publishes scheduler_ to gate-holding readers.
-  std::unique_lock<util::SharedMutex> serve_lock(serve_mu_);
-  EnsureSteinerPool();
-  EnsureScheduler();
-  // Registration grows the engine's slot table and the initial refresh
-  // interns features: both require quiescence in async mode. (Repair
-  // tasks never take the serving gate, so draining under it is safe.)
-  if (scheduler_ != nullptr) scheduler_->Quiesce();
+  // Repairs index the engine's slot table, which registration grows, and
+  // read the feature space, which expansion grows: quiesce them first.
+  scheduler_->Quiesce();
   auto view = std::make_unique<query::TopKView>(std::move(keywords),
                                                 config_.view);
-  // Register-then-refresh keeps the new view's CSR snapshot warm for the
-  // feedback loop; a failed initial refresh rolls the registration back.
-  std::size_t slot = refresh_.RegisterView(view.get());
-  util::Status status =
-      refresh_.RefreshView(slot, graph_, catalog_, index_, &model_, weights_);
+  // Readers index the slot table too, and expansion interns features:
+  // both take the exclusive gate. The base copy and the search hold none.
+  std::size_t slot = 0;
+  {
+    std::unique_lock<util::SharedMutex> serve_lock(serve_mu_);
+    slot = refresh_.RegisterView(view.get());
+  }
+  RefreshEngine::StagedRebuild staged =
+      refresh_.StageRebuild(slot, graph_, weights_);
+  util::Status status;
+  {
+    std::unique_lock<util::SharedMutex> serve_lock(serve_mu_);
+    status = refresh_.ExpandStaged(&staged, index_, &model_);
+  }
+  if (status.ok()) {
+    staged.weights = refresh_.ServingWeights(weights_);
+    refresh_.SearchStaged(&staged, catalog_);
+    status = staged.snapshot.status();
+  }
+  std::unique_lock<util::SharedMutex> serve_lock(serve_mu_);
   if (!status.ok()) {
     refresh_.UnregisterLastView();
     return status;
   }
-  if (scheduler_ != nullptr) scheduler_->TrackView(slot, view.get());
+  refresh_.InstallStaged(&staged, graph_, weights_);
+  scheduler_->TrackView(slot, view.get());
   views_.push_back(std::move(view));
   return views_.size() - 1;
 }
@@ -284,51 +280,20 @@ util::Status QSystem::RefreshAllViews() {
 }
 
 util::Status QSystem::RefreshAllViewsLocked() {
-  // A full refresh may rebuild query graphs and replace slot engines:
-  // exclusive gate. SyncBarrier relies on this caller-held gate instead
-  // of taking it itself (shared_mutex is not recursive).
-  std::unique_lock<util::SharedMutex> serve_lock(serve_mu_);
-  if (scheduler_ != nullptr) return scheduler_->SyncBarrier();
-  return refresh_.RefreshAll(graph_, catalog_, index_, &model_, weights_);
+  return FinishRoundLocked(scheduler_->NotifyStructuralChange(),
+                           /*drain=*/true);
 }
 
-util::Status QSystem::RefreshAfterFeedbackLocked() {
-  if (scheduler_ != nullptr) {
-    // The ack path: journals are appended, the scheduler classifies and
-    // queues repairs, and feedback returns without waiting for searches.
-    scheduler_->NotifyBaseChanged();
-    return util::Status::OK();
-  }
-  return RefreshAllViewsLocked();
-}
-
-util::Status QSystem::RefreshAfterStructuralLocked() {
-  if (scheduler_ != nullptr) {
-    // The onboarding ack path: every view is rebuilt, searched and
-    // installed before it returns. NotifyStructuralChange takes the
-    // serving gate itself around the expansions and installs, so this
-    // caller must hold only feedback_mu_ here.
-    return scheduler_->NotifyStructuralChange();
-  }
-  return RefreshAllViewsLocked();
+util::Status QSystem::FinishRoundLocked(util::Status acked, bool drain) {
+  // Drain reports the round's staging failures too.
+  if (drain || !config_.async_refresh) return scheduler_->Drain();
+  return acked;
 }
 
 query::ViewResult QSystem::ReadView(std::size_t id) const {
   // Unknown ids return an empty result (state == nullptr) rather than
-  // UB, mirroring the Status the mutating APIs return. The shared gate
-  // orders the scheduler_ check against CreateView's publication and
-  // keeps views_ stable for the sync branch; the async path additionally
-  // bounds-checks under the scheduler lock (its tracked set is what a
-  // concurrent CreateView grows). Read() never blocks, so holding the
-  // shared gate across it is safe.
-  std::shared_lock<util::SharedMutex> serve_lock(serve_mu_);
-  if (scheduler_ != nullptr) return scheduler_->Read(id);
-  if (id >= views_.size()) return query::ViewResult{};
-  query::ViewResult result;
-  result.state = views_[id]->Snapshot();
-  result.generation = refresh_.generation();
-  result.stale = false;
-  return result;
+  // UB: the scheduler bounds-checks under its own lock.
+  return scheduler_->Read(id);
 }
 
 util::Result<query::ViewSnapshot> QSystem::QueryView(std::size_t id) const {
@@ -344,30 +309,10 @@ util::Result<query::ViewSnapshot> QSystem::QueryView(std::size_t id) const {
 
 bool QSystem::WaitViewFresh(std::size_t id,
                             std::chrono::milliseconds timeout) {
-  AsyncRefreshScheduler* scheduler = nullptr;
-  {
-    // Do NOT hold the gate across the blocking wait: the serial-repair
-    // branch of NotifyBaseChanged needs it exclusively to perform the
-    // very repair this waiter is waiting for. The pointer copy is safe —
-    // once created, the scheduler lives until ~QSystem.
-    std::shared_lock<util::SharedMutex> serve_lock(serve_mu_);
-    if (scheduler_ == nullptr) return id < views_.size();
-    scheduler = scheduler_.get();
-  }
-  return scheduler->WaitFresh(id, timeout);
+  return scheduler_->WaitFresh(id, timeout);
 }
 
-util::Status QSystem::DrainRefreshes() {
-  AsyncRefreshScheduler* scheduler = nullptr;
-  {
-    // Same pattern as WaitViewFresh: never block on repairs while
-    // holding the gate.
-    std::shared_lock<util::SharedMutex> serve_lock(serve_mu_);
-    if (scheduler_ == nullptr) return util::Status::OK();
-    scheduler = scheduler_.get();
-  }
-  return scheduler->Drain();
-}
+util::Status QSystem::DrainRefreshes() { return scheduler_->Drain(); }
 
 util::Status QSystem::ApplyFeedback(std::size_t view_id,
                                     const steiner::SteinerTree& endorsed) {
@@ -383,7 +328,7 @@ util::Status QSystem::ApplyFeedback(std::size_t view_id,
   Q_RETURN_NOT_OK(info.status());
   RecordFeedbackLocked(feedback::FeedbackKind::kEndorse, v.keywords(),
                        rev_before);
-  return RefreshAfterFeedbackLocked();
+  return FinishRoundLocked(scheduler_->NotifyBaseChanged());
 }
 
 util::Status QSystem::ApplyInvalidFeedback(std::size_t view_id,
@@ -421,7 +366,7 @@ util::Status QSystem::ApplyInvalidFeedback(std::size_t view_id,
   Q_RETURN_NOT_OK(info.status());
   RecordFeedbackLocked(feedback::FeedbackKind::kInvalid, v.keywords(),
                        rev_before);
-  return RefreshAfterFeedbackLocked();
+  return FinishRoundLocked(scheduler_->NotifyBaseChanged());
 }
 
 util::Status QSystem::ApplyRankingFeedback(std::size_t view_id,
@@ -451,7 +396,7 @@ util::Status QSystem::ApplyRankingFeedback(std::size_t view_id,
   Q_RETURN_NOT_OK(info.status());
   RecordFeedbackLocked(feedback::FeedbackKind::kRanking, v.keywords(),
                        rev_before);
-  return RefreshAfterFeedbackLocked();
+  return FinishRoundLocked(scheduler_->NotifyBaseChanged());
 }
 
 util::Result<bool> QSystem::ApplyGoldFeedback(
@@ -498,7 +443,7 @@ util::Result<bool> QSystem::ApplyGoldFeedback(
   }
   RecordFeedbackLocked(feedback::FeedbackKind::kGold, v.keywords(),
                        rev_before);
-  Q_RETURN_NOT_OK(RefreshAfterFeedbackLocked());
+  Q_RETURN_NOT_OK(FinishRoundLocked(scheduler_->NotifyBaseChanged()));
   return true;
 }
 
@@ -523,7 +468,7 @@ util::Status QSystem::SaveSnapshot(const std::string& dir, util::Env* env) {
   // Async repairs read the graph and weights lock-free; a consistent
   // snapshot requires them quiet, same as any structural mutation (the
   // feedback lock keeps new repairs from being scheduled meanwhile).
-  if (scheduler_ != nullptr) scheduler_->Quiesce();
+  scheduler_->Quiesce();
   persist::SnapshotState state;
   state.catalog = &catalog_;
   state.space = &space_;

@@ -70,18 +70,20 @@ struct QSystemConfig {
   // changes results, only per-query memory traffic; worthwhile from
   // ~10^5 graph nodes up.
   bool sharded_search = false;
-  // Async view refresh behind the feedback loop (docs/query_engine.md,
-  // "Async refresh contract"): ApplyFeedback* returns once the weight
-  // journals are appended and every view is classified; affected views
-  // are repaired in the background while reads keep serving the last
-  // committed, epoch-tagged results (ReadView / WaitViewFresh /
-  // DrainRefreshes below). At quiescence, results are bit-identical to
-  // the synchronous mode. Off (default) keeps the fully synchronous
-  // behavior: feedback returns only after every view is repaired.
+  // Whether a feedback ack waits for its round's repairs
+  // (docs/query_engine.md, "View refresh"). Feedback, registrations and
+  // full refreshes reach the views through one refresh round; with this
+  // on, ApplyFeedback* returns once every view is classified, affected
+  // views are repaired in the background while reads keep serving the
+  // last committed, epoch-tagged results (ReadView / WaitViewFresh /
+  // DrainRefreshes below), and a registration returns its round's
+  // staging failures only. Off (default), each of them also drains the
+  // round, so it returns with every view fresh and reports the round's
+  // repair failures. The output at quiescence is the same either way.
   bool async_refresh = false;
-  // Worker threads for async repair tasks: 0 shares the steiner pool
-  // (with a 1-thread fallback when that pool does not exist), > 0 gives
-  // the scheduler a dedicated pool of that size.
+  // Worker threads for repair tasks and staged searches: 0 shares the
+  // steiner pool (with a 1-thread fallback when that pool does not
+  // exist), > 0 gives the scheduler a dedicated pool of that size.
   int async_repair_threads = 0;
 };
 
@@ -107,10 +109,10 @@ class QSystem {
   // Maintenance-mode registration (Sec. 3): adds the source, searches for
   // associations against live views using the configured strategy and
   // matchers, installs surviving alignments as association edges, and
-  // refreshes all views. Returns aligner stats. In async mode it returns
-  // once every view the source reaches is rebuilt, searched and
-  // installed, so its ack leaves those views fresh; readers keep
-  // answering from each view's committed snapshot until its install
+  // refreshes all views. Returns aligner stats. It returns once every
+  // view the source reaches is rebuilt, searched and installed, so its
+  // ack leaves those views fresh; readers keep answering from each view's
+  // committed snapshot until its install
   // (AsyncRefreshScheduler::NotifyStructuralChange).
   util::Result<align::AlignerStats> RegisterAndAlignSource(
       std::shared_ptr<relational::DataSource> source);
@@ -124,7 +126,10 @@ class QSystem {
       const std::vector<match::AlignmentCandidate>& candidates);
 
   // --- views ----------------------------------------------------------------
-  // Creates and refreshes a persistent top-k view for a keyword query.
+  // Creates a persistent top-k view for a keyword query, built through a
+  // rebuild's staged steps (RefreshEngine::StagedRebuild). Readers are held
+  // off only while its slot is registered, its keywords are expanded and
+  // it is installed.
   util::Result<std::size_t> CreateView(std::vector<std::string> keywords);
 
   // The view `id` names; aborts with a message when it names none
@@ -139,40 +144,35 @@ class QSystem {
   }
   std::size_t num_views() const { return views_.size(); }
 
-  // Refreshes every view through the batched RefreshEngine: one CSR
-  // snapshot reconciliation per view per generation (weight-only updates
-  // re-cost in place), searches fanned out across the steiner pool.
-  // Output is bit-identical to refreshing each view independently. In
-  // async mode this is the sync barrier: it quiesces in-flight repairs
-  // first and validates every view at a fresh epoch (retrying any view
-  // whose background repair failed).
+  // Runs a refresh round over every view and drains it, in either mode:
+  // weight-only changes re-cost in place, structural ones rebuild, and a
+  // view a failed repair left stale is retried. Output is bit-identical
+  // to refreshing each view independently.
   util::Status RefreshAllViews();
 
   // Epoch-tagged, never-blocking read of a view's last committed output
-  // (the async serving path; also valid in sync mode, where results are
-  // never stale). The returned snapshot stays alive and internally
-  // consistent for as long as the caller holds it, even across
-  // concurrent repairs.
+  // (in sync mode no view is stale once the call that changed the base
+  // state has returned, unless its round failed). The returned snapshot
+  // stays alive and internally consistent for as long as the caller holds
+  // it, even across concurrent repairs.
   query::ViewResult ReadView(std::size_t id) const;
 
   // Answers view `id`'s keyword query at its current serving pair and
   // returns the result — the concurrent query front end. While the pair
   // is the one the view's committed snapshot was searched at, the answer
   // is a copy of that snapshot; otherwise (a repair has re-costed the
-  // view, or a rebuild's search has not landed) it runs a search against
-  // the pair. Any number of QueryView calls may run in parallel with each
-  // other AND with feedback (ApplyFeedback* / async repairs): each one
+  // view, or a rebuild's search failed) it runs a search against the
+  // pair. Any number of QueryView calls may run in parallel with each
+  // other AND with feedback (ApplyFeedback* / repairs): each one
   // captures the atomic {pinned CSR, frozen weight copy} pair from the
   // view's refresh slot (RefreshEngine::SearchView), so it never reads the
   // live weight vector and never observes a half-repriced snapshot.
   // Structural operations (RegisterSource*, AddAssociations, CreateView,
   // RefreshAllViews) take the serving gate exclusively and briefly block
-  // queries while they change what queries read. An async registration's
-  // view rebuilds do not hold it: each view is rebuilt and searched
-  // beside its slot, and only its keyword expansion (which interns
-  // features) and its install hold the gate, briefly. Sync-mode
-  // registrations, CreateView and RefreshAllViews still hold it across
-  // their rebuilds and searches.
+  // queries while they change what queries read. View rebuilds do not
+  // hold it: each view is rebuilt and searched beside its slot, and only
+  // its keyword expansion (which interns features) and its install hold
+  // the gate, briefly.
   //
   // The returned snapshot's trees/queries/results are bit-identical to a
   // search at the captured pair, and so to the view's published output at
@@ -182,20 +182,20 @@ class QSystem {
   // repaired-after, never a mix.
   util::Result<query::ViewSnapshot> QueryView(std::size_t id) const;
 
-  // Async mode: blocks until view `id` reflects every feedback update
-  // committed before this call, or `timeout` elapses (returns false).
-  // Sync mode: views are always fresh; returns true.
+  // Blocks until view `id` reflects every base-state change committed
+  // before this call, or `timeout` elapses (returns false). Unknown ids
+  // return false at once.
   bool WaitViewFresh(std::size_t id, std::chrono::milliseconds timeout);
 
-  // Async mode: waits for all queued repairs and returns the first
-  // repair failure since the last successful sync barrier (stale views
-  // behind a failure are retried by RefreshAllViews). Sync mode: no-op.
+  // Waits for all queued repairs and returns the first failure of the
+  // latest refresh round (stale views behind a failure are retried by the
+  // next round, e.g. RefreshAllViews).
   util::Status DrainRefreshes();
 
-  // The batched-refresh substrate (snapshot generations + stats).
+  // The view-refresh substrate (snapshot generations + stats).
   const RefreshEngine& refresh_engine() const { return refresh_; }
 
-  // The async scheduler (null until the first CreateView in async mode).
+  // The refresh scheduler, in either mode.
   const AsyncRefreshScheduler* async_scheduler() const {
     return scheduler_.get();
   }
@@ -241,8 +241,7 @@ class QSystem {
   // skipping RunInitialAlignment/MAD entirely — associations and learned
   // weights come from the snapshot; the text index is rebuilt from the
   // restored catalog (it is derived state). Views are not restored:
-  // recreate them lazily with CreateView, which routes through the
-  // RefreshEngine's classify-then-repair pipeline.
+  // recreate them lazily with CreateView.
   //
   // Damage degrades per-section instead of failing (the recovery ladder
   // of docs/persistence.md): a corrupt weights section falls back to
@@ -273,11 +272,6 @@ class QSystem {
  private:
   util::Result<align::AlignerStats> AlignAgainstViews(
       const relational::DataSource& source);
-  // Lazily creates the shared top-k thread pool (first view creation) per
-  // QSystemConfig::steiner_threads and wires it into config_.view.
-  void EnsureSteinerPool();
-  // Lazily creates the async scheduler (first view creation, async mode).
-  void EnsureScheduler();
   // Implementations for callers already holding feedback_mu_ (the public
   // wrappers lock; compound operations like RegisterAndAlignSource lock
   // once and compose these).
@@ -286,15 +280,11 @@ class QSystem {
   util::Status AddAssociationsLocked(
       const std::vector<match::AlignmentCandidate>& candidates);
   util::Status RefreshAllViewsLocked();
-  // Post-MIRA refresh: async mode acks via the scheduler, sync mode
-  // refreshes in line.
-  util::Status RefreshAfterFeedbackLocked();
-  // Post-registration refresh: async mode runs the scheduler's structural
-  // round (NotifyStructuralChange — every view is rebuilt, searched and
-  // installed before it returns); sync mode refreshes everything in
-  // line. Caller holds feedback_mu_ only (the scheduler takes the
-  // serving gate itself around the steps that need it).
-  util::Status RefreshAfterStructuralLocked();
+  // Ends a round whose ack was `acked`: the synchronous mode, or `drain`,
+  // waits for its repairs and returns its first failure. Caller holds
+  // feedback_mu_ only (the round took the serving gate itself around the
+  // steps that need it).
+  util::Status FinishRoundLocked(util::Status acked, bool drain = false);
   // Adds/removes per-matcher missing-vote penalty features so every
   // association edge carries, for each enabled matcher, either its
   // confidence bin or the missing penalty (see Sec. 3.4 discussion in
@@ -315,24 +305,23 @@ class QSystem {
 
   QSystemConfig config_;
   // Serializes every base-state mutation (feedback, registration,
-  // association installation, view creation, sync barriers) against each
-  // other and against the async scheduler's classification step. Reads
-  // (ReadView / accessors at quiescence) never take it.
+  // association installation, view creation, full refreshes) against each
+  // other and against the scheduler's rounds. Reads (ReadView / accessors
+  // at quiescence) never take it.
   std::mutex feedback_mu_;
-  // The serving gate: QueryView / ReadView / WaitViewFresh hold it shared;
-  // operations that restructure what queries read lock-free — views_
-  // growth, engine-slot rebuilds, catalog/index mutation, feature
-  // interning, scheduler creation — hold it exclusively
-  // (RegisterSourceLocked, AddAssociationsLocked, CreateView,
-  // RefreshAllViewsLocked, and, via the pointer handed to
-  // EnsureScheduler, the scheduler's serial-repair branch and the
-  // expansions and installs of a structural round). Pure weight-delta feedback
+  // The serving gate: QueryView holds it shared; operations that
+  // restructure what queries read lock-free — views_ and slot growth,
+  // slot installs, catalog/index mutation, feature interning — hold it
+  // exclusively (RegisterSourceLocked, AddAssociationsLocked, CreateView,
+  // and, via the pointer handed to the scheduler, the expansions and
+  // installs of a round's rebuilds). Pure weight-delta feedback
   // deliberately does NOT take it: searches price against their captured
   // frozen weights, so MIRA updates and in-place repairs run concurrently
   // with queries. Lock order: feedback_mu_ -> serve_mu_ -> (engine locks);
-  // never hold serve_mu_ while blocking on repairs (see WaitViewFresh).
+  // never hold serve_mu_ across a round or while blocking on repairs.
   mutable util::SharedMutex serve_mu_;
-  // Shared by all views' top-k searches; must outlive views_.
+  // Shared by all views' top-k searches (and by the scheduler's repairs
+  // unless it has its own threads); must outlive views_.
   std::unique_ptr<util::ThreadPool> steiner_pool_;
   graph::FeatureSpace space_;
   graph::CostModel model_;

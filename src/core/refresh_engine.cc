@@ -1,11 +1,21 @@
 #include "core/refresh_engine.h"
 
-#include <algorithm>
-#include <functional>
 #include <limits>
 #include <utility>
 
 namespace q::core {
+
+namespace {
+
+// A finite association-cost threshold makes the query-graph topology a
+// function of the weights (edges are pruned by current cost), so only the
+// infinite-threshold default may be re-costed in place.
+bool WeightIndependentTopology(const query::TopKView& view) {
+  return view.config().query_graph.association_cost_threshold ==
+         std::numeric_limits<double>::infinity();
+}
+
+}  // namespace
 
 std::size_t RefreshEngine::RegisterView(query::TopKView* view) {
   Slot slot;
@@ -18,8 +28,8 @@ void RefreshEngine::UnregisterLastView() {
   if (!slots_.empty()) slots_.pop_back();
 }
 
-void RefreshEngine::ObserveRevisions(const graph::SearchGraph& base,
-                                     const graph::WeightVector& weights) {
+void RefreshEngine::BeginAsyncRound(const graph::SearchGraph& base,
+                                    const graph::WeightVector& weights) {
   if (!observed_any_ || last_graph_revision_ != base.revision() ||
       last_weight_revision_ != weights.revision()) {
     if (observed_any_) ++generation_;
@@ -51,204 +61,6 @@ void RefreshEngine::MergeStats(const RefreshEngineStats& delta) {
   stats_.views_delta_recost += delta.views_delta_recost;
   stats_.views_full_recost += delta.views_full_recost;
   stats_.edges_repriced += delta.edges_repriced;
-  stats_.structural_edges_propagated += delta.structural_edges_propagated;
-}
-
-void RefreshEngine::SwapInRebuild(Slot* slot, StagedRebuild* rebuilt,
-                                  const graph::SearchGraph& base,
-                                  const graph::WeightVector& weights,
-                                  RefreshEngineStats* stats) {
-  rebuilt->query_graph =
-      slot->view->ReplaceQueryGraph(std::move(rebuilt->query_graph));
-  {
-    // Rebuilds run under the caller's exclusive serving gate (no
-    // SearchView in flight), but publish under serve_mu_ anyway so the
-    // engine swap and its matching weight copy stay one atomic unit.
-    std::lock_guard<std::mutex> lock(serve_mu_);
-    std::swap(slot->engine, rebuilt->engine);
-    slot->serving_weights = rebuilt->weights != nullptr
-                                ? rebuilt->weights
-                                : SnapshotWeightsLocked(weights);
-    // The fresh engine restarts at generation 0, and when only the graph
-    // moved the weight copy may be the same one: without this clear the
-    // stamp would match a snapshot of the old query graph.
-    slot->committed.reset();
-    slot->committed_weights.reset();
-  }
-  ++stats->snapshots_built;
-  if (rebuilt->snapshot.ok()) {
-    slot->view->PublishSnapshot(std::move(rebuilt->snapshot).value());
-    CommitSlot(slot, base, weights, /*searched=*/true);
-  } else {
-    // Unsearched (or the search failed): left dirty with its prepared
-    // revision recorded, so a later repair only reconciles and searches.
-    slot->dirty = true;
-    slot->prepared_graph_revision = base.revision();
-  }
-}
-
-util::Result<RefreshEngine::PrepareOutcome> RefreshEngine::PrepareSlot(
-    Slot* slot, const graph::SearchGraph& base, const text::TextIndex* index,
-    graph::CostModel* model, const graph::WeightVector& weights,
-    bool allow_rebuild, RefreshEngineStats* stats) {
-  query::TopKView& view = *slot->view;
-  const bool graph_moved = !slot->built ||
-                           slot->graph_revision != base.revision();
-  const bool weights_moved = !slot->built ||
-                             slot->weight_revision != weights.revision();
-  PrepareOutcome outcome;
-  if (!graph_moved && !weights_moved && view.refreshed()) {
-    return outcome;  // skip: nothing moved at all
-  }
-
-  // Whether a previous PrepareSlot mutated this snapshot without its
-  // search succeeding. Mutations made *within this call* are fine for
-  // the no-op skip (the proof is exactly that they moved no cost), but a
-  // dirty slot's "nothing repriced" only means the failed attempt
-  // already patched the snapshot — the view's results still predate it.
-  const bool was_dirty = slot->dirty;
-
-  // A finite association-cost threshold makes the query-graph topology a
-  // function of the weights (edges are pruned by current cost), so only
-  // the infinite-threshold default is eligible for any in-place path —
-  // including structural edge propagation, which relies on the query
-  // graph copying every base edge id-for-id.
-  const bool weight_independent_topology =
-      view.config().query_graph.association_cost_threshold ==
-      std::numeric_limits<double>::infinity();
-
-  // --- classify the structural delta ------------------------------------
-  bool rebuild = !slot->built || !weight_independent_topology;
-  // A prepared-but-unsearched slot: an earlier rebuild or propagation
-  // whose search failed (a staged rebuild is installed unsearched when its
-  // search fails) already brought the cached query graph and engine
-  // topology to this exact base revision, so only reconciliation + search
-  // remain — work the async repair path can run.
-  const bool already_prepared =
-      !rebuild && slot->dirty &&
-      slot->prepared_graph_revision == base.revision();
-  std::vector<graph::EdgeId> mutated_edges;
-  if ((rebuild || graph_moved) && !allow_rebuild && !already_prepared) {
-    // Async repairs handle pure weight deltas only: a rebuild mutates the
-    // shared feature space and a structural propagation mutates the
-    // cached query graph other threads may be reading. The scheduler
-    // routes these through the serial path instead.
-    return util::Status::Internal(
-        "view needs the serial refresh path (rebuild or structural delta)");
-  }
-  if (!rebuild && graph_moved && !already_prepared) {
-    std::vector<graph::GraphDelta> graph_deltas;
-    if (!base.DeltaSince(slot->graph_revision, &graph_deltas)) {
-      rebuild = true;  // journal truncated: assume arbitrary change
-    } else {
-      for (const graph::GraphDelta& d : graph_deltas) {
-        if (d.kind != graph::GraphDeltaKind::kEdgeMutated) {
-          // Node/edge additions change what keyword matching can reach,
-          // node mutations can change labels/values: re-expand.
-          rebuild = true;
-          break;
-        }
-        mutated_edges.push_back(d.id);
-      }
-    }
-    if (!rebuild && !mutated_edges.empty()) {
-      std::sort(mutated_edges.begin(), mutated_edges.end());
-      mutated_edges.erase(
-          std::unique(mutated_edges.begin(), mutated_edges.end()),
-          mutated_edges.end());
-      // In-place base-edge mutations: patch the cached query graph
-      // instead of re-expanding it, then reprice exactly those edges
-      // below. The mutated FeatureVecs make the snapshot's feature->edge
-      // postings stale, so drop the index (rebuilt from the patched
-      // graph on the next delta re-cost).
-      if (view.PropagateBaseEdges(base, mutated_edges)) {
-        stats->structural_edges_propagated += mutated_edges.size();
-        slot->engine->InvalidateFeatureIndex();
-        slot->dirty = true;
-        slot->prepared_graph_revision = base.revision();
-      } else {
-        rebuild = true;
-      }
-    }
-  }
-
-  if (rebuild) {
-    StagedRebuild rebuilt;
-    Q_ASSIGN_OR_RETURN(
-        rebuilt.query_graph,
-        query::BuildQueryGraph(base, *index, view.keywords(), model, weights,
-                               view.config().query_graph));
-    rebuilt.engine = std::make_unique<steiner::FastSteinerEngine>(
-        rebuilt.query_graph.graph, weights, view.config().top_k.use_sp_cache);
-    // Unsearched: the slot is left dirty and the caller runs the search.
-    SwapInRebuild(slot, &rebuilt, base, weights, stats);
-    outcome.run_search = true;
-    return outcome;
-  }
-
-  // --- in-place reconciliation over unchanged topology -------------------
-  // The cached query graph is now bit-identical to what a rebuild would
-  // produce (same base revisions, same index, same features), so skipping
-  // the rebuild cannot change the search's input; only the snapshot costs
-  // may still be stale.
-  std::vector<graph::FeatureDelta> weight_deltas;
-  bool have_weight_deltas = true;
-  if (weights_moved) {
-    have_weight_deltas =
-        weights.DeltaSince(slot->weight_revision, &weight_deltas);
-    if (have_weight_deltas) graph::CoalesceFeatureDeltas(&weight_deltas);
-  }
-
-  if (have_weight_deltas) {
-    steiner::FastSteinerEngine::RecostDeltaOutcome delta;
-    {
-      // Publish {repriced CSR, matching weight copy} atomically w.r.t.
-      // concurrent SearchView captures. When nothing repriced, the CSR is
-      // bitwise unchanged and the old serving pair stays valid.
-      std::lock_guard<std::mutex> lock(serve_mu_);
-      delta = slot->engine->RecostDelta(view.query_graph().graph, weights,
-                                        weight_deltas, mutated_edges);
-      if (delta.applied && delta.edges_repriced > 0) {
-        slot->serving_weights = SnapshotWeightsLocked(weights);
-      }
-    }
-    if (delta.applied) {
-      stats->edges_repriced += delta.edges_repriced;
-      if (delta.edges_repriced == 0 && !was_dirty) {
-        // No edge of this view's snapshot moved: every downstream read
-        // (tree search, compilation, ranked union) prices query-graph
-        // edges, so the output is provably identical. Skip the search
-        // but commit the reconciled revisions (clearing any dirty mark
-        // this call set — its mutation is part of what is committed).
-        // Forbidden when the slot entered dirty: a previous
-        // failed-search attempt already patched the snapshot, so
-        // "nothing repriced" does not mean the view's results match it.
-        ++stats->views_skipped_delta;
-        outcome.commit_without_search = true;
-        return outcome;
-      }
-      if (delta.edges_repriced > 0) {
-        ++stats->snapshots_recosted;
-        ++stats->views_delta_recost;
-        slot->dirty = true;
-      }
-      outcome.run_search = true;
-      return outcome;
-    }
-  }
-
-  // Weight journal truncated or the delta was dense: re-cost wholesale in
-  // place (still no graph copy / text-index matching / CSR extraction).
-  {
-    std::lock_guard<std::mutex> lock(serve_mu_);
-    slot->engine->Recost(view.query_graph().graph, weights);
-    slot->serving_weights = SnapshotWeightsLocked(weights);
-  }
-  ++stats->snapshots_recosted;
-  ++stats->views_full_recost;
-  slot->dirty = true;
-  outcome.run_search = true;
-  return outcome;
 }
 
 void RefreshEngine::CommitSlot(Slot* slot, const graph::SearchGraph& base,
@@ -264,8 +76,9 @@ void RefreshEngine::CommitSlot(Slot* slot, const graph::SearchGraph& base,
   slot->dirty = false;
   if (!searched) return;
   // The search ran at the slot's current serving pair (nothing moves it
-  // between PrepareSlot and this commit), so stamp its snapshot with it.
-  // Read before locking: serve_mu_ is never held across state_mu_.
+  // between the re-cost or install and this commit), so stamp its
+  // snapshot with it. Read before locking: serve_mu_ is never held across
+  // state_mu_.
   std::shared_ptr<const query::ViewSnapshot> published =
       slot->view->Snapshot();
   std::lock_guard<std::mutex> lock(serve_mu_);
@@ -274,16 +87,22 @@ void RefreshEngine::CommitSlot(Slot* slot, const graph::SearchGraph& base,
   slot->committed_weights = slot->serving_weights;
 }
 
+std::shared_ptr<const graph::WeightVector> RefreshEngine::ServingWeights(
+    const graph::WeightVector& weights) {
+  std::lock_guard<std::mutex> lock(serve_mu_);
+  return SnapshotWeightsLocked(weights);
+}
+
 std::shared_ptr<const graph::WeightVector>
 RefreshEngine::SnapshotWeightsLocked(const graph::WeightVector& weights) {
+  const std::size_t features = weights.space()->size();
   if (serving_cache_ == nullptr ||
-      serving_cache_revision_ != weights.revision()) {
-    // Values only: serving searches never read the journal, and copying
-    // it would hold serve_mu_ for its length.
-    auto copy = std::make_shared<graph::WeightVector>(weights.space());
-    copy->Restore(weights.values(), weights.revision(), {});
-    serving_cache_ = std::move(copy);
+      serving_cache_revision_ != weights.revision() ||
+      serving_cache_features_ != features) {
+    serving_cache_ =
+        std::make_shared<const graph::WeightVector>(weights.Materialized());
     serving_cache_revision_ = weights.revision();
+    serving_cache_features_ = features;
   }
   return serving_cache_;
 }
@@ -335,119 +154,17 @@ util::Result<query::ViewSnapshot> RefreshEngine::SearchView(
                                         *weights, slot.engine.get(), &pin);
 }
 
-util::Status RefreshEngine::RefreshAll(const graph::SearchGraph& base,
-                                       const relational::Catalog& catalog,
-                                       const text::TextIndex& index,
-                                       graph::CostModel* model,
-                                       const graph::WeightVector& weights) {
-  ObserveRevisions(base, weights);
-
-  // Phase 1 (serial, in registration order — feature interning follows
-  // the same order as N independent refreshes would): reconcile every
-  // snapshot with the current base state.
-  RefreshEngineStats local;
-  std::vector<std::size_t> pending;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    auto prepared = PrepareSlot(&slots_[i], base, &index, model, weights,
-                                /*allow_rebuild=*/true, &local);
-    if (!prepared.ok()) {
-      MergeStats(local);
-      return prepared.status();
-    }
-    if (prepared->run_search) {
-      pending.push_back(i);
-    } else {
-      ++local.refreshes_skipped;
-      // A delta-proven no-op still reconciled the slot: commit so the
-      // journals are not replayed (and the proof redone) next refresh.
-      if (prepared->commit_without_search) {
-        CommitSlot(&slots_[i], base, weights, /*searched=*/false);
-      }
-    }
-  }
-
-  // Phase 2: fan the per-view searches out. Each task touches only its
-  // own view plus read-only shared state (catalog, weights, its own
-  // synchronized enumeration memo), and results land in per-view slots, so
-  // the merge is deterministic regardless of scheduling.
-  std::vector<util::Status> statuses(pending.size(), util::Status::OK());
-  auto run_one = [&](std::size_t j) {
-    Slot& slot = slots_[pending[j]];
-    statuses[j] = slot.view->RunSearch(catalog, weights, slot.engine.get());
-  };
-  if (pool_ != nullptr && pending.size() > 1) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(pending.size());
-    for (std::size_t j = 0; j < pending.size(); ++j) {
-      tasks.push_back([&run_one, j] { run_one(j); });
-    }
-    pool_->RunAll(tasks);
-  } else {
-    for (std::size_t j = 0; j < pending.size(); ++j) run_one(j);
-  }
-  local.searches_run += pending.size();
-  MergeStats(local);
-  // Commit only the slots whose search succeeded; failed ones keep their
-  // old revisions and are re-prepared (and re-searched) next refresh
-  // instead of being skipped as up to date.
-  for (std::size_t j = 0; j < pending.size(); ++j) {
-    if (statuses[j].ok()) {
-      CommitSlot(&slots_[pending[j]], base, weights, /*searched=*/true);
-    }
-  }
-  for (const util::Status& status : statuses) {
-    Q_RETURN_NOT_OK(status);
-  }
-  return util::Status::OK();
-}
-
-util::Status RefreshEngine::RefreshView(std::size_t slot_id,
-                                        const graph::SearchGraph& base,
-                                        const relational::Catalog& catalog,
-                                        const text::TextIndex& index,
-                                        graph::CostModel* model,
-                                        const graph::WeightVector& weights) {
-  if (slot_id >= slots_.size()) {
-    return util::Status::InvalidArgument("no such view slot");
-  }
-  ObserveRevisions(base, weights);
-  Slot& slot = slots_[slot_id];
-  RefreshEngineStats local;
-  auto prepared = PrepareSlot(&slot, base, &index, model, weights,
-                              /*allow_rebuild=*/true, &local);
-  if (!prepared.ok()) {
-    MergeStats(local);
-    return prepared.status();
-  }
-  if (!prepared->run_search) {
-    ++local.refreshes_skipped;
-    MergeStats(local);
-    if (prepared->commit_without_search) {
-      CommitSlot(&slot, base, weights, /*searched=*/false);
-    }
-    return util::Status::OK();
-  }
-  ++local.searches_run;
-  MergeStats(local);
-  Q_RETURN_NOT_OK(slot.view->RunSearch(catalog, weights, slot.engine.get()));
-  CommitSlot(&slot, base, weights, /*searched=*/true);
-  return util::Status::OK();
-}
-
 AsyncViewClass RefreshEngine::ClassifyViewForAsync(
     std::size_t slot_id, const graph::SearchGraph& base,
     const graph::WeightVector& weights) {
   const Slot& slot = slots_[slot_id];
   const query::TopKView& view = *slot.view;
-  // First-touch build, topology that depends on the weights, or a
-  // structural delta (including in-place edge mutations, which patch the
-  // cached query graph the feedback thread reads for MIRA updates): the
-  // query graph must be re-expanded or patched, on the serial path.
-  if (!slot.built ||
-      view.config().query_graph.association_cost_threshold !=
-          std::numeric_limits<double>::infinity() ||
+  // First build, topology that depends on the weights, or a structural
+  // delta (in-place edge mutations included): the query graph must be
+  // re-expanded.
+  if (!slot.built || !WeightIndependentTopology(view) ||
       slot.graph_revision != base.revision()) {
-    return AsyncViewClass::kSerialOnly;
+    return AsyncViewClass::kRebuild;
   }
   if (slot.weight_revision == weights.revision() && view.refreshed()) {
     RefreshEngineStats local;
@@ -501,10 +218,35 @@ void RefreshEngine::SearchStaged(StagedRebuild* staged,
 void RefreshEngine::InstallStaged(StagedRebuild* staged,
                                   const graph::SearchGraph& base,
                                   const graph::WeightVector& weights) {
-  Q_CHECK(staged->slot < slots_.size() && staged->engine != nullptr);
+  Q_CHECK(staged->slot < slots_.size() && staged->engine != nullptr &&
+          staged->weights != nullptr);
+  Slot* slot = &slots_[staged->slot];
+  staged->query_graph =
+      slot->view->ReplaceQueryGraph(std::move(staged->query_graph));
+  {
+    // Installs run under the caller's exclusive serving gate (no
+    // SearchView in flight), but publish under serve_mu_ anyway so the
+    // engine swap and its matching weight copy stay one atomic unit.
+    std::lock_guard<std::mutex> lock(serve_mu_);
+    std::swap(slot->engine, staged->engine);
+    slot->serving_weights = staged->weights;
+    // The fresh engine restarts at generation 0, and the weight copy may
+    // be the very one the old snapshot was stamped with: without this
+    // clear the stamp would match a snapshot of the old query graph.
+    slot->committed.reset();
+    slot->committed_weights.reset();
+  }
   RefreshEngineStats local;
-  SwapInRebuild(&slots_[staged->slot], staged, base, weights, &local);
+  ++local.snapshots_built;
   MergeStats(local);
+  if (staged->snapshot.ok()) {
+    slot->view->PublishSnapshot(std::move(staged->snapshot).value());
+    CommitSlot(slot, base, weights, /*searched=*/true);
+  } else {
+    // The search failed: SearchView searches the installed graph, and
+    // the next round, finding the graph revision uncommitted, rebuilds it.
+    slot->dirty = true;
+  }
 }
 
 util::Status RefreshEngine::RepairViewAsync(std::size_t slot_id,
@@ -515,25 +257,74 @@ util::Status RefreshEngine::RepairViewAsync(std::size_t slot_id,
     return util::Status::InvalidArgument("no such view slot");
   }
   Slot& slot = slots_[slot_id];
-  RefreshEngineStats local;
-  auto prepared = PrepareSlot(&slot, base, /*index=*/nullptr,
-                              /*model=*/nullptr, weights,
-                              /*allow_rebuild=*/false, &local);
-  if (!prepared.ok()) {
-    MergeStats(local);
-    return prepared.status();
+  query::TopKView& view = *slot.view;
+  if (!slot.built || !WeightIndependentTopology(view) ||
+      slot.graph_revision != base.revision()) {
+    return util::Status::Internal("view needs a rebuild, not a repair");
   }
-  if (!prepared->run_search) {
-    ++local.refreshes_skipped;
+  RefreshEngineStats local;
+  const bool weights_moved = slot.weight_revision != weights.revision();
+  if (!weights_moved && view.refreshed()) {
+    ++local.refreshes_skipped;  // nothing moved at all
     MergeStats(local);
-    if (prepared->commit_without_search) {
-      CommitSlot(&slot, base, weights, /*searched=*/false);
-    }
     return util::Status::OK();
+  }
+  // The cached query graph is bit-identical to what a rebuild would
+  // produce (same base revision, same index, same features), so only the
+  // snapshot costs may be stale.
+  std::vector<graph::FeatureDelta> weight_deltas;
+  bool have_weight_deltas = true;
+  if (weights_moved) {
+    have_weight_deltas =
+        weights.DeltaSince(slot.weight_revision, &weight_deltas);
+    if (have_weight_deltas) graph::CoalesceFeatureDeltas(&weight_deltas);
+  }
+  steiner::FastSteinerEngine::RecostDeltaOutcome delta;
+  {
+    // Publish {repriced CSR, matching weight copy} atomically w.r.t.
+    // concurrent SearchView captures. When nothing repriced, the CSR is
+    // bitwise unchanged and the old serving pair stays valid. A
+    // truncated journal or a dense delta re-costs wholesale in place.
+    std::lock_guard<std::mutex> lock(serve_mu_);
+    if (have_weight_deltas) {
+      delta = slot.engine->RecostDelta(view.query_graph().graph, weights,
+                                       weight_deltas);
+    }
+    if (!delta.applied) {
+      slot.engine->Recost(view.query_graph().graph, weights);
+    }
+    if (!delta.applied || delta.edges_repriced > 0) {
+      slot.serving_weights = SnapshotWeightsLocked(weights);
+    }
+  }
+  if (!delta.applied) {
+    ++local.snapshots_recosted;
+    ++local.views_full_recost;
+    slot.dirty = true;
+  } else {
+    local.edges_repriced += delta.edges_repriced;
+    if (delta.edges_repriced > 0) {
+      ++local.snapshots_recosted;
+      ++local.views_delta_recost;
+      slot.dirty = true;
+    } else if (!slot.dirty) {
+      // No edge of this view's snapshot moved: every downstream read
+      // (tree search, compilation, ranked union) prices query-graph
+      // edges, so the output is provably identical. Skip the search but
+      // commit the reconciled revisions. Forbidden when the slot is
+      // dirty: a previous failed-search attempt already patched the
+      // snapshot, so "nothing repriced" does not mean the view's results
+      // match it.
+      ++local.views_skipped_delta;
+      ++local.refreshes_skipped;
+      MergeStats(local);
+      CommitSlot(&slot, base, weights, /*searched=*/false);
+      return util::Status::OK();
+    }
   }
   ++local.searches_run;
   MergeStats(local);
-  Q_RETURN_NOT_OK(slot.view->RunSearch(catalog, weights, slot.engine.get()));
+  Q_RETURN_NOT_OK(view.RunSearch(catalog, weights, slot.engine.get()));
   CommitSlot(&slot, base, weights, /*searched=*/true);
   return util::Status::OK();
 }

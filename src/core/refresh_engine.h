@@ -2,7 +2,6 @@
 #define Q_CORE_REFRESH_ENGINE_H_
 
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -15,7 +14,6 @@
 #include "text/text_index.h"
 #include "util/result.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace q::core {
 
@@ -26,8 +24,7 @@ namespace q::core {
 // shortest-path cache and the relevance gate they counted are gone. They
 // stay because the benchmark reads them (ROADMAP item 1 drops them).
 struct RefreshEngineStats {
-  // Full snapshot builds: query-graph re-expansion + CSR extraction (the
-  // *rebuild* classification, plus first-touch builds).
+  // Rebuilt views installed (InstallStaged), first builds included.
   std::size_t snapshots_built = 0;
   // In-place refreshes: CSR re-costed (delta or full), topology kept.
   std::size_t snapshots_recosted = 0;
@@ -50,9 +47,6 @@ struct RefreshEngineStats {
   // Edge costs actually moved by delta re-costs.
   std::size_t edges_repriced = 0;
 
-  // Base-edge mutations propagated into cached query graphs in place of
-  // full rebuilds (the kEdgeMutated structural-delta path).
-  std::size_t structural_edges_propagated = 0;
   // Always 0 (see the struct comment).
   std::size_t views_skipped_irrelevant = 0;
   std::size_t relevance_checks = 0;
@@ -69,109 +63,69 @@ struct RefreshEngineStats {
 };
 
 // Read-only classification of one view against the current base state,
-// computed by RefreshEngine::ClassifyViewForAsync on the feedback thread
-// so the async scheduler can acknowledge a feedback update before any
-// repair work runs (docs/query_engine.md, "Async refresh contract").
+// computed by RefreshEngine::ClassifyViewForAsync at the start of a
+// refresh round (core::AsyncRefreshScheduler), before any repair work
+// runs (docs/query_engine.md, "View refresh").
 enum class AsyncViewClass {
   // Slot revisions match the base state and the view is refreshed:
   // nothing to do, the published output is current.
   kUpToDate,
-  // A weight-only reconcile is needed and is safe to run as a background
-  // repair task (RepairViewAsync): re-cost in place, then re-search
-  // unless the re-cost moved nothing, no query-graph rebuild, no
-  // shared-feature-space mutation.
+  // A weight delta over unchanged topology: a repair task re-costs the
+  // snapshot in place and re-searches unless the re-cost moved nothing
+  // (RepairViewAsync). It never touches the query graph or the feature
+  // space, so repairs run beside each other and beside readers.
   kRepair,
-  // The view needs the serial path (first-touch build, weight-dependent
-  // topology, or a structural/graph delta): repairing it re-expands the
-  // query graph, which mutates the shared feature space and the view's
-  // cached query graph — unsafe concurrent with other views' searches.
-  // The scheduler must quiesce and route it through RefreshView, or, in
-  // a structural round, through a staged rebuild (StagedRebuild).
-  kSerialOnly,
+  // The query graph must be re-expanded: a first build, topology that
+  // depends on the weights, or any structural delta. The round rebuilds
+  // it beside the slot through the staged steps (StagedRebuild).
+  kRebuild,
 };
 
-// Batched view-refresh substrate (the feedback loop's hot path): owns one
-// versioned CSR snapshot per registered view — i.e. per (query-graph
-// topology, weight vector) pair — and serves every view's top-k search
-// from it.
+// View-refresh substrate: owns one versioned CSR snapshot per registered
+// view, i.e. per (query-graph topology, weight vector) pair, and serves
+// every view's top-k search from it. core::AsyncRefreshScheduler drives
+// it one round at a time.
 //
 // Change detection is pull-based: SearchGraph and WeightVector carry
 // monotone revision counters bumped at every mutation site (feedback's
 // MIRA updates bump the weight revision; new-source registration and
-// similarity-edge installation bump the graph revision), each paired with
-// a bounded delta journal recording *what* moved (FeatureDelta /
-// GraphDelta). RefreshAll() compares the revisions each snapshot was
-// built against, bumps the engine generation when either moved, and per
-// generation classifies every view by reading the journals:
+// association installation bump the graph revision), each paired with a
+// bounded delta journal recording *what* moved (FeatureDelta /
+// GraphDelta). A round observes the revisions (BeginAsyncRound), bumping
+// the engine generation when either moved, and classifies every view:
 //
-//   * rebuild       — topology may have changed (node/edge additions,
-//                     node mutations, a truncated structural journal, or
-//                     weight-dependent topology): phase 1 re-expands the
-//                     view's query graph and re-extracts its CSR;
-//   * full re-cost  — unchanged topology but the weight journal was
-//                     truncated or the delta was dense: the snapshot is
-//                     re-costed wholesale in place (CsrGraph::Recost) and
-//                     the engine's enumeration memo moves to a new
-//                     generation;
-//   * delta re-cost — the weight delta (plus any in-place base-edge
-//                     mutations, propagated into the cached query graph
-//                     by TopKView::PropagateBaseEdges) maps through the
-//                     snapshot's feature->edge postings to a sparse edge
-//                     set: only those edges are repriced
-//                     (CsrGraph::RecostDelta), and the memo moves to a new
-//                     generation when any cost moved;
-//   * skip          — nothing moved, or the delta re-cost repriced no
-//                     edge of this view's snapshot: no search, results
-//                     provably identical, revisions committed.
+//   * up to date    — nothing moved since the view's last refresh;
+//   * repair        — a weight delta over unchanged topology. The repair
+//                     reads the weight journal: a delta re-cost reprices
+//                     only the edges the touched features map to through
+//                     the snapshot's feature->edge postings
+//                     (CsrGraph::RecostDelta); a truncated journal or a
+//                     dense delta re-costs wholesale in place
+//                     (CsrGraph::Recost); a delta that repriced no edge of
+//                     the view commits without a search;
+//   * rebuild       — the query graph may have changed (any structural
+//                     delta, including in-place edge mutations, or
+//                     weight-dependent topology): the view is rebuilt and
+//                     searched beside its slot and installed whole.
 //
-// All classifications produce bit-identical output to N independent
-// TopKView::Refresh calls; they only change how much work reproducing it
-// costs — proportional to the size of the change, not of the system.
+// Every path produces output bit-identical to an independent
+// TopKView::Refresh of the view (the determinism contract,
+// docs/query_engine.md, enforced by tests/refresh_engine_test.cc); the
+// classes only change how much work reproducing it costs.
 //
 // A view whose QueryGraphOptions::association_cost_threshold is finite
 // has weight-dependent topology (association edges are pruned by current
-// cost), so weight updates degrade to full rebuilds for that view.
-//
-// Phase 1 runs serially across views (query-graph building interns
-// features into the shared FeatureSpace); phase 2 fans the per-view
-// searches out across the thread pool when one is provided. Both fan-out
-// and snapshot reuse are invisible in the output: batched results are
-// bit-identical to N independent TopKView::Refresh calls (the batched
-// determinism contract, docs/query_engine.md, enforced by
-// tests/refresh_engine_test.cc).
+// cost), so weight updates rebuild that view.
 class RefreshEngine {
  public:
-  // `pool` (optional) parallelizes phase 2 across views; it never changes
-  // results. The engine does not own the pool.
-  explicit RefreshEngine(util::ThreadPool* pool = nullptr) : pool_(pool) {}
-
-  void set_pool(util::ThreadPool* pool) { pool_ = pool; }
-
-  // Registers a view and reserves its snapshot slot; the snapshot itself
-  // is built lazily on the first refresh. The view must outlive the
+  // Registers a view and reserves its snapshot slot; the caller builds the
+  // snapshot through the staged steps below. The view must outlive the
   // engine (or be unregistered). Returns the slot id.
   std::size_t RegisterView(query::TopKView* view);
 
   // Drops the most recently registered view's slot (used to roll back a
-  // registration whose initial refresh failed).
+  // registration whose first build failed).
   void UnregisterLastView();
-
-  std::size_t num_views() const { return slots_.size(); }
-
-  // Refreshes every registered view against the current base state,
-  // rebuilding/re-costing each snapshot at most once per generation.
-  util::Status RefreshAll(const graph::SearchGraph& base,
-                          const relational::Catalog& catalog,
-                          const text::TextIndex& index,
-                          graph::CostModel* model,
-                          const graph::WeightVector& weights);
-
-  // Refreshes one registered view (slot id from RegisterView).
-  util::Status RefreshView(std::size_t slot, const graph::SearchGraph& base,
-                           const relational::Catalog& catalog,
-                           const text::TextIndex& index,
-                           graph::CostModel* model,
-                           const graph::WeightVector& weights);
 
   // Answers one keyword search against `slot`'s current serving pair and
   // returns the (unpublished) result, serials 0 — the concurrent read
@@ -182,48 +136,49 @@ class RefreshEngine {
   // of the query graph, the CSR costs, the weights, the catalog and the
   // view config, and none of them moves without moving the pair (see
   // Slot::committed). Otherwise — inside a repair window, or after a
-  // rebuild whose search has not landed — it pins the CSR in the same
-  // critical section and searches against the frozen pair: the pin
-  // freezes the costs for the whole enumeration (mutators copy-on-write)
-  // and the weight copy is the vector those costs were last reconciled
-  // against, so the search can never mix a new CSR with old weights or
-  // vice versa. Any number of SearchView calls may run concurrently with
-  // each other and with the in-place repair paths (RepairViewAsync /
-  // weight-delta refreshes); the rebuild/structural paths replace slot
-  // engines and query graphs and must be excluded by the caller's serving
-  // gate (QSystem holds its serve lock exclusively around them).
-  // Fails until the slot's first successful refresh has built a snapshot.
+  // rebuild whose search failed — it pins the CSR in the same critical
+  // section and searches against the frozen pair: the pin freezes the
+  // costs for the whole enumeration (mutators copy-on-write) and the
+  // weight copy is the vector those costs were last reconciled against,
+  // so the search can never mix a new CSR with old weights or vice versa.
+  // Any number of SearchView calls may run concurrently with each other
+  // and with repairs (RepairViewAsync); installs replace slot engines and
+  // query graphs and must be excluded by the caller's serving gate
+  // (QSystem holds its serve lock exclusively around them). Fails until
+  // the slot's first install.
   util::Result<query::ViewSnapshot> SearchView(
       std::size_t slot, const relational::Catalog& catalog) const;
 
-  // Snapshot generation: bumped whenever a refresh observes that the
-  // graph or weight revision moved. Fresh engines start at 0.
+  // Snapshot generation: bumped whenever a round observes that the graph
+  // or weight revision moved. Fresh engines start at 0.
   std::uint64_t generation() const { return generation_; }
 
   // Counter snapshot (by value: repairs mutate the counters from pool
   // threads, so a reference would race with them).
   RefreshEngineStats stats() const;
 
-  // --- async task decomposition (core::AsyncRefreshScheduler) -------------
-  // The scheduler splits RefreshAll's per-view work into a serial
-  // classification step (feedback thread, cheap, read-mostly) and
-  // per-view repair tasks (pool threads). Calling contract: the caller
-  // serializes classification calls, guarantees per-slot exclusivity
-  // between a slot's classification and its repair (no repair in flight
-  // when classifying it), and keeps the base state immutable while any
-  // repair runs. Distinct slots' repairs may run concurrently.
+  // A priced copy of `weights` (graph::WeightVector::Materialized),
+  // memoized by revision and feature-space size, so a round copies the
+  // vector once per size no matter how many views it prices, and a served
+  // read's WeightVector::At never falls through to the feature space.
+  // Reads the feature space: not concurrent with interning.
+  std::shared_ptr<const graph::WeightVector> ServingWeights(
+      const graph::WeightVector& weights);
 
-  // Observes the base revisions at the start of one async round (the
-  // same generation bookkeeping RefreshAll does internally).
+  // --- one refresh round (core::AsyncRefreshScheduler) --------------------
+  // Calling contract: the caller serializes rounds, guarantees per-slot
+  // exclusivity between a slot's classification and its repair (no
+  // repair in flight when classifying it), and keeps the base state
+  // immutable while any repair runs. Distinct slots' repairs may run
+  // concurrently.
+
+  // Observes the base revisions at the start of one round, bumping
+  // generation() when either moved since the last round.
   void BeginAsyncRound(const graph::SearchGraph& base,
-                       const graph::WeightVector& weights) {
-    ObserveRevisions(base, weights);
-  }
+                       const graph::WeightVector& weights);
 
   // Classifies `slot` against the base state from its revisions alone,
-  // without touching its snapshot: up to date, a weight delta to repair,
-  // or the serial path (first build, weight-dependent topology, or any
-  // structural delta).
+  // without touching its snapshot (see AsyncViewClass).
   AsyncViewClass ClassifyViewForAsync(std::size_t slot,
                                       const graph::SearchGraph& base,
                                       const graph::WeightVector& weights);
@@ -233,51 +188,44 @@ class RefreshEngine {
   // scheduler's frozen copy of the weight vector at the repair's target
   // epoch (value- and journal-identical to the live vector at that
   // revision, immutable afterwards, so repairs never race live MIRA
-  // updates). Never rebuilds the query graph and never touches the
-  // shared cost model or text index; callers must have classified the
-  // slot kRepair (a slot needing the serial path returns an Internal
-  // error and stays repairable via RefreshView).
+  // updates). Never touches the query graph, the shared cost model or the
+  // text index. A slot classified kRebuild returns an Internal error. A
+  // failed search commits nothing: the slot stays dirty and the next
+  // round repairs it again.
   util::Status RepairViewAsync(std::size_t slot,
                                const graph::SearchGraph& base,
                                const relational::Catalog& catalog,
                                const graph::WeightVector& weights);
 
-  // --- staged structural rebuild (AsyncRefreshScheduler) --------------------
-  // A structural round rebuilds a view beside its slot and installs the
-  // result whole, so readers keep answering from the slot's committed
-  // snapshot at its old serving pair until the install, and from the new
-  // committed snapshot right after it; no SearchView ever searches a
-  // rebuilt view. The steps, in the order a round runs them:
+  // --- staged rebuild ------------------------------------------------------
+  // A view is built, and rebuilt, beside its slot and installed whole, so
+  // readers keep answering from the slot's committed snapshot at its old
+  // serving pair until the install, and from the new committed snapshot
+  // right after it; no SearchView ever searches a rebuilt view whose
+  // search succeeded. The steps, in the order a round (or
+  // QSystem::CreateView) runs them:
   //
   //   1. StageRebuild (no gate): copies the base graph.
   //   2. ExpandStaged (exclusive serving gate): expands the keywords,
-  //      interning their match features. Views expand in slot order, the
-  //      order the synchronous rebuild interns in.
+  //      interning their match features. Views expand in slot order.
   //   3. SearchStaged (any thread): builds the staged engine and searches
   //      the staged pair.
   //   4. InstallStaged (exclusive serving gate): swaps query graph,
   //      engine, serving weights and searched snapshot in together.
-  //
-  // The synchronous rebuild branch (PrepareSlot) builds its query graph
-  // with the same two halves (query::BuildQueryGraph) and installs
-  // through the same step, unsearched.
   struct StagedRebuild {
     std::size_t slot = 0;
     query::QueryGraph query_graph;
     // The weights the staged engine and search price with, and the
     // slot's serving weights once installed. The caller sets them between
-    // steps 2 and 3 to a copy materialized over every feature interned so
-    // far (graph::WeightVector::Materialized): the search may run while a
-    // later view's expansion grows the feature space, which an unset id's
-    // initial-weight fallback would read. One copy per feature-space size
-    // serves every view of a round. Null in the synchronous branch, which
-    // installs the slot's usual serving copy.
+    // steps 2 and 3 to ServingWeights() of the live vector, a copy
+    // materialized over every feature interned so far: the search may run
+    // while a later view's expansion grows the feature space, which an
+    // unset id's initial-weight fallback would read.
     std::shared_ptr<const graph::WeightVector> weights;
     std::unique_ptr<steiner::FastSteinerEngine> engine;
-    // Step 3's outcome. An error (or no search at all) installs the graph
-    // and engine without a snapshot: the slot is left dirty with its
-    // committed snapshot cleared, SearchView searches it, and a later
-    // repair or RefreshAll reconciles and searches it.
+    // Step 3's outcome. An error installs the graph and engine without a
+    // snapshot: the slot is left dirty with its committed snapshot
+    // cleared, SearchView searches it, and the next round rebuilds it.
     util::Result<query::ViewSnapshot> snapshot =
         util::Status::Internal("staged rebuild not searched");
   };
@@ -319,104 +267,48 @@ class RefreshEngine {
     std::uint64_t graph_revision = 0;
     std::uint64_t weight_revision = 0;
     bool built = false;
-    // Snapshot state (CSR costs / cached query graph) was mutated by a
-    // PrepareSlot whose search has not yet succeeded (CommitSlot clears
-    // this). While set, the delta-proven no-op skip is forbidden: a
-    // retry's journal replay finds the already-patched costs and would
-    // otherwise commit the view's stale pre-failure results as up to
-    // date. The retry must re-run the search instead.
+    // Snapshot state (CSR costs, or a whole installed rebuild) changed
+    // without a successful search (CommitSlot clears this). While set,
+    // the delta-proven no-op skip is forbidden: a retry's journal replay
+    // finds the already-patched costs and would otherwise commit the
+    // view's stale pre-failure results as up to date. The retry must
+    // re-run the search instead.
     bool dirty = false;
-    // Base revision the cached query graph (and engine topology) was
-    // last brought to, even when the rebuild's search has not committed
-    // yet (CommitSlot records graph_revision only after a successful
-    // search). Only meaningful while `dirty`: a dirty slot whose
-    // prepared revision equals the current base revision needs no
-    // rebuild/propagation — just reconciliation + search — which lets
-    // the async repair path finish a prepared structural rebuild.
-    std::uint64_t prepared_graph_revision = 0;
     // Frozen copy of the weight values the snapshot's CSR costs were last
-    // reconciled against, read by SearchView under serve_mu_ together
-    // with the engine pin, so a serving search prices compile/union reads
-    // with the weights its CSR costs came from. Carries no journal: it is
-    // only priced with.
+    // reconciled against (a ServingWeights copy), read by SearchView
+    // under serve_mu_ together with the engine pin, so a serving search
+    // prices compile/union reads with the weights its CSR costs came from.
     std::shared_ptr<const graph::WeightVector> serving_weights;
     // The snapshot the last committed search published, stamped with the
     // serving pair that search ran at (engine generation, serving weight
     // copy); SearchView answers from it while the pair is unchanged.
     // Guarded by serve_mu_. Set by CommitSlot(searched=true). Commits
     // without a search keep it: they prove the output unchanged and leave
-    // the pair alone. A query-graph patch that moves
-    // a cost bumps the generation; one that moves none leaves the answer
-    // provably unchanged. Cleared where a rebuild swaps the engine: the
-    // fresh engine restarts at generation 0 and, when only the graph
-    // moved, gets the same weight copy, so the stamp would still match a
-    // snapshot of the old query graph. Shares the view's published
-    // snapshot, so it costs no copy.
+    // the pair alone. Cleared where an install swaps the engine: the
+    // fresh engine restarts at generation 0 and, when neither the weight
+    // revision nor the feature space moved, gets the same weight copy, so
+    // the stamp would still match a snapshot of the old query graph.
+    // Shares the view's published snapshot, so it costs no copy.
     std::shared_ptr<const query::ViewSnapshot> committed;
     std::uint64_t committed_generation = 0;
     std::shared_ptr<const graph::WeightVector> committed_weights;
   };
 
-  struct PrepareOutcome {
-    // The snapshot changed (or may have): the view's search must rerun.
-    bool run_search = false;
-    // The slot was reconciled in place and proven output-identical (the
-    // delta repriced nothing): commit the observed revisions without a
-    // search so the work is not redone next refresh.
-    bool commit_without_search = false;
-  };
-
-  // Brings `slot`'s query graph + CSR snapshot up to date with (base,
-  // weights), classifying the change as rebuild / full re-cost / delta
-  // re-cost / skip from the delta journals (see class comment).
-  // Serial-only unless `allow_rebuild` is false (may mutate the model's
-  // feature space); with `allow_rebuild` false — the async repair path —
-  // any classification that needs the rebuild/structural machinery
-  // returns an Internal error instead (and `index`/`model` may be
-  // null). Stat deltas land in `stats` (merged by the caller under
-  // stats_mu_, so concurrent repairs don't race). Does NOT commit the
-  // observed revisions unless the outcome says so — CommitSlot does, and
-  // only after the view's search succeeded, so a failed refresh can
-  // never be mistaken for an up-to-date one on the next pass (the
-  // snapshot work itself is idempotent and simply redone).
-  util::Result<PrepareOutcome> PrepareSlot(Slot* slot,
-                                           const graph::SearchGraph& base,
-                                           const text::TextIndex* index,
-                                           graph::CostModel* model,
-                                           const graph::WeightVector& weights,
-                                           bool allow_rebuild,
-                                           RefreshEngineStats* stats);
-
-  // The install step every rebuild ends in (see StagedRebuild).
-  void SwapInRebuild(Slot* slot, StagedRebuild* rebuilt,
-                     const graph::SearchGraph& base,
-                     const graph::WeightVector& weights,
-                     RefreshEngineStats* stats);
-
   // Adds `delta`'s counters into stats_ under stats_mu_.
   void MergeStats(const RefreshEngineStats& delta);
 
-  // `searched` marks a commit that followed a successful RunSearch: the
-  // published snapshot is stamped with the slot's serving pair for
-  // SearchView. Commits without a search leave the stamp in place (the
-  // snapshot provably did not move, so the stamped snapshot still
-  // matches it).
+  // Records `slot` reconciled with (base, weights). `searched` marks a
+  // commit that followed a successful search: the published snapshot is
+  // stamped with the slot's serving pair for SearchView. Commits without
+  // a search leave the stamp in place (the snapshot provably did not
+  // move, so the stamped snapshot still matches it).
   void CommitSlot(Slot* slot, const graph::SearchGraph& base,
                   const graph::WeightVector& weights, bool searched);
 
-  // Observes the base revisions, bumping generation() when either moved
-  // since the last refresh.
-  void ObserveRevisions(const graph::SearchGraph& base,
-                        const graph::WeightVector& weights);
-
-  // A frozen copy of `weights`' values for the serving path (no journal),
-  // memoized by revision so one refresh round copies the vector at most
-  // once no matter how many slots it reconciles. Caller must hold
-  // serve_mu_.
+  // ServingWeights' body; caller holds serve_mu_.
   std::shared_ptr<const graph::WeightVector> SnapshotWeightsLocked(
       const graph::WeightVector& weights);
 
-  util::ThreadPool* pool_ = nullptr;
   std::uint64_t generation_ = 0;
   bool observed_any_ = false;
   std::uint64_t last_graph_revision_ = 0;
@@ -425,16 +317,19 @@ class RefreshEngine {
   mutable std::mutex stats_mu_;
   RefreshEngineStats stats_;  // guarded by stats_mu_
   // Serving lock: SearchView captures {pin, serving_weights} (or the
-  // committed snapshot) under it, and the repair paths publish {recosted
-  // CSR, new serving_weights} and the commit stamp under it, so the pair
-  // is atomic — a reader can never pin a repriced CSR and then read the
-  // pre-repair weights (or vice versa), nor match a stamp against half a
-  // pair. One engine-level mutex rather than per-slot (slots_ reallocates
-  // on RegisterView, and the critical sections are a few pointer copies).
-  // Never held while a view's state_mu_ is taken.
+  // committed snapshot) under it, and repairs and installs publish
+  // {re-costed CSR or new engine, new serving_weights} and the commit
+  // stamp under it, so the pair is atomic — a reader can never pin a
+  // repriced CSR and then read the pre-repair weights (or vice versa), nor
+  // match a stamp against half a pair. One engine-level mutex rather than
+  // per-slot (slots_ reallocates on RegisterView, and the critical
+  // sections are a few pointer copies). Never held while a view's
+  // state_mu_ is taken.
   mutable std::mutex serve_mu_;
+  // ServingWeights' memo; guarded by serve_mu_.
   std::shared_ptr<const graph::WeightVector> serving_cache_;
   std::uint64_t serving_cache_revision_ = 0;
+  std::size_t serving_cache_features_ = 0;
   // SearchView outcomes, counted inside the critical section SearchView
   // already holds; guarded by serve_mu_.
   mutable std::size_t queries_served_committed_ = 0;

@@ -300,16 +300,6 @@ void SearchGraph::SetEdgeFeatures(EdgeId id, FeatureVec features) {
   edge_feature_[id] = feature_pool_.Intern(std::move(features));
 }
 
-void SearchGraph::OverwriteEdge(EdgeId id, const Edge& src) {
-  Q_CHECK(edge_u_[id] == src.u && edge_v_[id] == src.v);
-  Q_CHECK(static_cast<EdgeKind>(edge_kind_[id]) == src.kind);
-  Journal(GraphDeltaKind::kEdgeMutated, id);
-  edge_flags_[id] = src.fixed_zero ? kFlagFixedZero : 0;
-  edge_feature_[id] = feature_pool_.Intern(src.features);
-  edge_prov_[id] = prov_pool_.Intern(src.provenance);
-  SetEdgeJoins(id, src.join_a, src.join_b);
-}
-
 void SearchGraph::SetNodeValueText(NodeId id, std::string text) {
   Journal(GraphDeltaKind::kNodeMutated, id);
   if (text.empty()) {

@@ -177,13 +177,10 @@ class ProvenancePool {
 };
 
 // One structural mutation of a SearchGraph, recorded in the graph's
-// delta journal. kNodeAdded/kEdgeAdded change topology (snapshot holders
-// must rebuild); kNodeMutated/kEdgeMutated record in-place mutation
-// through the Set*/Overwrite* mutators — conservatively, since the
-// caller may change any payload. An edge-mutation-only delta over an
-// unchanged node/edge set is the case the refresh pipeline can reconcile
-// without re-extracting topology (propagate the mutated edges' features
-// into each snapshot and reprice just them).
+// delta journal. kNodeAdded/kEdgeAdded change topology; kNodeMutated/
+// kEdgeMutated record in-place mutation through the Set* mutators and
+// association merges — conservatively, since the caller may change any
+// payload. The refresh pipeline rebuilds a view on any of them.
 enum class GraphDeltaKind : std::uint8_t {
   kNodeAdded = 0,
   kEdgeAdded = 1,
@@ -326,11 +323,6 @@ class SearchGraph {
 
   // Replaces an edge's feature vector (re-interned into the pool).
   void SetEdgeFeatures(EdgeId id, FeatureVec features);
-
-  // Replaces every payload of an existing edge from `src` (features,
-  // fixed_zero, provenance, joins). Endpoints and kind must match — this
-  // is the snapshot-propagation path, not a topology edit.
-  void OverwriteEdge(EdgeId id, const Edge& src);
 
   // Sets a node's value text (kValue nodes).
   void SetNodeValueText(NodeId id, std::string text);

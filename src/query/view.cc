@@ -31,28 +31,6 @@ QueryGraph TopKView::ReplaceQueryGraph(QueryGraph next) {
   return next;
 }
 
-bool TopKView::PropagateBaseEdges(const graph::SearchGraph& base,
-                                  const std::vector<graph::EdgeId>& edges) {
-  if (!refreshed()) return false;  // no cached query graph to patch
-  // Verify-then-apply in two passes: a failed check must leave the cached
-  // graph untouched so the caller's rebuild starts from consistent state.
-  for (graph::EdgeId e : edges) {
-    if (e >= base.num_edges() || e >= query_graph_.graph.num_edges()) {
-      return false;
-    }
-    const graph::EdgeView src = base.edge(e);
-    const graph::EdgeView dst = query_graph_.graph.edge(e);
-    if (src.u != dst.u || src.v != dst.v || src.kind != dst.kind ||
-        src.fixed_zero != dst.fixed_zero) {
-      return false;
-    }
-  }
-  for (graph::EdgeId e : edges) {
-    query_graph_.graph.OverwriteEdge(e, base.ExportEdge(e));
-  }
-  return true;
-}
-
 util::Result<ViewSnapshot> TopKView::BuildSearchSnapshot(
     const QueryGraph& query_graph, const relational::Catalog& catalog,
     const graph::WeightVector& weights,

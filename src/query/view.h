@@ -61,8 +61,8 @@ struct ViewResult {
 // the current search graph and weights (called after feedback updates or
 // new-source registration).
 //
-// A refresh has two phases, exposed separately so the batched
-// RefreshEngine can skip or share work across views:
+// A refresh has two phases, exposed separately so the RefreshEngine can
+// skip or share work across views:
 //   1. RebuildQueryGraph — re-expand the base search graph for this
 //      view's keywords (graph copy + text-index matching). Skippable when
 //      only weights changed and the query-graph topology is
@@ -70,13 +70,12 @@ struct ViewResult {
 //   2. RunSearch — top-k Steiner search over the current query graph,
 //      tree compilation, execution, and ranked union. Optionally served
 //      from a caller-owned CSR snapshot.
-// Refresh() runs both phases; batched and independent refreshes produce
+// Refresh() runs both phases; the RefreshEngine's refreshes produce
 // bit-identical results (the determinism contract of
-// docs/query_engine.md). The RefreshEngine's staged structural rebuild
-// runs the same phases on a query graph built beside the view
-// (BuildQueryGraph's two halves, then BuildSearchSnapshot over that
-// graph) and installs the result whole (ReplaceQueryGraph, then
-// PublishSnapshot).
+// docs/query_engine.md). Its staged rebuild runs the same phases on a
+// query graph built beside the view (BuildQueryGraph's two halves, then
+// BuildSearchSnapshot over that graph) and installs the result whole
+// (ReplaceQueryGraph, then PublishSnapshot).
 class TopKView {
  public:
   TopKView(std::vector<std::string> keywords, ViewConfig config)
@@ -124,8 +123,8 @@ class TopKView {
   // run any number of BuildSearchSnapshot calls on one view concurrently
   // with each other and with pinned engine re-costs, but NOT concurrently
   // with anything that mutates the graph it searches
-  // (RebuildQueryGraph/ReplaceQueryGraph/PropagateBaseEdges on
-  // query_graph_; the serving gate upstream excludes them).
+  // (RebuildQueryGraph/ReplaceQueryGraph on query_graph_; the serving gate
+  // upstream excludes them).
   util::Result<ViewSnapshot> BuildSearchSnapshot(
       const QueryGraph& query_graph, const relational::Catalog& catalog,
       const graph::WeightVector& weights,
@@ -137,20 +136,6 @@ class TopKView {
   // section, and marks the view refreshed. `built` must be a
   // BuildSearchSnapshot result over the view's current query graph.
   void PublishSnapshot(ViewSnapshot built);
-
-  // Delta alternative to phase 1 for in-place base-edge mutations (the
-  // kEdgeMutated structural journal records): copies each listed base
-  // edge over the cached query graph's copy of it. Sound because a query
-  // graph built with the default infinite association_cost_threshold
-  // copies every base edge id-for-id (keyword/value additions only append
-  // after them), and keyword matching never reads edge state — so the
-  // patched cached graph is bit-identical to what RebuildQueryGraph would
-  // produce. Verifies before mutating and returns false — with the cached
-  // graph untouched — when any edge cannot be propagated in place (no
-  // cached graph yet, id out of range, or endpoints/kind/fixed_zero
-  // drift); the caller must then fall back to a full rebuild.
-  bool PropagateBaseEdges(const graph::SearchGraph& base,
-                          const std::vector<graph::EdgeId>& edges);
 
   const std::vector<std::string>& keywords() const { return keywords_; }
   const ViewConfig& config() const { return config_; }

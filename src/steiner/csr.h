@@ -13,9 +13,8 @@ namespace q::steiner {
 // edges carrying it. Lets a sparse weight delta (a MIRA step moves only
 // the features on the endorsed and competing trees) be mapped to the
 // exact set of edges whose cost can move, instead of re-evaluating
-// w · f(e) for every edge. Built once per snapshot topology; must be
-// rebuilt after any edge's FeatureVec changes (the structural
-// edge-mutation propagation path).
+// w · f(e) for every edge. Built once per snapshot; a graph whose edges
+// change gets a new snapshot.
 class FeatureEdgeIndex {
  public:
   static FeatureEdgeIndex Build(const graph::SearchGraph& graph);

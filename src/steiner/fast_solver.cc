@@ -909,8 +909,7 @@ void FastSteinerEngine::Recost(const graph::SearchGraph& graph,
 
 FastSteinerEngine::RecostDeltaOutcome FastSteinerEngine::RecostDelta(
     const graph::SearchGraph& graph, const graph::WeightVector& weights,
-    const std::vector<graph::FeatureDelta>& deltas,
-    const std::vector<graph::EdgeId>& extra_edges) {
+    const std::vector<graph::FeatureDelta>& deltas) {
   touched_scratch_.clear();
   for (const graph::FeatureDelta& d : deltas) {
     touched_scratch_.push_back(d.id);
@@ -928,14 +927,6 @@ FastSteinerEngine::RecostDeltaOutcome FastSteinerEngine::RecostDelta(
     }
     feature_index_->CollectEdges(touched_scratch_, &candidate_scratch_);
   }
-  // Edges whose FeatureVec itself changed must be repriced regardless of
-  // what the (possibly stale-for-them) postings said.
-  candidate_scratch_.insert(candidate_scratch_.end(), extra_edges.begin(),
-                            extra_edges.end());
-  std::sort(candidate_scratch_.begin(), candidate_scratch_.end());
-  candidate_scratch_.erase(
-      std::unique(candidate_scratch_.begin(), candidate_scratch_.end()),
-      candidate_scratch_.end());
 
   RecostDeltaOutcome outcome;
   outcome.candidate_edges = candidate_scratch_.size();

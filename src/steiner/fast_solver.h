@@ -129,26 +129,19 @@ class FastSteinerEngine {
   };
 
   // Delta snapshot refresh: maps the touched features of a sparse weight
-  // update (plus optionally `extra_edges`, e.g. edges whose FeatureVec
-  // itself was mutated) through a lazily built feature->edge postings
-  // index and re-evaluates only those edges. Bitwise identical to a full
-  // Recost over the same state — same EdgeCost computation, untouched
-  // edges provably cannot move (their w · f(e) reads no touched weight).
-  // The generation (and with it the memo) advances only when at least one
+  // update through a lazily built feature->edge postings index and
+  // re-evaluates only those edges. Bitwise identical to a full Recost
+  // over the same state — same EdgeCost computation, untouched edges
+  // provably cannot move (their w · f(e) reads no touched weight). The
+  // generation (and with it the memo) advances only when at least one
   // edge cost moved.
   //
   // Precondition: same node/edge set as at construction, and every
-  // edge's FeatureVec unchanged since the postings index was built —
-  // after mutating a FeatureVec, call InvalidateFeatureIndex() and list
-  // the mutated edges in `extra_edges`.
+  // edge's FeatureVec unchanged since then (a graph whose edges changed
+  // gets a new engine).
   RecostDeltaOutcome RecostDelta(
       const graph::SearchGraph& graph, const graph::WeightVector& weights,
-      const std::vector<graph::FeatureDelta>& deltas,
-      const std::vector<graph::EdgeId>& extra_edges = {});
-
-  // Drops the feature->edge postings index (rebuilt from the graph on
-  // the next RecostDelta). Required after any edge FeatureVec mutation.
-  void InvalidateFeatureIndex() { feature_index_.reset(); }
+      const std::vector<graph::FeatureDelta>& deltas);
 
   // Snapshot generation: 0 at construction, +1 per Recost and per
   // effective RecostDelta (one that moved at least one edge cost), so it
@@ -298,7 +291,7 @@ class FastSteinerEngine {
   mutable std::mutex snapshot_mu_;
   std::uint64_t generation_ = 0;
   std::unique_ptr<TopKMemo> memo_;  // null when built without `use_memo`
-  // Lazily built by RecostDelta; reset by InvalidateFeatureIndex.
+  // Lazily built by RecostDelta.
   std::unique_ptr<FeatureEdgeIndex> feature_index_;
   // Scratch reused across RecostDelta calls.
   std::vector<graph::FeatureId> touched_scratch_;

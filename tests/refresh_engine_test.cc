@@ -1,10 +1,10 @@
-// Batched view refresh (core::RefreshEngine): RefreshAll() across N views
-// must be bit-identical to N independent TopKView::Refresh() calls under
-// every thread-pool setting (sequential / 1 worker / hardware) and with
-// the enumeration memo disabled; and the snapshot generation must be
-// bumped — with results actually changing — by weight updates, new-source
-// registration, and similarity-edge addition (the stale-snapshot
-// regressions).
+// View refresh (core::RefreshEngine driven by the scheduler's rounds):
+// a refresh round across N views must be bit-identical to N independent
+// TopKView::Refresh() calls under every thread-pool setting (sequential /
+// 1 worker / hardware) and with the enumeration memo disabled; and the
+// snapshot generation must be bumped — with results actually changing —
+// by weight updates, new-source registration, and similarity-edge
+// addition (the stale-snapshot regressions).
 #include <gtest/gtest.h>
 
 #include <map>
@@ -111,7 +111,7 @@ struct Harness {
 class BatchedIdentityTest
     : public ::testing::TestWithParam<std::pair<int, bool>> {};
 
-// RefreshAll == N independent Refresh calls, bit for bit, across pool and
+// A round == N independent Refresh calls, bit for bit, across pool and
 // cache settings — after creation, after a weight-only update, and after
 // a second update (exercising snapshot reuse, re-cost, and re-cost again).
 TEST_P(BatchedIdentityTest, RefreshAllMatchesIndependentRefreshes) {
@@ -120,7 +120,7 @@ TEST_P(BatchedIdentityTest, RefreshAllMatchesIndependentRefreshes) {
   std::string tag = "threads=" + std::to_string(threads) +
                     " cache=" + std::to_string(cache);
 
-  // Initial state (batched path ran inside CreateView).
+  // Initial state (CreateView's staged build).
   auto batched = h.BatchedStates();
   auto independent = h.IndependentRefresh();
   for (std::size_t i = 0; i < batched.size(); ++i) {
@@ -381,37 +381,39 @@ TEST(RefreshEngineTest, FeedbackStepNeverRebuildsSnapshots) {
 }
 
 // Re-confirming an existing association mutates that edge in place (a
-// feature merge); the structural journal records exactly one kEdgeMutated
-// entry, so every view must take the propagation path — patch the cached
-// query graph and reprice the one edge — instead of re-expanding.
-TEST(RefreshEngineTest, EdgeMutationPropagatesWithoutRebuild) {
+// feature merge): the structural journal records only kEdgeMutated
+// entries, and every view is rebuilt once by the round, with output equal
+// to independent refreshes.
+TEST(RefreshEngineTest, EdgeMutationRebuildsEachViewOnce) {
   Harness h(-1, true);
   match::AlignmentCandidate candidate;
   candidate.a = relational::AttributeId{"go", "go_term", "name"};
   candidate.b = relational::AttributeId{"interpro", "method", "name"};
   candidate.matcher = "manual";
   candidate.confidence = 0.7;
-  ASSERT_TRUE(h.q->AddAssociations({candidate}).ok());  // new edge: rebuild
+  ASSERT_TRUE(h.q->AddAssociations({candidate}).ok());  // new edge
   ASSERT_TRUE(h.q->RefreshAllViews().ok());
 
   const RefreshEngine& engine = h.q->refresh_engine();
+  const std::uint64_t graph_revision = h.q->search_graph().revision();
   auto before = engine.stats();
   // Same pair again, stronger vote from another matcher name: merges into
-  // the existing edge (kEdgeMutated, no topology change).
+  // the existing edge (no topology change).
   candidate.matcher = "manual2";
   candidate.confidence = 0.95;
   ASSERT_TRUE(h.q->AddAssociations({candidate}).ok());
+  std::vector<graph::GraphDelta> deltas;
+  ASSERT_TRUE(h.q->search_graph().DeltaSince(graph_revision, &deltas));
+  ASSERT_FALSE(deltas.empty());
+  for (const graph::GraphDelta& d : deltas) {
+    EXPECT_EQ(d.kind, graph::GraphDeltaKind::kEdgeMutated);
+  }
   ASSERT_TRUE(h.q->RefreshAllViews().ok());
   auto after = engine.stats();
 
-  EXPECT_EQ(after.snapshots_built, before.snapshots_built);
-  EXPECT_GT(after.structural_edges_propagated,
-            before.structural_edges_propagated);
-  EXPECT_EQ((after.views_skipped_delta + after.views_delta_recost +
-             after.views_full_recost) -
-                (before.views_skipped_delta + before.views_delta_recost +
-                 before.views_full_recost),
+  EXPECT_EQ(after.snapshots_built - before.snapshots_built,
             h.view_ids.size());
+  EXPECT_EQ(after.snapshots_recosted, before.snapshots_recosted);
 
   auto batched = h.BatchedStates();
   auto independent = h.IndependentRefresh();

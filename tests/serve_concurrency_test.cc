@@ -8,9 +8,9 @@
 //     trees/queries/rows from one search, never a mix of generations;
 //   * quiescent bit-identity — once drained, QueryView output equals the
 //     published snapshot and the synchronous twin system, bit for bit;
-//   * failed-barrier wakeups — a SyncBarrier failure wakes WaitFresh
-//     waiters promptly instead of burning their full deadline (the
-//     missed-error regression in the epoch/predicate interaction);
+//   * failed-round wakeups — a round that fails to rebuild a view wakes
+//     WaitFresh waiters promptly instead of burning their full deadline
+//     (the missed-error regression in the epoch/predicate interaction);
 //   * feature interning under the serving gate — registrations that
 //     install new association features never grow the FeatureSpace under
 //     a reader's served weights (the use-after-free regression);
@@ -23,7 +23,11 @@
 //   * staged structural rebuilds — a registration's rebuilt view is
 //     installed with its searched snapshot, so readers racing a
 //     registration stream never search, and a failed staged search
-//     leaves the rebuilt graph searched until a barrier repairs it.
+//     leaves the rebuilt graph searched until the next round rebuilds it;
+//   * the synchronous mode — a feedback call returns with its round
+//     drained and reports that round's failures, and full refreshes,
+//     which run a round that takes the serving gate itself, race
+//     QueryView readers without deadlock.
 //
 // Runs under the ctest `stress` label and the ThreadSanitizer CI job.
 #include <gtest/gtest.h>
@@ -586,16 +590,35 @@ TEST(ServeConcurrencyTest, AssociationFeatureInterningRacesQueryReaders) {
   }
 }
 
-// --- satellite 3: WaitFresh vs. failed barriers and structural ops -------
+// --- WaitFresh vs. failed rounds and structural ops ----------------------
 
-// A SyncBarrier that fails (here: the text index is emptied and the graph
-// structurally bumped, so every rebuild's keyword lookup reports
-// NotFound) bumps the epoch without validating any view. WaitFresh's
-// predicate could then never become true — before the fix the scheduler
-// did not record the barrier's failure, so waiters burned their entire
-// deadline. They must wake promptly with `false`, and recover to `true`
-// once the base state is repaired.
-TEST(ServeConcurrencyTest, FailedSyncBarrierWakesWaitFreshPromptly) {
+// Builds (or rebuilds) `slot` through the four staged steps on the calling
+// thread, pricing with the engine's serving copy of `weights`, and
+// returns the staged search's status (an expansion failure leaves the
+// slot untouched).
+util::Status StagedBuild(RefreshEngine* engine, std::size_t slot,
+                         const graph::SearchGraph& base,
+                         const text::TextIndex& index, graph::CostModel* model,
+                         const relational::Catalog& catalog,
+                         const graph::WeightVector& weights) {
+  RefreshEngine::StagedRebuild staged =
+      engine->StageRebuild(slot, base, weights);
+  Q_RETURN_NOT_OK(engine->ExpandStaged(&staged, index, model));
+  staged.weights = engine->ServingWeights(weights);
+  engine->SearchStaged(&staged, catalog);
+  const util::Status searched = staged.snapshot.status();
+  engine->InstallStaged(&staged, base, weights);
+  return searched;
+}
+
+// A round that fails (here: the text index is emptied and the graph
+// structurally bumped, so every rebuild's keyword lookup reports NotFound)
+// bumps the epoch without validating any view. WaitFresh's predicate
+// could then never become true unless the scheduler records the failure,
+// so waiters would burn their entire deadline. They must wake promptly
+// with `false`, and recover to `true` once the base state is repaired and
+// the next round succeeds.
+TEST(ServeConcurrencyTest, FailedRoundWakesWaitFreshPromptly) {
   data::InterProGoDataset dataset = data::BuildInterProGo(SmallDataset());
   graph::FeatureSpace space;
   graph::CostModel model(&space, graph::CostModelConfig{});
@@ -614,9 +637,8 @@ TEST(ServeConcurrencyTest, FailedSyncBarrierWakesWaitFreshPromptly) {
 
   RefreshEngine engine;
   const std::size_t slot = engine.RegisterView(&view);
-  ASSERT_TRUE(engine
-                  .RefreshView(slot, graph, dataset.catalog, index, &model,
-                               weights)
+  ASSERT_TRUE(StagedBuild(&engine, slot, graph, index, &model,
+                          dataset.catalog, weights)
                   .ok());
   AsyncRefreshScheduler sched(&engine, /*pool=*/nullptr,
                               /*dedicated_threads=*/1, &graph,
@@ -626,10 +648,10 @@ TEST(ServeConcurrencyTest, FailedSyncBarrierWakesWaitFreshPromptly) {
 
   // Break the base state: an empty index makes every rebuild fail with
   // keyword-NotFound, and the structural node forces the rebuild
-  // classification on the next barrier.
+  // classification on the next round.
   index = text::TextIndex();
   graph.AddNode(graph::NodeKind::kValue, "orphan");
-  ASSERT_FALSE(sched.SyncBarrier().ok());
+  ASSERT_FALSE(sched.NotifyStructuralChange().ok());
 
   // The waiter must observe the failure promptly — well inside the
   // deadline (generous bound for sanitizer builds).
@@ -639,10 +661,10 @@ TEST(ServeConcurrencyTest, FailedSyncBarrierWakesWaitFreshPromptly) {
   EXPECT_LT(elapsed, std::chrono::milliseconds(5000));
   EXPECT_FALSE(sched.Drain().ok());
 
-  // Repair the index: the next barrier succeeds, clears the sticky
-  // error, and WaitFresh reports fresh again.
+  // Repair the index: the next round succeeds, clears the recorded
+  // failure, and WaitFresh reports fresh again.
   index.IndexCatalog(dataset.catalog);
-  ASSERT_TRUE(sched.SyncBarrier().ok());
+  ASSERT_TRUE(sched.NotifyStructuralChange().ok());
   EXPECT_TRUE(sched.WaitFresh(slot, std::chrono::milliseconds(30000)));
   EXPECT_TRUE(sched.Drain().ok());
 }
@@ -672,8 +694,8 @@ TEST(ServeConcurrencyTest, WaitViewFreshPromptAcrossStructuralOps) {
           << "view " << id;
     }
   });
-  // Structural churn: registrations take the serving gate exclusively
-  // and route every view through the serial rebuild path.
+  // Structural churn: each registration rebuilds every view, taking the
+  // serving gate exclusively around its expansions and installs.
   for (int i = 0; i < 2; ++i) {
     RegisterClonedSource(&h, "interpro.pub", "pubsrc" + std::to_string(i));
   }
@@ -867,9 +889,13 @@ struct EngineFixture {
     view = std::make_unique<query::TopKView>(dataset.keyword_queries[query],
                                              BaseConfig().view);
     slot = engine.RegisterView(view.get());
-    Q_CHECK_OK(engine.RefreshView(slot, q->search_graph(), q->catalog(),
-                                  q->text_index(), &q->cost_model(),
-                                  q->weights()));
+    Q_CHECK_OK(Rebuild(q->catalog()));
+  }
+
+  // Rebuilds the view through the staged steps, searching `catalog`.
+  util::Status Rebuild(const relational::Catalog& catalog) {
+    return StagedBuild(&engine, slot, q->search_graph(), q->text_index(),
+                       &q->cost_model(), catalog, q->weights());
   }
 
   util::Result<query::ViewSnapshot> Serve() const {
@@ -898,42 +924,57 @@ void RegisterJournalCopy(EngineFixture* f) {
   ASSERT_EQ(f->q->weights().revision(), weight_revision);
 }
 
-// A registration that leaves the weight revision alone rebuilds the
-// view's query graph onto a fresh engine, which restarts at generation 0,
-// and the synchronous rebuild installs the engine's cached serving weight
-// copy of that revision: the very pair the old snapshot was stamped with.
-// When the rebuild's search fails (its catalog lacks the view's tables),
-// the slot keeps the rebuilt graph and engine without a snapshot, the
-// state a failed staged search also leaves
-// (FailedStagedSearchLeavesTheRebuiltGraphSearched). Until a repair's
-// search lands, QueryView must search the rebuilt query graph, not return
-// the old query graph's snapshot.
+// Raises the cost of one base edge on the EngineFixture view's best tree
+// in place (a kEdgeMutated delta): the answer changes, while the weight
+// revision and the feature space stay as they are.
+void RaiseBestTreeEdge(EngineFixture* f) {
+  graph::SearchGraph& base = f->q->mutable_search_graph();
+  for (graph::EdgeId e : f->view->Snapshot()->trees.at(0).edges) {
+    // Ids past the base graph are the view's own keyword edges.
+    if (e >= base.num_edges() || base.edge(e).fixed_zero) continue;
+    graph::FeatureVec features = base.edge_features(e);
+    if (features.empty()) continue;
+    features.Add(features.entries()[0].first, 5.0);
+    base.SetEdgeFeatures(e, std::move(features));
+    return;
+  }
+  FAIL() << "the best tree has no priced base edge";
+}
+
+// A rebuild that moves neither the weight revision nor the feature space
+// installs a fresh engine, which restarts at generation 0, with the
+// engine's memoized serving weight copy of that revision and size: the
+// very pair the old snapshot was stamped with. When the rebuild's search
+// fails (its catalog lacks the view's tables), the slot keeps the rebuilt
+// graph and engine without a snapshot, the state a failed staged search
+// in a round also leaves (FailedStagedSearchLeavesTheRebuiltGraphSearched).
+// Until a rebuild's search lands, QueryView must search the rebuilt query
+// graph, not return the old query graph's snapshot.
 TEST(ServeConcurrencyTest, EngineSwapSearchesTheRebuiltQueryGraph) {
   EngineFixture f(/*query=*/2);
   const query::ViewSnapshot old_answer = *f.view->Snapshot();
   ASSERT_FALSE(old_answer.trees.empty());
   ExpectServed(f.engine, [&] { return f.Serve(); }, f.Independent(),
-               /*from_committed=*/true, "before the registration");
-  RegisterJournalCopy(&f);
+               /*from_committed=*/true, "before the edge change");
+  const std::size_t features = f.q->feature_space().size();
+  const std::uint64_t weight_revision = f.q->weights().revision();
+  RaiseBestTreeEdge(&f);
+  if (HasFatalFailure()) return;
 
   const relational::Catalog empty;
-  const util::Status failed =
-      f.engine.RefreshView(f.slot, f.q->search_graph(), empty,
-                           f.q->text_index(), &f.q->cost_model(),
-                           f.q->weights());
+  const util::Status failed = f.Rebuild(empty);
   ASSERT_TRUE(failed.IsNotFound()) << failed.ToString();
+  ASSERT_EQ(f.q->feature_space().size(), features);
+  ASSERT_EQ(f.q->weights().revision(), weight_revision);
   ExpectSameViewState(*f.view->Snapshot(), old_answer, "published");
   const query::ViewSnapshot rebuilt = f.Independent();
   ASSERT_FALSE(SameTrees(old_answer, rebuilt))
-      << "the registration must change the view's answer";
+      << "the edge change must change the view's answer";
   ExpectServed(f.engine, [&] { return f.Serve(); }, rebuilt,
-               /*from_committed=*/false, "rebuilt, search pending");
+               /*from_committed=*/false, "rebuilt, search failed");
 
-  // The asynchronous half lands the search: committed serving resumes.
-  ASSERT_TRUE(f.engine
-                  .RepairViewAsync(f.slot, f.q->search_graph(), f.q->catalog(),
-                                   f.q->weights())
-                  .ok());
+  // The next rebuild lands its search: committed serving resumes.
+  ASSERT_TRUE(f.Rebuild(f.q->catalog()).ok());
   ExpectServed(f.engine, [&] { return f.Serve(); }, rebuilt,
                /*from_committed=*/true, "rebuilt, search landed");
 }
@@ -990,8 +1031,9 @@ TEST(ServeConcurrencyTest, StagedRebuildInstallsQueryGraphEngineAndSnapshot) {
 // A staged search that fails (the scheduler's catalog lacks the view's
 // tables) installs the rebuilt query graph and engine without a snapshot:
 // the EngineSwapSearchesTheRebuiltQueryGraph state. The failure surfaces
-// through Drain, which DrainRefreshes returns, and the sync barrier that
-// RefreshAllViews runs repairs the view once the catalog is whole.
+// through Drain, which DrainRefreshes returns, and the next round (the
+// one RefreshAllViews runs, say) rebuilds the view once the catalog is
+// whole.
 TEST(ServeConcurrencyTest, FailedStagedSearchLeavesTheRebuiltGraphSearched) {
   EngineFixture f(/*query=*/2);
   const query::ViewSnapshot old_answer = *f.view->Snapshot();
@@ -1021,11 +1063,11 @@ TEST(ServeConcurrencyTest, FailedStagedSearchLeavesTheRebuiltGraphSearched) {
   for (const auto& source : f.q->catalog().sources()) {
     ASSERT_TRUE(catalog.AddSource(source).ok());
   }
-  ASSERT_TRUE(sched.SyncBarrier().ok());
+  ASSERT_TRUE(sched.NotifyStructuralChange().ok());
   EXPECT_TRUE(sched.Drain().ok());
   EXPECT_FALSE(sched.Read(f.slot).stale);
   ExpectServed(f.engine, [&] { return f.Serve(); }, rebuilt,
-               /*from_committed=*/true, "repaired by the barrier");
+               /*from_committed=*/true, "rebuilt by the next round");
   ExpectSameViewState(*f.view->Snapshot(), rebuilt, "republished");
 }
 
@@ -1059,6 +1101,117 @@ TEST(ServeConcurrencyTest, RepairWindowSearchesAtTheNewPair) {
                   .ok());
   ExpectServed(f.engine, [&] { return f.Serve(); }, repriced,
                /*from_committed=*/true, "repair landed");
+}
+
+// --- synchronous mode: the round plus a drain ----------------------------
+
+// In synchronous mode a feedback call is its round followed by a drain:
+// when ApplyFeedback returns, every view is validated at the scheduler's
+// epoch, without a DrainRefreshes call. A repair that fails — here every
+// table's attributes are renamed, so executing a view's queries reports
+// NotFound — is returned by the call whose round it belonged to, and the
+// next round, with the schemas restored, retries the views the failure
+// left stale and returns OK.
+TEST(ServeConcurrencyTest, SynchronousFeedbackReturnsWithItsRoundDrained) {
+  Harness h(/*async=*/false);
+  const AsyncRefreshScheduler& sched = *h.q->async_scheduler();
+  // Endorsing a tree below the top makes every round a real MIRA update.
+  auto endorse = [&](std::size_t id) {
+    const auto& trees = h.q->view(id).trees();
+    return h.q->ApplyFeedback(id, trees.at(trees.size() > 1 ? 1 : 0));
+  };
+  auto stale_views = [&] {
+    std::size_t stale = 0;
+    for (std::size_t id : h.view_ids) {
+      const query::ViewResult read = h.q->ReadView(id);
+      if (read.stale || read.generation != sched.epoch()) ++stale;
+    }
+    return stale;
+  };
+
+  const std::uint64_t epoch = sched.epoch();
+  ASSERT_TRUE(endorse(h.view_ids[0]).ok());
+  EXPECT_EQ(sched.epoch(), epoch + 1);
+  EXPECT_EQ(stale_views(), 0u);
+
+  std::vector<std::pair<std::shared_ptr<relational::Table>,
+                        relational::RelationSchema>>
+      saved;
+  for (const auto& table : h.q->catalog().AllTables()) {
+    saved.emplace_back(table, table->schema());
+    std::vector<relational::AttributeDef> renamed =
+        table->schema().attributes();
+    for (relational::AttributeDef& a : renamed) a.name = "renamed_" + a.name;
+    table->mutable_schema() = relational::RelationSchema(
+        table->schema().source(), table->schema().relation(), renamed);
+  }
+  const util::Status failed = endorse(h.view_ids[1]);
+  EXPECT_TRUE(failed.IsNotFound()) << failed.ToString();
+  EXPECT_GT(stale_views(), 0u);
+  EXPECT_FALSE(h.q->DrainRefreshes().ok());
+
+  for (auto& [table, schema] : saved) table->mutable_schema() = schema;
+  ASSERT_TRUE(endorse(h.view_ids[2]).ok());
+  EXPECT_EQ(stale_views(), 0u);
+  EXPECT_TRUE(h.q->DrainRefreshes().ok());
+  for (std::size_t id : h.view_ids) {
+    ExpectSameViewState(
+        *h.q->ReadView(id).state,
+        IndependentSearch(h.q->view(id), h.q->catalog(), h.q->weights()),
+        "retried view " + std::to_string(id));
+  }
+}
+
+// RefreshAllViews and RunInitialAlignment each run a round that takes the
+// serving gate itself around its rebuilds, so neither may hold the gate
+// across the round: with views open and QueryView readers running, both
+// return (no deadlock) and no reader fails. The weight nudge gives the
+// first one repairs to run; the re-run alignment re-installs every
+// association, which rebuilds every view.
+TEST(ServeConcurrencyTest, SynchronousFullRefreshesRaceQueryReaders) {
+  Harness h(/*async=*/false);
+  std::atomic<bool> done{false};
+  std::atomic<std::size_t> reads{0};
+  std::atomic<std::size_t> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kQueryReaders; ++r) {
+    readers.emplace_back([&, r] {
+      util::Rng rng(9700 + r);
+      while (!done.load(std::memory_order_acquire)) {
+        const std::size_t id = h.view_ids[rng.Uniform(h.view_ids.size())];
+        const util::Result<query::ViewSnapshot> got = h.q->QueryView(id);
+        if (!got.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        ExpectInternallyConsistent(*got, "view " + std::to_string(id));
+        reads.fetch_add(1);
+      }
+    });
+  }
+  const RefreshEngineStats before = h.q->refresh_engine().stats();
+  h.q->mutable_weights().Nudge(graph::FeatureSpace::kDefaultFeature, 0.05);
+  const util::Status refreshed = h.q->RefreshAllViews();
+  const util::Status aligned = h.q->RunInitialAlignment();
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  ASSERT_TRUE(refreshed.ok()) << refreshed.ToString();
+  ASSERT_TRUE(aligned.ok()) << aligned.ToString();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GT(reads.load(), 0u);
+  const RefreshEngineStats after = h.q->refresh_engine().stats();
+  EXPECT_GE(after.snapshots_recosted - before.snapshots_recosted,
+            h.view_ids.size());
+  EXPECT_EQ(after.snapshots_built - before.snapshots_built,
+            h.view_ids.size());
+  for (std::size_t id : h.view_ids) {
+    EXPECT_FALSE(h.q->ReadView(id).stale) << "view " << id;
+    ExpectSameViewState(
+        *h.q->ReadView(id).state,
+        IndependentSearch(h.q->view(id), h.q->catalog(), h.q->weights()),
+        "refreshed view " + std::to_string(id));
+  }
 }
 
 }  // namespace
