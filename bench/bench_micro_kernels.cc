@@ -1,19 +1,16 @@
 // Micro-benchmarks for the hot kernels behind the paper's experiments:
-// top-k Steiner search (legacy SteinerProblem rebuild vs the CSR fast
-// path, with and without use_sp_cache and the thread pool),
-// MAD propagation, query-graph expansion, conjunctive-query execution,
-// and alpha-neighborhood Dijkstra.
+// top-k Steiner search (the CSR fast path, with and without the thread
+// pool), MAD propagation, query-graph expansion, conjunctive-query
+// execution, and alpha-neighborhood Dijkstra.
 //
 // Emits a human-readable table on stdout and machine-readable JSON lines
 // ({"kernel":..., "n":..., "median_us":...}) to --json=PATH (default
-// bench/out/BENCH_micro_kernels.json) so the perf trajectory is trackable across
-// PRs. The Steiner section also cross-checks that every fast-path
-// configuration reproduces the legacy engine's trees and exits non-zero
-// on mismatch, so a perf run doubles as a correctness smoke test.
+// bench/out/BENCH_micro_kernels.json) so the perf trajectory is trackable
+// across PRs. steiner_differential_test checks the Steiner fixtures' trees
+// against the contracted referee (tests/reference_steiner.h).
 //
 // Usage: bench_micro_kernels [--json=PATH] [--smoke]
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -127,78 +124,23 @@ struct SteinerFixture {
   }
 };
 
-bool SameTrees(const std::vector<q::steiner::SteinerTree>& a,
-               const std::vector<q::steiner::SteinerTree>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].edges != b[i].edges) return false;
-    if (std::abs(a[i].cost - b[i].cost) > 1e-9) return false;
-  }
-  return true;
-}
-
-// Benchmarks one solver family (exact or KMB) across engine configs and
-// verifies every fast configuration against the legacy baseline. Returns
-// false on a correctness mismatch.
-bool BenchTopK(Reporter& report, const SteinerFixture& f, bool approximate,
+// Times one solver family (exact or KMB) with the self-contained
+// TopKSteinerTrees, sequential and on the pool.
+void BenchTopK(Reporter& report, const SteinerFixture& f, bool approximate,
                const std::string& tag, q::util::ThreadPool* pool) {
   q::steiner::TopKConfig config;
   config.k = 10;
   config.approximate = approximate;
-
-  auto run = [&](q::steiner::SteinerEngine engine, bool cache,
-                 q::util::ThreadPool* p) {
-    q::steiner::TopKConfig c = config;
-    c.engine = engine;
-    c.use_sp_cache = cache;
-    c.pool = p;
-    return q::steiner::TopKSteinerTrees(f.graph, *f.weights, f.terminals, c);
-  };
-
-  auto legacy = run(q::steiner::SteinerEngine::kLegacy, false, nullptr);
-  // `cache` is TopKConfig::use_sp_cache, which only says whether an
-  // engine built from the config carries the enumeration memo. These
-  // runs use the self-contained overload, whose per-call engine never
-  // has one, so fast and fast_nocache run the same code.
-  struct Variant {
-    const char* name;
-    bool cache;
-    q::util::ThreadPool* pool;
-  };
-  const Variant variants[] = {
-      {"fast", true, nullptr},
-      {"fast_nocache", false, nullptr},
-      {"fast_pool", true, pool},
-  };
-  bool ok = true;
-  for (const Variant& v : variants) {
-    auto trees = run(q::steiner::SteinerEngine::kFast, v.cache, v.pool);
-    if (!SameTrees(legacy, trees)) {
-      std::printf("MISMATCH: %s_%s differs from legacy output\n", tag.c_str(),
-                  v.name);
-      ok = false;
-    }
+  for (q::util::ThreadPool* p : {static_cast<q::util::ThreadPool*>(nullptr),
+                                 pool}) {
+    config.pool = p;
+    report.Run(tag + (p != nullptr ? "_fast_pool" : "_fast"),
+               f.graph.num_nodes(), [&] {
+                 auto trees = q::steiner::TopKSteinerTrees(
+                     f.graph, *f.weights, f.terminals, config);
+                 (void)trees;
+               });
   }
-
-  std::size_t n = f.graph.num_nodes();
-  double legacy_us = report.Run(tag + "_legacy", n, [&] {
-    auto trees = run(q::steiner::SteinerEngine::kLegacy, false, nullptr);
-    (void)trees;
-  });
-  double fast_us = 0.0;
-  for (const Variant& v : variants) {
-    double us = report.Run(tag + "_" + v.name, n, [&] {
-      auto trees = run(q::steiner::SteinerEngine::kFast, v.cache, v.pool);
-      (void)trees;
-    });
-    if (std::strcmp(v.name, "fast") == 0) fast_us = us;
-  }
-  if (fast_us > 0.0) {
-    std::printf("%-28s speedup=%.2fx (legacy/fast), output %s\n",
-                (tag + "_speedup").c_str(), legacy_us / fast_us,
-                ok ? "verified identical" : "MISMATCH");
-  }
-  return ok;
 }
 
 // ---------------------------------------------------------------------------
@@ -247,19 +189,16 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  bool ok = true;
   {
     q::util::ThreadPool pool;
     SteinerFixture kmb_fixture(1000, 3000, 4, /*seed=*/42);
-    ok = BenchTopK(report, kmb_fixture, /*approximate=*/true,
-                   "topk_steiner_kmb", &pool) &&
-         ok;
+    BenchTopK(report, kmb_fixture, /*approximate=*/true, "topk_steiner_kmb",
+              &pool);
     // The exact DP is the default solver below the approximate_above_nodes
     // threshold; a smaller graph keeps its 2^t x n tables comparable.
     SteinerFixture exact_fixture(1000, 2200, 4, /*seed=*/7);
-    ok = BenchTopK(report, exact_fixture, /*approximate=*/false,
-                   "topk_steiner_exact", &pool) &&
-         ok;
+    BenchTopK(report, exact_fixture, /*approximate=*/false,
+              "topk_steiner_exact", &pool);
   }
 
   Fixture f;
@@ -317,5 +256,5 @@ int main(int argc, char** argv) {
 
   std::fclose(report.json);
   std::printf("json written to %s\n", json_path);
-  return ok ? 0 : 1;
+  return 0;
 }

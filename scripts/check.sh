@@ -30,9 +30,9 @@ cmake --build build -j "${JOBS}"
 
 # --- bench smoke (Release) --------------------------------------------------
 # The default build type is already Release (see CMakeLists.txt), so the
-# tier-1 build tree doubles as the bench tree. The micro-kernel bench
-# exits non-zero if the fast Steiner path ever diverges from the legacy
-# engine's output, so this is a correctness gate as well as a perf probe.
+# tier-1 build tree doubles as the bench tree. The micro-kernel bench is a
+# perf probe; steiner_differential_test checks its Steiner fixtures'
+# trees against the contracted referee.
 mkdir -p bench/out
 
 ./build/bench_micro_kernels --smoke --json=bench/out/BENCH_micro_kernels.json
@@ -120,16 +120,16 @@ run_gate bench/baselines/BENCH_warm_restart.json \
 
 # --- graph scale (compact layout + sharded search) ---------------------------
 # Builds the 10k and 100k streaming-catalog tiers, measures bytes/source
-# of the compact representation against an un-interned AoS mirror of the
-# same graph, and runs the sharded top-k query mix (docs/benchmarks.md,
-# "Graph scale"). Correctness gate first: the binary exits non-zero when
-# sharded output diverges from the unsharded fast solver on the verified
-# query subset (tests/local_compaction_test.cc diffs each masked Dijkstra
-# against the uncompacted referee), and when the 10k -> 100k p95 growth
-# exceeds its in-binary ceiling. Gates: bytes/
-# source and query p95 vs baseline (both lower-is-better medians), a hard
-# >= 2x compact-advantage floor, and a hard sublinearity ceiling on the
-# p95 growth read from the committed baseline's max_ratio (local-id mask
+# of the compact representation, and runs the sharded top-k query mix
+# (docs/benchmarks.md, "Graph scale"); graph_scale_test holds the >= 2x
+# advantage over the AoS referee at both tiers. Correctness gate first:
+# the binary exits non-zero when sharded output diverges from the
+# unsharded fast solver on the verified query subset
+# (tests/local_compaction_test.cc diffs each masked Dijkstra against the
+# uncompacted referee), and when the 10k -> 100k p95 growth exceeds its
+# in-binary ceiling. Gates: bytes/source and query p95 vs baseline (both
+# lower-is-better medians), and a hard sublinearity ceiling on the p95
+# growth read from the committed baseline's max_ratio (local-id mask
 # compaction is what keeps the tail sub-linear; its regression is a bug,
 # not a trend).
 ./build/bench_graph_scale --smoke --json=bench/out/BENCH_graph_scale.json
@@ -137,24 +137,13 @@ run_gate bench/baselines/BENCH_graph_scale.json \
          bench/out/BENCH_graph_scale.json '*bytes_per_source*'
 run_gate bench/baselines/BENCH_graph_scale.json \
          bench/out/BENCH_graph_scale.json '*query_p95*'
-while read -r compact_ratio; do
-  if awk -v r="${compact_ratio}" 'BEGIN { exit !(r < 2.0) }'; then
-    echo "check.sh: FAIL — compact layout advantage ${compact_ratio}x < 2x" \
-         "vs legacy representation"
-    gate_failed=1
-  fi
-done < <(awk 'match($0, /"kernel":"graph_scale_bytes_per_source[^"]*"/) {
-                if (match($0, /"legacy_ratio":[0-9.]+/))
-                  print substr($0, RSTART + 15, RLENGTH - 15) }' \
-         bench/out/BENCH_graph_scale.json)
 p95_growth="$(awk 'match($0, /"kernel":"graph_scale_p95_growth"/) {
                      if (match($0, /"ratio":[0-9.]+/))
                        print substr($0, RSTART + 8, RLENGTH - 8) }' \
               bench/out/BENCH_graph_scale.json)"
 # The ceiling lives in the committed baseline (the binary embeds the same
-# default and exits 2 itself when the fresh run exceeds it); like the
-# legacy_ratio floor this is a correctness-trajectory gate, enforced even
-# with BENCH_GATE=0.
+# default and exits 2 itself when the fresh run exceeds it); it is a
+# correctness-trajectory gate, enforced even with BENCH_GATE=0.
 p95_growth_max="$(awk 'match($0, /"kernel":"graph_scale_p95_growth"/) {
                         if (match($0, /"max_ratio":[0-9.]+/))
                           print substr($0, RSTART + 12, RLENGTH - 12) }' \

@@ -41,13 +41,6 @@ QSystem::QSystem(QSystemConfig config)
       aligner_ = std::make_unique<align::PreferentialAligner>();
       break;
   }
-  if (config_.use_value_overlap_filter) {
-    auto filter = [this](const relational::AttributeId& a,
-                         const relational::AttributeId& b) {
-      return overlap_.CanJoin(a, b, config_.value_overlap_min);
-    };
-    metadata_matcher_->set_pair_filter(filter);
-  }
 }
 
 std::vector<match::Matcher*> QSystem::EnabledMatchers() {
@@ -73,10 +66,7 @@ util::Status QSystem::RegisterSourceLocked(
   scheduler_->Quiesce();
   std::unique_lock<util::SharedMutex> serve_lock(serve_mu_);
   Q_RETURN_NOT_OK(catalog_.AddSource(source));
-  for (const auto& table : source->tables()) {
-    index_.IndexTable(*table);
-    if (config_.use_value_overlap_filter) overlap_.IndexTable(*table);
-  }
+  for (const auto& table : source->tables()) index_.IndexTable(*table);
   graph::AddSourceToGraph(*source, &model_, &graph_);
   return util::Status::OK();
 }
@@ -105,14 +95,26 @@ util::Status QSystem::AddAssociationsLocked(
                                     c.a.ToString() + " / " + c.b.ToString());
     }
     if (*na == *nb) continue;
-    // AddAssociationEdge merges into an existing edge: only the new
-    // matcher's confidence feature should be added then, so pass the bin
-    // feature alone when the edge already exists.
+    // AddAssociationEdge merges into an existing edge: only the matcher's
+    // confidence-bin feature is added then, less the bin of its earlier
+    // vote, so each matcher carries one bin. A vote that does not raise
+    // the earlier one changes nothing.
     auto existing = graph_.FindAssociation(*na, *nb);
     if (existing.has_value()) {
-      graph_.AddAssociationEdge(
-          *na, *nb, model_.MatcherConfidenceFeature(c.matcher, c.confidence),
-          graph::MatcherScore{c.matcher, c.confidence});
+      const auto& votes = graph_.edge_provenance(*existing);
+      auto vote = std::find_if(votes.begin(), votes.end(),
+                               [&c](const graph::MatcherScore& p) {
+                                 return p.matcher == c.matcher;
+                               });
+      if (vote != votes.end() && vote->confidence >= c.confidence) continue;
+      graph::FeatureVec bin =
+          model_.MatcherConfidenceFeature(c.matcher, c.confidence);
+      if (vote != votes.end()) {
+        bin.AddScaled(
+            model_.MatcherConfidenceFeature(c.matcher, vote->confidence), -1.0);
+      }
+      graph_.AddAssociationEdge(*na, *nb, std::move(bin),
+                                graph::MatcherScore{c.matcher, c.confidence});
     } else {
       graph::FeatureVec features = model_.AssociationFeatures(
           c.matcher, c.confidence, c.a.RelationQualifiedName(),
@@ -210,7 +212,8 @@ util::Result<align::AlignerStats> QSystem::AlignAgainstViews(
     any_view = true;
     Q_RETURN_NOT_OK(align_with(aligner_.get(), ContextFromView(*view)));
   }
-  if (!any_view && config_.align_without_views) {
+  if (!any_view) {
+    // No view to align against yet: compare with every relation.
     align::ExhaustiveAligner fallback;
     align::AlignContext ctx;
     ctx.top_y = config_.top_y;
@@ -555,15 +558,10 @@ util::Status QSystem::LoadFromSnapshotLocked(
     }
     catalog_ = std::move(decoded);
   }
-  // The text and value-overlap indexes are derived state: rebuild them
-  // from the restored catalog (registration order is preserved, so the
-  // rebuilt index is identical to the saved system's).
+  // The text index is derived state: rebuild it from the restored
+  // catalog (registration order is preserved, so the rebuilt index is
+  // identical to the saved system's).
   index_.IndexCatalog(catalog_);
-  if (config_.use_value_overlap_filter) {
-    for (const auto& table : catalog_.AllTables()) {
-      overlap_.IndexTable(*table);
-    }
-  }
 
   // --- feedback log: independent of the sections below, and the weights
   // fallback needs it, so decode it early.

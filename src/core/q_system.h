@@ -21,7 +21,6 @@
 #include "match/mad_matcher.h"
 #include "match/matcher.h"
 #include "match/metadata_matcher.h"
-#include "match/value_overlap.h"
 #include "persist/snapshot.h"
 #include "query/view.h"
 #include "relational/catalog.h"
@@ -51,12 +50,6 @@ struct QSystemConfig {
   AlignStrategy strategy = AlignStrategy::kViewBased;
   // PreferentialAligner budget (existing relations tried, 0 = all).
   std::size_t preferential_budget = 6;
-  // When no view exists yet, fall back to exhaustive alignment on
-  // registration (otherwise the source is added without associations).
-  bool align_without_views = true;
-  // Keep a value-overlap content index and use it as a pair filter.
-  bool use_value_overlap_filter = false;
-  std::size_t value_overlap_min = 1;
   // Worker threads for the query fast path (parallel Lawler expansion in
   // every view's top-k search): 0 = match the hardware, negative =
   // sequential. The pool never changes results, only latency (see
@@ -329,7 +322,6 @@ class QSystem {
   relational::Catalog catalog_;
   graph::SearchGraph graph_;
   text::TextIndex index_;
-  match::ValueOverlapIndex overlap_;
   std::unique_ptr<match::MetadataMatcher> metadata_matcher_;
   std::unique_ptr<match::MadMatcher> mad_matcher_;
   std::unique_ptr<align::Aligner> aligner_;

@@ -1,7 +1,6 @@
 #include "feedback/simulated_user.h"
 
-#include "steiner/exact_solver.h"
-#include "steiner/problem.h"
+#include "steiner/fast_solver.h"
 
 namespace q::feedback {
 
@@ -56,9 +55,8 @@ std::optional<steiner::SteinerTree> SimulatedUser::SolveEndorsedTree(
   std::vector<graph::EdgeId> gold;
   std::vector<graph::EdgeId> banned;
   SplitAssociations(qg, gold_keys_, &gold, &banned);
-  steiner::SteinerProblem problem(qg.graph, weights, qg.keyword_nodes, {},
-                                  banned);
-  return steiner::SolveExactSteiner(problem);
+  steiner::FastSteinerEngine engine(qg.graph, weights, /*use_memo=*/false);
+  return engine.SolveExact(qg.keyword_nodes, {}, banned);
 }
 
 std::optional<steiner::SteinerTree> SimulatedUser::SolveEndorsedJoinTree(
@@ -67,11 +65,10 @@ std::optional<steiner::SteinerTree> SimulatedUser::SolveEndorsedJoinTree(
   std::vector<graph::EdgeId> banned;
   SplitAssociations(qg, gold_keys_, &gold, &banned);
   std::optional<steiner::SteinerTree> best;
+  steiner::FastSteinerEngine engine(qg.graph, weights, /*use_memo=*/false);
   // Force each gold association in turn; keep the cheapest proper tree.
   for (graph::EdgeId forced : gold) {
-    steiner::SteinerProblem problem(qg.graph, weights, qg.keyword_nodes,
-                                    {forced}, banned);
-    auto tree = steiner::SolveExactSteiner(problem);
+    auto tree = engine.SolveExact(qg.keyword_nodes, {forced}, banned);
     if (!tree.has_value()) continue;
     if (!steiner::IsProperSteinerTree(qg.graph, *tree, qg.keyword_nodes)) {
       continue;  // the forced edge dangles: no natural join path uses it
@@ -109,9 +106,8 @@ std::optional<steiner::SteinerTree> SimulatedUser::SolveIntentTree(
       }
     }
   }
-  steiner::SteinerProblem problem(qg.graph, weights, qg.keyword_nodes, {},
-                                  banned);
-  auto tree = steiner::SolveExactSteiner(problem);
+  steiner::FastSteinerEngine engine(qg.graph, weights, /*use_memo=*/false);
+  auto tree = engine.SolveExact(qg.keyword_nodes, {}, banned);
   if (!tree.has_value() ||
       !steiner::IsProperSteinerTree(qg.graph, *tree, qg.keyword_nodes)) {
     return std::nullopt;

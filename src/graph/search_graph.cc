@@ -1,5 +1,6 @@
 #include "graph/search_graph.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/dary_heap.h"
@@ -316,26 +317,31 @@ EdgeId SearchGraph::AddAssociationEdge(NodeId a, NodeId b,
   Q_CHECK(nodes_[b].kind == NodeKind::kAttribute);
   auto existing = FindAssociation(a, b);
   if (existing.has_value()) {
+    // One vote per matcher, at its max confidence: a repeat that does not
+    // raise it changes nothing.
+    std::vector<MatcherScore> votes = prov_pool_.at(edge_prov_[*existing]);
+    auto vote = std::find_if(
+        votes.begin(), votes.end(),
+        [&score](const MatcherScore& p) { return p.matcher == score.matcher; });
+    if (vote != votes.end() && vote->confidence >= score.confidence) {
+      return *existing;
+    }
     // Feature merge below changes the edge's cost; an in-place mutation
     // of an existing edge, so the delta pipeline can reprice just it.
     Journal(GraphDeltaKind::kEdgeMutated, *existing);
-    // Merge the new matcher's features (its confidence-bin indicator) into
-    // the edge and record the vote. Pool entries are immutable: copy out,
-    // edit, re-intern.
+    // Merge the vote's features into the edge, dropping entries they
+    // cancel. Pool entries are immutable: copy out, edit, re-intern.
     FeatureVec merged = feature_pool_.at(edge_feature_[*existing]);
     merged.AddScaled(features, 1.0);
-    edge_feature_[*existing] = feature_pool_.Intern(std::move(merged));
-    // Deduplicate votes from the same matcher: keep the max confidence.
-    std::vector<MatcherScore> votes = prov_pool_.at(edge_prov_[*existing]);
-    bool found = false;
-    for (auto& p : votes) {
-      if (p.matcher == score.matcher) {
-        p.confidence = std::max(p.confidence, score.confidence);
-        found = true;
-        break;
-      }
+    for (const auto& [id, value] : features.entries()) {
+      if (merged.ValueOf(id) == 0.0) merged.Remove(id);
     }
-    if (!found) votes.push_back(std::move(score));
+    edge_feature_[*existing] = feature_pool_.Intern(std::move(merged));
+    if (vote != votes.end()) {
+      vote->confidence = score.confidence;
+    } else {
+      votes.push_back(std::move(score));
+    }
     edge_prov_[*existing] = prov_pool_.Intern(std::move(votes));
     return *existing;
   }

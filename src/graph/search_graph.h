@@ -255,8 +255,8 @@ class DistanceField {
 // {offset,count,capacity} slots over one shared EdgeId arena with
 // capacity-doubling relocation, squeezed tight by CompactAdjacency().
 // Within a node's block edge ids appear in insertion order — identical
-// to the legacy vector<vector> layout, which the CSR differential suite
-// asserts.
+// to the AoS vector<vector> layout of the tests' referee
+// (tests/reference_graph_rep.h), which graph_scale_test asserts.
 //
 // Every revision bump appends one GraphDelta record to a bounded
 // journal, so snapshot holders can ask "what changed since revision R"
@@ -277,10 +277,10 @@ class SearchGraph {
 
   EdgeId AddEdge(Edge edge);
 
-  // Adds an association edge between two attribute nodes, merging the
-  // matcher score into an existing association edge for the same pair if
-  // present (returns that edge). `features` are only applied when the edge
-  // is new; use RebuildAssociationFeatures-style helpers to refresh.
+  // Adds an association edge between two attribute nodes, or records
+  // `score` as a vote on the pair's existing edge (returned), adding
+  // `features` to its own (entries they cancel are dropped). A repeat
+  // vote that does not raise the matcher's confidence changes nothing.
   EdgeId AddAssociationEdge(NodeId a, NodeId b, FeatureVec features,
                             MatcherScore score);
 

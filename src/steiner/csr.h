@@ -41,7 +41,7 @@ class FeatureEdgeIndex {
 // applied by solvers as O(|edit|) overlay masks instead of graph rebuilds.
 //
 // Per-node arc blocks are ordered by original edge id, matching the order
-// in which SteinerProblem materializes arcs.
+// in which the referee in tests/reference_steiner.h materializes arcs.
 struct CsrGraph {
   std::uint32_t num_nodes = 0;
   std::uint32_t num_edges = 0;

@@ -71,10 +71,10 @@ enum class MaskedOutcome { kOk, kEscalate };
 // edge costs are materialized exactly once — and then every Lawler
 // subproblem is solved against it with forced/banned edges applied as
 // O(|edit|) overlays: forced edges are traversed at cost 0 (the overlay
-// analogue of SteinerProblem's endpoint contraction; their real cost is
-// charged up front) and banned edges are skipped. Per-solve state lives in
-// a thread-local scratch arena, so Solve* are safe to call concurrently
-// and do no steady-state allocation.
+// analogue of the contraction in tests/reference_steiner.h; their real
+// cost is charged up front) and banned edges are skipped. Per-solve state
+// lives in a thread-local scratch arena, so Solve* are safe to call
+// concurrently and do no steady-state allocation.
 //
 // Solves run their Dijkstras over an adjacency view: the CSR for unmasked
 // solves, a mask's compact local-id sub-CSR for masked ones (see
@@ -150,7 +150,7 @@ class FastSteinerEngine {
 
   SnapshotPin Pin() const;
 
-  // KMB 2-approximation (the contraction semantics of SolveKmbSteiner).
+  // KMB 2-approximation (the semantics of the referee SolveKmbSteiner).
   // Returns nullopt when the subproblem is infeasible (forced edges banned
   // or cyclic, or terminals disconnected). The pin-taking overloads solve
   // against the caller's pinned snapshot (one Pin() can cover a whole
@@ -164,7 +164,7 @@ class FastSteinerEngine {
       const std::vector<graph::EdgeId>& forced,
       const std::vector<graph::EdgeId>& banned);
 
-  // Dreyfus–Wagner style exact DP (the semantics of SolveExactSteiner).
+  // Dreyfus–Wagner exact DP (the referee SolveExactSteiner's semantics).
   std::optional<SteinerTree> SolveExact(
       const SnapshotPin& pin, const std::vector<graph::NodeId>& terminals,
       const std::vector<graph::EdgeId>& forced,

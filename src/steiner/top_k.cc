@@ -9,10 +9,7 @@
 #include <unordered_set>
 #include <utility>
 
-#include "steiner/exact_solver.h"
 #include "steiner/fast_solver.h"
-#include "steiner/kmb_solver.h"
-#include "steiner/problem.h"
 #include "steiner/shard.h"
 #include "util/thread_pool.h"
 
@@ -299,21 +296,6 @@ std::vector<SteinerTree> TopKSteinerTrees(
   const bool use_kmb =
       config.approximate || graph.num_nodes() > config.approximate_above_nodes;
 
-  // The legacy path rebuilds a contracted SteinerProblem per subproblem.
-  if (config.engine == SteinerEngine::kLegacy) {
-    return Enumerate(
-        graph, terminals, config, use_kmb,
-        [&graph, &weights, &terminals, use_kmb](
-            const std::vector<graph::EdgeId>& forced,
-            const std::vector<graph::EdgeId>& banned,
-            bool /*must_solve*/) -> AttemptResult {
-          SteinerProblem problem(graph, weights, terminals, forced, banned);
-          return AttemptResult{use_kmb ? SolveKmbSteiner(problem)
-                                       : SolveExactSteiner(problem)};
-        },
-        certificate);
-  }
-
   // The fast engine solves every subproblem as an O(|edit|) overlay on a
   // CSR snapshot — the caller's shared one when provided (batched
   // refresh), otherwise one built for this call. A per-call engine is
@@ -421,6 +403,21 @@ std::vector<SteinerTree> TopKSteinerTrees(
   value = std::make_shared<const TopKMemoValue>(TopKMemoValue{
       output, certificate != nullptr ? *certificate : RelevanceCertificate{}});
   return output;
+}
+
+std::vector<SteinerTree> EnumerateTopKForTest(
+    const graph::SearchGraph& graph,
+    const std::vector<graph::NodeId>& terminals, const TopKConfig& config,
+    const SubproblemSolver& solve) {
+  if (terminals.empty() || config.k <= 0) return {};
+  // Without a certificate the solver family changes nothing in Enumerate.
+  return Enumerate(
+      graph, terminals, config, /*use_kmb=*/config.approximate,
+      [&solve](const std::vector<graph::EdgeId>& forced,
+               const std::vector<graph::EdgeId>& banned, bool /*must_solve*/) {
+        return AttemptResult{solve(forced, banned)};
+      },
+      /*certificate=*/nullptr);
 }
 
 }  // namespace q::steiner

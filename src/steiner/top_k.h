@@ -3,7 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "graph/search_graph.h"
@@ -15,15 +17,6 @@ class ThreadPool;
 
 namespace q::steiner {
 
-// Which single-tree solver substrate drives the Lawler enumeration.
-//   kFast   — CSR snapshot built once per call, forced/banned edges applied
-//             as overlays, allocation-free scratch arenas, and whole
-//             enumerations shared through a caller-owned engine's TopKMemo
-//             (see fast_solver.h and docs/query_engine.md).
-//   kLegacy — rebuilds a contracted SteinerProblem per subproblem; kept as
-//             the reference implementation and benchmark baseline.
-enum class SteinerEngine { kFast = 0, kLegacy = 1 };
-
 // Sharded terminal-local search (docs/architecture.md, "Memory layout and
 // sharding"). When enabled on the fast engine, the graph is partitioned
 // once into BFS-grown shards of about `target_shard_nodes` nodes, and
@@ -32,8 +25,7 @@ enum class SteinerEngine { kFast = 0, kLegacy = 1 };
 // conditions under which its result is bit-identical to the unmasked one
 // and escalates (doubling the radius, up to a whole-graph fallback) when
 // verification fails — so enabling sharding NEVER changes the output,
-// only the number of nodes each subproblem touches. Ignored by the
-// legacy engine.
+// only the number of nodes each subproblem touches.
 struct ShardedSearchConfig {
   bool enabled = false;
   // Shard granularity trades mask padding for escalation risk: a mask is
@@ -70,7 +62,6 @@ struct TopKConfig {
   // engine generation with one lookup. A shared engine passed to the
   // overload below keeps the setting it was built with; the per-call
   // engine of the overload above never has a memo.
-  SteinerEngine engine = SteinerEngine::kFast;
   bool use_sp_cache = true;
   // When set, the independent child subproblems of each Lawler expansion
   // are solved on this pool and merged back in deterministic order.
@@ -121,8 +112,8 @@ struct RelevanceCertificate {
 // concurrent search runs the same enumeration) and, on a miss, given the
 // trees and certificate once after the enumeration; a hit returns
 // exactly what the stored run returned (the determinism contract
-// of docs/query_engine.md). A null engine, or config.engine == kLegacy,
-// falls back to the self-contained overload above. When `certificate` is
+// of docs/query_engine.md). A null engine falls back to the
+// self-contained overload above. When `certificate` is
 // non-null it is overwritten with this search's certificate (valid only
 // for untruncated exact runs; see RelevanceCertificate), which costs one
 // more round of Lawler children below the k-th tree.
@@ -140,6 +131,19 @@ std::vector<SteinerTree> TopKSteinerTrees(
     FastSteinerEngine* shared_engine,
     RelevanceCertificate* certificate = nullptr,
     const SnapshotPin* pin = nullptr);
+
+// Test seam: TopKSteinerTrees' Lawler enumeration (branching order,
+// seen-set, pool, limits) with each subproblem solved by `solve`: the
+// cheapest tree with every forced edge and no banned one, or nullopt.
+// Differential tests pass the referees of tests/reference_steiner.h; a
+// copy of the enumerator would have to duplicate its branching order.
+using SubproblemSolver = std::function<std::optional<SteinerTree>(
+    const std::vector<graph::EdgeId>& forced,
+    const std::vector<graph::EdgeId>& banned)>;
+std::vector<SteinerTree> EnumerateTopKForTest(
+    const graph::SearchGraph& graph,
+    const std::vector<graph::NodeId>& terminals, const TopKConfig& config,
+    const SubproblemSolver& solve);
 
 }  // namespace q::steiner
 

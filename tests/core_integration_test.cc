@@ -320,6 +320,95 @@ TEST(QSystemTest, RegistrationKeepsEachMatchersVote) {
   EXPECT_GT(two_votes_on_new_sources, 1u);
 }
 
+TEST(QSystemTest, RepeatedVoteCountsOnce) {
+  // One vote per matcher and edge (Sec. 3.4: one confidence feature per
+  // matcher). Re-running the initial alignment repeats every vote at the
+  // same confidence, which must change nothing: every association edge
+  // keeps its features, votes and cost, and the graph its revision. A
+  // repeat at a higher confidence moves the edge to that confidence's bin.
+  auto dataset = data::BuildInterProGo(SmallDataset());
+  QSystem q;
+  for (const auto& src : dataset.catalog.sources()) {
+    ASSERT_TRUE(q.RegisterSource(src).ok());
+  }
+  ASSERT_TRUE(q.RunInitialAlignment().ok());
+  const graph::SearchGraph& g = q.search_graph();
+  const std::vector<graph::EdgeId> edges =
+      g.EdgesOfKind(graph::EdgeKind::kAssociation);
+  ASSERT_FALSE(edges.empty());
+  std::vector<graph::FeatureVec> features;
+  std::vector<std::vector<graph::MatcherScore>> votes;
+  std::vector<double> costs;
+  for (graph::EdgeId e : edges) {
+    features.push_back(g.edge_features(e));
+    votes.push_back(g.edge_provenance(e));
+    costs.push_back(g.EdgeCost(e, q.weights()));
+  }
+  const std::uint64_t revision = g.revision();
+
+  ASSERT_TRUE(q.RunInitialAlignment().ok());
+  EXPECT_EQ(g.revision(), revision);
+  ASSERT_EQ(g.EdgesOfKind(graph::EdgeKind::kAssociation), edges);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const std::string label = g.node(g.edge(edges[i]).u).label + "|" +
+                              g.node(g.edge(edges[i]).v).label;
+    EXPECT_EQ(g.edge_features(edges[i]), features[i]) << label;
+    EXPECT_EQ(g.edge_provenance(edges[i]), votes[i]) << label;
+    EXPECT_EQ(g.EdgeCost(edges[i], q.weights()), costs[i]) << label;
+  }
+
+  // A lower repeat changes nothing either, not even the feature space:
+  // its bin is never interned.
+  const graph::EdgeView first = g.edge(edges[0]);
+  const std::string lowest_bin = "matcher:" + votes[0][0].matcher + ":bin0";
+  graph::FeatureId unused = 0;
+  ASSERT_GT(votes[0][0].confidence, 0.1);
+  ASSERT_FALSE(q.feature_space().Find(lowest_bin, &unused));
+  const std::size_t space_size = q.feature_space().size();
+  ASSERT_TRUE(q.AddAssociations({match::AlignmentCandidate{
+                                    g.node(first.u).attr, g.node(first.v).attr,
+                                    0.0, votes[0][0].matcher}})
+                  .ok());
+  EXPECT_EQ(g.revision(), revision);
+  EXPECT_EQ(q.feature_space().size(), space_size);
+  EXPECT_EQ(g.edge_features(edges[0]), features[0]);
+  EXPECT_EQ(g.edge_provenance(edges[0]), votes[0]);
+
+  // Raise one metadata vote to confidence 1.0.
+  auto bin_of = [&q](double confidence) {
+    return q.cost_model().MatcherConfidenceFeature("metadata", confidence)
+        .entries()[0]
+        .first;
+  };
+  std::size_t raised = edges.size();
+  for (std::size_t i = 0; i < edges.size() && raised == edges.size(); ++i) {
+    for (const graph::MatcherScore& vote : votes[i]) {
+      if (vote.matcher == "metadata" &&
+          bin_of(vote.confidence) != bin_of(1.0)) {
+        raised = i;
+      }
+    }
+  }
+  ASSERT_LT(raised, edges.size());
+  const graph::EdgeView edge = g.edge(edges[raised]);
+  graph::FeatureVec want = features[raised];
+  std::vector<graph::MatcherScore> want_votes = votes[raised];
+  for (graph::MatcherScore& vote : want_votes) {
+    if (vote.matcher != "metadata") continue;
+    ASSERT_TRUE(want.Remove(bin_of(vote.confidence)));
+    want.Add(bin_of(1.0), 1.0);
+    vote.confidence = 1.0;
+  }
+  ASSERT_TRUE(q.AddAssociations({match::AlignmentCandidate{
+                                    g.node(edge.u).attr, g.node(edge.v).attr,
+                                    1.0, "metadata"}})
+                  .ok());
+  EXPECT_GT(g.revision(), revision);
+  EXPECT_EQ(g.edge_features(edges[raised]), want);
+  EXPECT_EQ(g.edge_provenance(edges[raised]), want_votes);
+  EXPECT_LT(g.EdgeCost(edges[raised], q.weights()), costs[raised]);
+}
+
 TEST(QSystemTest, InvalidAndRankingFeedback) {
   auto dataset = data::BuildInterProGo(SmallDataset());
   QSystem q;

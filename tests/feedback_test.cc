@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "data/interpro_go.h"
 #include "feedback/feedback_log.h"
 #include "feedback/simulated_user.h"
 #include "graph/graph_builder.h"
 #include "query/query_graph.h"
+#include "steiner/fast_solver.h"
 #include "steiner/top_k.h"
 #include "text/text_index.h"
 
@@ -131,6 +136,30 @@ class SimulatedUserTest : public ::testing::Test {
         graph::MatcherScore{"m", 0.9});
   }
 
+  // Adds the i-th gold alignment as an association edge.
+  void AddGoldAssociation(std::size_t i, double confidence) {
+    auto a = graph_.FindAttributeNode(dataset_.gold_edges[i].a);
+    auto b = graph_.FindAttributeNode(dataset_.gold_edges[i].b);
+    ASSERT_TRUE(a.has_value() && b.has_value());
+    graph_.AddAssociationEdge(
+        *a, *b,
+        model_->AssociationFeatures("m", confidence, "x", "y",
+                                    "gold" + std::to_string(i)),
+        graph::MatcherScore{"m", confidence});
+  }
+
+  // The query graph's gold and non-gold association edges.
+  void SplitAssociations(const SimulatedUser& user,
+                         const query::QueryGraph& qg,
+                         std::vector<graph::EdgeId>* gold,
+                         std::vector<graph::EdgeId>* non_gold) {
+    for (graph::EdgeId e :
+         qg.graph.EdgesOfKind(graph::EdgeKind::kAssociation)) {
+      const steiner::SteinerTree alone{{e}, 0.0};
+      (user.IsGoldConsistent(qg, alone) ? gold : non_gold)->push_back(e);
+    }
+  }
+
   query::QueryGraph BuildQg(const std::vector<std::string>& keywords) {
     auto qg = query::BuildQueryGraph(graph_, index_, keywords, model_.get(),
                                      *weights_, query::QueryGraphOptions{});
@@ -213,6 +242,108 @@ TEST_F(SimulatedUserTest, SolveEndorsedTreeAvoidsNonGoldEdges) {
   EXPECT_TRUE(user.IsGoldConsistent(qg, *endorsed));
   EXPECT_TRUE(
       steiner::IsValidSteinerTree(qg.graph, *endorsed, qg.keyword_nodes));
+}
+
+// Each gold association forced in turn: on this fixture the only one
+// dangles (the cheapest tree holding it hangs it off the entry-name
+// answer), so there is no join answer even though a gold-consistent
+// answer exists.
+TEST_F(SimulatedUserTest, SolveEndorsedJoinTreeSkipsDanglingGoldEdges) {
+  SimulatedUser user(dataset_.gold_edges);
+  auto qg = BuildQg({"go term name", "entry"});
+  std::vector<graph::EdgeId> gold;
+  std::vector<graph::EdgeId> non_gold;
+  SplitAssociations(user, qg, &gold, &non_gold);
+  ASSERT_EQ(gold.size(), 1u);
+  steiner::FastSteinerEngine engine(qg.graph, *weights_, /*use_memo=*/false);
+  auto forced = engine.SolveExact(qg.keyword_nodes, {gold[0]}, non_gold);
+  ASSERT_TRUE(forced.has_value());
+  EXPECT_FALSE(
+      steiner::IsProperSteinerTree(qg.graph, *forced, qg.keyword_nodes));
+
+  EXPECT_FALSE(user.SolveEndorsedJoinTree(qg, *weights_).has_value());
+  EXPECT_TRUE(user.SolveEndorsedTree(qg, *weights_).has_value());
+}
+
+// Five more gold associations, the first of them at a low confidence:
+// the forced solves give proper join answers of several costs, the
+// cheapest neither the first nor the last of them, and the one forcing
+// the fixture's own gold edge dangles. The cheapest by TreeLess wins.
+TEST_F(SimulatedUserTest, SolveEndorsedJoinTreeKeepsTheCheapestForcedTree) {
+  AddGoldAssociation(3, 0.5);
+  for (std::size_t i : {2, 6, 5, 7}) AddGoldAssociation(i, 0.9);
+  SimulatedUser user(dataset_.gold_edges);
+  auto qg = BuildQg({"entry", "pub title"});
+  std::vector<graph::EdgeId> gold;
+  std::vector<graph::EdgeId> non_gold;
+  SplitAssociations(user, qg, &gold, &non_gold);
+  ASSERT_EQ(gold.size(), 6u);
+  steiner::FastSteinerEngine engine(qg.graph, *weights_, /*use_memo=*/false);
+  std::vector<steiner::SteinerTree> proper;
+  for (graph::EdgeId e : gold) {
+    auto tree = engine.SolveExact(qg.keyword_nodes, {e}, non_gold);
+    ASSERT_TRUE(tree.has_value());
+    EXPECT_NE(std::find(tree->edges.begin(), tree->edges.end(), e),
+              tree->edges.end());
+    if (steiner::IsProperSteinerTree(qg.graph, *tree, qg.keyword_nodes)) {
+      proper.push_back(std::move(*tree));
+    }
+  }
+  ASSERT_GE(proper.size(), 3u);
+  ASSERT_LT(proper.size(), gold.size());
+  const auto cheapest =
+      std::min_element(proper.begin(), proper.end(), steiner::TreeLess);
+  ASSERT_NE(cheapest, proper.begin());
+  ASSERT_NE(cheapest, proper.end() - 1);
+
+  auto join = user.SolveEndorsedJoinTree(qg, *weights_);
+  ASSERT_TRUE(join.has_value());
+  EXPECT_EQ(join->edges, cheapest->edges);
+  EXPECT_EQ(join->cost, cheapest->cost);
+  EXPECT_TRUE(user.IsGoldConsistent(qg, *join));
+}
+
+// The intent tree pins each keyword to its cheapest match edge. Without a
+// gold path between the two pinned relations there is no proper answer,
+// although the unpinned gold-consistent answer exists; the second gold
+// association joins them.
+TEST_F(SimulatedUserTest, SolveIntentTreePinsEachKeywordToItsCheapestMatch) {
+  SimulatedUser user(dataset_.gold_edges);
+  const std::vector<std::string> keywords = {"go term name", "entry"};
+  {
+    auto qg = BuildQg(keywords);
+    EXPECT_FALSE(user.SolveIntentTree(qg, *weights_).has_value());
+    EXPECT_TRUE(user.SolveEndorsedTree(qg, *weights_).has_value());
+  }
+  AddGoldAssociation(1, 0.9);
+  auto qg = BuildQg(keywords);
+  auto intent = user.SolveIntentTree(qg, *weights_);
+  ASSERT_TRUE(intent.has_value());
+  EXPECT_TRUE(
+      steiner::IsProperSteinerTree(qg.graph, *intent, qg.keyword_nodes));
+  EXPECT_TRUE(user.IsGoldConsistent(qg, *intent));
+  for (graph::NodeId kw : qg.keyword_nodes) {
+    graph::EdgeId cheapest = graph::kInvalidEdge;
+    for (graph::EdgeId e : qg.graph.edges_of(kw)) {
+      if (qg.graph.edge(e).kind != graph::EdgeKind::kKeywordMatch) continue;
+      if (cheapest == graph::kInvalidEdge ||
+          qg.graph.EdgeCost(e, *weights_) <
+              qg.graph.EdgeCost(cheapest, *weights_)) {
+        cheapest = e;
+      }
+    }
+    std::vector<graph::EdgeId> used;
+    for (graph::EdgeId e : intent->edges) {
+      const graph::EdgeView edge = qg.graph.edge(e);
+      if (edge.u == kw || edge.v == kw) used.push_back(e);
+    }
+    EXPECT_EQ(used, std::vector<graph::EdgeId>{cheapest})
+        << qg.graph.node(kw).label;
+  }
+  // Pinning costs the unpinned optimum its cheaper entry-name route.
+  auto endorsed = user.SolveEndorsedTree(qg, *weights_);
+  ASSERT_TRUE(endorsed.has_value());
+  EXPECT_LT(endorsed->cost, intent->cost);
 }
 
 }  // namespace

@@ -50,6 +50,7 @@
 #include "data/interpro_go.h"
 #include "data/onboarding.h"
 #include "graph/graph_builder.h"
+#include "match/alignment.h"
 #include "query/executor.h"
 #include "steiner/fast_solver.h"
 #include "util/random.h"
@@ -1166,10 +1167,21 @@ TEST(ServeConcurrencyTest, SynchronousFeedbackReturnsWithItsRoundDrained) {
 // serving gate itself around its rebuilds, so neither may hold the gate
 // across the round: with views open and QueryView readers running, both
 // return (no deadlock) and no reader fails. The weight nudge gives the
-// first one repairs to run; the re-run alignment re-installs every
-// association, which rebuilds every view.
+// first one repairs to run. The re-run alignment's own votes repeat and
+// change nothing, so one new association pair, added just before it,
+// makes its round rebuild every view.
 TEST(ServeConcurrencyTest, SynchronousFullRefreshesRaceQueryReaders) {
   Harness h(/*async=*/false);
+  const match::AlignmentCandidate pair{
+      relational::AttributeId{"go", "go_term", "definition"},
+      relational::AttributeId{"interpro", "entry", "created"}, 0.5, "test"};
+  {
+    const graph::SearchGraph& g = h.q->search_graph();
+    const auto a = g.FindAttributeNode(pair.a);
+    const auto b = g.FindAttributeNode(pair.b);
+    ASSERT_TRUE(a.has_value() && b.has_value());
+    ASSERT_FALSE(g.FindAssociation(*a, *b).has_value());
+  }
   std::atomic<bool> done{false};
   std::atomic<std::size_t> reads{0};
   std::atomic<std::size_t> failures{0};
@@ -1192,11 +1204,13 @@ TEST(ServeConcurrencyTest, SynchronousFullRefreshesRaceQueryReaders) {
   const RefreshEngineStats before = h.q->refresh_engine().stats();
   h.q->mutable_weights().Nudge(graph::FeatureSpace::kDefaultFeature, 0.05);
   const util::Status refreshed = h.q->RefreshAllViews();
+  const util::Status associated = h.q->AddAssociations({pair});
   const util::Status aligned = h.q->RunInitialAlignment();
   done.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
 
   ASSERT_TRUE(refreshed.ok()) << refreshed.ToString();
+  ASSERT_TRUE(associated.ok()) << associated.ToString();
   ASSERT_TRUE(aligned.ok()) << aligned.ToString();
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_GT(reads.load(), 0u);

@@ -1,9 +1,10 @@
 // Randomized differential harness for the fast Steiner engine: across ~50
-// seeded (random graph x weight perturbation) configurations, the
-// fast-path top-k enumeration must reproduce the legacy SteinerProblem
-// engine's output exactly — same tree costs and same edge sets — for both
-// solver families, under forced/banned-edge overlays, and through the
-// weight-only Recost fast path (a re-costed snapshot must be
+// seeded (random graph x weight perturbation) configurations, and on the
+// micro-kernel bench's two 1,000-node graphs, the fast-path top-k
+// enumeration must reproduce the contracted referee's output
+// (tests/reference_steiner.h) exactly — same tree costs and same edge
+// sets — for both solver families, under forced/banned-edge overlays, and
+// through the weight-only Recost fast path (a re-costed snapshot must be
 // indistinguishable from a freshly built one, including across a warm
 // enumeration memo).
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,10 +21,8 @@
 #include "core/q_system.h"
 #include "data/interpro_go.h"
 #include "graph/search_graph.h"
-#include "steiner/exact_solver.h"
+#include "reference_steiner.h"
 #include "steiner/fast_solver.h"
-#include "steiner/kmb_solver.h"
-#include "steiner/problem.h"
 #include "steiner/shard.h"
 #include "steiner/top_k.h"
 #include "steiner/top_k_memo.h"
@@ -37,15 +37,17 @@ using graph::NodeId;
 
 // Connected random graph with one feature per edge so every weight
 // perturbation re-prices every edge independently. Distinct random
-// initial weights keep costs tie-free, which is the regime where fast and
-// legacy engines must agree edge-for-edge.
+// initial weights keep costs tie-free, which is the regime where the fast
+// engine and the referee must agree edge-for-edge. Costs are drawn from
+// [0.1, 0.1 + cost_span).
 struct DiffGraph {
   graph::FeatureSpace space;
   graph::SearchGraph graph;
   std::unique_ptr<graph::WeightVector> weights;
   std::vector<NodeId> terminals;
 
-  DiffGraph(util::Rng* rng, std::size_t n, std::size_t m, std::size_t t) {
+  DiffGraph(util::Rng* rng, std::size_t n, std::size_t m, std::size_t t,
+            double cost_span = 1.0) {
     for (std::size_t i = 0; i < n; ++i) {
       graph.AddNode(graph::NodeKind::kAttribute, "n" + std::to_string(i));
     }
@@ -57,7 +59,7 @@ struct DiffGraph {
       e.kind = graph::EdgeKind::kAssociation;
       graph::FeatureVec f;
       f.Add(space.Intern("e" + std::to_string(graph.num_edges()),
-                         0.1 + rng->UniformDouble()),
+                         0.1 + rng->UniformDouble() * cost_span),
             1.0);
       e.features = std::move(f);
       graph.AddEdge(std::move(e));
@@ -129,13 +131,11 @@ struct DiffGraph {
   }
 };
 
-std::vector<SteinerTree> RunTopK(const DiffGraph& g, SteinerEngine engine,
-                                 bool approximate) {
+TopKConfig Config(bool approximate) {
   TopKConfig config;
   config.k = 5;
   config.approximate = approximate;
-  config.engine = engine;
-  return TopKSteinerTrees(g.graph, *g.weights, g.terminals, config);
+  return config;
 }
 
 // Same trees: edge sets exact, costs to float tolerance (the engines sum
@@ -152,7 +152,7 @@ void ExpectSameTrees(const std::vector<SteinerTree>& legacy,
 
 class DifferentialTest : public ::testing::TestWithParam<int> {};
 
-// 10 graphs x (1 initial + 4 perturbed) weight vectors = 50 fast-vs-legacy
+// 10 graphs x (1 initial + 4 perturbed) weight vectors = 50 fast-vs-referee
 // top-k configurations, each checked for KMB and the exact DP.
 TEST_P(DifferentialTest, FastMatchesLegacyAcrossWeightPerturbations) {
   util::Rng rng(31000 + GetParam());
@@ -162,8 +162,11 @@ TEST_P(DifferentialTest, FastMatchesLegacyAcrossWeightPerturbations) {
     if (perturbation > 0) g.PerturbWeights(&rng);
     std::string label = "perturbation " + std::to_string(perturbation);
     for (bool approximate : {false, true}) {
-      auto legacy = RunTopK(g, SteinerEngine::kLegacy, approximate);
-      auto fast = RunTopK(g, SteinerEngine::kFast, approximate);
+      auto legacy = reference::TopKSteinerTrees(g.graph, *g.weights,
+                                                g.terminals,
+                                                Config(approximate));
+      auto fast = TopKSteinerTrees(g.graph, *g.weights, g.terminals,
+                                   Config(approximate));
       ASSERT_FALSE(legacy.empty()) << label;
       ExpectSameTrees(legacy, fast,
                       label + (approximate ? " kmb" : " exact"));
@@ -174,12 +177,56 @@ TEST_P(DifferentialTest, FastMatchesLegacyAcrossWeightPerturbations) {
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, DifferentialTest,
                          ::testing::Range(0, 10));
 
+// bench_micro_kernels' Steiner fixtures: 1,000 nodes, costs in [0.1, 2.1),
+// 4 terminals, k = 10. The fast engine, with and without the pool, must
+// return the referee's trees.
+struct BenchFixture {
+  const char* name;
+  std::uint64_t seed;
+  std::size_t edges;
+  bool approximate;
+};
+
+void PrintTo(const BenchFixture& fixture, std::ostream* os) {
+  *os << fixture.name;
+}
+
+class BenchFixtureDifferentialTest
+    : public ::testing::TestWithParam<BenchFixture> {};
+
+TEST_P(BenchFixtureDifferentialTest, FastMatchesRefereeWithAndWithoutPool) {
+  const BenchFixture& fixture = GetParam();
+  util::Rng rng(fixture.seed);
+  DiffGraph g(&rng, 1000, fixture.edges, 4, /*cost_span=*/2.0);
+  TopKConfig config;
+  config.k = 10;
+  config.approximate = fixture.approximate;
+  const auto legacy =
+      reference::TopKSteinerTrees(g.graph, *g.weights, g.terminals, config);
+  ASSERT_EQ(legacy.size(), 10u);
+  util::ThreadPool pool(2);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    config.pool = p;
+    ExpectSameTrees(
+        legacy, TopKSteinerTrees(g.graph, *g.weights, g.terminals, config),
+        p != nullptr ? "pool" : "sequential");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    MicroKernelFixtures, BenchFixtureDifferentialTest,
+    ::testing::Values(BenchFixture{"kmb", 42, 3000, true},
+                      BenchFixture{"exact", 7, 2200, false}),
+    [](const ::testing::TestParamInfo<BenchFixture>& info) {
+      return std::string(info.param.name);
+    });
+
 class OverlayDifferentialTest : public ::testing::TestWithParam<int> {};
 
 // Solver-level differential under forced/banned overlays after a weight
 // perturbation: walk the best tree Lawler-style (force a growing prefix,
-// ban the next edge) and require the overlay solver to match the legacy
-// contraction semantics at every step.
+// ban the next edge) and require the overlay solver to match the
+// referee's contraction semantics at every step.
 TEST_P(OverlayDifferentialTest, ForcedBannedOverlaysMatchLegacy) {
   util::Rng rng(32000 + GetParam());
   DiffGraph g(&rng, 24, 55, 3);
@@ -193,15 +240,16 @@ TEST_P(OverlayDifferentialTest, ForcedBannedOverlaysMatchLegacy) {
   std::vector<EdgeId> banned;
   for (EdgeId e : base->edges) {
     banned.assign(1, e);
-    SteinerProblem problem(g.graph, *g.weights, g.terminals, forced, banned);
-    auto legacy_kmb = SolveKmbSteiner(problem);
+    reference::SteinerProblem problem(g.graph, *g.weights, g.terminals,
+                                      forced, banned);
+    auto legacy_kmb = reference::SolveKmbSteiner(problem);
     auto fast_kmb = engine.SolveKmb(g.terminals, forced, banned);
     ASSERT_EQ(legacy_kmb.has_value(), fast_kmb.has_value());
     if (fast_kmb.has_value()) {
       EXPECT_EQ(legacy_kmb->edges, fast_kmb->edges);
       EXPECT_NEAR(legacy_kmb->cost, fast_kmb->cost, 1e-9);
     }
-    auto legacy_exact = SolveExactSteiner(problem);
+    auto legacy_exact = reference::SolveExactSteiner(problem);
     auto fast_exact = engine.SolveExact(g.terminals, forced, banned);
     ASSERT_EQ(legacy_exact.has_value(), fast_exact.has_value());
     if (fast_exact.has_value()) {

@@ -3,7 +3,8 @@
 // tie-heavy graphs with zero-cost edges and forced/banned overlays — the
 // fast engine must produce byte-identical top-k results whether or not
 // the enumeration memo and the thread pool are enabled, and must match
-// the legacy SteinerProblem engine whenever edge costs are distinct.
+// the contracted referee (tests/reference_steiner.h) whenever edge costs
+// are distinct.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -11,10 +12,8 @@
 #include <vector>
 
 #include "graph/search_graph.h"
-#include "steiner/exact_solver.h"
+#include "reference_steiner.h"
 #include "steiner/fast_solver.h"
-#include "steiner/kmb_solver.h"
-#include "steiner/problem.h"
 #include "steiner/top_k.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -74,14 +73,13 @@ struct RandomGraph {
 // `cache` runs on `memo_engine`, a memo engine over g that the caller
 // keeps across runs, so a repeat is served from the memo; otherwise each
 // run builds its own engine.
-std::vector<SteinerTree> RunTopK(const RandomGraph& g, SteinerEngine engine,
-                                 bool cache, util::ThreadPool* pool,
-                                 bool approximate, int k = 6,
+std::vector<SteinerTree> RunTopK(const RandomGraph& g, bool cache,
+                                 util::ThreadPool* pool, bool approximate,
+                                 int k = 6,
                                  FastSteinerEngine* memo_engine = nullptr) {
   TopKConfig config;
   config.k = k;
   config.approximate = approximate;
-  config.engine = engine;
   config.use_sp_cache = cache;
   config.pool = pool;
   return TopKSteinerTrees(g.graph, *g.weights, g.terminals, config,
@@ -110,19 +108,16 @@ TEST_P(FastPathIdentityTest, CacheAndPoolAreByteIdentical) {
   util::ThreadPool pool(4);
   FastSteinerEngine memo_engine(g.graph, *g.weights, /*use_memo=*/true);
   for (bool approximate : {false, true}) {
-    auto base = RunTopK(g, SteinerEngine::kFast, false, nullptr, approximate);
-    auto cached = RunTopK(g, SteinerEngine::kFast, true, nullptr, approximate,
-                          6, &memo_engine);
-    auto pooled = RunTopK(g, SteinerEngine::kFast, false, &pool, approximate);
-    auto both = RunTopK(g, SteinerEngine::kFast, true, &pool, approximate, 6,
-                        &memo_engine);
+    auto base = RunTopK(g, false, nullptr, approximate);
+    auto cached = RunTopK(g, true, nullptr, approximate, 6, &memo_engine);
+    auto pooled = RunTopK(g, false, &pool, approximate);
+    auto both = RunTopK(g, true, &pool, approximate, 6, &memo_engine);
     std::string label = approximate ? "kmb" : "exact";
     ExpectIdentical(base, cached, label + " cache");
     ExpectIdentical(base, pooled, label + " pool");
     ExpectIdentical(base, both, label + " cache+pool");
     // Re-running with a warm engine state must also be stable.
-    auto again = RunTopK(g, SteinerEngine::kFast, true, &pool, approximate,
-                         6, &memo_engine);
+    auto again = RunTopK(g, true, &pool, approximate, 6, &memo_engine);
     ExpectIdentical(base, again, label + " rerun");
   }
 }
@@ -133,16 +128,19 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, FastPathIdentityTest,
 class FastVsLegacyTest : public ::testing::TestWithParam<int> {};
 
 // With distinct random costs (no ties), the fast engine must reproduce
-// the legacy engine's trees exactly, for both solver families.
+// the referee's trees exactly, for both solver families.
 TEST_P(FastVsLegacyTest, MatchesLegacyOnDistinctCosts) {
   util::Rng rng(9100 + GetParam());
   RandomGraph g(&rng, 30 + rng.Uniform(30), 70 + rng.Uniform(50),
                 3 + rng.Uniform(2), /*zero_cost_fraction=*/0.0);
   util::ThreadPool pool(2);
   for (bool approximate : {false, true}) {
-    auto legacy = RunTopK(g, SteinerEngine::kLegacy, false, nullptr,
-                          approximate);
-    auto fast = RunTopK(g, SteinerEngine::kFast, true, &pool, approximate);
+    TopKConfig config;
+    config.k = 6;
+    config.approximate = approximate;
+    auto legacy = reference::TopKSteinerTrees(g.graph, *g.weights,
+                                              g.terminals, config);
+    auto fast = RunTopK(g, true, &pool, approximate);
     std::string label = approximate ? "kmb" : "exact";
     ASSERT_EQ(legacy.size(), fast.size()) << label;
     for (std::size_t i = 0; i < legacy.size(); ++i) {
@@ -156,8 +154,8 @@ TEST_P(FastVsLegacyTest, MatchesLegacyOnDistinctCosts) {
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, FastVsLegacyTest,
                          ::testing::Range(0, 12));
 
-// Direct solver-level check of forced/banned overlays against the legacy
-// contraction semantics, including infeasible subproblems.
+// Direct solver-level check of forced/banned overlays against the
+// referee's contraction semantics, including infeasible subproblems.
 TEST(FastSolverOverlayTest, ForcedAndBannedMatchContraction) {
   util::Rng rng(77);
   RandomGraph g(&rng, 24, 60, 3, 0.0);
@@ -172,8 +170,9 @@ TEST(FastSolverOverlayTest, ForcedAndBannedMatchContraction) {
   for (EdgeId e : base->edges) {
     banned.assign(1, e);
     auto fast = engine.SolveKmb(g.terminals, forced, banned);
-    SteinerProblem problem(g.graph, *g.weights, g.terminals, forced, banned);
-    auto legacy = SolveKmbSteiner(problem);
+    reference::SteinerProblem problem(g.graph, *g.weights, g.terminals,
+                                      forced, banned);
+    auto legacy = reference::SolveKmbSteiner(problem);
     ASSERT_EQ(fast.has_value(), legacy.has_value());
     if (fast.has_value()) {
       EXPECT_EQ(fast->edges, legacy->edges);
@@ -181,7 +180,7 @@ TEST(FastSolverOverlayTest, ForcedAndBannedMatchContraction) {
     }
 
     auto fast_exact = engine.SolveExact(g.terminals, forced, banned);
-    auto legacy_exact = SolveExactSteiner(problem);
+    auto legacy_exact = reference::SolveExactSteiner(problem);
     ASSERT_EQ(fast_exact.has_value(), legacy_exact.has_value());
     if (fast_exact.has_value()) {
       EXPECT_EQ(fast_exact->edges, legacy_exact->edges);

@@ -3,13 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <optional>
+#include <ostream>
 #include <set>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "graph/search_graph.h"
-#include "steiner/exact_solver.h"
-#include "steiner/kmb_solver.h"
-#include "steiner/problem.h"
+#include "reference_steiner.h"
+#include "steiner/fast_solver.h"
 #include "steiner/steiner_tree.h"
 #include "steiner/top_k.h"
 #include "util/random.h"
@@ -23,6 +27,9 @@ using graph::FeatureVec;
 using graph::NodeId;
 using graph::SearchGraph;
 using graph::WeightVector;
+using reference::SolveExactSteiner;
+using reference::SolveKmbSteiner;
+using reference::SteinerProblem;
 
 // Test harness: a graph whose edge i costs costs[i], encoded as one
 // feature per edge with the cost as initial weight.
@@ -69,6 +76,47 @@ std::vector<SteinerTree> BruteForceAllTrees(
   return trees;
 }
 
+// A single-tree solver under test: the subspace optimum holding every
+// forced edge and no banned one, or nullopt. The hand-built cases below
+// run against both the contracted referee and the production engine.
+using Solve = std::optional<SteinerTree> (*)(
+    const TestGraph& tg, const std::vector<NodeId>& terminals,
+    const std::vector<EdgeId>& forced, const std::vector<EdgeId>& banned);
+
+template <bool kKmb>
+std::optional<SteinerTree> Referee(const TestGraph& tg,
+                                   const std::vector<NodeId>& terminals,
+                                   const std::vector<EdgeId>& forced,
+                                   const std::vector<EdgeId>& banned) {
+  SteinerProblem problem(tg.graph, *tg.weights, terminals, forced, banned);
+  return kKmb ? SolveKmbSteiner(problem) : SolveExactSteiner(problem);
+}
+
+template <bool kKmb>
+std::optional<SteinerTree> Fast(const TestGraph& tg,
+                                const std::vector<NodeId>& terminals,
+                                const std::vector<EdgeId>& forced,
+                                const std::vector<EdgeId>& banned) {
+  FastSteinerEngine engine(tg.graph, *tg.weights, /*use_memo=*/false);
+  return kKmb ? engine.SolveKmb(terminals, forced, banned)
+              : engine.SolveExact(terminals, forced, banned);
+}
+
+struct SolverPair {
+  const char* name;
+  Solve exact;
+  Solve kmb;
+};
+
+const SolverPair kSolvers[] = {{"referee", &Referee<false>, &Referee<true>},
+                               {"fast", &Fast<false>, &Fast<true>}};
+
+void PrintTo(const SolverPair& solver, std::ostream* os) { *os << solver.name; }
+
+std::string SolverName(const ::testing::TestParamInfo<SolverPair>& info) {
+  return info.param.name;
+}
+
 TEST(SteinerTreeTest, ValidityChecks) {
   TestGraph tg(4);
   EdgeId e01 = tg.AddEdge(0, 1, 1.0);
@@ -101,21 +149,22 @@ TEST(SteinerTreeTest, SymmetricLoss) {
   EXPECT_DOUBLE_EQ(SymmetricEdgeLoss(a, empty), 3.0);
 }
 
-TEST(ExactSolverTest, TwoTerminalsIsShortestPath) {
+class ExactSolverTest : public ::testing::TestWithParam<SolverPair> {};
+
+TEST_P(ExactSolverTest, TwoTerminalsIsShortestPath) {
   TestGraph tg(4);
   tg.AddEdge(0, 1, 1.0);
   tg.AddEdge(1, 3, 1.0);
   tg.AddEdge(0, 2, 0.5);
   tg.AddEdge(2, 3, 0.6);
 
-  SteinerProblem problem(tg.graph, *tg.weights, {0, 3}, {}, {});
-  auto tree = SolveExactSteiner(problem);
+  auto tree = GetParam().exact(tg, {0, 3}, {}, {});
   ASSERT_TRUE(tree.has_value());
   EXPECT_NEAR(tree->cost, 1.1, 1e-9);
   EXPECT_EQ(tree->edges.size(), 2u);
 }
 
-TEST(ExactSolverTest, ClassicSteinerPointCase) {
+TEST_P(ExactSolverTest, ClassicSteinerPointCase) {
   // Star: terminals 0,1,2 all connect to hub 3 with cost 1; pairwise
   // terminal edges cost 1.9. Optimum uses the hub (cost 3 < 3.8).
   TestGraph tg(4);
@@ -125,30 +174,27 @@ TEST(ExactSolverTest, ClassicSteinerPointCase) {
   tg.AddEdge(0, 1, 1.9);
   tg.AddEdge(1, 2, 1.9);
 
-  SteinerProblem problem(tg.graph, *tg.weights, {0, 1, 2}, {}, {});
-  auto tree = SolveExactSteiner(problem);
+  auto tree = GetParam().exact(tg, {0, 1, 2}, {}, {});
   ASSERT_TRUE(tree.has_value());
   EXPECT_NEAR(tree->cost, 3.0, 1e-9);
   EXPECT_EQ(tree->edges.size(), 3u);
 }
 
-TEST(ExactSolverTest, DisconnectedTerminalsReturnNullopt) {
+TEST_P(ExactSolverTest, DisconnectedTerminalsReturnNullopt) {
   TestGraph tg(4);
   tg.AddEdge(0, 1, 1.0);
   tg.AddEdge(2, 3, 1.0);
-  SteinerProblem problem(tg.graph, *tg.weights, {0, 3}, {}, {});
-  EXPECT_FALSE(SolveExactSteiner(problem).has_value());
+  EXPECT_FALSE(GetParam().exact(tg, {0, 3}, {}, {}).has_value());
 }
 
-TEST(ExactSolverTest, ForcedEdgesAreContractedAndCharged) {
+TEST_P(ExactSolverTest, ForcedEdgesAreContractedAndCharged) {
   TestGraph tg(4);
   EdgeId e01 = tg.AddEdge(0, 1, 5.0);  // expensive but forced
   tg.AddEdge(1, 2, 1.0);
   tg.AddEdge(0, 2, 0.5);
   tg.AddEdge(2, 3, 1.0);
 
-  SteinerProblem problem(tg.graph, *tg.weights, {0, 3}, {e01}, {});
-  auto tree = SolveExactSteiner(problem);
+  auto tree = GetParam().exact(tg, {0, 3}, {e01}, {});
   ASSERT_TRUE(tree.has_value());
   // Must contain the forced edge plus the cheapest completion.
   EXPECT_NE(std::find(tree->edges.begin(), tree->edges.end(), e01),
@@ -156,26 +202,27 @@ TEST(ExactSolverTest, ForcedEdgesAreContractedAndCharged) {
   EXPECT_NEAR(tree->cost, 5.0 + 0.5 + 1.0, 1e-9);
 }
 
-TEST(ExactSolverTest, BannedEdgesAreAvoided) {
+TEST_P(ExactSolverTest, BannedEdgesAreAvoided) {
   TestGraph tg(3);
   EdgeId cheap = tg.AddEdge(0, 2, 0.1);
   tg.AddEdge(0, 1, 1.0);
   tg.AddEdge(1, 2, 1.0);
-  SteinerProblem problem(tg.graph, *tg.weights, {0, 2}, {}, {cheap});
-  auto tree = SolveExactSteiner(problem);
+  auto tree = GetParam().exact(tg, {0, 2}, {}, {cheap});
   ASSERT_TRUE(tree.has_value());
   EXPECT_NEAR(tree->cost, 2.0, 1e-9);
 }
 
-TEST(ExactSolverTest, SingleTerminalYieldsEmptyTree) {
+TEST_P(ExactSolverTest, SingleTerminalYieldsEmptyTree) {
   TestGraph tg(3);
   tg.AddEdge(0, 1, 1.0);
-  SteinerProblem problem(tg.graph, *tg.weights, {1}, {}, {});
-  auto tree = SolveExactSteiner(problem);
+  auto tree = GetParam().exact(tg, {1}, {}, {});
   ASSERT_TRUE(tree.has_value());
   EXPECT_TRUE(tree->edges.empty());
   EXPECT_DOUBLE_EQ(tree->cost, 0.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Solvers, ExactSolverTest,
+                         ::testing::ValuesIn(kSolvers), SolverName);
 
 // Property test: exact solver matches brute force on random graphs.
 class ExactVsBruteForceTest : public ::testing::TestWithParam<int> {};
@@ -200,16 +247,18 @@ TEST_P(ExactVsBruteForceTest, OptimalCostMatches) {
   }
 
   auto brute = BruteForceAllTrees(tg, terminals);
-  SteinerProblem problem(tg.graph, *tg.weights, terminals, {}, {});
-  auto tree = SolveExactSteiner(problem);
-  if (brute.empty()) {
-    EXPECT_FALSE(tree.has_value());
-    return;
+  for (const SolverPair& solver : kSolvers) {
+    SCOPED_TRACE(solver.name);
+    auto tree = solver.exact(tg, terminals, {}, {});
+    if (brute.empty()) {
+      EXPECT_FALSE(tree.has_value());
+      continue;
+    }
+    ASSERT_TRUE(tree.has_value());
+    EXPECT_NEAR(tree->cost, brute[0].cost, 1e-9);
+    EXPECT_TRUE(IsValidSteinerTree(tg.graph, *tree, terminals));
+    EXPECT_NEAR(TreeCost(tg.graph, *tg.weights, *tree), tree->cost, 1e-9);
   }
-  ASSERT_TRUE(tree.has_value());
-  EXPECT_NEAR(tree->cost, brute[0].cost, 1e-9);
-  EXPECT_TRUE(IsValidSteinerTree(tg.graph, *tree, terminals));
-  EXPECT_NEAR(TreeCost(tg.graph, *tg.weights, *tree), tree->cost, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, ExactVsBruteForceTest,
@@ -232,15 +281,18 @@ TEST(KmbSolverTest, ValidAndWithinApproximationBound) {
     }
     std::vector<NodeId> terminals{0, static_cast<NodeId>(n - 1),
                                   static_cast<NodeId>(n / 2)};
-    SteinerProblem problem(tg.graph, *tg.weights, terminals, {}, {});
-    auto exact = SolveExactSteiner(problem);
-    auto approx = SolveKmbSteiner(problem);
-    ASSERT_EQ(exact.has_value(), approx.has_value());
-    if (!exact.has_value()) continue;
-    EXPECT_TRUE(IsValidSteinerTree(tg.graph, *approx, terminals));
-    // KMB guarantees 2(1 - 1/t) * OPT.
-    EXPECT_LE(approx->cost, 2.0 * exact->cost + 1e-9);
-    EXPECT_GE(approx->cost, exact->cost - 1e-9);
+    for (const SolverPair& solver : kSolvers) {
+      SCOPED_TRACE(std::string(solver.name) + " trial " +
+                   std::to_string(trial));
+      auto exact = solver.exact(tg, terminals, {}, {});
+      auto approx = solver.kmb(tg, terminals, {}, {});
+      ASSERT_EQ(exact.has_value(), approx.has_value());
+      if (!exact.has_value()) continue;
+      EXPECT_TRUE(IsValidSteinerTree(tg.graph, *approx, terminals));
+      // KMB guarantees 2(1 - 1/t) * OPT.
+      EXPECT_LE(approx->cost, 2.0 * exact->cost + 1e-9);
+      EXPECT_GE(approx->cost, exact->cost - 1e-9);
+    }
   }
 }
 
