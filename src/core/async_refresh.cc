@@ -94,21 +94,18 @@ util::Status AsyncRefreshScheduler::RunRound(
     staging_status = RebuildViews(rebuilds, rebuild_counter);
   }
 
+  // Freeze the weight vector for this epoch's repairs: the serving copy
+  // prices like the live vector right now and never changes, so repairs
+  // can read it while the feedback thread keeps applying MIRA updates to
+  // the live one. The feedback lock is held by our caller, so the live
+  // vector cannot move between the classification above and this copy.
+  // Skipped when no view needs a repair. (Busy views are in `repairs`, so
+  // any task that will re-run gets a fresh copy.)
+  std::shared_ptr<const graph::WeightVector> frozen =
+      repairs.empty() ? nullptr : engine_->ServingWeights(*weights_);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!repairs.empty()) {
-      // Freeze the weight vector for this epoch's repairs: the copy
-      // equals the live vector (values and journal) right now and never
-      // changes, so repairs can read it while the feedback thread keeps
-      // applying MIRA updates to the live one. The feedback lock is held
-      // by our caller, so the live vector cannot move between the
-      // classification above and this copy. Skipped when no view needs a
-      // repair — the copy is O(features + journal) and would sit on the
-      // ack's critical path for nothing. (Busy views are in `repairs`, so
-      // any task that will re-run gets a fresh copy.)
-      frozen_weights_ =
-          std::make_shared<const graph::WeightVector>(*weights_);
-    }
+    if (frozen != nullptr) frozen_weights_ = std::move(frozen);
     for (std::size_t slot : repairs) {
       ++stats_.repairs_scheduled;
       queue_.Submit(slot, [this, slot] { RepairOne(slot); });
@@ -244,13 +241,13 @@ void AsyncRefreshScheduler::RepairOne(std::size_t slot) {
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.repairs_run;
     // Reconcile to the *latest* epoch, not the one that queued us: the
-    // frozen copy carries the full journal, so a repair that absorbed
+    // frozen copy is the latest weight vector, so a repair that absorbed
     // two feedback updates commits both — exactly what coalescing means.
     target = epoch_;
     frozen = frozen_weights_;
   }
   util::Status status =
-      engine_->RepairViewAsync(slot, *base_, *catalog_, *frozen);
+      engine_->RepairViewAsync(slot, *base_, *catalog_, std::move(frozen));
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (status.ok()) {

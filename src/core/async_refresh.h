@@ -57,10 +57,10 @@ struct AsyncRefreshStats {
 //     their slots and installed before the round returns (RebuildViews);
 //     views with a weight delta get a repair task queued.
 //   * Repair tasks (pool threads, one per affected view): re-cost the
-//     view's CSR snapshot and, unless the re-cost moved nothing, re-run
-//     its search against a frozen copy of the weight vector (value- and
-//     journal-identical to the live vector at the repair's target epoch),
-//     then publish the new ViewSnapshot and mark the view validated.
+//     view's CSR snapshot against a frozen copy of the weight vector (the
+//     RefreshEngine::ServingWeights copy at the repair's target epoch)
+//     and, unless the re-cost moved nothing, re-run its search, then
+//     publish the new ViewSnapshot and mark the view validated.
 //     util::KeyedTaskQueue gives per-view ordering (repairs of one view
 //     never overlap or reorder) and coalesces superseded repairs (a
 //     pending repair is subsumed by a newer one, since every repair
@@ -76,9 +76,9 @@ struct AsyncRefreshStats {
 // Determinism contract: at quiescence (Drain returned, no feedback in
 // flight) every view's published output is bit-identical to an
 // independent TopKView::Refresh after the same sequence of base-state
-// changes — repairs reuse the engine's delta classification machinery,
-// whose classes are all output-identical by construction, and frozen
-// weight copies equal the live vector at their revision. No
+// changes — a repair's re-cost reproduces a fresh snapshot's costs and
+// skips the search only when no cost moved, and frozen weight copies
+// price like the live vector at their revision. No
 // intermediate read ever mixes generations: ViewSnapshot is published
 // whole (query/view.h) and an in-flight search pins its CSR snapshot
 // across concurrent re-costs (steiner/fast_solver.h).
@@ -226,8 +226,9 @@ class AsyncRefreshScheduler {
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::uint64_t epoch_ = 0;
-  // Frozen copy of *weights_ made at the latest epoch; repairs read it
-  // instead of the live vector so they never race MIRA updates.
+  // Frozen copy of *weights_ (ServingWeights) made at the latest epoch;
+  // repairs read it instead of the live vector so they never race MIRA
+  // updates.
   std::shared_ptr<const graph::WeightVector> frozen_weights_;
   // Per-slot: the view served and the epoch its published output was
   // last validated at.

@@ -143,10 +143,9 @@ void QSystem::ReconcileMissingMatcherFeatures() {
   for (graph::EdgeId e :
        graph_.EdgesOfKind(graph::EdgeKind::kAssociation)) {
     // Probe through const access first and rewrite the features (a
-    // revision- and journal-bumping mutation) only when a feature
-    // actually has to move: a no-op pass must not dirty every
-    // association edge, or the delta refresh path would reprice the
-    // whole graph for nothing.
+    // revision-bumping mutation) only when a feature actually has to
+    // move: a no-op pass must not move the graph revision, or the next
+    // round would rebuild every view for nothing.
     for (const std::string& name : matcher_names) {
       bool voted = false;
       for (const auto& p : graph_.edge_provenance(e)) {
@@ -605,7 +604,7 @@ util::Status QSystem::LoadFromSnapshotLocked(
     }
   }
 
-  // --- search graph (with association edges + journal) ------------------
+  // --- search graph (with association edges + revision) -----------------
   sec = loaded.Find(persist::SectionTag::kGraph);
   {
     graph::SearchGraph decoded;
@@ -624,7 +623,7 @@ util::Status QSystem::LoadFromSnapshotLocked(
     }
   }
 
-  // --- weights (+ journal), falling back to feedback replay -------------
+  // --- weights (+ revision), falling back to feedback replay ------------
   sec = loaded.Find(persist::SectionTag::kWeights);
   {
     util::Status status =

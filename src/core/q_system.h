@@ -221,8 +221,8 @@ class QSystem {
 
   // --- persistence ----------------------------------------------------------
   // Writes the durable core (catalog + schemas, search graph with its
-  // association edges and journal, weight vector + journal, feedback
-  // log) into `dir` as one checksummed snapshot file, atomically (see
+  // association edges and revision, weight vector and its revision,
+  // feedback log) into `dir` as one checksummed snapshot file, atomically (see
   // docs/persistence.md). Quiesces the async scheduler first so the
   // snapshot captures a consistent revision. Views are NOT persisted:
   // they are derived state, recreated lazily after a warm restart.

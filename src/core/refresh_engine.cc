@@ -58,7 +58,6 @@ void RefreshEngine::MergeStats(const RefreshEngineStats& delta) {
   stats_.refreshes_skipped += delta.refreshes_skipped;
   stats_.searches_run += delta.searches_run;
   stats_.views_skipped_delta += delta.views_skipped_delta;
-  stats_.views_delta_recost += delta.views_delta_recost;
   stats_.views_full_recost += delta.views_full_recost;
   stats_.edges_repriced += delta.edges_repriced;
 }
@@ -249,10 +248,10 @@ void RefreshEngine::InstallStaged(StagedRebuild* staged,
   }
 }
 
-util::Status RefreshEngine::RepairViewAsync(std::size_t slot_id,
-                                            const graph::SearchGraph& base,
-                                            const relational::Catalog& catalog,
-                                            const graph::WeightVector& weights) {
+util::Status RefreshEngine::RepairViewAsync(
+    std::size_t slot_id, const graph::SearchGraph& base,
+    const relational::Catalog& catalog,
+    std::shared_ptr<const graph::WeightVector> weights) {
   if (slot_id >= slots_.size()) {
     return util::Status::InvalidArgument("no such view slot");
   }
@@ -263,8 +262,7 @@ util::Status RefreshEngine::RepairViewAsync(std::size_t slot_id,
     return util::Status::Internal("view needs a rebuild, not a repair");
   }
   RefreshEngineStats local;
-  const bool weights_moved = slot.weight_revision != weights.revision();
-  if (!weights_moved && view.refreshed()) {
+  if (slot.weight_revision == weights->revision() && view.refreshed()) {
     ++local.refreshes_skipped;  // nothing moved at all
     MergeStats(local);
     return util::Status::OK();
@@ -272,60 +270,38 @@ util::Status RefreshEngine::RepairViewAsync(std::size_t slot_id,
   // The cached query graph is bit-identical to what a rebuild would
   // produce (same base revision, same index, same features), so only the
   // snapshot costs may be stale.
-  std::vector<graph::FeatureDelta> weight_deltas;
-  bool have_weight_deltas = true;
-  if (weights_moved) {
-    have_weight_deltas =
-        weights.DeltaSince(slot.weight_revision, &weight_deltas);
-    if (have_weight_deltas) graph::CoalesceFeatureDeltas(&weight_deltas);
-  }
-  steiner::FastSteinerEngine::RecostDeltaOutcome delta;
+  std::size_t moved = 0;
   {
-    // Publish {repriced CSR, matching weight copy} atomically w.r.t.
-    // concurrent SearchView captures. When nothing repriced, the CSR is
-    // bitwise unchanged and the old serving pair stays valid. A
-    // truncated journal or a dense delta re-costs wholesale in place.
+    // Publish {re-costed CSR, matching weight copy} atomically w.r.t.
+    // concurrent SearchView captures. When no cost moved, the CSR is
+    // bitwise unchanged and the old serving pair stays valid.
     std::lock_guard<std::mutex> lock(serve_mu_);
-    if (have_weight_deltas) {
-      delta = slot.engine->RecostDelta(view.query_graph().graph, weights,
-                                       weight_deltas);
-    }
-    if (!delta.applied) {
-      slot.engine->Recost(view.query_graph().graph, weights);
-    }
-    if (!delta.applied || delta.edges_repriced > 0) {
-      slot.serving_weights = SnapshotWeightsLocked(weights);
-    }
+    moved = slot.engine->Recost(view.query_graph().graph, *weights);
+    if (moved > 0) slot.serving_weights = weights;
   }
-  if (!delta.applied) {
+  local.edges_repriced += moved;
+  if (moved > 0) {
     ++local.snapshots_recosted;
     ++local.views_full_recost;
     slot.dirty = true;
-  } else {
-    local.edges_repriced += delta.edges_repriced;
-    if (delta.edges_repriced > 0) {
-      ++local.snapshots_recosted;
-      ++local.views_delta_recost;
-      slot.dirty = true;
-    } else if (!slot.dirty) {
-      // No edge of this view's snapshot moved: every downstream read
-      // (tree search, compilation, ranked union) prices query-graph
-      // edges, so the output is provably identical. Skip the search but
-      // commit the reconciled revisions. Forbidden when the slot is
-      // dirty: a previous failed-search attempt already patched the
-      // snapshot, so "nothing repriced" does not mean the view's results
-      // match it.
-      ++local.views_skipped_delta;
-      ++local.refreshes_skipped;
-      MergeStats(local);
-      CommitSlot(&slot, base, weights, /*searched=*/false);
-      return util::Status::OK();
-    }
+  } else if (!slot.dirty) {
+    // No edge of this view's snapshot moved: every downstream read
+    // (tree search, compilation, ranked union) prices query-graph
+    // edges, so the output is provably identical. Skip the search but
+    // commit the reconciled revisions. Forbidden when the slot is
+    // dirty: a previous failed-search attempt already re-costed the
+    // snapshot, so "nothing moved" does not mean the view's results
+    // match it.
+    ++local.views_skipped_delta;
+    ++local.refreshes_skipped;
+    MergeStats(local);
+    CommitSlot(&slot, base, *weights, /*searched=*/false);
+    return util::Status::OK();
   }
   ++local.searches_run;
   MergeStats(local);
-  Q_RETURN_NOT_OK(view.RunSearch(catalog, weights, slot.engine.get()));
-  CommitSlot(&slot, base, weights, /*searched=*/true);
+  Q_RETURN_NOT_OK(view.RunSearch(catalog, *weights, slot.engine.get()));
+  CommitSlot(&slot, base, *weights, /*searched=*/true);
   return util::Status::OK();
 }
 

@@ -20,34 +20,33 @@ namespace q::core {
 // Aggregate counters for observability and the perf benches; cumulative
 // over the engine's lifetime.
 // sp_cache_entries_retained, sp_cache_entries_dropped,
-// views_skipped_irrelevant and relevance_checks always read 0: the
-// shortest-path cache and the relevance gate they counted are gone. They
-// stay because the benchmark reads them (ROADMAP item 1 drops them).
+// views_skipped_irrelevant, relevance_checks and views_delta_recost
+// always read 0: the shortest-path cache, the relevance gate and the
+// delta re-cost they counted are gone. They stay because the benchmark
+// reads them (ROADMAP item 1 drops them).
 struct RefreshEngineStats {
   // Rebuilt views installed (InstallStaged), first builds included.
   std::size_t snapshots_built = 0;
-  // In-place refreshes: CSR re-costed (delta or full), topology kept.
+  // In-place refreshes whose re-cost moved a cost, topology kept.
   std::size_t snapshots_recosted = 0;
   // Refreshes that ran no search: nothing moved since the view's last
-  // refresh, or the delta provably touched nothing in its snapshot.
+  // refresh, or the re-cost moved no cost of its snapshot.
   std::size_t refreshes_skipped = 0;
   // Per-view top-k searches actually executed.
   std::size_t searches_run = 0;
 
-  // --- delta-pipeline classification (per view, per refresh) -------------
-  // The change journals proved no edge of the view's snapshot moved, so
-  // the refresh was skipped with results provably identical (a subset of
+  // --- repair classification (per view, per repair) ----------------------
+  // The re-cost moved no edge cost of the view's snapshot, so the search
+  // was skipped with results provably identical (a subset of
   // refreshes_skipped).
   std::size_t views_skipped_delta = 0;
-  // Snapshot repriced selectively via CsrGraph::RecostDelta.
-  std::size_t views_delta_recost = 0;
-  // Snapshot repriced wholesale via CsrGraph::Recost (journal truncated
-  // or the delta was dense).
+  // The re-cost moved at least one edge cost, so the view was searched.
   std::size_t views_full_recost = 0;
-  // Edge costs actually moved by delta re-costs.
+  // Edge costs the re-costs moved.
   std::size_t edges_repriced = 0;
 
   // Always 0 (see the struct comment).
+  std::size_t views_delta_recost = 0;
   std::size_t views_skipped_irrelevant = 0;
   std::size_t relevance_checks = 0;
   std::size_t sp_cache_entries_retained = 0;
@@ -70,7 +69,7 @@ enum class AsyncViewClass {
   // Slot revisions match the base state and the view is refreshed:
   // nothing to do, the published output is current.
   kUpToDate,
-  // A weight delta over unchanged topology: a repair task re-costs the
+  // A weight change over unchanged topology: a repair task re-costs the
   // snapshot in place and re-searches unless the re-cost moved nothing
   // (RepairViewAsync). It never touches the query graph or the feature
   // space, so repairs run beside each other and beside readers.
@@ -89,22 +88,17 @@ enum class AsyncViewClass {
 // Change detection is pull-based: SearchGraph and WeightVector carry
 // monotone revision counters bumped at every mutation site (feedback's
 // MIRA updates bump the weight revision; new-source registration and
-// association installation bump the graph revision), each paired with a
-// bounded delta journal recording *what* moved (FeatureDelta /
-// GraphDelta). A round observes the revisions (BeginAsyncRound), bumping
-// the engine generation when either moved, and classifies every view:
+// association installation bump the graph revision). A round observes
+// the revisions (BeginAsyncRound), bumping the engine generation when
+// either moved, and classifies every view from them:
 //
 //   * up to date    — nothing moved since the view's last refresh;
-//   * repair        — a weight delta over unchanged topology. The repair
-//                     reads the weight journal: a delta re-cost reprices
-//                     only the edges the touched features map to through
-//                     the snapshot's feature->edge postings
-//                     (CsrGraph::RecostDelta); a truncated journal or a
-//                     dense delta re-costs wholesale in place
-//                     (CsrGraph::Recost); a delta that repriced no edge of
-//                     the view commits without a search;
-//   * rebuild       — the query graph may have changed (any structural
-//                     delta, including in-place edge mutations, or
+//   * repair        — a weight change over unchanged topology. The repair
+//                     re-costs the snapshot in place (CsrGraph::Recost);
+//                     a re-cost that moved no cost of the view commits
+//                     without a search;
+//   * rebuild       — the query graph may have changed (any graph
+//                     mutation, including in-place edge mutations, or
 //                     weight-dependent topology): the view is rebuilt and
 //                     searched beside its slot and installed whole.
 //
@@ -183,19 +177,19 @@ class RefreshEngine {
                                       const graph::SearchGraph& base,
                                       const graph::WeightVector& weights);
 
-  // Brings one view up to date in place — delta or full re-cost of its
-  // snapshot plus RunSearch — against `weights`, which is typically the
-  // scheduler's frozen copy of the weight vector at the repair's target
-  // epoch (value- and journal-identical to the live vector at that
-  // revision, immutable afterwards, so repairs never race live MIRA
-  // updates). Never touches the query graph, the shared cost model or the
-  // text index. A slot classified kRebuild returns an Internal error. A
-  // failed search commits nothing: the slot stays dirty and the next
-  // round repairs it again.
-  util::Status RepairViewAsync(std::size_t slot,
-                               const graph::SearchGraph& base,
-                               const relational::Catalog& catalog,
-                               const graph::WeightVector& weights);
+  // Brings one view up to date in place — a re-cost of its snapshot plus
+  // RunSearch, skipped when the re-cost moved nothing — against
+  // `weights`, the scheduler's ServingWeights copy at the repair's target
+  // epoch (immutable, so repairs never race live MIRA updates). A re-cost
+  // that moved a cost publishes `weights` as the slot's serving weights.
+  // Never touches the query graph, the shared cost model or the text
+  // index. A slot classified kRebuild returns an Internal error. A failed
+  // search commits nothing: the slot stays dirty and the next round
+  // repairs it again.
+  util::Status RepairViewAsync(
+      std::size_t slot, const graph::SearchGraph& base,
+      const relational::Catalog& catalog,
+      std::shared_ptr<const graph::WeightVector> weights);
 
   // --- staged rebuild ------------------------------------------------------
   // A view is built, and rebuilt, beside its slot and installed whole, so
@@ -269,10 +263,10 @@ class RefreshEngine {
     bool built = false;
     // Snapshot state (CSR costs, or a whole installed rebuild) changed
     // without a successful search (CommitSlot clears this). While set,
-    // the delta-proven no-op skip is forbidden: a retry's journal replay
-    // finds the already-patched costs and would otherwise commit the
-    // view's stale pre-failure results as up to date. The retry must
-    // re-run the search instead.
+    // the no-op skip is forbidden: a retry's re-cost finds the costs
+    // already moved and would otherwise commit the view's stale
+    // pre-failure results as up to date. The retry must re-run the
+    // search instead.
     bool dirty = false;
     // Frozen copy of the weight values the snapshot's CSR costs were last
     // reconciled against (a ServingWeights copy), read by SearchView

@@ -82,9 +82,8 @@ class FeatureVec {
 };
 
 // One weight mutation: feature `id` moved from `old_value` to
-// `new_value`. The unit of the delta pipeline — a journal of these is
-// what lets snapshot holders reprice only the edges whose features moved
-// instead of re-evaluating every edge cost (CsrGraph::RecostDelta).
+// `new_value`. A journal of these is what MIRA's update summary and the
+// feedback log read to say which features an update moved.
 struct FeatureDelta {
   FeatureId id;
   double old_value;
@@ -101,12 +100,10 @@ void CoalesceFeatureDeltas(std::vector<FeatureDelta>* deltas);
 // their initial weight.
 //
 // Every effective mutation both bumps the monotone revision counter and
-// appends a FeatureDelta record to a bounded journal, so snapshot
-// holders can ask "what moved since revision R" (DeltaSince) and reprice
-// only the affected edges. The journal is capped; once it overflows (or
-// after ResetToInitial), older revisions become unanswerable and
-// DeltaSince reports truncation, which consumers treat as "assume
-// everything moved" (full re-cost fallback).
+// appends a FeatureDelta record to a bounded journal, so a reader can ask
+// "what moved since revision R" (DeltaSince). The journal is capped;
+// once it overflows, older revisions become unanswerable and DeltaSince
+// reports truncation.
 class WeightVector {
  public:
   explicit WeightVector(const FeatureSpace* space) : space_(space) {}
@@ -139,11 +136,11 @@ class WeightVector {
     copy.values_.reserve(space_->size());
     copy.values_.assign(values_.begin(), values_.end());
     copy.EnsureSize(space_->size());
-    copy.journal_.Restore(journal_.revision(), {});
+    copy.journal_.Restart(journal_.revision());
     return copy;
   }
 
-  // Monotone mutation counter, bumped by every Set/Nudge/ResetToInitial.
+  // Monotone mutation counter, bumped by every effective Set/Nudge.
   // Lets snapshot holders (the RefreshEngine's per-view CSR snapshots)
   // detect weight updates — from MIRA or from direct mutable_weights()
   // pokes — without explicit notification.
@@ -152,22 +149,13 @@ class WeightVector {
   // Appends the raw journal records for revisions (since_revision,
   // revision()] to `out` (oldest first, one record per revision).
   // Returns false when the journal no longer reaches back to
-  // `since_revision` (overflow or ResetToInitial): the caller must then
-  // assume every feature may have moved. Callers typically follow with
+  // `since_revision` (overflow): the caller must then assume every
+  // feature may have moved. Callers typically follow with
   // CoalesceFeatureDeltas.
   bool DeltaSince(std::uint64_t since_revision,
                   std::vector<FeatureDelta>* out) const {
     return journal_.DeltaSince(since_revision, out);
   }
-
-  // Oldest revision DeltaSince can still answer from.
-  std::uint64_t journal_base_revision() const {
-    return journal_.base_revision();
-  }
-
-  // Journal capacity (records, i.e. effective mutations). Shrinking it
-  // below the current journal size takes effect on the next mutation.
-  void set_max_journal_entries(std::size_t n) { journal_.set_max_entries(n); }
 
   // w · f
   double Dot(const FeatureVec& f) const {
@@ -176,32 +164,15 @@ class WeightVector {
     return sum;
   }
 
-  // Resets every weight to its initial value. Truncates the journal: a
-  // reset is a dense change, so delta consumers must rebuild.
-  void ResetToInitial() {
-    journal_.Truncate();
-    values_.clear();
-  }
-
   // Persistence support (src/persist): reinstates the dense values and
-  // the journal exactly as saved, bypassing Set's journaling so the
-  // restored vector is bit-identical — same values, same revision, same
-  // answerable DeltaSince range — to the one that was snapshotted.
-  void Restore(std::vector<double> values, std::uint64_t journal_base_revision,
-               std::vector<FeatureDelta> journal_records) {
+  // the revision as saved, bypassing Set's journaling. The journal starts
+  // empty: DeltaSince answers only from `revision`.
+  void Restore(std::vector<double> values, std::uint64_t revision) {
     values_ = std::move(values);
-    journal_.Restore(journal_base_revision, std::move(journal_records));
+    journal_.Restart(revision);
   }
 
   const std::vector<double>& values() const { return values_; }
-
-  // The saved journal slice: every record DeltaSince can still answer
-  // (i.e. revisions (journal_base_revision(), revision()]).
-  std::vector<FeatureDelta> JournalRecords() const {
-    std::vector<FeatureDelta> out;
-    journal_.DeltaSince(journal_.base_revision(), &out);
-    return out;
-  }
 
   const FeatureSpace* space() const { return space_; }
 

@@ -179,7 +179,7 @@ NodeId SearchGraph::AddNode(NodeKind kind, std::string label,
   auto it = node_index_.find(key);
   if (it != node_index_.end()) return it->second;
   NodeId id = static_cast<NodeId>(nodes_.size());
-  Journal(GraphDeltaKind::kNodeAdded, id);
+  ++revision_;
   nodes_.push_back(Node{kind, std::move(label), std::move(attr)});
   adj_.emplace_back();
   node_index_.emplace(std::move(key), id);
@@ -243,7 +243,7 @@ EdgeId SearchGraph::AddEdge(Edge edge) {
   Q_CHECK(edge.u < nodes_.size() && edge.v < nodes_.size());
   Q_CHECK(edge.u != edge.v);
   EdgeId id = static_cast<EdgeId>(edge_u_.size());
-  Journal(GraphDeltaKind::kEdgeAdded, id);
+  ++revision_;
   AdjAppend(edge.u, id);
   AdjAppend(edge.v, id);
   if (edge.kind == EdgeKind::kAssociation) {
@@ -297,12 +297,12 @@ Edge SearchGraph::ExportEdge(EdgeId id) const {
 }
 
 void SearchGraph::SetEdgeFeatures(EdgeId id, FeatureVec features) {
-  Journal(GraphDeltaKind::kEdgeMutated, id);
+  ++revision_;
   edge_feature_[id] = feature_pool_.Intern(std::move(features));
 }
 
 void SearchGraph::SetNodeValueText(NodeId id, std::string text) {
-  Journal(GraphDeltaKind::kNodeMutated, id);
+  ++revision_;
   if (text.empty()) {
     value_text_.erase(id);
   } else {
@@ -326,9 +326,8 @@ EdgeId SearchGraph::AddAssociationEdge(NodeId a, NodeId b,
     if (vote != votes.end() && vote->confidence >= score.confidence) {
       return *existing;
     }
-    // Feature merge below changes the edge's cost; an in-place mutation
-    // of an existing edge, so the delta pipeline can reprice just it.
-    Journal(GraphDeltaKind::kEdgeMutated, *existing);
+    // The feature merge below mutates an existing edge in place.
+    ++revision_;
     // Merge the vote's features into the edge, dropping entries they
     // cancel. Pool entries are immutable: copy out, edit, re-intern.
     FeatureVec merged = feature_pool_.at(edge_feature_[*existing]);
@@ -436,11 +435,6 @@ MemoryBreakdown SearchGraph::MemoryUsage() const {
 
   mb.feature_pool_bytes = feature_pool_.MemoryUsage();
   mb.provenance_bytes = prov_pool_.MemoryUsage();
-
-  mb.journal_bytes =
-      static_cast<std::size_t>(journal_.revision() -
-                               journal_.base_revision()) *
-      sizeof(GraphDelta);
   return mb;
 }
 

@@ -12,7 +12,6 @@
 
 #include "graph/feature.h"
 #include "relational/schema.h"
-#include "util/delta_journal.h"
 #include "util/result.h"
 
 namespace q::graph {
@@ -176,23 +175,6 @@ class ProvenancePool {
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_hash_;
 };
 
-// One structural mutation of a SearchGraph, recorded in the graph's
-// delta journal. kNodeAdded/kEdgeAdded change topology; kNodeMutated/
-// kEdgeMutated record in-place mutation through the Set* mutators and
-// association merges — conservatively, since the caller may change any
-// payload. The refresh pipeline rebuilds a view on any of them.
-enum class GraphDeltaKind : std::uint8_t {
-  kNodeAdded = 0,
-  kEdgeAdded = 1,
-  kNodeMutated = 2,
-  kEdgeMutated = 3,
-};
-
-struct GraphDelta {
-  GraphDeltaKind kind;
-  std::uint32_t id;  // NodeId or EdgeId per kind
-};
-
 // Per-section byte estimate of a SearchGraph's resident footprint
 // (capacities, heap blocks and hash buckets included; malloc headers
 // not). feature_pool/provenance include superseded pool entries that
@@ -204,11 +186,10 @@ struct MemoryBreakdown {
   std::size_t adjacency_bytes = 0;   // slot table + arena
   std::size_t feature_pool_bytes = 0;
   std::size_t provenance_bytes = 0;
-  std::size_t journal_bytes = 0;
 
   std::size_t total() const {
     return nodes_bytes + node_index_bytes + edges_bytes + adjacency_bytes +
-           feature_pool_bytes + provenance_bytes + journal_bytes;
+           feature_pool_bytes + provenance_bytes;
   }
 };
 
@@ -257,12 +238,6 @@ class DistanceField {
 // Within a node's block edge ids appear in insertion order — identical
 // to the AoS vector<vector> layout of the tests' referee
 // (tests/reference_graph_rep.h), which graph_scale_test asserts.
-//
-// Every revision bump appends one GraphDelta record to a bounded
-// journal, so snapshot holders can ask "what changed since revision R"
-// (DeltaSince) and, when the answer is edge mutations only, skip the
-// full query-graph re-expansion. Journal overflow reports truncation,
-// which consumers treat as "assume anything changed" (rebuild fallback).
 class SearchGraph {
  public:
   SearchGraph() = default;
@@ -319,7 +294,7 @@ class SearchGraph {
 
   // --- mutation -----------------------------------------------------------
   // All in-place payload mutation goes through these (there is no mutable
-  // reference into the SoA store); each journals the mutation exactly once.
+  // reference into the SoA store); each bumps the revision exactly once.
 
   // Replaces an edge's feature vector (re-interned into the pool).
   void SetEdgeFeatures(EdgeId id, FeatureVec features);
@@ -332,44 +307,12 @@ class SearchGraph {
   // snapshots) compare revisions to detect that a graph changed
   // underneath them without requiring explicit notification from every
   // mutation site.
-  std::uint64_t revision() const { return journal_.revision(); }
+  std::uint64_t revision() const { return revision_; }
 
-  // Appends the journal records for revisions (since_revision,
-  // revision()] to `out` (oldest first, one record per revision).
-  // Returns false when the journal no longer reaches back to
-  // `since_revision` (overflow): the caller must then assume arbitrary
-  // structural change. Records are conservative — a kEdgeMutated entry
-  // means "this edge may differ", not that it does.
-  bool DeltaSince(std::uint64_t since_revision,
-                  std::vector<GraphDelta>* out) const {
-    return journal_.DeltaSince(since_revision, out);
-  }
-
-  // Oldest revision DeltaSince can still answer from.
-  std::uint64_t journal_base_revision() const {
-    return journal_.base_revision();
-  }
-
-  // Journal capacity (records). Shrinking it below the current journal
-  // size takes effect on the next mutation.
-  void set_max_journal_entries(std::size_t n) { journal_.set_max_entries(n); }
-
-  // Persistence support (src/persist): reinstates the journal exactly as
-  // saved, discarding the bookkeeping noise AddNode/AddEdge generated
-  // while the loader reconstructed the topology. Afterwards revision()
-  // and DeltaSince answer exactly as they did at save time.
-  void RestoreJournal(std::uint64_t base_revision,
-                      std::vector<GraphDelta> records) {
-    journal_.Restore(base_revision, std::move(records));
-  }
-
-  // The saved journal slice (revisions (journal_base_revision(),
-  // revision()]).
-  std::vector<GraphDelta> JournalRecords() const {
-    std::vector<GraphDelta> out;
-    journal_.DeltaSince(journal_.base_revision(), &out);
-    return out;
-  }
+  // Persistence support (src/persist): reinstates the saved revision,
+  // discarding the bumps AddNode/AddEdge made while the loader
+  // reconstructed the topology.
+  void RestoreRevision(std::uint64_t revision) { revision_ = revision; }
 
   // Incident edge ids in insertion order, served from the adjacency
   // arena without copying. Invalidated by the next AddEdge.
@@ -443,20 +386,11 @@ class SearchGraph {
 
   static constexpr std::uint8_t kFlagFixedZero = 1;
 
-  // Bumps the revision and appends the matching journal record; every
-  // mutation site funnels through here so revision and journal can never
-  // drift apart.
-  void Journal(GraphDeltaKind kind, std::uint32_t id) {
-    journal_.Append(GraphDelta{kind, id});
-  }
-
   void AdjAppend(NodeId n, EdgeId e);
   void SetEdgeJoins(EdgeId id, const relational::AttributeId& a,
                     const relational::AttributeId& b);
 
-  static constexpr std::size_t kDefaultMaxJournalEntries = 1 << 16;
-
-  util::DeltaJournal<GraphDelta> journal_{kDefaultMaxJournalEntries};
+  std::uint64_t revision_ = 0;
   std::vector<Node> nodes_;
 
   // SoA edge store.

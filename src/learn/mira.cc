@@ -85,7 +85,7 @@ util::Result<MiraUpdateInfo> MiraLearner::UpdateAgainst(
   // combined system is re-solved, so the restoring movement rides the
   // violating edges' features — not the shared default feature, whose
   // bump would turn this update's otherwise-sparse journal delta dense
-  // (full re-costs everywhere). Each round may push new edges under the
+  // (every view re-searched). Each round may push new edges under the
   // floor; iterate a few times.
   if (config_.enforce_positivity) {
     std::vector<char> floored(query_graph.num_edges(), 0);

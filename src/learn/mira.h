@@ -30,7 +30,7 @@ struct MiraConfig {
   // shared default feature until the minimum clears the floor) is kept
   // only as a last-resort fallback: the default feature sits on *every*
   // learnable edge, so a bump turns an otherwise-sparse MIRA delta dense
-  // — snapshot holders must re-cost every view wholesale. Constraint-based
+  // — every view's costs move and every view re-searches. Constraint-based
   // flooring keeps the journal delta on the handful of features the
   // update actually touched.
   int max_positivity_rounds = 4;
@@ -44,10 +44,9 @@ struct MiraConfig {
   bool freeze_default_feature = true;
 };
 
-// Outcome of one online update, for instrumentation and for the delta
-// refresh pipeline: the revision span tells snapshot holders where to
-// start reading the WeightVector's FeatureDelta journal, and
-// `feature_deltas` is the update's own coalesced change set (one entry
+// Outcome of one online update, for instrumentation: the revision span
+// names the update's slice of the WeightVector's FeatureDelta journal,
+// and `feature_deltas` is the update's own coalesced change set (one entry
 // per feature with net movement — the handful of features on the
 // endorsed and competing trees, not the whole space).
 struct MiraUpdateInfo {

@@ -76,7 +76,7 @@ inline std::uint32_t Crc32Finish(std::uint32_t state) {
 
 inline constexpr char kMagic[] = "QSNAPS01";  // 8 bytes on disk (no NUL)
 inline constexpr std::size_t kMagicLen = 8;
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 enum class SectionTag : std::uint32_t {
   kCatalog = 1,

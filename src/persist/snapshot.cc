@@ -261,13 +261,7 @@ std::string EncodeGraph(const graph::SearchGraph& graph) {
     PutAttributeId(&out, graph.edge_join_a(e));
     PutAttributeId(&out, graph.edge_join_b(e));
   }
-  PutU64(&out, graph.journal_base_revision());
-  std::vector<graph::GraphDelta> records = graph.JournalRecords();
-  PutU32(&out, static_cast<std::uint32_t>(records.size()));
-  for (const graph::GraphDelta& record : records) {
-    PutU8(&out, static_cast<std::uint8_t>(record.kind));
-    PutU32(&out, record.id);
-  }
+  PutU64(&out, graph.revision());
   return out;
 }
 
@@ -352,34 +346,14 @@ util::Status DecodeGraph(std::string_view payload, std::size_t num_features,
     Q_RETURN_NOT_OK(GetAttributeId(&dec, &edge.join_b));
     out->AddEdge(std::move(edge));
   }
-  std::uint64_t base_revision;
-  Q_RETURN_NOT_OK(dec.GetU64(&base_revision));
-  std::uint32_t num_records;
-  Q_RETURN_NOT_OK(dec.GetCount(&num_records, 5));
-  std::vector<graph::GraphDelta> records(num_records);
-  for (graph::GraphDelta& record : records) {
-    std::uint8_t kind;
-    Q_RETURN_NOT_OK(dec.GetU8(&kind));
-    if (kind > static_cast<std::uint8_t>(graph::GraphDeltaKind::kEdgeMutated)) {
-      return util::Status::InvalidArgument("unknown graph delta kind " +
-                                           std::to_string(kind));
-    }
-    record.kind = static_cast<graph::GraphDeltaKind>(kind);
-    Q_RETURN_NOT_OK(dec.GetU32(&record.id));
-    bool is_node = record.kind == graph::GraphDeltaKind::kNodeAdded ||
-                   record.kind == graph::GraphDeltaKind::kNodeMutated;
-    if (record.id >= (is_node ? num_nodes : num_edges)) {
-      return util::Status::InvalidArgument(
-          "graph delta references out-of-range id " +
-          std::to_string(record.id));
-    }
-  }
+  std::uint64_t revision;
+  Q_RETURN_NOT_OK(dec.GetU64(&revision));
   if (!dec.done()) {
     return util::Status::InvalidArgument("trailing bytes in graph section");
   }
-  // Installing the saved journal last wipes the records AddNode/AddEdge
-  // appended during reconstruction, restoring the exact saved revision.
-  out->RestoreJournal(base_revision, std::move(records));
+  // Restoring the saved revision last discards the bumps AddNode/AddEdge
+  // made during reconstruction.
+  out->RestoreRevision(revision);
   return util::Status::OK();
 }
 
@@ -389,14 +363,7 @@ std::string EncodeWeights(const graph::WeightVector& weights) {
   std::string out;
   PutU32(&out, static_cast<std::uint32_t>(weights.values().size()));
   for (double v : weights.values()) PutF64(&out, v);
-  PutU64(&out, weights.journal_base_revision());
-  std::vector<graph::FeatureDelta> records = weights.JournalRecords();
-  PutU32(&out, static_cast<std::uint32_t>(records.size()));
-  for (const graph::FeatureDelta& record : records) {
-    PutU32(&out, record.id);
-    PutF64(&out, record.old_value);
-    PutF64(&out, record.new_value);
-  }
+  PutU64(&out, weights.revision());
   return out;
 }
 
@@ -411,25 +378,12 @@ util::Status DecodeWeights(std::string_view payload, std::size_t num_features,
   }
   std::vector<double> values(num_values);
   for (double& v : values) Q_RETURN_NOT_OK(dec.GetF64(&v));
-  std::uint64_t base_revision;
-  Q_RETURN_NOT_OK(dec.GetU64(&base_revision));
-  std::uint32_t num_records;
-  Q_RETURN_NOT_OK(dec.GetCount(&num_records, 20));
-  std::vector<graph::FeatureDelta> records(num_records);
-  for (graph::FeatureDelta& record : records) {
-    Q_RETURN_NOT_OK(dec.GetU32(&record.id));
-    Q_RETURN_NOT_OK(dec.GetF64(&record.old_value));
-    Q_RETURN_NOT_OK(dec.GetF64(&record.new_value));
-    if (record.id >= num_features) {
-      return util::Status::InvalidArgument(
-          "weight journal references unknown feature id " +
-          std::to_string(record.id));
-    }
-  }
+  std::uint64_t revision;
+  Q_RETURN_NOT_OK(dec.GetU64(&revision));
   if (!dec.done()) {
     return util::Status::InvalidArgument("trailing bytes in weights section");
   }
-  out->Restore(std::move(values), base_revision, std::move(records));
+  out->Restore(std::move(values), revision);
   return util::Status::OK();
 }
 

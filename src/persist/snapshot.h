@@ -18,8 +18,8 @@ namespace q::persist {
 
 // Serialization of QSystem's durable core (docs/persistence.md): the
 // catalog + schemas, the search graph with its association edges and
-// delta journal, the learned weight vector with its feature-delta
-// journal, and the feedback log. One snapshot file, one checksummed
+// revision, the learned weight vector with its revision, and the
+// feedback log. One snapshot file, one checksummed
 // section per structure, written atomically (temp file -> fsync ->
 // rename -> dir fsync) through an injectable util::Env.
 //

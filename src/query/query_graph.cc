@@ -75,11 +75,6 @@ QueryGraph CopyBaseGraph(const graph::SearchGraph& base,
                          const graph::WeightVector& weights,
                          const QueryGraphOptions& options) {
   QueryGraph qg;
-  // Only the base graph's delta journal is ever read (the RefreshEngine
-  // classifies views from base.DeltaSince); a query-graph copy would just
-  // buffer one record per copied node/edge, so keep its journal capacity
-  // minimal. Its revision counter still advances normally.
-  qg.graph.set_max_journal_entries(1);
   CopyGraphFiltered(base, weights, options.association_cost_threshold,
                     &qg.graph);
   return qg;

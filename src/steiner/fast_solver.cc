@@ -898,57 +898,18 @@ void FastSteinerEngine::BeginMutation() {
   }
 }
 
-void FastSteinerEngine::Recost(const graph::SearchGraph& graph,
-                               const graph::WeightVector& weights) {
+std::size_t FastSteinerEngine::Recost(const graph::SearchGraph& graph,
+                                      const graph::WeightVector& weights) {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   BeginMutation();
-  csr_->Recost(graph, weights);
+  const std::size_t moved = csr_->Recost(graph, weights);
+  // Nothing moved: the snapshot is bitwise unchanged, so the generation
+  // (and the memo) stays. (A defensive clone from BeginMutation is then
+  // byte-identical to the pinned original.)
+  if (moved == 0) return 0;
   ++generation_;
   if (memo_ != nullptr) memo_->Advance(generation_);
-}
-
-FastSteinerEngine::RecostDeltaOutcome FastSteinerEngine::RecostDelta(
-    const graph::SearchGraph& graph, const graph::WeightVector& weights,
-    const std::vector<graph::FeatureDelta>& deltas) {
-  touched_scratch_.clear();
-  for (const graph::FeatureDelta& d : deltas) {
-    touched_scratch_.push_back(d.id);
-  }
-  std::sort(touched_scratch_.begin(), touched_scratch_.end());
-  touched_scratch_.erase(
-      std::unique(touched_scratch_.begin(), touched_scratch_.end()),
-      touched_scratch_.end());
-
-  candidate_scratch_.clear();
-  if (!touched_scratch_.empty()) {
-    if (feature_index_ == nullptr) {
-      feature_index_ = std::make_unique<FeatureEdgeIndex>(
-          FeatureEdgeIndex::Build(graph));
-    }
-    feature_index_->CollectEdges(touched_scratch_, &candidate_scratch_);
-  }
-
-  RecostDeltaOutcome outcome;
-  outcome.candidate_edges = candidate_scratch_.size();
-  // Dense deltas gain nothing over a full pass; hand them back to Recost.
-  if (candidate_scratch_.size() > csr_->num_edges / 2) {
-    return outcome;  // applied == false
-  }
-  outcome.applied = true;
-
-  std::lock_guard<std::mutex> lock(snapshot_mu_);
-  BeginMutation();
-  outcome.edges_repriced =
-      csr_->RecostEdges(graph, weights, candidate_scratch_);
-  if (outcome.edges_repriced == 0) {
-    // Nothing moved: the snapshot is bitwise unchanged, so the generation
-    // (and the memo) stays. (A defensive clone from BeginMutation is then
-    // byte-identical to the pinned original.)
-    return outcome;
-  }
-  ++generation_;
-  if (memo_ != nullptr) memo_->Advance(generation_);
-  return outcome;
+  return moved;
 }
 
 FastSolveStats FastSteinerEngine::stats() const {

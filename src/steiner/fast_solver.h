@@ -93,13 +93,10 @@ enum class MaskedOutcome { kOk, kEscalate };
 //
 // Concurrency (the async refresh scheduler's contract): any number of
 // Solve* calls may run concurrently with each other AND with one
-// mutator (Recost/RecostDelta) — each solve pins the CSR snapshot at
-// entry (see Pin) and runs to completion against those costs even if a
-// re-cost lands mid-solve; the mutator copies-on-write when pins are
-// outstanding, so a search never observes a half-repriced snapshot.
-// Mutators must still be externally serialized against each other (they
-// share the engine's scratch and postings index); per-view task ordering
-// provides that upstream.
+// mutator (Recost) — each solve pins the CSR snapshot at entry (see Pin)
+// and runs to completion against those costs even if a re-cost lands
+// mid-solve; the mutator copies-on-write when pins are outstanding, so a
+// search never observes a half-repriced snapshot.
 class FastSteinerEngine {
  public:
   FastSteinerEngine(const graph::SearchGraph& graph,
@@ -107,45 +104,18 @@ class FastSteinerEngine {
 
   // Weight-only snapshot refresh: re-costs every CSR edge in place
   // (topology arrays untouched; copy-on-write when a SnapshotPin is
-  // outstanding) and advances the generation, which purges the memo.
+  // outstanding) and returns how many edge costs moved. The generation,
+  // and with it the memo, advances only when at least one cost moved.
   // Precondition: `graph` has exactly the node/edge set this engine was
   // built from. Far cheaper than rebuilding the engine and — because arc
   // order is preserved and the memo is generation-keyed — produces
   // byte-identical output to a fresh engine over the same (graph, weights).
-  void Recost(const graph::SearchGraph& graph,
-              const graph::WeightVector& weights);
+  std::size_t Recost(const graph::SearchGraph& graph,
+                     const graph::WeightVector& weights);
 
-  // Outcome of RecostDelta, for the refresh engine's classification and
-  // observability counters.
-  struct RecostDeltaOutcome {
-    // False when the delta was too large to be worth the selective path
-    // (candidate edges above half the snapshot); nothing was changed and
-    // the caller must fall back to full Recost.
-    bool applied = false;
-    // Edges whose features mention a touched feature (the postings hits).
-    std::size_t candidate_edges = 0;
-    // Edges whose cost actually moved.
-    std::size_t edges_repriced = 0;
-  };
-
-  // Delta snapshot refresh: maps the touched features of a sparse weight
-  // update through a lazily built feature->edge postings index and
-  // re-evaluates only those edges. Bitwise identical to a full Recost
-  // over the same state — same EdgeCost computation, untouched edges
-  // provably cannot move (their w · f(e) reads no touched weight). The
-  // generation (and with it the memo) advances only when at least one
-  // edge cost moved.
-  //
-  // Precondition: same node/edge set as at construction, and every
-  // edge's FeatureVec unchanged since then (a graph whose edges changed
-  // gets a new engine).
-  RecostDeltaOutcome RecostDelta(
-      const graph::SearchGraph& graph, const graph::WeightVector& weights,
-      const std::vector<graph::FeatureDelta>& deltas);
-
-  // Snapshot generation: 0 at construction, +1 per Recost and per
-  // effective RecostDelta (one that moved at least one edge cost), so it
-  // names the CSR cost bits — the enumeration memo is scoped to it.
+  // Snapshot generation: 0 at construction, +1 per Recost that moved at
+  // least one edge cost, so it names the CSR cost bits — the enumeration
+  // memo is scoped to it.
   std::uint64_t generation() const { return generation_; }
 
   SnapshotPin Pin() const;
@@ -254,8 +224,8 @@ class FastSteinerEngine {
   FastSolveStats stats() const;
 
   // The engine's enumeration memo, or null when built without `use_memo`.
-  // Entries live for one engine generation: Recost and every RecostDelta
-  // that moves a cost purge them.
+  // Entries live for one engine generation: a Recost that moves a cost
+  // purges them.
   TopKMemo* memo() { return memo_.get(); }
 
  private:
@@ -291,11 +261,6 @@ class FastSteinerEngine {
   mutable std::mutex snapshot_mu_;
   std::uint64_t generation_ = 0;
   std::unique_ptr<TopKMemo> memo_;  // null when built without `use_memo`
-  // Lazily built by RecostDelta.
-  std::unique_ptr<FeatureEdgeIndex> feature_index_;
-  // Scratch reused across RecostDelta calls.
-  std::vector<graph::FeatureId> touched_scratch_;
-  std::vector<graph::EdgeId> candidate_scratch_;
   // Cached shard partition (see Shards); guarded by snapshot_mu_.
   std::shared_ptr<const ShardPartition> shards_;
   std::uint32_t shard_target_ = 0;

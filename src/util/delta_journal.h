@@ -9,17 +9,14 @@
 namespace q::util {
 
 // A monotone revision counter paired with a bounded journal of mutation
-// records: the shared substrate of the delta-refresh pipeline
-// (WeightVector's FeatureDelta journal and SearchGraph's GraphDelta
-// journal). Invariant: records_[i] is the mutation that produced
-// revision base_revision_ + i + 1, so records_.size() ==
-// revision_ - base_revision_ always holds.
+// records (WeightVector's FeatureDelta journal). Invariant: records_[i]
+// is the mutation that produced revision base_revision_ + i + 1, so
+// records_.size() == revision_ - base_revision_ always holds.
 //
-// Capacity is bounded: on overflow (and on Truncate) all history up to
-// the current revision is forgotten, after which DeltaSince for older
-// revisions reports truncation — consumers must then assume everything
-// may have changed (their wholesale fallback). Truncation can therefore
-// never change results, only the cost of reproducing them.
+// Capacity is bounded: on overflow all history up to the current
+// revision is forgotten, after which DeltaSince for older revisions
+// reports truncation — consumers must then assume everything may have
+// changed.
 template <typename Record>
 class DeltaJournal {
  public:
@@ -27,13 +24,6 @@ class DeltaJournal {
       : max_entries_(max_entries) {}
 
   std::uint64_t revision() const { return revision_; }
-
-  // Oldest revision DeltaSince can still answer from.
-  std::uint64_t base_revision() const { return base_revision_; }
-
-  // Capacity in records (i.e. effective mutations). Shrinking it below
-  // the current size takes effect on the next Append.
-  void set_max_entries(std::size_t n) { max_entries_ = n; }
 
   // Records one mutation and advances the revision.
   void Append(Record record) {
@@ -45,22 +35,11 @@ class DeltaJournal {
     ++revision_;
   }
 
-  // Persistence support: reinstates a journal exactly as saved —
-  // revision becomes base_revision + records.size(). Replaces whatever
-  // the journal held (snapshot load uses it to erase the bookkeeping
-  // noise of reconstructing the owning structure record by record).
-  void Restore(std::uint64_t base_revision, std::vector<Record> records) {
-    base_revision_ = base_revision;
-    revision_ = base_revision + records.size();
-    records_ = std::move(records);
-  }
-
-  // A dense change that no record list can describe: advances the
-  // revision and forgets all history.
-  void Truncate() {
-    ++revision_;
+  // Empties the journal at `revision`: DeltaSince then answers only from
+  // `revision` on.
+  void Restart(std::uint64_t revision) {
+    base_revision_ = revision_ = revision;
     records_.clear();
-    base_revision_ = revision_;
   }
 
   // Appends the records for revisions (since_revision, revision()] to

@@ -223,8 +223,7 @@ TEST(GraphMemoryTest, CompactRepresentationUndercutsLegacy) {
     EXPECT_EQ(breakdown.total(),
               breakdown.nodes_bytes + breakdown.node_index_bytes +
                   breakdown.edges_bytes + breakdown.adjacency_bytes +
-                  breakdown.feature_pool_bytes + breakdown.provenance_bytes +
-                  breakdown.journal_bytes);
+                  breakdown.feature_pool_bytes + breakdown.provenance_bytes);
     EXPECT_GT(breakdown.total(), 0u);
     const std::size_t legacy_bytes = legacy.MemoryUsage();
     EXPECT_GT(static_cast<double>(legacy_bytes),

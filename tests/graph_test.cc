@@ -83,8 +83,6 @@ TEST(WeightVectorTest, UnseenIdsReadInitialWeight) {
   EXPECT_DOUBLE_EQ(w.At(fk), 1.5);
   w.Nudge(fk, 0.5);
   EXPECT_DOUBLE_EQ(w.At(fk), 2.0);
-  w.ResetToInitial();
-  EXPECT_DOUBLE_EQ(w.At(fk), 1.5);
 }
 
 TEST(WeightVectorTest, MaterializedPricesLikeTheLiveVectorWithoutJournal) {

@@ -237,12 +237,12 @@ INSTANTIATE_TEST_SUITE_P(RandomCosts, MiraPropertyTest,
                          ::testing::Range(0, 15));
 
 // End-to-end half of the positivity-batching regression: a MIRA feedback
-// step that does not bump the default feature must stay sparse through
-// the whole refresh pipeline — every view classifies as skip or
-// delta-recost, never full-recost or rebuild. Before
-// the headroom batching, the bump re-armed on (nearly) every update and
-// its dense default-feature delta forced wholesale re-costs throughout.
-TEST(MiraEndToEndTest, SparseFeedbackStaysDeltaClassedEndToEnd) {
+// step must not bump the default feature, and every view it reaches is
+// re-costed in place, never rebuilt — searched when its re-cost moved a
+// cost, skipped when it moved none. Before the headroom batching, the
+// bump re-armed on (nearly) every update and its dense default-feature
+// delta moved every view's costs throughout.
+TEST(MiraEndToEndTest, SparseFeedbackRecostsOrSkipsEndToEnd) {
   data::InterProGoConfig dconfig;
   dconfig.num_go_terms = 80;
   dconfig.num_entries = 60;
@@ -306,8 +306,8 @@ TEST(MiraEndToEndTest, SparseFeedbackStaysDeltaClassedEndToEnd) {
       q.ApplyFeedback(view_ids[0], q.view(view_ids[0]).trees()[0]).ok());
 
   // The measured steps: endorse each view's current best. None may move
-  // the dense default feature, and every view must resolve inside the
-  // delta classes.
+  // the dense default feature, and every view must resolve to a re-cost
+  // and a search, or a skip.
   for (std::size_t round = 1; round < view_ids.size(); ++round) {
     std::size_t view = view_ids[round];
     ASSERT_FALSE(q.view(view).trees().empty());
@@ -319,14 +319,18 @@ TEST(MiraEndToEndTest, SparseFeedbackStaysDeltaClassedEndToEnd) {
     EXPECT_EQ(q.weights().At(graph::FeatureSpace::kDefaultFeature),
               default_before)
         << "round " << round << " bumped the default feature";
+    const std::size_t moved =
+        after.views_full_recost - before.views_full_recost;
+    const std::size_t skipped =
+        after.views_skipped_delta - before.views_skipped_delta;
     EXPECT_EQ(after.snapshots_built, before.snapshots_built)
         << "round " << round;
-    EXPECT_EQ(after.views_full_recost, before.views_full_recost)
+    EXPECT_EQ(moved + skipped, view_ids.size()) << "round " << round;
+    EXPECT_EQ(after.searches_run - before.searches_run, moved)
         << "round " << round;
-    EXPECT_EQ((after.views_skipped_delta + after.views_delta_recost) -
-                  (before.views_skipped_delta + before.views_delta_recost),
-              view_ids.size())
+    EXPECT_EQ(after.refreshes_skipped - before.refreshes_skipped, skipped)
         << "round " << round;
+    EXPECT_EQ(after.views_delta_recost, 0u) << "round " << round;
   }
 }
 

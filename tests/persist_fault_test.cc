@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/q_system.h"
@@ -469,6 +470,31 @@ TEST_F(CorruptionTest, TornTmpFileNextToValidSnapshotIsIgnored) {
   // And the next save replaces the torn tmp without complaint.
   ASSERT_TRUE(fixture_.q->SaveSnapshot(dir).ok());
   EXPECT_EQ(ReopenComplete(dir), want_);
+}
+
+// A file of another format version takes the header rung even with a
+// valid header CRC: the system comes up clean and empty, and the report
+// names the version it found.
+TEST_F(CorruptionTest, OtherFormatVersionColdStarts) {
+  std::string bytes = good_;
+  std::string patch;
+  PutU32(&patch, kFormatVersion - 1);
+  bytes.replace(kMagicLen, 4, patch);
+  patch.clear();
+  PutU32(&patch, Crc32(std::string_view(bytes).substr(0, kMagicLen + 8)));
+  bytes.replace(kMagicLen + 8, 4, patch);
+
+  SnapshotLoadReport report;
+  auto q = OpenBytes(bytes, &report);
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_TRUE(report.cold_start);
+  EXPECT_FALSE(report.complete());
+  EXPECT_TRUE(report.header.IsUnimplemented()) << report.header.ToString();
+  EXPECT_EQ(report.header.message(),
+            "unsupported snapshot format version " +
+                std::to_string(kFormatVersion - 1));
+  EXPECT_EQ((*q)->catalog().num_relations(), 0u);
+  EXPECT_EQ((*q)->search_graph().num_edges(), 0u);
 }
 
 TEST_F(CorruptionTest, SwappedAndDuplicatedFramesNeverCrash) {

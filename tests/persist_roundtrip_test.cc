@@ -135,6 +135,16 @@ TEST(FormatTest, FrameWalkSkipsDamagedSectionAndKeepsOthers) {
   ParseOutcome ignored;
   EXPECT_FALSE(ParseSnapshotFile(bad_magic, &ignored).ok());
   EXPECT_FALSE(ParseSnapshotFile("short", &ignored).ok());
+
+  // So is a header of another format version, even with a valid CRC.
+  std::string old_version;
+  old_version.append(kMagic, kMagicLen);
+  PutU32(&old_version, kFormatVersion - 1);
+  PutU32(&old_version, 2);
+  PutU32(&old_version, Crc32(old_version));
+  old_version.append(file, old_version.size(), std::string::npos);
+  const util::Status rejected = ParseSnapshotFile(old_version, &ignored);
+  EXPECT_TRUE(rejected.IsUnimplemented()) << rejected.ToString();
 }
 
 // --- QSystem fixture --------------------------------------------------------
@@ -244,32 +254,13 @@ void ExpectGraphsEqual(const graph::SearchGraph& a,
     EXPECT_EQ(ea.join_a.ToString(), eb.join_a.ToString());
     EXPECT_EQ(ea.join_b.ToString(), eb.join_b.ToString());
   }
-  // The delta pipeline must survive the restart exactly: same revision,
-  // same answerable journal span, same records.
   EXPECT_EQ(a.revision(), b.revision());
-  EXPECT_EQ(a.journal_base_revision(), b.journal_base_revision());
-  auto ja = a.JournalRecords();
-  auto jb = b.JournalRecords();
-  ASSERT_EQ(ja.size(), jb.size());
-  for (std::size_t i = 0; i < ja.size(); ++i) {
-    EXPECT_EQ(ja[i].kind, jb[i].kind);
-    EXPECT_EQ(ja[i].id, jb[i].id);
-  }
 }
 
 void ExpectWeightsEqual(const graph::WeightVector& a,
                         const graph::WeightVector& b) {
   EXPECT_EQ(a.values(), b.values());
   EXPECT_EQ(a.revision(), b.revision());
-  EXPECT_EQ(a.journal_base_revision(), b.journal_base_revision());
-  auto ja = a.JournalRecords();
-  auto jb = b.JournalRecords();
-  ASSERT_EQ(ja.size(), jb.size());
-  for (std::size_t i = 0; i < ja.size(); ++i) {
-    EXPECT_EQ(ja[i].id, jb[i].id);
-    EXPECT_EQ(ja[i].old_value, jb[i].old_value);
-    EXPECT_EQ(ja[i].new_value, jb[i].new_value);
-  }
 }
 
 void ExpectFeedbackLogsEqual(const feedback::FeedbackLog& a,

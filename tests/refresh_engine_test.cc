@@ -294,12 +294,12 @@ std::set<graph::FeatureId> ViewFeatures(const query::TopKView& view) {
   return features;
 }
 
-// A sparse weight-only update must classify every view as delta-recost
-// (the touched feature prices some of its edges) or skip (it provably
-// prices none), never as a rebuild or full re-cost — and the outputs must
-// still match independent refreshes exactly: weight-only feedback =>
-// views_skipped_delta + views_delta_recost == num_views, zero rebuilds.
-TEST(RefreshEngineTest, SparseWeightUpdateClassifiesSkipOrDelta) {
+// A sparse weight-only update re-costs every view in place, never
+// rebuilding one: a view whose re-cost moves a cost (the touched feature
+// prices some of its edges) is searched, a view whose re-cost moves none
+// is skipped — and the outputs must still match independent refreshes
+// exactly.
+TEST(RefreshEngineTest, SparseWeightUpdateRecostsOrSkips) {
   Harness h(-1, true);
   ASSERT_TRUE(h.q->RefreshAllViews().ok());  // settle
   const RefreshEngine& engine = h.q->refresh_engine();
@@ -322,9 +322,9 @@ TEST(RefreshEngineTest, SparseWeightUpdateClassifiesSkipOrDelta) {
     }
   }
   ASSERT_NE(sparse, graph::FeatureSpace::kDefaultFeature);
-  std::size_t expect_delta = 0;
-  for (const auto& p : presence) expect_delta += p.count(sparse) > 0 ? 1 : 0;
-  ASSERT_GT(expect_delta, 0u);
+  std::size_t expect_moved = 0;
+  for (const auto& p : presence) expect_moved += p.count(sparse) > 0 ? 1 : 0;
+  ASSERT_GT(expect_moved, 0u);
 
   auto before = engine.stats();
   h.q->mutable_weights().Nudge(sparse, 0.03);
@@ -332,17 +332,19 @@ TEST(RefreshEngineTest, SparseWeightUpdateClassifiesSkipOrDelta) {
   auto after = engine.stats();
 
   EXPECT_EQ(after.snapshots_built, before.snapshots_built);  // zero rebuilds
-  EXPECT_EQ(after.views_full_recost, before.views_full_recost);
-  // A view carrying the feature is delta-recosted; a view not carrying it
-  // is skipped as a delta-proven no-op.
-  EXPECT_EQ(after.views_delta_recost - before.views_delta_recost,
-            expect_delta);
+  // A view carrying the feature has a cost moved and is searched; a view
+  // not carrying it is skipped.
+  EXPECT_EQ(after.views_full_recost - before.views_full_recost,
+            expect_moved);
+  EXPECT_EQ(after.searches_run - before.searches_run, expect_moved);
   EXPECT_EQ(after.views_skipped_delta - before.views_skipped_delta,
-            h.view_ids.size() - expect_delta);
-  // Every view that took the delta-recost path repriced at least one
-  // edge (that is what put it there).
-  EXPECT_GE(after.edges_repriced - before.edges_repriced,
-            after.views_delta_recost - before.views_delta_recost);
+            h.view_ids.size() - expect_moved);
+  EXPECT_EQ(after.refreshes_skipped - before.refreshes_skipped,
+            h.view_ids.size() - expect_moved);
+  EXPECT_EQ(after.views_delta_recost, 0u);
+  // Every searched view moved at least one edge cost (that is what put
+  // it there).
+  EXPECT_GE(after.edges_repriced - before.edges_repriced, expect_moved);
 
   auto batched = h.BatchedStates();
   auto independent = h.IndependentRefresh();
@@ -353,7 +355,7 @@ TEST(RefreshEngineTest, SparseWeightUpdateClassifiesSkipOrDelta) {
 }
 
 // A MIRA feedback step is weight-only: no view may be rebuilt, and every
-// view must resolve to skip / delta-recost / full-recost.
+// view must resolve to a re-cost that moved a cost or one that skipped.
 TEST(RefreshEngineTest, FeedbackStepNeverRebuildsSnapshots) {
   Harness h(-1, true);
   ASSERT_TRUE(h.q->RefreshAllViews().ok());
@@ -366,10 +368,8 @@ TEST(RefreshEngineTest, FeedbackStepNeverRebuildsSnapshots) {
   auto after = engine.stats();
 
   EXPECT_EQ(after.snapshots_built, before.snapshots_built);
-  EXPECT_EQ((after.views_skipped_delta + after.views_delta_recost +
-             after.views_full_recost) -
-                (before.views_skipped_delta + before.views_delta_recost +
-                 before.views_full_recost),
+  EXPECT_EQ((after.views_skipped_delta + after.views_full_recost) -
+                (before.views_skipped_delta + before.views_full_recost),
             h.view_ids.size());
 
   auto batched = h.BatchedStates();
@@ -381,9 +381,8 @@ TEST(RefreshEngineTest, FeedbackStepNeverRebuildsSnapshots) {
 }
 
 // Re-confirming an existing association mutates that edge in place (a
-// feature merge): the structural journal records only kEdgeMutated
-// entries, and every view is rebuilt once by the round, with output equal
-// to independent refreshes.
+// feature merge): the graph revision moves, and every view is rebuilt
+// once by the round, with output equal to independent refreshes.
 TEST(RefreshEngineTest, EdgeMutationRebuildsEachViewOnce) {
   Harness h(-1, true);
   match::AlignmentCandidate candidate;
@@ -401,13 +400,10 @@ TEST(RefreshEngineTest, EdgeMutationRebuildsEachViewOnce) {
   // the existing edge (no topology change).
   candidate.matcher = "manual2";
   candidate.confidence = 0.95;
+  const std::size_t num_edges = h.q->search_graph().num_edges();
   ASSERT_TRUE(h.q->AddAssociations({candidate}).ok());
-  std::vector<graph::GraphDelta> deltas;
-  ASSERT_TRUE(h.q->search_graph().DeltaSince(graph_revision, &deltas));
-  ASSERT_FALSE(deltas.empty());
-  for (const graph::GraphDelta& d : deltas) {
-    EXPECT_EQ(d.kind, graph::GraphDeltaKind::kEdgeMutated);
-  }
+  EXPECT_GT(h.q->search_graph().revision(), graph_revision);
+  EXPECT_EQ(h.q->search_graph().num_edges(), num_edges);
   ASSERT_TRUE(h.q->RefreshAllViews().ok());
   auto after = engine.stats();
 
@@ -423,40 +419,11 @@ TEST(RefreshEngineTest, EdgeMutationRebuildsEachViewOnce) {
   }
 }
 
-// When the weight journal cannot reach back to a snapshot's revision
-// (overflow), the engine must fall back to the wholesale in-place re-cost
-// — never serve stale costs, never rebuild.
-TEST(RefreshEngineTest, TruncatedJournalFallsBackToFullRecost) {
-  Harness h(-1, true);
-  ASSERT_TRUE(h.q->RefreshAllViews().ok());
-  const RefreshEngine& engine = h.q->refresh_engine();
-
-  h.q->mutable_weights().set_max_journal_entries(1);
-  h.q->mutable_weights().Nudge(graph::FeatureSpace::kDefaultFeature, 0.02);
-  h.q->mutable_weights().Nudge(graph::FeatureSpace::kDefaultFeature, 0.02);
-  h.q->mutable_weights().Nudge(graph::FeatureSpace::kDefaultFeature, 0.02);
-
-  auto before = engine.stats();
-  ASSERT_TRUE(h.q->RefreshAllViews().ok());
-  auto after = engine.stats();
-  EXPECT_EQ(after.snapshots_built, before.snapshots_built);
-  EXPECT_EQ(after.views_full_recost - before.views_full_recost,
-            h.view_ids.size());
-  EXPECT_EQ(after.views_delta_recost, before.views_delta_recost);
-
-  auto batched = h.BatchedStates();
-  auto independent = h.IndependentRefresh();
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    ExpectSameState(independent[i], batched[i],
-                    "truncated view " + std::to_string(i));
-  }
-}
-
 // Randomized delta sequence at the system level: sparse nudges, dense
 // (default-feature) nudges, and association re-confirmations interleave;
-// after every step the batched delta pipeline must match independent
-// refreshes bit for bit, whatever mix of skip/delta/full/rebuild the
-// classification picked.
+// after every step the batched rounds must match independent refreshes
+// bit for bit, whatever mix of skip/re-cost/rebuild the classification
+// picked.
 TEST(RefreshEngineTest, RandomizedDeltaSequenceMatchesIndependent) {
   Harness h(-1, true);
   ASSERT_TRUE(h.q->RefreshAllViews().ok());
@@ -497,17 +464,17 @@ TEST(RefreshEngineTest, RandomizedDeltaSequenceMatchesIndependent) {
                           std::to_string(i));
     }
   }
-  // The sequence must have exercised the delta pipeline, not only
-  // wholesale paths.
+  // The sequence must have exercised the no-op skip, not only re-costs
+  // that move costs and rebuilds.
   auto end = engine.stats();
-  EXPECT_GT(end.views_delta_recost + end.views_skipped_delta,
-            start.views_delta_recost + start.views_skipped_delta);
+  EXPECT_GT(end.views_skipped_delta, start.views_skipped_delta);
 }
 
 // Sparse updates in both directions — two thirds increases, one third
 // small decreases — on random base-graph features: every step must match
-// independent refreshes bit for bit without a rebuild, and the sequence
-// must reprice through the delta path.
+// independent refreshes bit for bit without a rebuild. Every view is
+// re-costed in place at every step: a re-cost that moves a cost leads to
+// a search, one that moves none to a skip.
 TEST(RefreshEngineTest, RandomizedSparseUpdatesMatchIndependent) {
   Harness h(-1, true);
   ASSERT_TRUE(h.q->RefreshAllViews().ok());
@@ -540,8 +507,15 @@ TEST(RefreshEngineTest, RandomizedSparseUpdatesMatchIndependent) {
     }
   }
   const auto end = engine.stats();
+  const std::size_t moved = end.views_full_recost - start.views_full_recost;
+  const std::size_t skipped =
+      end.views_skipped_delta - start.views_skipped_delta;
   EXPECT_EQ(end.snapshots_built, start.snapshots_built);
-  EXPECT_GT(end.views_delta_recost, start.views_delta_recost);
+  EXPECT_EQ(moved + skipped, 16 * h.view_ids.size());
+  EXPECT_EQ(end.searches_run - start.searches_run, moved);
+  EXPECT_EQ(end.refreshes_skipped - start.refreshes_skipped, skipped);
+  EXPECT_GT(moved, 0u);
+  EXPECT_EQ(end.views_delta_recost, 0u);
 }
 
 }  // namespace

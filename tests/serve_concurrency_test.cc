@@ -1091,14 +1091,15 @@ TEST(ServeConcurrencyTest, RepairWindowSearchesAtTheNewPair) {
       << "the delta must change the view's answer";
   const relational::Catalog empty;
   const util::Status failed = f.engine.RepairViewAsync(
-      f.slot, f.q->search_graph(), empty, f.q->weights());
+      f.slot, f.q->search_graph(), empty,
+      f.engine.ServingWeights(f.q->weights()));
   ASSERT_TRUE(failed.IsNotFound()) << failed.ToString();
   ExpectServed(f.engine, [&] { return f.Serve(); }, repriced,
                /*from_committed=*/false, "repair window");
 
   ASSERT_TRUE(f.engine
                   .RepairViewAsync(f.slot, f.q->search_graph(), f.q->catalog(),
-                                   f.q->weights())
+                                   f.engine.ServingWeights(f.q->weights()))
                   .ok());
   ExpectServed(f.engine, [&] { return f.Serve(); }, repriced,
                /*from_committed=*/true, "repair landed");
@@ -1112,7 +1113,9 @@ TEST(ServeConcurrencyTest, RepairWindowSearchesAtTheNewPair) {
 // table's attributes are renamed, so executing a view's queries reports
 // NotFound — is returned by the call whose round it belonged to, and the
 // next round, with the schemas restored, retries the views the failure
-// left stale and returns OK.
+// left stale and returns OK. The failed repairs already re-costed their
+// snapshots, so a retry with no new weight change moves no cost: it must
+// still search, or it would commit the pre-failure results.
 TEST(ServeConcurrencyTest, SynchronousFeedbackReturnsWithItsRoundDrained) {
   Harness h(/*async=*/false);
   const AsyncRefreshScheduler& sched = *h.q->async_scheduler();
@@ -1152,6 +1155,15 @@ TEST(ServeConcurrencyTest, SynchronousFeedbackReturnsWithItsRoundDrained) {
   EXPECT_FALSE(h.q->DrainRefreshes().ok());
 
   for (auto& [table, schema] : saved) table->mutable_schema() = schema;
+  ASSERT_TRUE(h.q->RefreshAllViews().ok());
+  EXPECT_EQ(stale_views(), 0u);
+  for (std::size_t id : h.view_ids) {
+    ExpectSameViewState(
+        *h.q->ReadView(id).state,
+        IndependentSearch(h.q->view(id), h.q->catalog(), h.q->weights()),
+        "dirty retry view " + std::to_string(id));
+  }
+
   ASSERT_TRUE(endorse(h.view_ids[2]).ok());
   EXPECT_EQ(stale_views(), 0u);
   EXPECT_TRUE(h.q->DrainRefreshes().ok());

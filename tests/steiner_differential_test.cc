@@ -316,13 +316,12 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, RecostDifferentialTest,
 class DeltaRecostDifferentialTest : public ::testing::TestWithParam<int> {};
 
 // Randomized delta configs: a random sequence of MIRA-style sparse weight
-// updates and edge additions is applied to a long-lived engine through
-// the delta pipeline (RecostDelta, full Recost on dense deltas, rebuild
-// on topology change), and after every step the top-k output must be
-// bit-identical to a freshly built snapshot — with the enumeration memo
-// kept across steps, so a wrongly retained enumeration would surface
-// immediately.
-TEST_P(DeltaRecostDifferentialTest, DeltaPathMatchesFreshSnapshot) {
+// updates and edge additions is applied to a long-lived engine (an
+// in-place Recost per weight update, a rebuild on topology change), and
+// after every step the top-k output must be bit-identical to a freshly
+// built snapshot — with the enumeration memo kept across steps, so a
+// wrongly retained enumeration would surface immediately.
+TEST_P(DeltaRecostDifferentialTest, SparseRecostMatchesFreshSnapshot) {
   util::Rng rng(34000 + GetParam());
   DiffGraph g(&rng, 26 + rng.Uniform(20), 55 + rng.Uniform(40),
               3 + rng.Uniform(2));
@@ -334,53 +333,47 @@ TEST_P(DeltaRecostDifferentialTest, DeltaPathMatchesFreshSnapshot) {
                                shared.get());
   ASSERT_FALSE(warm.empty());
 
-  std::uint64_t weight_rev = g.weights->revision();
-  std::size_t delta_recosts = 0;
+  std::size_t recosts = 0;
   for (int step = 0; step < 12; ++step) {
     int action = rng.Uniform(3);
     if (action == 2) {
-      // Topology change: delta pipeline cannot help; rebuild the engine
-      // (what the RefreshEngine's rebuild classification does).
+      // Topology change: a re-cost cannot help; rebuild the engine (what
+      // the RefreshEngine's rebuild classification does).
       g.AddRandomEdge(&rng);
       shared = std::make_unique<FastSteinerEngine>(g.graph, *g.weights,
                                                    /*use_memo=*/true);
     } else {
-      // Sparse weight update, fed through the journal exactly as the
-      // RefreshEngine consumes it.
+      // Sparse weight update, re-costed in place exactly as the
+      // RefreshEngine's repair does. The generation moves only with a
+      // cost.
       g.PerturbSparse(&rng, 1 + rng.Uniform(3));
-      std::vector<graph::FeatureDelta> deltas;
-      ASSERT_TRUE(g.weights->DeltaSince(weight_rev, &deltas));
-      graph::CoalesceFeatureDeltas(&deltas);
-      auto outcome = shared->RecostDelta(g.graph, *g.weights, deltas);
-      if (!outcome.applied) {
-        shared->Recost(g.graph, *g.weights);
-      } else if (outcome.edges_repriced > 0) {
-        ++delta_recosts;
-      }
+      const std::uint64_t gen = shared->generation();
+      const std::size_t moved = shared->Recost(g.graph, *g.weights);
+      EXPECT_EQ(shared->generation(), moved > 0 ? gen + 1 : gen);
+      if (moved > 0) ++recosts;
     }
-    weight_rev = g.weights->revision();
 
     FastSteinerEngine fresh(g.graph, *g.weights, /*use_memo=*/true);
     for (bool approximate : {false, true}) {
       config.approximate = approximate;
-      auto delta_served = TopKSteinerTrees(g.graph, *g.weights, g.terminals,
-                                           config, shared.get());
+      auto recosted = TopKSteinerTrees(g.graph, *g.weights, g.terminals,
+                                       config, shared.get());
       auto rebuilt = TopKSteinerTrees(g.graph, *g.weights, g.terminals,
                                       config, &fresh);
       std::string label = "step " + std::to_string(step) +
                           (approximate ? " kmb" : " exact");
-      ASSERT_EQ(delta_served.size(), rebuilt.size()) << label;
-      for (std::size_t i = 0; i < delta_served.size(); ++i) {
-        EXPECT_EQ(delta_served[i].edges, rebuilt[i].edges)
+      ASSERT_EQ(recosted.size(), rebuilt.size()) << label;
+      for (std::size_t i = 0; i < recosted.size(); ++i) {
+        EXPECT_EQ(recosted[i].edges, rebuilt[i].edges)
             << label << " tree " << i;
-        EXPECT_EQ(delta_served[i].cost, rebuilt[i].cost)
+        EXPECT_EQ(recosted[i].cost, rebuilt[i].cost)
             << label << " tree " << i;
       }
     }
   }
-  // The sequence must actually exercise the selective path, not fall back
-  // to full re-costs throughout.
-  EXPECT_GT(delta_recosts, 0u);
+  // The sequence must actually re-cost a long-lived engine, not only
+  // rebuild it.
+  EXPECT_GT(recosts, 0u);
 }
 
 // Same trees in the same order with bit-equal costs, and the same
@@ -405,11 +398,11 @@ void ExpectSameSearch(const std::vector<SteinerTree>& expected,
 // referee engine (no memo) byte for byte
 // — trees, order, costs and certificate — for exact and KMB, with and
 // without a pool, on 2 terminals (even params) and 3-4 (odd). Across a
-// Recost and an effective RecostDelta the memo must start cold (no hit on
-// the first enumeration after the bump); across a no-op RecostDelta its
-// entries must survive and serve the whole repeat. An enumeration pinned
-// before an effective RecostDelta landed must be neither served from nor
-// inserted into the new generation's memo.
+// Recost that moves a cost, dense or sparse, the memo must start cold (no
+// hit on the first enumeration after the bump); across a Recost that
+// moves none its entries must survive and serve the whole repeat. An
+// enumeration pinned before an effective Recost landed must be neither
+// served from nor inserted into the new generation's memo.
 TEST_P(DeltaRecostDifferentialTest, MemoServedSearchesMatchUncachedReferee) {
   util::Rng rng(35000 + GetParam());
   const std::size_t num_terminals =
@@ -466,26 +459,15 @@ TEST_P(DeltaRecostDifferentialTest, MemoServedSearchesMatchUncachedReferee) {
   EXPECT_EQ(cached.stats().memo_entries, 0u);
   check("recost", /*cold=*/true);
 
-  // An effective RecostDelta moves it too.
-  std::uint64_t weight_rev = g.weights->revision();
-  std::vector<graph::FeatureDelta> deltas;
-  auto sparse_delta = [&] {
-    g.PerturbSparse(&rng, 1 + rng.Uniform(3));
-    deltas.clear();
-    EXPECT_TRUE(g.weights->DeltaSince(weight_rev, &deltas));
-    weight_rev = g.weights->revision();
-    graph::CoalesceFeatureDeltas(&deltas);
-  };
-  sparse_delta();
+  // A sparse update whose Recost moves a cost moves it too.
+  g.PerturbSparse(&rng, 1 + rng.Uniform(3));
   std::uint64_t gen = cached.generation();
-  auto effective = cached.RecostDelta(g.graph, *g.weights, deltas);
-  ASSERT_TRUE(effective.applied);
-  ASSERT_GT(effective.edges_repriced, 0u);
+  ASSERT_GT(cached.Recost(g.graph, *g.weights), 0u);
   EXPECT_EQ(cached.generation(), gen + 1);
   EXPECT_EQ(cached.stats().memo_entries, 0u);
-  check("delta", /*cold=*/true);
+  check("sparse", /*cold=*/true);
 
-  // A search pinned before a RecostDelta lands keeps its own costs: it is
+  // A search pinned before a Recost lands keeps its own costs: it is
   // neither served by nor inserted into the new generation's memo, warm
   // or cold, and still equals a referee built at the pinned weights.
   config.pool = nullptr;
@@ -498,11 +480,9 @@ TEST_P(DeltaRecostDifferentialTest, MemoServedSearchesMatchUncachedReferee) {
       TopKSteinerTrees(g.graph, pinned_weights, g.terminals, config,
                        &pinned_referee, &pinned_cert);
   const SnapshotPin pin = cached.Pin();
-  sparse_delta();
+  g.PerturbSparse(&rng, 1 + rng.Uniform(3));
   gen = cached.generation();
-  auto concurrent = cached.RecostDelta(g.graph, *g.weights, deltas);
-  ASSERT_TRUE(concurrent.applied);
-  ASSERT_GT(concurrent.edges_repriced, 0u);
+  ASSERT_GT(cached.Recost(g.graph, *g.weights), 0u);
   EXPECT_EQ(cached.generation(), gen + 1);
   for (int round = 0; round < 2; ++round) {
     const std::string label = "pinned round " + std::to_string(round);
@@ -520,21 +500,16 @@ TEST_P(DeltaRecostDifferentialTest, MemoServedSearchesMatchUncachedReferee) {
     if (round == 0) check("after pinned search", /*cold=*/true);
   }
 
-  // A RecostDelta that moves no cost leaves the generation and every memo
+  // A Recost that moves no cost leaves the generation and every memo
   // entry in place; the repeat is served without a single miss.
   const std::size_t entries = cached.stats().memo_entries;
   ASSERT_GT(entries, 0u);
   g.weights->Set(g.space.Intern("unused", 0.5), 0.75);
-  deltas.clear();
-  ASSERT_TRUE(g.weights->DeltaSince(weight_rev, &deltas));
-  weight_rev = g.weights->revision();
   gen = cached.generation();
-  auto noop = cached.RecostDelta(g.graph, *g.weights, deltas);
-  ASSERT_TRUE(noop.applied);
-  EXPECT_EQ(noop.edges_repriced, 0u);
+  EXPECT_EQ(cached.Recost(g.graph, *g.weights), 0u);
   EXPECT_EQ(cached.generation(), gen);
   EXPECT_EQ(cached.stats().memo_entries, entries);
-  check("no-op delta", /*cold=*/false);
+  check("no-op recost", /*cold=*/false);
 }
 
 // The memo key must cover every input that changes an enumeration's

@@ -233,16 +233,11 @@ TEST(FastSolverPinTest, PinnedSnapshotSurvivesRecost) {
   EXPECT_EQ(after->edges, reference_new->edges);
   EXPECT_EQ(after->cost, reference_new->cost);
 
-  // Delta re-costs under a pin take the same copy-on-write path.
+  // A sparse re-cost under a pin takes the same copy-on-write path.
   SnapshotPin pin2 = engine.Pin();
   std::vector<double> pinned2 = pin2.csr->edge_cost;
-  std::uint64_t rev = g.weights->revision();
   g.weights->Set(1, g.weights->At(1) * 2.0);
-  std::vector<graph::FeatureDelta> deltas;
-  ASSERT_TRUE(g.weights->DeltaSince(rev, &deltas));
-  auto outcome = engine.RecostDelta(g.graph, *g.weights, deltas);
-  ASSERT_TRUE(outcome.applied);
-  if (outcome.edges_repriced > 0) {
+  if (engine.Recost(g.graph, *g.weights) > 0) {
     EXPECT_EQ(pin2.csr->edge_cost, pinned2);
     EXPECT_NE(&engine.csr(), pin2.csr.get());
   }
