@@ -153,8 +153,8 @@ bool RunScale(std::size_t sources, FILE* json, const char* suffix,
   // One engine per configuration, shared across the query mix — this is
   // the serving-path shape (RefreshEngine keeps an engine per view), so
   // the per-query numbers measure search work, not repeated CSR builds.
-  q::steiner::FastSteinerEngine sharded_engine(graph, weights, true);
-  q::steiner::FastSteinerEngine plain_engine(graph, weights, true);
+  q::steiner::FastSteinerEngine sharded_engine(graph, weights);
+  q::steiner::FastSteinerEngine plain_engine(graph, weights);
 
   // Untimed warmup: the first query against a fresh engine pays one-time
   // setup (the shard partition build, thread-local scratch growth) that

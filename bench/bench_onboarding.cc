@@ -69,8 +69,8 @@ System BuildSystem(const OnboardingConfig& bench, int k) {
   return sys;
 }
 
-// Serving pressure: readers loop QueryView (live searches against the
-// pinned slots) and ReadView probes until stopped. Any failure is
+// Serving pressure: readers loop QueryView (copies of each view's
+// published snapshot) and ReadView probes until stopped. Any failure is
 // counted and fails the bench — registrations must never wedge a reader.
 struct ReaderPool {
   std::atomic<bool> stop{false};

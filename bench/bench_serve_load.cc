@@ -1,8 +1,8 @@
 // YCSB-style concurrent serving load harness (docs/benchmarks.md,
-// "Concurrent serving load"): N query workers run live TopKView searches
-// (QSystem::QueryView) and published-snapshot reads (ReadView) against
-// shared pinned snapshots, Zipfian-skewed over the view set, while one
-// feedback writer applies MIRA updates at a configurable pace. Workers
+// "Concurrent serving load"): N query workers run QueryView (a copy of
+// the view's published snapshot) and ReadView, Zipfian-skewed over the
+// view set, while one feedback writer applies MIRA updates at a
+// configurable pace. Workers
 // start on a spin barrier, count ops per worker, and record per-op
 // latencies; the driver reports aggregate ops/sec and p50/p95/p99.
 //

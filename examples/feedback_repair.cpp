@@ -39,7 +39,7 @@ int main() {
       auto view_id = q.CreateView(keywords);
       if (!view_id.ok()) continue;
       // Every view is served through the batched RefreshEngine (one CSR
-      // snapshot per view, re-costed in place after each MIRA update) and
+      // snapshot per view, re-costed after each MIRA update) and
       // must come back with live trees.
       Q_CHECK(!q.view(*view_id).trees().empty());
       auto applied = q.ApplyGoldFeedback(*view_id, expert);
@@ -76,15 +76,13 @@ int main() {
   std::cout << "\nrefresh engine: " << rstats.snapshots_built
             << " snapshot builds, " << rstats.snapshots_recosted
             << " weight-only re-costs, " << rstats.searches_run
-            << " searches across " << q.num_views()
-            << " views (generation " << q.refresh_engine().generation()
-            << ")\n";
+            << " searches across " << q.num_views() << " views\n";
   std::cout << "repairs: " << rstats.views_full_recost
             << " re-costs that moved a cost, " << rstats.views_skipped_delta
             << " that moved none, " << rstats.edges_repriced
             << " edges repriced\n";
   // The feedback loop only reprices edges, so after the initial build
-  // every refresh must have taken the in-place re-cost fast path.
+  // every refresh must have taken the re-cost fast path.
   Q_CHECK(rstats.snapshots_recosted > rstats.snapshots_built);
   // Every view was built exactly once, by CreateView: every refresh after
   // that was a re-cost or a skip, never a rebuild.

@@ -4,7 +4,7 @@
 // ViewBased/Preferential stay flat — and how a QSystem keeps live keyword
 // views fresh across that growth: each growth stage bumps the graph
 // revision and rebuilds every view, while a weight-only update afterwards
-// re-costs the CSR snapshots in place.
+// re-costs the CSR snapshots.
 //
 //   build/scaling_demo
 #include <iostream>
@@ -133,8 +133,7 @@ int main() {
   }
 
   // A weight-only update (a feedback step's effect) takes the re-cost
-  // fast path: no query-graph rebuild, just an in-place CSR re-cost per
-  // snapshot.
+  // fast path: no query-graph rebuild, just a CSR re-cost per snapshot.
   const q::core::RefreshEngine& engine = q.refresh_engine();
   auto before = engine.stats();
   q.mutable_weights().Nudge(q::graph::FeatureSpace::kDefaultFeature, 0.05);
@@ -148,8 +147,7 @@ int main() {
             << " sources: " << after.snapshots_built
             << " snapshot builds (creation and growth stages), "
             << after.snapshots_recosted
-            << " in-place re-costs (weight updates), generation "
-            << engine.generation() << ", "
+            << " in-place re-costs (weight updates), "
             << q.view(*view_a).results().rows.size() << "+"
             << q.view(*view_b).results().rows.size() << " live answers\n";
   std::cout << "\nViewBased explores only the alpha-neighborhood of the "

@@ -9,7 +9,7 @@ AsyncRefreshScheduler::AsyncRefreshScheduler(
     RefreshEngine* engine, util::ThreadPool* pool, int dedicated_threads,
     const graph::SearchGraph* base, const relational::Catalog* catalog,
     const text::TextIndex* index, graph::CostModel* model,
-    const graph::WeightVector* weights, util::SharedMutex* serve_gate)
+    const graph::WeightVector* weights)
     : engine_(engine),
       owned_pool_(pool == nullptr || dedicated_threads > 0
                       ? std::make_unique<util::ThreadPool>(
@@ -21,7 +21,6 @@ AsyncRefreshScheduler::AsyncRefreshScheduler(
       index_(index),
       model_(model),
       weights_(weights),
-      serve_gate_(serve_gate),
       queue_(pool_) {}
 
 AsyncRefreshScheduler::~AsyncRefreshScheduler() { queue_.Drain(); }
@@ -59,7 +58,6 @@ util::Status AsyncRefreshScheduler::RunRound(
     // Every view a failure left stale is retried below (its slot never
     // committed), so the round reports only what fails from here on.
     repair_error_ = util::Status::OK();
-    engine_->BeginAsyncRound(*base_, *weights_);
     for (std::size_t slot = 0; slot < views_.size(); ++slot) {
       if (queue_.Busy(slot)) {
         // A repair is in flight or parked: its engine slot is not safe to
@@ -120,118 +118,53 @@ util::Status AsyncRefreshScheduler::RebuildViews(
     const std::vector<std::size_t>& slots,
     std::size_t AsyncRefreshStats::*rebuild_counter) {
   util::Status first_error = util::Status::OK();
-  std::uint64_t round_epoch = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    round_epoch = epoch_;
-  }
-  const auto record = [&](std::size_t slot, const util::Status& status,
-                          bool validated) {
+  std::unique_lock<std::mutex> lock(mu_);
+  const std::uint64_t round_epoch = epoch_;
+  // Copied into each search task, so it holds no reference to this frame.
+  const auto record = [this, round_epoch, rebuild_counter](
+                          std::size_t slot, const util::Status& status) {
     // Caller holds mu_.
     ++(stats_.*rebuild_counter);
-    if (validated) validated_[slot] = round_epoch;
-    if (!status.ok() && repair_error_.ok()) repair_error_ = status;
-  };
-
-  // Staged views whose search has not been installed yet, oldest first.
-  std::vector<std::unique_ptr<StagedSearch>> staged;
-  // Moves every staged view whose search has landed out of `staged`.
-  const auto take_landed = [&] {
-    std::vector<std::unique_ptr<StagedSearch>> landed;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (auto& s : staged) {
-        if (s->landed) landed.push_back(std::move(s));
-      }
+    if (status.ok()) {
+      validated_[slot] = round_epoch;
+    } else if (repair_error_.ok()) {
+      repair_error_ = status;
     }
-    staged.erase(std::remove(staged.begin(), staged.end(), nullptr),
-                 staged.end());
-    return landed;
   };
-  // Installs `landed`; the caller holds the exclusive serving gate. What
-  // the installs replace stays in `landed` until the caller frees it,
-  // after releasing the gate.
-  const auto install =
-      [&](const std::vector<std::unique_ptr<StagedSearch>>& landed) {
-        if (landed.empty()) return;
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const auto& s : landed) {
-          const util::Status searched = s->rebuild.snapshot.status();
-          engine_->InstallStaged(&s->rebuild, *base_, *weights_);
-          record(s->rebuild.slot, searched, /*validated=*/searched.ok());
-        }
-      };
-  // Waits for a search to land and installs every landed view in an
-  // exclusive section of its own.
-  const auto await_and_install = [&] {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] {
-        for (const auto& s : staged) {
-          if (s->landed) return true;
-        }
-        return false;
-      });
-    }
-    std::vector<std::unique_ptr<StagedSearch>> landed = take_landed();
-    {
-      std::unique_lock<util::SharedMutex> serve_lock = LockServeGate();
-      install(landed);
-    }
-    cv_.notify_all();
-  };
-
   for (std::size_t slot : slots) {
-    while (staged.size() >= kMaxStagedViews) await_and_install();
-    auto s = std::make_unique<StagedSearch>();
-    s->rebuild = engine_->StageRebuild(slot, *base_, *weights_);
-    // One exclusive section installs every view whose search has landed
-    // and expands this one. Each release of the gate wakes every waiting
-    // reader, and on a host with more runnable threads than cores the
-    // woken readers take the writer's core, so a round pays that once
-    // per view instead of twice.
-    std::vector<std::unique_ptr<StagedSearch>> landed = take_landed();
-    util::Status expanded;
-    {
-      std::unique_lock<util::SharedMutex> serve_lock = LockServeGate();
-      install(landed);
-      expanded = engine_->ExpandStaged(&s->rebuild, *index_, model_);
-    }
-    if (!landed.empty()) cv_.notify_all();
+    cv_.wait(lock, [this] { return staged_in_flight_ < kMaxStagedViews; });
+    lock.unlock();
+    auto staged = std::make_shared<RefreshEngine::StagedRebuild>(
+        engine_->StageRebuild(slot, *base_, *weights_));
+    const util::Status expanded =
+        engine_->ExpandStaged(staged.get(), *index_, model_);
+    if (expanded.ok()) staged->weights = engine_->ServingWeights(*weights_);
+    lock.lock();
     if (!expanded.ok()) {
-      // The slot is untouched and keeps serving its committed snapshot.
-      std::lock_guard<std::mutex> lock(mu_);
-      record(slot, expanded, /*validated=*/false);
+      // The slot is untouched and keeps its published snapshot.
+      record(slot, expanded);
       if (first_error.ok()) first_error = expanded;
       continue;
     }
-    s->rebuild.weights = engine_->ServingWeights(*weights_);
     // The queue would coalesce a task submitted while one is pending. The
     // round drained it, and the owner's feedback lock keeps every other
     // submitter out, so this search is the slot's only task.
     Q_CHECK_MSG(!queue_.Busy(slot), "staged search queued behind a task");
-    StagedSearch* search = s.get();
-    queue_.Submit(slot, [this, search] {
-      engine_->SearchStaged(&search->rebuild, *catalog_);
+    ++staged_in_flight_;
+    queue_.Submit(slot, [this, staged, record] {
+      engine_->SearchStaged(staged.get(), *catalog_);
       {
-        std::lock_guard<std::mutex> lock(mu_);
-        search->landed = true;
+        std::lock_guard<std::mutex> task_lock(mu_);
+        const util::Status searched = staged->snapshot.status();
+        engine_->InstallStaged(staged.get(), *base_, *weights_);
+        record(staged->slot, searched);
+        --staged_in_flight_;
       }
       cv_.notify_all();
     });
-    staged.push_back(std::move(s));
-    // What the installs replaced is freed here, outside the gate and
-    // after this view's search is on its way.
-    landed.clear();
   }
-  while (!staged.empty()) await_and_install();
+  cv_.wait(lock, [this] { return staged_in_flight_ == 0; });
   return first_error;
-}
-
-std::unique_lock<util::SharedMutex> AsyncRefreshScheduler::LockServeGate() {
-  return serve_gate_ != nullptr
-             ? std::unique_lock<util::SharedMutex>(*serve_gate_)
-             : std::unique_lock<util::SharedMutex>();
 }
 
 void AsyncRefreshScheduler::RepairOne(std::size_t slot) {

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <vector>
 
 #include "core/refresh_engine.h"
@@ -15,7 +14,6 @@
 #include "query/view.h"
 #include "relational/catalog.h"
 #include "text/text_index.h"
-#include "util/shared_mutex.h"
 #include "util/status.h"
 #include "util/task_queue.h"
 #include "util/thread_pool.h"
@@ -40,9 +38,8 @@ struct AsyncRefreshStats {
   // the benchmark reads it (ROADMAP item 1 drops it).
   std::size_t structural_skips = 0;
   // Views a structural round rebuilt: query graph, engine and searched
-  // snapshot built beside the serving slot and installed whole inside the
-  // round, one per rebuilt view whether or not its staging or search
-  // succeeded.
+  // snapshot built beside the slot and installed whole inside the round,
+  // one per rebuilt view whether or not its staging or search succeeded.
   std::size_t structural_rebuilds = 0;
 };
 
@@ -56,11 +53,12 @@ struct AsyncRefreshStats {
 //     Views whose query graph must be re-expanded are rebuilt beside
 //     their slots and installed before the round returns (RebuildViews);
 //     views with a weight delta get a repair task queued.
-//   * Repair tasks (pool threads, one per affected view): re-cost the
-//     view's CSR snapshot against a frozen copy of the weight vector (the
-//     RefreshEngine::ServingWeights copy at the repair's target epoch)
-//     and, unless the re-cost moved nothing, re-run its search, then
-//     publish the new ViewSnapshot and mark the view validated.
+//   * Repair tasks (pool threads, one per affected view): re-cost a copy
+//     of the view's CSR snapshot against a frozen copy of the weight
+//     vector (the RefreshEngine::ServingWeights copy at the repair's
+//     target epoch) and, unless the re-cost moved nothing, search it,
+//     install it, publish the new ViewSnapshot and mark the view
+//     validated.
 //     util::KeyedTaskQueue gives per-view ordering (repairs of one view
 //     never overlap or reorder) and coalesces superseded repairs (a
 //     pending repair is subsumed by a newer one, since every repair
@@ -80,8 +78,8 @@ struct AsyncRefreshStats {
 // skips the search only when no cost moved, and frozen weight copies
 // price like the live vector at their revision. No
 // intermediate read ever mixes generations: ViewSnapshot is published
-// whole (query/view.h) and an in-flight search pins its CSR snapshot
-// across concurrent re-costs (steiner/fast_solver.h).
+// whole (query/view.h), and a view's CSR snapshot, query graph and
+// engine are each installed whole after the search over them succeeded.
 //
 // Threading contract for the owner (QSystem): all base-state mutation
 // and every round / TrackView call are serialized by one caller-held lock
@@ -94,19 +92,13 @@ class AsyncRefreshScheduler {
   // `engine` must outlive the scheduler. `pool` runs the repair tasks and
   // staged searches; when it is null or `dedicated_threads` > 0 the
   // scheduler owns a pool of max(1, dedicated_threads) workers instead.
-  // `serve_gate` (optional) is the owner's reader/writer serving lock
-  // (QSystem::serve_mu_): concurrent QueryView readers hold it shared,
-  // and a round takes it exclusively around the short steps of a rebuild
-  // that intern features or replace slot state (see RebuildViews). Its
-  // callers must therefore not hold it (it is not recursive).
   AsyncRefreshScheduler(RefreshEngine* engine, util::ThreadPool* pool,
                         int dedicated_threads,
                         const graph::SearchGraph* base,
                         const relational::Catalog* catalog,
                         const text::TextIndex* index,
                         graph::CostModel* model,
-                        const graph::WeightVector* weights,
-                        util::SharedMutex* serve_gate = nullptr);
+                        const graph::WeightVector* weights);
 
   // Drains all in-flight repairs.
   ~AsyncRefreshScheduler();
@@ -131,28 +123,21 @@ class AsyncRefreshScheduler {
   // registration, or for a full refresh whatever changed, counted in
   // structural_rounds, its rebuilt views in structural_rebuilds. The
   // caller (QSystem) must have quiesced the queue before mutating the
-  // base and must NOT hold the serving gate. Every view the change
-  // reaches is rebuilt beside its slot and installed before the call
-  // returns, so the ack leaves those views fresh. Per view, in slot order
-  // (the order features are interned in): the base graph is copied with
-  // no gate held, the keywords are expanded in a short exclusive section
-  // (expansion interns features), and a repair thread builds the engine
-  // and searches the staged pair at a weight copy materialized over every
-  // feature interned so far; a later short exclusive section installs
-  // query graph, engine and searched snapshot together and validates the
-  // view at the round's epoch. The replaced query graph and engine are
-  // freed after the gate is released. While view i+1 is copied, earlier
-  // views' searches run; every view whose search has landed is installed
-  // in the exclusive section that expands view i+1, so the round takes
-  // the gate about once per view, and at most kMaxStagedViews are staged
-  // but not installed. Until its install a view keeps serving its
-  // committed snapshot at its old pair, so no QueryView waits for a
-  // rebuild or searches one. A failed search installs the rebuilt graph
-  // and engine unsearched (the slot dirty, QueryView searching it) and is
-  // recorded like a failed repair; the next round rebuilds it again.
-  // Returns the first staging failure, a keyword that no longer matches
-  // (also recorded, with the slot untouched); search failures surface
-  // through Drain.
+  // base. Every view the change reaches is rebuilt beside its slot and
+  // installed before the call returns, so the ack leaves those views
+  // fresh. Per view, in slot order (the order features are interned in),
+  // the caller's thread copies the base graph and expands the keywords
+  // (expansion interns features); then a repair thread builds the engine,
+  // searches the staged pair at a weight copy materialized over every
+  // feature interned so far, installs query graph, engine and searched
+  // snapshot together and validates the view at the round's epoch. While
+  // view i+1 is copied and expanded, earlier views' searches run; at most
+  // kMaxStagedViews are staged but not installed. Until its install a
+  // view's readers read its old published snapshot. A failed search
+  // installs nothing (the view reads stale) and is recorded like a failed
+  // repair; the next round rebuilds it again. Returns the first staging
+  // failure, a keyword that no longer matches (also recorded, with the
+  // slot untouched); search failures surface through Drain.
   util::Status NotifyStructuralChange();
 
   // Epoch-tagged, never-blocking read of the view's last committed
@@ -189,21 +174,12 @@ class AsyncRefreshScheduler {
   // the view count.
   static constexpr std::size_t kMaxStagedViews = 2;
 
-  // One view of a round's rebuild between staging and install.
-  struct StagedSearch {
-    RefreshEngine::StagedRebuild rebuild;
-    bool landed = false;  // its search has finished; guarded by mu_
-  };
-
   // The round both Notify* calls run; they differ only in `round_counter`
   // (bumped once) and `rebuild_counter` (bumped per rebuilt view).
   util::Status RunRound(std::size_t AsyncRefreshStats::*round_counter,
                         std::size_t AsyncRefreshStats::*rebuild_counter);
 
   void RepairOne(std::size_t slot);
-
-  // The serving gate, held exclusively (an empty lock without a gate).
-  std::unique_lock<util::SharedMutex> LockServeGate();
 
   // The round's rebuild of the views in `slots`, staged in slot order,
   // searched and installed. Returns the first staging failure.
@@ -218,7 +194,6 @@ class AsyncRefreshScheduler {
   const text::TextIndex* index_;
   graph::CostModel* model_;
   const graph::WeightVector* weights_;
-  util::SharedMutex* serve_gate_;  // may be null (no concurrent readers)
 
   // Declared after the pools so it drains before they join.
   util::KeyedTaskQueue queue_;
@@ -236,6 +211,8 @@ class AsyncRefreshScheduler {
   std::vector<std::uint64_t> validated_;
   // First failure since the latest round began.
   util::Status repair_error_ = util::Status::OK();
+  // Views the running round has staged and not installed yet.
+  std::size_t staged_in_flight_ = 0;
   AsyncRefreshStats stats_;
 };
 

@@ -26,7 +26,7 @@ QSystem::QSystem(QSystemConfig config)
   }
   scheduler_ = std::make_unique<AsyncRefreshScheduler>(
       &refresh_, steiner_pool_.get(), config_.async_repair_threads, &graph_,
-      &catalog_, &index_, &model_, &weights_, &serve_mu_);
+      &catalog_, &index_, &model_, &weights_);
   metadata_matcher_ =
       std::make_unique<match::MetadataMatcher>(config_.metadata);
   mad_matcher_ = std::make_unique<match::MadMatcher>(config_.mad);
@@ -60,11 +60,8 @@ util::Status QSystem::RegisterSourceLocked(
     std::shared_ptr<relational::DataSource> source) {
   // Structural mutation: the catalog, index, and graph are read lock-free
   // by in-flight repairs, so quiesce them first (the feedback lock keeps
-  // new ones from being scheduled meanwhile). Concurrent QueryView
-  // searches read the same state lock-free; the exclusive serving gate
-  // holds them off while it changes.
+  // new ones from being scheduled meanwhile).
   scheduler_->Quiesce();
-  std::unique_lock<util::SharedMutex> serve_lock(serve_mu_);
   Q_RETURN_NOT_OK(catalog_.AddSource(source));
   for (const auto& table : source->tables()) index_.IndexTable(*table);
   graph::AddSourceToGraph(*source, &model_, &graph_);
@@ -79,14 +76,10 @@ util::Status QSystem::AddAssociations(
 
 util::Status QSystem::AddAssociationsLocked(
     const std::vector<match::AlignmentCandidate>& candidates) {
+  // Structural mutation of the graph (new association edges, matcher bins,
+  // missing-vote penalties), which in-flight repairs read: quiesce them
+  // first.
   scheduler_->Quiesce();
-  // New association edges and their features (matcher bins, relation and
-  // edge features, missing-vote penalties) are interned into space_ here.
-  // A reader's served weights read every feature they never set through
-  // space_ (WeightVector::At), and interning may reallocate its storage,
-  // so the graph and feature-space mutation holds the exclusive gate —
-  // the same rule RegisterSourceLocked and CreateView follow.
-  std::unique_lock<util::SharedMutex> serve_lock(serve_mu_);
   for (const match::AlignmentCandidate& c : candidates) {
     auto na = graph_.FindAttributeNode(c.a);
     auto nb = graph_.FindAttributeNode(c.b);
@@ -188,10 +181,10 @@ util::Result<align::AlignerStats> QSystem::AlignAgainstViews(
     const relational::DataSource& source) {
   align::AlignerStats stats;
   // Each matcher's candidates are pooled across views and cut on their
-  // own, as RunInitialAlignment cuts them, then added in matcher order in
-  // one exclusive section. One cut over both matchers would keep a pair
-  // once, at the larger confidence, and drop the other matcher's vote
-  // (Sec. 3.4: one confidence feature per matcher).
+  // own, as RunInitialAlignment cuts them, then added in matcher order.
+  // One cut over both matchers would keep a pair once, at the larger
+  // confidence, and drop the other matcher's vote (Sec. 3.4: one
+  // confidence feature per matcher).
   const std::vector<match::Matcher*> matchers = EnabledMatchers();
   std::vector<std::vector<match::AlignmentCandidate>> pooled(matchers.size());
   auto align_with = [&](align::Aligner* aligner,
@@ -246,26 +239,15 @@ util::Result<std::size_t> QSystem::CreateView(
   scheduler_->Quiesce();
   auto view = std::make_unique<query::TopKView>(std::move(keywords),
                                                 config_.view);
-  // Readers index the slot table too, and expansion interns features:
-  // both take the exclusive gate. The base copy and the search hold none.
-  std::size_t slot = 0;
-  {
-    std::unique_lock<util::SharedMutex> serve_lock(serve_mu_);
-    slot = refresh_.RegisterView(view.get());
-  }
+  const std::size_t slot = refresh_.RegisterView(view.get());
   RefreshEngine::StagedRebuild staged =
       refresh_.StageRebuild(slot, graph_, weights_);
-  util::Status status;
-  {
-    std::unique_lock<util::SharedMutex> serve_lock(serve_mu_);
-    status = refresh_.ExpandStaged(&staged, index_, &model_);
-  }
+  util::Status status = refresh_.ExpandStaged(&staged, index_, &model_);
   if (status.ok()) {
     staged.weights = refresh_.ServingWeights(weights_);
     refresh_.SearchStaged(&staged, catalog_);
     status = staged.snapshot.status();
   }
-  std::unique_lock<util::SharedMutex> serve_lock(serve_mu_);
   if (!status.ok()) {
     refresh_.UnregisterLastView();
     return status;
@@ -299,14 +281,13 @@ query::ViewResult QSystem::ReadView(std::size_t id) const {
 }
 
 util::Result<query::ViewSnapshot> QSystem::QueryView(std::size_t id) const {
-  std::shared_lock<util::SharedMutex> serve_lock(serve_mu_);
-  if (id >= views_.size()) {
+  const query::ViewResult read = ReadView(id);
+  if (read.state == nullptr) {
     return util::Status::InvalidArgument("no such view");
   }
-  // View id == engine slot id: CreateView registers then appends, both
-  // under the exclusive gate, so the mapping cannot skew while we hold
-  // the shared one.
-  return refresh_.SearchView(id, catalog_);
+  query::ViewSnapshot answer = *read.state;
+  answer.search_serial = 0;
+  return answer;
 }
 
 bool QSystem::WaitViewFresh(std::size_t id,

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -27,7 +26,6 @@
 #include "text/text_index.h"
 #include "util/env.h"
 #include "util/result.h"
-#include "util/shared_mutex.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -104,8 +102,8 @@ class QSystem {
   // matchers, installs surviving alignments as association edges, and
   // refreshes all views. Returns aligner stats. It returns once every
   // view the source reaches is rebuilt, searched and installed, so its
-  // ack leaves those views fresh; readers keep answering from each view's
-  // committed snapshot until its install
+  // ack leaves those views fresh; readers keep reading each view's
+  // published snapshot until its install
   // (AsyncRefreshScheduler::NotifyStructuralChange).
   util::Result<align::AlignerStats> RegisterAndAlignSource(
       std::shared_ptr<relational::DataSource> source);
@@ -120,9 +118,8 @@ class QSystem {
 
   // --- views ----------------------------------------------------------------
   // Creates a persistent top-k view for a keyword query, built through a
-  // rebuild's staged steps (RefreshEngine::StagedRebuild). Readers are held
-  // off only while its slot is registered, its keywords are expanded and
-  // it is installed.
+  // rebuild's staged steps (RefreshEngine::StagedRebuild). Its id reads
+  // as unknown until the call returns it.
   util::Result<std::size_t> CreateView(std::vector<std::string> keywords);
 
   // The view `id` names; aborts with a message when it names none
@@ -150,29 +147,16 @@ class QSystem {
   // it, even across concurrent repairs.
   query::ViewResult ReadView(std::size_t id) const;
 
-  // Answers view `id`'s keyword query at its current serving pair and
-  // returns the result — the concurrent query front end. While the pair
-  // is the one the view's committed snapshot was searched at, the answer
-  // is a copy of that snapshot; otherwise (a repair has re-costed the
-  // view, or a rebuild's search failed) it runs a search against the
-  // pair. Any number of QueryView calls may run in parallel with each
-  // other AND with feedback (ApplyFeedback* / repairs): each one
-  // captures the atomic {pinned CSR, frozen weight copy} pair from the
-  // view's refresh slot (RefreshEngine::SearchView), so it never reads the
-  // live weight vector and never observes a half-repriced snapshot.
-  // Structural operations (RegisterSource*, AddAssociations, CreateView,
-  // RefreshAllViews) take the serving gate exclusively and briefly block
-  // queries while they change what queries read. View rebuilds do not
-  // hold it: each view is rebuilt and searched beside its slot, and only
-  // its keyword expansion (which interns features) and its install hold
-  // the gate, briefly.
-  //
-  // The returned snapshot's trees/queries/results are bit-identical to a
-  // search at the captured pair, and so to the view's published output at
-  // quiescence (its serials are 0 — the result is this caller's, not a
-  // published state). Under concurrent feedback the result is always
-  // *some* consistent point in the repair timeline: baseline-before or
-  // repaired-after, never a mix.
+  // View `id`'s answer — the concurrent query front end: a copy of
+  // ReadView(id).state with search_serial 0 (the result is this caller's,
+  // not a published state), or InvalidArgument for an unknown id. It
+  // takes only the scheduler's and the view's locks, so any number of
+  // QueryView calls run in parallel with each other and with feedback,
+  // registrations and refresh rounds. A view's published snapshot changes
+  // only when a search over a new query graph, CSR costs or weights has
+  // succeeded and been installed whole, so under concurrent writes the
+  // answer is baseline-before or repaired-after, never a mix, and at
+  // quiescence it equals the view's output.
   util::Result<query::ViewSnapshot> QueryView(std::size_t id) const;
 
   // Blocks until view `id` reflects every base-state change committed
@@ -185,7 +169,7 @@ class QSystem {
   // next round, e.g. RefreshAllViews).
   util::Status DrainRefreshes();
 
-  // The view-refresh substrate (snapshot generations + stats).
+  // The view-refresh substrate (its stats).
   const RefreshEngine& refresh_engine() const { return refresh_; }
 
   // The refresh scheduler, in either mode.
@@ -275,8 +259,7 @@ class QSystem {
   util::Status RefreshAllViewsLocked();
   // Ends a round whose ack was `acked`: the synchronous mode, or `drain`,
   // waits for its repairs and returns its first failure. Caller holds
-  // feedback_mu_ only (the round took the serving gate itself around the
-  // steps that need it).
+  // feedback_mu_.
   util::Status FinishRoundLocked(util::Status acked, bool drain = false);
   // Adds/removes per-matcher missing-vote penalty features so every
   // association edge carries, for each enabled matcher, either its
@@ -299,20 +282,9 @@ class QSystem {
   QSystemConfig config_;
   // Serializes every base-state mutation (feedback, registration,
   // association installation, view creation, full refreshes) against each
-  // other and against the scheduler's rounds. Reads (ReadView / accessors
-  // at quiescence) never take it.
+  // other and against the scheduler's rounds. Reads (ReadView, QueryView,
+  // accessors at quiescence) never take it.
   std::mutex feedback_mu_;
-  // The serving gate: QueryView holds it shared; operations that
-  // restructure what queries read lock-free — views_ and slot growth,
-  // slot installs, catalog/index mutation, feature interning — hold it
-  // exclusively (RegisterSourceLocked, AddAssociationsLocked, CreateView,
-  // and, via the pointer handed to the scheduler, the expansions and
-  // installs of a round's rebuilds). Pure weight-delta feedback
-  // deliberately does NOT take it: searches price against their captured
-  // frozen weights, so MIRA updates and in-place repairs run concurrently
-  // with queries. Lock order: feedback_mu_ -> serve_mu_ -> (engine locks);
-  // never hold serve_mu_ across a round or while blocking on repairs.
-  mutable util::SharedMutex serve_mu_;
   // Shared by all views' top-k searches (and by the scheduler's repairs
   // unless it has its own threads); must outlive views_.
   std::unique_ptr<util::ThreadPool> steiner_pool_;

@@ -28,27 +28,9 @@ void RefreshEngine::UnregisterLastView() {
   if (!slots_.empty()) slots_.pop_back();
 }
 
-void RefreshEngine::BeginAsyncRound(const graph::SearchGraph& base,
-                                    const graph::WeightVector& weights) {
-  if (!observed_any_ || last_graph_revision_ != base.revision() ||
-      last_weight_revision_ != weights.revision()) {
-    if (observed_any_) ++generation_;
-    observed_any_ = true;
-    last_graph_revision_ = base.revision();
-    last_weight_revision_ = weights.revision();
-  }
-}
-
 RefreshEngineStats RefreshEngine::stats() const {
-  RefreshEngineStats out;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    out = stats_;
-  }
-  std::lock_guard<std::mutex> lock(serve_mu_);
-  out.queries_served_committed = queries_served_committed_;
-  out.queries_searched = queries_searched_;
-  return out;
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  return stats_;
 }
 
 void RefreshEngine::MergeStats(const RefreshEngineStats& delta) {
@@ -63,37 +45,14 @@ void RefreshEngine::MergeStats(const RefreshEngineStats& delta) {
 }
 
 void RefreshEngine::CommitSlot(Slot* slot, const graph::SearchGraph& base,
-                               const graph::WeightVector& weights,
-                               bool searched) {
+                               const graph::WeightVector& weights) {
   slot->graph_revision = base.revision();
   slot->weight_revision = weights.revision();
-  // Conditional so steady-state commits don't write the flag at all:
-  // SearchView reads `built` without a lock, which is safe because the
-  // only false->true transition happens inside CreateView's exclusive
-  // serving gate, before the slot id is ever published to readers.
-  if (!slot->built) slot->built = true;
-  slot->dirty = false;
-  if (!searched) return;
-  // The search ran at the slot's current serving pair (nothing moves it
-  // between the re-cost or install and this commit), so stamp its
-  // snapshot with it. Read before locking: serve_mu_ is never held across
-  // state_mu_.
-  std::shared_ptr<const query::ViewSnapshot> published =
-      slot->view->Snapshot();
-  std::lock_guard<std::mutex> lock(serve_mu_);
-  slot->committed = std::move(published);
-  slot->committed_generation = slot->engine->generation();
-  slot->committed_weights = slot->serving_weights;
+  slot->built = true;
 }
 
 std::shared_ptr<const graph::WeightVector> RefreshEngine::ServingWeights(
     const graph::WeightVector& weights) {
-  std::lock_guard<std::mutex> lock(serve_mu_);
-  return SnapshotWeightsLocked(weights);
-}
-
-std::shared_ptr<const graph::WeightVector>
-RefreshEngine::SnapshotWeightsLocked(const graph::WeightVector& weights) {
   const std::size_t features = weights.space()->size();
   if (serving_cache_ == nullptr ||
       serving_cache_revision_ != weights.revision() ||
@@ -104,53 +63,6 @@ RefreshEngine::SnapshotWeightsLocked(const graph::WeightVector& weights) {
     serving_cache_features_ = features;
   }
   return serving_cache_;
-}
-
-util::Result<query::ViewSnapshot> RefreshEngine::SearchView(
-    std::size_t slot_id, const relational::Catalog& catalog) const {
-  if (slot_id >= slots_.size()) {
-    return util::Status::InvalidArgument("no such view slot");
-  }
-  const Slot& slot = slots_[slot_id];
-  // `built` flips false->true exactly once, inside the caller's exclusive
-  // serving gate (see CommitSlot); `view` and the engine pointer are only
-  // replaced under that same gate, so the unlocked reads here are safe.
-  if (!slot.built || slot.view == nullptr || slot.engine == nullptr) {
-    return util::Status::InvalidArgument("view slot has no snapshot yet");
-  }
-  std::shared_ptr<const query::ViewSnapshot> committed;
-  steiner::SnapshotPin pin;
-  std::shared_ptr<const graph::WeightVector> weights;
-  {
-    // Atomic capture of the serving pair: see serve_mu_. While it equals
-    // the committed search's stamp, that search's snapshot is the answer.
-    // Otherwise the search below runs lock-free against the frozen {pin,
-    // weights} pair — a concurrent repair copies-on-write past the pin
-    // and publishes a new pair for later readers without disturbing this
-    // one.
-    std::lock_guard<std::mutex> lock(serve_mu_);
-    if (slot.committed != nullptr &&
-        slot.committed_generation == slot.engine->generation() &&
-        slot.committed_weights == slot.serving_weights) {
-      committed = slot.committed;
-      ++queries_served_committed_;
-    } else {
-      pin = slot.engine->Pin();
-      weights = slot.serving_weights;
-      ++queries_searched_;
-    }
-  }
-  if (committed != nullptr) {
-    // A copy, unpublished like a search result: serials 0.
-    query::ViewSnapshot answer = *committed;
-    answer.search_serial = 0;
-    return answer;
-  }
-  if (weights == nullptr) {
-    return util::Status::Internal("view slot has no serving weights");
-  }
-  return slot.view->BuildSearchSnapshot(slot.view->query_graph(), catalog,
-                                        *weights, slot.engine.get(), &pin);
 }
 
 AsyncViewClass RefreshEngine::ClassifyViewForAsync(
@@ -172,7 +84,7 @@ AsyncViewClass RefreshEngine::ClassifyViewForAsync(
     return AsyncViewClass::kUpToDate;
   }
   // A weight delta, or a slot whose last repair did not land: the repair
-  // re-costs in place and searches unless the re-cost moved nothing.
+  // re-costs a copy and searches it unless the re-cost moved nothing.
   return AsyncViewClass::kRepair;
 }
 
@@ -219,33 +131,18 @@ void RefreshEngine::InstallStaged(StagedRebuild* staged,
                                   const graph::WeightVector& weights) {
   Q_CHECK(staged->slot < slots_.size() && staged->engine != nullptr &&
           staged->weights != nullptr);
+  // A failed search installs nothing: the next round, finding the graph
+  // revision uncommitted, rebuilds the view.
+  if (!staged->snapshot.ok()) return;
   Slot* slot = &slots_[staged->slot];
   staged->query_graph =
       slot->view->ReplaceQueryGraph(std::move(staged->query_graph));
-  {
-    // Installs run under the caller's exclusive serving gate (no
-    // SearchView in flight), but publish under serve_mu_ anyway so the
-    // engine swap and its matching weight copy stay one atomic unit.
-    std::lock_guard<std::mutex> lock(serve_mu_);
-    std::swap(slot->engine, staged->engine);
-    slot->serving_weights = staged->weights;
-    // The fresh engine restarts at generation 0, and the weight copy may
-    // be the very one the old snapshot was stamped with: without this
-    // clear the stamp would match a snapshot of the old query graph.
-    slot->committed.reset();
-    slot->committed_weights.reset();
-  }
+  std::swap(slot->engine, staged->engine);
   RefreshEngineStats local;
   ++local.snapshots_built;
   MergeStats(local);
-  if (staged->snapshot.ok()) {
-    slot->view->PublishSnapshot(std::move(staged->snapshot).value());
-    CommitSlot(slot, base, weights, /*searched=*/true);
-  } else {
-    // The search failed: SearchView searches the installed graph, and
-    // the next round, finding the graph revision uncommitted, rebuilds it.
-    slot->dirty = true;
-  }
+  slot->view->PublishSnapshot(std::move(staged->snapshot).value());
+  CommitSlot(slot, base, weights);
 }
 
 util::Status RefreshEngine::RepairViewAsync(
@@ -269,39 +166,34 @@ util::Status RefreshEngine::RepairViewAsync(
   }
   // The cached query graph is bit-identical to what a rebuild would
   // produce (same base revision, same index, same features), so only the
-  // snapshot costs may be stale.
+  // snapshot costs may be stale. The installed snapshot is the one the
+  // published search ran on, so `moved` compares with that search.
   std::size_t moved = 0;
-  {
-    // Publish {re-costed CSR, matching weight copy} atomically w.r.t.
-    // concurrent SearchView captures. When no cost moved, the CSR is
-    // bitwise unchanged and the old serving pair stays valid.
-    std::lock_guard<std::mutex> lock(serve_mu_);
-    moved = slot.engine->Recost(view.query_graph().graph, *weights);
-    if (moved > 0) slot.serving_weights = weights;
-  }
+  steiner::SnapshotPin next =
+      slot.engine->Recosted(view.query_graph().graph, *weights, &moved);
   local.edges_repriced += moved;
-  if (moved > 0) {
-    ++local.snapshots_recosted;
-    ++local.views_full_recost;
-    slot.dirty = true;
-  } else if (!slot.dirty) {
+  if (moved == 0) {
     // No edge of this view's snapshot moved: every downstream read
     // (tree search, compilation, ranked union) prices query-graph
     // edges, so the output is provably identical. Skip the search but
-    // commit the reconciled revisions. Forbidden when the slot is
-    // dirty: a previous failed-search attempt already re-costed the
-    // snapshot, so "nothing moved" does not mean the view's results
-    // match it.
+    // commit the reconciled revisions.
     ++local.views_skipped_delta;
     ++local.refreshes_skipped;
     MergeStats(local);
-    CommitSlot(&slot, base, *weights, /*searched=*/false);
+    CommitSlot(&slot, base, *weights);
     return util::Status::OK();
   }
+  ++local.snapshots_recosted;
+  ++local.views_full_recost;
   ++local.searches_run;
   MergeStats(local);
-  Q_RETURN_NOT_OK(view.RunSearch(catalog, *weights, slot.engine.get()));
-  CommitSlot(&slot, base, *weights, /*searched=*/true);
+  Q_ASSIGN_OR_RETURN(query::ViewSnapshot built,
+                     view.BuildSearchSnapshot(view.query_graph(), catalog,
+                                              *weights, slot.engine.get(),
+                                              &next));
+  slot.engine->Install(std::move(next));
+  view.PublishSnapshot(std::move(built));
+  CommitSlot(&slot, base, *weights);
   return util::Status::OK();
 }
 

@@ -55,7 +55,7 @@ std::optional<steiner::SteinerTree> SimulatedUser::SolveEndorsedTree(
   std::vector<graph::EdgeId> gold;
   std::vector<graph::EdgeId> banned;
   SplitAssociations(qg, gold_keys_, &gold, &banned);
-  steiner::FastSteinerEngine engine(qg.graph, weights, /*use_memo=*/false);
+  steiner::FastSteinerEngine engine(qg.graph, weights);
   return engine.SolveExact(qg.keyword_nodes, {}, banned);
 }
 
@@ -65,7 +65,7 @@ std::optional<steiner::SteinerTree> SimulatedUser::SolveEndorsedJoinTree(
   std::vector<graph::EdgeId> banned;
   SplitAssociations(qg, gold_keys_, &gold, &banned);
   std::optional<steiner::SteinerTree> best;
-  steiner::FastSteinerEngine engine(qg.graph, weights, /*use_memo=*/false);
+  steiner::FastSteinerEngine engine(qg.graph, weights);
   // Force each gold association in turn; keep the cheapest proper tree.
   for (graph::EdgeId forced : gold) {
     auto tree = engine.SolveExact(qg.keyword_nodes, {forced}, banned);
@@ -106,7 +106,7 @@ std::optional<steiner::SteinerTree> SimulatedUser::SolveIntentTree(
       }
     }
   }
-  steiner::FastSteinerEngine engine(qg.graph, weights, /*use_memo=*/false);
+  steiner::FastSteinerEngine engine(qg.graph, weights);
   auto tree = engine.SolveExact(qg.keyword_nodes, {}, banned);
   if (!tree.has_value() ||
       !steiner::IsProperSteinerTree(qg.graph, *tree, qg.keyword_nodes)) {

@@ -12,7 +12,15 @@ util::Status TopKView::Refresh(const graph::SearchGraph& base,
                                graph::CostModel* model,
                                const graph::WeightVector& weights) {
   Q_RETURN_NOT_OK(RebuildQueryGraph(base, index, model, weights));
-  return RunSearch(catalog, weights);
+  // Build into a fresh snapshot and publish on success only: a mid-search
+  // failure must not leave trees/queries/results mutually inconsistent
+  // (result rows index queries by position — see ApplyInvalidFeedback).
+  Q_ASSIGN_OR_RETURN(ViewSnapshot built,
+                     BuildSearchSnapshot(query_graph_, catalog, weights,
+                                         /*shared_engine=*/nullptr,
+                                         /*pin=*/nullptr));
+  PublishSnapshot(std::move(built));
+  return util::Status::OK();
 }
 
 util::Status TopKView::RebuildQueryGraph(const graph::SearchGraph& base,
@@ -63,22 +71,6 @@ util::Result<ViewSnapshot> TopKView::BuildSearchSnapshot(
   return snapshot;
 }
 
-util::Status TopKView::RunSearch(const relational::Catalog& catalog,
-                                 const graph::WeightVector& weights,
-                                 steiner::FastSteinerEngine* shared_engine) {
-  // Build into a fresh snapshot and swap on success only: a mid-search
-  // failure must not leave trees/queries/results mutually inconsistent
-  // (result rows index queries by position — see ApplyInvalidFeedback) —
-  // and concurrent readers holding the previous Snapshot() must keep a
-  // complete result set until the new one is published whole (the
-  // double-buffered half of the async refresh contract).
-  Q_ASSIGN_OR_RETURN(ViewSnapshot built,
-                     BuildSearchSnapshot(query_graph_, catalog, weights,
-                                         shared_engine, /*pin=*/nullptr));
-  PublishSnapshot(std::move(built));
-  return util::Status::OK();
-}
-
 void TopKView::PublishSnapshot(ViewSnapshot built) {
   auto next = std::make_shared<ViewSnapshot>(std::move(built));
   {
@@ -98,7 +90,7 @@ double TopKView::Alpha() const {
   // plenty of cheap answers is hard to break into. With fewer than k
   // answers, any relevant new source could enter the top-k, so nothing
   // may be pruned. Reads through Snapshot() so it is safe against a
-  // concurrent RunSearch publishing the next buffer.
+  // concurrent PublishSnapshot.
   std::size_t k = static_cast<std::size_t>(config_.top_k.k);
   if (!refreshed()) return std::numeric_limits<double>::infinity();
   std::shared_ptr<const ViewSnapshot> state = Snapshot();

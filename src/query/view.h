@@ -31,7 +31,7 @@ struct ViewConfig {
 // One search's complete observable output, published as an immutable unit
 // (the async refresh contract's "no read ever mixes generations"):
 // trees, the queries compiled from them, and the ranked rows — all from
-// the same RunSearch, so rows' query_index values always index `queries`
+// the same search, so rows' query_index values always index `queries`
 // and `trees` consistently. `search_serial` is the view's monotone
 // per-search counter, stamped at publication (0 in an unpublished or
 // empty snapshot), letting readers assert publication monotonicity.
@@ -67,9 +67,10 @@ struct ViewResult {
 //      view's keywords (graph copy + text-index matching). Skippable when
 //      only weights changed and the query-graph topology is
 //      weight-independent (see refresh_engine.h).
-//   2. RunSearch — top-k Steiner search over the current query graph,
-//      tree compilation, execution, and ranked union. Optionally served
-//      from a caller-owned CSR snapshot.
+//   2. BuildSearchSnapshot, then PublishSnapshot — top-k Steiner search
+//      over the query graph, tree compilation, execution, and ranked
+//      union, optionally served from a caller-owned CSR snapshot, then
+//      published whole.
 // Refresh() runs both phases; the RefreshEngine's refreshes produce
 // bit-identical results (the determinism contract of
 // docs/query_engine.md). Its staged rebuild runs the same phases on a
@@ -97,57 +98,45 @@ class TopKView {
 
   // Makes `next` the view's query graph and returns the one it replaces,
   // so the caller chooses where that graph's teardown runs. Not safe
-  // against a concurrent reader of query_graph() (the serving gate
-  // upstream excludes them).
+  // against a concurrent reader of query_graph().
   QueryGraph ReplaceQueryGraph(QueryGraph next);
 
-  // Phase 2: recomputes trees/queries/results against the current query
-  // graph. When `shared_engine` is non-null it must hold a CSR snapshot of
-  // exactly (query_graph().graph, weights); its warm enumeration memo
-  // never changes the output. Touches only this view and read-only shared
-  // state, so distinct views' RunSearch calls may run concurrently.
-  util::Status RunSearch(const relational::Catalog& catalog,
-                         const graph::WeightVector& weights,
-                         steiner::FastSteinerEngine* shared_engine = nullptr);
-
-  // The read-only body of RunSearch: runs the search/compile/execute/union
-  // pipeline against `query_graph` — the view's own query_graph(), or a
-  // graph staged for it that is not installed yet — with this view's
-  // config, and returns the resulting snapshot WITHOUT publishing it
-  // (state_ and the serial counter are untouched; the returned snapshot
-  // carries search_serial 0). `shared_engine`, when non-null,
-  // must hold a CSR snapshot of (query_graph.graph, weights). When `pin`
-  // is non-null it must come from `shared_engine` and the whole
-  // enumeration runs against that pinned CSR generation — this is the
-  // concurrent serving path (core::RefreshEngine::SearchView), which may
-  // run any number of BuildSearchSnapshot calls on one view concurrently
-  // with each other and with pinned engine re-costs, but NOT concurrently
-  // with anything that mutates the graph it searches
-  // (RebuildQueryGraph/ReplaceQueryGraph on query_graph_; the serving gate
-  // upstream excludes them).
+  // Phase 2's search: runs the search/compile/execute/union pipeline
+  // against `query_graph` — the view's own query_graph(), or a graph
+  // staged for it that is not installed yet — with this view's config,
+  // and returns the resulting snapshot WITHOUT publishing it (state_ and
+  // the serial counter are untouched; the returned snapshot carries
+  // search_serial 0). `shared_engine`, when non-null, must hold a CSR
+  // snapshot of (query_graph.graph, weights), or `pin` must: when `pin` is
+  // non-null the whole enumeration runs against that pinned snapshot (a
+  // repair's re-costed copy, not installed yet). Reads only this view's
+  // config and read-only shared state, so distinct views' searches may run
+  // concurrently, but not concurrently with anything that mutates the
+  // graph it searches.
   util::Result<ViewSnapshot> BuildSearchSnapshot(
       const QueryGraph& query_graph, const relational::Catalog& catalog,
       const graph::WeightVector& weights,
       steiner::FastSteinerEngine* shared_engine,
       const steiner::SnapshotPin* pin) const;
 
-  // RunSearch's publication step: stamps `built` with the next search
-  // serial and swaps it in as the published snapshot in one critical
-  // section, and marks the view refreshed. `built` must be a
-  // BuildSearchSnapshot result over the view's current query graph.
+  // Phase 2's publication: stamps `built` with the next search serial and
+  // swaps it in as the published snapshot in one critical section, and
+  // marks the view refreshed. `built` must be a BuildSearchSnapshot
+  // result over the view's current query graph.
   void PublishSnapshot(ViewSnapshot built);
 
   const std::vector<std::string>& keywords() const { return keywords_; }
   const ViewConfig& config() const { return config_; }
   const QueryGraph& query_graph() const { return query_graph_; }
 
-  // The view's output state is double-buffered: RunSearch builds the next
-  // ViewSnapshot off to the side and swaps it in atomically, so a reader
-  // holding Snapshot() keeps a complete, internally consistent result set
-  // while a concurrent repair publishes the next one. Snapshot() is the
-  // only accessor safe against a concurrent RunSearch; the reference
-  // accessors below read through the current buffer and require external
-  // quiescence (no repair in flight), which every synchronous path has.
+  // The view's output state is double-buffered: a search builds the next
+  // ViewSnapshot off to the side and PublishSnapshot swaps it in
+  // atomically, so a reader holding Snapshot() keeps a complete,
+  // internally consistent result set while a concurrent repair publishes
+  // the next one. Snapshot() is the only accessor safe against a
+  // concurrent publication; the reference accessors below read through
+  // the current buffer and require external quiescence (no repair in
+  // flight), which every synchronous path has.
   std::shared_ptr<const ViewSnapshot> Snapshot() const {
     std::lock_guard<std::mutex> lock(state_mu_);
     return state_;
@@ -171,9 +160,10 @@ class TopKView {
   std::vector<std::string> keywords_;
   ViewConfig config_;
   QueryGraph query_graph_;
-  // Current published snapshot; swapped under state_mu_ by RunSearch.
-  // Starts non-null (empty) so the reference accessors never dereference
-  // null before the first refresh. state_mu_ also guards search_serial_:
+  // Current published snapshot; swapped under state_mu_ by
+  // PublishSnapshot. Starts non-null (empty) so the reference accessors
+  // never dereference null before the first refresh. state_mu_ also
+  // guards search_serial_:
   // PublishSnapshot stamps the serial and swaps the snapshot in ONE
   // critical section, so serial stamping can never be observed out of
   // step with snapshot publication.

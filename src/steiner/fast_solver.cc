@@ -866,69 +866,33 @@ SteinerTree KmbFromClosure(const CsrGraph& csr, SolverScratch& s,
 
 FastSteinerEngine::FastSteinerEngine(const graph::SearchGraph& graph,
                                      const graph::WeightVector& weights,
-                                     bool use_memo)
-    : csr_(std::make_shared<CsrGraph>(CsrGraph::Build(graph, weights))) {
-  if (use_memo) memo_ = std::make_unique<TopKMemo>();
-}
+                                     bool /*use_sp_cache*/)
+    : csr_(std::make_shared<const CsrGraph>(CsrGraph::Build(graph, weights))) {}
 
 SnapshotPin FastSteinerEngine::Pin() const {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
-  SnapshotPin pin;
-  // The handle owns a fresh control block whose deleter both keeps the
-  // pinned CsrGraph alive (`keep`) and retires the pin with a release
-  // decrement — the edge BeginMutation's acquire load pairs with.
-  pins_->fetch_add(1, std::memory_order_relaxed);
-  pin.csr = std::shared_ptr<const CsrGraph>(
-      csr_.get(), [keep = csr_, pins = pins_](const CsrGraph*) {
-        pins->fetch_sub(1, std::memory_order_release);
-      });
-  pin.generation = generation_;
-  return pin;
+  return SnapshotPin{csr_};
 }
 
-void FastSteinerEngine::BeginMutation() {
-  // Caller holds snapshot_mu_, so no new pin can appear mid-mutation;
-  // outstanding pins only drain. Observing zero with acquire ordering
-  // means every pinned reader's accesses happen-before this mutation
-  // (release decrement in the pin deleter), so patching in place is
-  // safe. Any live pin — even one on an already-replaced snapshot —
-  // forces a clone so the pinned holders keep reading frozen costs.
-  if (pins_->load(std::memory_order_acquire) > 0) {
-    csr_ = std::make_shared<CsrGraph>(*csr_);
-  }
+SnapshotPin FastSteinerEngine::Recosted(const graph::SearchGraph& graph,
+                                        const graph::WeightVector& weights,
+                                        std::size_t* moved) const {
+  auto next = std::make_shared<CsrGraph>(*Pin().csr);
+  *moved = next->Recost(graph, weights);
+  return SnapshotPin{std::move(next)};
 }
 
-std::size_t FastSteinerEngine::Recost(const graph::SearchGraph& graph,
-                                      const graph::WeightVector& weights) {
+void FastSteinerEngine::Install(SnapshotPin next) {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
-  BeginMutation();
-  const std::size_t moved = csr_->Recost(graph, weights);
-  // Nothing moved: the snapshot is bitwise unchanged, so the generation
-  // (and the memo) stays. (A defensive clone from BeginMutation is then
-  // byte-identical to the pinned original.)
-  if (moved == 0) return 0;
-  ++generation_;
-  if (memo_ != nullptr) memo_->Advance(generation_);
-  return moved;
-}
-
-FastSolveStats FastSteinerEngine::stats() const {
-  FastSolveStats st;
-  if (memo_ != nullptr) {
-    st.memo_hits = memo_->hits();
-    st.memo_misses = memo_->misses();
-    st.memo_entries = memo_->size();
-    st.memo_bytes = memo_->bytes();
-  }
-  return st;
+  csr_ = std::move(next.csr);
 }
 
 std::optional<SteinerTree> FastSteinerEngine::SolveKmb(
     const std::vector<graph::NodeId>& terminals,
     const std::vector<graph::EdgeId>& forced,
     const std::vector<graph::EdgeId>& banned) {
-  // Pin the snapshot for the whole solve: a concurrent re-cost
-  // copies-on-write, so the pinned CSR stays bitwise frozen.
+  // Pin the snapshot for the whole solve: a concurrent Install replaces
+  // the engine's snapshot, never the pinned one.
   return SolveKmb(Pin(), terminals, forced, banned);
 }
 

@@ -1,7 +1,6 @@
 #ifndef Q_STEINER_FAST_SOLVER_H_
 #define Q_STEINER_FAST_SOLVER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -12,50 +11,41 @@
 #include "graph/search_graph.h"
 #include "steiner/csr.h"
 #include "steiner/steiner_tree.h"
-#include "steiner/top_k_memo.h"
 
 namespace q::steiner {
 
 struct ShardPartition;
 struct ShardMask;
 
-// sp_cache_hits, sp_cache_misses, sp_local_hits, sp_local_misses and
-// masked_bypasses always read 0: the shortest-path cache they counted is
-// gone. They stay because the benchmark reads them.
+// Every field always reads 0: the shortest-path cache they counted is
+// gone, and the engine keeps no other cache. They stay because the
+// benchmark reads them (ROADMAP item 1 drops them).
 struct FastSolveStats {
   std::size_t sp_cache_hits = 0;
   std::size_t sp_cache_misses = 0;
   std::size_t sp_local_hits = 0;
   std::size_t sp_local_misses = 0;
   std::size_t masked_bypasses = 0;
-  // Enumeration memo traffic (TopKMemo): enumerations served and missed,
-  // live entries, and the heap bytes they hold.
-  std::size_t memo_hits = 0;
-  std::size_t memo_misses = 0;
-  std::size_t memo_entries = 0;
-  std::size_t memo_bytes = 0;
 };
 
 // Bytes currently retained by the calling thread's solver scratch arena
 // (heap, per-terminal tree slots, overlay flags, DP tables). The arena
 // shrinks itself after a sustained streak of solves much smaller than its
 // high-water capacity — one oversized solve no longer pins tens of MB per
-// serving thread forever; bench_serve_load asserts this stays bounded.
+// thread forever (tests/local_compaction_test.cc, ScratchShrinkTest).
 std::size_t ThreadScratchBytes();
 
-// A pinned read handle on a FastSteinerEngine's current CSR snapshot.
-// While any pin is alive, mutators copy-on-write instead of patching in
-// place, so the pinned CsrGraph — and with it the generation the pin
-// captured — stays bitwise frozen for as long as the holder keeps the
-// struct alive.
+// A read handle on an immutable CSR snapshot: the engine's current one
+// (FastSteinerEngine::Pin), or a re-costed copy not installed yet
+// (FastSteinerEngine::Recosted). Snapshots are never written after they
+// are built, so the pinned costs stay bitwise frozen for as long as the
+// holder keeps the struct alive, whatever the engine installs meanwhile.
 // Solve* pin internally unless handed a pin; a whole top-k enumeration
-// passes one pin through every subproblem (see top_k.h) so a re-cost
+// passes one pin through every subproblem (see top_k.h) so an install
 // landing mid-enumeration can never mix cost snapshots within one search.
 // Namespace-scope (rather than nested) so top_k.h can forward-declare it.
 struct SnapshotPin {
   std::shared_ptr<const CsrGraph> csr;
-  // Engine generation at pin time; it scopes the enumeration memo.
-  std::uint64_t generation = 0;
 };
 
 // Verdict of a masked solve. kOk means the per-subproblem identity
@@ -85,38 +75,35 @@ enum class MaskedOutcome { kOk, kEscalate };
 // ones, and Dijkstra's canonical settle order makes the shorter run a
 // prefix of the full one, so every value KMB reads equals the full run's.
 // Trees live in the thread's scratch and are never shared between
-// solves. When `use_memo` is set, the engine carries a TopKMemo of whole
-// unsharded top-k enumerations (see top_k_memo.h), its only cache; the
-// solvers themselves never read it. Memo state never changes output (a
-// hit returns what the stored run returned), which is what keeps
-// memoized/parallel runs byte-identical to sequential unmemoized runs.
+// solves; the engine keeps no cache.
 //
-// Concurrency (the async refresh scheduler's contract): any number of
-// Solve* calls may run concurrently with each other AND with one
-// mutator (Recost) — each solve pins the CSR snapshot at entry (see Pin)
-// and runs to completion against those costs even if a re-cost lands
-// mid-solve; the mutator copies-on-write when pins are outstanding, so a
-// search never observes a half-repriced snapshot.
+// Concurrency (the async refresh scheduler's contract): a snapshot is
+// immutable once built. Any number of Solve* calls may run concurrently
+// with each other AND with Recosted and Install — each solve pins the
+// snapshot at entry (see Pin) and runs to completion against those costs
+// even if an install lands mid-solve.
 class FastSteinerEngine {
  public:
+  // `use_sp_cache` has no effect; it stays because the benchmark passes it
+  // (ROADMAP item 1 drops it).
   FastSteinerEngine(const graph::SearchGraph& graph,
-                    const graph::WeightVector& weights, bool use_memo);
+                    const graph::WeightVector& weights,
+                    bool use_sp_cache = true);
 
-  // Weight-only snapshot refresh: re-costs every CSR edge in place
-  // (topology arrays untouched; copy-on-write when a SnapshotPin is
-  // outstanding) and returns how many edge costs moved. The generation,
-  // and with it the memo, advances only when at least one cost moved.
+  // Weight-only snapshot refresh, not installed: a copy of the current
+  // snapshot with every edge re-costed (topology arrays untouched), and in
+  // *moved how many edge costs differ from the current snapshot's.
   // Precondition: `graph` has exactly the node/edge set this engine was
   // built from. Far cheaper than rebuilding the engine and — because arc
-  // order is preserved and the memo is generation-keyed — produces
-  // byte-identical output to a fresh engine over the same (graph, weights).
-  std::size_t Recost(const graph::SearchGraph& graph,
-                     const graph::WeightVector& weights);
+  // order is preserved — produces byte-identical output to a fresh engine
+  // over the same (graph, weights).
+  SnapshotPin Recosted(const graph::SearchGraph& graph,
+                       const graph::WeightVector& weights,
+                       std::size_t* moved) const;
 
-  // Snapshot generation: 0 at construction, +1 per Recost that moved at
-  // least one edge cost, so it names the CSR cost bits — the enumeration
-  // memo is scoped to it.
-  std::uint64_t generation() const { return generation_; }
+  // Makes `next` (a Recosted result) the current snapshot. Pins taken
+  // before keep the snapshot they hold.
+  void Install(SnapshotPin next);
 
   SnapshotPin Pin() const;
 
@@ -214,26 +201,17 @@ class FastSteinerEngine {
 
   // Lazily built, cached shard partition of the engine's topology (the
   // node/edge set is fixed for the engine's lifetime and re-costs never
-  // move arcs, so one partition serves every snapshot generation).
+  // move arcs, so one partition serves every installed snapshot).
   // Rebuilt only when `target_nodes` changes.
   std::shared_ptr<const ShardPartition> Shards(std::uint32_t target_nodes);
 
-  // The current snapshot. Valid only while no mutator runs concurrently;
+  // The current snapshot. Valid only while no Install runs concurrently;
   // concurrent readers must hold a Pin instead.
   const CsrGraph& csr() const { return *csr_; }
-  FastSolveStats stats() const;
-
-  // The engine's enumeration memo, or null when built without `use_memo`.
-  // Entries live for one engine generation: a Recost that moves a cost
-  // purges them.
-  TopKMemo* memo() { return memo_.get(); }
+  // Always zero (see FastSolveStats).
+  FastSolveStats stats() const { return {}; }
 
  private:
-  // Caller holds snapshot_mu_. Clones csr_ first when pins are
-  // outstanding (copy-on-write: the old buffer stays alive under its
-  // holders' shared_ptrs).
-  void BeginMutation();
-
   // Shared bodies of the plain and masked solvers; `mask` == nullptr is
   // the unmasked path (then `outcome` is ignored).
   std::optional<SteinerTree> SolveKmbImpl(
@@ -247,20 +225,10 @@ class FastSteinerEngine {
       const std::vector<graph::EdgeId>& banned, const ShardMask* mask,
       MaskedOutcome* outcome, double* escalate_bound);
 
-  // COW under snapshot_mu_: holders of a SnapshotPin share this pointer.
-  std::shared_ptr<CsrGraph> csr_;
-  // Outstanding SnapshotPin count. Pin() increments under snapshot_mu_;
-  // the last copy of a pin's csr handle decrements with release ordering
-  // from its deleter. BeginMutation's acquire load of 0 is the
-  // happens-before edge that makes the in-place (un-pinned) mutation
-  // path safe — shared_ptr's use_count() is a relaxed load and cannot
-  // order the writer after a reader's final unpin. Heap-allocated so a
-  // pin outliving the engine decrements a still-live counter.
-  std::shared_ptr<std::atomic<std::int64_t>> pins_ =
-      std::make_shared<std::atomic<std::int64_t>>(0);
+  // The current snapshot, replaced whole by Install under snapshot_mu_;
+  // holders of a SnapshotPin share it.
+  std::shared_ptr<const CsrGraph> csr_;
   mutable std::mutex snapshot_mu_;
-  std::uint64_t generation_ = 0;
-  std::unique_ptr<TopKMemo> memo_;  // null when built without `use_memo`
   // Cached shard partition (see Shards); guarded by snapshot_mu_.
   std::shared_ptr<const ShardPartition> shards_;
   std::uint32_t shard_target_ = 0;

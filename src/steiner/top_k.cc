@@ -79,8 +79,7 @@ struct BranchWalk {
 // when it branches, so every forced prefix is a connected piece hanging
 // off a terminal with at most one non-terminal leaf. The order is a pure
 // function of the edge ids, their endpoints and the terminals as passed,
-// never of costs: the enumeration memo keys on the terminals as passed
-// (see "Branching order" in docs/query_engine.md).
+// never of costs (see "Branching order" in docs/query_engine.md).
 void BranchOrder(const graph::SearchGraph& graph,
                  const std::vector<graph::EdgeId>& edges,
                  const std::vector<graph::NodeId>& terminals,
@@ -298,19 +297,16 @@ std::vector<SteinerTree> TopKSteinerTrees(
 
   // The fast engine solves every subproblem as an O(|edit|) overlay on a
   // CSR snapshot — the caller's shared one when provided (batched
-  // refresh), otherwise one built for this call. A per-call engine is
-  // never asked twice, so it carries no memo.
+  // refresh), otherwise one built for this call.
   std::unique_ptr<FastSteinerEngine> owned_engine;
   FastSteinerEngine* engine = shared_engine;
   if (engine == nullptr) {
-    owned_engine = std::make_unique<FastSteinerEngine>(graph, weights,
-                                                       /*use_memo=*/false);
+    owned_engine = std::make_unique<FastSteinerEngine>(graph, weights);
     engine = owned_engine.get();
   }
   // One pin spans the whole enumeration: every Lawler subproblem solves
-  // against the same frozen CSR generation even if a concurrent re-cost
-  // lands between subproblems (serving-path callers pass the pin they
-  // captured together with their weight snapshot).
+  // against the same frozen CSR snapshot even if an install lands between
+  // subproblems (a repair passes the re-costed snapshot it searches).
   const SnapshotPin enumeration_pin = pin != nullptr ? *pin : engine->Pin();
   auto solve = [engine, &enumeration_pin, &terminals, use_kmb](
                    const std::vector<graph::EdgeId>& forced,
@@ -323,7 +319,7 @@ std::vector<SteinerTree> TopKSteinerTrees(
 
   if (config.sharded.enabled) {
     // Terminal-local sharded search: one localizer spans the
-    // enumeration, which bypasses the memo. With must_solve, a subproblem
+    // enumeration. With must_solve, a subproblem
     // retries through escalation until its masked result verifies or the
     // mask covers everything worth covering — at which point the ordinary
     // unmasked solve takes over. Without it, a single masked attempt
@@ -371,38 +367,13 @@ std::vector<SteinerTree> TopKSteinerTrees(
         certificate);
   }
 
-  const AttemptFn attempt = [&solve](const std::vector<graph::EdgeId>& forced,
-                                     const std::vector<graph::EdgeId>& banned,
-                                     bool /*must_solve*/) {
-    return AttemptResult{solve(forced, banned)};
-  };
-  // A search repeated against an unchanged snapshot is one lookup, and
-  // concurrent misses on one key run it once (see top_k_memo.h).
-  TopKMemo* memo = engine->memo();
-  const TopKMemoKey key{use_kmb, terminals, config.k, config.max_subproblems,
-                        certificate != nullptr};
-  bool claimed = false;
-  if (memo != nullptr) {
-    if (auto hit = memo->Lookup(enumeration_pin.generation, key, &claimed)) {
-      if (certificate != nullptr) *certificate = hit->certificate;
-      return hit->trees;
-    }
-  }
-  if (!claimed) {
-    return Enumerate(graph, terminals, config, use_kmb, attempt, certificate);
-  }
-  // Publishes on every exit; an enumeration that unwinds publishes null,
-  // which hands the claim to a waiter.
-  std::shared_ptr<const TopKMemoValue> value;
-  auto publish = [&](TopKMemo* m) {
-    m->Publish(enumeration_pin.generation, key, std::move(value));
-  };
-  std::unique_ptr<TopKMemo, decltype(publish)> publisher(memo, publish);
-  std::vector<SteinerTree> output =
-      Enumerate(graph, terminals, config, use_kmb, attempt, certificate);
-  value = std::make_shared<const TopKMemoValue>(TopKMemoValue{
-      output, certificate != nullptr ? *certificate : RelevanceCertificate{}});
-  return output;
+  return Enumerate(
+      graph, terminals, config, use_kmb,
+      [&solve](const std::vector<graph::EdgeId>& forced,
+               const std::vector<graph::EdgeId>& banned, bool /*must_solve*/) {
+        return AttemptResult{solve(forced, banned)};
+      },
+      certificate);
 }
 
 std::vector<SteinerTree> EnumerateTopKForTest(

@@ -53,18 +53,13 @@ struct TopKConfig {
   std::size_t approximate_above_nodes = 20000;
   // Safety bound on Lawler subproblem expansions.
   std::size_t max_subproblems = 20000;
-  // Fast-path controls. Disabling the memo or the pool never changes the
-  // output (the determinism contract of docs/query_engine.md); it only
-  // changes how fast the same trees are produced. Despite its name,
-  // `use_sp_cache` only says whether an engine built from this config
-  // (the RefreshEngine's per-view engines) carries an enumeration memo
-  // (top_k_memo.h), which serves an unsharded search repeated at the same
-  // engine generation with one lookup. A shared engine passed to the
-  // overload below keeps the setting it was built with; the per-call
-  // engine of the overload above never has a memo.
+  // Has no effect; it stays because the benchmark names it (ROADMAP item
+  // 1 drops it).
   bool use_sp_cache = true;
   // When set, the independent child subproblems of each Lawler expansion
-  // are solved on this pool and merged back in deterministic order.
+  // are solved on this pool and merged back in deterministic order. The
+  // pool never changes the output (the determinism contract of
+  // docs/query_engine.md), only how fast the same trees are produced.
   util::ThreadPool* pool = nullptr;
   ShardedSearchConfig sharded;
 };
@@ -106,25 +101,19 @@ struct RelevanceCertificate {
 
 // Same enumeration, but served from a caller-owned CSR snapshot instead of
 // building one per call (the RefreshEngine's batched-refresh substrate).
-// `shared_engine` must have been built (or last Recost) from exactly this
-// (graph, weights) pair. When it carries a memo and the search is
-// unsharded, the memo is looked up once after pinning (waiting while a
-// concurrent search runs the same enumeration) and, on a miss, given the
-// trees and certificate once after the enumeration; a hit returns
-// exactly what the stored run returned (the determinism contract
-// of docs/query_engine.md). A null engine falls back to the
-// self-contained overload above. When `certificate` is
-// non-null it is overwritten with this search's certificate (valid only
-// for untruncated exact runs; see RelevanceCertificate), which costs one
-// more round of Lawler children below the k-th tree.
+// The snapshot searched must have been built (or re-costed) from exactly
+// this (graph, weights) pair. A null engine falls back to the
+// self-contained overload above. When `certificate` is non-null it is
+// overwritten with this search's certificate (valid only for untruncated
+// exact runs; see RelevanceCertificate), which costs one more round of
+// Lawler children below the k-th tree.
 //
 // The whole enumeration runs against ONE pinned CSR snapshot: `pin` when
-// the caller provides one (the concurrent serving path pins before
-// reading its weight snapshot, so search costs and weights are captured
-// atomically), otherwise a pin taken once at entry. Either way a re-cost
-// landing mid-enumeration cannot mix cost generations across subproblems
-// of one search. A non-null `pin` requires a non-null `shared_engine` the
-// pin was taken from.
+// the caller provides one (a repair searches the re-costed snapshot it
+// has not installed yet), otherwise a pin taken once at entry. Either way
+// an install landing mid-enumeration cannot mix cost snapshots across
+// subproblems of one search. A non-null `pin` requires a non-null
+// `shared_engine` whose topology the pinned snapshot shares.
 std::vector<SteinerTree> TopKSteinerTrees(
     const graph::SearchGraph& graph, const graph::WeightVector& weights,
     const std::vector<graph::NodeId>& terminals, const TopKConfig& config,

@@ -278,10 +278,8 @@ TEST(AsyncRefreshStressTest, StructuralChangeQuiescesAndRebuilds) {
       h.q->ApplyFeedback(h.view_ids[1], read.state->trees[0]).ok());
 
   // While repairs may still be in flight, register a brand-new source (a
-  // clone of an existing relation) — the structural path must quiesce,
-  // rebuild affected snapshots under the serving gate, and queue the
-  // searches async (the registration ack no longer waits for them:
-  // docs/query_engine.md, "Streaming onboarding contract").
+  // clone of an existing relation) — the structural path must quiesce and
+  // rebuild the affected views beside their slots, installing each whole.
   auto table = h.dataset.catalog.FindTable("interpro.pub");
   ASSERT_NE(table, nullptr);
   auto source = std::make_shared<relational::DataSource>("newsrc");

@@ -255,7 +255,7 @@ TEST_F(SimulatedUserTest, SolveEndorsedJoinTreeSkipsDanglingGoldEdges) {
   std::vector<graph::EdgeId> non_gold;
   SplitAssociations(user, qg, &gold, &non_gold);
   ASSERT_EQ(gold.size(), 1u);
-  steiner::FastSteinerEngine engine(qg.graph, *weights_, /*use_memo=*/false);
+  steiner::FastSteinerEngine engine(qg.graph, *weights_);
   auto forced = engine.SolveExact(qg.keyword_nodes, {gold[0]}, non_gold);
   ASSERT_TRUE(forced.has_value());
   EXPECT_FALSE(
@@ -278,7 +278,7 @@ TEST_F(SimulatedUserTest, SolveEndorsedJoinTreeKeepsTheCheapestForcedTree) {
   std::vector<graph::EdgeId> non_gold;
   SplitAssociations(user, qg, &gold, &non_gold);
   ASSERT_EQ(gold.size(), 6u);
-  steiner::FastSteinerEngine engine(qg.graph, *weights_, /*use_memo=*/false);
+  steiner::FastSteinerEngine engine(qg.graph, *weights_);
   std::vector<steiner::SteinerTree> proper;
   for (graph::EdgeId e : gold) {
     auto tree = engine.SolveExact(qg.keyword_nodes, {e}, non_gold);

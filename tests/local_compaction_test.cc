@@ -125,7 +125,7 @@ TEST_P(CompactProbeTest, CompactedDijkstraByteEqualsReferee) {
   util::Rng rng(61000 + GetParam());
   bool plateau = GetParam() % 2 == 1;
   CompGraph g(&rng, 120, 280, 3, plateau);
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/false);
+  FastSteinerEngine engine(g.graph, *g.weights);
   SnapshotPin pin = engine.Pin();
   const CsrGraph& csr = *pin.csr;
 
@@ -217,7 +217,7 @@ TEST_P(CompactOverlayTest, MaskedOverlaySolvesMatchAcrossPaths) {
   util::Rng rng(62000 + GetParam());
   bool plateau = GetParam() % 2 == 1;
   CompGraph g(&rng, 30, 70, 3, plateau);
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/false);
+  FastSteinerEngine engine(g.graph, *g.weights);
   SnapshotPin pin = engine.Pin();
   TerminalLocalizer localizer(pin.csr, engine.Shards(1), g.terminals);
 
@@ -317,7 +317,7 @@ TEST(ScratchShrinkTest, SmallSolveStreakReleasesOversizedScratch) {
   util::Rng rng(64002);
   const std::size_t n = 24000;  // above the shrink policy's floor (1 << 14)
   LineGraph g(&rng, n);
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/true);
+  FastSteinerEngine engine(g.graph, *g.weights);
   SnapshotPin pin = engine.Pin();
 
   // Whole-graph solve: scratch capacity reaches n nodes.

@@ -1,5 +1,5 @@
-// Concurrent query serving: N reader threads run QueryView searches
-// against shared pinned snapshots while a feedback writer races them,
+// Concurrent query serving: N reader threads run QueryView, which copies
+// each view's published snapshot, while a feedback writer races them,
 // asserting
 //
 //   * serial publication — every published snapshot a reader observes
@@ -11,22 +11,19 @@
 //   * failed-round wakeups — a round that fails to rebuild a view wakes
 //     WaitFresh waiters promptly instead of burning their full deadline
 //     (the missed-error regression in the epoch/predicate interaction);
-//   * feature interning under the serving gate — registrations that
-//     install new association features never grow the FeatureSpace under
-//     a reader's served weights (the use-after-free regression);
+//   * feature interning beside readers — registrations that install new
+//     association features race QueryView readers cleanly;
 //   * cold column indexes — readers that race each table column's first
 //     index build get the single-threaded answer;
-//   * serving from the committed snapshot — QueryView answers from the
-//     view's committed snapshot only while its serving pair is the one
-//     that snapshot's search ran at, and searches otherwise (an engine
-//     swap, a repair window), always equal to an independent search;
+//   * serving the published snapshot — QueryView answers with the view's
+//     published snapshot, equal to an independent search at quiescence;
+//     inside a repair window it is the baseline-before answer, and a
+//     rebuild or staged search that fails installs nothing, so the view
+//     keeps its old query graph and answer until a later round lands;
 //   * staged structural rebuilds — a registration's rebuilt view is
-//     installed with its searched snapshot, so readers racing a
-//     registration stream never search, and a failed staged search
-//     leaves the rebuilt graph searched until the next round rebuilds it;
+//     installed with its searched snapshot;
 //   * the synchronous mode — a feedback call returns with its round
-//     drained and reports that round's failures, and full refreshes,
-//     which run a round that takes the serving gate itself, race
+//     drained and reports that round's failures, and full refreshes race
 //     QueryView readers without deadlock.
 //
 // Runs under the ctest `stress` label and the ThreadSanitizer CI job.
@@ -143,13 +140,11 @@ void ExpectSameViewState(const query::ViewSnapshot& a,
 }
 
 // The referee for a served answer: the view's search pipeline on a fresh
-// engine without an enumeration memo, over the view's current query graph
-// at `weights`.
+// engine, over the view's current query graph at `weights`.
 query::ViewSnapshot IndependentSearch(const query::TopKView& view,
                                       const relational::Catalog& catalog,
                                       const graph::WeightVector& weights) {
-  steiner::FastSteinerEngine engine(view.query_graph().graph, weights,
-                                    /*use_memo=*/false);
+  steiner::FastSteinerEngine engine(view.query_graph().graph, weights);
   auto snapshot = view.BuildSearchSnapshot(view.query_graph(), catalog,
                                            weights, &engine, /*pin=*/nullptr);
   Q_CHECK_OK(snapshot.status());
@@ -238,7 +233,7 @@ void RegisterClonedSource(Harness* h, const std::string& table_name,
 
 // >= 4 query workers run live QueryView searches (plus ReadView probes)
 // while a writer thread applies feedback and — mid-run — registers a new
-// source (the structural path, which takes the serving gate exclusively).
+// source (the structural path, which rebuilds every view).
 // Every result must be internally consistent; at quiescence QueryView
 // must reproduce the published snapshot bit for bit, and the whole system
 // must match a synchronous twin fed the same committed sequence.
@@ -279,7 +274,7 @@ TEST(ServeConcurrencyTest, QueryViewRacesWriterAndMatchesSyncTwin) {
   }
 
   // The writer: feedback rounds with a structural registration wedged in
-  // the middle, so readers cross the exclusive serving gate both ways.
+  // the middle, so readers cross repairs and rebuilds.
   {
     util::Rng rng(9399);
     for (int round = 0; round < kFeedbackRounds; ++round) {
@@ -303,11 +298,9 @@ TEST(ServeConcurrencyTest, QueryViewRacesWriterAndMatchesSyncTwin) {
   EXPECT_GT(searches_ok.load(), 0u);
   ASSERT_FALSE(log.empty());
 
-  // Quiescence: a fresh QueryView search must reproduce the published
-  // snapshot exactly — same pinned CSR costs, same frozen weights, same
+  // Quiescence: QueryView is a copy of the published snapshot, which must
+  // equal an independent search — same CSR costs, same weights, same
   // deterministic enumeration.
-  // A quiescent QueryView is served from the committed snapshot, so the
-  // published snapshot itself is also checked against a search of its own.
   for (std::size_t id : h.view_ids) {
     auto fresh = h.q->QueryView(id);
     ASSERT_TRUE(fresh.ok()) << "view " << id;
@@ -347,13 +340,12 @@ TEST(ServeConcurrencyTest, QueryViewRacesWriterAndMatchesSyncTwin) {
 
 // A registration writer streams new sources — alternating vocabulary-
 // disjoint islands with sources relevant to one community — while >= 4
-// reader threads run live QueryView searches and ReadView probes
-// throughout. Each ack rebuilds every view beside its slot and installs
-// it with its searched snapshot, so readers stay live across every
-// registration and never search; the rebuild count comes out exact; and
-// at quiescence QueryView reproduces the published snapshot bit for bit
-// while a synchronous twin fed the same registrations serves identical
-// output, edge ids included.
+// reader threads run QueryView and ReadView probes throughout. Each ack
+// rebuilds every view beside its slot and installs it with its searched
+// snapshot, so readers stay live across every registration; the rebuild
+// count comes out exact; and at quiescence QueryView reproduces the
+// published snapshot bit for bit while a synchronous twin fed the same
+// registrations serves identical output, edge ids included.
 TEST(ServeConcurrencyTest, OnboardingRegistrationsRaceQueryReaders) {
   constexpr std::size_t kCommunities = 8;
   constexpr int kRegistrations = 8;
@@ -421,7 +413,6 @@ TEST(ServeConcurrencyTest, OnboardingRegistrationsRaceQueryReaders) {
   while (readers_ready.load(std::memory_order_acquire) < kQueryReaders) {
     std::this_thread::yield();
   }
-  const RefreshEngineStats serving_before = q->refresh_engine().stats();
 
   // The registration stream: even serials are vocabulary-disjoint
   // islands, odd serials overlap one community. Every registration
@@ -443,13 +434,6 @@ TEST(ServeConcurrencyTest, OnboardingRegistrationsRaceQueryReaders) {
   done.store(true, std::memory_order_release);
   for (auto& th : readers) th.join();
   EXPECT_GT(searches_ok.load(), 0u);
-  // Every read during the stream was answered from a committed snapshot:
-  // a rebuilt view is installed together with its searched snapshot, so
-  // no reader ever meets one whose search has not landed.
-  const RefreshEngineStats serving_after = q->refresh_engine().stats();
-  EXPECT_EQ(serving_after.queries_searched, serving_before.queries_searched);
-  EXPECT_GT(serving_after.queries_served_committed,
-            serving_before.queries_served_committed);
 
   const auto sched_after = q->async_scheduler()->stats();
   EXPECT_EQ(sched_after.structural_rounds,
@@ -459,8 +443,8 @@ TEST(ServeConcurrencyTest, OnboardingRegistrationsRaceQueryReaders) {
             sched_before.structural_rebuilds +
                 kRegistrations * kCommunities);
 
-  // Quiescence: a live search against each pinned slot reproduces the
-  // published snapshot exactly.
+  // Quiescence: QueryView reproduces the published snapshot, and that
+  // equals an independent search.
   for (std::size_t id : view_ids) {
     auto fresh = q->QueryView(id);
     ASSERT_TRUE(fresh.ok()) << "view " << id;
@@ -500,15 +484,15 @@ TEST(ServeConcurrencyTest, OnboardingRegistrationsRaceQueryReaders) {
 }
 
 // Registrations whose alignments install new association features race
-// QueryView readers. A served weight snapshot reads every feature it never
-// set through the live FeatureSpace (WeightVector::At falls back to the
-// feature's initial weight), so interning a feature — which may reallocate
-// the space's initial-weight array under a reader — needs the exclusive
-// serving gate. Association installation (new association edges, matcher
-// bins, missing-vote penalties) interns such features; run under
-// ThreadSanitizer this test reports the race unless that step holds the
-// gate. GBCO's held-out sources align against many views, so each
-// registration installs a batch of new association features.
+// QueryView readers. Interning a feature may reallocate the FeatureSpace's
+// initial-weight array, which a weight vector reads for every feature it
+// never set (WeightVector::At), so no reader may price anything while
+// association installation (new association edges, matcher bins,
+// missing-vote penalties) interns; readers copy published snapshots and
+// price nothing, and run under ThreadSanitizer this test reports any read
+// that reaches the space. GBCO's held-out sources align against many
+// views, so each registration installs a batch of new association
+// features.
 TEST(ServeConcurrencyTest, AssociationFeatureInterningRacesQueryReaders) {
   constexpr std::size_t kHeldOutTrials = 3;
   constexpr int kReaders = 2;
@@ -672,9 +656,8 @@ TEST(ServeConcurrencyTest, FailedRoundWakesWaitFreshPromptly) {
 
 // WaitViewFresh deadline semantics at the QSystem boundary: unknown ids
 // report false immediately (async and sync), and a waiter racing a
-// structural operation (which holds the serving gate exclusively) still
-// returns promptly rather than deadlocking against it — the waiter must
-// not hold the gate across its blocking wait.
+// structural operation still returns promptly rather than deadlocking
+// against it.
 TEST(ServeConcurrencyTest, WaitViewFreshPromptAcrossStructuralOps) {
   Harness h(/*async=*/true);
 
@@ -695,8 +678,7 @@ TEST(ServeConcurrencyTest, WaitViewFreshPromptAcrossStructuralOps) {
           << "view " << id;
     }
   });
-  // Structural churn: each registration rebuilds every view, taking the
-  // serving gate exclusively around its expansions and installs.
+  // Structural churn: each registration rebuilds every view.
   for (int i = 0; i < 2; ++i) {
     RegisterClonedSource(&h, "interpro.pub", "pubsrc" + std::to_string(i));
   }
@@ -785,7 +767,7 @@ TEST(ServeConcurrencyTest, ColdColumnIndexesUnderConcurrentReaders) {
   EXPECT_GT(rows, 0u);
 }
 
-// --- serving from the committed snapshot ---------------------------------
+// --- serving the published snapshot --------------------------------------
 
 // Whether two snapshots return the same trees (edges and costs), for
 // asserting that a test's change really moves the answer.
@@ -800,21 +782,9 @@ bool SameTrees(const query::ViewSnapshot& a, const query::ViewSnapshot& b) {
   return true;
 }
 
-// Runs `serve` (one QueryView or SearchView) and checks the answer against
-// `want`, its zeroed serials, and which serving counter moved.
-template <typename Serve>
-void ExpectServed(const RefreshEngine& engine, Serve serve,
-                  const query::ViewSnapshot& want, bool from_committed,
-                  const std::string& label) {
-  const RefreshEngineStats before = engine.stats();
-  util::Result<query::ViewSnapshot> got = serve();
-  const RefreshEngineStats after = engine.stats();
-  EXPECT_EQ(after.queries_served_committed,
-            before.queries_served_committed + (from_committed ? 1 : 0))
-      << label;
-  EXPECT_EQ(after.queries_searched,
-            before.queries_searched + (from_committed ? 0 : 1))
-      << label;
+// Checks a served answer against `want` and its zeroed serial.
+void ExpectServed(const util::Result<query::ViewSnapshot>& got,
+                  const query::ViewSnapshot& want, const std::string& label) {
   ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
   EXPECT_EQ(got->search_serial, 0u) << label;
   ExpectSameViewState(*got, want, label);
@@ -832,18 +802,18 @@ std::set<graph::FeatureId> ViewFeatures(const query::TopKView& view) {
   return features;
 }
 
-// In sync mode every path that leaves the serving pair alone keeps the
-// committed snapshot serving: the initial refresh, a feedback round, and
-// a weight delta that reprices nothing in the view (committed without a
-// search). Each answer equals an independent search at the live weights.
-TEST(ServeConcurrencyTest, UnchangedServingPairAnswersFromCommittedSnapshot) {
+// In sync mode QueryView answers with the published snapshot after the
+// initial refresh, a feedback round, and a weight delta that reprices
+// nothing in the view (committed without a search). Each answer equals an
+// independent search at the live weights.
+TEST(ServeConcurrencyTest, QueryViewAnswersWithThePublishedSnapshot) {
   Harness h(/*async=*/false);
   const RefreshEngine& engine = h.q->refresh_engine();
   auto expect_committed = [&](std::size_t id, const std::string& label) {
     ExpectServed(
-        engine, [&] { return h.q->QueryView(id); },
+        h.q->QueryView(id),
         IndependentSearch(h.q->view(id), h.q->catalog(), h.q->weights()),
-        /*from_committed=*/true, label + " view " + std::to_string(id));
+        label + " view " + std::to_string(id));
   };
   for (std::size_t id : h.view_ids) expect_committed(id, "created");
 
@@ -899,8 +869,12 @@ struct EngineFixture {
                        &q->cost_model(), catalog, q->weights());
   }
 
+  // What QSystem::QueryView would answer: a copy of the published
+  // snapshot.
   util::Result<query::ViewSnapshot> Serve() const {
-    return engine.SearchView(slot, q->catalog());
+    query::ViewSnapshot answer = *view->Snapshot();
+    answer.search_serial = 0;
+    return answer;
   }
   query::ViewSnapshot Independent() const {
     return IndependentSearch(*view, q->catalog(), q->weights());
@@ -942,63 +916,50 @@ void RaiseBestTreeEdge(EngineFixture* f) {
   FAIL() << "the best tree has no priced base edge";
 }
 
-// A rebuild that moves neither the weight revision nor the feature space
-// installs a fresh engine, which restarts at generation 0, with the
-// engine's memoized serving weight copy of that revision and size: the
-// very pair the old snapshot was stamped with. When the rebuild's search
-// fails (its catalog lacks the view's tables), the slot keeps the rebuilt
-// graph and engine without a snapshot, the state a failed staged search
-// in a round also leaves (FailedStagedSearchLeavesTheRebuiltGraphSearched).
-// Until a rebuild's search lands, QueryView must search the rebuilt query
-// graph, not return the old query graph's snapshot.
-TEST(ServeConcurrencyTest, EngineSwapSearchesTheRebuiltQueryGraph) {
+// A rebuild whose search fails (its catalog lacks the view's tables)
+// installs nothing: the view keeps its old query graph, engine and
+// answer, so an independent search of the view's query graph still gives
+// the old answer, and no snapshot is counted as built. The next rebuild
+// lands its search and installs the rebuilt graph and answer together.
+TEST(ServeConcurrencyTest, FailedRebuildKeepsTheOldQueryGraphAndAnswer) {
   EngineFixture f(/*query=*/2);
   const query::ViewSnapshot old_answer = *f.view->Snapshot();
   ASSERT_FALSE(old_answer.trees.empty());
-  ExpectServed(f.engine, [&] { return f.Serve(); }, f.Independent(),
-               /*from_committed=*/true, "before the edge change");
-  const std::size_t features = f.q->feature_space().size();
-  const std::uint64_t weight_revision = f.q->weights().revision();
+  ExpectServed(f.Serve(), f.Independent(), "before the edge change");
   RaiseBestTreeEdge(&f);
   if (HasFatalFailure()) return;
 
+  const RefreshEngineStats before = f.engine.stats();
   const relational::Catalog empty;
   const util::Status failed = f.Rebuild(empty);
   ASSERT_TRUE(failed.IsNotFound()) << failed.ToString();
-  ASSERT_EQ(f.q->feature_space().size(), features);
-  ASSERT_EQ(f.q->weights().revision(), weight_revision);
-  ExpectSameViewState(*f.view->Snapshot(), old_answer, "published");
+  EXPECT_EQ(f.engine.stats().snapshots_built, before.snapshots_built);
+  ExpectServed(f.Serve(), old_answer, "rebuild failed");
+  ExpectSameViewState(f.Independent(), old_answer, "old query graph kept");
+
+  ASSERT_TRUE(f.Rebuild(f.q->catalog()).ok());
+  EXPECT_EQ(f.engine.stats().snapshots_built, before.snapshots_built + 1);
   const query::ViewSnapshot rebuilt = f.Independent();
   ASSERT_FALSE(SameTrees(old_answer, rebuilt))
       << "the edge change must change the view's answer";
-  ExpectServed(f.engine, [&] { return f.Serve(); }, rebuilt,
-               /*from_committed=*/false, "rebuilt, search failed");
-
-  // The next rebuild lands its search: committed serving resumes.
-  ASSERT_TRUE(f.Rebuild(f.q->catalog()).ok());
-  ExpectServed(f.engine, [&] { return f.Serve(); }, rebuilt,
-               /*from_committed=*/true, "rebuilt, search landed");
+  ExpectServed(f.Serve(), rebuilt, "rebuilt, search landed");
 }
 
 // A staged structural rebuild, driven step by step on the engine: until
-// the install, the slot keeps its old pair and answers from its committed
-// snapshot of the old query graph; the install swaps query graph, engine,
-// serving weights and searched snapshot in together, so the very next
-// answer is the rebuilt graph's, again from the committed snapshot. No
-// step in between makes SearchView search.
+// the install, the view answers with its published snapshot of the old
+// query graph; the install swaps query graph, engine and searched
+// snapshot in together, so the very next answer is the rebuilt graph's.
 TEST(ServeConcurrencyTest, StagedRebuildInstallsQueryGraphEngineAndSnapshot) {
   EngineFixture f(/*query=*/2);
   const query::ViewSnapshot old_answer = f.Independent();
   ASSERT_FALSE(old_answer.trees.empty());
-  ExpectServed(f.engine, [&] { return f.Serve(); }, old_answer,
-               /*from_committed=*/true, "before the registration");
+  ExpectServed(f.Serve(), old_answer, "before the registration");
   RegisterJournalCopy(&f);
   const std::uint64_t serial_before = f.view->Snapshot()->search_serial;
 
   RefreshEngine::StagedRebuild staged =
       f.engine.StageRebuild(f.slot, f.q->search_graph(), f.q->weights());
-  ExpectServed(f.engine, [&] { return f.Serve(); }, old_answer,
-               /*from_committed=*/true, "base copied");
+  ExpectServed(f.Serve(), old_answer, "base copied");
   ASSERT_TRUE(f.engine
                   .ExpandStaged(&staged, f.q->text_index(), &f.q->cost_model())
                   .ok());
@@ -1008,16 +969,14 @@ TEST(ServeConcurrencyTest, StagedRebuildInstallsQueryGraphEngineAndSnapshot) {
   f.engine.SearchStaged(&staged, f.q->catalog());
   ASSERT_TRUE(staged.snapshot.ok()) << staged.snapshot.status().ToString();
   EXPECT_EQ(f.engine.stats().searches_run, before_search.searches_run + 1);
-  ExpectServed(f.engine, [&] { return f.Serve(); }, old_answer,
-               /*from_committed=*/true, "staged search landed");
+  ExpectServed(f.Serve(), old_answer, "staged search landed");
   EXPECT_EQ(f.view->Snapshot()->search_serial, serial_before);
 
   f.engine.InstallStaged(&staged, f.q->search_graph(), f.q->weights());
   const query::ViewSnapshot rebuilt = f.Independent();
   ASSERT_FALSE(SameTrees(old_answer, rebuilt))
       << "the registration must change the view's answer";
-  ExpectServed(f.engine, [&] { return f.Serve(); }, rebuilt,
-               /*from_committed=*/true, "installed");
+  ExpectServed(f.Serve(), rebuilt, "installed");
   // Published once, at the install.
   const auto published = f.view->Snapshot();
   EXPECT_EQ(published->search_serial, serial_before + 1);
@@ -1029,13 +988,12 @@ TEST(ServeConcurrencyTest, StagedRebuildInstallsQueryGraphEngineAndSnapshot) {
             before_search.snapshots_built + 1);
 }
 
-// A staged search that fails (the scheduler's catalog lacks the view's
-// tables) installs the rebuilt query graph and engine without a snapshot:
-// the EngineSwapSearchesTheRebuiltQueryGraph state. The failure surfaces
-// through Drain, which DrainRefreshes returns, and the next round (the
-// one RefreshAllViews runs, say) rebuilds the view once the catalog is
-// whole.
-TEST(ServeConcurrencyTest, FailedStagedSearchLeavesTheRebuiltGraphSearched) {
+// A staged search that fails in a round (the scheduler's catalog lacks
+// the view's tables) installs nothing: the view reads stale with its old
+// query graph and answer, and the failure surfaces through Drain, which
+// DrainRefreshes returns. The next round (the one RefreshAllViews runs,
+// say) rebuilds the view once the catalog is whole.
+TEST(ServeConcurrencyTest, FailedStagedSearchInstallsNothing) {
   EngineFixture f(/*query=*/2);
   const query::ViewSnapshot old_answer = *f.view->Snapshot();
   relational::Catalog catalog;  // the scheduler's: no tables yet
@@ -1047,17 +1005,13 @@ TEST(ServeConcurrencyTest, FailedStagedSearchLeavesTheRebuiltGraphSearched) {
   RegisterJournalCopy(&f);
 
   const AsyncRefreshStats before = sched.stats();
+  const RefreshEngineStats built_before = f.engine.stats();
   ASSERT_TRUE(sched.NotifyStructuralChange().ok());
   EXPECT_EQ(sched.stats().structural_rebuilds, before.structural_rebuilds + 1);
+  EXPECT_EQ(f.engine.stats().snapshots_built, built_before.snapshots_built);
   EXPECT_TRUE(sched.Read(f.slot).stale);
-  // The old published snapshot is still the view's output, while QueryView
-  // searches the installed rebuild.
-  ExpectSameViewState(*f.view->Snapshot(), old_answer, "published");
-  const query::ViewSnapshot rebuilt = f.Independent();
-  ASSERT_FALSE(SameTrees(old_answer, rebuilt))
-      << "the registration must change the view's answer";
-  ExpectServed(f.engine, [&] { return f.Serve(); }, rebuilt,
-               /*from_committed=*/false, "staged search failed");
+  ExpectServed(f.Serve(), old_answer, "staged search failed");
+  ExpectSameViewState(f.Independent(), old_answer, "old query graph kept");
   const util::Status drained = sched.Drain();
   EXPECT_TRUE(drained.IsNotFound()) << drained.ToString();
 
@@ -1067,42 +1021,62 @@ TEST(ServeConcurrencyTest, FailedStagedSearchLeavesTheRebuiltGraphSearched) {
   ASSERT_TRUE(sched.NotifyStructuralChange().ok());
   EXPECT_TRUE(sched.Drain().ok());
   EXPECT_FALSE(sched.Read(f.slot).stale);
-  ExpectServed(f.engine, [&] { return f.Serve(); }, rebuilt,
-               /*from_committed=*/true, "rebuilt by the next round");
-  ExpectSameViewState(*f.view->Snapshot(), rebuilt, "republished");
+  const query::ViewSnapshot rebuilt = f.Independent();
+  ASSERT_FALSE(SameTrees(old_answer, rebuilt))
+      << "the registration must change the view's answer";
+  ExpectServed(f.Serve(), rebuilt, "rebuilt by the next round");
 }
 
-// A repair re-costs the slot — publishing the new serving pair — and then
-// its search fails (the catalog it was handed lacks the view's tables), so
-// nothing is committed. A reader inside that window must get the answer
-// at the new pair, not the committed snapshot of the old one.
-TEST(ServeConcurrencyTest, RepairWindowSearchesAtTheNewPair) {
-  EngineFixture f(/*query=*/0);
-  const query::ViewSnapshot old_answer = *f.view->Snapshot();
-  ASSERT_FALSE(old_answer.trees.empty());
-  ExpectServed(f.engine, [&] { return f.Serve(); }, f.Independent(),
-               /*from_committed=*/true, "before the delta");
+// A repair whose search fails (every table's attributes are renamed, so
+// executing a view's queries reports NotFound) installs nothing: until a
+// later round lands, QueryView answers with the view's published,
+// baseline-before snapshot, as it does inside any repair window. With the
+// schemas restored, the next round repairs every view to the answer at
+// the new weights.
+TEST(ServeConcurrencyTest, RepairWindowReadsTheBaselineBefore) {
+  Harness h(/*async=*/false);
+  std::vector<query::ViewSnapshot> before;
+  for (std::size_t id : h.view_ids) {
+    before.push_back(*h.q->ReadView(id).state);
+    ExpectServed(h.q->QueryView(id), before.back(),
+                 "before the delta view " + std::to_string(id));
+  }
 
+  std::vector<std::pair<std::shared_ptr<relational::Table>,
+                        relational::RelationSchema>>
+      saved;
+  for (const auto& table : h.q->catalog().AllTables()) {
+    saved.emplace_back(table, table->schema());
+    std::vector<relational::AttributeDef> renamed =
+        table->schema().attributes();
+    for (relational::AttributeDef& a : renamed) a.name = "renamed_" + a.name;
+    table->mutable_schema() = relational::RelationSchema(
+        table->schema().source(), table->schema().relation(), renamed);
+  }
   // Raising the default-feature weight reprices every learnable edge, so
-  // every tree cost moves.
-  f.q->mutable_weights().Nudge(graph::FeatureSpace::kDefaultFeature, 0.5);
-  const query::ViewSnapshot repriced = f.Independent();
-  ASSERT_FALSE(SameTrees(old_answer, repriced))
-      << "the delta must change the view's answer";
-  const relational::Catalog empty;
-  const util::Status failed = f.engine.RepairViewAsync(
-      f.slot, f.q->search_graph(), empty,
-      f.engine.ServingWeights(f.q->weights()));
-  ASSERT_TRUE(failed.IsNotFound()) << failed.ToString();
-  ExpectServed(f.engine, [&] { return f.Serve(); }, repriced,
-               /*from_committed=*/false, "repair window");
+  // every view's repair re-costs and searches.
+  h.q->mutable_weights().Nudge(graph::FeatureSpace::kDefaultFeature, 0.5);
+  const util::Status failed = h.q->RefreshAllViews();
+  EXPECT_TRUE(failed.IsNotFound()) << failed.ToString();
+  for (std::size_t i = 0; i < h.view_ids.size(); ++i) {
+    const std::string label = "repair window view " + std::to_string(i);
+    EXPECT_TRUE(h.q->ReadView(h.view_ids[i]).stale) << label;
+    ExpectServed(h.q->QueryView(h.view_ids[i]), before[i], label);
+  }
 
-  ASSERT_TRUE(f.engine
-                  .RepairViewAsync(f.slot, f.q->search_graph(), f.q->catalog(),
-                                   f.engine.ServingWeights(f.q->weights()))
-                  .ok());
-  ExpectServed(f.engine, [&] { return f.Serve(); }, repriced,
-               /*from_committed=*/true, "repair landed");
+  for (auto& [table, schema] : saved) table->mutable_schema() = schema;
+  ASSERT_TRUE(h.q->RefreshAllViews().ok());
+  for (std::size_t i = 0; i < h.view_ids.size(); ++i) {
+    const std::size_t id = h.view_ids[i];
+    const query::ViewSnapshot repriced =
+        IndependentSearch(h.q->view(id), h.q->catalog(), h.q->weights());
+    if (i == 0) {
+      ASSERT_FALSE(SameTrees(before[i], repriced))
+          << "the delta must change the first view's answer";
+    }
+    ExpectServed(h.q->QueryView(id), repriced,
+                 "repair landed view " + std::to_string(i));
+  }
 }
 
 // --- synchronous mode: the round plus a drain ----------------------------
@@ -1113,9 +1087,10 @@ TEST(ServeConcurrencyTest, RepairWindowSearchesAtTheNewPair) {
 // table's attributes are renamed, so executing a view's queries reports
 // NotFound — is returned by the call whose round it belonged to, and the
 // next round, with the schemas restored, retries the views the failure
-// left stale and returns OK. The failed repairs already re-costed their
-// snapshots, so a retry with no new weight change moves no cost: it must
-// still search, or it would commit the pre-failure results.
+// left stale and returns OK. The failed repairs installed nothing, so a
+// retry with no new weight change re-costs from the installed snapshot,
+// moves the same costs and searches; committing without a search would
+// keep the pre-failure results.
 TEST(ServeConcurrencyTest, SynchronousFeedbackReturnsWithItsRoundDrained) {
   Harness h(/*async=*/false);
   const AsyncRefreshScheduler& sched = *h.q->async_scheduler();
@@ -1161,7 +1136,7 @@ TEST(ServeConcurrencyTest, SynchronousFeedbackReturnsWithItsRoundDrained) {
     ExpectSameViewState(
         *h.q->ReadView(id).state,
         IndependentSearch(h.q->view(id), h.q->catalog(), h.q->weights()),
-        "dirty retry view " + std::to_string(id));
+        "retry view " + std::to_string(id));
   }
 
   ASSERT_TRUE(endorse(h.view_ids[2]).ok());
@@ -1175,11 +1150,9 @@ TEST(ServeConcurrencyTest, SynchronousFeedbackReturnsWithItsRoundDrained) {
   }
 }
 
-// RefreshAllViews and RunInitialAlignment each run a round that takes the
-// serving gate itself around its rebuilds, so neither may hold the gate
-// across the round: with views open and QueryView readers running, both
-// return (no deadlock) and no reader fails. The weight nudge gives the
-// first one repairs to run. The re-run alignment's own votes repeat and
+// RefreshAllViews and RunInitialAlignment each run a round: with views
+// open and QueryView readers running, both return (no deadlock) and no
+// reader fails. The weight nudge gives the first one repairs to run. The re-run alignment's own votes repeat and
 // change nothing, so one new association pair, added just before it,
 // makes its round rebuild every view.
 TEST(ServeConcurrencyTest, SynchronousFullRefreshesRaceQueryReaders) {

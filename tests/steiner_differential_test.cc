@@ -4,18 +4,15 @@
 // enumeration must reproduce the contracted referee's output
 // (tests/reference_steiner.h) exactly — same tree costs and same edge
 // sets — for both solver families, under forced/banned-edge overlays, and
-// through the weight-only Recost fast path (a re-costed snapshot must be
-// indistinguishable from a freshly built one, including across a warm
-// enumeration memo).
+// through the weight-only re-cost fast path (a re-costed snapshot must be
+// indistinguishable from a freshly built one).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <ostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/q_system.h"
@@ -25,7 +22,6 @@
 #include "steiner/fast_solver.h"
 #include "steiner/shard.h"
 #include "steiner/top_k.h"
-#include "steiner/top_k_memo.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -231,7 +227,7 @@ TEST_P(OverlayDifferentialTest, ForcedBannedOverlaysMatchLegacy) {
   util::Rng rng(32000 + GetParam());
   DiffGraph g(&rng, 24, 55, 3);
   g.PerturbWeights(&rng);
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/true);
+  FastSteinerEngine engine(g.graph, *g.weights);
 
   auto base = engine.SolveKmb(g.terminals, {}, {});
   ASSERT_TRUE(base.has_value());
@@ -263,33 +259,38 @@ TEST_P(OverlayDifferentialTest, ForcedBannedOverlaysMatchLegacy) {
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, OverlayDifferentialTest,
                          ::testing::Range(0, 6));
 
+// A repair's re-cost: a re-costed copy of the engine's snapshot,
+// installed. Returns how many edge costs moved.
+std::size_t RecostAndInstall(FastSteinerEngine* engine,
+                             const graph::SearchGraph& graph,
+                             const graph::WeightVector& weights) {
+  std::size_t moved = 0;
+  engine->Install(engine->Recosted(graph, weights, &moved));
+  return moved;
+}
+
 class RecostDifferentialTest : public ::testing::TestWithParam<int> {};
 
-// The weight-only snapshot refresh: warm an engine's memo at w0, Recost
-// to w1, and require byte-identical output to an engine freshly built at
-// w1 — for top-k through the shared-engine entry point and for raw
-// overlay solves. A stale memo entry surviving the generation bump, or a
-// mis-recosted arc, breaks this immediately.
+// The weight-only snapshot refresh: search an engine at w0, re-cost it to
+// w1, and require byte-identical output to an engine freshly built at w1
+// — for top-k through the shared-engine entry point and for raw overlay
+// solves. A mis-recosted arc breaks this immediately.
 TEST_P(RecostDifferentialTest, RecostedSnapshotEqualsFreshBuild) {
   util::Rng rng(33000 + GetParam());
   DiffGraph g(&rng, 30, 70, 3 + rng.Uniform(2));
 
   TopKConfig config;
   config.k = 5;
-  auto shared = std::make_unique<FastSteinerEngine>(g.graph, *g.weights,
-                                                    /*use_memo=*/true);
-  // Warm the memo under the initial weights.
+  auto shared = std::make_unique<FastSteinerEngine>(g.graph, *g.weights);
+  // Search once under the initial weights.
   auto warm = TopKSteinerTrees(g.graph, *g.weights, g.terminals, config,
                                shared.get());
   ASSERT_FALSE(warm.empty());
-  EXPECT_EQ(shared->generation(), 0u);
 
   for (int perturbation = 0; perturbation < 3; ++perturbation) {
     g.PerturbWeights(&rng);
-    shared->Recost(g.graph, *g.weights);
-    EXPECT_EQ(shared->generation(),
-              static_cast<std::uint64_t>(perturbation + 1));
-    FastSteinerEngine fresh(g.graph, *g.weights, /*use_memo=*/true);
+    EXPECT_GT(RecostAndInstall(shared.get(), g.graph, *g.weights), 0u);
+    FastSteinerEngine fresh(g.graph, *g.weights);
 
     for (bool approximate : {false, true}) {
       config.approximate = approximate;
@@ -316,19 +317,17 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, RecostDifferentialTest,
 class DeltaRecostDifferentialTest : public ::testing::TestWithParam<int> {};
 
 // Randomized delta configs: a random sequence of MIRA-style sparse weight
-// updates and edge additions is applied to a long-lived engine (an
-// in-place Recost per weight update, a rebuild on topology change), and
-// after every step the top-k output must be bit-identical to a freshly
-// built snapshot — with the enumeration memo kept across steps, so a
-// wrongly retained enumeration would surface immediately.
+// updates and edge additions is applied to a long-lived engine (a re-cost
+// installed per weight update, a rebuild on topology change), and after
+// every step the top-k output must be bit-identical to a freshly built
+// snapshot.
 TEST_P(DeltaRecostDifferentialTest, SparseRecostMatchesFreshSnapshot) {
   util::Rng rng(34000 + GetParam());
   DiffGraph g(&rng, 26 + rng.Uniform(20), 55 + rng.Uniform(40),
               3 + rng.Uniform(2));
   TopKConfig config;
   config.k = 5;
-  auto shared = std::make_unique<FastSteinerEngine>(g.graph, *g.weights,
-                                                    /*use_memo=*/true);
+  auto shared = std::make_unique<FastSteinerEngine>(g.graph, *g.weights);
   auto warm = TopKSteinerTrees(g.graph, *g.weights, g.terminals, config,
                                shared.get());
   ASSERT_FALSE(warm.empty());
@@ -340,20 +339,15 @@ TEST_P(DeltaRecostDifferentialTest, SparseRecostMatchesFreshSnapshot) {
       // Topology change: a re-cost cannot help; rebuild the engine (what
       // the RefreshEngine's rebuild classification does).
       g.AddRandomEdge(&rng);
-      shared = std::make_unique<FastSteinerEngine>(g.graph, *g.weights,
-                                                   /*use_memo=*/true);
+      shared = std::make_unique<FastSteinerEngine>(g.graph, *g.weights);
     } else {
-      // Sparse weight update, re-costed in place exactly as the
-      // RefreshEngine's repair does. The generation moves only with a
-      // cost.
+      // Sparse weight update, re-costed and installed exactly as the
+      // RefreshEngine's repair does.
       g.PerturbSparse(&rng, 1 + rng.Uniform(3));
-      const std::uint64_t gen = shared->generation();
-      const std::size_t moved = shared->Recost(g.graph, *g.weights);
-      EXPECT_EQ(shared->generation(), moved > 0 ? gen + 1 : gen);
-      if (moved > 0) ++recosts;
+      if (RecostAndInstall(shared.get(), g.graph, *g.weights) > 0) ++recosts;
     }
 
-    FastSteinerEngine fresh(g.graph, *g.weights, /*use_memo=*/true);
+    FastSteinerEngine fresh(g.graph, *g.weights);
     for (bool approximate : {false, true}) {
       config.approximate = approximate;
       auto recosted = TopKSteinerTrees(g.graph, *g.weights, g.terminals,
@@ -376,318 +370,8 @@ TEST_P(DeltaRecostDifferentialTest, SparseRecostMatchesFreshSnapshot) {
   EXPECT_GT(recosts, 0u);
 }
 
-// Same trees in the same order with bit-equal costs, and the same
-// certificate.
-void ExpectSameSearch(const std::vector<SteinerTree>& expected,
-                      const RelevanceCertificate& expected_cert,
-                      const std::vector<SteinerTree>& actual,
-                      const RelevanceCertificate& actual_cert,
-                      const std::string& label) {
-  ASSERT_EQ(expected.size(), actual.size()) << label;
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(expected[i].edges, actual[i].edges) << label << " tree " << i;
-    EXPECT_EQ(expected[i].cost, actual[i].cost) << label << " tree " << i;
-  }
-  EXPECT_EQ(expected_cert.valid, actual_cert.valid) << label;
-  EXPECT_EQ(expected_cert.gap, actual_cert.gap) << label;
-}
-
-// The enumeration memo (TopKMemo) under the same kind of long-lived
-// engine: every enumeration on the cached engine is run twice, so the
-// second is served from a warm memo, and both must equal an uncached
-// referee engine (no memo) byte for byte
-// — trees, order, costs and certificate — for exact and KMB, with and
-// without a pool, on 2 terminals (even params) and 3-4 (odd). Across a
-// Recost that moves a cost, dense or sparse, the memo must start cold (no
-// hit on the first enumeration after the bump); across a Recost that
-// moves none its entries must survive and serve the whole repeat. An
-// enumeration pinned before an effective Recost landed must be neither
-// served from nor inserted into the new generation's memo.
-TEST_P(DeltaRecostDifferentialTest, MemoServedSearchesMatchUncachedReferee) {
-  util::Rng rng(35000 + GetParam());
-  const std::size_t num_terminals =
-      GetParam() % 2 == 0 ? 2 : 3 + rng.Uniform(2);
-  DiffGraph g(&rng, 26 + rng.Uniform(20), 55 + rng.Uniform(40),
-              num_terminals);
-  util::ThreadPool pool(2);
-  TopKConfig config;
-  config.k = 5;
-  FastSteinerEngine cached(g.graph, *g.weights, /*use_memo=*/true);
-
-  // Runs every (solver, pool) configuration twice on the cached engine
-  // against the referee. `cold` asserts the first run of the first
-  // configuration of each solver found nothing in the memo.
-  auto check = [&](const std::string& step, bool cold) {
-    FastSteinerEngine referee(g.graph, *g.weights, /*use_memo=*/false);
-    for (bool approximate : {false, true}) {
-      config.approximate = approximate;
-      for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
-                                  &pool}) {
-        config.pool = p;
-        const std::string label = step + (approximate ? " kmb" : " exact") +
-                                  (p != nullptr ? " pool" : "");
-        RelevanceCertificate expected_cert;
-        auto expected = TopKSteinerTrees(g.graph, *g.weights, g.terminals,
-                                         config, &referee, &expected_cert);
-        ASSERT_FALSE(expected.empty()) << label;
-        for (int run = 0; run < 2; ++run) {
-          const FastSolveStats before = cached.stats();
-          RelevanceCertificate cert;
-          auto served = TopKSteinerTrees(g.graph, *g.weights, g.terminals,
-                                         config, &cached, &cert);
-          const FastSolveStats after = cached.stats();
-          const std::string run_label = label + " run " + std::to_string(run);
-          ExpectSameSearch(expected, expected_cert, served, cert, run_label);
-          if (run == 1) {
-            // A repeat replays the enumeration from the memo alone.
-            EXPECT_GT(after.memo_hits, before.memo_hits) << run_label;
-            EXPECT_EQ(after.memo_misses, before.memo_misses) << run_label;
-          } else if (cold && p == nullptr) {
-            EXPECT_EQ(after.memo_hits, before.memo_hits) << run_label;
-          }
-        }
-      }
-    }
-    EXPECT_EQ(referee.stats().memo_entries, 0u) << step;
-  };
-
-  check("initial", /*cold=*/true);
-
-  // Recost moves the generation: the memo is purged and starts cold.
-  g.PerturbWeights(&rng);
-  cached.Recost(g.graph, *g.weights);
-  EXPECT_EQ(cached.stats().memo_entries, 0u);
-  check("recost", /*cold=*/true);
-
-  // A sparse update whose Recost moves a cost moves it too.
-  g.PerturbSparse(&rng, 1 + rng.Uniform(3));
-  std::uint64_t gen = cached.generation();
-  ASSERT_GT(cached.Recost(g.graph, *g.weights), 0u);
-  EXPECT_EQ(cached.generation(), gen + 1);
-  EXPECT_EQ(cached.stats().memo_entries, 0u);
-  check("sparse", /*cold=*/true);
-
-  // A search pinned before a Recost lands keeps its own costs: it is
-  // neither served by nor inserted into the new generation's memo, warm
-  // or cold, and still equals a referee built at the pinned weights.
-  config.pool = nullptr;
-  config.approximate = false;
-  const graph::WeightVector pinned_weights = *g.weights;
-  FastSteinerEngine pinned_referee(g.graph, pinned_weights,
-                                   /*use_memo=*/false);
-  RelevanceCertificate pinned_cert;
-  auto pinned_expected =
-      TopKSteinerTrees(g.graph, pinned_weights, g.terminals, config,
-                       &pinned_referee, &pinned_cert);
-  const SnapshotPin pin = cached.Pin();
-  g.PerturbSparse(&rng, 1 + rng.Uniform(3));
-  gen = cached.generation();
-  ASSERT_GT(cached.Recost(g.graph, *g.weights), 0u);
-  EXPECT_EQ(cached.generation(), gen + 1);
-  for (int round = 0; round < 2; ++round) {
-    const std::string label = "pinned round " + std::to_string(round);
-    config.pool = nullptr;  // check() below leaves its last configuration
-    config.approximate = false;
-    const FastSolveStats before = cached.stats();
-    RelevanceCertificate cert;
-    auto served = TopKSteinerTrees(g.graph, pinned_weights, g.terminals,
-                                   config, &cached, &cert, &pin);
-    const FastSolveStats after = cached.stats();
-    ExpectSameSearch(pinned_expected, pinned_cert, served, cert, label);
-    EXPECT_EQ(after.memo_hits, before.memo_hits) << label;
-    EXPECT_EQ(after.memo_entries, before.memo_entries) << label;
-    // Round 1 runs against a memo the current generation has warmed.
-    if (round == 0) check("after pinned search", /*cold=*/true);
-  }
-
-  // A Recost that moves no cost leaves the generation and every memo
-  // entry in place; the repeat is served without a single miss.
-  const std::size_t entries = cached.stats().memo_entries;
-  ASSERT_GT(entries, 0u);
-  g.weights->Set(g.space.Intern("unused", 0.5), 0.75);
-  gen = cached.generation();
-  EXPECT_EQ(cached.Recost(g.graph, *g.weights), 0u);
-  EXPECT_EQ(cached.generation(), gen);
-  EXPECT_EQ(cached.stats().memo_entries, entries);
-  check("no-op recost", /*cold=*/false);
-}
-
-// The memo key must cover every input that changes an enumeration's
-// output. One memo engine serves an interleaved sequence of calls, each
-// differing from an earlier one in a single input — k, a truncating
-// max_subproblems, whether a certificate is requested, the solver, the
-// terminals' order — and every call must equal a fresh no-memo referee,
-// trees and certificate. A key missing any of those inputs serves some
-// call the entry an earlier call left.
-TEST_P(DeltaRecostDifferentialTest, MemoKeyCoversEveryOutputInput) {
-  util::Rng rng(36000 + GetParam());
-  DiffGraph g(&rng, 26 + rng.Uniform(20), 55 + rng.Uniform(40),
-              3 + rng.Uniform(2));
-  const std::vector<NodeId> permuted(g.terminals.rbegin(),
-                                     g.terminals.rend());
-  const std::size_t full = TopKConfig{}.max_subproblems;
-  const std::size_t truncating = 2;
-  struct Call {
-    int k;
-    std::size_t max_subproblems;
-    bool certified;
-    bool approximate;
-    bool permute;
-  };
-  const std::vector<Call> calls = {
-      {3, full, true, false, false},        // k = 3, then 5, then 3
-      {5, full, true, false, false},
-      {3, full, true, false, false},
-      {5, truncating, true, false, false},  // truncated, then the default
-      {5, full, true, false, false},
-      {4, full, false, false, false},       // certificate off, then on
-      {4, full, true, false, false},
-      {5, full, false, false, false},       // certificate on, then off
-      {5, full, true, true, false},         // KMB on the same terminals
-      {5, full, true, false, true},         // permuted terminals
-      {5, full, true, true, true},
-      {5, full, true, false, false},
-      {5, full, true, true, false},
-  };
-
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/true);
-  std::vector<std::size_t> seen;  // indexes into `calls` of distinct keys
-  std::size_t repeats = 0;
-  for (std::size_t i = 0; i < calls.size(); ++i) {
-    const Call& call = calls[i];
-    TopKConfig config;
-    config.k = call.k;
-    config.max_subproblems = call.max_subproblems;
-    config.approximate = call.approximate;
-    const std::vector<NodeId>& terminals =
-        call.permute ? permuted : g.terminals;
-    const std::string label =
-        "call " + std::to_string(i) + " k " + std::to_string(call.k) +
-        " cap " + std::to_string(call.max_subproblems) +
-        (call.certified ? " certified" : "") +
-        (call.approximate ? " kmb" : " exact") +
-        (call.permute ? " permuted" : "");
-
-    RelevanceCertificate expected_cert;
-    auto expected = TopKSteinerTrees(
-        g.graph, *g.weights, terminals, config, /*shared_engine=*/nullptr,
-        call.certified ? &expected_cert : nullptr);
-    RelevanceCertificate cert;
-    auto served = TopKSteinerTrees(g.graph, *g.weights, terminals, config,
-                                   &engine,
-                                   call.certified ? &cert : nullptr);
-    ExpectSameSearch(expected, expected_cert, served, cert, label);
-
-    // Each field must actually change the referee's output, or a key
-    // without it could pass by luck.
-    if (!call.approximate && call.max_subproblems == full) {
-      EXPECT_EQ(expected.size(), static_cast<std::size_t>(call.k)) << label;
-      EXPECT_EQ(expected_cert.valid, call.certified) << label;
-    }
-    if (call.max_subproblems == truncating) {
-      EXPECT_LT(expected.size(), 3u) << label;
-      EXPECT_FALSE(expected_cert.valid) << label;
-    }
-
-    const bool repeat =
-        std::any_of(seen.begin(), seen.end(), [&](std::size_t j) {
-          const Call& c = calls[j];
-          return c.k == call.k && c.max_subproblems == call.max_subproblems &&
-                 c.certified == call.certified &&
-                 c.approximate == call.approximate &&
-                 c.permute == call.permute;
-        });
-    if (repeat) {
-      ++repeats;
-    } else {
-      seen.push_back(i);
-    }
-  }
-  // Every repeat is one hit and every first call one miss and one entry.
-  const FastSolveStats stats = engine.stats();
-  EXPECT_EQ(stats.memo_hits, repeats);
-  EXPECT_EQ(stats.memo_misses, seen.size());
-  EXPECT_EQ(stats.memo_entries, seen.size());
-}
-
-// Concurrent misses on one key run the enumeration once: every thread
-// that arrives while the first runs it waits for its result, so however
-// the threads interleave the memo counts one miss and one entry, and
-// every thread returns the referee's trees and certificate.
-TEST_P(DeltaRecostDifferentialTest, ConcurrentMissesRunOneEnumeration) {
-  util::Rng rng(37000 + GetParam());
-  DiffGraph g(&rng, 26 + rng.Uniform(20), 55 + rng.Uniform(40),
-              3 + rng.Uniform(2));
-  TopKConfig config;
-  config.k = 5;
-  RelevanceCertificate expected_cert;
-  const auto expected =
-      TopKSteinerTrees(g.graph, *g.weights, g.terminals, config,
-                       /*shared_engine=*/nullptr, &expected_cert);
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/true);
-  constexpr int kThreads = 4;
-  std::vector<std::vector<SteinerTree>> served(kThreads);
-  std::vector<RelevanceCertificate> certs(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      served[t] = TopKSteinerTrees(g.graph, *g.weights, g.terminals, config,
-                                   &engine, &certs[t]);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  for (int t = 0; t < kThreads; ++t) {
-    ExpectSameSearch(expected, expected_cert, served[t], certs[t],
-                     "thread " + std::to_string(t));
-  }
-  const FastSolveStats stats = engine.stats();
-  EXPECT_EQ(stats.memo_misses, 1u);
-  EXPECT_EQ(stats.memo_hits, static_cast<std::size_t>(kThreads - 1));
-  EXPECT_EQ(stats.memo_entries, 1u);
-}
-
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, DeltaRecostDifferentialTest,
                          ::testing::Range(0, 8));
-
-// A claimed key's waiters never hang: a claim released by a null
-// Publish passes to a waiter, and a generation change sends every waiter
-// off to run its enumeration itself, claiming nothing.
-TEST(TopKMemoTest, WaitersResumeWhenAClaimIsReleasedOrPurged) {
-  TopKMemo memo;
-  const TopKMemoKey key{/*kmb=*/false, {1, 2}, /*k=*/3,
-                        /*max_subproblems=*/100, /*certified=*/true};
-  bool claimed = false;
-  EXPECT_EQ(memo.Lookup(0, key, &claimed), nullptr);
-  ASSERT_TRUE(claimed);
-  bool waiter_claimed = false;
-  std::thread waiter([&] {
-    EXPECT_EQ(memo.Lookup(0, key, &waiter_claimed), nullptr);
-  });
-  memo.Publish(0, key, nullptr);
-  waiter.join();
-  ASSERT_TRUE(waiter_claimed);
-  EXPECT_EQ(memo.size(), 1u);
-
-  bool stale_claimed = true;
-  std::thread stale([&] {
-    EXPECT_EQ(memo.Lookup(0, key, &stale_claimed), nullptr);
-  });
-  memo.Advance(1);
-  stale.join();
-  EXPECT_FALSE(stale_claimed);
-  EXPECT_EQ(memo.size(), 0u);
-  EXPECT_EQ(memo.hits(), 0u);
-  EXPECT_EQ(memo.misses(), 3u);
-
-  // The next generation claims afresh and serves what was published.
-  EXPECT_EQ(memo.Lookup(1, key, &claimed), nullptr);
-  ASSERT_TRUE(claimed);
-  auto value = std::make_shared<const TopKMemoValue>();
-  memo.Publish(1, key, value);
-  EXPECT_EQ(memo.Lookup(1, key, &claimed), value);
-  EXPECT_FALSE(claimed);
-  EXPECT_EQ(memo.hits(), 1u);
-}
 
 // --- sharded terminal-local search differential ----------------------------
 // The sharded solver's whole contract is "bit-identical output, fewer
@@ -765,7 +449,7 @@ TEST_P(ShardedOverlayDifferentialTest, MaskedOverlaySolvesMatchUnmasked) {
   util::Rng rng(52000 + GetParam());
   DiffGraph g(&rng, 30, 70, 3);
   g.PerturbWeights(&rng);
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/true);
+  FastSteinerEngine engine(g.graph, *g.weights);
   SnapshotPin pin = engine.Pin();
   TerminalLocalizer localizer(pin.csr, engine.Shards(1), g.terminals);
 
@@ -839,7 +523,7 @@ TEST(ShardedEscalationTest, UndersizedMaskEscalatesAdequateMaskVerifies) {
   add_edge(2, 3, "c");
   graph::WeightVector weights(&space);
   std::vector<NodeId> terminals = {0, 3};
-  FastSteinerEngine engine(graph, weights, /*use_memo=*/false);
+  FastSteinerEngine engine(graph, weights);
   SnapshotPin pin = engine.Pin();
 
   // Mask holding only the endpoints: the connecting interior is missing,
@@ -928,7 +612,7 @@ TEST(ShardedEscalationTest, CheaperPathOutsideMaskEscalatesWithExactBound) {
   g.Add(0, 5, 4.5);
   g.Add(5, 2, 4.5);
   const std::vector<NodeId> terminals = {0, 2};
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/false);
+  FastSteinerEngine engine(g.graph, *g.weights);
   SnapshotPin pin = engine.Pin();
 
   // Star bound d(0, 2) = 2 gives radius 4: node 5 (4.5 from both
@@ -998,7 +682,7 @@ TEST(ShardedEscalationTest, CheapExitAtLastPickedTerminalCertifiesKmb) {
   g.Add(0, 1, 1.0);
   g.Add(1, 2, 1.0);
   g.Add(2, 3, 0.5);
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/false);
+  FastSteinerEngine engine(g.graph, *g.weights);
   SnapshotPin pin = engine.Pin();
   ShardMask mask;
   mask.in_mask = {1, 1, 1, 0};

@@ -2,7 +2,7 @@
 // (src/steiner/fast_solver.*): across seeded random graphs — including
 // tie-heavy graphs with zero-cost edges and forced/banned overlays — the
 // fast engine must produce byte-identical top-k results whether or not
-// the enumeration memo and the thread pool are enabled, and must match
+// the thread pool is enabled, and must match
 // the contracted referee (tests/reference_steiner.h) whenever edge costs
 // are distinct.
 #include <gtest/gtest.h>
@@ -70,20 +70,14 @@ struct RandomGraph {
   }
 };
 
-// `cache` runs on `memo_engine`, a memo engine over g that the caller
-// keeps across runs, so a repeat is served from the memo; otherwise each
-// run builds its own engine.
-std::vector<SteinerTree> RunTopK(const RandomGraph& g, bool cache,
-                                 util::ThreadPool* pool, bool approximate,
-                                 int k = 6,
-                                 FastSteinerEngine* memo_engine = nullptr) {
+// Each run builds its own engine.
+std::vector<SteinerTree> RunTopK(const RandomGraph& g, util::ThreadPool* pool,
+                                 bool approximate, int k = 6) {
   TopKConfig config;
   config.k = k;
   config.approximate = approximate;
-  config.use_sp_cache = cache;
   config.pool = pool;
-  return TopKSteinerTrees(g.graph, *g.weights, g.terminals, config,
-                          cache ? memo_engine : nullptr);
+  return TopKSteinerTrees(g.graph, *g.weights, g.terminals, config);
 }
 
 // Byte-identical comparison: same trees, same order, same costs.
@@ -99,25 +93,20 @@ void ExpectIdentical(const std::vector<SteinerTree>& a,
 
 class FastPathIdentityTest : public ::testing::TestWithParam<int> {};
 
-// Cache and thread pool must never change output, including on graphs
-// riddled with exact cost ties.
-TEST_P(FastPathIdentityTest, CacheAndPoolAreByteIdentical) {
+// The thread pool must never change output, including on graphs riddled
+// with exact cost ties.
+TEST_P(FastPathIdentityTest, PoolIsByteIdentical) {
   util::Rng rng(9000 + GetParam());
   RandomGraph g(&rng, 40 + rng.Uniform(40), 100 + rng.Uniform(60),
                 3 + rng.Uniform(2), /*zero_cost_fraction=*/0.3);
   util::ThreadPool pool(4);
-  FastSteinerEngine memo_engine(g.graph, *g.weights, /*use_memo=*/true);
   for (bool approximate : {false, true}) {
-    auto base = RunTopK(g, false, nullptr, approximate);
-    auto cached = RunTopK(g, true, nullptr, approximate, 6, &memo_engine);
-    auto pooled = RunTopK(g, false, &pool, approximate);
-    auto both = RunTopK(g, true, &pool, approximate, 6, &memo_engine);
+    auto base = RunTopK(g, nullptr, approximate);
+    auto pooled = RunTopK(g, &pool, approximate);
     std::string label = approximate ? "kmb" : "exact";
-    ExpectIdentical(base, cached, label + " cache");
     ExpectIdentical(base, pooled, label + " pool");
-    ExpectIdentical(base, both, label + " cache+pool");
-    // Re-running with a warm engine state must also be stable.
-    auto again = RunTopK(g, true, &pool, approximate, 6, &memo_engine);
+    // Re-running on the same pool must also be stable.
+    auto again = RunTopK(g, &pool, approximate);
     ExpectIdentical(base, again, label + " rerun");
   }
 }
@@ -140,7 +129,7 @@ TEST_P(FastVsLegacyTest, MatchesLegacyOnDistinctCosts) {
     config.approximate = approximate;
     auto legacy = reference::TopKSteinerTrees(g.graph, *g.weights,
                                               g.terminals, config);
-    auto fast = RunTopK(g, true, &pool, approximate);
+    auto fast = RunTopK(g, &pool, approximate);
     std::string label = approximate ? "kmb" : "exact";
     ASSERT_EQ(legacy.size(), fast.size()) << label;
     for (std::size_t i = 0; i < legacy.size(); ++i) {
@@ -159,7 +148,7 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, FastVsLegacyTest,
 TEST(FastSolverOverlayTest, ForcedAndBannedMatchContraction) {
   util::Rng rng(77);
   RandomGraph g(&rng, 24, 60, 3, 0.0);
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/true);
+  FastSteinerEngine engine(g.graph, *g.weights);
 
   // Take the best tree, then force/ban prefixes of it like Lawler does.
   auto base = engine.SolveKmb(g.terminals, {}, {});
@@ -199,54 +188,62 @@ TEST(FastSolverOverlayTest, ForcedAndBannedMatchContraction) {
                    .has_value());
 }
 
-// Snapshot pin/unpin (the async refresh scheduler's search-vs-recost
-// isolation): a pin freezes the CSR cost buffer, a concurrent re-cost
-// copies-on-write onto a fresh buffer and new generation, and a
-// solve that started under the pinned costs keeps producing exactly the
+// Snapshot pins (the async refresh scheduler's search-vs-repair
+// isolation): Recosted builds a re-costed copy and leaves the engine's
+// snapshot alone until Install, a pin taken before the install keeps its
+// cost buffer, and a solve under the pin keeps producing exactly the
 // pinned snapshot's output.
 TEST(FastSolverPinTest, PinnedSnapshotSurvivesRecost) {
   util::Rng rng(555);
   RandomGraph g(&rng, 30, 70, 3, 0.0);
-  FastSteinerEngine engine(g.graph, *g.weights, /*use_memo=*/true);
+  FastSteinerEngine engine(g.graph, *g.weights);
   auto before = engine.SolveKmb(g.terminals, {}, {});
   ASSERT_TRUE(before.has_value());
 
-  // Pin, then re-cost under perturbed weights: the pinned buffer must
-  // keep the old costs byte for byte while the engine moves on.
+  // Pin, then re-cost under perturbed weights: the engine keeps serving
+  // the pinned snapshot until the install, and the pinned buffer keeps
+  // the old costs byte for byte after it.
   SnapshotPin pin = engine.Pin();
   std::vector<double> pinned_costs = pin.csr->edge_cost;
   for (graph::FeatureId id = 1;
        id < static_cast<graph::FeatureId>(g.space.size()); ++id) {
     g.weights->Set(id, g.weights->At(id) * 1.5);
   }
-  engine.Recost(g.graph, *g.weights);
-  EXPECT_EQ(pin.csr->edge_cost, pinned_costs);      // frozen
-  EXPECT_NE(&engine.csr(), pin.csr.get());          // copied on write
-  EXPECT_GT(engine.generation(), pin.generation);
+  std::size_t moved = 0;
+  SnapshotPin next = engine.Recosted(g.graph, *g.weights, &moved);
+  EXPECT_GT(moved, 0u);
+  EXPECT_EQ(&engine.csr(), pin.csr.get());  // not installed yet
+  EXPECT_EQ(engine.csr().edge_cost, pinned_costs);
+  engine.Install(std::move(next));
+  EXPECT_EQ(pin.csr->edge_cost, pinned_costs);  // frozen
+  EXPECT_NE(&engine.csr(), pin.csr.get());      // replaced whole
+  auto pinned = engine.SolveKmb(pin, g.terminals, {}, {});
+  ASSERT_TRUE(pinned.has_value());
+  EXPECT_EQ(pinned->edges, before->edges);
+  EXPECT_EQ(pinned->cost, before->cost);
 
-  // The engine serves the new weights; a twin engine pinned-equivalent
-  // at the old weights reproduces the pinned solve.
+  // The engine serves the new weights, as a fresh engine at them does.
   auto after = engine.SolveKmb(g.terminals, {}, {});
-  FastSteinerEngine fresh_new(g.graph, *g.weights, /*use_memo=*/true);
+  FastSteinerEngine fresh_new(g.graph, *g.weights);
   auto reference_new = fresh_new.SolveKmb(g.terminals, {}, {});
   ASSERT_TRUE(after.has_value());
   EXPECT_EQ(after->edges, reference_new->edges);
   EXPECT_EQ(after->cost, reference_new->cost);
 
-  // A sparse re-cost under a pin takes the same copy-on-write path.
+  // A sparse re-cost follows the same rules.
   SnapshotPin pin2 = engine.Pin();
   std::vector<double> pinned2 = pin2.csr->edge_cost;
   g.weights->Set(1, g.weights->At(1) * 2.0);
-  if (engine.Recost(g.graph, *g.weights) > 0) {
-    EXPECT_EQ(pin2.csr->edge_cost, pinned2);
-    EXPECT_NE(&engine.csr(), pin2.csr.get());
-  }
-  // Released pins let the next mutation go back in place.
-  pin = SnapshotPin{};
-  pin2 = SnapshotPin{};
-  const CsrGraph* current = &engine.csr();
-  engine.Recost(g.graph, *g.weights);
-  EXPECT_EQ(&engine.csr(), current);  // unpinned: mutated in place
+  next = engine.Recosted(g.graph, *g.weights, &moved);
+  EXPECT_EQ(&engine.csr(), pin2.csr.get());
+  engine.Install(std::move(next));
+  EXPECT_EQ(pin2.csr->edge_cost, pinned2);
+  EXPECT_NE(&engine.csr(), pin2.csr.get());
+  EXPECT_EQ(engine.csr().edge_cost != pinned2, moved > 0);
+  // Unchanged weights move nothing.
+  next = engine.Recosted(g.graph, *g.weights, &moved);
+  EXPECT_EQ(moved, 0u);
+  EXPECT_EQ(next.csr->edge_cost, engine.csr().edge_cost);
 }
 
 }  // namespace

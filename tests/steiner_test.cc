@@ -97,7 +97,7 @@ std::optional<SteinerTree> Fast(const TestGraph& tg,
                                 const std::vector<NodeId>& terminals,
                                 const std::vector<EdgeId>& forced,
                                 const std::vector<EdgeId>& banned) {
-  FastSteinerEngine engine(tg.graph, *tg.weights, /*use_memo=*/false);
+  FastSteinerEngine engine(tg.graph, *tg.weights);
   return kKmb ? engine.SolveKmb(terminals, forced, banned)
               : engine.SolveExact(terminals, forced, banned);
 }
