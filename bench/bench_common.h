@@ -5,7 +5,8 @@
 // Each binary prints the rows/series of one table or figure of the paper
 // (Sec. 5). tests/paper_fidelity_test.cc pins the values the InterPro-GO
 // binaries print (Table 1, Table 2, Figs. 10-12 and the ablation), and
-// tests/fig7_comparisons_test.cc the comparison counts of Fig. 7.
+// tests/fig7_comparisons_test.cc and tests/fig8_scaling_test.cc the
+// comparison counts of Figs. 7 and 8.
 
 #include <cstdio>
 #include <filesystem>
@@ -21,6 +22,7 @@
 #include "core/q_system.h"
 #include "data/gbco.h"
 #include "data/interpro_go.h"
+#include "data/synthetic.h"
 #include "feedback/simulated_user.h"
 #include <unordered_set>
 
@@ -33,6 +35,7 @@
 #include "query/view.h"
 #include "steiner/top_k.h"
 #include "text/text_index.h"
+#include "util/random.h"
 #include "util/stats.h"
 #include "util/string_util.h"
 
@@ -216,6 +219,77 @@ inline std::vector<ComparisonRow> RunFig7Comparisons() {
         row.introductions[filtered] += env->new_sources.size();
       }
     }
+  }
+  return rows;
+}
+
+// One Fig. 8 row: the search graph grown to `sources` sources, and the
+// Exhaustive, ViewBased and Preferential aligners' pairwise attribute
+// comparisons per introduced source, in that order.
+struct ScalingRow {
+  std::size_t sources = 0;
+  util::SummaryStats per_source[3];
+};
+
+// The Fig. 8 experiment (bench_fig8_scaling.cc): the GBCO trials aligned
+// with a counting matcher after the search graph grows to 18, 100, 500
+// and 10k sources. The paper tiers grow with the Sec. 5.1.2
+// random-wiring generator; the 10k tier uses the streaming generator,
+// whose O(1)-per-source domain model makes the size constructible, and
+// whose registered catalog keeps the exhaustive aligner honest: it
+// really matches against all 10k sources. `smoke` runs the 10k tier on
+// the first 4 trials only.
+inline std::vector<ScalingRow> RunFig8Scaling(bool smoke) {
+  data::GbcoConfig config;
+  config.base_rows = 40;
+  auto dataset = data::BuildGbco(config);
+  std::vector<ScalingRow> rows;
+  for (std::size_t target : {std::size_t{18}, std::size_t{100},
+                             std::size_t{500}, std::size_t{10000}}) {
+    const bool streaming = target > 500;
+    const std::size_t max_trials =
+        streaming && smoke ? 4 : dataset.trials.size();
+    ScalingRow row;
+    row.sources = target;
+    std::size_t trials_run = 0;
+    for (const auto& trial : dataset.trials) {
+      if (trials_run++ >= max_trials) break;
+      align::ExhaustiveAligner exhaustive;
+      align::ViewBasedAligner view_based;
+      align::PreferentialAligner preferential;
+      align::Aligner* aligners[3] = {&exhaustive, &view_based,
+                                     &preferential};
+      for (int s = 0; s < 3; ++s) {
+        // Fresh environment per strategy: progressive registration during
+        // one strategy's run must not leak into the next.
+        auto env = MakeTrialEnv(dataset, trial);
+        if (env == nullptr) continue;
+        util::Rng rng(500 + target);
+        std::size_t have = env->existing.sources().size();
+        if (target > have) {
+          if (streaming) {
+            data::StreamingCatalogOptions options;
+            options.register_catalog = true;
+            Q_CHECK_OK(data::BuildStreamingCatalog(
+                target - have, options, &rng, &env->existing,
+                env->model.get(), &env->graph));
+          } else {
+            Q_CHECK_OK(data::GrowWithSyntheticSources(
+                target - have, data::SyntheticGrowthOptions{}, &rng,
+                &env->existing, env->model.get(), &env->graph));
+          }
+        }
+        match::CountingMatcher matcher;
+        auto stats = RunTrialAlignment(env.get(), aligners[s], &matcher);
+        double per_source =
+            static_cast<double>(stats.attribute_comparisons) /
+            static_cast<double>(env->new_sources.size());
+        for (std::size_t i = 0; i < env->new_sources.size(); ++i) {
+          row.per_source[s].Add(per_source);
+        }
+      }
+    }
+    rows.push_back(row);
   }
   return rows;
 }

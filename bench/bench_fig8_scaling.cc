@@ -7,44 +7,21 @@
 // Exhaustive grows steeply and roughly linearly; ViewBased and
 // Preferential are "hardly affected by graph size" — the 10k tier shows
 // the same contrast holding two orders of magnitude past the paper.
+// tests/fig8_scaling_test.cc pins the means `--smoke` prints.
 //
-// Besides the human-readable table, writes JSON lines
-// ({"kernel":"fig8_scaling_<strategy>_<n>", "n":..., "median_us":...,
-// "mean_comparisons":...}) so scripts/check.sh can gate the per-source
-// alignment wall time of the 10k tier against
-// bench/baselines/BENCH_fig8_scaling.json.
-//
-// Usage: bench_fig8_scaling [--json=PATH] [--smoke]
-//   --smoke caps the 10k tier at 4 GBCO trials (bounded wall time for
-//   check.sh / CI); the committed baseline comes from --smoke runs.
-#include <algorithm>
+// Usage: bench_fig8_scaling [--smoke]
+//   --smoke caps the 10k tier at 4 GBCO trials (a few seconds).
 #include <cstring>
-
-#include "data/synthetic.h"
-#include "util/random.h"
 
 #include "bench_common.h"
 
-namespace {
-
-double Median(std::vector<double> xs) {
-  if (xs.empty()) return 0.0;
-  std::sort(xs.begin(), xs.end());
-  return xs[xs.size() / 2];
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   bool smoke = false;
-  const char* json_path = "bench/out/BENCH_fig8_scaling.json";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
     } else {
-      std::fprintf(stderr, "usage: %s [--json=PATH] [--smoke]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--smoke]\n", argv[0]);
       return 64;
     }
   }
@@ -55,88 +32,10 @@ int main(int argc, char** argv) {
 
   std::printf("%-10s %14s %18s %20s\n", "sources", "Exhaustive",
               "ViewBasedAligner", "PreferentialAligner");
-
-  FILE* json = q::bench::OpenBenchJson(json_path);
-
-  q::data::GbcoConfig config;
-  config.base_rows = 40;
-  auto dataset = q::data::BuildGbco(config);
-
-  const char* strategy_names[3] = {"exhaustive", "view_based",
-                                   "preferential"};
-  for (std::size_t target : {std::size_t{18}, std::size_t{100},
-                             std::size_t{500}, std::size_t{10000}}) {
-    // The paper tiers grow with the Sec. 5.1.2 random-wiring generator;
-    // the 10k tier uses the streaming generator, whose O(1)-per-source
-    // domain model is what makes the size constructible at all (and
-    // whose registered catalog keeps the exhaustive aligner honest: it
-    // really matches against all 10k sources).
-    const bool streaming = target > 500;
-    // The big tier's story is per-source cost, which the trial mean
-    // already captures; a trial subset keeps the smoke wall time (and
-    // CI) bounded without changing the kernel set.
-    const std::size_t max_trials =
-        streaming && smoke ? 4 : dataset.trials.size();
-    q::util::SummaryStats per_strategy[3];
-    std::vector<double> wall_us[3];  // per introduced source
-    std::size_t trials_run = 0;
-    for (const auto& trial : dataset.trials) {
-      if (trials_run++ >= max_trials) break;
-      q::align::ExhaustiveAligner exhaustive;
-      q::align::ViewBasedAligner view_based;
-      q::align::PreferentialAligner preferential;
-      q::align::Aligner* aligners[3] = {&exhaustive, &view_based,
-                                        &preferential};
-      for (int s = 0; s < 3; ++s) {
-        // Fresh environment per strategy: progressive registration during
-        // one strategy's run must not leak into the next.
-        auto env = q::bench::MakeTrialEnv(dataset, trial);
-        if (env == nullptr) continue;
-        q::util::Rng rng(500 + target);
-        std::size_t have = env->existing.sources().size();
-        if (target > have) {
-          if (streaming) {
-            q::data::StreamingCatalogOptions options;
-            options.register_catalog = true;
-            Q_CHECK_OK(q::data::BuildStreamingCatalog(
-                target - have, options, &rng, &env->existing,
-                env->model.get(), &env->graph));
-          } else {
-            Q_CHECK_OK(q::data::GrowWithSyntheticSources(
-                target - have, q::data::SyntheticGrowthOptions{}, &rng,
-                &env->existing, env->model.get(), &env->graph));
-          }
-        }
-        q::match::CountingMatcher matcher;
-        auto stats = q::bench::RunTrialAlignment(env.get(), aligners[s],
-                                                 &matcher);
-        double per_source =
-            static_cast<double>(stats.attribute_comparisons) /
-            static_cast<double>(env->new_sources.size());
-        for (std::size_t i = 0; i < env->new_sources.size(); ++i) {
-          per_strategy[s].Add(per_source);
-        }
-        wall_us[s].push_back(stats.wall_ms * 1e3 /
-                             static_cast<double>(env->new_sources.size()));
-      }
-    }
-    std::printf("%-10zu %14.1f %18.1f %20.1f\n", target,
-                per_strategy[0].mean(), per_strategy[1].mean(),
-                per_strategy[2].mean());
-    if (json != nullptr) {
-      for (int s = 0; s < 3; ++s) {
-        std::fprintf(json,
-                     "{\"kernel\":\"fig8_scaling_%s_%zu\",\"n\":%zu,"
-                     "\"median_us\":%.3f,\"mean_comparisons\":%.1f}\n",
-                     strategy_names[s], target, target, Median(wall_us[s]),
-                     per_strategy[s].mean());
-      }
-      std::fflush(json);
-    }
-  }
-  if (json != nullptr) {
-    std::fclose(json);
-    std::printf("json written to %s\n", json_path);
+  for (const auto& row : q::bench::RunFig8Scaling(smoke)) {
+    std::printf("%-10zu %14.1f %18.1f %20.1f\n", row.sources,
+                row.per_source[0].mean(), row.per_source[1].mean(),
+                row.per_source[2].mean());
   }
   return 0;
 }

@@ -11,13 +11,12 @@
 //     unsharded engine on a query subset — exit 2 on divergence — so
 //     this run is a correctness gate as well as a perf probe.
 //
-// Smoke mode covers 10k + 100k (the scales check.sh gates); the full
+// Smoke mode covers 10k + 100k (what scripts/check.sh runs); the full
 // run adds the 1M-source materialization from the roadmap's acceptance
 // bar.
 //
-// JSON lines use median_us as the gated magnitude even for byte counts
-// (the check.sh parser keys on that field); bytes also appear under
-// their own names for humans.
+// JSON lines carry byte counts under median_us too, one schema for
+// every line; bytes also appear under their own names for humans.
 //
 // Usage: bench_graph_scale [--json=PATH] [--smoke]
 #include <algorithm>
@@ -245,8 +244,7 @@ int main(int argc, char** argv) {
   // Hard ceiling on p95 growth 10k -> 100k. Sources grow 10x across the
   // tier; local-id mask compaction keeps per-solve state mask-sized, so
   // the tail must grow sub-linearly. Exceeding the ceiling exits 2 —
-  // this is a gate, not a warning (scripts/check.sh enforces the same
-  // ceiling from the committed baseline).
+  // this is a gate, not a warning.
   double max_growth = 5.0;
   std::string json_path = "bench/out/BENCH_graph_scale.json";
   for (int i = 1; i < argc; ++i) {

@@ -30,9 +30,10 @@
 //   warm_restart_first_query_cold_N / warm_restart_first_query_warm_N
 //
 // Speedup lines:
-//   warm_restart_speedup          cold_boot / warm_boot (gated in
-//                                 scripts/check.sh: must stay >= 1)
+//   warm_restart_speedup          cold_boot / warm_boot (scripts/check.sh
+//                                 fails under 0.9x, warns under 1.25x)
 //   warm_restart_realign_speedup  realign / warm_boot, where measured
+//                                 (check.sh warns under 10x)
 //
 // Correctness gate: the warm system's restore must report complete() and
 // its lazily recreated view must be bit-identical (costs + row values) to
@@ -40,7 +41,7 @@
 //
 // Usage: bench_warm_restart [--json=PATH] [--smoke] [--scales=N,M,...]
 //   --smoke runs 200/2000; the full run 400/1000/10000. (n=1000 sits near
-//   the cold-replay/warm crossover, so the gated smoke scales bracket it.)
+//   the cold-replay/warm crossover, so the smoke scales bracket it.)
 
 #include <algorithm>
 #include <cstdio>

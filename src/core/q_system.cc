@@ -304,13 +304,12 @@ util::Status QSystem::ApplyFeedback(std::size_t view_id,
     return util::Status::InvalidArgument("no such view");
   }
   query::TopKView& v = *views_[view_id];
-  const std::uint64_t rev_before = weights_.revision();
   auto info = learner_.Update(v.query_graph().graph,
                               v.query_graph().keyword_nodes, endorsed,
                               &weights_);
   Q_RETURN_NOT_OK(info.status());
   RecordFeedbackLocked(feedback::FeedbackKind::kEndorse, v.keywords(),
-                       rev_before);
+                       std::move(info->feature_deltas));
   return FinishRoundLocked(scheduler_->NotifyBaseChanged());
 }
 
@@ -343,12 +342,11 @@ util::Status QSystem::ApplyInvalidFeedback(std::size_t view_id,
     return util::Status::NotFound(
         "no alternative query to prefer over the invalid result");
   }
-  const std::uint64_t rev_before = weights_.revision();
   auto info = learner_.UpdateAgainst(v.query_graph().graph, {bad_tree},
                                      *target, &weights_);
   Q_RETURN_NOT_OK(info.status());
   RecordFeedbackLocked(feedback::FeedbackKind::kInvalid, v.keywords(),
-                       rev_before);
+                       std::move(info->feature_deltas));
   return FinishRoundLocked(scheduler_->NotifyBaseChanged());
 }
 
@@ -373,12 +371,11 @@ util::Status QSystem::ApplyRankingFeedback(std::size_t view_id,
     return util::Status::InvalidArgument(
         "both rows come from the same query; ranking constraint is vacuous");
   }
-  const std::uint64_t rev_before = weights_.revision();
   auto info = learner_.UpdateAgainst(v.query_graph().graph, {worse}, better,
                                      &weights_);
   Q_RETURN_NOT_OK(info.status());
   RecordFeedbackLocked(feedback::FeedbackKind::kRanking, v.keywords(),
-                       rev_before);
+                       std::move(info->feature_deltas));
   return FinishRoundLocked(scheduler_->NotifyBaseChanged());
 }
 
@@ -413,36 +410,36 @@ util::Result<bool> QSystem::ApplyGoldFeedback(
   // answer"): any gold edge shared between a valid tree and an
   // implausible one cancels out of the constraint difference, so only the
   // implausible tree's distinguishing (junk) edges are pushed up.
-  const std::uint64_t rev_before = weights_.revision();
   auto info = learner_.UpdateAgainst(v.query_graph().graph, implausible,
                                      *endorsed, &weights_);
   Q_RETURN_NOT_OK(info.status());
+  std::vector<graph::FeatureDelta> deltas = std::move(info->feature_deltas);
   for (const steiner::SteinerTree& t : valid) {
     if (t == *endorsed) continue;
     auto extra =
         learner_.UpdateAgainst(v.query_graph().graph, implausible, t,
                                &weights_);
     Q_RETURN_NOT_OK(extra.status());
+    deltas.insert(deltas.end(), extra->feature_deltas.begin(),
+                  extra->feature_deltas.end());
   }
   RecordFeedbackLocked(feedback::FeedbackKind::kGold, v.keywords(),
-                       rev_before);
+                       std::move(deltas));
   Q_RETURN_NOT_OK(FinishRoundLocked(scheduler_->NotifyBaseChanged()));
   return true;
 }
 
 void QSystem::RecordFeedbackLocked(feedback::FeedbackKind kind,
                                    const std::vector<std::string>& keywords,
-                                   std::uint64_t revision_before) {
+                                   std::vector<graph::FeatureDelta> deltas) {
   feedback::FeedbackEvent event;
   event.kind = kind;
   event.keywords = keywords;
   event.weight_revision = weights_.revision();
-  std::vector<graph::FeatureDelta> deltas;
-  event.replayable = weights_.DeltaSince(revision_before, &deltas);
-  if (event.replayable) {
-    graph::CoalesceFeatureDeltas(&deltas);
-    event.deltas = std::move(deltas);
-  }
+  // The updates' summaries are coalesced one by one, in order; coalescing
+  // their concatenation gives the event's net movement.
+  graph::CoalesceFeatureDeltas(&deltas);
+  event.deltas = std::move(deltas);
   log_.Record(std::move(event));
 }
 

@@ -268,13 +268,13 @@ class QSystem {
   void ReconcileMissingMatcherFeatures();
   std::vector<match::Matcher*> EnabledMatchers();
   align::AlignContext ContextFromView(const query::TopKView& view) const;
-  // Appends one feedback record carrying the coalesced weight movement
-  // since `revision_before` (captured from weights_.revision() before the
-  // MIRA update), so the persisted log can replay feedback
-  // deterministically during degraded recovery.
+  // Appends one feedback record carrying the weight movement of the
+  // event's MIRA updates (`deltas`, their feature_deltas in update order),
+  // so the persisted log can replay feedback deterministically during
+  // degraded recovery.
   void RecordFeedbackLocked(feedback::FeedbackKind kind,
                             const std::vector<std::string>& keywords,
-                            std::uint64_t revision_before);
+                            std::vector<graph::FeatureDelta> deltas);
   // OpenFromSnapshot's decode + recovery-ladder body.
   util::Status LoadFromSnapshotLocked(const persist::LoadedSnapshot& loaded,
                                       persist::SnapshotLoadReport* report);

@@ -10,11 +10,11 @@
 
 namespace q::data {
 
-// Synthetic catalog purpose-built for the streaming-onboarding suite
-// (tests/onboarding_test.cc, bench/bench_onboarding.cc): `num_communities`
-// isolated two-table islands whose keyword vocabulary is pairwise
-// disjoint, so each community hosts exactly one keyword view and a
-// registration's effect on every view is known in advance:
+// Synthetic catalog purpose-built for the streaming-onboarding suites
+// (tests/onboarding_test.cc, tests/serve_concurrency_test.cc):
+// `num_communities` isolated two-table islands whose keyword vocabulary
+// is pairwise disjoint, so each community hosts exactly one keyword view
+// and a registration's effect on every view is known in advance:
 //
 //   * every view keyword matches its attribute-name document exactly
 //     (cosine similarity 1.0 regardless of corpus size), so registering

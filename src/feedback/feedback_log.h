@@ -55,9 +55,10 @@ struct FeedbackEvent {
   // Coalesced net weight movement of this event (one entry per feature).
   // Empty when the update was a no-op.
   std::vector<graph::FeatureDelta> deltas;
-  // False when the weight journal could not answer for this event's
-  // revision span (overflow mid-update): the deltas are then incomplete
-  // and ReplayInto refuses to use them.
+  // False when the deltas are incomplete, and ReplayInto then refuses
+  // them. QSystem records every event replayable; the flag is kept so
+  // snapshots from builds whose bounded weight journal could lose an
+  // event's deltas still decode and still refuse to replay them.
   bool replayable = true;
 };
 
@@ -111,7 +112,7 @@ class FeedbackLog {
       if (!event.replayable) {
         return util::Status::Internal(
             "feedback event " + std::to_string(event.sequence) +
-            " is not replayable (weight journal overflowed mid-update)");
+            " is not replayable (its weight deltas are incomplete)");
       }
       for (const graph::FeatureDelta& d : event.deltas) {
         if (d.id >= weights->space()->size()) {

@@ -72,7 +72,7 @@ void FeatureVec::AddScaled(const FeatureVec& other, double scale) {
 }
 
 void CoalesceFeatureDeltas(std::vector<FeatureDelta>* deltas) {
-  // Stable-sort by id keeps journal order within a feature, so after
+  // Stable-sort by id keeps list order within a feature, so after
   // grouping, the group's first record holds the oldest old_value and its
   // last record the newest new_value.
   std::stable_sort(deltas->begin(), deltas->end(),

@@ -6,9 +6,9 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "util/delta_journal.h"
 #include "util/status.h"
 
 namespace q::graph {
@@ -82,28 +82,23 @@ class FeatureVec {
 };
 
 // One weight mutation: feature `id` moved from `old_value` to
-// `new_value`. A journal of these is what MIRA's update summary and the
-// feedback log read to say which features an update moved.
+// `new_value`. MIRA's update summary and the feedback log's events are
+// lists of these.
 struct FeatureDelta {
   FeatureId id;
   double old_value;
   double new_value;
 };
 
-// Coalesces a raw journal slice in place: one entry per feature (first
-// old value, last new value, journal order of first touch preserved),
-// dropping features whose net movement is zero (A -> B -> A). The result
-// is the minimal change set equivalent to replaying the slice.
+// Coalesces a list of mutations, oldest first, in place: one entry per
+// feature in ascending id order (its first old value and its last new
+// value), dropping features whose net movement is zero (A -> B -> A).
+// The result is the minimal change set equivalent to replaying the list.
 void CoalesceFeatureDeltas(std::vector<FeatureDelta>* deltas);
 
 // Dense weight vector aligned with a FeatureSpace. Unseen ids read as
-// their initial weight.
-//
-// Every effective mutation both bumps the monotone revision counter and
-// appends a FeatureDelta record to a bounded journal, so a reader can ask
-// "what moved since revision R" (DeltaSince). The journal is capped;
-// once it overflows, older revisions become unanswerable and DeltaSince
-// reports truncation.
+// their initial weight. Every effective mutation bumps the monotone
+// revision counter.
 class WeightVector {
  public:
   explicit WeightVector(const FeatureSpace* space) : space_(space) {}
@@ -118,8 +113,8 @@ class WeightVector {
     // revision: downstream snapshot holders would re-cost and re-search
     // every view to reproduce byte-identical results.
     if (values_[id] != w) {
-      journal_.Append(FeatureDelta{id, values_[id], w});
       values_[id] = w;
+      ++revision_;
     }
   }
 
@@ -129,14 +124,13 @@ class WeightVector {
   // id the feature space holds now (each unset one at its initial
   // weight), so At() on those ids never reads the space. Another thread
   // may price with it while this one interns further features, which can
-  // reallocate the space's initial-weight storage. It carries no journal
-  // (pricing never reads one): DeltaSince answers only from revision().
+  // reallocate the space's initial-weight storage.
   WeightVector Materialized() const {
     WeightVector copy(space_);
     copy.values_.reserve(space_->size());
     copy.values_.assign(values_.begin(), values_.end());
     copy.EnsureSize(space_->size());
-    copy.journal_.Restart(journal_.revision());
+    copy.revision_ = revision_;
     return copy;
   }
 
@@ -144,18 +138,7 @@ class WeightVector {
   // Lets snapshot holders (the RefreshEngine's per-view CSR snapshots)
   // detect weight updates — from MIRA or from direct mutable_weights()
   // pokes — without explicit notification.
-  std::uint64_t revision() const { return journal_.revision(); }
-
-  // Appends the raw journal records for revisions (since_revision,
-  // revision()] to `out` (oldest first, one record per revision).
-  // Returns false when the journal no longer reaches back to
-  // `since_revision` (overflow): the caller must then assume every
-  // feature may have moved. Callers typically follow with
-  // CoalesceFeatureDeltas.
-  bool DeltaSince(std::uint64_t since_revision,
-                  std::vector<FeatureDelta>* out) const {
-    return journal_.DeltaSince(since_revision, out);
-  }
+  std::uint64_t revision() const { return revision_; }
 
   // w · f
   double Dot(const FeatureVec& f) const {
@@ -165,11 +148,10 @@ class WeightVector {
   }
 
   // Persistence support (src/persist): reinstates the dense values and
-  // the revision as saved, bypassing Set's journaling. The journal starts
-  // empty: DeltaSince answers only from `revision`.
+  // the revision as saved.
   void Restore(std::vector<double> values, std::uint64_t revision) {
     values_ = std::move(values);
-    journal_.Restart(revision);
+    revision_ = revision;
   }
 
   const std::vector<double>& values() const { return values_; }
@@ -184,11 +166,9 @@ class WeightVector {
     }
   }
 
-  static constexpr std::size_t kDefaultMaxJournalEntries = 1 << 16;
-
   const FeatureSpace* space_;
   std::vector<double> values_;
-  util::DeltaJournal<FeatureDelta> journal_{kDefaultMaxJournalEntries};
+  std::uint64_t revision_ = 0;
 };
 
 // Maps a real value in [0,1] to one of `num_bins` equal-width bins

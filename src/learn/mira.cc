@@ -31,7 +31,16 @@ util::Result<MiraUpdateInfo> MiraLearner::UpdateAgainst(
     const std::vector<steiner::SteinerTree>& alternatives,
     const steiner::SteinerTree& target, graph::WeightVector* weights) {
   MiraUpdateInfo info;
-  info.weight_revision_before = weights->revision();
+  // Every weight move of this update goes through here, oldest first, so
+  // the update's change set is exactly what it nudged (coalesced below).
+  auto nudge = [&](graph::FeatureId id, double delta) {
+    const double old_value = weights->At(id);
+    const double new_value = old_value + delta;
+    weights->Set(id, new_value);
+    if (new_value != old_value) {
+      info.feature_deltas.push_back({id, old_value, new_value});
+    }
+  };
   graph::FeatureVec target_features =
       steiner::TreeFeatures(query_graph, target);
 
@@ -67,7 +76,7 @@ util::Result<MiraUpdateInfo> MiraLearner::UpdateAgainst(
         double applied = new_tau - c.tau;
         if (applied != 0.0) {
           for (const auto& [id, v] : c.x.entries()) {
-            weights->Nudge(id, applied * v);
+            nudge(id, applied * v);
           }
           c.tau = new_tau;
           max_adjust = std::max(max_adjust, std::fabs(applied));
@@ -84,7 +93,7 @@ util::Result<MiraUpdateInfo> MiraLearner::UpdateAgainst(
   // constraints over their *own* features (w · f(e) >= epsilon) and the
   // combined system is re-solved, so the restoring movement rides the
   // violating edges' features — not the shared default feature, whose
-  // bump would turn this update's otherwise-sparse journal delta dense
+  // bump would turn this update's otherwise-sparse delta dense
   // (every view re-searched). Each round may push new edges under the
   // floor; iterate a few times.
   if (config_.enforce_positivity) {
@@ -140,7 +149,7 @@ util::Result<MiraUpdateInfo> MiraLearner::UpdateAgainst(
     if (min_cost < config_.positivity_epsilon - slack &&
         min_cost != std::numeric_limits<double>::infinity()) {
       double bump = config_.positivity_epsilon - min_cost;
-      weights->Nudge(graph::FeatureSpace::kDefaultFeature, bump);
+      nudge(graph::FeatureSpace::kDefaultFeature, bump);
       info.default_weight_bump = bump;
     }
   }
@@ -151,28 +160,8 @@ util::Result<MiraUpdateInfo> MiraLearner::UpdateAgainst(
     }
   }
 
-  // Delta summary: read this update's slice of the weight journal and
-  // coalesce it to the net per-feature movement. The journal can only be
-  // truncated here if the update alone overflowed it, in which case the
-  // touched set is approximated by the union of constraint features.
-  info.weight_revision_after = weights->revision();
-  if (weights->DeltaSince(info.weight_revision_before,
-                          &info.feature_deltas)) {
-    graph::CoalesceFeatureDeltas(&info.feature_deltas);
-    info.features_touched = info.feature_deltas.size();
-  } else {
-    std::vector<graph::FeatureId> touched;
-    for (const Constraint& c : constraints) {
-      for (const auto& [id, v] : c.x.entries()) touched.push_back(id);
-    }
-    if (info.default_weight_bump != 0.0) {
-      touched.push_back(graph::FeatureSpace::kDefaultFeature);
-    }
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()),
-                  touched.end());
-    info.features_touched = touched.size();
-  }
+  graph::CoalesceFeatureDeltas(&info.feature_deltas);
+  info.features_touched = info.feature_deltas.size();
   return info;
 }
 

@@ -31,8 +31,8 @@ struct MiraConfig {
   // only as a last-resort fallback: the default feature sits on *every*
   // learnable edge, so a bump turns an otherwise-sparse MIRA delta dense
   // — every view's costs move and every view re-searches. Constraint-based
-  // flooring keeps the journal delta on the handful of features the
-  // update actually touched.
+  // flooring keeps the update's delta on the handful of features it
+  // actually touched.
   int max_positivity_rounds = 4;
   // Exclude the shared default feature from the constraint vectors. The
   // default weight is the uniform positivity offset, not a discriminative
@@ -44,11 +44,10 @@ struct MiraConfig {
   bool freeze_default_feature = true;
 };
 
-// Outcome of one online update, for instrumentation: the revision span
-// names the update's slice of the WeightVector's FeatureDelta journal,
-// and `feature_deltas` is the update's own coalesced change set (one entry
-// per feature with net movement — the handful of features on the
-// endorsed and competing trees, not the whole space).
+// Outcome of one online update, for instrumentation. `feature_deltas` is
+// the update's own coalesced change set (one entry per feature with net
+// movement — the handful of features on the endorsed and competing trees,
+// not the whole space).
 struct MiraUpdateInfo {
   std::size_t constraints = 0;
   std::size_t violated_before = 0;
@@ -58,15 +57,9 @@ struct MiraUpdateInfo {
   // Nonzero only when the constraint-based flooring could not restore
   // positivity and the dense fallback fired (see MiraConfig).
   double default_weight_bump = 0.0;
-  // Weight revision observed before / after the update.
-  std::uint64_t weight_revision_before = 0;
-  std::uint64_t weight_revision_after = 0;
-  // Coalesced net changes of this update (empty when the journal was
-  // truncated mid-update; features_touched is then still exact 0 only if
-  // the revision did not move).
+  // Coalesced net changes of this update, ascending by feature id.
   std::vector<graph::FeatureDelta> feature_deltas;
-  // Distinct features with net movement; == feature_deltas.size() when
-  // the journal covered the update.
+  // Distinct features with net movement (== feature_deltas.size()).
   std::size_t features_touched = 0;
 };
 

@@ -59,13 +59,6 @@ struct LocalizerScratch {
     local[v] = l;
     stamp[v] = cur;
   }
-
-  std::size_t MemoryBytes() const {
-    return heap.MemoryBytes() + dist.capacity() * sizeof(double) +
-           stamp.capacity() * sizeof(std::uint32_t) +
-           is_target.capacity() * sizeof(std::uint8_t) +
-           local.capacity() * sizeof(std::uint32_t);
-  }
 };
 
 LocalizerScratch& GetLocalizerScratch() {
@@ -74,10 +67,6 @@ LocalizerScratch& GetLocalizerScratch() {
 }
 
 }  // namespace
-
-std::size_t LocalizerScratchBytes() {
-  return GetLocalizerScratch().MemoryBytes();
-}
 
 void ShardMask::BuildCompact(const CsrGraph& csr) {
   const std::uint32_t num_local = static_cast<std::uint32_t>(nodes.size());

@@ -1,7 +1,6 @@
 #ifndef Q_STEINER_SHARD_H_
 #define Q_STEINER_SHARD_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -11,13 +10,6 @@
 #include "steiner/csr.h"
 
 namespace q::steiner {
-
-// Bytes retained by the calling thread's localizer scratch (the stamped
-// distance arrays and heap the bootstrap/ball Dijkstras reuse across
-// queries, and the stamped local-id map ShardMask::BuildCompact
-// translates arc heads through). bench_serve_load adds it to
-// steiner::ThreadScratchBytes so its serving footprint gate covers it.
-std::size_t LocalizerScratchBytes();
 
 // Topology-only partition of a CSR snapshot into connected node clusters
 // of roughly `target_nodes` each, grown by BFS in ascending seed order so

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "core/q_system.h"
 #include "data/interpro_go.h"
 #include "feedback/feedback_log.h"
 #include "feedback/simulated_user.h"
@@ -12,6 +15,7 @@
 #include "steiner/fast_solver.h"
 #include "steiner/top_k.h"
 #include "text/text_index.h"
+#include "util/random.h"
 
 namespace q::feedback {
 namespace {
@@ -95,6 +99,60 @@ TEST(FeedbackLogTest, ReplayIsDeterministicAndAllOrNothing) {
   graph::WeightVector target(&space);
   EXPECT_TRUE(bad.ReplayInto(&target).IsOutOfRange());
   EXPECT_EQ(target.revision(), 0u);
+}
+
+std::uint64_t Bits(double value) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+// Each event records the whole weight movement of its MIRA updates, however
+// many weight revisions they make (hundreds per endorsement here), so every
+// event QSystem logs is replayable, and replaying the log into a fresh
+// vector reproduces the live weights bit for bit.
+TEST(FeedbackLogTest, EveryApplyFeedbackEventReplaysBitForBit) {
+  constexpr std::size_t kViews = 10;
+  constexpr int kEvents = 60;  // inside the log's 64-event window
+  data::InterProGoDataset dataset = data::BuildInterProGo();
+  core::QSystemConfig config;
+  config.view.query_graph.min_similarity = 0.5;
+  config.view.query_graph.max_matches_per_keyword = 6;
+  config.steiner_threads = -1;
+  core::QSystem q(config);
+  for (const auto& src : dataset.catalog.sources()) {
+    ASSERT_TRUE(q.RegisterSource(src).ok());
+  }
+  ASSERT_TRUE(q.RunInitialAlignment().ok());
+  std::vector<std::size_t> views;
+  for (std::size_t i = 0; i < kViews; ++i) {
+    auto id = q.CreateView(
+        dataset.keyword_queries[i % dataset.keyword_queries.size()]);
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    views.push_back(*id);
+  }
+
+  util::Rng rng(7);
+  for (int e = 0; e < kEvents; ++e) {
+    const std::size_t id = views[rng.Uniform(views.size())];
+    const auto state = q.ReadView(id).state;
+    ASSERT_NE(state, nullptr);
+    ASSERT_FALSE(state->trees.empty()) << "view " << id;
+    ASSERT_TRUE(
+        q.ApplyFeedback(id, state->trees[rng.Uniform(state->trees.size())])
+            .ok());
+  }
+
+  const FeedbackLog& log = q.feedback_log();
+  ASSERT_TRUE(log.complete_history());
+  for (const FeedbackEvent& event : log.Snapshot()) {
+    EXPECT_TRUE(event.replayable) << "event " << event.sequence;
+  }
+  graph::WeightVector replayed(&q.feature_space());
+  ASSERT_TRUE(log.ReplayInto(&replayed).ok());
+  for (graph::FeatureId f = 0; f < q.feature_space().size(); ++f) {
+    EXPECT_EQ(Bits(replayed.At(f)), Bits(q.weights().At(f))) << "feature " << f;
+  }
 }
 
 class SimulatedUserTest : public ::testing::Test {

@@ -85,13 +85,17 @@ TEST(WeightVectorTest, UnseenIdsReadInitialWeight) {
   EXPECT_DOUBLE_EQ(w.At(fk), 2.0);
 }
 
-TEST(WeightVectorTest, MaterializedPricesLikeTheLiveVectorWithoutJournal) {
+TEST(WeightVectorTest, MaterializedPricesLikeTheLiveVector) {
   FeatureSpace space;
   FeatureId a = space.Intern("a", 2.0);
   FeatureId b = space.Intern("b", 3.0);
   WeightVector w(&space);
   w.Nudge(a, 0.5);
   w.Nudge(a, 0.25);
+  // One revision per effective write; a write of the current value is
+  // none.
+  w.Set(b, 3.0);
+  EXPECT_EQ(w.revision(), 2u);
   const WeightVector copy = w.Materialized();
   EXPECT_EQ(copy.revision(), w.revision());
   // Every interned id is dense in the copy, the unset one at its initial
@@ -101,14 +105,6 @@ TEST(WeightVectorTest, MaterializedPricesLikeTheLiveVectorWithoutJournal) {
   EXPECT_DOUBLE_EQ(copy.At(b), 3.0);
   EXPECT_DOUBLE_EQ(copy.At(FeatureSpace::kDefaultFeature),
                    w.At(FeatureSpace::kDefaultFeature));
-  // No journal: only its own revision is answerable.
-  std::vector<FeatureDelta> deltas;
-  EXPECT_TRUE(w.DeltaSince(0, &deltas));
-  EXPECT_EQ(deltas.size(), 2u);
-  deltas.clear();
-  EXPECT_FALSE(copy.DeltaSince(0, &deltas));
-  EXPECT_TRUE(copy.DeltaSince(copy.revision(), &deltas));
-  EXPECT_TRUE(deltas.empty());
   // Features interned later are read from the space, as on any copy.
   FeatureId c = space.Intern("c", 4.0);
   EXPECT_DOUBLE_EQ(copy.At(c), 4.0);

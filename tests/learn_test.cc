@@ -129,9 +129,7 @@ TEST(MiraTest, PositivityRidesConstraintFeaturesNotTheDefault) {
   target.Canonicalize();
 
   MiraLearner learner;
-  double default_before =
-      d.weights->At(FeatureSpace::kDefaultFeature);
-  std::uint64_t rev = d.weights->revision();
+  const WeightVector before = *d.weights;
   // The margin pass must drive the endorsed path's features well below
   // the floor (loss 4 against costs of order 1), forcing the positivity
   // machinery to engage.
@@ -140,16 +138,29 @@ TEST(MiraTest, PositivityRidesConstraintFeaturesNotTheDefault) {
   EXPECT_GT(info->positivity_constraints, 0u);
 
   // The fix: no dense fallback, the default feature is untouched, and
-  // the journal delta stays on the per-edge/constraint features.
+  // the update's delta stays on the per-edge/constraint features.
   EXPECT_EQ(info->default_weight_bump, 0.0);
-  EXPECT_EQ(d.weights->At(FeatureSpace::kDefaultFeature), default_before);
-  std::vector<graph::FeatureDelta> deltas;
-  ASSERT_TRUE(d.weights->DeltaSince(rev, &deltas));
-  graph::CoalesceFeatureDeltas(&deltas);
-  ASSERT_FALSE(deltas.empty());
-  for (const auto& delta : deltas) {
+  EXPECT_EQ(d.weights->At(FeatureSpace::kDefaultFeature),
+            before.At(FeatureSpace::kDefaultFeature));
+  ASSERT_FALSE(info->feature_deltas.empty());
+  EXPECT_EQ(info->features_touched, info->feature_deltas.size());
+  for (const auto& delta : info->feature_deltas) {
     EXPECT_NE(delta.id, FeatureSpace::kDefaultFeature);
   }
+  // The summary is the update's whole net movement: ascending ids, each
+  // from its value before to its value after, and no other feature moved.
+  std::size_t next = 0;
+  for (graph::FeatureId id = 0; id < d.space.size(); ++id) {
+    if (next < info->feature_deltas.size() &&
+        info->feature_deltas[next].id == id) {
+      EXPECT_EQ(info->feature_deltas[next].old_value, before.At(id));
+      EXPECT_EQ(info->feature_deltas[next].new_value, d.weights->At(id));
+      ++next;
+    } else {
+      EXPECT_EQ(d.weights->At(id), before.At(id)) << "feature " << id;
+    }
+  }
+  EXPECT_EQ(next, info->feature_deltas.size());
 
   // And the constraint-based floor loses neither guarantee: every cost
   // sits at or above epsilon (within the solver's tolerance) and the

@@ -7,7 +7,9 @@
 //   * per-read internal consistency — every QueryView result pairs
 //     trees/queries/rows from one search, never a mix of generations;
 //   * quiescent bit-identity — once drained, QueryView output equals the
-//     published snapshot and the synchronous twin system, bit for bit;
+//     published snapshot and the synchronous twin system, bit for bit,
+//     also when the live system searches sharded on shards small enough
+//     that its masks leave part of a view's component out;
 //   * failed-round wakeups — a round that fails to rebuild a view wakes
 //     WaitFresh waiters promptly instead of burning their full deadline
 //     (the missed-error regression in the epoch/predicate interaction);
@@ -38,6 +40,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/async_refresh.h"
@@ -50,6 +53,7 @@
 #include "match/alignment.h"
 #include "query/executor.h"
 #include "steiner/fast_solver.h"
+#include "steiner/shard.h"
 #include "util/random.h"
 
 namespace q::core {
@@ -58,6 +62,10 @@ namespace {
 constexpr std::size_t kNumViews = 16;
 constexpr int kQueryReaders = 4;  // the acceptance floor
 constexpr int kFeedbackRounds = 10;
+// Shard size of the sharded harness: small enough that a view's first
+// mask can leave out part of its terminals' 38-44-node component (the
+// default 512-node shards hold each component whole).
+constexpr std::uint32_t kShardNodes = 4;
 
 data::InterProGoConfig SmallDataset() {
   data::InterProGoConfig config;
@@ -87,11 +95,13 @@ struct Harness {
   std::unique_ptr<QSystem> q;
   std::vector<std::size_t> view_ids;
 
-  explicit Harness(bool async) {
+  explicit Harness(bool async, bool sharded = false) {
     dataset = data::BuildInterProGo(SmallDataset());
     QSystemConfig config = BaseConfig();
     config.async_refresh = async;
     config.async_repair_threads = async ? 2 : 0;
+    config.sharded_search = sharded;
+    config.view.top_k.sharded.target_shard_nodes = kShardNodes;
     q = std::make_unique<QSystem>(config);
     for (const auto& src : dataset.catalog.sources()) {
       Q_CHECK_OK(q->RegisterSource(src));
@@ -231,15 +241,16 @@ void RegisterClonedSource(Harness* h, const std::string& table_name,
   ASSERT_TRUE(h->q->RegisterAndAlignSource(source).ok());
 }
 
-// >= 4 query workers run live QueryView searches (plus ReadView probes)
-// while a writer thread applies feedback and — mid-run — registers a new
-// source (the structural path, which rebuilds every view).
+// >= 4 query workers run QueryView (plus ReadView probes) on the async
+// system in `harness` while a writer thread applies feedback and —
+// mid-run — registers a new source (the structural path, which rebuilds
+// every view).
 // Every result must be internally consistent; at quiescence QueryView
 // must reproduce the published snapshot bit for bit, and the whole system
-// must match a synchronous twin fed the same committed sequence.
-TEST(ServeConcurrencyTest, QueryViewRacesWriterAndMatchesSyncTwin) {
-  Harness h(/*async=*/true);
-
+// must match a synchronous, unsharded twin fed the same committed
+// sequence.
+void RaceWriterAndMatchSyncTwin(Harness* harness) {
+  Harness& h = *harness;
   std::mutex log_mu;
   std::vector<FeedbackEvent> log;  // commit order == replay order
   // Number of committed feedback events that preceded the structural
@@ -334,6 +345,59 @@ TEST(ServeConcurrencyTest, QueryViewRacesWriterAndMatchesSyncTwin) {
                         *twin.q->ReadView(twin.view_ids[i]).state,
                         "quiescent twin view " + std::to_string(i));
   }
+}
+
+TEST(ServeConcurrencyTest, QueryViewRacesWriterAndMatchesSyncTwin) {
+  Harness h(/*async=*/true);
+  RaceWriterAndMatchSyncTwin(&h);
+}
+
+// Nodes of the connected component holding `view`'s keyword nodes, and of
+// the first mask a TerminalLocalizer builds for them over the view's
+// query graph at `weights` — the mask its search starts from.
+std::pair<std::size_t, std::size_t> ComponentAndFirstMaskNodes(
+    const query::TopKView& view, const graph::WeightVector& weights) {
+  const query::QueryGraph& qg = view.query_graph();
+  steiner::FastSteinerEngine engine(qg.graph, weights);
+  const steiner::SnapshotPin pin = engine.Pin();
+  const steiner::CsrGraph& csr = *pin.csr;
+  std::vector<char> seen(csr.num_nodes, 0);
+  std::vector<std::uint32_t> stack = {qg.keyword_nodes.front()};
+  seen[stack.front()] = 1;
+  std::size_t component = 0;
+  while (!stack.empty()) {
+    const std::uint32_t v = stack.back();
+    stack.pop_back();
+    ++component;
+    for (std::uint32_t a = csr.offsets[v]; a < csr.offsets[v + 1]; ++a) {
+      if (!seen[csr.arc_head[a]]) {
+        seen[csr.arc_head[a]] = 1;
+        stack.push_back(csr.arc_head[a]);
+      }
+    }
+  }
+  steiner::TerminalLocalizer localizer(pin.csr, engine.Shards(kShardNodes),
+                                       qg.keyword_nodes);
+  return {component, localizer.Acquire().mask->nodes.size()};
+}
+
+// The same race with sharded terminal-local search on 4-node shards; the
+// unsharded twin must still serve the same trees, edge ids included. The
+// views' first searches already solve masked: before the race, some view's
+// first mask leaves part of its terminals' component out (4 of the 16
+// views, 24 of 38 nodes each). Later masks depend on which trees the
+// racing writer endorsed.
+TEST(ServeConcurrencyTest, ShardedQueryViewRacesWriterAndMatchesSyncTwin) {
+  Harness h(/*async=*/true, /*sharded=*/true);
+  std::size_t split = 0;
+  for (std::size_t id : h.view_ids) {
+    const auto [component, mask] =
+        ComponentAndFirstMaskNodes(h.q->view(id), h.q->weights());
+    if (mask < component) ++split;
+  }
+  EXPECT_GT(split, 0u) << "no view's first mask left out part of its "
+                          "terminals' component";
+  RaceWriterAndMatchSyncTwin(&h);
 }
 
 // --- onboarding while serving: registrations race QueryView readers ------

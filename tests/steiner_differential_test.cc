@@ -173,9 +173,9 @@ TEST_P(DifferentialTest, FastMatchesLegacyAcrossWeightPerturbations) {
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, DifferentialTest,
                          ::testing::Range(0, 10));
 
-// bench_micro_kernels' Steiner fixtures: 1,000 nodes, costs in [0.1, 2.1),
-// 4 terminals, k = 10. The fast engine, with and without the pool, must
-// return the referee's trees.
+// Two 1,000-node Steiner fixtures, first built to time the kernels: costs
+// in [0.1, 2.1), 4 terminals, k = 10. The fast engine, with and without
+// the pool, must return the referee's trees.
 struct BenchFixture {
   const char* name;
   std::uint64_t seed;
