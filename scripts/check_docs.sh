@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Documentation consistency checks, run by scripts/check.sh and as a
-# standalone CI step (.github/workflows/ci.yml):
+# Documentation consistency checks, run by scripts/check.sh (the CI check
+# job runs that script):
 #
 #   1. Markdown link check: every relative link target in README.md and
 #      docs/*.md must exist on disk (http(s)/mailto links and pure
 #      anchors are skipped; "path#anchor" checks the path part).
-#   2. Header doc references: every `docs/<file>.md` a public header
-#      under src/core or src/steiner mentions must exist — stale doc
-#      pointers in the API surface are treated as build breakage.
+#   2. Source doc references: every `docs/<file>.md` that a `.h` or `.cc`
+#      file under src/ mentions must exist — stale doc pointers in the
+#      code are treated as build breakage.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,16 +36,15 @@ for md in README.md docs/*.md; do
            | sed -E 's/[[:space:]]+"[^"]*"$//')
 done
 
-# --- 2. doc files mentioned by public headers --------------------------------
-for hdr in src/core/*.h src/steiner/*.h; do
-  [[ -f "${hdr}" ]] || continue
+# --- 2. doc files mentioned by sources ---------------------------------------
+while IFS= read -r src; do
   while IFS= read -r doc; do
     if [[ ! -f "${doc}" ]]; then
-      echo "check_docs: ${hdr}: references missing ${doc}"
+      echo "check_docs: ${src}: references missing ${doc}"
       fail=1
     fi
-  done < <(grep -oE 'docs/[A-Za-z0-9_.-]+\.md' "${hdr}" | sort -u)
-done
+  done < <(grep -oE 'docs/[A-Za-z0-9_.-]+\.md' "${src}" | sort -u)
+done < <(find src -type f \( -name '*.h' -o -name '*.cc' \) | sort)
 
 if [[ "${fail}" == "1" ]]; then
   echo "check_docs: FAIL"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 
 #include "util/dary_heap.h"
 
@@ -159,12 +160,36 @@ std::size_t ProvenancePool::MemoryUsage() const {
 
 // --- SearchGraph -----------------------------------------------------------
 
-std::string SearchGraph::IndexKey(NodeKind kind, std::string_view label) {
-  std::string key;
-  key += static_cast<char>('0' + static_cast<int>(kind));
-  key += '\x1f';
-  key += label;
-  return key;
+std::uint32_t SearchGraph::NodeKeyHash(NodeKind kind,
+                                       std::string_view label) {
+  const std::uint64_t h = MixHash(std::hash<std::string_view>{}(label),
+                                  static_cast<std::uint64_t>(kind));
+  return static_cast<std::uint32_t>(h ^ (h >> 32));
+}
+
+std::size_t SearchGraph::IndexBucketOf(NodeKind kind, std::string_view label,
+                                       std::uint32_t hash) const {
+  const std::size_t mask = node_index_.size() - 1;
+  for (std::size_t b = hash & mask;; b = (b + 1) & mask) {
+    const IndexBucket& bucket = node_index_[b];
+    if (bucket.node == kInvalidNode) return b;
+    if (bucket.hash != hash) continue;
+    const Node& n = nodes_[bucket.node];
+    if (n.kind == kind && n.label == label) return b;
+  }
+}
+
+void SearchGraph::GrowIndex() {
+  std::vector<IndexBucket> grown(
+      node_index_.empty() ? 16 : 2 * node_index_.size());
+  const std::size_t mask = grown.size() - 1;
+  for (const IndexBucket& bucket : node_index_) {
+    if (bucket.node == kInvalidNode) continue;
+    std::size_t b = bucket.hash & mask;
+    while (grown[b].node != kInvalidNode) b = (b + 1) & mask;
+    grown[b] = bucket;
+  }
+  node_index_ = std::move(grown);
 }
 
 std::uint64_t SearchGraph::PairKey(NodeId a, NodeId b) {
@@ -175,15 +200,28 @@ std::uint64_t SearchGraph::PairKey(NodeId a, NodeId b) {
 
 NodeId SearchGraph::AddNode(NodeKind kind, std::string label,
                             relational::AttributeId attr) {
-  std::string key = IndexKey(kind, label);
-  auto it = node_index_.find(key);
-  if (it != node_index_.end()) return it->second;
+  return InsertNode(kind, std::move(label), std::move(attr)).first;
+}
+
+std::pair<NodeId, bool> SearchGraph::InsertNode(NodeKind kind,
+                                                std::string label,
+                                                relational::AttributeId attr) {
+  const std::uint32_t hash = NodeKeyHash(kind, label);
+  std::size_t b = 0;
+  if (!node_index_.empty()) {
+    b = IndexBucketOf(kind, label, hash);
+    if (node_index_[b].node != kInvalidNode) return {node_index_[b].node, false};
+  }
+  if (4 * (nodes_.size() + 1) > 3 * node_index_.size()) {
+    GrowIndex();
+    b = IndexBucketOf(kind, label, hash);
+  }
   NodeId id = static_cast<NodeId>(nodes_.size());
   ++revision_;
   nodes_.push_back(Node{kind, std::move(label), std::move(attr)});
   adj_.emplace_back();
-  node_index_.emplace(std::move(key), id);
-  return id;
+  node_index_[b] = IndexBucket{id, hash};
+  return {id, true};
 }
 
 NodeId SearchGraph::AddRelation(const relational::RelationSchema& schema) {
@@ -193,10 +231,9 @@ NodeId SearchGraph::AddRelation(const relational::RelationSchema& schema) {
   for (std::size_t i = 0; i < schema.num_attributes(); ++i) {
     relational::AttributeId attr_id = schema.IdOf(i);
     std::string label = attr_id.ToString();
-    bool existed = FindNode(NodeKind::kAttribute, label).has_value();
-    NodeId attr = AddNode(NodeKind::kAttribute, std::move(label),
-                          std::move(attr_id));
-    if (!existed) {
+    const auto [attr, added] = InsertNode(
+        NodeKind::kAttribute, std::move(label), std::move(attr_id));
+    if (added) {
       Edge membership;
       membership.u = rel;
       membership.v = attr;
@@ -355,9 +392,11 @@ EdgeId SearchGraph::AddAssociationEdge(NodeId a, NodeId b,
 
 std::optional<NodeId> SearchGraph::FindNode(NodeKind kind,
                                             std::string_view label) const {
-  auto it = node_index_.find(IndexKey(kind, label));
-  if (it == node_index_.end()) return std::nullopt;
-  return it->second;
+  if (node_index_.empty()) return std::nullopt;
+  const NodeId id =
+      node_index_[IndexBucketOf(kind, label, NodeKeyHash(kind, label))].node;
+  if (id == kInvalidNode) return std::nullopt;
+  return id;
 }
 
 std::optional<EdgeId> SearchGraph::FindAssociation(NodeId a, NodeId b) const {
@@ -413,10 +452,7 @@ MemoryBreakdown SearchGraph::MemoryUsage() const {
     mb.nodes_bytes += StringHeapBytes(text);
   }
 
-  mb.node_index_bytes = HashMapBytes(node_index_);
-  for (const auto& [key, id] : node_index_) {
-    mb.node_index_bytes += StringHeapBytes(key);
-  }
+  mb.node_index_bytes = node_index_.capacity() * sizeof(IndexBucket);
 
   mb.edges_bytes = edge_u_.capacity() * sizeof(NodeId) +
                    edge_v_.capacity() * sizeof(NodeId) +

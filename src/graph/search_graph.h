@@ -237,12 +237,15 @@ class DistanceField {
 // capacity-doubling relocation, squeezed tight by CompactAdjacency().
 // Within a node's block edge ids appear in insertion order — identical
 // to the AoS vector<vector> layout of the tests' referee
-// (tests/reference_graph_rep.h), which graph_scale_test asserts.
+// (tests/reference_graph_rep.h), which graph_scale_test asserts. The
+// (kind, label) node index stores node ids only and compares keys
+// against the nodes themselves, so no label is stored twice.
 class SearchGraph {
  public:
   SearchGraph() = default;
 
   // --- construction -------------------------------------------------------
+  // Adds the node of (kind, label), or returns the existing one unchanged.
   NodeId AddNode(NodeKind kind, std::string label,
                  relational::AttributeId attr = {});
 
@@ -384,7 +387,26 @@ class SearchGraph {
     std::uint32_t capacity = 0;
   };
 
+  // One bucket of the node index: a node id (kInvalidNode when empty) and
+  // 32 bits of its (kind, label) hash, which pick the home bucket and
+  // screen probes before a label is compared.
+  struct IndexBucket {
+    NodeId node = kInvalidNode;
+    std::uint32_t hash = 0;
+  };
+
   static constexpr std::uint8_t kFlagFixedZero = 1;
+
+  // AddNode's body; `second` is true when the node is new.
+  std::pair<NodeId, bool> InsertNode(NodeKind kind, std::string label,
+                                     relational::AttributeId attr);
+  static std::uint32_t NodeKeyHash(NodeKind kind, std::string_view label);
+  // The bucket holding (kind, label), or the empty bucket where it would
+  // go. Precondition: the index is not empty.
+  std::size_t IndexBucketOf(NodeKind kind, std::string_view label,
+                            std::uint32_t hash) const;
+  // Doubles the index (at least 16 buckets) and re-files every node.
+  void GrowIndex();
 
   void AdjAppend(NodeId n, EdgeId e);
   void SetEdgeJoins(EdgeId id, const relational::AttributeId& a,
@@ -415,12 +437,12 @@ class SearchGraph {
   std::vector<AdjSlot> adj_;
   std::vector<EdgeId> adj_arena_;
 
-  // (kind, label) -> node
-  std::unordered_map<std::string, NodeId> node_index_;
+  // (kind, label) -> node: open addressing with linear probing, a
+  // power-of-two number of buckets at most 3/4 full (every node is in it).
+  std::vector<IndexBucket> node_index_;
   // min(u,v) << 32 | max(u,v) -> association edge
   std::unordered_map<std::uint64_t, EdgeId> association_index_;
 
-  static std::string IndexKey(NodeKind kind, std::string_view label);
   static std::uint64_t PairKey(NodeId a, NodeId b);
 };
 

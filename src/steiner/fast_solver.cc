@@ -78,6 +78,14 @@ struct Back {
   graph::EdgeId grow_edge = graph::kInvalidEdge;
 };
 
+// A closure-path edge KMB collected, with its endpoints' view ids in the
+// CSR's (edge_u, edge_v) orientation.
+struct CollectedEdge {
+  graph::EdgeId edge;
+  std::uint32_t u;
+  std::uint32_t v;
+};
+
 // One terminal's single-source shortest-path tree over an adjacency view
 // (see AdjacencyView) under an overlay (forced edges traversed at cost 0,
 // banned edges removed). Indexed by view id. `pred_edge[v]` is the first
@@ -113,33 +121,53 @@ struct SpTree {
   double mask_min_clip = kInf;
 };
 
-// The graph one solve's Dijkstras run over: the snapshot's CSR for
-// unmasked solves, a mask's compact sub-CSR for masked ones (see
+// The graph one solve runs over, wholly in its ids: the snapshot's CSR
+// for unmasked solves, a mask's compact sub-CSR for masked ones (see
 // shard.h). View ids run 0..num_nodes-1 and ascend with node ids, so
 // (dist, view id) tie order is the canonical (dist, node id) order.
 // `node_of` maps view ids to node ids; null means the identity (the CSR's
 // case). A head equal to ShardMask::kExternal left the mask; the CSR has
-// none.
+// none. Each node's arcs list their edge ids in ascending order (the CSR
+// is filled in edge-id order and the compact view copies each node's
+// block), one arc per incident edge.
 struct AdjacencyView {
   std::uint32_t num_nodes = 0;
   const std::uint32_t* offsets = nullptr;
   const std::uint32_t* heads = nullptr;
-  const graph::EdgeId* edges = nullptr;  // global edge ids (overlay flags)
+  const graph::EdgeId* edges = nullptr;  // global edge ids
   const double* costs = nullptr;
   const std::uint32_t* node_of = nullptr;  // view id -> node id, ascending
+
+  std::uint32_t num_arcs() const { return offsets[num_nodes]; }
 
   std::uint32_t NodeOf(std::uint32_t id) const {
     return node_of == nullptr ? id : node_of[id];
   }
   // Binary search over the ascending node_of, so no node-indexed map is
-  // needed; solves map only their terminals, O(t log L) per solve.
-  // ShardMask::kExternal for a node outside the view.
+  // needed; solves map only their terminals and edit edges, O(log L)
+  // each. ShardMask::kExternal for a node outside the view. Branch-free:
+  // the probes are unpredictable, and a solve maps a few dozen nodes.
   std::uint32_t ViewOf(std::uint32_t node) const {
-    if (node_of == nullptr) return node;
-    const std::uint32_t* end = node_of + num_nodes;
-    const std::uint32_t* it = std::lower_bound(node_of, end, node);
-    return it != end && *it == node ? static_cast<std::uint32_t>(it - node_of)
-                                    : ShardMask::kExternal;
+    if (node_of == nullptr) {
+      return node < num_nodes ? node : ShardMask::kExternal;
+    }
+    if (num_nodes == 0) return ShardMask::kExternal;
+    // The last entry <= node, or the first entry when none is.
+    const std::uint32_t* base = node_of;
+    for (std::uint32_t n = num_nodes; n > 1;) {
+      const std::uint32_t half = n / 2;
+      base = base[half] <= node ? base + half : base;
+      n -= half;
+    }
+    return *base == node ? static_cast<std::uint32_t>(base - node_of)
+                         : ShardMask::kExternal;
+  }
+  // The arc of edge `e` in view node `v`'s block. Precondition: `e` is
+  // incident on v.
+  std::uint32_t ArcOf(std::uint32_t v, graph::EdgeId e) const {
+    const graph::EdgeId* it =
+        std::lower_bound(edges + offsets[v], edges + offsets[v + 1], e);
+    return static_cast<std::uint32_t>(it - edges);
   }
 };
 
@@ -173,22 +201,29 @@ std::size_t SpTreeBytes(const SpTree& sp) {
 }
 
 // Per-thread arena: every vector below is reused across solves, so the
-// steady-state kernel does not allocate. A shrink-after-oversized-solve
-// policy (NoteSolveExtent below) keeps one full-graph solve on a huge
-// snapshot from pinning the high-water arrays for the thread's lifetime.
+// steady-state kernel does not allocate. Node- and arc-indexed arrays are
+// indexed by view id and view arc, so a masked solve sizes them to its
+// mask, however large the catalog around it. A shrink-after-oversized-
+// solve policy (NoteSolveExtent below) keeps one full-graph solve on a
+// huge snapshot from pinning the high-water arrays for the thread's
+// lifetime.
 struct SolverScratch {
   util::DaryHeap heap;
   VersionedUf uf;          // forced-edge contraction
   VersionedUf kruskal_uf;  // runs on top of the contraction's roots
   std::vector<graph::EdgeId> forced_sorted;
   std::vector<graph::EdgeId> banned_sorted;
-  std::vector<std::uint32_t> terminals;  // deduped, one per supernode
-  // View ids of `terminals` under the solve's adjacency view; the trees
-  // in sp_slots are read through them.
-  std::vector<std::uint32_t> terminals_view;
-  // All-zero between solves; OverlayGuard sets and restores it. The flat
-  // array makes the per-arc overlay test a single byte load.
-  std::vector<std::uint8_t> edge_flag;  // kFree / kBanned / kForced
+  // View ids of the edit edges' endpoints, two per edge: forced_sorted's,
+  // then banned_sorted's (ShardMask::kExternal outside the view).
+  std::vector<std::uint32_t> edit_ends;
+  // View ids of the deduped terminals, one per supernode; the trees in
+  // sp_slots are read through them.
+  std::vector<std::uint32_t> terminals;
+  // Overlay flag per view arc. All-zero between solves; OverlayGuard sets
+  // the edit edges' arcs (listed in flagged_arcs) and restores them. The
+  // flat array makes the per-arc overlay test a single byte load.
+  std::vector<std::uint8_t> arc_flag;  // kFree / kBanned / kForced
+  std::vector<std::uint32_t> flagged_arcs;
   // Terminal markers for early stop, view-indexed; set and cleared around
   // each tree's growth (all-zero between solves).
   std::vector<std::uint8_t> is_target;
@@ -208,11 +243,11 @@ struct SolverScratch {
   std::vector<std::pair<std::size_t, std::size_t>> closure;
 
   // Closure-path expansion, Kruskal, and leaf pruning.
-  std::vector<graph::EdgeId> collected;
+  std::vector<CollectedEdge> collected;
   std::vector<graph::EdgeId> mst;
   std::vector<std::uint32_t> ep_u;  // super endpoint per mst edge
   std::vector<std::uint32_t> ep_v;
-  std::vector<std::uint32_t> local_of;     // node -> local id
+  std::vector<std::uint32_t> local_of;     // view id -> local id
   std::vector<std::uint32_t> local_stamp;  // validity stamp for local_of
   std::uint32_t stamp = 0;
   std::vector<std::uint32_t> degree;
@@ -223,9 +258,7 @@ struct SolverScratch {
   std::vector<std::uint8_t> removed;
 
   // Exact DP: eligible-subgraph mini CSR and flat (2^t) x n_e tables.
-  std::vector<std::uint32_t> elig_nodes;  // ascending node id = mini id order
-  // View id of each eligible node (parallel to elig_nodes — the DP reads
-  // the trees through it).
+  // View id of each eligible node, ascending = mini id order.
   std::vector<std::uint32_t> elig_view;
   std::vector<std::uint32_t> mini_offsets;
   std::vector<std::uint32_t> mini_head;
@@ -249,28 +282,19 @@ struct SolverScratch {
   int small_streak = 0;
   std::size_t streak_peak_nodes = 0;
 
-  // Only arrays whose size tracks the SOLVE extent participate in the
-  // shrink policy. Global-domain arrays — the stamped union-finds, the
-  // KMB remap (local_stamp/local_of), edge_flag — are indexed by global
-  // node/edge id, so even a masked solve addresses them at catalog size:
-  // shrinking them below num_nodes just forces an O(n) regrow on the very
-  // next solve, which oscillates (regrow re-inflates the capacity,
-  // re-arming the streak) and puts an O(catalog) term back into every
-  // masked solve. They are lazily stamped, so their steady cost per solve
-  // is O(touched) regardless of length; they stay sized to the largest
-  // catalog served and are excluded from both the capacity measure and
-  // the release.
   std::size_t CapacityNodes() const {
     std::size_t cap = heap.capacity_ids();
     for (const SpTree& slot : sp_slots) cap = std::max(cap, slot.dist.size());
-    cap = std::max(cap, is_target.size());
+    cap = std::max({cap, is_target.size(), uf.parent.size(),
+                    kruskal_uf.parent.size(), local_stamp.size()});
     return cap;
   }
 
-  // Reallocates extent-sized node arrays at `keep_nodes` and sheds the
-  // per-solve work lists and DP tables wholesale (they regrow lazily,
-  // re-zeroing as they do). Precondition: between solves —
-  // edge_flag/is_target are all-zero.
+  // Reallocates the view-sized node arrays at `keep_nodes` (the stamped
+  // ones empty: they regrow zeroed, which their stamps read as unset) and
+  // sheds the arc flags, per-solve work lists and DP tables wholesale
+  // (they regrow lazily, re-zeroing as they do). Precondition: between
+  // solves — arc_flag/is_target are all-zero.
   void ReleaseOversized(std::size_t keep_nodes) {
     for (SpTree& slot : sp_slots) {
       if (slot.dist.size() > keep_nodes) slot = SpTree{};
@@ -279,7 +303,14 @@ struct SolverScratch {
     if (is_target.size() > keep_nodes) {
       std::vector<std::uint8_t>(keep_nodes, 0).swap(is_target);
     }
-    std::vector<graph::EdgeId>().swap(collected);
+    if (uf.parent.size() > keep_nodes) uf = VersionedUf{};
+    if (kruskal_uf.parent.size() > keep_nodes) kruskal_uf = VersionedUf{};
+    if (local_stamp.size() > keep_nodes) {
+      std::vector<std::uint32_t>().swap(local_stamp);
+      std::vector<std::uint32_t>().swap(local_of);
+    }
+    std::vector<std::uint8_t>().swap(arc_flag);
+    std::vector<CollectedEdge>().swap(collected);
     std::vector<graph::EdgeId>().swap(mst);
     std::vector<std::uint32_t>().swap(ep_u);
     std::vector<std::uint32_t>().swap(ep_v);
@@ -287,7 +318,6 @@ struct SolverScratch {
     std::vector<std::uint32_t>().swap(leaf_queue);
     std::vector<double>().swap(dp);
     std::vector<Back>().swap(back);
-    std::vector<std::uint32_t>().swap(elig_nodes);
     std::vector<std::uint32_t>().swap(elig_view);
     std::vector<std::uint32_t>().swap(mini_offsets);
     std::vector<std::uint32_t>().swap(mini_head);
@@ -317,8 +347,8 @@ struct SolverScratch {
     std::size_t b = heap.MemoryBytes();
     for (const SpTree& slot : sp_slots) b += SpTreeBytes(slot);
     b += VecBytes(forced_sorted) + VecBytes(banned_sorted) +
-         VecBytes(terminals) + VecBytes(terminals_view);
-    b += VecBytes(edge_flag) + VecBytes(is_target);
+         VecBytes(edit_ends) + VecBytes(terminals);
+    b += VecBytes(arc_flag) + VecBytes(flagged_arcs) + VecBytes(is_target);
     b += VecBytes(uf.parent) + VecBytes(uf.version) +
          VecBytes(kruskal_uf.parent) + VecBytes(kruskal_uf.version);
     b += VecBytes(in_mst) + VecBytes(best) + VecBytes(cert_floor) +
@@ -327,7 +357,7 @@ struct SolverScratch {
     b += VecBytes(local_of) + VecBytes(local_stamp) + VecBytes(degree) +
          VecBytes(is_terminal_local) + VecBytes(inc_offset) +
          VecBytes(incidence) + VecBytes(leaf_queue) + VecBytes(removed);
-    b += VecBytes(elig_nodes) + VecBytes(elig_view) + VecBytes(mini_offsets) +
+    b += VecBytes(elig_view) + VecBytes(mini_offsets) +
          VecBytes(mini_head) + VecBytes(mini_edge) + VecBytes(mini_cost) +
          VecBytes(mini_terms);
     b += VecBytes(dp) + VecBytes(back) + VecBytes(rebuild_stack);
@@ -350,29 +380,61 @@ SolverScratch& GetScratch() {
   return scratch;
 }
 
-// Applies the forced/banned flags to the scratch's flat edge array for
-// the duration of one solve, restoring the all-zero invariant on every
-// exit path.
+// Sorts the edit sets into the scratch and maps their endpoints to `g`'s
+// view ids (s.edit_ends).
+void MapEdits(const CsrGraph& csr, const AdjacencyView& g,
+              const std::vector<graph::EdgeId>& forced,
+              const std::vector<graph::EdgeId>& banned, SolverScratch& s) {
+  s.forced_sorted.assign(forced.begin(), forced.end());
+  std::sort(s.forced_sorted.begin(), s.forced_sorted.end());
+  s.banned_sorted.assign(banned.begin(), banned.end());
+  std::sort(s.banned_sorted.begin(), s.banned_sorted.end());
+  s.edit_ends.clear();
+  for (const auto* edits : {&s.forced_sorted, &s.banned_sorted}) {
+    for (graph::EdgeId e : *edits) {
+      s.edit_ends.push_back(g.ViewOf(csr.edge_u[e]));
+      s.edit_ends.push_back(g.ViewOf(csr.edge_v[e]));
+    }
+  }
+}
+
+// Flags the edit edges' arcs in `g` (MapEdits done) for the duration of
+// one solve, restoring the all-zero invariant on every exit path. An edge
+// has an arc at each endpoint inside the view; an endpoint outside it has
+// none there. Banned flags are set last, so an edge in both sets is
+// banned.
 class OverlayGuard {
  public:
-  OverlayGuard(SolverScratch& s, const CsrGraph& csr) : s_(s) {
-    if (s_.edge_flag.size() < csr.num_edges) {
-      s_.edge_flag.resize(csr.num_edges, 0);
-    }
-    for (graph::EdgeId e : s_.forced_sorted) s_.edge_flag[e] = kForced;
-    for (graph::EdgeId e : s_.banned_sorted) s_.edge_flag[e] = kBanned;
+  OverlayGuard(SolverScratch& s, const AdjacencyView& g) : s_(s) {
+    if (s_.arc_flag.size() < g.num_arcs()) s_.arc_flag.resize(g.num_arcs(), 0);
+    s_.flagged_arcs.clear();
+    const std::uint32_t* ends = s_.edit_ends.data();
+    Flag(g, s_.forced_sorted, ends, kForced);
+    Flag(g, s_.banned_sorted, ends + 2 * s_.forced_sorted.size(), kBanned);
   }
 
   ~OverlayGuard() {
-    for (graph::EdgeId e : s_.forced_sorted) s_.edge_flag[e] = kFree;
-    for (graph::EdgeId e : s_.banned_sorted) s_.edge_flag[e] = kFree;
+    for (std::uint32_t a : s_.flagged_arcs) s_.arc_flag[a] = kFree;
   }
 
  private:
+  // `ends` holds two view ids per edge of `edges`.
+  void Flag(const AdjacencyView& g, const std::vector<graph::EdgeId>& edges,
+            const std::uint32_t* ends, std::uint8_t flag) {
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+      for (std::uint32_t v : {ends[2 * k], ends[2 * k + 1]}) {
+        if (v == ShardMask::kExternal) continue;
+        const std::uint32_t a = g.ArcOf(v, edges[k]);
+        s_.arc_flag[a] = flag;
+        s_.flagged_arcs.push_back(a);
+      }
+    }
+  }
+
   SolverScratch& s_;
 };
 
-// Single-source Dijkstra over `g` under the overlay flags, stopping as
+// Single-source Dijkstra over `g` under the arc overlay flags, stopping as
 // soon as all `num_targets` marked targets are settled. Unsettled nodes
 // are wiped back to (inf, invalid) so the output is a canonical prefix of
 // the full run. An arc whose head is ShardMask::kExternal left the mask:
@@ -386,7 +448,7 @@ class OverlayGuard {
 // scan. dist/pred_node/settled/touched are view-indexed; pred_edge holds
 // global edge ids.
 void ComputeSpTree(const AdjacencyView& g,
-                   const std::vector<std::uint8_t>& edge_flag,
+                   const std::vector<std::uint8_t>& arc_flag,
                    const std::vector<std::uint8_t>& is_target,
                    std::size_t num_targets, bool stop_at_targets,
                    std::uint32_t source, util::DaryHeap& heap, SpTree* out) {
@@ -426,8 +488,7 @@ void ComputeSpTree(const AdjacencyView& g,
     }
     const std::uint32_t end = g.offsets[v + 1];
     for (std::uint32_t a = g.offsets[v]; a < end; ++a) {
-      graph::EdgeId e = g.edges[a];
-      std::uint8_t flag = edge_flag[e];
+      std::uint8_t flag = arc_flag[a];
       if (flag == kBanned) continue;
       std::uint32_t to = g.heads[a];
       double next = d + (flag == kForced ? 0.0 : g.costs[a]);
@@ -448,7 +509,7 @@ void ComputeSpTree(const AdjacencyView& g,
         if (dt == kInf) out->touched.push_back(to);
         dt = next;
         out->pred_node[to] = v;
-        out->pred_edge[to] = e;
+        out->pred_edge[to] = g.edges[a];
         heap.PushOrDecrease(to, next);
       }
     }
@@ -470,35 +531,54 @@ void ComputeSpTree(const AdjacencyView& g,
   out->touched.resize(settled_count);
 }
 
-// Shared preamble of both solvers: sort the edit sets, reject infeasible
-// subproblems, contract forced edges in the union-find, charge their cost,
-// and dedup terminals to one representative per supernode. Returns false
-// when the subproblem is infeasible.
-bool PrepareSubproblem(const CsrGraph& csr,
+// The adjacency view a solve runs over: the pinned CSR, or `mask`'s
+// compact view.
+AdjacencyView SolveView(const CsrGraph& csr, const ShardMask* mask) {
+  if (mask == nullptr) return CsrView(csr);
+  Q_CHECK_MSG(mask->HasCompact() && mask->csr_num_nodes == csr.num_nodes,
+              "masked solve needs a compact view over the pinned snapshot");
+  return CompactView(*mask);
+}
+
+// Shared preamble of both solvers, in `view`'s ids: sort the edit sets,
+// reject infeasible subproblems, contract forced edges in the union-find,
+// charge their cost, and dedup terminals to one representative per
+// supernode (s.terminals), sizing the per-terminal scratch. Every terminal
+// and every edit edge's endpoints must lie in the view: a mask holds its
+// terminals, and an enumeration hands a masked solve only edges of pivots
+// solved under the same or a smaller mask. Returns false when the
+// subproblem is infeasible.
+bool PrepareSubproblem(const CsrGraph& csr, const AdjacencyView& view,
                        const std::vector<graph::NodeId>& terminals,
                        const std::vector<graph::EdgeId>& forced,
                        const std::vector<graph::EdgeId>& banned,
                        SolverScratch& s, SteinerTree* result) {
-  s.forced_sorted.assign(forced.begin(), forced.end());
-  std::sort(s.forced_sorted.begin(), s.forced_sorted.end());
-  s.banned_sorted.assign(banned.begin(), banned.end());
-  std::sort(s.banned_sorted.begin(), s.banned_sorted.end());
+  MapEdits(csr, view, forced, banned, s);
   if (SortedIntersect(s.forced_sorted, s.banned_sorted)) return false;
+  for (std::uint32_t v : s.edit_ends) {
+    Q_CHECK_MSG(v != ShardMask::kExternal,
+                "solve needs a view that holds every edit edge");
+  }
 
-  s.uf.Begin(csr.num_nodes);
+  // The cost is charged in the caller's forced order: a returned tree's
+  // cost bits depend on that order. The contraction does not.
   result->edges.assign(forced.begin(), forced.end());
   result->cost = 0.0;
-  for (graph::EdgeId e : forced) {
-    std::uint32_t ru = s.uf.Find(csr.edge_u[e]);
-    std::uint32_t rv = s.uf.Find(csr.edge_v[e]);
+  for (graph::EdgeId e : forced) result->cost += csr.edge_cost[e];
+  s.uf.Begin(view.num_nodes);
+  for (std::size_t i = 0; i < s.forced_sorted.size(); ++i) {
+    std::uint32_t ru = s.uf.Find(s.edit_ends[2 * i]);
+    std::uint32_t rv = s.uf.Find(s.edit_ends[2 * i + 1]);
     if (ru == rv) return false;  // forced edges form a cycle
     s.uf.Union(ru, rv);
-    result->cost += csr.edge_cost[e];
   }
 
   s.terminals.clear();
   for (graph::NodeId t : terminals) {
-    std::uint32_t root = s.uf.Find(t);
+    const std::uint32_t tv = view.ViewOf(t);
+    Q_CHECK_MSG(tv != ShardMask::kExternal,
+                "solve needs a view that holds every terminal");
+    std::uint32_t root = s.uf.Find(tv);
     bool seen = false;
     for (std::uint32_t kept : s.terminals) {
       if (s.uf.Find(kept) == root) {
@@ -506,29 +586,7 @@ bool PrepareSubproblem(const CsrGraph& csr,
         break;
       }
     }
-    if (!seen) s.terminals.push_back(t);
-  }
-  return true;
-}
-
-// The adjacency view a solve runs over — the pinned CSR, or `mask`'s
-// compact view — with s.terminals_view set to the deduped terminals' view
-// ids and the per-terminal scratch sized for it. Expects
-// PrepareSubproblem done.
-AdjacencyView SolveView(const CsrGraph& csr, const ShardMask* mask,
-                        SolverScratch& s) {
-  AdjacencyView view = CsrView(csr);
-  if (mask != nullptr) {
-    Q_CHECK_MSG(mask->HasCompact() && mask->csr_num_nodes == csr.num_nodes,
-                "masked solve needs a compact view over the pinned snapshot");
-    view = CompactView(*mask);
-  }
-  s.terminals_view.clear();
-  for (std::uint32_t term : s.terminals) {
-    const std::uint32_t v = view.ViewOf(term);
-    Q_CHECK_MSG(v != ShardMask::kExternal,
-                "masked solve needs a compact view that holds every terminal");
-    s.terminals_view.push_back(v);
+    if (!seen) s.terminals.push_back(tv);
   }
   if (s.is_target.size() < view.num_nodes) {
     s.is_target.resize(view.num_nodes, 0);
@@ -536,24 +594,25 @@ AdjacencyView SolveView(const CsrGraph& csr, const ShardMask* mask,
   if (s.sp_slots.size() < s.terminals.size()) {
     s.sp_slots.resize(s.terminals.size());
   }
-  return view;
+  return true;
 }
 
 // Fills s.sp_slots with one shortest-path tree per deduped terminal over
 // `g`, each stopped once every terminal is settled. `full` requests
 // complete (non-early-stopped) trees — the exact DP seeds its singleton
-// slices from them. Expects SolveView done and an OverlayGuard active.
+// slices from them. Expects PrepareSubproblem done and an OverlayGuard
+// active.
 void AcquireSpTrees(const AdjacencyView& g, SolverScratch& s, bool full) {
   const std::size_t t = s.terminals.size();
-  for (std::uint32_t v : s.terminals_view) s.is_target[v] = 1;
+  for (std::uint32_t v : s.terminals) s.is_target[v] = 1;
   for (std::size_t i = 0; i < t; ++i) {
-    ComputeSpTree(g, s.edge_flag, s.is_target, t, !full, s.terminals_view[i],
+    ComputeSpTree(g, s.arc_flag, s.is_target, t, !full, s.terminals[i],
                   s.heap, &s.sp_slots[i]);
   }
   // Restore the all-zero invariant now: nothing downstream reads the
   // target marks, and the shrink policy may reallocate the array between
   // solves.
-  for (std::uint32_t v : s.terminals_view) s.is_target[v] = 0;
+  for (std::uint32_t v : s.terminals) s.is_target[v] = 0;
 }
 
 // Grows Prim's latest pick p's tree over `g` into s.sp_slots[p], stopped
@@ -563,19 +622,19 @@ void AcquireSpTrees(const AdjacencyView& g, SolverScratch& s, bool full) {
 // superset of these targets, and Dijkstra settles nodes in canonical
 // (dist, id) order with every predecessor final at settle time, so this
 // tree is a prefix of the eager one: every value read from it is the same.
-// Expects SolveView done and an OverlayGuard active.
+// Expects PrepareSubproblem done and an OverlayGuard active.
 void GrowPickedTree(const AdjacencyView& g, SolverScratch& s, std::size_t p) {
   const std::size_t t = s.terminals.size();
   std::size_t targets = 0;
   for (std::size_t j = 0; j < t; ++j) {
     if (s.in_mst[j]) continue;
-    s.is_target[s.terminals_view[j]] = 1;
+    s.is_target[s.terminals[j]] = 1;
     ++targets;
   }
-  ComputeSpTree(g, s.edge_flag, s.is_target, targets, /*stop_at_targets=*/true,
-                s.terminals_view[p], s.heap, &s.sp_slots[p]);
+  ComputeSpTree(g, s.arc_flag, s.is_target, targets, /*stop_at_targets=*/true,
+                s.terminals[p], s.heap, &s.sp_slots[p]);
   for (std::size_t j = 0; j < t; ++j) {
-    if (!s.in_mst[j]) s.is_target[s.terminals_view[j]] = 0;
+    if (!s.in_mst[j]) s.is_target[s.terminals[j]] = 0;
   }
 }
 
@@ -600,7 +659,7 @@ bool CertifiesUnpickedReads(const SolverScratch& s, const SpTree& sp) {
   double max_read = 0.0;
   for (std::size_t j = 0; j < s.terminals.size(); ++j) {
     if (!s.in_mst[j]) {
-      max_read = std::max(max_read, sp.dist[s.terminals_view[j]]);
+      max_read = std::max(max_read, sp.dist[s.terminals[j]]);
     }
   }
   return ReadsCertified(sp.mask_min_clip, max_read);
@@ -610,7 +669,7 @@ bool CertifiesUnpickedReads(const SolverScratch& s, const SpTree& sp) {
 // solver and for a KMB solve whose lazy tree failed its own certificate.
 // Every tree must certify (ReadsCertified) the pairwise terminal distances
 // it holds and the predecessor chains below them, so its read horizon is
-// max_j dist[t_j]. Reads the trees through s.terminals_view.
+// max_j dist[t_j].
 MaskedOutcome CertifyPairwiseReads(SolverScratch& s,
                                    double* overlay_lower_bound) {
   const std::size_t t = s.terminals.size();
@@ -630,7 +689,7 @@ MaskedOutcome CertifyPairwiseReads(SolverScratch& s,
     const SpTree& sp = s.sp_slots[i];
     double max_read = 0.0;
     for (std::size_t j = 0; j < t; ++j) {
-      double d = sp.dist[s.terminals_view[j]];
+      double d = sp.dist[s.terminals[j]];
       max_read = std::max(max_read, d);
       const double floor = std::min(d, sp.mask_min_clip);
       pairwise_lb = std::max(pairwise_lb, floor);
@@ -693,11 +752,10 @@ double SubspaceCostBound(double forced_cost, double overlay_lb) {
 // last pick's tree is never read. `picked_tree(p)` returns terminal p's
 // tree right after Prim picks it (s.in_mst marks the picked terminals,
 // p included), or nullptr to abort. Returns false when the terminals are
-// disconnected or `picked_tree` aborted. Expects SolveView done and t >= 2
-// deduped terminals.
+// disconnected or `picked_tree` aborted. Expects PrepareSubproblem done
+// and t >= 2 deduped terminals.
 template <typename PickedTree>
 bool PrimClosure(SolverScratch& s, PickedTree&& picked_tree) {
-  const std::vector<std::uint32_t>& sp_terms = s.terminals_view;
   const std::size_t t = s.terminals.size();
   s.in_mst.assign(t, 0);
   s.best.assign(t, kInf);
@@ -717,7 +775,7 @@ bool PrimClosure(SolverScratch& s, PickedTree&& picked_tree) {
     if (sp == nullptr) return false;
     for (std::size_t i = 0; i < t; ++i) {
       if (s.in_mst[i]) continue;
-      double d = sp->dist[sp_terms[i]];
+      double d = sp->dist[s.terminals[i]];
       if (d < s.best[i]) {
         s.best[i] = d;
         s.best_from[i] = pick;
@@ -727,69 +785,82 @@ bool PrimClosure(SolverScratch& s, PickedTree&& picked_tree) {
   return true;
 }
 
-// KMB steps 3-5 over s.closure (PrimClosure done). Closure edge (a, b)
-// walks a's tree from b, which was still unpicked when Prim picked a: the
-// walk stays at or below a distance Prim read, so even a lazily grown tree
-// holds every node it visits. `result` carries the forced prefix and base
-// cost. Only reads of sp.dist/pred_node go through view ids
-// (s.terminals_view); collected pred_edge values are global edge ids, so
-// everything from Kruskal on is view independent. Expects an OverlayGuard
-// active. Safe to call concurrently (scratch is per-thread).
-SteinerTree KmbFromClosure(const CsrGraph& csr, SolverScratch& s,
-                           SteinerTree result) {
-  const std::vector<std::uint32_t>& sp_terms = s.terminals_view;
+// Starts a local-id remap round over view ids: bumps the stamp (a
+// wholesale re-zero on the ~4-billion-round wrap) and sizes
+// local_stamp/local_of to the view.
+void BeginLocalIds(SolverScratch& s, std::uint32_t num_nodes) {
+  if (++s.stamp == 0) {
+    std::fill(s.local_stamp.begin(), s.local_stamp.end(), 0);
+    s.stamp = 1;
+  }
+  if (s.local_stamp.size() < num_nodes) {
+    s.local_stamp.resize(num_nodes, 0);
+    s.local_of.resize(num_nodes);
+  }
+}
 
+// KMB steps 3-5 over s.closure (PrimClosure done), in `g`'s view ids.
+// Closure edge (a, b) walks a's tree from b, which was still unpicked when
+// Prim picked a: the walk stays at or below a distance Prim read, so even
+// a lazily grown tree holds every node it visits. `result` carries the
+// forced prefix and base cost. Collected edges keep their global ids, so
+// the edge order Kruskal scans is view independent. Expects an
+// OverlayGuard active. Safe to call concurrently (scratch is per-thread).
+SteinerTree KmbFromClosure(const CsrGraph& csr, const AdjacencyView& g,
+                           SolverScratch& s, SteinerTree result) {
   // 3. Expand closure edges into original-graph edges along the
   // predecessor trees (forced edges are already part of the result).
   s.collected.clear();
   for (auto [a, b] : s.closure) {
-    std::uint32_t v = sp_terms[b];
-    const std::uint32_t src = sp_terms[a];
+    std::uint32_t v = s.terminals[b];
+    const std::uint32_t src = s.terminals[a];
     const SpTree& sp = s.sp_slots[a];
     while (v != src) {
-      graph::EdgeId e = sp.pred_edge[v];
+      const graph::EdgeId e = sp.pred_edge[v];
       if (e == graph::kInvalidEdge) break;
-      if (s.edge_flag[e] != kForced) s.collected.push_back(e);
-      v = sp.pred_node[v];
+      const std::uint32_t p = sp.pred_node[v];
+      if (!std::binary_search(s.forced_sorted.begin(), s.forced_sorted.end(),
+                              e)) {
+        const bool v_is_u = csr.edge_u[e] == g.NodeOf(v);
+        s.collected.push_back({e, v_is_u ? v : p, v_is_u ? p : v});
+      }
+      v = p;
     }
   }
-  std::sort(s.collected.begin(), s.collected.end());
-  s.collected.erase(std::unique(s.collected.begin(), s.collected.end()),
-                    s.collected.end());
 
-  // 4. Kruskal MST of the induced subgraph, in supernode space.
+  // 4. Kruskal MST of the induced subgraph, in supernode space, scanning
+  // the distinct edges by (cost, id).
   std::sort(s.collected.begin(), s.collected.end(),
-            [&](graph::EdgeId a, graph::EdgeId b) {
-              if (csr.edge_cost[a] != csr.edge_cost[b]) {
-                return csr.edge_cost[a] < csr.edge_cost[b];
-              }
-              return a < b;
+            [&](const CollectedEdge& a, const CollectedEdge& b) {
+              const double ca = csr.edge_cost[a.edge];
+              const double cb = csr.edge_cost[b.edge];
+              if (ca != cb) return ca < cb;
+              return a.edge < b.edge;
             });
-  s.kruskal_uf.Begin(csr.num_nodes);
+  s.collected.erase(
+      std::unique(s.collected.begin(), s.collected.end(),
+                  [](const CollectedEdge& a, const CollectedEdge& b) {
+                    return a.edge == b.edge;
+                  }),
+      s.collected.end());
+  s.kruskal_uf.Begin(g.num_nodes);
   s.mst.clear();
   s.ep_u.clear();
   s.ep_v.clear();
-  for (graph::EdgeId e : s.collected) {
-    std::uint32_t su = s.uf.Find(csr.edge_u[e]);
-    std::uint32_t sv = s.uf.Find(csr.edge_v[e]);
+  for (const CollectedEdge& c : s.collected) {
+    std::uint32_t su = s.uf.Find(c.u);
+    std::uint32_t sv = s.uf.Find(c.v);
     std::uint32_t ru = s.kruskal_uf.Find(su);
     std::uint32_t rv = s.kruskal_uf.Find(sv);
     if (ru == rv) continue;
     s.kruskal_uf.Union(ru, rv);
-    s.mst.push_back(e);
+    s.mst.push_back(c.edge);
     s.ep_u.push_back(su);
     s.ep_v.push_back(sv);
   }
 
   // 5. Iteratively prune non-terminal leaves (in supernode space).
-  if (++s.stamp == 0) {
-    std::fill(s.local_stamp.begin(), s.local_stamp.end(), 0);
-    s.stamp = 1;
-  }
-  if (s.local_stamp.size() < csr.num_nodes) {
-    s.local_stamp.resize(csr.num_nodes, 0);
-    s.local_of.resize(csr.num_nodes);
-  }
+  BeginLocalIds(s, g.num_nodes);
   std::uint32_t num_local = 0;
   auto local_id = [&](std::uint32_t super) {
     if (s.local_stamp[super] != s.stamp) {
@@ -941,19 +1012,17 @@ std::optional<SteinerTree> FastSteinerEngine::SolveKmbImpl(
   if (outcome != nullptr) *outcome = MaskedOutcome::kOk;
   const CsrGraph& csr = *pin.csr;
   SolverScratch& s = GetScratch();
+  const AdjacencyView view = SolveView(csr, mask);
+  ExtentGuard extent{s, view.num_nodes};
   SteinerTree result;
-  if (!PrepareSubproblem(csr, terminals, forced, banned, s, &result)) {
+  if (!PrepareSubproblem(csr, view, terminals, forced, banned, s, &result)) {
     return std::nullopt;
   }
   if (s.terminals.size() <= 1) {
     result.Canonicalize();
     return result;
   }
-  const AdjacencyView view = SolveView(csr, mask, s);
-  // Before the overlay guard: destructors run in reverse order, so the
-  // guard restores the all-zero invariant before a shrink may reallocate.
-  ExtentGuard extent{s, view.num_nodes};
-  OverlayGuard overlay(s, csr);
+  OverlayGuard overlay(s, view);
   // Trees grow only as Prim picks their terminals (GrowPickedTree), and a
   // masked tree must certify the reads Prim makes from it: every value
   // KMB reads must sit strictly below that tree's clipped-offer horizon,
@@ -987,7 +1056,7 @@ std::optional<SteinerTree> FastSteinerEngine::SolveKmbImpl(
     return std::nullopt;
   }
   if (!connected) return std::nullopt;
-  return KmbFromClosure(csr, s, std::move(result));
+  return KmbFromClosure(csr, view, s, std::move(result));
 }
 
 std::optional<SteinerTree> FastSteinerEngine::SolveExact(
@@ -1014,8 +1083,10 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
   if (outcome != nullptr) *outcome = MaskedOutcome::kOk;
   const CsrGraph& csr = *pin.csr;
   SolverScratch& s = GetScratch();
+  const AdjacencyView view = SolveView(csr, mask);
+  ExtentGuard extent{s, view.num_nodes};
   SteinerTree result;
-  if (!PrepareSubproblem(csr, terminals, forced, banned, s, &result)) {
+  if (!PrepareSubproblem(csr, view, terminals, forced, banned, s, &result)) {
     return std::nullopt;
   }
   const std::size_t t = s.terminals.size();
@@ -1023,9 +1094,7 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
     result.Canonicalize();
     return result;
   }
-  const AdjacencyView view = SolveView(csr, mask, s);
-  ExtentGuard extent{s, view.num_nodes};
-  OverlayGuard overlay(s, csr);
+  OverlayGuard overlay(s, view);
 
   // Acquire complete per-terminal shortest-path trees once; they serve
   // triple duty: the KMB upper bound (terminals disconnected iff KMB fails
@@ -1033,7 +1102,6 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
   // slices dp[{i}] = dist(t_i, .) — so those 2^0-subsets need no grow pass
   // at all.
   AcquireSpTrees(view, s, /*full=*/true);
-  const std::vector<std::uint32_t>& sp_terms = s.terminals_view;
   if (mask != nullptr) {
     // Guarantees the KMB upper bound below (and its infeasibility
     // verdict) is the unmasked one before we derive a threshold from it.
@@ -1051,7 +1119,7 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
   if (!PrimClosure(s, [&](std::size_t p) { return &s.sp_slots[p]; })) {
     return std::nullopt;
   }
-  const SteinerTree kmb = KmbFromClosure(csr, s, result);
+  const SteinerTree kmb = KmbFromClosure(csr, view, s, result);
   double bound = kmb.cost - result.cost;  // overlay-space upper bound
   // Relative slack absorbs float summation-order differences between the
   // bound and the distances.
@@ -1071,7 +1139,7 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
           // bound the subspace optimum even without the DP verdict.
           double pairwise = 0.0;
           for (std::size_t a = 0; a < t; ++a) {
-            for (std::uint32_t b : sp_terms) {
+            for (std::uint32_t b : s.terminals) {
               pairwise = std::max(pairwise, s.sp_slots[a].dist[b]);
             }
           }
@@ -1085,7 +1153,7 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
   // Restrict the DP to nodes a below-bound tree can possibly touch: any
   // node v of a tree T spanning the terminals satisfies
   // max_i dist(t_i, v) <= cost(T) in overlay space. Eligible nodes get
-  // dense mini ids (in node-id order); the induced mini-CSR bakes the
+  // dense mini ids (in view-id order); the induced mini-CSR bakes the
   // overlay costs in, so the DP inner loops run flag-free on the small
   // subgraph. The slack makes a terminal falling outside the bound a
   // float-only corner case; if it ever happens, fall back to the
@@ -1097,7 +1165,6 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
   for (int attempt = 0; attempt < max_attempts && !terminals_covered;
        ++attempt) {
     double threshold = attempt == 0 ? bound : kInf;
-    s.elig_nodes.clear();
     s.elig_view.clear();
     // View ids ascend with node ids, so the eligible list — and hence the
     // mini-id assignment — comes out in node-id order under either view.
@@ -1113,23 +1180,13 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
           break;
         }
       }
-      if (ok) {
-        s.elig_nodes.push_back(view.NodeOf(v));
-        s.elig_view.push_back(v);
-      }
+      if (ok) s.elig_view.push_back(v);
     }
-    if (++s.stamp == 0) {
-      std::fill(s.local_stamp.begin(), s.local_stamp.end(), 0);
-      s.stamp = 1;
-    }
-    if (s.local_stamp.size() < csr.num_nodes) {
-      s.local_stamp.resize(csr.num_nodes, 0);
-      s.local_of.resize(csr.num_nodes);
-    }
-    n_e = static_cast<std::uint32_t>(s.elig_nodes.size());
+    BeginLocalIds(s, view.num_nodes);
+    n_e = static_cast<std::uint32_t>(s.elig_view.size());
     for (std::uint32_t i = 0; i < n_e; ++i) {
-      s.local_stamp[s.elig_nodes[i]] = s.stamp;
-      s.local_of[s.elig_nodes[i]] = i;
+      s.local_stamp[s.elig_view[i]] = s.stamp;
+      s.local_of[s.elig_view[i]] = i;
     }
     s.mini_terms.clear();
     terminals_covered = true;
@@ -1153,17 +1210,16 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
   s.mini_edge.clear();
   s.mini_cost.clear();
   for (std::uint32_t i = 0; i < n_e; ++i) {
-    std::uint32_t v = s.elig_nodes[i];
-    const std::uint32_t end = csr.offsets[v + 1];
-    for (std::uint32_t a = csr.offsets[v]; a < end; ++a) {
-      std::uint32_t to = csr.arc_head[a];
-      if (s.local_stamp[to] != s.stamp) continue;
-      graph::EdgeId e = csr.arc_edge[a];
-      std::uint8_t flag = s.edge_flag[e];
+    std::uint32_t v = s.elig_view[i];
+    const std::uint32_t end = view.offsets[v + 1];
+    for (std::uint32_t a = view.offsets[v]; a < end; ++a) {
+      std::uint32_t to = view.heads[a];
+      if (to == ShardMask::kExternal || s.local_stamp[to] != s.stamp) continue;
+      std::uint8_t flag = s.arc_flag[a];
       if (flag == kBanned) continue;
       s.mini_head.push_back(s.local_of[to]);
-      s.mini_edge.push_back(e);
-      s.mini_cost.push_back(flag == kForced ? 0.0 : csr.arc_cost[a]);
+      s.mini_edge.push_back(view.edges[a]);
+      s.mini_cost.push_back(flag == kForced ? 0.0 : view.costs[a]);
     }
     s.mini_offsets[i + 1] = static_cast<std::uint32_t>(s.mini_head.size());
   }
@@ -1247,7 +1303,7 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
       const std::size_t i = static_cast<std::size_t>(__builtin_ctz(subset));
       const SpTree& sp = s.sp_slots[i];
       std::uint32_t cur = s.elig_view[v];
-      const std::uint32_t src = sp_terms[i];
+      const std::uint32_t src = s.terminals[i];
       while (cur != src) {
         graph::EdgeId e = sp.pred_edge[cur];
         if (e == graph::kInvalidEdge) break;
@@ -1277,7 +1333,9 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
   return result;
 }
 
-std::size_t ThreadScratchBytes() { return GetScratch().FootprintBytes(); }
+std::size_t ThreadScratchBytes() {
+  return GetScratch().FootprintBytes() + ThreadLocalizerScratchBytes();
+}
 
 MaskedSpProbe ComputeMaskedSpTreeForTest(
     const CsrGraph& csr, const ShardMask& mask, std::uint32_t source,
@@ -1291,11 +1349,8 @@ MaskedSpProbe ComputeMaskedSpTreeForTest(
   Q_CHECK_MSG(local_source != ShardMask::kExternal,
               "probe needs a compact view that holds the source");
   SolverScratch& s = GetScratch();
-  s.forced_sorted.assign(forced.begin(), forced.end());
-  std::sort(s.forced_sorted.begin(), s.forced_sorted.end());
-  s.banned_sorted.assign(banned.begin(), banned.end());
-  std::sort(s.banned_sorted.begin(), s.banned_sorted.end());
-  OverlayGuard overlay(s, csr);
+  MapEdits(csr, view, forced, banned, s);
+  OverlayGuard overlay(s, view);
 
   if (s.is_target.size() < view.num_nodes) {
     s.is_target.resize(view.num_nodes, 0);
@@ -1310,7 +1365,7 @@ MaskedSpProbe ComputeMaskedSpTreeForTest(
   // duplicate) never settles, so the run keeps exploring instead of
   // stopping early — as the uncompacted masked Dijkstra does.
   SpTree tree;
-  ComputeSpTree(view, s.edge_flag, s.is_target, targets.size(),
+  ComputeSpTree(view, s.arc_flag, s.is_target, targets.size(),
                 stop_at_targets, local_source, s.heap, &tree);
   for (std::uint32_t lt : local_targets) s.is_target[lt] = 0;
 

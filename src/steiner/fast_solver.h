@@ -28,11 +28,16 @@ struct FastSolveStats {
   std::size_t masked_bypasses = 0;
 };
 
-// Bytes currently retained by the calling thread's solver scratch arena
-// (heap, per-terminal tree slots, overlay flags, DP tables). The arena
-// shrinks itself after a sustained streak of solves much smaller than its
-// high-water capacity — one oversized solve no longer pins tens of MB per
-// thread forever (tests/local_compaction_test.cc, ScratchShrinkTest).
+// Bytes currently retained by the calling thread's search scratch: the
+// solver arena (heap, union-finds, per-terminal tree slots, overlay flags,
+// DP tables) and the localizer's (see shard.h). Every array in either is
+// indexed by the ids of what one solve or mask build spans — a mask's
+// compact view, a ball — so a thread serving masked requests holds about
+// as much on a 100k-source catalog as on a 10k one
+// (tests/graph_scale_test.cc). The solver arena also shrinks itself after
+// a sustained streak of solves much smaller than its high-water capacity,
+// so one unmasked solve does not pin catalog-sized arrays per thread
+// forever (tests/local_compaction_test.cc, ScratchShrinkTest).
 std::size_t ThreadScratchBytes();
 
 // A read handle on an immutable CSR snapshot: the engine's current one
@@ -66,14 +71,17 @@ enum class MaskedOutcome { kOk, kEscalate };
 // lives in a thread-local scratch arena, so Solve* are safe to call
 // concurrently and do no steady-state allocation.
 //
-// Solves run their Dijkstras over an adjacency view: the CSR for unmasked
-// solves, a mask's compact local-id sub-CSR for masked ones (see
-// shard.h). The exact solver grows every deduped terminal's complete
-// tree. KMB grows a terminal's tree only when Prim picks it, stopped once
-// every terminal Prim has not picked yet is settled, and never grows the
-// last pick's: Prim reads a tree only from a picked terminal at unpicked
-// ones, and Dijkstra's canonical settle order makes the shorter run a
-// prefix of the full one, so every value KMB reads equals the full run's.
+// A solve runs wholly over an adjacency view — the CSR for unmasked
+// solves, a mask's compact local-id sub-CSR for masked ones (see shard.h)
+// — in its ids: the forced-edge contraction, the Dijkstras, Kruskal, leaf
+// pruning and the exact DP's remap, with overlay flags per view arc. The
+// unmasked path is the same code over the CSR. The exact solver grows
+// every deduped terminal's complete tree. KMB grows a terminal's tree
+// only when Prim picks it, stopped once every terminal Prim has not
+// picked yet is settled, and never grows the last pick's: Prim reads a
+// tree only from a picked terminal at unpicked ones, and Dijkstra's
+// canonical settle order makes the shorter run a prefix of the full one,
+// so every value KMB reads equals the full run's.
 // Trees live in the thread's scratch and are never shared between
 // solves; the engine keeps no cache.
 //
@@ -186,8 +194,11 @@ class FastSteinerEngine {
   // solve itself.
   //
   // Precondition: `mask` carries a compact view (ShardMask::BuildCompact)
-  // built over the pinned snapshot that holds every deduplicated
-  // terminal. TerminalLocalizer builds every mask that way.
+  // built over the pinned snapshot that holds every terminal and both
+  // endpoints of every forced and banned edge (checked). TerminalLocalizer
+  // builds every mask around the terminals, and its masks only grow, so a
+  // Lawler enumeration's edits — edges of pivots solved under the same or
+  // a smaller mask — always lie inside.
   std::optional<SteinerTree> SolveKmbMasked(
       const SnapshotPin& pin, const std::vector<graph::NodeId>& terminals,
       const std::vector<graph::EdgeId>& forced,

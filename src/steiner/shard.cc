@@ -11,53 +11,107 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::uint32_t kUnassigned = std::numeric_limits<std::uint32_t>::max();
 
-// Per-thread scratch for the localizer's bootstrap and ball Dijkstras and
-// for ShardMask::BuildCompact. Entries are stamp-validated (stamp[v] !=
-// cur reads as +inf, or as kExternal in the local-id map), so a run
-// touches only its own neighborhood instead of re-initializing
-// num_nodes-sized arrays — the per-query localizer cost is O(ball), not
-// O(catalog), which is what keeps query latency from growing linearly
-// with sources. The arrays grow to the largest snapshot the thread has
-// localized and are reused across queries.
+// Per-thread scratch for the localizer's star and ball Dijkstras and for
+// ShardMask::BuildCompact. A run gives every node it reaches a dense slot,
+// in order of first reach, through an open-addressing map keyed by node
+// id, and every array below is slot-indexed: the scratch spans the ball
+// or the mask a run touches, never the catalog, so a localizing thread
+// holds about as much on a 100k-source catalog as on a 10k one (the
+// arrays keep the capacity of the thread's largest run). Buckets are
+// stamp-validated, so starting a run is O(1). The heap pops equal
+// distances in slot order; nothing the localizer returns depends on
+// the order among ties (final distances, the ball's node set, and
+// whether the radius excluded a node).
 struct LocalizerScratch {
-  util::DaryHeap heap;
-  std::vector<double> dist;
-  std::vector<std::uint32_t> stamp;
-  std::uint32_t cur = 0;
-  std::vector<std::uint8_t> is_target;  // sparsely set, cleared per run
-  // BuildCompact's node -> local id map. It shares `stamp` with dist: a
-  // run fills one or the other, never both.
-  std::vector<std::uint32_t> local;
+  struct Bucket {
+    std::uint32_t stamp = 0;  // the run that filled it; other stamps: empty
+    std::uint32_t node = 0;
+    std::uint32_t slot = 0;
+  };
+  static constexpr std::size_t kMinBuckets = 64;
 
-  // Starts a run: bumps the stamp (wholesale re-zero on the ~4-billion-run
-  // wrap) and drains heap leftovers from an early-stopped prior run.
-  void Begin(std::size_t n) {
-    if (dist.size() < n) {
-      dist.resize(n, kInf);
-      stamp.resize(n, 0);
-    }
-    if (is_target.size() < n) is_target.resize(n, 0);
+  // Power-of-two size, at most a quarter full: most lookups that miss (an
+  // arc leaving the mask or the ball) then stop at the first probe.
+  std::vector<Bucket> table;
+  std::uint32_t cur = 0;
+  std::vector<std::uint32_t> node_of;  // slot -> node id
+  std::vector<double> dist;            // slot -> distance, +inf until set
+  util::DaryHeap heap;                 // over slots
+
+  // Starts a run: forgets every slot (a wholesale bucket re-zero on the
+  // ~4-billion-run wrap) and drains heap leftovers from an early-stopped
+  // prior run.
+  void Begin() {
+    node_of.clear();
+    dist.clear();
+    heap.Drain(0);
+    if (table.empty()) table.resize(kMinBuckets);
     if (++cur == 0) {
-      std::fill(stamp.begin(), stamp.end(), 0);
+      std::fill(table.begin(), table.end(), Bucket{});
       cur = 1;
     }
-    heap.Drain(n);
   }
 
-  double Dist(std::uint32_t v) const {
-    return stamp[v] == cur ? dist[v] : kInf;
-  }
-  void SetDist(std::uint32_t v, double d) {
-    dist[v] = d;
-    stamp[v] = cur;
+  static std::size_t Home(std::uint32_t node, std::size_t mask) {
+    // Fibonacci hashing: the product's high bits mix every bit of the id.
+    const std::uint64_t h = node * 0x9E3779B97F4A7C15ull;
+    return static_cast<std::size_t>(h >> 32) & mask;
   }
 
-  std::uint32_t LocalId(std::uint32_t v) const {
-    return stamp[v] == cur ? local[v] : ShardMask::kExternal;
+  // The node's slot this run, or ShardMask::kExternal.
+  std::uint32_t Find(std::uint32_t node) const {
+    const std::size_t mask = table.size() - 1;
+    for (std::size_t b = Home(node, mask);; b = (b + 1) & mask) {
+      const Bucket& bucket = table[b];
+      if (bucket.stamp != cur) return ShardMask::kExternal;
+      if (bucket.node == node) return bucket.slot;
+    }
   }
-  void SetLocalId(std::uint32_t v, std::uint32_t l) {
-    local[v] = l;
-    stamp[v] = cur;
+
+  // The node's slot this run; a node not seen before gets the next one.
+  std::uint32_t Slot(std::uint32_t node) {
+    const std::size_t mask = table.size() - 1;
+    std::size_t b = Home(node, mask);
+    for (; table[b].stamp == cur; b = (b + 1) & mask) {
+      if (table[b].node == node) return table[b].slot;
+    }
+    const auto slot = static_cast<std::uint32_t>(node_of.size());
+    table[b] = Bucket{cur, node, slot};
+    node_of.push_back(node);
+    if (4 * node_of.size() > table.size()) Grow();
+    return slot;
+  }
+
+  // Slot() for the Dijkstras: a node not reached before starts at +inf.
+  std::uint32_t Reach(std::uint32_t node) {
+    const std::uint32_t slot = Slot(node);
+    if (slot == dist.size()) {
+      dist.push_back(kInf);
+      heap.Reserve(node_of.capacity());
+    }
+    return slot;
+  }
+
+  double Dist(std::uint32_t node) const {
+    const std::uint32_t slot = Find(node);
+    return slot == ShardMask::kExternal ? kInf : dist[slot];
+  }
+
+  // Doubles the table and re-files this run's slots.
+  void Grow() {
+    std::vector<Bucket>(2 * table.size()).swap(table);
+    const std::size_t mask = table.size() - 1;
+    for (std::uint32_t slot = 0; slot < node_of.size(); ++slot) {
+      std::size_t b = Home(node_of[slot], mask);
+      while (table[b].stamp == cur) b = (b + 1) & mask;
+      table[b] = Bucket{cur, node_of[slot], slot};
+    }
+  }
+
+  std::size_t FootprintBytes() const {
+    return table.capacity() * sizeof(Bucket) +
+           node_of.capacity() * sizeof(std::uint32_t) +
+           dist.capacity() * sizeof(double) + heap.MemoryBytes();
   }
 };
 
@@ -68,17 +122,21 @@ LocalizerScratch& GetLocalizerScratch() {
 
 }  // namespace
 
+std::size_t ThreadLocalizerScratchBytes() {
+  return GetLocalizerScratch().FootprintBytes();
+}
+
 void ShardMask::BuildCompact(const CsrGraph& csr) {
   const std::uint32_t num_local = static_cast<std::uint32_t>(nodes.size());
-  // Heads translate through the thread's stamped scratch, so the build
-  // writes O(mask) entries however large the catalog is.
+  // Heads translate through the thread's slot map: the mask's nodes take
+  // slots 0..L-1 in order, so a node's slot is its local id and the build
+  // costs O(mask) however large the catalog is.
   LocalizerScratch& s = GetLocalizerScratch();
-  s.Begin(csr.num_nodes);
-  if (s.local.size() < csr.num_nodes) s.local.resize(csr.num_nodes);
+  s.Begin();
   local_offsets.assign(num_local + 1, 0);
   for (std::uint32_t l = 0; l < num_local; ++l) {
     const std::uint32_t v = nodes[l];
-    s.SetLocalId(v, l);
+    s.Slot(v);
     local_offsets[l + 1] =
         local_offsets[l] + (csr.offsets[v + 1] - csr.offsets[v]);
   }
@@ -92,7 +150,7 @@ void ShardMask::BuildCompact(const CsrGraph& csr) {
     std::uint32_t i = local_offsets[l];
     const std::uint32_t end = csr.offsets[nodes[l] + 1];
     for (std::uint32_t a = csr.offsets[nodes[l]]; a < end; ++a, ++i) {
-      local_arc_head[i] = s.LocalId(csr.arc_head[a]);
+      local_arc_head[i] = s.Find(csr.arc_head[a]);
       local_arc_edge[i] = csr.arc_edge[a];
       local_arc_cost[i] = csr.arc_cost[a];
     }
@@ -159,33 +217,28 @@ TerminalLocalizer::TerminalLocalizer(
   double star = 0.0;
   if (!terminals_.empty()) {
     // Star heuristic: real-cost single-source Dijkstra from t0, stopped
-    // once every distinct terminal is settled. Runs on the thread's
-    // stamped scratch, so the cost is the settled neighborhood — one
-    // full-array initialization per query would itself grow linearly
-    // with the catalog and dominate small-ball queries.
+    // once every distinct terminal is settled. Runs on the thread's slot
+    // scratch, so the cost is the settled neighborhood — one full-array
+    // initialization per query would itself grow linearly with the
+    // catalog and dominate small-ball queries. The terminals take the
+    // first slots, so a settled slot below `distinct` is a terminal.
     LocalizerScratch& s = GetLocalizerScratch();
-    s.Begin(g.num_nodes);
-    std::size_t remaining = 0;
-    for (graph::NodeId t : terminals_) {
-      if (!s.is_target[t]) {
-        s.is_target[t] = 1;
-        ++remaining;
-      }
-    }
-    s.SetDist(terminals_[0], 0.0);
-    s.heap.PushOrDecrease(terminals_[0], 0.0);
+    s.Begin();
+    for (graph::NodeId t : terminals_) s.Reach(t);
+    const std::size_t distinct = s.node_of.size();
+    std::size_t remaining = distinct;
+    s.dist[0] = 0.0;  // terminals_[0]'s slot
+    s.heap.PushOrDecrease(0, 0.0);
     while (!s.heap.empty() && remaining > 0) {
       auto [d, v] = s.heap.PopMin();
-      if (s.is_target[v]) {
-        s.is_target[v] = 0;
-        --remaining;
-      }
-      const std::uint32_t end = g.offsets[v + 1];
-      for (std::uint32_t a = g.offsets[v]; a < end; ++a) {
-        const std::uint32_t to = g.arc_head[a];
+      if (v < distinct) --remaining;
+      const std::uint32_t node = s.node_of[v];
+      const std::uint32_t end = g.offsets[node + 1];
+      for (std::uint32_t a = g.offsets[node]; a < end; ++a) {
         const double next = d + g.arc_cost[a];
-        if (next < s.Dist(to)) {
-          s.SetDist(to, next);
+        const std::uint32_t to = s.Reach(g.arc_head[a]);
+        if (next < s.dist[to]) {
+          s.dist[to] = next;
           s.heap.PushOrDecrease(to, next);
         }
       }
@@ -194,9 +247,6 @@ TerminalLocalizer::TerminalLocalizer(
     if (all_reachable) {
       for (graph::NodeId t : terminals_) star += s.Dist(t);
     }
-    // Restore the all-zero target-mark invariant (early stop may leave
-    // unsettled terminals marked).
-    for (graph::NodeId t : terminals_) s.is_target[t] = 0;
   }
   if (!all_reachable) {
     // Some terminal is unreachable (or there are none): no finite radius
@@ -230,37 +280,49 @@ std::shared_ptr<const ShardMask> TerminalLocalizer::Rebuild() const {
   auto mask = std::make_shared<ShardMask>();
 
   // Multi-source real-cost Dijkstra from the terminals, bounded by
-  // r_proof_ and run on the thread's stamped scratch (O(ball), not
+  // r_proof_ and run on the thread's slot scratch (O(ball), not
   // O(catalog) — see LocalizerScratch). `clipped` records whether the
-  // radius excluded anything; if not, the ball already holds every
-  // reachable node and no escalation can ever grow it.
+  // radius excluded a node; if not, the ball already holds every
+  // reachable node and no escalation can ever grow it. An arc cut at the
+  // radius whose head was not reached yet is only a candidate: the head
+  // may still enter the ball through another arc, so the candidates are
+  // settled once the ball is complete, which keeps the verdict
+  // independent of the order among tied distances.
   LocalizerScratch& s = GetLocalizerScratch();
-  s.Begin(g.num_nodes);
+  s.Begin();
   for (graph::NodeId t : terminals_) {
-    if (s.Dist(t) > 0.0) {
-      s.SetDist(t, 0.0);
-      s.heap.PushOrDecrease(t, 0.0);
+    const std::uint32_t slot = s.Reach(t);
+    if (s.dist[slot] > 0.0) {
+      s.dist[slot] = 0.0;
+      s.heap.PushOrDecrease(slot, 0.0);
     }
   }
   std::vector<std::uint32_t> touched_shards;
-  bool clipped = false;
+  std::vector<std::uint32_t> cut_heads;
   while (!s.heap.empty()) {
     auto [d, v] = s.heap.PopMin();
-    touched_shards.push_back(parts.shard_of[v]);
-    const std::uint32_t end = g.offsets[v + 1];
-    for (std::uint32_t a = g.offsets[v]; a < end; ++a) {
-      const std::uint32_t to = g.arc_head[a];
+    const std::uint32_t node = s.node_of[v];
+    touched_shards.push_back(parts.shard_of[node]);
+    const std::uint32_t end = g.offsets[node + 1];
+    for (std::uint32_t a = g.offsets[node]; a < end; ++a) {
+      const std::uint32_t head = g.arc_head[a];
       const double next = d + g.arc_cost[a];
       if (next > r_proof_) {
-        if (next < s.Dist(to)) clipped = true;
+        if (s.Find(head) == ShardMask::kExternal) cut_heads.push_back(head);
         continue;
       }
-      if (next < s.Dist(to)) {
-        s.SetDist(to, next);
+      const std::uint32_t to = s.Reach(head);
+      if (next < s.dist[to]) {
+        s.dist[to] = next;
         s.heap.PushOrDecrease(to, next);
       }
     }
   }
+
+  const bool clipped =
+      std::any_of(cut_heads.begin(), cut_heads.end(), [&s](std::uint32_t v) {
+        return s.Find(v) == ShardMask::kExternal;
+      });
 
   // Expand touched shards to their node lists through the partition's
   // shard->nodes index, then sort: BFS-grown shards interleave in node-id

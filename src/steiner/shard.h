@@ -1,6 +1,7 @@
 #ifndef Q_STEINER_SHARD_H_
 #define Q_STEINER_SHARD_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -44,17 +45,20 @@ struct ShardPartition {
 // was built against (the localizer's pinned snapshot; one enumeration
 // never mixes generations), and per-node arc order is preserved, so
 // predecessor selection matches the global scan arc for arc. No
-// global->local map is kept: the build translates arc heads through
-// per-thread stamped scratch, and a solve maps its few terminals by binary
-// search over `nodes`, so building the view costs O(mask), not O(catalog).
-// The view is immutable after Rebuild and shared with the mask itself;
-// masked solves run over it only, sizing every per-node array to L instead
-// of num_nodes, which is the whole point (cache residency on
-// million-source catalogs).
+// global->local map is kept: the build translates arc heads through a
+// per-thread mask-sized slot map, and a solve maps its few terminals and
+// edit edges by binary search over `nodes`, so building the view costs
+// O(mask), not O(catalog). The view is immutable after Rebuild and shared
+// with the mask itself; masked solves run over it only, sizing every
+// per-node and per-arc array to the mask instead of the catalog, which is
+// the whole point (cache residency on million-source catalogs).
 struct ShardMask {
   // Local-id sentinel for arc heads outside the mask.
   static constexpr std::uint32_t kExternal = 0xFFFFFFFFu;
 
+  // One byte per catalog node: the one catalog-sized array a mask build
+  // writes. Searches read `nodes`; the benchmark and the tests' referee
+  // read this.
   std::vector<std::uint8_t> in_mask;   // size num_nodes
   std::vector<std::uint32_t> nodes;    // ascending node ids with in_mask=1
   // True when no escalation can grow the mask further (every node the
@@ -90,6 +94,10 @@ struct ShardMask {
 // mask under a new epoch. Escalation is monotone (the ball only grows)
 // and terminates: once the bounded ball Dijkstra stops clipping at the
 // radius, the mask can never grow again and covers_all is set.
+//
+// Its Dijkstras and mask builds run on per-thread scratch indexed by dense
+// slots that a map from node id hands out, sized to the ball or the mask
+// (ThreadLocalizerScratchBytes), never to the catalog.
 //
 // Thread safety: Acquire/Escalate are mutex-protected; parallel Lawler
 // children race benignly (Escalate no-ops when the caller's observed
@@ -134,6 +142,10 @@ class TerminalLocalizer {
   double r_proof_ = 0.0;
   std::shared_ptr<const ShardMask> mask_;
 };
+
+// Bytes retained by the calling thread's localizer scratch (counted in
+// ThreadScratchBytes, fast_solver.h).
+std::size_t ThreadLocalizerScratchBytes();
 
 }  // namespace q::steiner
 

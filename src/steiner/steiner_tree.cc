@@ -1,8 +1,7 @@
 #include "steiner/steiner_tree.h"
 
 #include <algorithm>
-#include <functional>
-#include <unordered_map>
+#include <cstdint>
 #include <unordered_set>
 
 namespace q::steiner {
@@ -49,6 +48,62 @@ std::vector<graph::NodeId> TreeNodes(const graph::SearchGraph& graph,
   return out;
 }
 
+namespace {
+
+// The distinct endpoints of `tree`'s edges, ascending, into *nodes.
+void SortedEndpoints(const graph::SearchGraph& graph, const SteinerTree& tree,
+                     std::vector<graph::NodeId>* nodes) {
+  nodes->clear();
+  nodes->reserve(2 * tree.edges.size());
+  for (graph::EdgeId e : tree.edges) {
+    const graph::EdgeView edge = graph.edge(e);
+    nodes->push_back(edge.u);
+    nodes->push_back(edge.v);
+  }
+  std::sort(nodes->begin(), nodes->end());
+  nodes->erase(std::unique(nodes->begin(), nodes->end()), nodes->end());
+}
+
+// Position of `node` in the ascending `nodes`, which hold it.
+std::uint32_t PositionOf(const std::vector<graph::NodeId>& nodes,
+                         graph::NodeId node) {
+  return static_cast<std::uint32_t>(
+      std::lower_bound(nodes.begin(), nodes.end(), node) - nodes.begin());
+}
+
+// IsValidSteinerTree for a tree with edges, over its sorted endpoints:
+// a flat union-find over their positions finds any cycle, and an acyclic
+// edge set is connected iff it has one node more than edges. `parent` is
+// scratch.
+bool IsValidOver(const graph::SearchGraph& graph, const SteinerTree& tree,
+                 const std::vector<graph::NodeId>& terminals,
+                 const std::vector<graph::NodeId>& nodes,
+                 std::vector<std::uint32_t>* parent) {
+  parent->resize(nodes.size());
+  for (std::uint32_t i = 0; i < nodes.size(); ++i) (*parent)[i] = i;
+  auto find = [parent](std::uint32_t x) {
+    while ((*parent)[x] != x) {
+      (*parent)[x] = (*parent)[(*parent)[x]];
+      x = (*parent)[x];
+    }
+    return x;
+  };
+  for (graph::EdgeId e : tree.edges) {
+    const graph::EdgeView edge = graph.edge(e);
+    const std::uint32_t ru = find(PositionOf(nodes, edge.u));
+    const std::uint32_t rv = find(PositionOf(nodes, edge.v));
+    if (ru == rv) return false;  // cycle
+    (*parent)[ru] = rv;
+  }
+  if (nodes.size() != tree.edges.size() + 1) return false;  // a forest
+  for (graph::NodeId t : terminals) {
+    if (!std::binary_search(nodes.begin(), nodes.end(), t)) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 bool IsValidSteinerTree(const graph::SearchGraph& graph,
                         const SteinerTree& tree,
                         const std::vector<graph::NodeId>& terminals) {
@@ -59,59 +114,33 @@ bool IsValidSteinerTree(const graph::SearchGraph& graph,
     }
     return true;
   }
-  // Union-find over touched nodes; acyclic iff every union succeeds.
-  std::unordered_map<graph::NodeId, graph::NodeId> parent;
-  std::function<graph::NodeId(graph::NodeId)> find =
-      [&](graph::NodeId x) -> graph::NodeId {
-    auto it = parent.find(x);
-    if (it == parent.end()) {
-      parent[x] = x;
-      return x;
-    }
-    if (it->second == x) return x;
-    graph::NodeId root = find(it->second);
-    parent[x] = root;
-    return root;
-  };
-  for (graph::EdgeId e : tree.edges) {
-    const graph::EdgeView edge = graph.edge(e);
-    graph::NodeId ru = find(edge.u);
-    graph::NodeId rv = find(edge.v);
-    if (ru == rv) return false;  // cycle
-    parent[ru] = rv;
-  }
-  // Connected: all touched nodes share one root.
-  std::vector<graph::NodeId> touched;
-  touched.reserve(parent.size());
-  for (const auto& [node, unused] : parent) touched.push_back(node);
-  graph::NodeId root = graph::kInvalidNode;
-  for (graph::NodeId node : touched) {
-    graph::NodeId r = find(node);
-    if (root == graph::kInvalidNode) root = r;
-    if (r != root) return false;
-  }
-  // All terminals present in the tree's component.
-  for (graph::NodeId t : terminals) {
-    auto it = parent.find(t);
-    if (it == parent.end()) return false;
-    if (find(t) != root) return false;
-  }
-  return true;
+  std::vector<graph::NodeId> nodes;
+  std::vector<std::uint32_t> parent;
+  SortedEndpoints(graph, tree, &nodes);
+  return IsValidOver(graph, tree, terminals, nodes, &parent);
 }
 
 bool IsProperSteinerTree(const graph::SearchGraph& graph,
                          const SteinerTree& tree,
                          const std::vector<graph::NodeId>& terminals) {
-  if (!IsValidSteinerTree(graph, tree, terminals)) return false;
-  std::unordered_map<graph::NodeId, int> degree;
+  if (tree.edges.empty()) return IsValidSteinerTree(graph, tree, terminals);
+  std::vector<graph::NodeId> nodes;
+  std::vector<std::uint32_t> scratch;
+  SortedEndpoints(graph, tree, &nodes);
+  if (!IsValidOver(graph, tree, terminals, nodes, &scratch)) return false;
+  // Every leaf must be a terminal.
+  std::vector<std::uint32_t>& degree = scratch;
+  degree.assign(nodes.size(), 0);
   for (graph::EdgeId e : tree.edges) {
-    ++degree[graph.edge(e).u];
-    ++degree[graph.edge(e).v];
+    const graph::EdgeView edge = graph.edge(e);
+    ++degree[PositionOf(nodes, edge.u)];
+    ++degree[PositionOf(nodes, edge.v)];
   }
-  std::unordered_set<graph::NodeId> terminal_set(terminals.begin(),
-                                                 terminals.end());
-  for (const auto& [node, d] : degree) {
-    if (d == 1 && terminal_set.count(node) == 0) return false;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (degree[i] == 1 && std::find(terminals.begin(), terminals.end(),
+                                    nodes[i]) == terminals.end()) {
+      return false;
+    }
   }
   return true;
 }

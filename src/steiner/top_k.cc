@@ -291,6 +291,11 @@ std::vector<SteinerTree> TopKSteinerTrees(
     const SnapshotPin* pin) {
   if (certificate != nullptr) *certificate = RelevanceCertificate{};
   if (terminals.empty() || config.k <= 0) return {};
+  // A terminal outside the graph connects to nothing. The solvers index
+  // per-thread scratch by terminal, so it must not reach them.
+  for (graph::NodeId t : terminals) {
+    if (t >= graph.num_nodes()) return {};
+  }
 
   const bool use_kmb =
       config.approximate || graph.num_nodes() > config.approximate_above_nodes;

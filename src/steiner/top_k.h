@@ -74,7 +74,8 @@ struct TopKConfig {
 // trees comes first, and depends only on the tree's edges and the
 // terminals as passed (see "Branching order" in docs/query_engine.md).
 // Returns fewer than k trees when the space is exhausted or terminals are
-// disconnected.
+// disconnected, and none when a terminal id is not a node of `graph`
+// (>= graph.num_nodes()).
 std::vector<SteinerTree> TopKSteinerTrees(
     const graph::SearchGraph& graph, const graph::WeightVector& weights,
     const std::vector<graph::NodeId>& terminals, const TopKConfig& config);

@@ -41,6 +41,11 @@ class DaryHeap {
   void Drain(std::size_t n) {
     for (std::uint32_t id : heap_) pos_[id] = kAbsent;
     heap_.clear();
+    Reserve(n);
+  }
+
+  // Grows the index arrays to hold ids below `n`, keeping queued ids.
+  void Reserve(std::size_t n) {
     if (key_.size() < n) key_.resize(n);
     if (pos_.size() < n) pos_.resize(n, kAbsent);
   }

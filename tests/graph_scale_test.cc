@@ -5,13 +5,16 @@
 // bitwise identical CSR snapshots — while costing a fraction of the
 // bytes, at least 2x less at 10k and 100k sources; the
 // streaming catalog generator must scale linearly with realistic
-// domain-hub topology; and sharded terminal-local search over generated
-// catalogs must reproduce unsharded output exactly.
+// domain-hub topology; sharded terminal-local search over generated
+// catalogs must reproduce unsharded output exactly; and a thread serving
+// it must hold scratch sized to its masks, not to the catalog.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "data/synthetic.h"
@@ -20,6 +23,7 @@
 #include "reference_graph_rep.h"
 #include "relational/catalog.h"
 #include "steiner/csr.h"
+#include "steiner/fast_solver.h"
 #include "steiner/top_k.h"
 #include "util/random.h"
 
@@ -322,6 +326,91 @@ TEST(StreamingCatalogTest, ShardedSearchMatchesUnshardedOnGeneratedCatalog) {
       EXPECT_EQ(a[i].cost, b[i].cost) << i;
     }
   }
+}
+
+// Terminal sets of recent-source window requests, as qbench's catalog
+// workload draws them: an attribute node among the latest tenth of the
+// catalog plus two attribute nodes within eight mean edge costs of it.
+std::vector<std::vector<NodeId>> WindowRequests(const SearchGraph& graph,
+                                                const WeightVector& weights,
+                                                std::uint64_t seed,
+                                                std::size_t count) {
+  double hop_cost = 0.0;
+  const std::size_t sample = std::min<std::size_t>(graph.num_edges(), 256);
+  for (EdgeId e = 0; e < sample; ++e) hop_cost += graph.EdgeCost(e, weights);
+  hop_cost = sample > 0 && hop_cost > 0.0 ? hop_cost / sample : 1.0;
+  util::Rng rng(seed);
+  DistanceField field;
+  std::vector<std::vector<NodeId>> out;
+  while (out.size() < count) {
+    const auto t0 = static_cast<NodeId>(
+        graph.num_nodes() - 1 - rng.Uniform(graph.num_nodes() / 10 + 1));
+    if (graph.node(t0).kind != NodeKind::kAttribute) continue;
+    graph.Dijkstra({{t0, 0.0}}, weights, 8.0 * hop_cost, &field);
+    std::vector<NodeId> window;
+    for (NodeId n : field.reached()) {
+      if (n != t0 && graph.node(n).kind == NodeKind::kAttribute) {
+        window.push_back(n);
+      }
+    }
+    if (window.size() < 2) continue;
+    std::vector<NodeId> terminals = {t0};
+    while (terminals.size() < 3) {
+      const NodeId t = window[rng.Uniform(window.size())];
+      if (std::find(terminals.begin(), terminals.end(), t) ==
+          terminals.end()) {
+        terminals.push_back(t);
+      }
+    }
+    out.push_back(std::move(terminals));
+  }
+  return out;
+}
+
+// Serving memory tracks the mask, not the catalog: every per-thread array
+// a masked solve or a mask build touches is indexed by view ids or ball
+// slots, so a fresh thread that serves 100 sharded window requests (the
+// catalog workload's request config) retains about as much search scratch
+// on the 100k-source catalog as on the 10k one. With catalog-sized
+// union-finds, remaps, overlay flags and localizer arrays it grew tenfold.
+TEST(StreamingCatalogTest, ServingScratchTracksMaskNotCatalog) {
+  const std::size_t tiers[] = {10000, 100000};
+  std::size_t bytes[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE(std::to_string(tiers[i]) + " sources");
+    util::Rng rng(9000 + tiers[i] % 997);
+    FeatureSpace space;
+    CostModel model(&space, CostModelConfig{});
+    SearchGraph graph;
+    ASSERT_TRUE(data::BuildStreamingCatalog(tiers[i],
+                                            data::StreamingCatalogOptions{},
+                                            &rng, /*catalog=*/nullptr, &model,
+                                            &graph)
+                    .ok());
+    WeightVector weights(&space);
+    steiner::TopKConfig config;
+    config.k = 3;
+    config.max_subproblems = 300;
+    config.sharded.enabled = true;
+    steiner::FastSteinerEngine engine(graph, weights);
+    const auto requests = WindowRequests(graph, weights, /*seed=*/1, 100);
+    std::size_t served = 0;
+    std::thread client([&] {
+      for (const auto& terminals : requests) {
+        if (!steiner::TopKSteinerTrees(graph, weights, terminals, config,
+                                       &engine)
+                 .empty()) {
+          ++served;
+        }
+      }
+      bytes[i] = steiner::ThreadScratchBytes();
+    });
+    client.join();
+    EXPECT_EQ(served, requests.size());
+    EXPECT_GT(bytes[i], 0u);
+  }
+  EXPECT_LE(bytes[1], 2 * bytes[0])
+      << "10k: " << bytes[0] << " B, 100k: " << bytes[1] << " B";
 }
 
 }  // namespace

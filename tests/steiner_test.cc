@@ -138,6 +138,20 @@ TEST(SteinerTreeTest, ValidityChecks) {
   SteinerTree empty{{}, 0.0};
   EXPECT_TRUE(IsValidSteinerTree(tg.graph, empty, {1, 1}));
   EXPECT_FALSE(IsValidSteinerTree(tg.graph, empty, {0, 1}));
+
+  SteinerTree repeated{{e01, e01}, 2.0};
+  EXPECT_FALSE(IsValidSteinerTree(tg.graph, repeated, {0, 1}));
+
+  // Proper: every leaf a terminal.
+  EXPECT_TRUE(IsProperSteinerTree(tg.graph, path, {0, 2}));
+  EXPECT_TRUE(IsProperSteinerTree(tg.graph, path, {2, 1, 0}));
+  EXPECT_FALSE(IsProperSteinerTree(tg.graph, path, {0, 1}));
+  EXPECT_FALSE(IsProperSteinerTree(tg.graph, cycle, {0, 2}));
+  SteinerTree star{{e01, e12, e23}, 3.0};
+  EXPECT_TRUE(IsProperSteinerTree(tg.graph, star, {0, 3}));
+  EXPECT_FALSE(IsProperSteinerTree(tg.graph, star, {1, 3}));
+  EXPECT_TRUE(IsProperSteinerTree(tg.graph, empty, {1, 1}));
+  EXPECT_FALSE(IsProperSteinerTree(tg.graph, empty, {0, 1}));
 }
 
 TEST(SteinerTreeTest, SymmetricLoss) {
@@ -507,6 +521,42 @@ TEST(TopKTest, EmptyTerminalsAndZeroK) {
   EXPECT_TRUE(TopKSteinerTrees(tg.graph, *tg.weights, {0, 1}, config).empty());
   config.k = 3;
   EXPECT_TRUE(TopKSteinerTrees(tg.graph, *tg.weights, {}, config).empty());
+}
+
+// A terminal id that names no node yields no trees on every path (exact
+// and KMB, sharded or not, owned or shared engine) instead of indexing
+// per-thread scratch out of range; the sanitizer jobs run this.
+TEST(TopKTest, TerminalOutsideGraphYieldsNoTrees) {
+  TestGraph tg(3);
+  tg.AddEdge(0, 1, 1.0);
+  tg.AddEdge(1, 2, 1.0);
+  FastSteinerEngine engine(tg.graph, *tg.weights);
+  for (NodeId outside : {NodeId{3}, NodeId{1000000}, graph::kInvalidNode}) {
+    for (bool approximate : {false, true}) {
+      for (bool sharded : {false, true}) {
+        TopKConfig config;
+        config.k = 3;
+        config.approximate = approximate;
+        config.sharded.enabled = sharded;
+        config.sharded.target_shard_nodes = 1;
+        const std::string label = "terminal " + std::to_string(outside) +
+                                  (approximate ? " kmb" : " exact") +
+                                  (sharded ? " sharded" : "");
+        EXPECT_TRUE(
+            TopKSteinerTrees(tg.graph, *tg.weights, {0, outside}, config)
+                .empty())
+            << label;
+        EXPECT_TRUE(TopKSteinerTrees(tg.graph, *tg.weights, {outside, 2},
+                                     config, &engine)
+                        .empty())
+            << label;
+        EXPECT_FALSE(
+            TopKSteinerTrees(tg.graph, *tg.weights, {0, 2}, config, &engine)
+                .empty())
+            << label;
+      }
+    }
+  }
 }
 
 TEST(ProblemTest, ForcedCycleInvalid) {
