@@ -327,7 +327,6 @@ inline QualityEnv BootstrapQuality(int top_y = 2, bool use_metadata = true,
   config.top_y = top_y;
   config.use_metadata_matcher = use_metadata;
   config.use_mad_matcher = use_mad;
-  config.mira.k = 5;
   // The paper's keyword queries match their target schema elements and
   // values near-exactly and in *different* tables, so every candidate
   // tree must cross an association edge — which is what lets MIRA see

@@ -8,6 +8,10 @@
 #   2. Source doc references: every `docs/<file>.md` that a `.h` or `.cc`
 #      file under src/ mentions must exist — stale doc pointers in the
 #      code are treated as build breakage.
+#   3. Doc file paths: every backticked path under src/, tests/, bench/,
+#      scripts/, examples/ or qbench/ that README.md or docs/*.md names
+#      must match a file. Only paths with an extension count (directories
+#      are skipped), and a trailing `.*` matches any extension.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,6 +49,24 @@ while IFS= read -r src; do
     fi
   done < <(grep -oE 'docs/[A-Za-z0-9_.-]+\.md' "${src}" | sort -u)
 done < <(find src -type f \( -name '*.h' -o -name '*.cc' \) | sort)
+
+# --- 3. file paths named by the docs -----------------------------------------
+path_re='(^|[^A-Za-z0-9_./-])(src|tests|bench|scripts|examples|qbench)/[A-Za-z0-9_./-]*\.([A-Za-z0-9_]+|\*)'
+for md in README.md docs/*.md; do
+  [[ -f "${md}" ]] || continue
+  while IFS=: read -r line span; do
+    while IFS= read -r path; do
+      path="${path#[^a-z]}"           # drop the delimiter the match began with
+      if [[ "${path}" == *'.*' ]]; then
+        compgen -G "${path}" > /dev/null && continue
+      elif [[ -f "${path}" ]]; then
+        continue
+      fi
+      echo "check_docs: ${md}:${line}: names missing ${path}"
+      fail=1
+    done < <(grep -oE "${path_re}" <<< "${span}")
+  done < <(grep -noE '`[^`]+`' "${md}")
+done
 
 if [[ "${fail}" == "1" ]]; then
   echo "check_docs: FAIL"

@@ -134,18 +134,17 @@ util::Status AsyncRefreshScheduler::RebuildViews(
   for (std::size_t slot : slots) {
     cv_.wait(lock, [this] { return staged_in_flight_ < kMaxStagedViews; });
     lock.unlock();
-    auto staged = std::make_shared<RefreshEngine::StagedRebuild>(
-        engine_->StageRebuild(slot, *base_, *weights_));
-    const util::Status expanded =
-        engine_->ExpandStaged(staged.get(), *index_, model_);
-    if (expanded.ok()) staged->weights = engine_->ServingWeights(*weights_);
+    util::Result<RefreshEngine::StagedRebuild> built =
+        engine_->Stage(slot, *base_, *index_, model_, *weights_);
     lock.lock();
-    if (!expanded.ok()) {
+    if (!built.ok()) {
       // The slot is untouched and keeps its published snapshot.
-      record(slot, expanded);
-      if (first_error.ok()) first_error = expanded;
+      record(slot, built.status());
+      if (first_error.ok()) first_error = built.status();
       continue;
     }
+    auto staged = std::make_shared<RefreshEngine::StagedRebuild>(
+        std::move(built).value());
     // The queue would coalesce a task submitted while one is pending. The
     // round drained it, and the owner's feedback lock keeps every other
     // submitter out, so this search is the slot's only task.

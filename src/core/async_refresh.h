@@ -50,7 +50,7 @@ struct AsyncRefreshStats {
 //   * The round (the caller's thread): bumps the epoch, classifies every
 //     idle view from its revisions (RefreshEngine::ClassifyViewForAsync)
 //     and validates the up-to-date ones at the new epoch on the spot.
-//     Views whose query graph must be re-expanded are rebuilt beside
+//     Views whose query graph must be rebuilt are rebuilt beside
 //     their slots and installed before the round returns (RebuildViews);
 //     views with a weight delta get a repair task queued.
 //   * Repair tasks (pool threads, one per affected view): re-cost a copy
@@ -126,12 +126,12 @@ class AsyncRefreshScheduler {
   // base. Every view the change reaches is rebuilt beside its slot and
   // installed before the call returns, so the ack leaves those views
   // fresh. Per view, in slot order (the order features are interned in),
-  // the caller's thread copies the base graph and expands the keywords
-  // (expansion interns features); then a repair thread builds the engine,
-  // searches the staged pair at a weight copy materialized over every
-  // feature interned so far, installs query graph, engine and searched
-  // snapshot together and validates the view at the round's epoch. While
-  // view i+1 is copied and expanded, earlier views' searches run; at most
+  // the caller's thread stages the query graph (RefreshEngine::Stage,
+  // which interns features) with a weight copy materialized over every
+  // feature interned so far; then a repair thread builds the engine,
+  // searches the staged pair at that copy, installs query graph, engine
+  // and searched snapshot together and validates the view at the round's
+  // epoch. While view i+1 is staged, earlier views' searches run; at most
   // kMaxStagedViews are staged but not installed. Until its install a
   // view's readers read its old published snapshot. A failed search
   // installs nothing (the view reads stale) and is recorded like a failed

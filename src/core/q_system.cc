@@ -235,24 +235,23 @@ util::Result<std::size_t> QSystem::CreateView(
     std::vector<std::string> keywords) {
   std::lock_guard<std::mutex> lock(feedback_mu_);
   // Repairs index the engine's slot table, which registration grows, and
-  // read the feature space, which expansion grows: quiesce them first.
+  // read the feature space, which Stage grows: quiesce them first.
   scheduler_->Quiesce();
   auto view = std::make_unique<query::TopKView>(std::move(keywords),
                                                 config_.view);
   const std::size_t slot = refresh_.RegisterView(view.get());
-  RefreshEngine::StagedRebuild staged =
-      refresh_.StageRebuild(slot, graph_, weights_);
-  util::Status status = refresh_.ExpandStaged(&staged, index_, &model_);
+  util::Result<RefreshEngine::StagedRebuild> staged =
+      refresh_.Stage(slot, graph_, index_, &model_, weights_);
+  util::Status status = staged.status();
   if (status.ok()) {
-    staged.weights = refresh_.ServingWeights(weights_);
-    refresh_.SearchStaged(&staged, catalog_);
-    status = staged.snapshot.status();
+    refresh_.SearchStaged(&*staged, catalog_);
+    status = staged->snapshot.status();
   }
   if (!status.ok()) {
     refresh_.UnregisterLastView();
     return status;
   }
-  refresh_.InstallStaged(&staged, graph_, weights_);
+  refresh_.InstallStaged(&*staged, graph_, weights_);
   scheduler_->TrackView(slot, view.get());
   views_.push_back(std::move(view));
   return views_.size() - 1;

@@ -1,21 +1,8 @@
 #include "core/refresh_engine.h"
 
-#include <limits>
 #include <utility>
 
 namespace q::core {
-
-namespace {
-
-// A finite association-cost threshold makes the query-graph topology a
-// function of the weights (edges are pruned by current cost), so only the
-// infinite-threshold default may be re-costed in place.
-bool WeightIndependentTopology(const query::TopKView& view) {
-  return view.config().query_graph.association_cost_threshold ==
-         std::numeric_limits<double>::infinity();
-}
-
-}  // namespace
 
 std::size_t RefreshEngine::RegisterView(query::TopKView* view) {
   Slot slot;
@@ -69,15 +56,12 @@ AsyncViewClass RefreshEngine::ClassifyViewForAsync(
     std::size_t slot_id, const graph::SearchGraph& base,
     const graph::WeightVector& weights) {
   const Slot& slot = slots_[slot_id];
-  const query::TopKView& view = *slot.view;
-  // First build, topology that depends on the weights, or a structural
-  // delta (in-place edge mutations included): the query graph must be
-  // re-expanded.
-  if (!slot.built || !WeightIndependentTopology(view) ||
-      slot.graph_revision != base.revision()) {
+  // First build, or a structural delta (in-place edge mutations
+  // included): the query graph must be rebuilt.
+  if (!slot.built || slot.graph_revision != base.revision()) {
     return AsyncViewClass::kRebuild;
   }
-  if (slot.weight_revision == weights.revision() && view.refreshed()) {
+  if (slot.weight_revision == weights.revision()) {
     RefreshEngineStats local;
     ++local.refreshes_skipped;
     MergeStats(local);
@@ -88,24 +72,19 @@ AsyncViewClass RefreshEngine::ClassifyViewForAsync(
   return AsyncViewClass::kRepair;
 }
 
-RefreshEngine::StagedRebuild RefreshEngine::StageRebuild(
+util::Result<RefreshEngine::StagedRebuild> RefreshEngine::Stage(
     std::size_t slot_id, const graph::SearchGraph& base,
-    const graph::WeightVector& weights) const {
+    const text::TextIndex& index, graph::CostModel* model,
+    const graph::WeightVector& weights) {
   Q_CHECK(slot_id < slots_.size());
+  const query::TopKView& view = *slots_[slot_id].view;
   StagedRebuild staged;
   staged.slot = slot_id;
-  staged.query_graph = query::CopyBaseGraph(
-      base, weights, slots_[slot_id].view->config().query_graph);
+  Q_ASSIGN_OR_RETURN(staged.query_graph,
+                     query::BuildQueryGraph(base, index, view.keywords(),
+                                            model, view.config().query_graph));
+  staged.weights = ServingWeights(weights);
   return staged;
-}
-
-util::Status RefreshEngine::ExpandStaged(StagedRebuild* staged,
-                                         const text::TextIndex& index,
-                                         graph::CostModel* model) const {
-  const query::TopKView& view = *slots_[staged->slot].view;
-  return query::ExpandKeywords(index, view.keywords(), model,
-                               view.config().query_graph,
-                               &staged->query_graph);
 }
 
 void RefreshEngine::SearchStaged(StagedRebuild* staged,
@@ -116,8 +95,7 @@ void RefreshEngine::SearchStaged(StagedRebuild* staged,
   // change, so this reads nothing the writer or a reader mutates.
   const query::TopKView& view = *slots_[staged->slot].view;
   staged->engine = std::make_unique<steiner::FastSteinerEngine>(
-      staged->query_graph.graph, *staged->weights,
-      view.config().top_k.use_sp_cache);
+      staged->query_graph.graph, *staged->weights);
   staged->snapshot =
       view.BuildSearchSnapshot(staged->query_graph, catalog, *staged->weights,
                                staged->engine.get(), /*pin=*/nullptr);
@@ -154,12 +132,11 @@ util::Status RefreshEngine::RepairViewAsync(
   }
   Slot& slot = slots_[slot_id];
   query::TopKView& view = *slot.view;
-  if (!slot.built || !WeightIndependentTopology(view) ||
-      slot.graph_revision != base.revision()) {
+  if (!slot.built || slot.graph_revision != base.revision()) {
     return util::Status::Internal("view needs a rebuild, not a repair");
   }
   RefreshEngineStats local;
-  if (slot.weight_revision == weights->revision() && view.refreshed()) {
+  if (slot.weight_revision == weights->revision()) {
     ++local.refreshes_skipped;  // nothing moved at all
     MergeStats(local);
     return util::Status::OK();

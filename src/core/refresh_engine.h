@@ -58,8 +58,8 @@ struct RefreshEngineStats {
 // refresh round (core::AsyncRefreshScheduler), before any repair work
 // runs (docs/query_engine.md, "View refresh").
 enum class AsyncViewClass {
-  // Slot revisions match the base state and the view is refreshed:
-  // nothing to do, the published output is current.
+  // Slot revisions match the base state: nothing to do, the published
+  // output is current.
   kUpToDate,
   // A weight change over unchanged topology: a repair task re-costs a
   // copy of the snapshot and, unless the re-cost moved nothing, searches
@@ -67,9 +67,9 @@ enum class AsyncViewClass {
   // graph or the feature space, so repairs run beside each other and
   // beside readers.
   kRepair,
-  // The query graph must be re-expanded: a first build, topology that
-  // depends on the weights, or any structural delta. The round rebuilds
-  // it beside the slot through the staged steps (StagedRebuild).
+  // The query graph must be rebuilt: a first build, or any structural
+  // delta. The round rebuilds it beside the slot through the staged steps
+  // (StagedRebuild).
   kRebuild,
 };
 
@@ -90,9 +90,9 @@ enum class AsyncViewClass {
 //                     (FastSteinerEngine::Recosted); a re-cost that moved
 //                     no cost of the view commits without a search;
 //   * rebuild       — the query graph may have changed (any graph
-//                     mutation, including in-place edge mutations, or
-//                     weight-dependent topology): the view is rebuilt and
-//                     searched beside its slot and installed whole.
+//                     mutation, including in-place edge mutations): the
+//                     view is rebuilt and searched beside its slot and
+//                     installed whole.
 //
 // Every path produces output bit-identical to an independent
 // TopKView::Refresh of the view (the determinism contract,
@@ -101,10 +101,6 @@ enum class AsyncViewClass {
 // paths build beside the slot and install whole: a failed search
 // installs nothing, so the view keeps its published snapshot (readers
 // read only that) and the next round retries it.
-//
-// A view whose QueryGraphOptions::association_cost_threshold is finite
-// has weight-dependent topology (association edges are pruned by current
-// cost), so weight updates rebuild that view.
 class RefreshEngine {
  public:
   // Registers a view and reserves its snapshot slot; the caller builds the
@@ -123,7 +119,7 @@ class RefreshEngine {
   // A priced copy of `weights` (graph::WeightVector::Materialized),
   // memoized by revision and feature-space size, so a round copies the
   // vector once per size no matter how many views it prices, and a search
-  // beside a later view's expansion never falls through to the feature
+  // beside a later view's Stage never falls through to the feature
   // space. Reads the feature space: not concurrent with interning. Callers
   // serialize (the owner's feedback lock).
   std::shared_ptr<const graph::WeightVector> ServingWeights(
@@ -163,50 +159,47 @@ class RefreshEngine {
   // and the rebuilt one right after it. The steps, in the order a round
   // (or QSystem::CreateView) runs them:
   //
-  //   1. StageRebuild: copies the base graph.
-  //   2. ExpandStaged (the owner's writer thread): expands the keywords,
-  //      interning their match features. Views expand in slot order.
-  //   3. SearchStaged (any thread): builds the staged engine and searches
+  //   1. Stage (the owner's writer thread): builds the query graph,
+  //      interning its match features. Views stage in slot order.
+  //   2. SearchStaged (any thread): builds the staged engine and searches
   //      the staged pair.
-  //   4. InstallStaged: swaps query graph, engine and searched snapshot in
+  //   3. InstallStaged: swaps query graph, engine and searched snapshot in
   //      together, or installs nothing when the search failed.
   struct StagedRebuild {
     std::size_t slot = 0;
     query::QueryGraph query_graph;
-    // The weights the staged engine and search price with. The caller
-    // sets them between steps 2 and 3 to ServingWeights() of the live
-    // vector, a copy materialized over every feature interned so far: the
-    // search may run while a later view's expansion grows the feature
-    // space, which an unset id's initial-weight fallback would read.
+    // The weights the staged engine and search price with: ServingWeights()
+    // of the live vector, a copy materialized over every feature interned
+    // so far, because the search may run while a later view's Stage grows
+    // the feature space, which an unset id's initial-weight fallback
+    // would read.
     std::shared_ptr<const graph::WeightVector> weights;
     std::unique_ptr<steiner::FastSteinerEngine> engine;
-    // Step 3's outcome. An error installs nothing: the slot keeps its
+    // Step 2's outcome. An error installs nothing: the slot keeps its
     // query graph, engine and published snapshot, and the next round
     // rebuilds it.
     util::Result<query::ViewSnapshot> snapshot =
         util::Status::Internal("staged rebuild not searched");
   };
 
-  // Step 1: a staged rebuild of `slot` holding a copy of `base`. Reads
-  // only `base` and `weights` (association-threshold filtering).
-  StagedRebuild StageRebuild(std::size_t slot, const graph::SearchGraph& base,
-                             const graph::WeightVector& weights) const;
+  // Step 1: a staged rebuild of `slot` holding its view's query graph over
+  // `base` (query::BuildQueryGraph against `index`) and ServingWeights of
+  // `weights`. Interns the match features into `model`'s feature space, so
+  // it runs on the owner's writer thread. Fails, touching no slot, when a
+  // keyword matches nothing.
+  util::Result<StagedRebuild> Stage(std::size_t slot,
+                                    const graph::SearchGraph& base,
+                                    const text::TextIndex& index,
+                                    graph::CostModel* model,
+                                    const graph::WeightVector& weights);
 
-  // Step 2: expands the staged graph's keywords against `index`,
-  // interning their features into `model`'s feature space, so it runs on
-  // the owner's writer thread. On failure (a keyword that matches
-  // nothing) drop the staged rebuild: the slot is untouched.
-  util::Status ExpandStaged(StagedRebuild* staged,
-                            const text::TextIndex& index,
-                            graph::CostModel* model) const;
-
-  // Step 3: builds the staged engine at staged->weights and searches the
+  // Step 2: builds the staged engine at staged->weights and searches the
   // staged pair into staged->snapshot. Touches no slot state, the feature
   // space or the text index, so it may run on a repair thread beside
-  // another view's step 2.
+  // another view's step 1.
   void SearchStaged(StagedRebuild* staged, const relational::Catalog& catalog);
 
-  // Step 4: when the staged search succeeded, makes the staged query graph
+  // Step 3: when the staged search succeeded, makes the staged query graph
   // and engine the slot's, publishes the staged snapshot and commits the
   // slot at (base, weights); the replaced query graph and engine are left
   // in `*staged`. A failed search installs nothing.

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "graph/feature.h"
@@ -20,20 +19,6 @@ enum class FeedbackKind : std::uint8_t {
   kRanking = 2,  // pairwise ranking constraint
   kGold = 3,     // simulated-expert gold endorsement
 };
-
-inline std::string_view FeedbackKindToString(FeedbackKind kind) {
-  switch (kind) {
-    case FeedbackKind::kEndorse:
-      return "endorse";
-    case FeedbackKind::kInvalid:
-      return "invalid";
-    case FeedbackKind::kRanking:
-      return "ranking";
-    case FeedbackKind::kGold:
-      return "gold";
-  }
-  return "unknown";
-}
 
 // One recorded feedback interaction: the keyword query it was given on,
 // plus the coalesced weight movement the MIRA update produced. The

@@ -75,36 +75,6 @@ const std::string& EmptyString() {
 
 }  // namespace
 
-std::string_view NodeKindToString(NodeKind kind) {
-  switch (kind) {
-    case NodeKind::kRelation:
-      return "relation";
-    case NodeKind::kAttribute:
-      return "attribute";
-    case NodeKind::kValue:
-      return "value";
-    case NodeKind::kKeyword:
-      return "keyword";
-  }
-  return "?";
-}
-
-std::string_view EdgeKindToString(EdgeKind kind) {
-  switch (kind) {
-    case EdgeKind::kMembership:
-      return "membership";
-    case EdgeKind::kForeignKey:
-      return "foreign_key";
-    case EdgeKind::kAssociation:
-      return "association";
-    case EdgeKind::kKeywordMatch:
-      return "keyword_match";
-    case EdgeKind::kValueMembership:
-      return "value_membership";
-  }
-  return "?";
-}
-
 // --- pools -----------------------------------------------------------------
 
 std::uint32_t FeatureVecPool::Intern(FeatureVec vec) {

@@ -32,8 +32,6 @@ enum class NodeKind {
   kKeyword = 3,  // query keyword (query graphs only)
 };
 
-std::string_view NodeKindToString(NodeKind kind);
-
 struct Node {
   NodeKind kind;
   // Canonical label: qualified relation/attribute name, "<attr>=<text>"
@@ -50,8 +48,6 @@ enum class EdgeKind {
   kKeywordMatch = 3, // keyword <-> relation/attribute/value node
   kValueMembership = 4,  // value <-> its attribute (always cost 0)
 };
-
-std::string_view EdgeKindToString(EdgeKind kind);
 
 // Record of one matcher's vote for an association edge.
 struct MatcherScore {

@@ -19,10 +19,8 @@ util::Result<MiraUpdateInfo> MiraLearner::Update(
     const graph::SearchGraph& query_graph,
     const std::vector<graph::NodeId>& terminals,
     const steiner::SteinerTree& target, graph::WeightVector* weights) {
-  steiner::TopKConfig topk = config_.top_k;
-  topk.k = config_.k;
-  std::vector<steiner::SteinerTree> best =
-      steiner::TopKSteinerTrees(query_graph, *weights, terminals, topk);
+  std::vector<steiner::SteinerTree> best = steiner::TopKSteinerTrees(
+      query_graph, *weights, terminals, config_.top_k);
   return UpdateAgainst(query_graph, best, target, weights);
 }
 

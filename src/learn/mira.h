@@ -11,9 +11,8 @@
 namespace q::learn {
 
 struct MiraConfig {
-  // k of KBESTSTEINER in Algorithm 4.
-  int k = 5;
-  steiner::TopKConfig top_k;  // k field below overrides top_k.k
+  // The KBESTSTEINER search of Algorithm 4 (its k is top_k.k).
+  steiner::TopKConfig top_k;
   // Hildreth dual-ascent passes and convergence tolerance for the QP
   //   min ||w - w_prev||^2  s.t.  C(T,w) - C(T_r,w) >= L(T_r,T).
   int max_hildreth_passes = 100;

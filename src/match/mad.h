@@ -41,9 +41,6 @@ using LabelDist = std::vector<std::pair<MadLabel, double>>;
 class LabelPropGraph {
  public:
   std::uint32_t GetOrAddNode(const std::string& key);
-  bool HasNode(const std::string& key) const {
-    return index_.count(key) > 0;
-  }
   std::uint32_t NodeOf(const std::string& key) const {
     return index_.at(key);
   }

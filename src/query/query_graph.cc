@@ -34,12 +34,11 @@ void MixKeywordMatches(std::uint64_t* h, const std::string& keyword,
   }
 }
 
-// Copies `base` into `out`, dropping association edges whose current cost
-// exceeds the threshold. Node ids are preserved; edge ids may shift.
-void CopyGraphFiltered(const graph::SearchGraph& base,
-                       const graph::WeightVector& weights,
-                       double association_cost_threshold,
-                       graph::SearchGraph* out) {
+// Copies `base` into `out` node by node and edge by edge, so every id is
+// kept. Re-adding interns only the live feature vectors into `out`'s
+// pool, where a copy of the whole graph would also carry every vector
+// that an in-place edge mutation of `base` superseded.
+void CopyGraph(const graph::SearchGraph& base, graph::SearchGraph* out) {
   for (graph::NodeId n = 0; n < base.num_nodes(); ++n) {
     const graph::Node& node = base.node(n);
     graph::NodeId added = out->AddNode(node.kind, node.label, node.attr);
@@ -48,47 +47,13 @@ void CopyGraphFiltered(const graph::SearchGraph& base,
     if (!value_text.empty()) out->SetNodeValueText(added, value_text);
   }
   for (graph::EdgeId e = 0; e < base.num_edges(); ++e) {
-    const graph::EdgeView edge = base.edge(e);
-    if (edge.kind == graph::EdgeKind::kAssociation &&
-        base.EdgeCost(e, weights) > association_cost_threshold) {
-      continue;
-    }
     out->AddEdge(base.ExportEdge(e));
   }
 }
 
-}  // namespace
-
-std::uint64_t KeywordMatchFingerprint(const text::TextIndex& index,
-                                      const std::vector<std::string>& keywords,
-                                      const QueryGraphOptions& options) {
-  std::uint64_t h = kFnvOffsetBasis;
-  for (const std::string& keyword : keywords) {
-    MixKeywordMatches(&h, keyword,
-                      index.Search(keyword, options.min_similarity,
-                                   options.max_matches_per_keyword));
-  }
-  return h;
-}
-
-QueryGraph CopyBaseGraph(const graph::SearchGraph& base,
-                         const graph::WeightVector& weights,
-                         const QueryGraphOptions& options) {
-  QueryGraph qg;
-  CopyGraphFiltered(base, weights, options.association_cost_threshold,
-                    &qg.graph);
-  return qg;
-}
-
-util::Result<QueryGraph> BuildQueryGraph(
-    const graph::SearchGraph& base, const text::TextIndex& index,
-    const std::vector<std::string>& keywords, graph::CostModel* model,
-    const graph::WeightVector& weights, const QueryGraphOptions& options) {
-  QueryGraph qg = CopyBaseGraph(base, weights, options);
-  Q_RETURN_NOT_OK(ExpandKeywords(index, keywords, model, options, &qg));
-  return qg;
-}
-
+// Appends to `*out` one keyword node per keyword, the value nodes its
+// matches materialize, and the match edges, and sets its keywords and
+// keyword_fingerprint.
 util::Status ExpandKeywords(const text::TextIndex& index,
                             const std::vector<std::string>& keywords,
                             graph::CostModel* model,
@@ -164,6 +129,30 @@ util::Status ExpandKeywords(const text::TextIndex& index,
     }
   }
   return util::Status::OK();
+}
+
+}  // namespace
+
+std::uint64_t KeywordMatchFingerprint(const text::TextIndex& index,
+                                      const std::vector<std::string>& keywords,
+                                      const QueryGraphOptions& options) {
+  std::uint64_t h = kFnvOffsetBasis;
+  for (const std::string& keyword : keywords) {
+    MixKeywordMatches(&h, keyword,
+                      index.Search(keyword, options.min_similarity,
+                                   options.max_matches_per_keyword));
+  }
+  return h;
+}
+
+util::Result<QueryGraph> BuildQueryGraph(
+    const graph::SearchGraph& base, const text::TextIndex& index,
+    const std::vector<std::string>& keywords, graph::CostModel* model,
+    const QueryGraphOptions& options) {
+  QueryGraph qg;
+  CopyGraph(base, &qg.graph);
+  Q_RETURN_NOT_OK(ExpandKeywords(index, keywords, model, options, &qg));
+  return qg;
 }
 
 }  // namespace q::query

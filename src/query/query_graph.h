@@ -2,7 +2,6 @@
 #define Q_QUERY_QUERY_GRAPH_H_
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -19,16 +18,13 @@ struct QueryGraphOptions {
   double min_similarity = 0.25;
   // Cap on match edges added per keyword (metadata + value matches).
   std::size_t max_matches_per_keyword = 12;
-  // Association edges whose current cost exceeds this threshold are left
-  // out of the query graph (the pruning threshold of Sec. 5.2.2).
-  double association_cost_threshold =
-      std::numeric_limits<double>::infinity();
 };
 
 // The dynamic expansion of the search graph for one keyword query
 // (Sec. 2.2 / Fig. 3): a copy of the search graph plus one keyword node
 // per query term, lazily-materialized value nodes for matching tuples,
-// and weighted keyword-match edges.
+// and weighted keyword-match edges. Its shape depends on the keywords
+// alone; the weights enter only through each edge's cost.
 struct QueryGraph {
   graph::SearchGraph graph;
   std::vector<std::string> keywords;
@@ -50,31 +46,17 @@ std::uint64_t KeywordMatchFingerprint(const text::TextIndex& index,
                                       const std::vector<std::string>& keywords,
                                       const QueryGraphOptions& options);
 
-// The base half of BuildQueryGraph: a copy of `base` (node ids kept,
-// association edges above the options' cost threshold dropped) with no
-// keyword nodes yet. Reads only `base` and `weights` and interns nothing,
-// so it may run while concurrent readers price against the feature space.
-QueryGraph CopyBaseGraph(const graph::SearchGraph& base,
-                         const graph::WeightVector& weights,
-                         const QueryGraphOptions& options);
-
-// The keyword half: appends to `*out` one keyword node per keyword, the
-// value nodes its matches materialize, and the match edges, and sets its
-// keywords and keyword_fingerprint. Reads `index` and interns the
-// match features into `model`'s feature space, so it must not run while
-// anything reads that space through a WeightVector's initial-weight
-// fallback. Fails with NotFound if any keyword matches nothing at or
-// above min_similarity.
-util::Status ExpandKeywords(const text::TextIndex& index,
-                            const std::vector<std::string>& keywords,
-                            graph::CostModel* model,
-                            const QueryGraphOptions& options, QueryGraph* out);
-
-// Builds the query graph: CopyBaseGraph, then ExpandKeywords.
+// Builds the query graph of `keywords` over `base`: a copy of `base` that
+// keeps every node id and edge id, then per keyword a keyword node, the
+// value nodes its matches materialize, and the match edges, all past the
+// base's ids. Interns the match features into `model`'s feature space, so
+// it must not run while anything reads that space through a
+// WeightVector's initial-weight fallback. Fails with NotFound if any
+// keyword matches nothing at or above min_similarity.
 util::Result<QueryGraph> BuildQueryGraph(
     const graph::SearchGraph& base, const text::TextIndex& index,
     const std::vector<std::string>& keywords, graph::CostModel* model,
-    const graph::WeightVector& weights, const QueryGraphOptions& options);
+    const QueryGraphOptions& options);
 
 }  // namespace q::query
 

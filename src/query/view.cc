@@ -11,7 +11,8 @@ util::Status TopKView::Refresh(const graph::SearchGraph& base,
                                const text::TextIndex& index,
                                graph::CostModel* model,
                                const graph::WeightVector& weights) {
-  Q_RETURN_NOT_OK(RebuildQueryGraph(base, index, model, weights));
+  Q_ASSIGN_OR_RETURN(query_graph_, BuildQueryGraph(base, index, keywords_,
+                                                   model, config_.query_graph));
   // Build into a fresh snapshot and publish on success only: a mid-search
   // failure must not leave trees/queries/results mutually inconsistent
   // (result rows index queries by position — see ApplyInvalidFeedback).
@@ -20,17 +21,6 @@ util::Status TopKView::Refresh(const graph::SearchGraph& base,
                                          /*shared_engine=*/nullptr,
                                          /*pin=*/nullptr));
   PublishSnapshot(std::move(built));
-  return util::Status::OK();
-}
-
-util::Status TopKView::RebuildQueryGraph(const graph::SearchGraph& base,
-                                         const text::TextIndex& index,
-                                         graph::CostModel* model,
-                                         const graph::WeightVector& weights) {
-  Q_ASSIGN_OR_RETURN(QueryGraph next,
-                     BuildQueryGraph(base, index, keywords_, model, weights,
-                                     config_.query_graph));
-  ReplaceQueryGraph(std::move(next));
   return util::Status::OK();
 }
 

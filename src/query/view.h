@@ -61,22 +61,15 @@ struct ViewResult {
 // the current search graph and weights (called after feedback updates or
 // new-source registration).
 //
-// A refresh has two phases, exposed separately so the RefreshEngine can
-// skip or share work across views:
-//   1. RebuildQueryGraph — re-expand the base search graph for this
-//      view's keywords (graph copy + text-index matching). Skippable when
-//      only weights changed and the query-graph topology is
-//      weight-independent (see refresh_engine.h).
-//   2. BuildSearchSnapshot, then PublishSnapshot — top-k Steiner search
-//      over the query graph, tree compilation, execution, and ranked
-//      union, optionally served from a caller-owned CSR snapshot, then
-//      published whole.
-// Refresh() runs both phases; the RefreshEngine's refreshes produce
+// Refresh() builds the query graph (BuildQueryGraph), then searches it
+// (BuildSearchSnapshot: top-k Steiner search, tree compilation,
+// execution and ranked union) and publishes the result whole
+// (PublishSnapshot). The RefreshEngine runs the same steps beside the
+// view, skipping the build when only weights changed (the query graph's
+// shape does not depend on them), and installs the result whole
+// (ReplaceQueryGraph, then PublishSnapshot); its refreshes produce
 // bit-identical results (the determinism contract of
-// docs/query_engine.md). Its staged rebuild runs the same phases on a
-// query graph built beside the view (BuildQueryGraph's two halves, then
-// BuildSearchSnapshot over that graph) and installs the result whole
-// (ReplaceQueryGraph, then PublishSnapshot).
+// docs/query_engine.md).
 class TopKView {
  public:
   TopKView(std::vector<std::string> keywords, ViewConfig config)
@@ -88,25 +81,16 @@ class TopKView {
                        graph::CostModel* model,
                        const graph::WeightVector& weights);
 
-  // Phase 1: rebuilds query_graph() from the base search graph. Mutates
-  // `model`'s feature space (keyword-match feature interning), so batched
-  // callers must run this phase serially across views.
-  util::Status RebuildQueryGraph(const graph::SearchGraph& base,
-                                 const text::TextIndex& index,
-                                 graph::CostModel* model,
-                                 const graph::WeightVector& weights);
-
   // Makes `next` the view's query graph and returns the one it replaces,
   // so the caller chooses where that graph's teardown runs. Not safe
   // against a concurrent reader of query_graph().
   QueryGraph ReplaceQueryGraph(QueryGraph next);
 
-  // Phase 2's search: runs the search/compile/execute/union pipeline
-  // against `query_graph` — the view's own query_graph(), or a graph
-  // staged for it that is not installed yet — with this view's config,
-  // and returns the resulting snapshot WITHOUT publishing it (state_ and
-  // the serial counter are untouched; the returned snapshot carries
-  // search_serial 0). `shared_engine`, when non-null, must hold a CSR
+  // Runs the search/compile/execute/union pipeline against `query_graph`
+  // — the view's own query_graph(), or a graph staged for it that is not
+  // installed yet — with this view's config, and returns the resulting
+  // snapshot WITHOUT publishing it (state_ and the serial counter are
+  // untouched; the returned snapshot carries search_serial 0). `shared_engine`, when non-null, must hold a CSR
   // snapshot of (query_graph.graph, weights), or `pin` must: when `pin` is
   // non-null the whole enumeration runs against that pinned snapshot (a
   // repair's re-costed copy, not installed yet). Reads only this view's
@@ -119,10 +103,10 @@ class TopKView {
       steiner::FastSteinerEngine* shared_engine,
       const steiner::SnapshotPin* pin) const;
 
-  // Phase 2's publication: stamps `built` with the next search serial and
-  // swaps it in as the published snapshot in one critical section, and
-  // marks the view refreshed. `built` must be a BuildSearchSnapshot
-  // result over the view's current query graph.
+  // Stamps `built` with the next search serial and swaps it in as the
+  // published snapshot in one critical section, and marks the view
+  // refreshed. `built` must be a BuildSearchSnapshot result over the
+  // view's current query graph.
   void PublishSnapshot(ViewSnapshot built);
 
   const std::vector<std::string>& keywords() const { return keywords_; }

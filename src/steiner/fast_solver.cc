@@ -1157,9 +1157,17 @@ std::optional<SteinerTree> FastSteinerEngine::SolveExactImpl(
   // overlay costs in, so the DP inner loops run flag-free on the small
   // subgraph. The slack makes a terminal falling outside the bound a
   // float-only corner case; if it ever happens, fall back to the
-  // unpruned reachable set (unmasked runs only — under a mask the lifted
-  // threshold proves nothing, so the masked solver escalates instead).
-  const int max_attempts = mask != nullptr ? 1 : 2;
+  // unpruned set (threshold +inf). Under a mask the lifted threshold
+  // proves nothing while some tree clipped an arc, so the masked solver
+  // escalates instead. When none did, the mask holds everything the
+  // terminals reach (nothing to escalate to), and its unpruned set
+  // differs from the unmasked one only by nodes the terminals cannot
+  // reach, which no DP state reaches either.
+  bool clipped = false;
+  for (std::size_t i = 0; i < t; ++i) {
+    clipped = clipped || s.sp_slots[i].mask_min_clip != kInf;
+  }
+  const int max_attempts = clipped ? 1 : 2;
   std::uint32_t n_e = 0;
   bool terminals_covered = false;
   for (int attempt = 0; attempt < max_attempts && !terminals_covered;

@@ -176,9 +176,11 @@ class FastSteinerEngine {
   // as their reads stay local — no radius is charged for the prefix.
   //
   // Any violated condition sets *outcome = kEscalate and returns nullopt
-  // with no verdict — in particular the masked exact solver never runs
-  // the threshold-lifting eligibility retry, because an uncovered
-  // terminal under a mask proves nothing. An escalating solve still
+  // with no verdict — in particular the masked exact solver runs the
+  // threshold-lifting eligibility retry only when no tree clipped an arc
+  // (the mask then holds everything the terminals reach, covers_all
+  // masks among them), because otherwise an uncovered terminal under a
+  // mask proves nothing. An escalating solve still
   // yields one certified fact, reported through `escalate_bound` when
   // non-null: a lower bound on the cost of EVERY tree in the subspace.
   // Any spanning tree's cost is at least the forced prefix plus the

@@ -250,13 +250,13 @@ TerminalLocalizer::TerminalLocalizer(
   }
   if (!all_reachable) {
     // Some terminal is unreachable (or there are none): no finite radius
-    // helps, so publish a covers-all mask and let the unmasked solver
-    // rule on feasibility.
+    // helps, and no subproblem is feasible.
     auto mask = std::make_shared<ShardMask>();
     mask->covers_all = true;
     mask_ = std::move(mask);
     return;
   }
+  connected_ = true;
   r_proof_ = star > 0.0 ? 2.0 * star : 1.0;
   mask_ = Rebuild();
 }
@@ -346,9 +346,8 @@ std::shared_ptr<const ShardMask> TerminalLocalizer::Rebuild() const {
   mask->in_mask.assign(g.num_nodes, 0);
   for (std::uint32_t v : mask->nodes) mask->in_mask[v] = 1;
   mask->covers_all = !clipped || mask->nodes.size() == g.num_nodes;
-  // Materialize the compact local-id view once per epoch; covers_all
-  // masks skip it (callers solve unmasked).
-  if (!mask->covers_all) mask->BuildCompact(g);
+  // Materialize the compact local-id view once per epoch.
+  mask->BuildCompact(g);
   return mask;
 }
 

@@ -63,7 +63,8 @@ struct ShardMask {
   std::vector<std::uint32_t> nodes;    // ascending node ids with in_mask=1
   // True when no escalation can grow the mask further (every node the
   // terminals can reach is already inside, or the mask spans the whole
-  // graph). Callers then solve unmasked.
+  // graph). Such a mask is solved masked like any other: no arc leaves
+  // what the terminals reach, so every masked solve over it certifies.
   bool covers_all = false;
 
   // --- compact local-id view (see the class comment above) -------------
@@ -80,7 +81,8 @@ struct ShardMask {
   }
 
   // Fills the compact view from `csr` (must be the snapshot in_mask/nodes
-  // were computed over). Called once per mask epoch by the localizer.
+  // were computed over). Called once per mask epoch by the localizer,
+  // covers_all masks included.
   void BuildCompact(const CsrGraph& csr);
 };
 
@@ -93,7 +95,8 @@ struct ShardMask {
 // enumeration calls Escalate, which doubles r_proof and rebuilds the
 // mask under a new epoch. Escalation is monotone (the ball only grows)
 // and terminates: once the bounded ball Dijkstra stops clipping at the
-// radius, the mask can never grow again and covers_all is set.
+// radius, the mask holds every node the terminals reach, covers_all is
+// set, and no masked solve over it escalates.
 //
 // Its Dijkstras and mask builds run on per-thread scratch indexed by dense
 // slots that a map from node id hands out, sized to the ball or the mask
@@ -113,12 +116,17 @@ class TerminalLocalizer {
   // Bootstraps r_proof from the star heuristic: a single real-cost
   // Dijkstra from terminals[0] gives star = sum_i d(t0, t_i), an upper
   // bound on the optimal unconstrained tree cost; r_proof starts at
-  // 2 * star. An unreachable terminal (or an empty terminal set) skips
-  // straight to a covers_all mask — the unmasked solver then owns the
-  // infeasibility verdict.
+  // 2 * star. An unreachable terminal (or an empty terminal set) leaves
+  // connected() false with an empty covers_all mask.
   TerminalLocalizer(std::shared_ptr<const CsrGraph> csr,
                     std::shared_ptr<const ShardPartition> shards,
                     std::vector<graph::NodeId> terminals);
+
+  // False when the star Dijkstra could not reach every terminal. Then no
+  // subproblem has a tree (forced edges are arcs of the graph and banned
+  // ones only remove arcs), so callers answer infeasible without a solve
+  // and never escalate.
+  bool connected() const { return connected_; }
 
   Snapshot Acquire() const;
 
@@ -136,6 +144,7 @@ class TerminalLocalizer {
   std::shared_ptr<const CsrGraph> csr_;
   std::shared_ptr<const ShardPartition> shards_;
   std::vector<graph::NodeId> terminals_;
+  bool connected_ = false;
 
   mutable std::mutex mu_;
   std::uint64_t epoch_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_set>
 
 namespace q::steiner {
 
@@ -33,19 +32,6 @@ double TreeCost(const graph::SearchGraph& graph,
   double cost = 0.0;
   for (graph::EdgeId e : tree.edges) cost += graph.EdgeCost(e, weights);
   return cost;
-}
-
-std::vector<graph::NodeId> TreeNodes(const graph::SearchGraph& graph,
-                                     const SteinerTree& tree) {
-  std::unordered_set<graph::NodeId> seen;
-  std::vector<graph::NodeId> out;
-  for (graph::EdgeId e : tree.edges) {
-    const graph::EdgeView edge = graph.edge(e);
-    for (graph::NodeId n : {edge.u, edge.v}) {
-      if (seen.insert(n).second) out.push_back(n);
-    }
-  }
-  return out;
 }
 
 namespace {

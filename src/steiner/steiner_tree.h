@@ -32,10 +32,6 @@ graph::FeatureVec TreeFeatures(const graph::SearchGraph& graph,
 double TreeCost(const graph::SearchGraph& graph,
                 const graph::WeightVector& weights, const SteinerTree& tree);
 
-// Distinct nodes touched by the tree's edges.
-std::vector<graph::NodeId> TreeNodes(const graph::SearchGraph& graph,
-                                     const SteinerTree& tree);
-
 // True if `tree.edges` forms a connected acyclic subgraph containing every
 // terminal (terminals with no edges allowed only if they all coincide).
 bool IsValidSteinerTree(const graph::SearchGraph& graph,

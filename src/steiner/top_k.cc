@@ -324,30 +324,29 @@ std::vector<SteinerTree> TopKSteinerTrees(
 
   if (config.sharded.enabled) {
     // Terminal-local sharded search: one localizer spans the
-    // enumeration. With must_solve, a subproblem
-    // retries through escalation until its masked result verifies or the
-    // mask covers everything worth covering — at which point the ordinary
-    // unmasked solve takes over. Without it, a single masked attempt
-    // either verifies or yields the certified lower bound the caller
-    // parks on — the mask never grows for a subspace whose bound may keep
-    // it from ever surfacing. Masked results that verify are
-    // bit-identical to unmasked ones (see fast_solver.h), so the
-    // enumeration's output — and its certificate — never depends on
-    // sharding, mask growth, or scheduling.
+    // enumeration, and every subproblem is solved masked. With
+    // must_solve, a subproblem retries through escalation until its
+    // masked result verifies, which it does at the latest once the mask
+    // holds everything the terminals reach (covers_all). Without it, a
+    // single masked attempt either verifies or yields the certified lower
+    // bound the caller parks on — the mask never grows for a subspace
+    // whose bound may keep it from ever surfacing. Masked results that
+    // verify are bit-identical to unmasked ones (see fast_solver.h), so
+    // the enumeration's output — and its certificate — never depends on
+    // sharding, mask growth, or scheduling. Terminals the localizer could
+    // not connect make every subproblem infeasible.
     TerminalLocalizer localizer(
         enumeration_pin.csr,
         engine->Shards(config.sharded.target_shard_nodes), terminals);
     return Enumerate(
         graph, terminals, config, use_kmb,
-        [engine, &enumeration_pin, &terminals, use_kmb, &localizer, &solve](
+        [engine, &enumeration_pin, &terminals, use_kmb, &localizer](
             const std::vector<graph::EdgeId>& forced,
             const std::vector<graph::EdgeId>& banned,
             bool must_solve) -> AttemptResult {
+          if (!localizer.connected()) return AttemptResult{};
           for (;;) {
             TerminalLocalizer::Snapshot snap = localizer.Acquire();
-            if (snap.mask->covers_all) {
-              return AttemptResult{solve(forced, banned)};
-            }
             MaskedOutcome outcome;
             double bound = 0.0;
             auto tree =
@@ -366,6 +365,7 @@ std::vector<SteinerTree> TopKSteinerTrees(
               parked.lower_bound = bound;
               return parked;
             }
+            Q_CHECK_MSG(!snap.mask->covers_all, "a closed mask escalated");
             localizer.Escalate(snap.epoch);
           }
         },

@@ -23,9 +23,9 @@ namespace q::steiner {
 // every Lawler subproblem is solved over only the shards within a proven
 // real-cost radius of the terminals. Each masked solve verifies the
 // conditions under which its result is bit-identical to the unmasked one
-// and escalates (doubling the radius, up to a whole-graph fallback) when
-// verification fails — so enabling sharding NEVER changes the output,
-// only the number of nodes each subproblem touches.
+// and escalates (doubling the radius, until the mask holds every node the
+// terminals reach) when verification fails — so enabling sharding NEVER
+// changes the output, only the number of nodes each subproblem touches.
 struct ShardedSearchConfig {
   bool enabled = false;
   // Shard granularity trades mask padding for escalation risk: a mask is

@@ -220,7 +220,7 @@ class SimulatedUserTest : public ::testing::Test {
 
   query::QueryGraph BuildQg(const std::vector<std::string>& keywords) {
     auto qg = query::BuildQueryGraph(graph_, index_, keywords, model_.get(),
-                                     *weights_, query::QueryGraphOptions{});
+                                     query::QueryGraphOptions{});
     EXPECT_TRUE(qg.ok()) << qg.status();
     return std::move(qg).value();
   }

@@ -24,6 +24,7 @@
 #include "relational/catalog.h"
 #include "steiner/csr.h"
 #include "steiner/fast_solver.h"
+#include "steiner/shard.h"
 #include "steiner/top_k.h"
 #include "util/random.h"
 
@@ -411,6 +412,85 @@ TEST(StreamingCatalogTest, ServingScratchTracksMaskNotCatalog) {
   }
   EXPECT_LE(bytes[1], 2 * bytes[0])
       << "10k: " << bytes[0] << " B, 100k: " << bytes[1] << " B";
+}
+
+// A covers_all mask (its ball reached every node the terminals can
+// reach) is solved masked over its compact view like any other mask. On
+// the catalog workload's 10k-source catalog, window requests 49 and 98 of
+// seed 7 have terminals in components of 132 and 111 nodes; a thread
+// serving them keeps its search scratch sized to the masks (solving them
+// unmasked sized it to the catalog). Every request's trees and
+// certificate equal the unsharded engine's, for KMB and for exact.
+TEST(StreamingCatalogTest, CoversAllMasksSolveMasked) {
+  util::Rng rng(9100);  // the catalog workload's catalog seed
+  FeatureSpace space;
+  CostModel model(&space, CostModelConfig{});
+  SearchGraph graph;
+  ASSERT_TRUE(data::BuildStreamingCatalog(10000,
+                                          data::StreamingCatalogOptions{},
+                                          &rng, /*catalog=*/nullptr, &model,
+                                          &graph)
+                  .ok());
+  WeightVector weights(&space);
+  steiner::FastSteinerEngine engine(graph, weights);
+  const auto requests = WindowRequests(graph, weights, /*seed=*/7, 120);
+  const std::size_t closed[] = {49, 98};
+  const std::size_t closed_nodes[] = {132, 111};
+  steiner::TopKConfig plain;
+  plain.k = 3;
+  plain.max_subproblems = 300;
+  for (int i = 0; i < 2; ++i) {
+    steiner::TerminalLocalizer localizer(
+        engine.Pin().csr, engine.Shards(plain.sharded.target_shard_nodes),
+        requests[closed[i]]);
+    const auto mask = localizer.Acquire().mask;
+    EXPECT_TRUE(mask->covers_all) << closed[i];
+    EXPECT_EQ(mask->nodes.size(), closed_nodes[i]) << closed[i];
+  }
+
+  for (bool approximate : {true, false}) {
+    SCOPED_TRACE(approximate ? "kmb" : "exact");
+    plain.approximate = approximate;
+    plain.approximate_above_nodes = std::numeric_limits<std::size_t>::max();
+    steiner::TopKConfig sharded = plain;
+    sharded.sharded.enabled = true;
+    std::vector<std::vector<steiner::SteinerTree>> trees(requests.size());
+    std::vector<steiner::RelevanceCertificate> certs(requests.size());
+    std::size_t before[2] = {0, 0};
+    std::size_t after[2] = {0, 0};
+    std::thread client([&] {
+      for (std::size_t r = 0; r < requests.size(); ++r) {
+        for (int i = 0; i < 2; ++i) {
+          if (r == closed[i]) before[i] = steiner::ThreadScratchBytes();
+        }
+        trees[r] = steiner::TopKSteinerTrees(graph, weights, requests[r],
+                                             sharded, &engine, &certs[r]);
+        for (int i = 0; i < 2; ++i) {
+          if (r == closed[i]) after[i] = steiner::ThreadScratchBytes();
+        }
+      }
+    });
+    client.join();
+    for (int i = 0; i < 2; ++i) {
+      EXPECT_GT(before[i], 0u) << closed[i];
+      EXPECT_LE(after[i], 2 * before[i])
+          << "request " << closed[i] << ": " << before[i] << " -> "
+          << after[i] << " B";
+    }
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+      steiner::RelevanceCertificate cert;
+      const auto want = steiner::TopKSteinerTrees(graph, weights, requests[r],
+                                                  plain, &engine, &cert);
+      ASSERT_EQ(trees[r].size(), want.size()) << r;
+      EXPECT_FALSE(want.empty()) << r;
+      for (std::size_t t = 0; t < want.size(); ++t) {
+        EXPECT_EQ(trees[r][t].edges, want[t].edges) << r << "/" << t;
+        EXPECT_EQ(trees[r][t].cost, want[t].cost) << r << "/" << t;
+      }
+      EXPECT_EQ(certs[r].valid, cert.valid) << r;
+      EXPECT_EQ(certs[r].gap, cert.gap) << r;
+    }
+  }
 }
 
 }  // namespace

@@ -42,7 +42,7 @@ class QueryTest : public ::testing::Test {
 
   util::Result<QueryGraph> Build(const std::vector<std::string>& keywords) {
     return BuildQueryGraph(graph_, index_, keywords, model_.get(),
-                           *weights_, QueryGraphOptions{});
+                           QueryGraphOptions{});
   }
 
   data::InterProGoDataset dataset_;
@@ -100,33 +100,55 @@ TEST_F(QueryTest, UnmatchableKeywordFails) {
   EXPECT_TRUE(qg.status().IsNotFound());
 }
 
-TEST_F(QueryTest, AssociationThresholdFiltersEdges) {
-  // Add an expensive association, then exclude it via threshold.
+// A query graph is its base graph plus the keyword overlay: every base
+// node and edge keeps its id, kind, endpoints and features, association
+// edges included whatever they cost and features mutated in place
+// included, and the overlay's nodes and edges follow the base's ids.
+TEST_F(QueryTest, QueryGraphKeepsBaseIds) {
   auto a = graph_.FindAttributeNode(
       relational::AttributeId{"go", "go_term", "name"});
   auto b = graph_.FindAttributeNode(
       relational::AttributeId{"interpro", "entry", "name"});
   ASSERT_TRUE(a.has_value() && b.has_value());
-  graph_.AddAssociationEdge(
+  // A low-confidence (expensive) association, then a vote that rewrites
+  // its features in place.
+  const graph::EdgeId assoc = graph_.AddAssociationEdge(
       *a, *b,
       model_->AssociationFeatures("mad", 0.05, "go.go_term",
                                   "interpro.entry", "k"),
       graph::MatcherScore{"mad", 0.05});
+  graph_.SetEdgeFeatures(
+      assoc, model_->AssociationFeatures("metadata", 0.9, "go.go_term",
+                                         "interpro.entry", "k"));
 
-  QueryGraphOptions open;
-  auto qg_all = BuildQueryGraph(graph_, index_, {"go term"}, model_.get(),
-                                *weights_, open);
-  ASSERT_TRUE(qg_all.ok());
-
-  QueryGraphOptions strict;
-  strict.association_cost_threshold = 0.1;  // cheaper than the new edge
-  auto qg_strict = BuildQueryGraph(graph_, index_, {"go term"},
-                                   model_.get(), *weights_, strict);
-  ASSERT_TRUE(qg_strict.ok());
-  EXPECT_LT(qg_strict->graph
-                .EdgesOfKind(graph::EdgeKind::kAssociation)
-                .size(),
-            qg_all->graph.EdgesOfKind(graph::EdgeKind::kAssociation).size());
+  auto qg = Build({"go term", "pub title"});
+  ASSERT_TRUE(qg.ok());
+  const graph::SearchGraph& out = qg->graph;
+  ASSERT_GT(out.num_nodes(), graph_.num_nodes());
+  for (graph::NodeId n = 0; n < graph_.num_nodes(); ++n) {
+    EXPECT_EQ(out.node(n).kind, graph_.node(n).kind) << n;
+    EXPECT_EQ(out.node(n).label, graph_.node(n).label) << n;
+    EXPECT_TRUE(out.node(n).attr == graph_.node(n).attr) << n;
+  }
+  ASSERT_GT(out.num_edges(), graph_.num_edges());
+  for (graph::EdgeId e = 0; e < graph_.num_edges(); ++e) {
+    const graph::EdgeView want = graph_.edge(e);
+    const graph::EdgeView got = out.edge(e);
+    EXPECT_EQ(got.kind, want.kind) << e;
+    EXPECT_EQ(got.u, want.u) << e;
+    EXPECT_EQ(got.v, want.v) << e;
+    EXPECT_TRUE(got.features() == want.features()) << e;
+  }
+  EXPECT_EQ(out.edge(assoc).kind, graph::EdgeKind::kAssociation);
+  for (graph::EdgeId e = graph_.num_edges(); e < out.num_edges(); ++e) {
+    const graph::EdgeKind kind = out.edge(e).kind;
+    EXPECT_TRUE(kind == graph::EdgeKind::kKeywordMatch ||
+                kind == graph::EdgeKind::kValueMembership)
+        << e;
+  }
+  for (graph::NodeId kw : qg->keyword_nodes) {
+    EXPECT_GE(kw, graph_.num_nodes());
+  }
 }
 
 TEST_F(QueryTest, CompileTreeProducesJoinQuery) {

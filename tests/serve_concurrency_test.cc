@@ -641,19 +641,16 @@ TEST(ServeConcurrencyTest, AssociationFeatureInterningRacesQueryReaders) {
 
 // --- WaitFresh vs. failed rounds and structural ops ----------------------
 
-// Builds (or rebuilds) `slot` through the four staged steps on the calling
-// thread, pricing with the engine's serving copy of `weights`, and
-// returns the staged search's status (an expansion failure leaves the
-// slot untouched).
+// Builds (or rebuilds) `slot` through the three staged steps on the
+// calling thread and returns the staged search's status (a Stage failure
+// leaves the slot untouched).
 util::Status StagedBuild(RefreshEngine* engine, std::size_t slot,
                          const graph::SearchGraph& base,
                          const text::TextIndex& index, graph::CostModel* model,
                          const relational::Catalog& catalog,
                          const graph::WeightVector& weights) {
-  RefreshEngine::StagedRebuild staged =
-      engine->StageRebuild(slot, base, weights);
-  Q_RETURN_NOT_OK(engine->ExpandStaged(&staged, index, model));
-  staged.weights = engine->ServingWeights(weights);
+  Q_ASSIGN_OR_RETURN(RefreshEngine::StagedRebuild staged,
+                     engine->Stage(slot, base, index, model, weights));
   engine->SearchStaged(&staged, catalog);
   const util::Status searched = staged.snapshot.status();
   engine->InstallStaged(&staged, base, weights);
@@ -1021,14 +1018,12 @@ TEST(ServeConcurrencyTest, StagedRebuildInstallsQueryGraphEngineAndSnapshot) {
   RegisterJournalCopy(&f);
   const std::uint64_t serial_before = f.view->Snapshot()->search_serial;
 
-  RefreshEngine::StagedRebuild staged =
-      f.engine.StageRebuild(f.slot, f.q->search_graph(), f.q->weights());
-  ExpectServed(f.Serve(), old_answer, "base copied");
-  ASSERT_TRUE(f.engine
-                  .ExpandStaged(&staged, f.q->text_index(), &f.q->cost_model())
-                  .ok());
-  staged.weights = std::make_shared<const graph::WeightVector>(
-      f.q->weights().Materialized());
+  util::Result<RefreshEngine::StagedRebuild> built =
+      f.engine.Stage(f.slot, f.q->search_graph(), f.q->text_index(),
+                     &f.q->cost_model(), f.q->weights());
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  RefreshEngine::StagedRebuild staged = std::move(built).value();
+  ExpectServed(f.Serve(), old_answer, "query graph staged");
   const RefreshEngineStats before_search = f.engine.stats();
   f.engine.SearchStaged(&staged, f.q->catalog());
   ASSERT_TRUE(staged.snapshot.ok()) << staged.snapshot.status().ToString();

@@ -442,7 +442,7 @@ class ShardedOverlayDifferentialTest : public ::testing::TestWithParam<int> {};
 
 // Engine-level masked-vs-unmasked differential under forced/banned
 // overlays: replicate the enumeration's escalation retry loop around the
-// masked solvers (degenerate 1-node shards, so masks track the ball
+// masked solvers (every subproblem masked, covers_all masks included) (degenerate 1-node shards, so masks track the ball
 // tightly) and require exact agreement with the unmasked solver at every
 // Lawler step of the best tree's edge walk.
 TEST_P(ShardedOverlayDifferentialTest, MaskedOverlaySolvesMatchUnmasked) {
@@ -456,18 +456,19 @@ TEST_P(ShardedOverlayDifferentialTest, MaskedOverlaySolvesMatchUnmasked) {
   auto solve_sharded = [&](const std::vector<EdgeId>& forced,
                            const std::vector<EdgeId>& banned,
                            bool kmb) -> std::optional<SteinerTree> {
+    if (!localizer.connected()) return std::nullopt;
     for (;;) {
       TerminalLocalizer::Snapshot snap = localizer.Acquire();
-      if (snap.mask->covers_all) {
-        return kmb ? engine.SolveKmb(pin, g.terminals, forced, banned)
-                   : engine.SolveExact(pin, g.terminals, forced, banned);
-      }
       MaskedOutcome outcome;
       auto tree = kmb ? engine.SolveKmbMasked(pin, g.terminals, forced,
                                               banned, *snap.mask, &outcome)
                       : engine.SolveExactMasked(pin, g.terminals, forced,
                                                 banned, *snap.mask, &outcome);
       if (outcome == MaskedOutcome::kOk) return tree;
+      if (snap.mask->covers_all) {
+        ADD_FAILURE() << "a closed mask escalated";
+        return std::nullopt;
+      }
       localizer.Escalate(snap.epoch);
     }
   };
@@ -558,10 +559,18 @@ TEST(ShardedEscalationTest, UndersizedMaskEscalatesAdequateMaskVerifies) {
   EXPECT_EQ(unmasked->cost, masked->cost);
 
   // A localizer over this graph bootstraps covers_all immediately (the
-  // star ball reaches everything), so the enumeration would fall back to
-  // plain solves rather than mask at all.
+  // star ball reaches everything); the enumeration still solves over the
+  // mask's compact view, which certifies since nothing leaves it.
   TerminalLocalizer localizer(pin.csr, engine.Shards(1), terminals);
-  EXPECT_TRUE(localizer.Acquire().mask->covers_all);
+  const TerminalLocalizer::Snapshot closed = localizer.Acquire();
+  EXPECT_TRUE(closed.mask->covers_all);
+  ASSERT_TRUE(closed.mask->HasCompact());
+  masked = engine.SolveExactMasked(pin, terminals, {}, {}, *closed.mask,
+                                   &outcome);
+  EXPECT_EQ(outcome, MaskedOutcome::kOk);
+  ASSERT_TRUE(masked.has_value());
+  EXPECT_EQ(unmasked->edges, masked->edges);
+  EXPECT_EQ(unmasked->cost, masked->cost);
 }
 
 // A hand-built graph whose edge costs are given directly: one shared
@@ -594,6 +603,36 @@ struct CostGraph {
 // The parked bound a masked solve reports for a pairwise overlay floor
 // `floor` with no forced edges (the slack-shaved SubspaceCostBound).
 double ParkedBound(double floor) { return floor - (floor * 1e-12 + 1e-12); }
+
+// Terminals the localizer's star Dijkstra cannot connect make every
+// subproblem infeasible: the sharded enumeration answers without a solve
+// and agrees with the unsharded one, certificate included.
+TEST(ShardedEscalationTest, DisconnectedTerminalsAreInfeasible) {
+  CostGraph g(4);
+  g.Add(0, 1, 1.0);
+  g.Add(2, 3, 1.0);
+  const std::vector<NodeId> terminals = {0, 3};
+  FastSteinerEngine engine(g.graph, *g.weights);
+  TerminalLocalizer localizer(engine.Pin().csr, engine.Shards(1), terminals);
+  EXPECT_FALSE(localizer.connected());
+  for (bool kmb : {true, false}) {
+    TopKConfig plain;
+    plain.k = 3;
+    plain.approximate = kmb;
+    TopKConfig sharded = plain;
+    sharded.sharded.enabled = true;
+    RelevanceCertificate plain_cert;
+    RelevanceCertificate sharded_cert;
+    EXPECT_TRUE(TopKSteinerTrees(g.graph, *g.weights, terminals, plain,
+                                 &engine, &plain_cert)
+                    .empty());
+    EXPECT_TRUE(TopKSteinerTrees(g.graph, *g.weights, terminals, sharded,
+                                 &engine, &sharded_cert)
+                    .empty());
+    EXPECT_EQ(plain_cert.valid, sharded_cert.valid) << kmb;
+    EXPECT_EQ(plain_cert.gap, sharded_cert.gap) << kmb;
+  }
+}
 
 // The boundary certificate decides: terminals 0 and 2 are joined inside
 // the localizer's first mask (0-3-4-2, cost 10, once 0-1 is banned), but
